@@ -19,17 +19,13 @@
 //
 // Gate: batched_vs_sequential — on the headline point (p=4096, k=64,
 // n=16384) batching must cut cycles/query by >= 2x. The measured quantity
-// is deterministic simulated time, but the point itself is sized for
-// multi-core hosts, so the gate follows the repo convention (see
-// bench_simspeed's parallel_vs_event) and is enforced only on machines
-// with >= 4 hardware threads; narrower machines record it unenforced and
-// tools/ci.sh surfaces the warning.
+// is deterministic simulated time, which host shape cannot move, so the
+// gate is enforced on every machine.
 #include <cstddef>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -40,7 +36,6 @@ namespace mcb::bench {
 namespace {
 
 constexpr double kRequiredSpeedup = 2.0;
-constexpr unsigned kMinHardware = 4;
 
 struct GridPoint {
   std::size_t p, k, n;
@@ -168,8 +163,6 @@ int main(int argc, char** argv) {
   }
   std::cout << t;
 
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool enforced = hw >= kMinHardware;
   const bool passed = headline_speedup >= kRequiredSpeedup;
 
   std::ofstream out(json_path);
@@ -186,18 +179,15 @@ int main(int argc, char** argv) {
          "\"n\": 16384, \"required_speedup\": "
       << kRequiredSpeedup
       << ", \"measured\": " << util::json_double(headline_speedup)
-      << ", \"hardware_threads\": " << hw
-      << ", \"enforced\": " << (enforced ? "true" : "false")
-      << ", \"passed\": " << (passed ? "true" : "false") << "}\n"
+      << ", \"enforced\": true, \"passed\": " << (passed ? "true" : "false")
+      << "}\n"
       << "  ]\n}\n";
   std::cout << "\nwrote " << json_path << "\n";
 
   std::cout << "serve p=4096 k=64 batched-vs-sequential cycles/query "
                "speedup: "
-            << headline_speedup << "x (gate >= " << kRequiredSpeedup << ")"
-            << (enforced ? "" : " [NOT ENFORCED: < 4 hardware threads]")
-            << "\n";
-  if (enforced && !passed) {
+            << headline_speedup << "x (gate >= " << kRequiredSpeedup << ")\n";
+  if (!passed) {
     std::cerr << "BENCH FAILURE: expected >= " << kRequiredSpeedup
               << "x cycles/query from batching at p=4096 k=64, measured "
               << headline_speedup << "x\n";

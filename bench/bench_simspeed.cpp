@@ -1,5 +1,5 @@
-// Simulator-throughput benchmark: the event-driven and parallel engines vs
-// the scan-the-world reference loop, across (p, k) grids for sorting and
+// Simulator-throughput benchmark: the event-driven engine vs the
+// scan-the-world reference loop, across (p, k) grids for sorting and
 // selection.
 //
 // Unlike the other bench binaries (which measure the *model's* cycle and
@@ -11,9 +11,9 @@
 // reference loop: its O(p) per-cycle scans make it minutes-slow there, and
 // its correctness standing comes from the equivalence tests, not from being
 // re-timed. Correctness of the comparison rests on
-// tests/scheduler_equivalence_test.cpp, which pins all engines to
+// tests/scheduler_equivalence_test.cpp, which pins both engines to
 // bit-identical accounting; this binary additionally cross-checks that every
-// rep and every engine agrees on cycles and messages.
+// rep and both engines agree on cycles and messages.
 //
 // Output: a per-grid-point table (median wall ns, resumes, cycles/sec,
 // arena telemetry, speedups) and a machine-readable BENCH_simspeed.json
@@ -23,26 +23,18 @@
 // carries ns_per_proc_cycle = sim_wall_ns / (p * cycles), the
 // size-normalized cost that makes rows of different geometry comparable.
 //
-// Four gates, each failing the binary when enforced:
+// Two gates, each failing the binary when enforced:
 //   * event_vs_reference — the event engine must beat the reference loop
 //     >= 5x on the skip-heavy selection p=4096 k=4 point (since PR 1).
 //   * arena_vs_pr2 — with the frame arena on, the same point's event
 //     wall-clock must beat the PR-2 recorded baseline >= 1.3x and the
 //     arena hit rate must exceed 0.9 in steady state. Not enforced in
 //     MCB_FRAME_ARENA=OFF builds (tools/ci.sh warns on unenforced gates).
-//   * parallel_vs_event — the parallel engine (threads = hardware) must
-//     beat the event engine >= 2x on selection p=65536 k=4. Enforced only
-//     on machines with >= 4 hardware threads; below that the pool cannot
-//     possibly buy a 2x and the gate reports unenforced.
-//   * parallel_hotpath_vs_pr6 — parallel ns_per_proc_cycle on the same
-//     p=65536 point must beat the PR-6 recorded baseline >= 1.5x (batched
-//     slot commits + barrier fusion). Same >= 4-hardware-thread
-//     enforcement floor as parallel_vs_event.
 //
 // One extra row rides outside the gate grid: selection p=2^20 (n=4p),
-// parallel engine only, a single rep — the first megaprocessor data point.
-// It only runs when the p=65536 parallel median stayed within a wall-clock
-// budget (small CI runners would otherwise spend tens of minutes on it);
+// event engine only, a single rep — the megaprocessor data point. It only
+// runs when the p=65536 event median stayed within a wall-clock budget
+// (small CI runners would otherwise spend tens of minutes on it);
 // when skipped, the JSON says so loudly in a top-level "big_row" object
 // rather than silently omitting the row. MCB_SIMSPEED_FORCE_BIG=1 forces it
 // regardless of budget.
@@ -54,7 +46,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "algo/selection.hpp"
@@ -66,9 +57,9 @@
 namespace mcb::bench {
 namespace {
 
-// --profile attaches this flight recorder to every parallel-engine run (the
-// serial engines have no barriers to time). Host-side only: the gates and
-// the JSON artifact are computed from the same RunStats either way.
+// --profile attaches this host-time recorder to every event-engine run.
+// Host-side only: the gates and the JSON artifact are computed from the same
+// RunStats either way.
 obs::Profiler* g_profiler = nullptr;
 
 constexpr std::size_t kReps = 3;
@@ -80,19 +71,7 @@ constexpr std::uint64_t kPr2EventWallNs = 206128073;
 constexpr double kArenaRequiredSpeedup = 1.3;
 constexpr double kArenaRequiredHitRate = 0.9;
 
-// parallel_vs_event gate: required speedup and the hardware-thread floor
-// below which it stays unenforced (a <4-wide machine cannot owe us 2x).
-constexpr double kParallelRequiredSpeedup = 2.0;
-constexpr unsigned kParallelMinHardware = 4;
-
-// Parallel ns_per_proc_cycle on selection p=65536 k=4 recorded in
-// BENCH_simspeed.json by PR 6, before the hot-path overhaul (batched slot
-// commits, sticky stripe affinity, barrier fusion). The hot-path gate
-// measures against this fixed point; same hardware floor as above.
-constexpr double kPr6ParallelNsPerProcCycle = 0.0698078;
-constexpr double kHotPathRequiredRatio = 1.5;
-
-// The p=2^20 row runs only when the p=65536 parallel median wall clock came
+// The p=2^20 row runs only when the p=65536 event median wall clock came
 // in under this budget (the big row is ~16x that work), or when
 // MCB_SIMSPEED_FORCE_BIG=1 overrides the guard.
 constexpr std::uint64_t kBigRowBudgetWallNs = 2'000'000'000;  // 2 s
@@ -112,44 +91,36 @@ struct Row {
   GridPoint pt;
   EngineResult ref;    // scan-the-world baseline; empty when skip_reference
   EngineResult event;  // wake-queue engine
-  EngineResult par;    // striped parallel engine, threads = hardware
   double speedup() const {  // event vs reference; 0 when reference skipped
     return event.median.sim_wall_ns == 0
                ? 0.0
                : static_cast<double>(ref.median.sim_wall_ns) /
                      static_cast<double>(event.median.sim_wall_ns);
   }
-  double parallel_speedup() const {  // parallel vs event
-    return par.median.sim_wall_ns == 0
-               ? 0.0
-               : static_cast<double>(event.median.sim_wall_ns) /
-                     static_cast<double>(par.median.sim_wall_ns);
-  }
 };
 
-// The p=2^20 parallel-only row and the budget decision behind it. Always
+// The p=2^20 event-only row and the budget decision behind it. Always
 // serialized into the JSON (as "big_row") so a skip is loud, not silent.
 struct BigRow {
   GridPoint pt;
   bool ran = false;
   bool forced = false;             // MCB_SIMSPEED_FORCE_BIG=1 was set
-  std::uint64_t gate_wall_ns = 0;  // p=65536 parallel median (budget key)
-  EngineResult par;                // a single rep when ran
+  std::uint64_t gate_wall_ns = 0;  // p=65536 event median (budget key)
+  EngineResult event;              // a single rep when ran
 };
 
 const char* engine_json_name(Engine e) {
   switch (e) {
     case Engine::kReference: return "reference";
     case Engine::kEventDriven: return "event";
-    case Engine::kParallel: return "parallel";
   }
   return "unknown";
 }
 
 RunStats run_point(const GridPoint& pt, Engine engine) {
   SimConfig cfg{.p = pt.p, .k = pt.k};
-  cfg.engine = engine;  // kParallel keeps threads = 0: all hardware threads
-  if (engine == Engine::kParallel) cfg.profiler = g_profiler;
+  cfg.engine = engine;
+  if (engine == Engine::kEventDriven) cfg.profiler = g_profiler;
   const auto w = util::make_workload(pt.n, pt.p, util::Shape::kEven, 42);
   if (pt.bench == "sort") {
     auto res = algo::sort(cfg, w.inputs);
@@ -219,8 +190,7 @@ std::string json_run_row(const GridPoint& pt, const EngineResult& er,
 }
 
 void write_json(const std::vector<Row>& rows, const Row& headline,
-                const Row& big, const BigRow& huge, bool parallel_enforced,
-                const std::string& path) {
+                const BigRow& huge, const std::string& path) {
   const bool arena_on = MCB_FRAME_ARENA_ENABLED != 0;
   const double arena_speedup =
       headline.event.median.sim_wall_ns == 0
@@ -231,13 +201,6 @@ void write_json(const std::vector<Row>& rows, const Row& headline,
   const bool arena_passed = arena_speedup >= kArenaRequiredSpeedup &&
                             hit_rate > kArenaRequiredHitRate;
   const bool ref_passed = headline.speedup() >= 5.0;
-  const bool parallel_passed =
-      big.parallel_speedup() >= kParallelRequiredSpeedup;
-  const double hotpath_measured = ns_per_proc_cycle(big.pt, big.par.median);
-  const double hotpath_ratio =
-      hotpath_measured == 0.0 ? 0.0
-                              : kPr6ParallelNsPerProcCycle / hotpath_measured;
-  const bool hotpath_passed = hotpath_ratio >= kHotPathRequiredRatio;
 
   std::ofstream out(path);
   if (!out) {
@@ -252,12 +215,10 @@ void write_json(const std::vector<Row>& rows, const Row& headline,
           << ",\n";
     }
     out << json_run_row(rows[i].pt, rows[i].event, Engine::kEventDriven)
-        << ",\n";
-    out << json_run_row(rows[i].pt, rows[i].par, Engine::kParallel)
         << (i + 1 < rows.size() || huge.ran ? ",\n" : "\n");
   }
   if (huge.ran) {
-    out << json_run_row(huge.pt, huge.par, Engine::kParallel) << "\n";
+    out << json_run_row(huge.pt, huge.event, Engine::kEventDriven) << "\n";
   }
   // The big row's disposition, run or skipped — a reader diffing artifacts
   // across machines sees *why* the p=2^20 row is absent, not just that it
@@ -265,13 +226,13 @@ void write_json(const std::vector<Row>& rows, const Row& headline,
   // big_row_p2_20 coverage entry that `mcbsim gates` scans.)
   out << "  ],\n  \"big_row\": {\"bench\": \"" << huge.pt.bench
       << "\", \"p\": " << huge.pt.p << ", \"k\": " << huge.pt.k
-      << ", \"n\": " << huge.pt.n << ", \"engine\": \"parallel\", \"reps\": 1"
+      << ", \"n\": " << huge.pt.n << ", \"engine\": \"event\", \"reps\": 1"
       << ", \"status\": \"" << (huge.ran ? "run" : "SKIPPED")
       << "\", \"budget_wall_ns\": " << kBigRowBudgetWallNs
-      << ", \"p65536_parallel_wall_ns\": " << huge.gate_wall_ns
+      << ", \"p65536_event_wall_ns\": " << huge.gate_wall_ns
       << ", \"forced\": " << (huge.forced ? "true" : "false");
   if (!huge.ran) {
-    out << ", \"reason\": \"p=65536 parallel median wall exceeds the budget "
+    out << ", \"reason\": \"p=65536 event median wall exceeds the budget "
            "on this machine; set MCB_SIMSPEED_FORCE_BIG=1 to run it "
            "anyway\"";
   }
@@ -279,8 +240,7 @@ void write_json(const std::vector<Row>& rows, const Row& headline,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     out << "    {\"bench\": \"" << rows[i].pt.bench
         << "\", \"p\": " << rows[i].pt.p << ", \"k\": " << rows[i].pt.k
-        << ", \"speedup\": " << rows[i].speedup()
-        << ", \"parallel_vs_event\": " << rows[i].parallel_speedup() << "}"
+        << ", \"speedup\": " << rows[i].speedup() << "}"
         << (i + 1 < rows.size() ? ",\n" : "\n");
   }
   out << "  ],\n  \"gates\": [\n"
@@ -298,31 +258,13 @@ void write_json(const std::vector<Row>& rows, const Row& headline,
       << ", \"arena_hit_rate\": " << hit_rate
       << ", \"enforced\": " << (arena_on ? "true" : "false")
       << ", \"passed\": " << (arena_passed ? "true" : "false") << "},\n"
-      << "    {\"name\": \"parallel_vs_event\", \"bench\": \"selection\", "
-         "\"p\": "
-      << big.pt.p << ", \"k\": " << big.pt.k
-      << ", \"required_speedup\": " << kParallelRequiredSpeedup
-      << ", \"measured\": " << big.parallel_speedup()
-      << ", \"hardware_threads\": " << std::thread::hardware_concurrency()
-      << ", \"enforced\": " << (parallel_enforced ? "true" : "false")
-      << ", \"passed\": " << (parallel_passed ? "true" : "false") << "},\n"
-      << "    {\"name\": \"parallel_hotpath_vs_pr6\", \"bench\": "
-         "\"selection\", \"p\": "
-      << big.pt.p << ", \"k\": " << big.pt.k
-      << ", \"baseline_ns_per_proc_cycle\": " << kPr6ParallelNsPerProcCycle
-      << ", \"measured_ns_per_proc_cycle\": " << hotpath_measured
-      << ", \"required_ratio\": " << kHotPathRequiredRatio
-      << ", \"measured_ratio\": " << hotpath_ratio
-      << ", \"hardware_threads\": " << std::thread::hardware_concurrency()
-      << ", \"enforced\": " << (parallel_enforced ? "true" : "false")
-      << ", \"passed\": " << (hotpath_passed ? "true" : "false") << "},\n"
       // Coverage gate for the p=2^20 row: when the budget guard skipped it,
       // this stub reports enforced=false so `mcbsim gates` exits 3 and the
       // missing megaprocessor data point is surfaced, not silently absent.
       << "    {\"name\": \"big_row_p2_20\", \"bench\": \"" << huge.pt.bench
       << "\", \"p\": " << huge.pt.p << ", \"k\": " << huge.pt.k
       << ", \"budget_wall_ns\": " << kBigRowBudgetWallNs
-      << ", \"p65536_parallel_wall_ns\": " << huge.gate_wall_ns
+      << ", \"p65536_event_wall_ns\": " << huge.gate_wall_ns
       << ", \"enforced\": " << (huge.ran ? "true" : "false")
       << ", \"passed\": " << (huge.ran ? "true" : "false") << "}\n"
       << "  ]\n}\n";
@@ -354,8 +296,7 @@ int main(int argc, char** argv) {
   // selection stresses the wake queue and the idle-cycle fast-forward (at
   // p/k = 1024 nearly every processor is asleep in skip() at any instant —
   // the acceptance workload for the event engine). The two skip_reference
-  // rows are the parallel engine's acceptance workloads: big enough that
-  // striping the per-cycle scans pays for the barrier.
+  // rows are too large for the reference loop's O(p) per-cycle scans.
   const std::vector<GridPoint> grid = {
       {"sort", 64, 8, 256},
       {"sort", 256, 16, 1024},
@@ -370,25 +311,22 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   section(
-      "simulator throughput: event-driven and parallel engines vs "
-      "scan-the-world reference");
+      "simulator throughput: event-driven engine vs scan-the-world "
+      "reference");
   std::cout << "median of " << kReps << " reps per engine per point\n";
   util::Table t;
   t.header({"bench", "p", "k", "n", "cycles", "ref wall ms", "event wall ms",
-            "par wall ms", "event resumes", "event cyc/s", "hit rate",
-            "ref/event", "event/par"});
+            "event resumes", "event cyc/s", "hit rate", "ref/event"});
   for (const auto& pt : grid) {
     Row r;
     r.pt = pt;
     if (!pt.skip_reference) r.ref = run_reps(pt, Engine::kReference);
     r.event = run_reps(pt, Engine::kEventDriven);
-    r.par = run_reps(pt, Engine::kParallel);
     const bool ref_agrees =
         pt.skip_reference ||
         (r.ref.median.cycles == r.event.median.cycles &&
          r.ref.median.messages == r.event.median.messages);
-    if (!ref_agrees || r.par.median.cycles != r.event.median.cycles ||
-        r.par.median.messages != r.event.median.messages) {
+    if (!ref_agrees) {
       std::cerr << "BENCH FAILURE: engines disagree on accounting at p="
                 << pt.p << " k=" << pt.k << "\n";
       std::abort();
@@ -402,20 +340,17 @@ int main(int argc, char** argv) {
                      static_cast<double>(r.ref.median.sim_wall_ns) / 1e6, 2),
            util::Table::num(
                static_cast<double>(r.event.median.sim_wall_ns) / 1e6, 2),
-           util::Table::num(
-               static_cast<double>(r.par.median.sim_wall_ns) / 1e6, 2),
            util::Table::num(r.event.median.proc_resumes),
            util::Table::num(r.event.median.cycles_per_sec, 0),
            util::Table::num(r.event.median.arena_hit_rate, 3),
            pt.skip_reference ? util::Table::txt("-")
-                             : util::Table::num(r.speedup(), 2),
-           util::Table::num(r.parallel_speedup(), 2)});
+                             : util::Table::num(r.speedup(), 2)});
     rows.push_back(std::move(r));
   }
   std::cout << t;
 
   const Row* headline = nullptr;  // event_vs_reference + arena gates
-  const Row* big = nullptr;       // parallel_vs_event gate
+  const Row* big = nullptr;       // big-row budget key
   for (const auto& r : rows) {
     if (r.pt.bench != "selection") continue;
     if (r.pt.p == 4096) headline = &r;
@@ -426,40 +361,37 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // The p=2^20 row: parallel engine only (the serial engines would take
-  // O(10 minutes) even on fast hardware), one rep, behind the wall-clock
+  // The p=2^20 row: event engine only, one rep, behind the wall-clock
   // budget so small CI runners are not stuck simulating a megaprocessor
   // network. The skip is recorded in the JSON, never silent.
   BigRow huge;
   huge.pt = {"selection", std::size_t{1} << 20, 4, std::size_t{4} << 20,
              /*skip_reference=*/true};
-  huge.gate_wall_ns = big->par.median.sim_wall_ns;
+  huge.gate_wall_ns = big->event.median.sim_wall_ns;
   const char* force_env = std::getenv("MCB_SIMSPEED_FORCE_BIG");
   huge.forced =
       force_env != nullptr && *force_env != '\0' && *force_env != '0';
   if (huge.forced || huge.gate_wall_ns <= kBigRowBudgetWallNs) {
-    std::cout << "\nrunning the p=2^20 selection row (parallel only, "
+    std::cout << "\nrunning the p=2^20 selection row (event only, "
                  "1 rep)...\n";
-    RunStats s = run_point(huge.pt, Engine::kParallel);
-    huge.par.wall_ns.push_back(s.sim_wall_ns);
-    huge.par.median = std::move(s);
+    RunStats s = run_point(huge.pt, Engine::kEventDriven);
+    huge.event.wall_ns.push_back(s.sim_wall_ns);
+    huge.event.median = std::move(s);
     huge.ran = true;
-    std::cout << "selection p=2^20 k=4 parallel: "
-              << static_cast<double>(huge.par.median.sim_wall_ns) / 1e6
-              << " ms, " << huge.par.median.cycles << " cycles, "
-              << ns_per_proc_cycle(huge.pt, huge.par.median)
+    std::cout << "selection p=2^20 k=4 event: "
+              << static_cast<double>(huge.event.median.sim_wall_ns) / 1e6
+              << " ms, " << huge.event.median.cycles << " cycles, "
+              << ns_per_proc_cycle(huge.pt, huge.event.median)
               << " ns/proc-cycle\n";
   } else {
-    std::cout << "\nSKIPPED the p=2^20 selection row: p=65536 parallel "
+    std::cout << "\nSKIPPED the p=2^20 selection row: p=65536 event "
                  "median wall "
               << huge.gate_wall_ns << " ns exceeds the "
               << kBigRowBudgetWallNs
               << " ns budget (set MCB_SIMSPEED_FORCE_BIG=1 to force)\n";
   }
 
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool parallel_enforced = hw >= kParallelMinHardware;
-  write_json(rows, *headline, *big, huge, parallel_enforced, json_path);
+  write_json(rows, *headline, huge, json_path);
   std::cout << "\nwrote " << json_path << "\n";
 
   // Gate 1 (since PR 1): the skip-heavy selection workload at p=4096, k=4
@@ -494,48 +426,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Gate 3 (since PR 6): the parallel engine must beat the event engine
-  // >= 2x on selection p=65536 k=4 — but only on machines wide enough for
-  // the pool to plausibly deliver it.
-  std::cout << "selection p=65536 k=4 parallel-vs-event speedup: "
-            << big->parallel_speedup() << "x (gate >= "
-            << kParallelRequiredSpeedup << ")"
-            << (parallel_enforced
-                    ? ""
-                    : " [NOT ENFORCED: < 4 hardware threads]")
-            << "\n";
-  if (parallel_enforced &&
-      big->parallel_speedup() < kParallelRequiredSpeedup) {
-    std::cerr << "BENCH FAILURE: parallel gate missed on selection p=65536 "
-                 "k=4 (speedup "
-              << big->parallel_speedup() << "x on " << hw
-              << " hardware threads)\n";
-    return 1;
-  }
-
-  // Gate 4 (since PR 8): the hot-path overhaul (batched slot commits,
-  // sticky affinity, barrier fusion) must hold a >= 1.5x ns_per_proc_cycle
-  // improvement over the PR-6 parallel engine on the same point. Same
-  // hardware floor as gate 3.
-  const double hotpath = ns_per_proc_cycle(big->pt, big->par.median);
-  const double hotpath_ratio =
-      hotpath == 0.0 ? 0.0 : kPr6ParallelNsPerProcCycle / hotpath;
-  std::cout << "selection p=65536 k=4 parallel ns/proc-cycle: " << hotpath
-            << " vs PR-6 baseline " << kPr6ParallelNsPerProcCycle << " ("
-            << hotpath_ratio << "x, gate >= " << kHotPathRequiredRatio << ")"
-            << (parallel_enforced ? ""
-                                  : " [NOT ENFORCED: < 4 hardware threads]")
-            << "\n";
-  if (parallel_enforced && hotpath_ratio < kHotPathRequiredRatio) {
-    std::cerr << "BENCH FAILURE: hot-path gate missed on selection p=65536 "
-                 "k=4 (ns_per_proc_cycle "
-              << hotpath << ", only " << hotpath_ratio
-              << "x over the PR-6 baseline)\n";
-    return 1;
-  }
-
   if (prof.has_value()) {
-    section("host profile: parallel engine, all grid points and reps");
+    section("host profile: event engine, all grid points and reps");
     std::cout << prof->text();
   }
   return 0;

@@ -25,7 +25,6 @@ const char* engine_name(Engine e) {
   switch (e) {
     case Engine::kEventDriven: return "event";
     case Engine::kReference: return "reference";
-    case Engine::kParallel: return "parallel";
   }
   return "unknown";
 }
@@ -151,11 +150,6 @@ TrialResult run_trial(const TrialSpec& spec, Engine engine, bool check,
   try {
     SimConfig cfg{.p = pt.p, .k = pt.k};
     cfg.engine = engine;
-    // Parallel-engine trials run single-threaded: the sweep already fans
-    // out across trials (parallel_for_index), so per-trial worker pools
-    // would oversubscribe the machine, and the engine's determinism
-    // contract makes thread count unobservable in the results anyway.
-    if (engine == Engine::kParallel) cfg.threads = 1;
     cfg.validate();
     const auto w = util::make_workload(pt.n, pt.p, pt.shape, spec.seed);
 

@@ -1,11 +1,8 @@
 #include "harness/thread_pool.hpp"
 
 #include <atomic>
-#include <limits>
 #include <thread>
 #include <vector>
-
-#include "obs/clock.hpp"
 
 namespace mcb::harness {
 
@@ -40,147 +37,6 @@ void parallel_for_index(std::size_t n, std::size_t threads,
   for (std::size_t t = 0; t + 1 < workers; ++t) pool.emplace_back(worker);
   worker();  // the calling thread is worker 0
   for (auto& th : pool) th.join();
-}
-
-WorkerPool::WorkerPool(std::size_t workers)
-    : workers_(workers == 0 ? 1 : workers) {
-  threads_.reserve(workers_ - 1);
-  for (std::size_t t = 0; t + 1 < workers_; ++t) {
-    // Lane 0 is the caller of run()/run_static(); resident thread t owns
-    // lane t + 1 for the lifetime of the pool (the static-affinity map).
-    threads_.emplace_back([this, lane = t + 1] { worker_main(lane); });
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  start_cv_.notify_all();
-  for (auto& th : threads_) th.join();
-}
-
-void WorkerPool::set_busy_clock(obs::Clock* clock) {
-  busy_clock_ = clock;
-  lane_busy_ns_.assign(workers_, 0);
-}
-
-void WorkerPool::timed_call(const FnRef& fn, std::size_t i, std::size_t lane) {
-  if (busy_clock_ == nullptr) {
-    fn(i);
-    return;
-  }
-  const std::uint64_t t0 = busy_clock_->now_ns();
-  fn(i);
-  lane_busy_ns_[lane] += busy_clock_->now_ns() - t0;
-}
-
-void WorkerPool::claim_loop(std::uint32_t epoch, std::size_t n, FnRef fn,
-                            std::size_t lane) {
-  for (;;) {
-    std::uint64_t s = state_.load(std::memory_order_acquire);
-    if (static_cast<std::uint32_t>(s >> 32) != epoch) return;  // stale batch
-    const auto i = static_cast<std::uint32_t>(s);
-    if (i >= n) return;  // batch fully claimed
-    if (!state_.compare_exchange_weak(s, s + 1, std::memory_order_acq_rel,
-                                      std::memory_order_acquire)) {
-      continue;  // lost the claim race; retry with the fresh value
-    }
-    timed_call(fn, i, lane);
-    std::lock_guard<std::mutex> lk(mu_);
-    if (++completed_ == job_n_) done_cv_.notify_one();
-  }
-}
-
-void WorkerPool::worker_main(std::size_t lane) {
-  std::uint32_t seen = 0;
-  for (;;) {
-    const FnRef* fn = nullptr;
-    const FnRef* sfn = nullptr;
-    std::size_t n = 0;
-    std::uint32_t epoch = 0;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      start_cv_.wait(lk, [&] { return stop_ || epoch_ != seen; });
-      if (stop_) return;
-      seen = epoch = epoch_;
-      fn = job_;
-      sfn = static_job_;
-      n = job_n_;
-    }
-    if (sfn != nullptr) {
-      // Static batch: this thread's fixed lane, exactly once. The caller
-      // waits for all workers_ completions, so no resident thread can sleep
-      // through a static epoch — the batch does not finish without it.
-      timed_call(*sfn, lane, lane);
-      std::lock_guard<std::mutex> lk(mu_);
-      if (++completed_ == job_n_) done_cv_.notify_one();
-    } else {
-      claim_loop(epoch, n, *fn, lane);
-    }
-  }
-}
-
-void WorkerPool::run(std::size_t n, FnRef fn) {
-  if (n == 0) return;
-  if (threads_.empty()) {
-    for (std::size_t i = 0; i < n; ++i) timed_call(fn, i, 0);
-    return;
-  }
-  std::uint32_t epoch = 0;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    epoch = ++epoch_;
-    job_ = &fn;
-    static_job_ = nullptr;
-    job_n_ = n;
-    completed_ = 0;
-    // Publish the batch counter inside the critical section: a worker whose
-    // wait predicate observed this epoch acquired mu_ after this store, so
-    // its claim loads cannot see the previous batch's counter. The release
-    // store additionally pairs with the acquire claim loads, making every
-    // caller-side write sequenced before run() visible to claimants.
-    state_.store(pack(epoch, 0), std::memory_order_release);
-  }
-  start_cv_.notify_all();
-
-  claim_loop(epoch, n, fn, 0);  // the caller is a full lane too (lane 0)
-
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [&] { return completed_ == n; });
-  job_ = nullptr;
-}
-
-void WorkerPool::run_static(FnRef fn) {
-  if (threads_.empty()) {
-    timed_call(fn, 0, 0);
-    return;
-  }
-  std::uint32_t epoch = 0;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    epoch = ++epoch_;
-    job_ = nullptr;
-    static_job_ = &fn;
-    job_n_ = workers_;
-    completed_ = 0;
-    // Saturate the index half under the new epoch: a dynamic straggler
-    // re-checking state_ sees a foreign epoch (or a fully-claimed batch)
-    // and retires without touching this batch. Static lanes never read
-    // state_; publication happens under mu_ via the wait predicate.
-    state_.store(pack(epoch, std::numeric_limits<std::uint32_t>::max()),
-                 std::memory_order_release);
-  }
-  start_cv_.notify_all();
-
-  timed_call(fn, 0, 0);  // the caller is lane 0
-
-  std::unique_lock<std::mutex> lk(mu_);
-  if (++completed_ != job_n_) {
-    done_cv_.wait(lk, [&] { return completed_ == job_n_; });
-  }
-  static_job_ = nullptr;
 }
 
 }  // namespace mcb::harness

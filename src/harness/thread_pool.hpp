@@ -16,46 +16,10 @@
 // parallel sweep smoke under ThreadSanitizer on every CI run.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <type_traits>
-#include <vector>
-
-namespace mcb::obs {
-class Clock;  // src/obs/clock.hpp — host wall-clock seam (profiler support)
-}  // namespace mcb::obs
 
 namespace mcb::harness {
-
-/// Non-owning, non-allocating reference to a callable taking one index —
-/// a function_ref for the pool's dispatch signature. A WorkerPool batch is
-/// synchronous (run()/run_static() return only after every call completed),
-/// so borrowing the callable is safe and constructing the batch costs two
-/// words instead of a possibly-allocating std::function. The referent must
-/// outlive the call that borrows it (binding a temporary lambda at a call
-/// site is fine: the temporary lives until the full expression — the pool
-/// call — returns).
-class FnRef {
- public:
-  template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, FnRef>>>
-  FnRef(const F& f) noexcept  // NOLINT(google-explicit-constructor)
-      : ctx_(const_cast<void*>(static_cast<const void*>(&f))),
-        call_([](void* ctx, std::size_t i) {
-          (*static_cast<const F*>(ctx))(i);
-        }) {}
-
-  void operator()(std::size_t i) const { call_(ctx_, i); }
-
- private:
-  void* ctx_;
-  void (*call_)(void*, std::size_t);
-};
 
 /// Number of workers the pool uses for a request of `threads` (0 means "use
 /// the hardware"): clamped to [1, n] and, for threads == 0, to
@@ -68,116 +32,5 @@ std::size_t resolve_threads(std::size_t threads, std::size_t n);
 /// (or n <= 1) everything runs on the calling thread.
 void parallel_for_index(std::size_t n, std::size_t threads,
                         const std::function<void(std::size_t)>& fn);
-
-/// A persistent worker pool for repeated fine-grained fan-outs — the
-/// per-cycle dispatch of the parallel simulation engine, which cannot afford
-/// parallel_for_index's thread spawn per call (a simulated cycle is
-/// microseconds; a thread spawn is tens of them).
-///
-/// Two dispatch modes share one epoch/condvar skeleton:
-///
-///   * run(n, fn) — dynamic: invokes fn(0) .. fn(n-1) exactly once each
-///     across the resident threads plus the calling thread. Indices are
-///     claimed from a shared epoch-tagged counter: a straggler worker waking
-///     late into a finished batch observes the epoch mismatch and goes back
-///     to sleep instead of claiming work from the next batch with a stale
-///     function pointer. Good when per-index cost varies wildly (sweep
-///     trials).
-///
-///   * run_static(fn) — static: invokes fn(lane) exactly once per lane, each
-///     lane pinned to its fixed thread (lane 0 is the caller, lane w > 0 is
-///     resident thread w-1) for the lifetime of the pool. The parallel
-///     engine maps each stripe to a fixed lane, so a stripe's ProcTable
-///     columns, frame arena and staging buffers are touched by the same
-///     core every pass of every cycle — sticky affinity, no claim CAS
-///     traffic on the hot path.
-///
-/// Both return only when every call has completed — each dispatch is a full
-/// barrier. Memory ordering: the batch (fn, n, shared inputs written by the
-/// caller) is published under the pool mutex (and, for the dynamic path, by
-/// a release store of the epoch word acquired by the claim loads);
-/// completions are counted under the pool mutex, whose release in the last
-/// worker synchronizes-with the caller's wake. Callers may therefore hand
-/// plain (non-atomic) data to fn and read plain results after the call
-/// returns. Enforced under TSan by tools/ci.sh.
-class WorkerPool {
- public:
-  /// A pool presenting `workers` total lanes (>= 1): workers - 1 resident
-  /// threads plus the caller of run(). workers == 1 spawns nothing and both
-  /// dispatch modes degenerate to a serial loop on the calling thread.
-  explicit WorkerPool(std::size_t workers);
-  ~WorkerPool();
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  std::size_t workers() const { return workers_; }
-
-  /// Runs fn(i) for every i in [0, n) and blocks until all calls returned.
-  /// fn must not throw (callers capture errors into per-index slots). Not
-  /// reentrant: one dispatch at a time, from the owning thread.
-  void run(std::size_t n, FnRef fn);
-
-  /// Runs fn(lane) for every lane in [0, workers()), each on its fixed
-  /// thread, and blocks until all returned. Unlike run(), every lane
-  /// participates in every batch (an idle lane still crosses the barrier),
-  /// so a static batch cannot be skipped by a straggler: the barrier
-  /// completes only when each resident thread has run its lane. Same
-  /// no-throw and reentrancy contract as run().
-  void run_static(FnRef fn);
-
-  /// Opt-in per-lane busy accounting for the host profiler (obs::Profiler):
-  /// with a clock attached, every lane brackets the work it executes inside
-  /// a batch with clock reads and accumulates the delta into its own
-  /// lane_busy_ns() slot. nullptr (the default) detaches and costs one
-  /// predicted branch per executed call. Attach/detach only between
-  /// dispatches (same reentrancy contract as run()); attaching resets the
-  /// counters to zero.
-  void set_busy_clock(obs::Clock* clock);
-
-  /// Cumulative per-lane busy nanoseconds (size workers(); all zero without
-  /// a clock). Each slot is written only by the thread owning that lane and
-  /// published by the dispatch barrier — read it between dispatches only;
-  /// callers snapshot before a batch and diff after it.
-  const std::vector<std::uint64_t>& lane_busy_ns() const {
-    return lane_busy_ns_;
-  }
-
- private:
-  // state_ packs (epoch << 32) | next-unclaimed-index. Claiming is a CAS
-  // that increments the low half only while the high half still names the
-  // claimant's epoch. Static batches bump the epoch with the index half
-  // saturated so a dynamic straggler can never claim into them.
-  static std::uint64_t pack(std::uint32_t epoch, std::uint32_t index) {
-    return (static_cast<std::uint64_t>(epoch) << 32) | index;
-  }
-
-  void worker_main(std::size_t lane);
-  void claim_loop(std::uint32_t epoch, std::size_t n, FnRef fn,
-                  std::size_t lane);
-  // Runs fn(i), attributing its wall time to `lane` when a busy clock is
-  // attached (one predicted branch otherwise).
-  void timed_call(const FnRef& fn, std::size_t i, std::size_t lane);
-
-  std::size_t workers_;
-  std::vector<std::thread> threads_;
-
-  std::mutex mu_;
-  std::condition_variable start_cv_;  // workers wait for a new epoch
-  std::condition_variable done_cv_;   // the caller waits for completion
-  const FnRef* job_ = nullptr;        // dynamic batch; guarded by mu_
-  const FnRef* static_job_ = nullptr; // static batch; guarded by mu_
-  std::size_t job_n_ = 0;             // calls in the batch; guarded by mu_
-  std::size_t completed_ = 0;         // guarded by mu_
-  std::uint32_t epoch_ = 0;           // guarded by mu_
-  bool stop_ = false;                 // guarded by mu_
-
-  std::atomic<std::uint64_t> state_{0};
-
-  // Profiler support: lane l's slot is written only by the thread owning
-  // lane l (the claim/static loops pass their lane down), so no slot is
-  // ever contended; the dispatch barrier publishes the values.
-  obs::Clock* busy_clock_ = nullptr;
-  std::vector<std::uint64_t> lane_busy_ns_;
-};
 
 }  // namespace mcb::harness

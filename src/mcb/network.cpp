@@ -1,59 +1,13 @@
 #include "mcb/network.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <limits>
-#include <thread>
 #include <utility>
 
-#include "harness/thread_pool.hpp"
 #include "obs/clock.hpp"
 #include "obs/profiler.hpp"
 #include "util/check.hpp"
 
 namespace mcb {
-
-namespace {
-
-/// Stripe count for the parallel engine. Fixed (never derived from the
-/// thread count) so the stripe an id belongs to — and therefore which arena
-/// its frames live in and which buffer its wakes land in — is a pure
-/// function of (p, id). That makes every reduced number, including the
-/// arena telemetry, identical for any worker count.
-constexpr std::size_t kStripeCount = 64;
-
-/// Below this many items a parallel pass runs inline on the coordinator
-/// (same stripe order, same arenas — identical results, no dispatch cost).
-/// Sparse cycles of skip-heavy protocols stay serial; dense cycles fan out.
-constexpr std::size_t kParallelBatchMin = 64;
-
-}  // namespace
-
-/// One shard of the parallel engine: a contiguous processor-id range
-/// [begin, end) with its own frame arena and per-cycle buffers. A stripe is
-/// touched by exactly one worker per pass (the sticky stripe→lane map pins
-/// it to one thread for the whole run), so nothing here is synchronized
-/// beyond the pool barrier.
-struct Network::Stripe {
-  struct WakeReg {
-    ProcId id;
-    Cycle wake;
-  };
-
-  util::FrameArena arena;
-
-  // Per-cycle deltas, merged (and cleared) at the barrier in stripe order.
-  // staged_writes holds the ids whose pending_write intent was set when they
-  // suspended; the coordinator commits them serially (stripe-major = id
-  // order) at the top of the next cycle, so the hot path never touches the
-  // shared slot arrays from a worker thread.
-  std::vector<ProcId> staged_writes;
-  std::vector<WakeReg> wakes;
-  std::vector<ProcId> active;
-  std::uint64_t resumes = 0;
-  std::uint64_t completions = 0;
-  std::exception_ptr error;
-};
 
 Network::Network(SimConfig cfg, TraceSink* sink)
     : cfg_(cfg), sink_(sink), sched_(cfg.p, cfg.k) {
@@ -68,28 +22,11 @@ Network::Network(SimConfig cfg, TraceSink* sink)
         new Proc(*this, static_cast<ProcId>(i))));  // lint-allow: naked-new
   }
   installed_.assign(cfg_.p, false);
-  slot_written_ = std::vector<std::atomic<std::uint8_t>>(cfg_.k);
-  for (auto& f : slot_written_) f.store(0, std::memory_order_relaxed);
+  slot_written_.assign(cfg_.k, 0);
   slot_writer_.assign(cfg_.k, 0);
   slot_msg_.resize(cfg_.k);
   stats_.messages_per_proc.assign(cfg_.p, 0);
   stats_.messages_per_channel.assign(cfg_.k, 0);
-
-  if (mode_ == Engine::kParallel) {
-    // Power-of-two stripe width so stripe lookup is a shift (and the drain
-    // spans can be cut by binary search on id boundaries). Still a pure
-    // function of p — never of the thread count — so the stripe an id maps
-    // to, its arena and its staging buffers are thread-count invariant.
-    stripe_width_ = std::bit_ceil((cfg_.p + kStripeCount - 1) / kStripeCount);
-    stripe_shift_ =
-        static_cast<std::uint32_t>(std::countr_zero(stripe_width_));
-    const std::size_t stripes =
-        (cfg_.p + stripe_width_ - 1) / stripe_width_;
-    stripes_.reserve(stripes);
-    for (std::size_t s = 0; s < stripes; ++s) {
-      stripes_.push_back(std::make_unique<Stripe>());
-    }
-  }
 }
 
 Network::~Network() = default;
@@ -131,16 +68,6 @@ void Network::on_cycle_op(Proc& pr) {
   if (mode_ == Engine::kEventDriven) {
     sched_.add_active(id);
     sched_.schedule_wake(id, now_ + 1, now_);
-  } else if (mode_ == Engine::kParallel) {
-    // The channel intents are already in the ProcTable (the awaiter factory
-    // stores them before suspending), so the write can be staged right here
-    // — the commit pass then only walks actual writers, not all actives.
-    // The active list is only consumed by the traced read/emit pass; leave
-    // it empty on untraced runs, where reads fuse into the resume pass.
-    Stripe& s = *tl_stripe_;
-    if (tab_.pending_write[id]) s.staged_writes.push_back(id);
-    if (sink_ != nullptr) s.active.push_back(id);
-    s.wakes.push_back(Stripe::WakeReg{id, now_ + 1});
   }
 }
 
@@ -149,8 +76,6 @@ void Network::on_sleep(Proc& pr, Cycle t) {
   tab_.wake_cycle[id] = now_ + t;
   if (mode_ == Engine::kEventDriven) {
     sched_.schedule_wake(id, now_ + t, now_);
-  } else if (mode_ == Engine::kParallel) {
-    tl_stripe_->wakes.push_back(Stripe::WakeReg{id, now_ + t});
   }
 }
 
@@ -206,7 +131,7 @@ void Network::clear_intents(ProcId i) {
 void Network::apply_read(ProcId i) {
   tab_.read_result[i].reset();
   if (const auto& rc = tab_.pending_read[i]) {
-    if (slot_written_[*rc].load(std::memory_order_relaxed) != 0) {
+    if (slot_written_[*rc] != 0) {
       tab_.read_result[i] = slot_msg_[*rc];
     }
   }
@@ -214,7 +139,7 @@ void Network::apply_read(ProcId i) {
     auto& out = tab_.read_all_results[i];
     out.assign(cfg_.k, std::nullopt);
     for (std::size_t c = 0; c < cfg_.k; ++c) {
-      if (slot_written_[c].load(std::memory_order_relaxed) != 0) {
+      if (slot_written_[c] != 0) {
         out[c] = slot_msg_[c];
       }
     }
@@ -251,95 +176,18 @@ RunStats Network::run() {
 
   // Snapshot the arena counters so the run telemetry below reports this
   // run's deltas. On a fresh network every counter is zero and this is a
-  // no-op; on a reset network the arenas carry the previous runs' monotonic
-  // totals (and, more usefully, their warm free lists).
-  arena_base_ = util::ArenaStats{};
-  if (mode_ == Engine::kParallel) {
-    for (const auto& s : stripes_) {
-      const util::ArenaStats& as = s->arena.stats();
-      arena_base_.allocs += as.allocs;
-      arena_base_.frees += as.frees;
-      arena_base_.reuses += as.reuses;
-      arena_base_.slab_allocs += as.slab_allocs;
-    }
-  } else {
-    arena_base_ = arena_.stats();
-  }
+  // no-op; on a reset network the arena carries the previous runs' monotonic
+  // totals (and, more usefully, its warm free lists).
+  arena_base_ = arena_.stats();
 
-  const bool parallel = mode_ == Engine::kParallel;
-
-  // The worker pool lives for exactly one run. Sized from SimConfig::threads
-  // (0 = hardware), capped at the stripe count — a stripe is the unit of
-  // work, so extra lanes could never run anything. The requested/effective
-  // pair is host telemetry (like sim_wall_ns): the cap is otherwise silent,
-  // and `mcbsim --json` surfaces it.
-  stats_.threads_requested = cfg_.threads;
-  stats_.threads_effective = 1;
-  std::unique_ptr<harness::WorkerPool> pool;
-  if (parallel) {
-    std::size_t t = cfg_.threads;
-    if (t == 0) {
-      // Pool sizing only — results are byte-identical at any lane count,
-      // so host topology never reaches the model. lint-allow: nondeterminism
-      const unsigned hw = std::thread::hardware_concurrency();
-      t = hw == 0 ? 1 : hw;
-    }
-    t = std::min(t, stripes_.size());
-    stats_.threads_effective = t;
-    if (t > 1) {
-      pool = std::make_unique<harness::WorkerPool>(t);
-      pool_ = pool.get();
-    }
-  }
-
-  // Sticky stripe→lane affinity: contiguous stripe blocks per lane (stripes
-  // are contiguous id ranges, so each lane owns one contiguous id range for
-  // the whole run). The map never influences results — any lane could run
-  // any stripe and produce the same bytes — it only keeps each stripe's
-  // table columns, arena and staging buffers in one core's cache. The
-  // warmup dispatch below makes the owning lane do the first touch of its
-  // stripes' staging buffers (NUMA-aware first-touch placement) and
-  // pre-sizes them so the hot path never grows a vector.
-  if (pool_ != nullptr) {
-    const std::size_t lanes = pool_->workers();
-    stripe_lane_.resize(stripes_.size());
-    for (std::size_t s = 0; s < stripes_.size(); ++s) {
-      stripe_lane_[s] =
-          static_cast<std::uint32_t>(s * lanes / stripes_.size());
-    }
-    // mcblint: parallel-region begin
-    pool_->run_static([this](std::size_t w) {
-      for (std::size_t s = 0; s < stripes_.size(); ++s) {
-        if (stripe_lane_[s] != w) continue;
-        Stripe& st = *stripes_[s];
-        st.staged_writes.reserve(stripe_width_);
-        st.wakes.reserve(stripe_width_);
-        if (sink_ != nullptr) st.active.reserve(stripe_width_);
-      }
-    });
-    // mcblint: parallel-region end
-  }
-
-  // Attach the profiler (opt-in host flight recorder). The pool's per-lane
-  // busy clock must be set before begin_run snapshots the counters, and
-  // before the first dispatch — the attach is only legal between batches.
-  if (cfg_.profiler != nullptr) {
-    if (pool_ != nullptr) pool_->set_busy_clock(&cfg_.profiler->clock());
-    cfg_.profiler->begin_run(pool_ != nullptr ? pool_->workers() : 1,
-                             pool_ != nullptr ? &pool_->lane_busy_ns()
-                                              : nullptr);
-  }
+  // Attach the profiler (opt-in host run-wall accounting).
+  if (cfg_.profiler != nullptr) cfg_.profiler->begin_run();
 
   // Route coroutine frame allocations (Task subroutine frames created by
   // protocol code from here on) through this network's arena. The scope
   // nests, so a hosted Network run inside a program restores the outer
   // arena when it finishes. No-op layout-wise under MCB_FRAME_ARENA=OFF.
-  // The parallel engine skips this: its resume passes install the stripe
-  // arenas instead, whichever thread ends up running the stripe.
-  std::unique_ptr<util::FrameArenaScope> frame_scope;
-  if (!parallel) {
-    frame_scope = std::make_unique<util::FrameArenaScope>(&arena_);
-  }
+  util::FrameArenaScope frame_scope(&arena_);
 
   // Wall-clock telemetry (stats_.sim_wall_ns), never a protocol input —
   // the sim clock is the cycle counter. Read through the obs::Clock seam so
@@ -351,17 +199,8 @@ RunStats Network::run() {
 
   // Initial resume: run every program up to its first cycle boundary.
   alive_ = cfg_.p;
-  if (parallel) {
-    std::vector<ProcId> all(cfg_.p);
-    for (std::size_t i = 0; i < cfg_.p; ++i) {
-      all[i] = static_cast<ProcId>(i);
-    }
-    build_segments(all);
-    parallel_resume(all, /*initial=*/true, /*apply_reads=*/false);
-  } else {
-    for (ProcId i = 0; i < cfg_.p; ++i) {
-      if (tab_.done[i] == 0) resume_proc(i);
-    }
+  for (ProcId i = 0; i < cfg_.p; ++i) {
+    if (tab_.done[i] == 0) resume_proc(i);
   }
 
   switch (mode_) {
@@ -371,13 +210,9 @@ RunStats Network::run() {
     case Engine::kReference:
       run_reference_loop();
       break;
-    case Engine::kParallel:
-      run_parallel_loop();
-      break;
   }
 
   if (cfg_.profiler != nullptr) cfg_.profiler->end_run();
-  pool_ = nullptr;
   finish_phase();
   stats_.cycles = now_;
   stats_.peak_aux_words = tab_.peak_aux_words;
@@ -387,10 +222,7 @@ RunStats Network::run() {
       safe_cycles_per_sec(stats_.cycles, stats_.sim_wall_ns);
 
   // Allocation telemetry (host-side, like sim_wall_ns; all zero under
-  // MCB_FRAME_ARENA=OFF where frames go through plain global new). The
-  // parallel engine reduces its stripe arenas by sum — stripes are a
-  // function of p alone, so the totals are thread-count independent
-  // (bytes_peak is the sum of per-stripe peaks, not a global peak).
+  // MCB_FRAME_ARENA=OFF where frames go through plain global new).
   //
   // All counts are deltas against the start-of-run snapshot, so a run on a
   // reset network reports the same frame_allocs/frees a fresh network would
@@ -398,32 +230,13 @@ RunStats Network::run() {
   // point. bytes_peak stays the raw monotonic peak: live bytes return to
   // zero between runs (every frame is freed), so later runs' peaks match a
   // fresh network's and the value is reset-invariant anyway.
-  std::uint64_t allocs = 0, frees = 0, reuses = 0, peak = 0, slabs = 0;
-  if (parallel) {
-    for (const auto& s : stripes_) {
-      const util::ArenaStats& as = s->arena.stats();
-      allocs += as.allocs;
-      frees += as.frees;
-      reuses += as.reuses;
-      peak += as.bytes_peak;
-      slabs += as.slab_allocs;
-    }
-  } else {
-    const util::ArenaStats& as = arena_.stats();
-    allocs = as.allocs;
-    frees = as.frees;
-    reuses = as.reuses;
-    peak = as.bytes_peak;
-    slabs = as.slab_allocs;
-  }
-  allocs -= arena_base_.allocs;
-  frees -= arena_base_.frees;
-  reuses -= arena_base_.reuses;
-  slabs -= arena_base_.slab_allocs;
+  const util::ArenaStats& as = arena_.stats();
+  const std::uint64_t allocs = as.allocs - arena_base_.allocs;
+  const std::uint64_t slabs = as.slab_allocs - arena_base_.slab_allocs;
   stats_.frame_allocs = allocs;
-  stats_.frame_frees = frees;
-  stats_.frame_reuses = reuses;
-  stats_.arena_bytes_peak = peak;
+  stats_.frame_frees = as.frees - arena_base_.frees;
+  stats_.frame_reuses = as.reuses - arena_base_.reuses;
+  stats_.arena_bytes_peak = as.bytes_peak;
   stats_.arena_hit_rate =
       allocs == 0 ? 0.0
                   : static_cast<double>(allocs - slabs) /
@@ -440,7 +253,7 @@ void Network::reset() {
   tab_.reset();
   std::fill(installed_.begin(), installed_.end(), false);
 
-  for (auto& f : slot_written_) f.store(0, std::memory_order_relaxed);
+  std::fill(slot_written_.begin(), slot_written_.end(), std::uint8_t{0});
   std::fill(slot_writer_.begin(), slot_writer_.end(), ProcId{0});
   // slot_msg_ entries are dead once the written flags are clear — every
   // read consults the flag first — so the payloads need no scrubbing.
@@ -457,21 +270,6 @@ void Network::reset() {
   phase_start_cycle_ = 0;
   phase_start_messages_ = 0;
 
-  // Parallel-engine scratch. The stripe buffers are normally drained at the
-  // barrier (and the staging buffers at the commit), but a run aborted by a
-  // thrown error can leave residue.
-  pool_ = nullptr;
-  segments_.clear();
-  segment_ids_ = nullptr;
-  pending_error_ = nullptr;
-  for (auto& s : stripes_) {
-    s->staged_writes.clear();
-    s->wakes.clear();
-    s->active.clear();
-    s->resumes = 0;
-    s->completions = 0;
-    s->error = nullptr;
-  }
   arena_base_ = util::ArenaStats{};
 }
 
@@ -504,10 +302,10 @@ void Network::run_event_loop() {
       const auto& w = tab_.pending_write[id];
       if (!w) continue;
       const ChannelId c = w->channel;
-      if (slot_written_[c].load(std::memory_order_relaxed) != 0) {
+      if (slot_written_[c] != 0) {
         throw CollisionError(now_, c, slot_writer_[c], id);
       }
-      slot_written_[c].store(1, std::memory_order_relaxed);
+      slot_written_[c] = 1;
       slot_writer_[c] = id;
       slot_msg_[c] = w->msg;
       sched_.mark_dirty(c);
@@ -528,7 +326,7 @@ void Network::run_event_loop() {
     // order (the drain is id-sorted; processors re-registering while it is
     // iterated wake strictly later and land in fresh buckets).
     for (ChannelId c : sched_.dirty()) {
-      slot_written_[c].store(0, std::memory_order_relaxed);
+      slot_written_[c] = 0;
     }
     sched_.clear_dirty();
     sched_.clear_active();
@@ -548,16 +346,16 @@ void Network::run_reference_loop() {
     if (now_ >= cfg_.max_cycles) throw_max_cycles();
 
     // Step 1: writes. Collision check per the model.
-    for (auto& f : slot_written_) f.store(0, std::memory_order_relaxed);
+    std::fill(slot_written_.begin(), slot_written_.end(), std::uint8_t{0});
     for (ProcId id = 0; id < cfg_.p; ++id) {
       if (tab_.done[id] != 0) continue;
       const auto& w = tab_.pending_write[id];
       if (!w) continue;
       const ChannelId c = w->channel;
-      if (slot_written_[c].load(std::memory_order_relaxed) != 0) {
+      if (slot_written_[c] != 0) {
         throw CollisionError(now_, c, slot_writer_[c], id);
       }
-      slot_written_[c].store(1, std::memory_order_relaxed);
+      slot_written_[c] = 1;
       slot_writer_[c] = id;
       slot_msg_[c] = w->msg;
       ++stats_.messages;
@@ -584,242 +382,6 @@ void Network::run_reference_loop() {
       clear_intents(id);
       resume_proc(id);
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel engine.
-//
-// Same wake queue and cycle structure as the event loop, reorganized around
-// one barrier per cycle:
-//
-//   * Writes are staged per stripe when the processor suspends (on_cycle_op
-//     runs inside the resume pass, on the stripe's owning lane) and
-//     committed serially at the top of the next cycle, stripe-major — which
-//     is id order — so a collision throws the reference engine's exact
-//     CollisionError with no atomic claims and no re-scan. A cycle carries
-//     at most k successful writes, so the serial commit is O(k), not O(p).
-//
-//   * The read scan is fused into the next cycle's resume pass: reads only
-//     consume slot state that is final at the commit, and the dirty slots
-//     are cleared after the fused pass instead of before it. Untraced runs
-//     therefore cross exactly one barrier per cycle; traced runs keep a
-//     dedicated read pass + serial emit (the sink's stream is part of the
-//     identity contract) for two barriers per cycle.
-//
-// Everything order-sensitive — trace emission, wake merging, stats
-// accumulation, collision and exception reporting — happens serially on the
-// coordinator between barriers, in stripe order, which equals processor-id
-// order because stripes are contiguous id ranges. Which lane runs a stripe
-// is invisible in the results; the sticky map only exists for cache
-// locality. See docs/ENGINE.md ("The parallel engine").
-// ---------------------------------------------------------------------------
-
-/// Splits an id-sorted list into per-stripe contiguous segments.
-void Network::build_segments(const std::vector<ProcId>& ids) {
-  Scheduler::segment_spans(ids, stripe_shift_, segments_);
-  segment_ids_ = &ids;
-}
-
-/// Runs fn over every segment: on the pool when the batch is worth the
-/// dispatch, inline on the coordinator otherwise. Both paths execute the
-/// identical per-stripe code, so the choice is invisible in the results.
-/// Pool dispatch is static: each lane walks the contiguous block of
-/// segments its stripes map to (stripe_lane_ is monotone, so a prefix sum
-/// over per-lane segment counts yields each lane's [lo, hi) block).
-bool Network::dispatch_segments(std::size_t total_items,
-                                const harness::FnRef& fn) {
-  const std::size_t n = segments_.size();
-  if (pool_ == nullptr || n <= 1 || total_items < kParallelBatchMin) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return false;
-  }
-  const std::size_t lanes = pool_->workers();
-  lane_seg_.assign(lanes + 1, 0);
-  for (const auto& seg : segments_) {
-    ++lane_seg_[stripe_lane_[seg.stripe] + 1];
-  }
-  for (std::size_t w = 0; w < lanes; ++w) lane_seg_[w + 1] += lane_seg_[w];
-  // mcblint: parallel-region begin
-  pool_->run_static([this, &fn](std::size_t w) {
-    for (std::size_t si = lane_seg_[w]; si < lane_seg_[w + 1]; ++si) fn(si);
-  });
-  // mcblint: parallel-region end
-  return true;
-}
-
-/// Serial commit of the writes staged during the previous resume pass,
-/// walking stripes in ascending order. Within a stripe the staging order is
-/// ascending id (the drain is id-sorted), so the commit visits writers in
-/// global id order and reproduces the reference engine's CollisionError —
-/// same cycle, channel, first and second writer — directly at the conflict.
-void Network::commit_staged_writes() {
-  for (auto& sp : stripes_) {
-    Stripe& s = *sp;
-    if (s.staged_writes.empty()) continue;
-    for (ProcId id : s.staged_writes) {
-      const auto& w = tab_.pending_write[id];
-      const ChannelId c = w->channel;
-      if (slot_written_[c].load(std::memory_order_relaxed) != 0) {
-        throw CollisionError(now_, c, slot_writer_[c], id);
-      }
-      slot_written_[c].store(1, std::memory_order_relaxed);
-      slot_writer_[c] = id;
-      slot_msg_[c] = w->msg;
-      sched_.mark_dirty(c);
-      ++stats_.messages;
-      ++stats_.messages_per_proc[id];
-      ++stats_.messages_per_channel[c];
-    }
-    s.staged_writes.clear();
-  }
-}
-
-/// Resumes every id in `ids` (id-sorted; segments_ must already describe
-/// it), fanned out over stripe segments. With apply_reads, each processor's
-/// pending read is served against the previous cycle's (still uncleared)
-/// slot state immediately before it resumes — the fused read scan. Wake
-/// registrations are buffered per stripe and merged at the barrier in
-/// stripe order — which is id order — so the scheduler's next-bucket stays
-/// id-sorted by construction, exactly as in the serial engines. Exceptions
-/// abort the throwing stripe at the throw point; the lowest-stripe error is
-/// rethrown, which names the same first thrower as a serial id-order drain
-/// would.
-void Network::parallel_resume(const std::vector<ProcId>& ids, bool initial,
-                              bool apply_reads) {
-  // The per-stripe resume task is the one region that legitimately writes
-  // an engine member: the thread-local stripe cursor protocol code routes
-  // its staging through. Everything else it touches is reached through the
-  // per-stripe `Stripe& s` or is a per-id column of the proc table that
-  // only this stripe's ids index.
-  // mcblint: parallel-region begin allow=tl_stripe_
-  auto task = [this, initial, apply_reads](std::size_t si) {
-    const Scheduler::Span seg = segments_[si];
-    Stripe& s = *stripes_[seg.stripe];
-    util::FrameArenaScope frame_scope(&s.arena);
-    tl_stripe_ = &s;
-    const auto& due = *segment_ids_;
-    try {
-      for (std::uint32_t j = seg.lo; j < seg.hi; ++j) {
-        const ProcId id = due[j];
-        if (!initial) {
-          // apply_read on a processor waking from skip() only resets its
-          // (unobservable until its next channel op) read result — same
-          // net effect as the serial engines, which reset it on the next
-          // active cycle.
-          if (apply_reads) apply_read(id);
-          clear_intents(id);
-        }
-        ++s.resumes;
-        tab_.resume_point[id].resume();
-        if (tab_.done[id] != 0) {
-          ++s.completions;
-          if (auto exc = tab_.program[id].promise().exception) {
-            std::rethrow_exception(exc);
-          }
-        }
-      }
-    } catch (...) {
-      s.error = std::current_exception();
-    }
-    tl_stripe_ = nullptr;
-  };
-  // mcblint: parallel-region end
-  obs::Profiler* const prof = cfg_.profiler;
-  if (prof != nullptr) prof->barrier_begin();
-  const bool pooled = dispatch_segments(ids.size(), task);
-  if (prof != nullptr) prof->barrier_end(initial ? "init" : "resume", pooled);
-
-  for (const Scheduler::Span& seg : segments_) {
-    Stripe& s = *stripes_[seg.stripe];
-    if (s.error != nullptr && pending_error_ == nullptr) {
-      pending_error_ = s.error;
-    }
-    s.error = nullptr;
-    for (const Stripe::WakeReg& w : s.wakes) {
-      sched_.schedule_wake(w.id, w.wake, now_);
-    }
-    for (ProcId id : s.active) sched_.add_active(id);
-    stats_.proc_resumes += s.resumes;
-    alive_ -= s.completions;
-    s.wakes.clear();
-    s.active.clear();
-    s.resumes = 0;
-    s.completions = 0;
-  }
-  if (prof != nullptr) prof->merge_end();
-  if (pending_error_ != nullptr) {
-    std::exception_ptr e = pending_error_;
-    pending_error_ = nullptr;
-    std::rethrow_exception(e);
-  }
-}
-
-void Network::run_parallel_loop() {
-  const bool traced = sink_ != nullptr;
-  obs::Profiler* const prof = cfg_.profiler;
-  while (alive_ > 0) {
-    MCB_REQUIRE(!sched_.queue_empty(),
-                "live processors but an empty wake queue");
-
-    // Idle-cycle fast-forward, as in the event loop. A jump can only happen
-    // when no processor held a channel intent for the cycle in flight
-    // (channel ops always wake one cycle ahead), so the staging buffers are
-    // necessarily empty across a jump.
-    const Cycle next = sched_.next_wake(now_);
-    if (next > now_ + 1) now_ = next - 1;
-    if (now_ >= cfg_.max_cycles) throw_max_cycles();
-
-    // Step 1 (serial, O(writes <= k)): commit the writes of the cycle in
-    // flight, staged when their processors suspended.
-    if (prof != nullptr) {
-      const std::uint64_t t0 = prof->clock().now_ns();
-      commit_staged_writes();
-      prof->record_commit(prof->clock().now_ns() - t0);
-    } else {
-      commit_staged_writes();
-    }
-
-    // Step 2, traced runs only: a dedicated parallel read pass over the
-    // active list plus the serial trace emission — sinks are not
-    // thread-safe and their stream is part of the identity contract.
-    // Untraced runs skip both (reads fuse into step 3) and never populate
-    // the active list at all.
-    if (traced) {
-      const auto& active = sched_.active();
-      if (!active.empty()) {
-        build_segments(active);
-        if (prof != nullptr) prof->barrier_begin();
-        // mcblint: parallel-region begin
-        const bool pooled =
-            dispatch_segments(active.size(), [this](std::size_t si) {
-              const Scheduler::Span seg = segments_[si];
-              const auto& ids = *segment_ids_;
-              for (std::uint32_t j = seg.lo; j < seg.hi; ++j) {
-                apply_read(ids[j]);
-              }
-            });
-        // mcblint: parallel-region end
-        if (prof != nullptr) prof->barrier_end("read", pooled);
-        for (ProcId id : active) emit_event(id);
-        if (prof != nullptr) prof->merge_end();
-      }
-      sched_.clear_active();
-    }
-
-    // Step 3: the cycle completes; fused read + resume of everything due,
-    // stripe-merged at the barrier. The slots written this cycle stay
-    // readable until after the pass, then are cleared for the next commit.
-    ++now_;
-    const auto& due = sched_.drain_due_spans(now_, stripe_shift_, segments_);
-    segment_ids_ = &due;
-    parallel_resume(due, /*initial=*/false, /*apply_reads=*/!traced);
-
-    for (ChannelId c : sched_.dirty()) {
-      slot_written_[c].store(0, std::memory_order_relaxed);
-    }
-    sched_.clear_dirty();
-    if (prof != nullptr) prof->cycle_end();
   }
 }
 

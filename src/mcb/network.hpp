@@ -11,7 +11,7 @@
 // Complexity accounting is exact: `cycles` counts synchronous rounds until
 // every program has completed, `messages` counts channel writes.
 //
-// Three engines implement these semantics (SimConfig::engine):
+// Two engines implement these semantics (SimConfig::engine):
 //
 //   * kEventDriven (default) — a wake-queue scheduler (mcb/scheduler.hpp).
 //     Suspending processors register their wake cycle and channel intents;
@@ -21,26 +21,16 @@
 //
 //   * kReference — the original scan-the-world loop: three O(p) passes and
 //     an O(k) slot sweep per cycle. It is the executable specification the
-//     other engines are tested against (tests/scheduler_equivalence_test.cpp
+//     event engine is tested against (tests/scheduler_equivalence_test.cpp
 //     asserts bit-identical statistics).
 //
-//   * kParallel — the event engine's wake queue plus a persistent worker
-//     pool: writes are staged per stripe at suspension time and committed
-//     serially in id order, and the read scan is fused into the resume pass
-//     (one barrier per cycle when untraced), fanned out over fixed
-//     processor stripes with a sticky stripe→lane affinity map and merged
-//     deterministically at the barrier. Identical observable output for any
-//     thread count.
-//
-// All engines walk the same struct-of-arrays state: per-processor hot state
+// Both engines walk the same struct-of-arrays state: per-processor hot state
 // lives in a ProcTable (mcb/proc_table.hpp) and channel slots in flat
 // per-channel arrays, both owned by this class. See docs/ENGINE.md for the
 // equivalence argument.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -55,11 +45,6 @@
 #include "mcb/stats.hpp"
 #include "mcb/trace.hpp"
 #include "util/arena.hpp"
-
-namespace mcb::harness {
-class WorkerPool;  // src/harness/thread_pool.hpp; only Engine::kParallel
-class FnRef;       // non-allocating callable reference (same header)
-}  // namespace mcb::harness
 
 namespace mcb {
 
@@ -92,12 +77,12 @@ class Network {
   /// Returns the network to its pre-install state so a new set of programs
   /// can be installed and run on the same allocation: processor contexts,
   /// channel-slot arrays, scheduler tiers and — crucially for the serving
-  /// layer — the warmed coroutine-frame arenas all survive, so repeated
+  /// layer — the warmed coroutine-frame arena all survive, so repeated
   /// runs skip both the setup allocations and most slab acquisitions
   /// (RunStats::frame_reuses shows the free-list hits). Model-observable
   /// state is cleared completely: a run after reset() is byte-identical —
   /// stats, traces, conformance streams — to the same run on a fresh
-  /// network (tests/reset_test.cpp holds every engine to that). Safe after
+  /// network (tests/reset_test.cpp holds both engines to that). Safe after
   /// a failed run too: suspended programs are destroyed and their frames
   /// recycled. Must not be called from inside a processor program.
   void reset();
@@ -120,12 +105,6 @@ class Network {
   friend struct Proc::SkipAwaiter;
   friend struct Proc::MultiReadAwaiter;
 
-  // One shard of the parallel engine (defined in network.cpp): a contiguous
-  // processor-id range with its own frame arena, wake/active buffers and
-  // stats deltas. Stripe count depends only on p — never on the thread
-  // count — so the reduction at the barrier is bitwise reproducible.
-  struct Stripe;
-
   // Suspension hooks called by the Proc awaiters. on_cycle_op: `pr` holds a
   // channel intent for the cycle in flight and wakes next cycle. on_sleep:
   // `pr` sleeps for t cycles with no channel activity.
@@ -135,47 +114,31 @@ class Network {
   void resume_proc(ProcId id);
   void run_event_loop();
   void run_reference_loop();
-  void run_parallel_loop();
   [[noreturn]] void throw_max_cycles() const;
   void finish_phase();
 
-  // Shared cycle steps over the SoA state (used by all engines).
+  // Shared cycle steps over the SoA state (used by both engines).
   void apply_read(ProcId i);
   void emit_event(ProcId i);  // requires sink_ != nullptr
   void clear_intents(ProcId i);
 
-  // Parallel-engine internals (network.cpp). dispatch_segments returns
-  // whether the pass fanned out to the pool (false = it ran inline on the
-  // coordinator) — the profiler attributes barrier time differently per
-  // mode, and the choice is otherwise invisible by design.
-  void build_segments(const std::vector<ProcId>& ids);
-  bool dispatch_segments(std::size_t n, const harness::FnRef& fn);
-  void commit_staged_writes();
-  void parallel_resume(const std::vector<ProcId>& ids, bool initial,
-                       bool apply_reads);
-
   SimConfig cfg_;
   TraceSink* sink_;
 
-  // Frame arenas for this network's coroutine frames. The serial engines
-  // install arena_ thread_local for the duration of run(); the parallel
-  // engine gives each stripe its own arena shard instead (stripes_).
-  // Declared before programs_ so they are destroyed after them: destroying
-  // a suspended program (e.g. after a CollisionError aborted the run) frees
-  // its in-scope Task frames back into the owning arena.
+  // Frame arena for this network's coroutine frames, installed
+  // thread_local for the duration of run(). Declared before programs_ so it
+  // is destroyed after them: destroying a suspended program (e.g. after a
+  // CollisionError aborted the run) frees its in-scope Task frames back
+  // into the arena.
   util::FrameArena arena_;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
 
   ProcTable tab_;
   std::vector<std::unique_ptr<Proc>> procs_;
   std::vector<ProcMain> programs_;  // parallel to procs_; keeps frames alive
   std::vector<bool> installed_;
 
-  // Channel state for the cycle in flight, struct-of-arrays: who wrote, and
-  // what. The written flags are atomic so the parallel write scan can claim
-  // a slot with one exchange; the serial engines use relaxed loads/stores,
-  // which compile to plain moves.
-  std::vector<std::atomic<std::uint8_t>> slot_written_;
+  // Channel state for the cycle in flight, struct-of-arrays: who wrote, and what.
+  std::vector<std::uint8_t> slot_written_;
   std::vector<ProcId> slot_writer_;
   std::vector<Message> slot_msg_;
 
@@ -186,32 +149,15 @@ class Network {
   std::size_t alive_ = 0;
   bool ran_ = false;
 
-  // Parallel-engine per-cycle scratch (see run_parallel_loop).
-  harness::WorkerPool* pool_ = nullptr;  // non-null only inside a parallel run
-  std::size_t stripe_width_ = 0;   // processor ids per stripe (power of two)
-  std::uint32_t stripe_shift_ = 0; // log2(stripe_width_): stripe = id >> shift
-  std::vector<Scheduler::Span> segments_;
-  const std::vector<ProcId>* segment_ids_ = nullptr;
-  // Sticky affinity: stripe s runs on pool lane stripe_lane_[s], every pass
-  // of every cycle (monotone block map, rebuilt per run from the pool
-  // width). lane_seg_ is the per-dispatch prefix-sum of segments per lane.
-  std::vector<std::uint32_t> stripe_lane_;
-  std::vector<std::size_t> lane_seg_;
-  std::exception_ptr pending_error_;
-  // Stripe the current thread is executing on behalf of, so the suspension
-  // hooks buffer wake/active registrations locally instead of touching the
-  // shared scheduler (nullptr outside a parallel resume pass).
-  inline static thread_local Stripe* tl_stripe_ = nullptr;
-
   RunStats stats_;
   std::string phase_name_;
   Cycle phase_start_cycle_ = 0;
   std::uint64_t phase_start_messages_ = 0;
 
-  // Arena counters (summed over stripes under kParallel) at the start of the
-  // current run, so the per-run telemetry reports this run's deltas even on
-  // a reset network whose arenas carry warm free lists from earlier runs.
-  // Zero for a fresh network, keeping first-run telemetry unchanged.
+  // Arena counters at the start of the current run, so the per-run telemetry
+  // reports this run's deltas even on a reset network whose arena carries
+  // warm free lists from earlier runs. Zero for a fresh network, keeping
+  // first-run telemetry unchanged.
   util::ArenaStats arena_base_;
 };
 

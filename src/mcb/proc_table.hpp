@@ -5,9 +5,7 @@
 // pass chased a unique_ptr per processor. The engines walk processors in id
 // order thousands of times per run; moving the per-processor state into flat
 // id-indexed arrays owned by the Network turns those walks into linear
-// scans of contiguous memory, and gives the parallel engine a layout where
-// "processor i's state" is a set of array slots that exactly one worker
-// touches per cycle (distinct indices — no sharing, no locks).
+// scans of contiguous memory.
 //
 // Proc itself shrinks to a handle {Network*, ProcId}; all accessors index
 // this table through the owning network.
@@ -28,10 +26,8 @@
 namespace mcb {
 
 /// Per-processor state, one array element per processor, indexed by ProcId.
-/// Owned by Network (declared after the frame arenas, so coroutine frames
-/// outlive their handles here). The columns are written either serially or,
-/// under Engine::kParallel, by the single worker holding the stripe that
-/// owns the index — see docs/ENGINE.md for the sharing discipline.
+/// Owned by Network (declared after the frame arena, so coroutine frames
+/// outlive their handles here).
 struct ProcTable {
   /// Innermost suspended coroutine; resuming it continues the program.
   std::vector<std::coroutine_handle<>> resume_point;
@@ -39,9 +35,7 @@ struct ProcTable {
   std::vector<ProcMain::handle_type> program;
   /// Cycle at which the processor is next due.
   std::vector<Cycle> wake_cycle;
-  /// Program completed (uint8_t, not vector<bool>: the parallel engine
-  /// writes neighbouring flags from different workers, and vector<bool>
-  /// packs bits into shared words).
+  /// Program completed (one byte per flag, not a packed vector<bool>).
   std::vector<std::uint8_t> done;
 
   // Per-cycle channel intents and results.

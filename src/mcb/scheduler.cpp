@@ -103,34 +103,4 @@ const std::vector<ProcId>& Scheduler::drain_due(Cycle now) {
   return drain_entries_;
 }
 
-const std::vector<ProcId>& Scheduler::drain_due_spans(
-    Cycle now, std::uint32_t stripe_shift, std::vector<Span>& spans) {
-  const std::vector<ProcId>& due = drain_due(now);
-  segment_spans(due, stripe_shift, spans);
-  return due;
-}
-
-void Scheduler::segment_spans(const std::vector<ProcId>& ids,
-                              std::uint32_t stripe_shift,
-                              std::vector<Span>& spans) {
-  spans.clear();
-  const std::size_t n = ids.size();
-  std::size_t i = 0;
-  while (i < n) {
-    const auto stripe = static_cast<std::uint32_t>(ids[i] >> stripe_shift);
-    // First id beyond this stripe, by binary search over the sorted tail:
-    // a dense drain (every processor due) costs #stripes searches instead
-    // of one comparison per id.
-    const auto limit = static_cast<ProcId>(
-        (static_cast<std::uint64_t>(stripe) + 1) << stripe_shift);
-    const auto it =
-        std::lower_bound(ids.begin() + static_cast<std::ptrdiff_t>(i + 1),
-                         ids.end(), limit);
-    const auto j = static_cast<std::size_t>(it - ids.begin());
-    spans.push_back(Span{stripe, static_cast<std::uint32_t>(i),
-                         static_cast<std::uint32_t>(j)});
-    i = j;
-  }
-}
-
 }  // namespace mcb

@@ -100,31 +100,6 @@ class Scheduler {
   /// buckets and are never part of the same drain.
   const std::vector<ProcId>& drain_due(Cycle now);
 
-  /// A contiguous slice of an id-sorted list belonging to one stripe of the
-  /// parallel engine (stripe = id >> stripe_shift; stripe widths are powers
-  /// of two). [lo, hi) indexes the list the slice was cut from.
-  struct Span {
-    std::uint32_t stripe;
-    std::uint32_t lo, hi;
-  };
-
-  /// drain_due plus stripe partitioning in one step: fills `spans` with the
-  /// per-stripe slices of the drained list. The spans are found by binary
-  /// search over the (already id-sorted) drain — O(stripes · log) instead of
-  /// the O(drained) per-id walk a separate partition pass would cost — and
-  /// `spans` is reused drain over drain (clear keeps capacity), so the
-  /// parallel engine's per-cycle dispatch does no vector rebuild.
-  const std::vector<ProcId>& drain_due_spans(Cycle now,
-                                             std::uint32_t stripe_shift,
-                                             std::vector<Span>& spans);
-
-  /// Partitions any id-sorted list into per-stripe spans (the same slicing
-  /// drain_due_spans applies to a drain). Exposed for the parallel engine's
-  /// other id lists (the active list, the initial all-processors resume).
-  static void segment_spans(const std::vector<ProcId>& ids,
-                            std::uint32_t stripe_shift,
-                            std::vector<Span>& spans);
-
   // --- active list (participants of the cycle in flight) ------------------
 
   void add_active(ProcId id) { active_.push_back(id); }

@@ -11,10 +11,10 @@ class SpanSink;
 
 namespace obs {
 class Clock;     // src/obs/clock.hpp — host wall-clock seam
-class Profiler;  // src/obs/profiler.hpp — host-time flight recorder
+class Profiler;  // src/obs/profiler.hpp — host run-wall accounting
 }  // namespace obs
 
-/// Which simulation engine drives Network::run(). All implement the exact
+/// Which simulation engine drives Network::run(). Both implement the exact
 /// same synchronous-cycle semantics and produce bit-identical statistics
 /// (cycles, messages, phases — see docs/ENGINE.md); they differ only in
 /// wall-clock cost.
@@ -27,13 +27,6 @@ enum class Engine {
   /// every cycle. Kept as the executable semantics specification and as the
   /// baseline for bench_simspeed.
   kReference,
-  /// The event engine's wake queue plus a cycle-synchronous worker pool:
-  /// each cycle's write scan, read scan and processor resumes are
-  /// partitioned across persistent workers and merged deterministically at
-  /// the cycle barrier, so stats, traces and conformance streams are
-  /// byte-identical to the serial engines for any thread count. Worth it
-  /// for dense runs at large p; see docs/ENGINE.md ("Parallel engine").
-  kParallel,
 };
 
 /// Static description of an MCB(p, k): p processors and k broadcast
@@ -55,14 +48,6 @@ struct SimConfig {
   /// Simulation engine (identical observable behaviour either way).
   Engine engine = Engine::kEventDriven;
 
-  /// Worker threads for Engine::kParallel (0 = use the hardware). The
-  /// observable results do not depend on this value — the parallel engine's
-  /// reduction contract (docs/ENGINE.md) makes every thread count produce
-  /// the same stats, traces and telemetry. Meaningless for the serial
-  /// engines, and validate() rejects it there so a mis-wired CLI or harness
-  /// fails loudly instead of silently running serial.
-  std::size_t threads = 0;
-
   /// Host-side observer for protocol phase spans (obs::Span); not part of
   /// the model's configuration and excluded from engine-equivalence
   /// comparisons. Riding on SimConfig lets it reach the Network that
@@ -78,13 +63,12 @@ struct SimConfig {
   /// directories to that).
   obs::Clock* clock = nullptr;
 
-  /// Opt-in host-time flight recorder (obs::Profiler): per cycle-batch
-  /// commit / barrier dispatch / wait / merge wall time and per-lane busy
-  /// time under Engine::kParallel; run-wall accounting under every engine.
-  /// Host telemetry like sim_wall_ns — its output is quarantined in
-  /// `host_profile` subtrees and excluded from the determinism contract.
-  /// Must outlive the run. nullptr (the default) costs one predicted branch
-  /// per instrumentation site, matching the SpanSink pattern.
+  /// Opt-in host-time recorder (obs::Profiler): run count and run wall
+  /// time, accumulated across every run it is attached to. Host telemetry
+  /// like sim_wall_ns — its output is quarantined in `host_profile`
+  /// subtrees and excluded from the determinism contract. Must outlive the
+  /// run. nullptr (the default) costs one predicted branch per
+  /// instrumentation site, matching the SpanSink pattern.
   obs::Profiler* profiler = nullptr;
 
   void validate() const {
@@ -92,8 +76,6 @@ struct SimConfig {
     MCB_REQUIRE(k >= 1, "need at least one channel");
     MCB_REQUIRE(k <= p, "MCB model requires k <= p (k=" << k << ", p=" << p
                                                         << ")");
-    MCB_REQUIRE(threads == 0 || engine == Engine::kParallel,
-                "threads is only meaningful for Engine::kParallel");
   }
 };
 

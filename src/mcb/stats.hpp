@@ -40,14 +40,6 @@ struct RunStats {
   std::uint64_t proc_resumes = 0;  ///< coroutine resumptions performed
   double cycles_per_sec = 0.0;     ///< simulated cycles per host second
 
-  // Worker-pool telemetry. requested echoes SimConfig::threads (0 = "use
-  // the hardware"); effective is the lane count the run actually used —
-  // serial engines report 1, and the parallel engine silently caps the
-  // request at min(hardware, stripe count), which this pair makes visible
-  // (mcbsim notes the cap in text output and emits both in --json).
-  std::size_t threads_requested = 0;  ///< SimConfig::threads, verbatim
-  std::size_t threads_effective = 1;  ///< pool lanes actually used
-
   // Frame-arena telemetry (util/arena.hpp): coroutine frames allocated by
   // this run's protocol code. All zero under MCB_FRAME_ARENA=OFF.
   std::uint64_t frame_allocs = 0;      ///< frames served by the arena

@@ -21,7 +21,7 @@
 namespace mcb::obs {
 
 /// Monotonic nanosecond clock. Implementations must be safe to call from
-/// any thread (the worker pool stamps per-lane busy time through it).
+/// any thread (sweep trials on different threads share default_clock()).
 class Clock {
  public:
   virtual ~Clock() = default;

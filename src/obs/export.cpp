@@ -3,7 +3,6 @@
 #include <sstream>
 #include <vector>
 
-#include "obs/profiler.hpp"
 #include "obs/span.hpp"
 #include "obs/timeline.hpp"
 #include "util/json.hpp"
@@ -14,7 +13,6 @@ namespace {
 
 constexpr int kSpanPid = 1;
 constexpr int kChannelPid = 2;
-constexpr int kHostPid = 3;
 
 void meta_event(std::ostream& os, int pid, const char* key,
                 const std::string& value) {
@@ -49,8 +47,7 @@ void emit_span(std::ostream& os, const std::vector<SpanRecord>& records,
 }  // namespace
 
 std::string chrome_trace_json(const RunStats& stats, const SimConfig& cfg,
-                              const Recorder* spans, const Timeline* timeline,
-                              const Profiler* profiler) {
+                              const Recorder* spans, const Timeline* timeline) {
   std::ostringstream os;
   os << "{\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {\"p\": "
      << cfg.p << ", \"k\": " << cfg.k << ", \"cycles\": " << stats.cycles
@@ -94,44 +91,6 @@ std::string chrome_trace_json(const RunStats& stats, const SimConfig& cfg,
     }
   }
 
-  // Host-time tracks (wall clock, NOT simulated cycles): one swim-lane per
-  // pool lane showing its busy time inside each cycle-batch window, plus
-  // barrier-wait and commit counter tracks. Timestamps are cumulative
-  // window wall time in microseconds (the trace-event ts unit).
-  if (profiler != nullptr && !profiler->batches().empty()) {
-    if (!first) os << ",\n";
-    meta_event(os, kHostPid, "process_name", "host profile");
-    first = false;
-    std::uint64_t t_ns = 0;
-    for (const Profiler::Batch& b : profiler->batches()) {
-      const std::uint64_t ts_us = t_ns / 1000;
-      for (std::size_t l = 0; l < b.lane_busy_ns.size(); ++l) {
-        os << ",\n    {\"ph\": \"X\", \"pid\": " << kHostPid
-           << ", \"tid\": " << l + 1 << ", \"ts\": " << ts_us
-           << ", \"dur\": " << b.lane_busy_ns[l] / 1000
-           << ", \"name\": \"lane " << l << " busy\", \"cat\": \"host\""
-           << ", \"args\": {\"first_cycle\": " << b.first_cycle
-           << ", \"cycles\": " << b.cycles << "}}";
-      }
-      os << ",\n    {\"ph\": \"C\", \"pid\": " << kHostPid
-         << ", \"tid\": 1, \"ts\": " << ts_us
-         << ", \"name\": \"barrier wait ns\", \"args\": {\"wait\": "
-         << b.wait_ns << "}}";
-      os << ",\n    {\"ph\": \"C\", \"pid\": " << kHostPid
-         << ", \"tid\": 1, \"ts\": " << ts_us
-         << ", \"name\": \"commit ns\", \"args\": {\"commit\": " << b.commit_ns
-         << "}}";
-      t_ns += b.wall_ns;
-    }
-    // Terminal zero samples so the counter areas close at the last window.
-    os << ",\n    {\"ph\": \"C\", \"pid\": " << kHostPid
-       << ", \"tid\": 1, \"ts\": " << t_ns / 1000
-       << ", \"name\": \"barrier wait ns\", \"args\": {\"wait\": 0}}";
-    os << ",\n    {\"ph\": \"C\", \"pid\": " << kHostPid
-       << ", \"tid\": 1, \"ts\": " << t_ns / 1000
-       << ", \"name\": \"commit ns\", \"args\": {\"commit\": 0}}";
-  }
-
   os << "\n  ]\n}\n";
   return os.str();
 }
@@ -142,8 +101,6 @@ std::string run_stats_json(const RunStats& stats) {
      << ",\"peak_aux_words\":" << stats.max_peak_aux()
      << ",\"sim_wall_ns\":" << stats.sim_wall_ns
      << ",\"proc_resumes\":" << stats.proc_resumes
-     << ",\"threads_requested\":" << stats.threads_requested
-     << ",\"threads_effective\":" << stats.threads_effective
      << ",\"cycles_per_sec\":" << util::json_double(stats.cycles_per_sec)
      << ",\"frame_allocs\":" << stats.frame_allocs
      << ",\"frame_frees\":" << stats.frame_frees

@@ -10,19 +10,11 @@
 //   * pid 2 ("channels") — one counter track per channel ("C1 writes", ...)
 //     with one counter sample per timeline bucket, so per-channel
 //     utilization renders as k stacked area charts.
-//   * pid 3 ("host profile", only with a Profiler attached) — per-lane busy
-//     swim-lanes (one complete event per lane per cycle-batch window) plus
-//     barrier wait/commit counter tracks, timestamped in cumulative host
-//     nanoseconds.
 //
-// Timestamps on pids 1-2 are simulated cycles, not host time — those tracks
-// read only deterministic state, so the trace of a deterministic run is
-// byte-identical across engines, thread counts and repetitions. Pid 3 is
-// the one exception: it is host telemetry (wall-clock), carried in the same
-// document but excluded from the byte-identical contract — the profiled and
-// unprofiled documents are compared only after `mcbsim strip-host`-style
-// pruning. The output is strict RFC 8259 JSON either way (tests parse it
-// back with util::json).
+// Timestamps are simulated cycles, not host time — both tracks read only
+// deterministic state, so the trace of a deterministic run is
+// byte-identical across engines and repetitions. The output is strict
+// RFC 8259 JSON (tests parse it back with util::json).
 #pragma once
 
 #include <string>
@@ -34,14 +26,11 @@ namespace mcb::obs {
 
 class Recorder;
 class Timeline;
-class Profiler;
 
 /// Renders the trace-event JSON document. Any collector may be null (its
-/// tracks are simply absent). `cfg` supplies p and k for the header;
-/// `profiler` adds the wall-clock pid 3 (host telemetry — see above).
+/// tracks are simply absent). `cfg` supplies p and k for the header.
 std::string chrome_trace_json(const RunStats& stats, const SimConfig& cfg,
-                              const Recorder* spans, const Timeline* timeline,
-                              const Profiler* profiler = nullptr);
+                              const Recorder* spans, const Timeline* timeline);
 
 /// One RunStats as a JSON object — the "stats" member of `mcbsim
 /// sort/select --json` and of the serving report. Strict RFC 8259: the

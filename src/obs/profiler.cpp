@@ -1,293 +1,37 @@
 #include "obs/profiler.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "util/json.hpp"
-#include "util/table.hpp"
 
 namespace mcb::obs {
 
-namespace {
+Profiler::Profiler(Clock* clock)
+    : clock_(clock != nullptr ? clock : &default_clock()) {}
 
-/// Histogram quantile block shared by json() renderings:
-/// {"count": n, "p50": ..., "p95": ..., "p99": ..., "max": ...}.
-void hist_json(std::ostream& os, const Histogram& h) {
-  os << "{\"count\":" << h.count() << ",\"p50\":" << util::json_double(h.p50())
-     << ",\"p95\":" << util::json_double(h.p95())
-     << ",\"p99\":" << util::json_double(h.p99())
-     << ",\"max\":" << util::json_double(h.max()) << '}';
-}
-
-double ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
-
-}  // namespace
-
-Profiler::Profiler(Clock* clock, std::size_t batch_cycles,
-                   std::size_t batch_capacity, std::size_t sample_capacity)
-    : clock_(clock != nullptr ? clock : &default_clock()),
-      batch_cycles_(batch_cycles == 0 ? 1 : batch_cycles),
-      batch_capacity_(batch_capacity),
-      sample_capacity_(sample_capacity) {}
-
-std::uint64_t Profiler::pool_busy_sum() const {
-  if (pool_busy_ == nullptr) return 0;
-  std::uint64_t sum = 0;
-  for (std::uint64_t v : *pool_busy_) sum += v;
-  return sum;
-}
-
-void Profiler::begin_run(std::size_t lanes,
-                         const std::vector<std::uint64_t>* pool_busy_ns) {
-  lanes_ = std::max(lanes_, lanes == 0 ? std::size_t{1} : lanes);
-  if (lane_busy_total_.size() < lanes_) lane_busy_total_.resize(lanes_, 0);
-  pool_busy_ = pool_busy_ns;
-  run_lane_base_.assign(pool_busy_ != nullptr ? pool_busy_->size() : 0, 0);
-  if (pool_busy_ != nullptr) {
-    run_lane_base_.assign(pool_busy_->begin(), pool_busy_->end());
-  }
+void Profiler::begin_run() {
   ++runs_;
   run_t0_ = clock_->now_ns();
   run_open_ = true;
-  open_window();
 }
 
 void Profiler::end_run() {
   if (!run_open_) return;
-  close_window();
   run_wall_ns_ += clock_->now_ns() - run_t0_;
-  if (pool_busy_ != nullptr) {
-    const std::size_t n =
-        std::min(pool_busy_->size(), lane_busy_total_.size());
-    for (std::size_t l = 0; l < n; ++l) {
-      const std::uint64_t base = l < run_lane_base_.size()
-                                     ? run_lane_base_[l]
-                                     : std::uint64_t{0};
-      lane_busy_total_[l] += (*pool_busy_)[l] - base;
-    }
-  }
-  pool_busy_ = nullptr;
   run_open_ = false;
-}
-
-void Profiler::record_commit(std::uint64_t ns) {
-  ++commits_;
-  commit_ns_ += ns;
-  window_commit_ns_ += ns;
-}
-
-void Profiler::barrier_begin() {
-  barrier_t0_ = clock_->now_ns();
-  barrier_busy_base_ = pool_busy_sum();
-}
-
-Profiler::Site& Profiler::site(const char* name) {
-  for (std::size_t i = 0; i < sites_.size(); ++i) {
-    if (sites_[i].name == name) {
-      last_site_ = i;
-      return sites_[i];
-    }
-  }
-  last_site_ = sites_.size();
-  sites_.push_back(Site{name, 0, 0, 0, 0, 0, 0});
-  return sites_.back();
-}
-
-void Profiler::barrier_end(const char* site_name, bool pooled) {
-  const std::uint64_t now = clock_->now_ns();
-  const std::uint64_t wall = now - barrier_t0_;
-  // Inline passes run wholly on the coordinator: busy is the wall time and
-  // nothing waited. Pooled passes read the per-lane busy counters the pool
-  // accumulated inside the barrier; the aggregate idle is what the lanes
-  // spent parked at the barrier (plus dispatch/wake latency).
-  const std::uint64_t busy =
-      pooled ? pool_busy_sum() - barrier_busy_base_ : wall;
-  const std::size_t lanes_used = pooled ? lanes_ : 1;
-  const std::uint64_t span = wall * lanes_used;
-  const std::uint64_t wait = span > busy ? span - busy : 0;
-
-  Site& s = site(site_name);
-  ++s.barriers;
-  if (pooled) ++s.pooled;
-  s.dispatch_ns += wall;
-  s.busy_ns += busy;
-  s.wait_ns += wait;
-
-  window_dispatch_ns_ += wall;
-  window_wait_ns_ += wait;
-  if (!pooled) {
-    window_inline_ns_ += wall;
-    inline_busy_ns_ += wall;
-  }
-
-  if (barrier_wait_hist_.count() < sample_capacity_) {
-    barrier_wait_hist_.record(static_cast<double>(wait));
-  } else {
-    ++samples_dropped_;
-  }
-  merge_t0_ = now;
-}
-
-void Profiler::merge_end() {
-  if (last_site_ >= sites_.size()) return;
-  const std::uint64_t m = clock_->now_ns() - merge_t0_;
-  sites_[last_site_].merge_ns += m;
-  window_merge_ns_ += m;
-}
-
-void Profiler::cycle_end() {
-  ++cycles_;
-  ++window_cycles_;
-  if (window_cycles_ >= batch_cycles_) {
-    close_window();
-    open_window();
-  }
-}
-
-void Profiler::open_window() {
-  window_open_ = true;
-  window_t0_ = clock_->now_ns();
-  window_first_cycle_ = cycles_;
-  window_cycles_ = 0;
-  window_commit_ns_ = 0;
-  window_dispatch_ns_ = 0;
-  window_wait_ns_ = 0;
-  window_merge_ns_ = 0;
-  window_inline_ns_ = 0;
-  window_lane_base_.clear();
-  if (pool_busy_ != nullptr) {
-    window_lane_base_.assign(pool_busy_->begin(), pool_busy_->end());
-  }
-}
-
-void Profiler::close_window() {
-  if (!window_open_) return;
-  window_open_ = false;
-  // A window with no cycles and no work (e.g. the tail of a run whose last
-  // window closed exactly at the run's final cycle) is noise, not data.
-  if (window_cycles_ == 0 && window_dispatch_ns_ == 0 &&
-      window_commit_ns_ == 0) {
-    return;
-  }
-  const std::uint64_t wall = clock_->now_ns() - window_t0_;
-  if (batch_wall_hist_.count() < sample_capacity_) {
-    batch_wall_hist_.record(static_cast<double>(wall));
-  } else {
-    ++samples_dropped_;
-  }
-  if (batches_.size() >= batch_capacity_) {
-    ++batches_dropped_;
-    return;
-  }
-  Batch b;
-  b.first_cycle = window_first_cycle_;
-  b.cycles = window_cycles_;
-  b.wall_ns = wall;
-  b.commit_ns = window_commit_ns_;
-  b.dispatch_ns = window_dispatch_ns_;
-  b.wait_ns = window_wait_ns_;
-  b.merge_ns = window_merge_ns_;
-  b.lane_busy_ns.assign(lanes_, 0);
-  if (pool_busy_ != nullptr) {
-    const std::size_t n = std::min(pool_busy_->size(), b.lane_busy_ns.size());
-    for (std::size_t l = 0; l < n; ++l) {
-      const std::uint64_t base = l < window_lane_base_.size()
-                                     ? window_lane_base_[l]
-                                     : std::uint64_t{0};
-      b.lane_busy_ns[l] = (*pool_busy_)[l] - base;
-    }
-  }
-  if (!b.lane_busy_ns.empty()) b.lane_busy_ns[0] += window_inline_ns_;
-  batches_.push_back(std::move(b));
-}
-
-std::vector<std::uint64_t> Profiler::lane_busy_totals() const {
-  std::vector<std::uint64_t> totals = lane_busy_total_;
-  if (totals.size() < lanes_) totals.resize(lanes_, 0);
-  if (!totals.empty()) totals[0] += inline_busy_ns_;
-  return totals;
-}
-
-double Profiler::imbalance_ratio() const {
-  const auto totals = lane_busy_totals();
-  std::uint64_t sum = 0, maxv = 0;
-  for (std::uint64_t v : totals) {
-    sum += v;
-    maxv = std::max(maxv, v);
-  }
-  if (sum == 0 || totals.empty()) return 0.0;
-  const double mean =
-      static_cast<double>(sum) / static_cast<double>(totals.size());
-  return static_cast<double>(maxv) / mean;
 }
 
 std::string Profiler::json() const {
   std::ostringstream os;
-  os << "{\"runs\":" << runs_ << ",\"lanes\":" << lanes_
-     << ",\"cycles\":" << cycles_ << ",\"run_wall_ns\":" << run_wall_ns_
-     << ",\"commits\":" << commits_ << ",\"commit_ns\":" << commit_ns_
-     << ",\"batch_cycles\":" << batch_cycles_
-     << ",\"batches\":" << batches_.size()
-     << ",\"batches_dropped\":" << batches_dropped_
-     << ",\"samples_dropped\":" << samples_dropped_
-     << ",\"imbalance_ratio\":" << util::json_double(imbalance_ratio())
-     << ",\"lane_busy_ns\":[";
-  const auto totals = lane_busy_totals();
-  for (std::size_t l = 0; l < totals.size(); ++l) {
-    if (l) os << ',';
-    os << totals[l];
-  }
-  os << "],\"sites\":[";
-  for (std::size_t i = 0; i < sites_.size(); ++i) {
-    const Site& s = sites_[i];
-    if (i) os << ',';
-    os << "{\"name\":\"" << util::json_escape(s.name)
-       << "\",\"barriers\":" << s.barriers << ",\"pooled\":" << s.pooled
-       << ",\"dispatch_ns\":" << s.dispatch_ns << ",\"busy_ns\":" << s.busy_ns
-       << ",\"wait_ns\":" << s.wait_ns << ",\"merge_ns\":" << s.merge_ns
-       << '}';
-  }
-  os << "],\"barrier_wait_ns\":";
-  hist_json(os, barrier_wait_hist_);
-  os << ",\"batch_wall_ns\":";
-  hist_json(os, batch_wall_hist_);
-  os << '}';
+  os << "{\"runs\":" << runs_ << ",\"run_wall_ns\":" << run_wall_ns_ << '}';
   return os.str();
 }
 
 std::string Profiler::text() const {
   std::ostringstream os;
-  os << "host profile: " << runs_ << " run(s), " << lanes_ << " lane(s), "
-     << cycles_ << " cycles, " << util::json_double(ms(run_wall_ns_))
-     << " ms wall\n"
-     << "  commit: " << commits_ << " commit(s), "
-     << util::json_double(ms(commit_ns_)) << " ms\n"
-     << "  lane imbalance (max/mean busy): "
-     << util::json_double(imbalance_ratio()) << "\n";
-  if (!sites_.empty()) {
-    util::Table t;
-    t.header({"barrier", "count", "pooled", "dispatch ms", "busy ms",
-              "wait ms", "merge ms"});
-    for (const Site& s : sites_) {
-      t.row({util::Table::txt(s.name), util::Table::num(s.barriers),
-             util::Table::num(s.pooled), util::Table::num(ms(s.dispatch_ns), 3),
-             util::Table::num(ms(s.busy_ns), 3),
-             util::Table::num(ms(s.wait_ns), 3),
-             util::Table::num(ms(s.merge_ns), 3)});
-    }
-    os << t;
-  }
-  os << "  barrier wait ns: n=" << barrier_wait_hist_.count()
-     << " p50=" << util::json_double(barrier_wait_hist_.p50())
-     << " p95=" << util::json_double(barrier_wait_hist_.p95())
-     << " p99=" << util::json_double(barrier_wait_hist_.p99())
-     << " max=" << util::json_double(barrier_wait_hist_.max()) << "\n"
-     << "  batch wall ns (" << batch_cycles_
-     << "-cycle windows): n=" << batch_wall_hist_.count()
-     << " p50=" << util::json_double(batch_wall_hist_.p50())
-     << " p95=" << util::json_double(batch_wall_hist_.p95())
-     << " p99=" << util::json_double(batch_wall_hist_.p99())
-     << " max=" << util::json_double(batch_wall_hist_.max()) << "\n";
+  os << "host profile: " << runs_ << " run(s), "
+     << util::json_double(static_cast<double>(run_wall_ns_) / 1e6)
+     << " ms wall\n";
   return os.str();
 }
 

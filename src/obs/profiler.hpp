@@ -1,13 +1,9 @@
-// Host-side engine profiler: a wall-clock flight recorder for the parallel
-// hot path and the serving loop.
+// Host-side run profiler: wall-clock accounting for Network::run() calls.
 //
 // Every other collector in src/obs runs in *simulated* time; this one runs
-// in *host* time. It answers the question docs/ENGINE.md's cost model asks
-// analytically — where does a parallel cycle's wall clock go, B·(dispatch +
-// merge) + commit — by measurement: per cycle-batch it records the serial
-// commit time (Network::commit_staged_writes), per-barrier dispatch / wait /
-// merge time, and per-lane busy time from the worker pool, from which it
-// derives the lane-imbalance ratio (max-lane busy / mean-lane busy).
+// in *host* time. Today it counts runs and their summed wall time — the
+// seam a per-step profile of the serial cycle loop (fast-forward, write
+// commit, reads, drain, resume) will be rebuilt on.
 //
 // Attachment mirrors the SpanSink pattern: ride on SimConfig::profiler,
 // nullptr by default, so a disabled profiler costs one predicted branch per
@@ -17,178 +13,52 @@
 // direct *_clock::now() calls (mcblint MCB-L2).
 //
 // Determinism contract: everything recorded here is host telemetry. It is
-// serialized only inside `host_profile` JSON subtrees (and the wall-clock
-// pid of the Perfetto export), which are explicitly excluded from the
-// byte-identical determinism contract; `mcbsim strip-host` removes them so
-// CI can cmp profiled against unprofiled runs. See
-// docs/OBSERVABILITY.md ("Host time vs simulated time").
-//
-// Memory is bounded the same way the span Recorder's is: barrier-wait and
-// batch-wall histogram samples stop at a capacity cap (excess counted in
-// samples_dropped()), and closed cycle-batch windows stop at
-// batch_capacity (batches_dropped()). Aggregate counters keep accumulating
-// past both caps.
+// serialized only inside `host_profile` JSON subtrees, which are explicitly
+// excluded from the byte-identical determinism contract; `mcbsim
+// strip-host` removes them so CI can cmp profiled against unprofiled runs.
+// See docs/OBSERVABILITY.md ("Host time vs simulated time").
 //
 // One profiler may span several Network::run() calls (the serving loop
 // reset()s and re-runs one network per query batch): begin_run()/end_run()
 // bracket each run and everything accumulates across them.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "obs/clock.hpp"
-#include "obs/metrics.hpp"
 
 namespace mcb::obs {
 
 class Profiler {
  public:
-  /// Aggregate for one barrier site, in first-appearance order. The
-  /// parallel engine has three: "init" (the initial resume pass), "resume"
-  /// (the per-cycle fused read+resume pass) and "read" (the dedicated read
-  /// pass of traced runs).
-  struct Site {
-    std::string name;
-    std::uint64_t barriers = 0;     ///< dispatches through this site
-    std::uint64_t pooled = 0;       ///< of which fanned out to the pool
-    std::uint64_t dispatch_ns = 0;  ///< total wall time of the fan-out calls
-    std::uint64_t busy_ns = 0;      ///< summed lane busy time inside them
-    std::uint64_t wait_ns = 0;      ///< aggregate lane idle: lanes*wall-busy
-    std::uint64_t merge_ns = 0;     ///< serial merge after the barrier
-  };
-
-  /// One closed cycle-batch window.
-  struct Batch {
-    std::uint64_t first_cycle = 0;  ///< profiler-cumulative cycle index
-    std::uint64_t cycles = 0;       ///< cycles in the window
-    std::uint64_t wall_ns = 0;      ///< window wall clock
-    std::uint64_t commit_ns = 0;
-    std::uint64_t dispatch_ns = 0;
-    std::uint64_t wait_ns = 0;
-    std::uint64_t merge_ns = 0;
-    /// Per-lane busy time inside the window (inline coordinator work is
-    /// folded into lane 0 — it runs there).
-    std::vector<std::uint64_t> lane_busy_ns;
-  };
-
-  /// `clock` nullptr means obs::default_clock(). `batch_cycles` sets the
-  /// cycle-batch window width; a window also closes at end_run(), so short
-  /// runs still produce at least one batch sample.
-  explicit Profiler(Clock* clock = nullptr, std::size_t batch_cycles = 256,
-                    std::size_t batch_capacity = 1u << 12,
-                    std::size_t sample_capacity = 1u << 16);
-
-  Clock& clock() const { return *clock_; }
-  std::size_t batch_cycles() const { return batch_cycles_; }
+  /// `clock` nullptr means obs::default_clock().
+  explicit Profiler(Clock* clock = nullptr);
 
   // --- engine hooks (Network; each guarded by one profiler != nullptr
   // branch at the call site) ---
 
-  /// A run starts: `lanes` is the pool width (1 when serial or no pool);
-  /// `pool_busy_ns` points at WorkerPool::lane_busy_ns() for the run, or
-  /// nullptr without a pool. The referent must stay valid until end_run().
-  void begin_run(std::size_t lanes,
-                 const std::vector<std::uint64_t>* pool_busy_ns);
+  void begin_run();
   void end_run();
 
-  /// Serial commit_staged_writes wall time for one cycle.
-  void record_commit(std::uint64_t ns);
+  // --- accessors (renderers, tests) ---
 
-  /// Brackets one barrier (a dispatch_segments call). `pooled` says whether
-  /// the pass fanned out to the pool or ran inline on the coordinator.
-  void barrier_begin();
-  void barrier_end(const char* site, bool pooled);
-
-  /// Charges the wall time since the last barrier_end to that barrier's
-  /// serial merge (the stripe-merge loop, or trace emission).
-  void merge_end();
-
-  /// A simulated cycle completed; closes the window every batch_cycles.
-  void cycle_end();
-
-  // --- accessors (exporters, renderers, tests) ---
-
-  std::size_t lanes() const { return lanes_; }
   std::uint64_t runs() const { return runs_; }
-  std::uint64_t cycles() const { return cycles_; }
   std::uint64_t run_wall_ns() const { return run_wall_ns_; }
-  std::uint64_t commits() const { return commits_; }
-  std::uint64_t commit_ns() const { return commit_ns_; }
-  const std::vector<Site>& sites() const { return sites_; }
-  const std::vector<Batch>& batches() const { return batches_; }
-  std::uint64_t batches_dropped() const { return batches_dropped_; }
-  const Histogram& barrier_wait_hist() const { return barrier_wait_hist_; }
-  const Histogram& batch_wall_hist() const { return batch_wall_hist_; }
-  std::uint64_t samples_dropped() const { return samples_dropped_; }
-
-  /// Run-level per-lane busy totals, inline coordinator work folded into
-  /// lane 0. Size lanes() (empty before the first run).
-  std::vector<std::uint64_t> lane_busy_totals() const;
-
-  /// max-lane busy / mean-lane busy over lane_busy_totals(); 0 when nothing
-  /// was measured, 1.0 for a perfectly balanced (or single-lane) run.
-  double imbalance_ratio() const;
 
   /// The `host_profile` JSON subtree (strict RFC 8259 object). Host
   /// telemetry — quarantined from the determinism contract.
   std::string json() const;
 
-  /// Aligned text rendering for CLI output (same content as json()).
+  /// One-line text rendering for CLI output (same content as json()).
   std::string text() const;
 
  private:
-  std::uint64_t pool_busy_sum() const;
-  void open_window();
-  void close_window();
-  Site& site(const char* name);
-
   Clock* clock_;
-  std::size_t batch_cycles_;
-  std::size_t batch_capacity_;
-  std::size_t sample_capacity_;
-
-  // Run state.
-  const std::vector<std::uint64_t>* pool_busy_ = nullptr;
-  std::vector<std::uint64_t> run_lane_base_;  // pool busy at begin_run
   std::uint64_t run_t0_ = 0;
   bool run_open_ = false;
-
-  // Barrier state.
-  std::uint64_t barrier_t0_ = 0;
-  std::uint64_t barrier_busy_base_ = 0;
-  std::uint64_t merge_t0_ = 0;
-  std::size_t last_site_ = static_cast<std::size_t>(-1);
-
-  // Window state.
-  bool window_open_ = false;
-  std::uint64_t window_t0_ = 0;
-  std::uint64_t window_first_cycle_ = 0;
-  std::uint64_t window_cycles_ = 0;
-  std::uint64_t window_commit_ns_ = 0;
-  std::uint64_t window_dispatch_ns_ = 0;
-  std::uint64_t window_wait_ns_ = 0;
-  std::uint64_t window_merge_ns_ = 0;
-  std::uint64_t window_inline_ns_ = 0;  // inline barrier work -> lane 0
-  std::vector<std::uint64_t> window_lane_base_;
-
-  // Accumulated totals.
-  std::size_t lanes_ = 1;
   std::uint64_t runs_ = 0;
-  std::uint64_t cycles_ = 0;
   std::uint64_t run_wall_ns_ = 0;
-  std::uint64_t commits_ = 0;
-  std::uint64_t commit_ns_ = 0;
-  std::uint64_t inline_busy_ns_ = 0;  // run-level inline total (lane 0)
-  std::vector<std::uint64_t> lane_busy_total_;
-  std::vector<Site> sites_;
-  std::vector<Batch> batches_;
-  std::uint64_t batches_dropped_ = 0;
-  Histogram barrier_wait_hist_;
-  Histogram batch_wall_hist_;
-  std::uint64_t samples_dropped_ = 0;
 };
 
 }  // namespace mcb::obs

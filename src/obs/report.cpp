@@ -213,8 +213,7 @@ void quantile_line(std::ostringstream& os, const util::JsonValue& h,
 }
 
 /// Renders the quarantined `host_profile` subtree (present only on runs
-/// captured with --profile): commit + per-barrier dispatch/wait/merge
-/// breakdown, lane busy totals and the imbalance ratio. Handles both the
+/// captured with --profile): run count and run wall time. Handles both the
 /// run-document shape (the profiler object directly) and the serve-document
 /// shape (a serving-window envelope wrapping a "profiler" member).
 void host_profile_section(std::ostringstream& os,
@@ -235,50 +234,8 @@ void host_profile_section(std::ostringstream& os,
       quantile_line(os, *bw, "batch run wall ns");
     }
   }
-  const double wall_ns = num_or(*prof, "run_wall_ns", 0.0);
-  const double commit_ns = num_or(*prof, "commit_ns", 0.0);
   os << "- runs: " << uint_of(num_or(*prof, "runs", 0.0))
-     << ", lanes: " << uint_of(num_or(*prof, "lanes", 0.0))
-     << ", cycles: " << uint_of(num_or(*prof, "cycles", 0.0))
-     << ", wall: " << wall_ns / 1e6 << " ms\n";
-  os << "- serial commit: " << uint_of(num_or(*prof, "commits", 0.0))
-     << " commit(s), " << commit_ns / 1e6 << " ms";
-  if (wall_ns > 0.0) {
-    os << " (" << 100.0 * commit_ns / wall_ns << "% of wall)";
-  }
-  os << "\n";
-  os << "- lane imbalance (max/mean busy): "
-     << num_or(*prof, "imbalance_ratio", 0.0) << "\n";
-
-  const auto* sites = prof->find("sites");
-  if (sites != nullptr && sites->is_array() && sites->size() > 0) {
-    os << "\n";
-    util::Table t;
-    t.header({"barrier", "count", "pooled", "dispatch ms", "busy ms",
-              "wait ms", "merge ms"});
-    for (const auto& s : sites->items()) {
-      t.row({util::Table::txt(str_or(s, "name", "?")),
-             util::Table::num(uint_of(num_or(s, "barriers", 0.0))),
-             util::Table::num(uint_of(num_or(s, "pooled", 0.0))),
-             util::Table::num(num_or(s, "dispatch_ns", 0.0) / 1e6, 3),
-             util::Table::num(num_or(s, "busy_ns", 0.0) / 1e6, 3),
-             util::Table::num(num_or(s, "wait_ns", 0.0) / 1e6, 3),
-             util::Table::num(num_or(s, "merge_ns", 0.0) / 1e6, 3)});
-    }
-    fenced(os, t.str());
-  }
-  if (const auto* h = prof->find("barrier_wait_ns");
-      h != nullptr && h->is_object()) {
-    quantile_line(os, *h, "barrier wait ns");
-  }
-  if (const auto* h = prof->find("batch_wall_ns");
-      h != nullptr && h->is_object()) {
-    quantile_line(os, *h,
-                  "batch wall ns (" +
-                      std::to_string(uint_of(
-                          num_or(*prof, "batch_cycles", 0.0))) +
-                      "-cycle windows)");
-  }
+     << ", wall: " << num_or(*prof, "run_wall_ns", 0.0) / 1e6 << " ms\n";
 }
 
 std::string run_report(const util::JsonValue& doc) {

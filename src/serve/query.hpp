@@ -6,8 +6,8 @@
 // selection runs (serve/server.hpp) spend simulated cycles. Determinism is
 // the design constraint throughout: the stream is a pure function of
 // (seed, class mix, dataset size), so a serving session replays identically
-// on any engine and any thread count, and the reports can be compared
-// byte-for-byte (tools/ci.sh does exactly that).
+// on either engine, and the reports can be compared byte-for-byte
+// (tools/ci.sh does exactly that).
 #pragma once
 
 #include <cstddef>

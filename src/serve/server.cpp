@@ -151,8 +151,8 @@ ServeReport run_server(const ServeConfig& cfg) {
                             static_cast<double>(rep.total_cycles));
 
   // Render the host_profile subtree: the serving loop's own rolling batch
-  // latency window (per-flush host wall time) wrapped around the engine
-  // profiler's flight-recorder totals. Quarantined host telemetry.
+  // latency window (per-flush host wall time) wrapped around the
+  // profiler's run-wall totals. Quarantined host telemetry.
   if (c.sim.profiler != nullptr) {
     const obs::Profiler& prof = *c.sim.profiler;
     obs::Histogram h;
@@ -197,7 +197,7 @@ ServeReport run_server(const ServeConfig& cfg) {
 
 std::string ServeReport::json() const {
   // Model-level fields only: no wall clock, no arena counters, no engine
-  // or thread identity — the document must be byte-identical for one seed
+  // identity — the document must be byte-identical for one seed
   // whichever engine answered it (tools/ci.sh cmp's exactly this).
   std::ostringstream os;
   os << "{\"config\":{\"p\":" << cfg.sim.p << ",\"k\":" << cfg.sim.k

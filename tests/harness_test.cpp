@@ -4,10 +4,7 @@
 // error-capture path for infeasible grid points.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <exception>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -188,112 +185,6 @@ TEST(ThreadPoolTest, ParallelForVisitsEveryIndexOnce) {
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i], 1) << "index " << i;
   }
-}
-
-TEST(WorkerPoolTest, RunZeroIsANoOpAndThePoolStaysUsable) {
-  WorkerPool pool(4);
-  std::atomic<int> calls{0};
-  pool.run(0, [&](std::size_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 0);
-  // An empty batch must not wedge the epoch machinery for the next one.
-  pool.run(5, [&](std::size_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 5);
-}
-
-TEST(WorkerPoolTest, FewerItemsThanWorkersVisitsEachIndexOnce) {
-  WorkerPool pool(8);
-  std::vector<std::atomic<int>> hits(3);
-  pool.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-// Straggler-epoch path: a worker that wakes late into a finished batch must
-// observe the epoch mismatch in the packed state word and go back to sleep,
-// never claiming indices from a later batch with a stale function pointer.
-// Many small back-to-back batches (with static batches interleaved, whose
-// saturated index half retires dynamic stragglers) make late wakes routine;
-// any mis-claimed index shows up as a count != 1, and TSan (tools/ci.sh)
-// would flag the stale-pointer call itself.
-TEST(WorkerPoolTest, BackToBackBatchesNeverLeakAcrossEpochs) {
-  WorkerPool pool(4);
-  std::vector<std::atomic<int>> hits(17);
-  std::atomic<int> static_calls{0};
-  for (int round = 0; round < 500; ++round) {
-    const std::size_t n = 1 + static_cast<std::size_t>(round) % hits.size();
-    for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-    pool.run(n, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      ASSERT_EQ(hits[i].load(), i < n ? 1 : 0)
-          << "round " << round << " index " << i;
-    }
-    if (round % 7 == 0) {
-      pool.run_static([&](std::size_t) { static_calls.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(static_calls.load(), (500 / 7 + 1) * 4);
-}
-
-TEST(WorkerPoolTest, StaticBatchPinsEachLaneToItsThread) {
-  WorkerPool pool(4);
-  std::vector<std::thread::id> first(4);
-  pool.run_static([&](std::size_t lane) {
-    first[lane] = std::this_thread::get_id();
-  });
-  EXPECT_EQ(first[0], std::this_thread::get_id());  // lane 0 is the caller
-  std::set<std::thread::id> distinct(first.begin(), first.end());
-  EXPECT_EQ(distinct.size(), 4u);
-  // Sticky affinity: every later static batch runs lane w on the same
-  // thread as the first (this is what makes stripe->lane caching work).
-  for (int round = 0; round < 50; ++round) {
-    std::vector<std::thread::id> seen(4);
-    pool.run_static([&](std::size_t lane) {
-      seen[lane] = std::this_thread::get_id();
-    });
-    ASSERT_EQ(seen, first) << "round " << round;
-  }
-}
-
-// The no-throw contract in practice: fn captures its own failures into
-// per-lane slots (exactly what the parallel engine's stripes do). Every
-// lane failing at once must leave the pool reusable, with every failure
-// observable by the caller afterwards.
-TEST(WorkerPoolTest, EveryLaneFailingIsCapturedAndThePoolSurvives) {
-  WorkerPool pool(4);
-  std::vector<std::exception_ptr> errors(4);
-  pool.run_static([&](std::size_t lane) {
-    try {
-      throw std::runtime_error("lane " + std::to_string(lane));
-    } catch (...) {
-      errors[lane] = std::current_exception();
-    }
-  });
-  for (std::size_t lane = 0; lane < errors.size(); ++lane) {
-    ASSERT_TRUE(errors[lane] != nullptr) << "lane " << lane;
-    try {
-      std::rethrow_exception(errors[lane]);
-      FAIL() << "expected a runtime_error";
-    } catch (const std::runtime_error& e) {
-      EXPECT_EQ(std::string(e.what()), "lane " + std::to_string(lane));
-    }
-  }
-  std::atomic<int> calls{0};
-  pool.run(8, [&](std::size_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 8);
-}
-
-TEST(WorkerPoolTest, SingleLanePoolRunsEverythingInline) {
-  WorkerPool pool(1);
-  EXPECT_EQ(pool.workers(), 1u);
-  std::vector<std::thread::id> tids;
-  pool.run(3, [&](std::size_t) { tids.push_back(std::this_thread::get_id()); });
-  pool.run_static([&](std::size_t lane) {
-    EXPECT_EQ(lane, 0u);
-    tids.push_back(std::this_thread::get_id());
-  });
-  ASSERT_EQ(tids.size(), 4u);
-  for (const auto& id : tids) EXPECT_EQ(id, std::this_thread::get_id());
 }
 
 }  // namespace

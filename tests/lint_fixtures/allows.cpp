@@ -1,7 +1,7 @@
-// lint-allow fixture: one deliberate violation of every rule L1-L6, each
-// silenced by an escape comment — trailing, line-above, slug and MCB-Lx id
-// forms are all exercised. tests/mcblint_test.cpp asserts zero findings
-// and exactly six suppressions.
+// lint-allow fixture: one deliberate violation of every rule (L1-L3, L5,
+// L6), each silenced by an escape comment — trailing, line-above, slug and
+// MCB-Lx id forms are all exercised. tests/mcblint_test.cpp asserts zero
+// findings and exactly five suppressions.
 #include <cstdlib>
 #include <unordered_map>
 #include <vector>
@@ -37,17 +37,6 @@ int l3_allowed(const std::unordered_map<int, int>& m) {
   }
   return n;
 }
-
-class Engine {
-  int scratch_ = 0;
-
- public:
-  void region() {
-    // mcblint: parallel-region begin
-    scratch_ = 1;  // lint-allow: parallel-phase
-    // mcblint: parallel-region end
-  }
-};
 
 Task l5_allowed(Proc& self, long t) {
   while (self.now() < t) {

@@ -481,12 +481,10 @@ TEST(ReportTest, RejectsUnrecognizedDocuments) {
                std::invalid_argument);
 }
 
-// --- host profiler (clock seam, imbalance math, quarantine) ------------------
+// --- host profiler (clock seam, run-wall accounting, quarantine) -------------
 
 /// Deterministic clock: every now_ns() call advances by a fixed step, so a
-/// "wall duration" counts clock reads instead of host time. Only safe where
-/// a single thread reads the clock (the coordinator's seam; the pool's busy
-/// clock is attached only when a profiler rides a pooled run).
+/// "wall duration" counts clock reads instead of host time.
 class FakeClock final : public Clock {
  public:
   explicit FakeClock(std::uint64_t step = 1) : step_(step) {}
@@ -500,126 +498,54 @@ class FakeClock final : public Clock {
   std::uint64_t now_ = 0;
 };
 
-TEST(ProfilerTest, ImbalanceRatioIsMaxOverMeanLaneBusy) {
-  FakeClock clk;
-  Profiler prof(&clk);
-  std::vector<std::uint64_t> busy = {0, 0};
-  prof.begin_run(2, &busy);
-  busy = {30, 10};  // what the pool's counters advanced by during the run
-  prof.end_run();
-  const auto totals = prof.lane_busy_totals();
-  ASSERT_EQ(totals.size(), 2u);
-  EXPECT_EQ(totals[0], 30u);
-  EXPECT_EQ(totals[1], 10u);
-  EXPECT_DOUBLE_EQ(prof.imbalance_ratio(), 1.5);  // max 30 / mean 20
-}
-
-TEST(ProfilerTest, ImbalanceRatioEdgeCases) {
-  FakeClock clk;
-  Profiler idle(&clk);
-  EXPECT_DOUBLE_EQ(idle.imbalance_ratio(), 0.0);  // nothing measured
-
-  Profiler balanced(&clk);
-  std::vector<std::uint64_t> busy = {0, 0};
-  balanced.begin_run(2, &busy);
-  busy = {25, 25};
-  balanced.end_run();
-  EXPECT_DOUBLE_EQ(balanced.imbalance_ratio(), 1.0);
-}
-
-TEST(ProfilerTest, PooledBarrierAccountingUnderFakeClock) {
-  // Step-1 clock: every read advances 1 ns, so barrier_begin -> barrier_end
-  // is exactly 1 ns of wall and merge_end charges exactly 1 ns of merge.
+TEST(ProfilerTest, RunWallAccumulatesAcrossRunsUnderFakeClock) {
+  // Step-1 clock: begin_run -> end_run is exactly 1 ns of wall.
   FakeClock clk(1);
   Profiler prof(&clk);
-  std::vector<std::uint64_t> busy = {0, 0};
-  prof.begin_run(2, &busy);
-  prof.barrier_begin();
-  busy = {1, 0};  // one lane worked 1 ns inside the barrier
-  prof.barrier_end("resume", /*pooled=*/true);
-  prof.merge_end();
-  prof.cycle_end();
-  prof.end_run();
-
-  ASSERT_EQ(prof.sites().size(), 1u);
-  const auto& s = prof.sites()[0];
-  EXPECT_EQ(s.name, "resume");
-  EXPECT_EQ(s.barriers, 1u);
-  EXPECT_EQ(s.pooled, 1u);
-  EXPECT_EQ(s.dispatch_ns, 1u);  // 1 tick of wall
-  EXPECT_EQ(s.busy_ns, 1u);      // the lanes' counter delta
-  // Aggregate idle: lanes * wall - busy = 2*1 - 1.
-  EXPECT_EQ(s.wait_ns, 1u);
-  EXPECT_EQ(s.merge_ns, 1u);
-  EXPECT_EQ(prof.cycles(), 1u);
+  prof.end_run();  // no open run: a no-op
+  EXPECT_EQ(prof.runs(), 0u);
+  EXPECT_EQ(prof.run_wall_ns(), 0u);
+  for (int i = 0; i < 3; ++i) {
+    prof.begin_run();
+    prof.end_run();
+  }
+  EXPECT_EQ(prof.runs(), 3u);
+  EXPECT_EQ(prof.run_wall_ns(), 3u);
 }
 
-TEST(ProfilerTest, InlineBarrierFoldsIntoLaneZero) {
-  FakeClock clk(1);
+TEST(ProfilerTest, JsonIsStrictAndCarriesTheRunTotals) {
+  FakeClock clk(5);
   Profiler prof(&clk);
-  std::vector<std::uint64_t> busy = {0, 0};
-  prof.begin_run(2, &busy);
-  prof.barrier_begin();
-  prof.barrier_end("resume", /*pooled=*/false);
-  prof.end_run();
-
-  const auto& s = prof.sites()[0];
-  EXPECT_EQ(s.pooled, 0u);
-  EXPECT_EQ(s.wait_ns, 0u);  // inline: nobody waited
-  EXPECT_EQ(s.busy_ns, s.dispatch_ns);
-  // The coordinator runs inline passes, so their time lands on lane 0.
-  const auto totals = prof.lane_busy_totals();
-  EXPECT_EQ(totals[0], s.dispatch_ns);
-  EXPECT_EQ(totals[1], 0u);
-}
-
-TEST(ProfilerTest, JsonIsStrictAndCarriesTheBreakdown) {
-  FakeClock clk(1);
-  Profiler prof(&clk, /*batch_cycles=*/1);
-  std::vector<std::uint64_t> busy = {0};
-  prof.begin_run(1, &busy);
-  prof.barrier_begin();
-  prof.barrier_end("init", true);
-  prof.merge_end();
-  prof.record_commit(5);
-  prof.cycle_end();
+  prof.begin_run();
   prof.end_run();
 
   const auto doc = util::json_parse(prof.json());  // strict: throws on slack
   EXPECT_EQ(doc.at("runs").as_number(), 1.0);
-  EXPECT_EQ(doc.at("commits").as_number(), 1.0);
-  EXPECT_EQ(doc.at("commit_ns").as_number(), 5.0);
-  EXPECT_EQ(doc.at("batch_cycles").as_number(), 1.0);
-  ASSERT_TRUE(doc.at("sites").is_array());
-  EXPECT_EQ(doc.at("sites").at(0).at("name").as_string(), "init");
-  ASSERT_NE(doc.find("barrier_wait_ns"), nullptr);
-  ASSERT_NE(doc.find("batch_wall_ns"), nullptr);
-  EXPECT_GT(doc.at("batch_wall_ns").at("count").as_number(), 0.0);
-  EXPECT_NE(prof.text().find("host profile:"), std::string::npos);
+  EXPECT_EQ(doc.at("run_wall_ns").as_number(), 5.0);
+  EXPECT_NE(prof.text().find("host profile: 1 run(s)"), std::string::npos);
 }
 
 TEST(ProfilerTest, ClockSeamMakesEngineWallClockDeterministic) {
   // The network reads wall time only through SimConfig::clock; a fixed-step
   // fake therefore makes sim_wall_ns a deterministic function of the run.
   auto w = util::make_workload(128, 8, util::Shape::kEven, 3);
-  std::uint64_t walls[2] = {0, 0};
-  for (auto& wall : walls) {
-    FakeClock clk(7);
-    SimConfig cfg{.p = 8, .k = 2};
-    cfg.engine = Engine::kParallel;
-    cfg.threads = 2;
-    cfg.clock = &clk;
-    wall = algo::select_median(cfg, w.inputs).stats.sim_wall_ns;
+  for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
+    std::uint64_t walls[2] = {0, 0};
+    for (auto& wall : walls) {
+      FakeClock clk(7);
+      SimConfig cfg{.p = 8, .k = 2};
+      cfg.engine = e;
+      cfg.clock = &clk;
+      wall = algo::select_median(cfg, w.inputs).stats.sim_wall_ns;
+    }
+    EXPECT_GT(walls[0], 0u);
+    EXPECT_EQ(walls[0], walls[1]);
   }
-  EXPECT_GT(walls[0], 0u);
-  EXPECT_EQ(walls[0], walls[1]);
 }
 
-TEST(ProfilerTest, EngineRunPopulatesSitesWithoutPerturbingTheModel) {
+TEST(ProfilerTest, EngineRunIsCountedWithoutPerturbingTheModel) {
   auto w = util::make_workload(256, 8, util::Shape::kEven, 11);
-  SimConfig plain{.p = 8, .k = 2};
-  plain.engine = Engine::kParallel;
-  plain.threads = 2;
+  const SimConfig plain{.p = 8, .k = 2};
   const auto baseline = algo::select_median(plain, w.inputs);
 
   Profiler prof;
@@ -633,34 +559,7 @@ TEST(ProfilerTest, EngineRunPopulatesSitesWithoutPerturbingTheModel) {
   EXPECT_EQ(profiled.stats.messages, baseline.stats.messages);
 
   EXPECT_EQ(prof.runs(), 1u);
-  EXPECT_EQ(prof.cycles(), profiled.stats.cycles);
-  EXPECT_GT(prof.commits(), 0u);
-  bool saw_resume = false;
-  for (const auto& s : prof.sites()) saw_resume |= s.name == "resume";
-  EXPECT_TRUE(saw_resume);
-  EXPECT_GT(prof.imbalance_ratio(), 0.0);
-}
-
-TEST(ExportTest, ProfiledTraceCarriesHostPidAndStaysStrict) {
-  auto w = util::make_workload(128, 8, util::Shape::kEven, 9);
-  Profiler prof;
-  SimConfig cfg{.p = 8, .k = 2};
-  cfg.engine = Engine::kParallel;
-  cfg.threads = 2;
-  cfg.profiler = &prof;
-  Instrumented run(2);
-  run_instrumented(run, cfg, w.inputs, SortAlgorithm::kAuto);
-
-  const auto json = chrome_trace_json(run.stats, cfg, &run.recorder,
-                                      &run.timeline, &prof);
-  const auto trace = util::json_parse(json);  // strict: throws on any slack
-  std::size_t host_events = 0;
-  for (const auto& ev : trace.at("traceEvents").items()) {
-    const auto* pid = ev.find("pid");
-    if (pid != nullptr && pid->as_number() == 3.0) ++host_events;
-  }
-  // At least the process-name metadata plus one lane or counter sample.
-  EXPECT_GT(host_events, 1u);
+  EXPECT_GT(prof.run_wall_ns(), 0u);
 }
 
 // --- stats guards ------------------------------------------------------------

@@ -3,7 +3,7 @@
 // The contract under test: a program run through a reset() network is
 // observationally identical to the same program run through a freshly
 // constructed one — same model accounting, same cycle-by-cycle trace
-// stream, same conformance verdict — on every engine and thread count. The
+// stream, same conformance verdict — on both engines. The
 // only sanctioned differences are the warm-arena effects reset exists to
 // buy: frame_reuses / arena_hit_rate may (and should) improve on the
 // second run, while the per-run frame_allocs / frame_frees deltas stay
@@ -27,23 +27,17 @@ namespace {
 
 struct EngineCase {
   Engine engine;
-  std::size_t threads;
   const char* label;
 };
 
-// Parallel runs at 1 (degenerate pool) and 4 (real striping) — reset must
-// not depend on which worker simulated which stripe.
 const EngineCase kEngineGrid[] = {
-    {Engine::kReference, 0, "reference"},
-    {Engine::kEventDriven, 0, "event"},
-    {Engine::kParallel, 1, "parallel-t1"},
-    {Engine::kParallel, 4, "parallel-t4"},
+    {Engine::kReference, "reference"},
+    {Engine::kEventDriven, "event"},
 };
 
 SimConfig make_cfg(std::size_t p, std::size_t k, const EngineCase& ec) {
   SimConfig cfg{.p = p, .k = k};
   cfg.engine = ec.engine;
-  cfg.threads = ec.threads;
   return cfg;
 }
 

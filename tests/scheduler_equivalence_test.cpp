@@ -1,20 +1,16 @@
-// Golden-stats regression test for the optimized engines.
+// Golden-stats regression test for the optimized engine.
 //
 // The scan-the-world reference loop (SimConfig::Engine::kReference, the
 // seed implementation kept as the executable semantics specification) is
-// the oracle; the event-driven scheduler (kEventDriven) and the striped
-// parallel engine (kParallel, at every thread count in kThreadGrid) must be
+// the oracle; the event-driven scheduler (kEventDriven) must be
 // observationally identical to it: for every algorithm in src/algo/ on a
-// seeded workload grid, all engines must report exactly the same cycles,
+// seeded workload grid, both engines must report exactly the same cycles,
 // messages, messages_per_proc, messages_per_channel, peak_aux_words and
 // per-phase stats — and, where checked, the same cycle-by-cycle trace
-// events. Within the parallel family the bar is higher still: the
-// frame-arena telemetry (stripe-sharded, so not comparable to the serial
-// engines' single arena) must itself be independent of the thread count.
+// events.
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "algo/baselines.hpp"
@@ -28,14 +24,8 @@
 namespace mcb {
 namespace {
 
-/// Worker counts the parallel engine is exercised at. 1 covers the
-/// degenerate pool, 8 oversubscribes this container — determinism must not
-/// depend on hardware concurrency.
-constexpr std::size_t kThreadGrid[] = {1, 2, 4, 8};
-
-SimConfig with_engine(SimConfig cfg, Engine e, std::size_t threads = 0) {
+SimConfig with_engine(SimConfig cfg, Engine e) {
   cfg.engine = e;
-  cfg.threads = threads;
   return cfg;
 }
 
@@ -58,31 +48,14 @@ void expect_identical_stats(const RunStats& ref, const RunStats& ev,
   }
 }
 
-/// Runs `go` under all three engines (parallel at every kThreadGrid count)
-/// and asserts identical accounting, with reference as the oracle. The
-/// frame-arena telemetry is additionally pinned across thread counts within
-/// the parallel family (see the file comment for why not across engines).
+/// Runs `go` under both engines and asserts identical accounting, with
+/// reference as the oracle.
 void expect_engines_agree(const SimConfig& cfg,
                           const std::function<RunStats(const SimConfig&)>& go,
                           const std::string& label) {
   const RunStats ref = go(with_engine(cfg, Engine::kReference));
   const RunStats ev = go(with_engine(cfg, Engine::kEventDriven));
   expect_identical_stats(ref, ev, label + "/event");
-
-  std::optional<RunStats> first_par;
-  for (const std::size_t t : kThreadGrid) {
-    const RunStats par = go(with_engine(cfg, Engine::kParallel, t));
-    const std::string plabel = label + "/parallel-t" + std::to_string(t);
-    expect_identical_stats(ref, par, plabel);
-    if (!first_par) {
-      first_par = par;
-      continue;
-    }
-    EXPECT_EQ(first_par->frame_allocs, par.frame_allocs) << plabel;
-    EXPECT_EQ(first_par->frame_frees, par.frame_frees) << plabel;
-    EXPECT_EQ(first_par->arena_bytes_peak, par.arena_bytes_peak) << plabel;
-    EXPECT_EQ(first_par->arena_hit_rate, par.arena_hit_rate) << plabel;
-  }
 }
 
 TEST(SchedulerEquivalence, EveryExplicitSortAlgorithm) {
@@ -188,26 +161,22 @@ TEST(SchedulerEquivalence, MultiReadExtension) {
 
 TEST(SchedulerEquivalence, TraceStreamsIdentical) {
   // Strongest form of "observationally identical": the cycle-by-cycle event
-  // streams seen by a TraceSink must match, not just the aggregates. The
-  // parallel engine emits its events from the merge step at the cycle
-  // barrier, so the stream must come out in processor-id order regardless
-  // of which worker simulated which stripe.
+  // streams seen by a TraceSink must match, not just the aggregates.
   const auto w = util::make_workload(256, 16, util::Shape::kEven, 2);
-  auto run_traced = [&](Engine e, std::size_t threads, ChannelTrace& trace) {
-    return algo::sort(with_engine({.p = 16, .k = 4}, e, threads), w.inputs,
+  auto run_traced = [&](Engine e, ChannelTrace& trace) {
+    return algo::sort(with_engine({.p = 16, .k = 4}, e), w.inputs,
                       {.algorithm = algo::SortAlgorithm::kColumnsortEven},
                       &trace)
         .run.stats;
   };
   ChannelTrace ref_trace(1u << 20);
-  const RunStats ref = run_traced(Engine::kReference, 0, ref_trace);
+  const RunStats ref = run_traced(Engine::kReference, ref_trace);
   ASSERT_FALSE(ref_trace.truncated());
   const auto& a = ref_trace.events();
 
-  auto expect_same_stream = [&](Engine e, std::size_t threads,
-                                const std::string& label) {
+  auto expect_same_stream = [&](Engine e, const std::string& label) {
     ChannelTrace trace(1u << 20);
-    const RunStats got = run_traced(e, threads, trace);
+    const RunStats got = run_traced(e, trace);
     expect_identical_stats(ref, got, "traced columnsort/" + label);
     ASSERT_FALSE(trace.truncated());
     const auto& b = trace.events();
@@ -221,25 +190,21 @@ TEST(SchedulerEquivalence, TraceStreamsIdentical) {
       EXPECT_EQ(a[i].received, b[i].received) << label << " event " << i;
     }
   };
-  expect_same_stream(Engine::kEventDriven, 0, "event");
-  for (const std::size_t t : kThreadGrid) {
-    expect_same_stream(Engine::kParallel, t, "parallel-t" + std::to_string(t));
-  }
+  expect_same_stream(Engine::kEventDriven, "event");
 }
 
-TEST(SchedulerEquivalence, SweepJsonStableUnderParallelEngine) {
-  // End-to-end determinism: a sweep run on the parallel engine serializes
+TEST(SchedulerEquivalence, SweepJsonStableUnderReferenceEngine) {
+  // End-to-end determinism: a sweep run on the reference engine serializes
   // byte-identically regardless of the trial pool's width, and its model
   // accounting (cycles/messages/aux) matches the event engine's trial for
-  // trial. (Full JSON identity across engines is not expected: the frame
-  // telemetry in the JSON is arena-sharding-specific.)
+  // trial.
   harness::Sweep sweep;
   sweep.ps = {8, 16};
   sweep.ks = {2, 4};
   sweep.ns = {256};
   sweep.algorithms = {"auto", "select"};
   sweep.seeds = 2;
-  sweep.engine = Engine::kParallel;
+  sweep.engine = Engine::kReference;
 
   const auto one = harness::run_sweep(sweep, {.threads = 1});
   const auto four = harness::run_sweep(sweep, {.threads = 4});

@@ -8,14 +8,18 @@
 # proves the global-new fallback builds and passes the same suite.
 #
 # Static analysis rides along in three places: tools/lint.sh (mcblint, the
-# repo-aware analyzer with rules MCB-L1..L6, plus the clang-tidy profile)
-# runs against the release tree's compile_commands.json with the same 0/1/3
-# exit discipline as `mcbsim gates` (3 = a tool could not run here — loud
-# warning, not silent pass); every preset leg re-runs that preset's own
-# mcblint binary and cmp's two --json runs (the linter is held to the same
-# byte-determinism contract as the engines it audits); and a
-# ThreadSanitizer build runs the harness / thread-pool suite — the one
-# genuinely multi-threaded subsystem — plus a checked sweep smoke.
+# repo-aware analyzer with rules MCB-L1..L3, L5, L6, plus the clang-tidy
+# profile) runs against the release tree's compile_commands.json with the
+# same 0/1/3 exit discipline as `mcbsim gates` (3 = a tool could not run
+# here — loud warning, not silent pass); every preset leg re-runs that
+# preset's own mcblint binary and cmp's two --json runs (the linter is held
+# to the same byte-determinism contract as the engines it audits); and a
+# ThreadSanitizer build runs the harness suite — the sweep's trial pool is
+# the one multi-threaded subsystem — plus a checked sweep smoke.
+#
+# The release leg runs its unit suite 20 times over (ctest --repeat
+# until-fail:20, in parallel), so a host-shape race cannot hide behind a
+# single lucky pass.
 #
 # Each suite leg also smokes the telemetry layer end-to-end: --obs runs
 # (span reconciliation is a hard failure), a --trace-out export, and the
@@ -39,20 +43,22 @@ cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 WARNINGS=0
 
-# Host-capability banner: the thread-scaling bench gates arm only on >= 4
-# hardware threads, and the p=2^20 big row only inside its wall-clock
-# budget — say up front which discipline this machine is held to, so a log
-# reader can interpret UNENFORCED rows without guessing at the hardware.
+# Host-capability banner: the one thread-scaling bench gate (bench_sweep's
+# 3x parallel-sweep speedup) arms only on >= 4 hardware threads, and the
+# p=2^20 big row only inside its wall-clock budget — say up front which
+# discipline this machine is held to, so a log reader can interpret
+# UNENFORCED rows without guessing at the hardware.
 HW_THREADS="$(nproc)"
 echo "=== host capability ==="
 echo "hardware threads: $HW_THREADS"
 if [ "$HW_THREADS" -ge 4 ]; then
-  echo "bench gate policy: thread-scaling gates ENFORCED; an unenforced" \
-       "gate fails CI unless it is the budget-gated big_row_p2_20 coverage" \
-       "stub (which warns)"
+  echo "bench gate policy: the sweep thread-scaling gate is ENFORCED; an" \
+       "unenforced gate fails CI unless it is the budget-gated" \
+       "big_row_p2_20 coverage stub (which warns)"
 else
-  echo "bench gate policy: thread-scaling gates NOT enforceable here" \
-       "(< 4 hardware threads); unenforced gates surface as WARNINGs"
+  echo "bench gate policy: the sweep thread-scaling gate is NOT" \
+       "enforceable here (< 4 hardware threads); unenforced gates surface" \
+       "as WARNINGs"
 fi
 
 run_preset() {
@@ -63,7 +69,11 @@ run_preset() {
   echo "=== [$preset] build ==="
   cmake --build --preset "$preset" -j "$JOBS"
   echo "=== [$preset] test ==="
-  ctest --preset "$preset"
+  if [ "$preset" = release ]; then
+    ctest --preset release --repeat until-fail:20 -j "$JOBS"
+  else
+    ctest --preset "$preset"
+  fi
   # Smoke the parallel sweep harness end-to-end through the CLI: a small
   # grid on several workers with the conformance checker attached, plus the
   # determinism contract (the JSON output must not depend on the thread
@@ -110,8 +120,7 @@ run_preset() {
   # every answer cross-checked against host-side ground truth (--verify),
   # then the report determinism contract — the serve JSON carries only
   # model-level fields, so one seed must produce byte-identical documents
-  # whichever engine answers it and however many worker threads the
-  # parallel engine uses.
+  # whichever engine answers it.
   echo "=== [$preset] serve smoke ==="
   "$builddir/tools/mcbsim" serve --p 16 --k 4 --n 1024 --queries 48 \
     --batch 8 --seed 7 --verify > /dev/null
@@ -120,15 +129,7 @@ run_preset() {
   "$builddir/tools/mcbsim" serve --p 16 --k 4 --n 1024 --queries 48 \
     --batch 8 --seed 7 --engine reference --json \
     > "$builddir/serve_reference.json"
-  "$builddir/tools/mcbsim" serve --p 16 --k 4 --n 1024 --queries 48 \
-    --batch 8 --seed 7 --engine parallel --threads 1 --json \
-    > "$builddir/serve_par_t1.json"
-  "$builddir/tools/mcbsim" serve --p 16 --k 4 --n 1024 --queries 48 \
-    --batch 8 --seed 7 --engine parallel --threads 4 --json \
-    > "$builddir/serve_par_t4.json"
   cmp "$builddir/serve_event.json" "$builddir/serve_reference.json"
-  cmp "$builddir/serve_event.json" "$builddir/serve_par_t1.json"
-  cmp "$builddir/serve_event.json" "$builddir/serve_par_t4.json"
   # Profiler quarantine contract, made executable: a --profile run may add
   # host-time telemetry but must not perturb one model-level byte. strip-host
   # strict-parses each document (malformed profiler JSON fails here) and
@@ -136,21 +137,21 @@ run_preset() {
   # unprofiled runs must then cmp equal. The report renderer must also
   # accept a profiled document (it renders the Host profile section).
   echo "=== [$preset] profiled smoke (host_profile quarantine) ==="
-  "$builddir/tools/mcbsim" sort --p 16 --k 4 --n 1024 --engine parallel \
-    --threads 4 --profile --json > "$builddir/prof_sort.json"
-  "$builddir/tools/mcbsim" sort --p 16 --k 4 --n 1024 --engine parallel \
-    --threads 4 --json > "$builddir/plain_sort.json"
+  "$builddir/tools/mcbsim" sort --p 16 --k 4 --n 1024 --engine event \
+    --profile --json > "$builddir/prof_sort.json"
+  "$builddir/tools/mcbsim" sort --p 16 --k 4 --n 1024 --engine event \
+    --json > "$builddir/plain_sort.json"
   "$builddir/tools/mcbsim" strip-host "$builddir/prof_sort.json" \
     > "$builddir/prof_sort.stripped.json"
   "$builddir/tools/mcbsim" strip-host "$builddir/plain_sort.json" \
     > "$builddir/plain_sort.stripped.json"
   cmp "$builddir/prof_sort.stripped.json" "$builddir/plain_sort.stripped.json"
   "$builddir/tools/mcbsim" serve --p 16 --k 4 --n 1024 --queries 48 \
-    --batch 8 --seed 7 --engine parallel --threads 4 --profile --json \
+    --batch 8 --seed 7 --engine event --profile --json \
     > "$builddir/prof_serve.json"
   "$builddir/tools/mcbsim" strip-host "$builddir/prof_serve.json" \
     > "$builddir/prof_serve.stripped.json"
-  "$builddir/tools/mcbsim" strip-host "$builddir/serve_par_t4.json" \
+  "$builddir/tools/mcbsim" strip-host "$builddir/serve_event.json" \
     > "$builddir/plain_serve.stripped.json"
   cmp "$builddir/prof_serve.stripped.json" "$builddir/plain_serve.stripped.json"
   "$builddir/tools/mcbsim" report "$builddir/prof_serve.json" > /dev/null
@@ -179,9 +180,10 @@ run_mcblint_leg() {
 # enforced gate failed (or no gates found / unreadable artifact) — fails
 # CI; exit 3 = all enforced gates passed but unenforced ones exist. On a
 # machine with >= 4 hardware threads every gate in the release artifacts is
-# expressible (the arena is on, and the two thread-scaling gates only need
-# 4 lanes), so exit 3 there means a gate that should have been armed was
-# not — a regression in the bench, not a machine limitation — and fails CI.
+# expressible (the arena is on, and bench_sweep's thread-scaling gate — the
+# only one — needs just 4 lanes), so exit 3 there means a gate that should
+# have been armed was not — a regression in the bench, not a machine
+# limitation — and fails CI.
 # Narrower machines keep the loud WARNING. Sole exception: the
 # big_row_p2_20 coverage stub is budget-gated by wall clock, not thread
 # count, so a skip stays a WARNING on any machine.
@@ -250,37 +252,19 @@ esac
 run_preset asan-ubsan build-asan
 run_preset noarena build-noarena
 
-# ThreadSanitizer leg: the worker pool in src/harness and the parallel
-# engine's striped cycle passes are the places real threads share state, so
-# the harness suite, the full three-engine equivalence grid (which drives
-# Engine::kParallel at 1/2/4/8 workers) and a checked parallel sweep through
-# the CLI all run under TSan. Building the whole matrix under TSan would
-# double CI time for code TSan cannot exercise.
+# ThreadSanitizer leg: the sweep's trial pool (src/harness) is the one
+# place real threads share state, so the harness suite and a checked
+# parallel sweep through the CLI run under TSan. Building the whole matrix
+# under TSan would double CI time for code TSan cannot exercise.
 echo "=== [tsan] configure ==="
 cmake --preset tsan
-echo "=== [tsan] build (harness + equivalence suites + CLI) ==="
-cmake --build --preset tsan -j "$JOBS" \
-  --target harness_test scheduler_equivalence_test mcbsim mcblint
-echo "=== [tsan] harness / thread-pool / engine-equivalence suites ==="
+echo "=== [tsan] build (harness suite + CLI) ==="
+cmake --build --preset tsan -j "$JOBS" --target harness_test mcbsim
+echo "=== [tsan] harness suite ==="
 ctest --preset tsan
 echo "=== [tsan] checked parallel sweep smoke ==="
 ./build-tsan/tools/mcbsim sweep --p 4,8 --k 2 --n 64 \
   --algorithms auto,select --seeds 2 --threads 4 --check
-echo "=== [tsan] checked parallel-engine run smoke ==="
-./build-tsan/tools/mcbsim select --p 64 --k 4 --n 256 \
-  --engine parallel --threads 4 --check > /dev/null
-# The serving loop reset()s and re-runs one network across batches; under
-# the parallel engine that re-crosses every stripe handoff, so it runs
-# under TSan too — with the thread-count determinism contract on top.
-echo "=== [tsan] serve smoke (parallel engine, reset-reuse path) ==="
-./build-tsan/tools/mcbsim serve --p 16 --k 4 --n 1024 --queries 32 \
-  --batch 8 --seed 7 --verify --engine parallel --threads 4 --json \
-  > build-tsan/serve_par_t4.json
-./build-tsan/tools/mcbsim serve --p 16 --k 4 --n 1024 --queries 32 \
-  --batch 8 --seed 7 --verify --engine parallel --threads 2 --json \
-  > build-tsan/serve_par_t2.json
-cmp build-tsan/serve_par_t4.json build-tsan/serve_par_t2.json
-run_mcblint_leg tsan build-tsan
 
 # Profiling entry point: on hosts with perf the full record/report path is
 # a developer tool, not a CI stage (its numbers are machine-local), but the

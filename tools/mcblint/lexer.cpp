@@ -37,7 +37,6 @@ void scan_comment(std::string_view text, int line, LexedFile& out) {
     }
     // lint-allow: rule[, rule...]
     constexpr std::string_view kAllow = "lint-allow:";
-    constexpr std::string_view kRegion = "mcblint: parallel-region";
     if (text.compare(i, kAllow.size(), kAllow) == 0) {
       std::size_t j = i + kAllow.size();
       while (true) {
@@ -55,41 +54,6 @@ void scan_comment(std::string_view text, int line, LexedFile& out) {
         }
         break;
       }
-      i = j - 1;
-      continue;
-    }
-    if (text.compare(i, kRegion.size(), kRegion) == 0) {
-      std::size_t j = i + kRegion.size();
-      while (j < text.size() && (text[j] == ' ' || text[j] == '\t')) ++j;
-      RegionMarker m;
-      m.line = cur;
-      constexpr std::string_view kBegin = "begin";
-      constexpr std::string_view kEnd = "end";
-      if (text.compare(j, kBegin.size(), kBegin) == 0) {
-        m.begin = true;
-        j += kBegin.size();
-      } else if (text.compare(j, kEnd.size(), kEnd) == 0) {
-        m.begin = false;
-        j += kEnd.size();
-      } else {
-        continue;  // malformed marker; L4 reports unpaired markers anyway
-      }
-      while (j < text.size() && (text[j] == ' ' || text[j] == '\t')) ++j;
-      constexpr std::string_view kAllowEq = "allow=";
-      if (text.compare(j, kAllowEq.size(), kAllowEq) == 0) {
-        j += kAllowEq.size();
-        while (true) {
-          std::size_t s = j;
-          while (j < text.size() && is_ident_char(text[j])) ++j;
-          if (j > s) m.allow.insert(std::string(text.substr(s, j - s)));
-          if (j < text.size() && text[j] == ',') {
-            ++j;
-            continue;
-          }
-          break;
-        }
-      }
-      out.markers.push_back(std::move(m));
       i = j - 1;
       continue;
     }

@@ -6,9 +6,8 @@
 //     trips a rule,
 //   * multi-line statements are one token sequence (the awk rules this
 //     tool replaces could only see one line at a time),
-//   * escape hatches (`lint-allow: <rule>`) and the parallel-region
-//     begin/end markers are read out of the comments they live in, at the
-//     line they occur.
+//   * escape hatches (`lint-allow: <rule>`) are read out of the comments
+//     they live in, at the line they occur.
 //
 // The lexer is deliberately not a full C++ tokenizer: it produces the four
 // token classes the rules consume (identifiers, numbers, punctuation,
@@ -41,14 +40,6 @@ struct Token {
   int line;          // 1-based line of the token's first character
 };
 
-/// A parallel-region fence comment: the marker prefix followed by
-/// `begin [allow=a,b,c]` or `end` (docs/LINT.md shows the exact spelling).
-struct RegionMarker {
-  int line = 0;
-  bool begin = false;
-  std::set<std::string> allow;  // member names writable inside the region
-};
-
 struct LexedFile {
   std::string path;  // repo-relative, '/'-separated (set by the caller)
   std::vector<Token> tokens;
@@ -56,7 +47,6 @@ struct LexedFile {
   /// findings on line N (trailing comment) and line N+1 (comment-above
   /// style). Names are rule slugs ("naked-new"), ids ("MCB-L6") or "all".
   std::map<int, std::set<std::string>> allows;
-  std::vector<RegionMarker> markers;
 };
 
 /// Lexes `text`. `path` is stored verbatim into the result.

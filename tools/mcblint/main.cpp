@@ -67,8 +67,6 @@ int main(int argc, char** argv) {
                    "topology in protocol code\n"
                 << "MCB-L3 unordered-iteration  range-for over "
                    "std::unordered_* in protocol code\n"
-                << "MCB-L4 parallel-phase       off-allowlist member writes "
-                   "inside fenced parallel regions\n"
                 << "MCB-L5 busy-wait-step       loop body that is only "
                    "co_await ...step()\n"
                 << "MCB-L6 naked-new            naked new outside the frame "

@@ -37,8 +37,8 @@ struct RuleDef {
   std::vector<std::string_view> scopes;  // path prefixes; empty = everywhere
 };
 
-const std::array<RuleDef, 6>& rule_defs() {
-  static const std::array<RuleDef, 6> defs{{
+const std::array<RuleDef, 5>& rule_defs() {
+  static const std::array<RuleDef, 5> defs{{
       {"MCB-L1", "use-after-suspend", {}},
       {"MCB-L2",
        "nondeterminism",
@@ -46,7 +46,6 @@ const std::array<RuleDef, 6>& rule_defs() {
       {"MCB-L3",
        "unordered-iteration",
        {"src/mcb/", "src/algo/", "src/se/", "src/sched/", "src/serve/"}},
-      {"MCB-L4", "parallel-phase", {}},
       {"MCB-L5", "busy-wait-step", {"src/"}},
       {"MCB-L6",
        "naked-new",
@@ -671,140 +670,11 @@ void rule_l3(const LexedFile& f, const Scan& sc, std::vector<Finding>* out) {
 }
 
 // --------------------------------------------------------------------------
-// MCB-L4: parallel-phase discipline
-// --------------------------------------------------------------------------
-
-bool is_assign_op(const Token& t) {
-  static const std::set<std::string, std::less<>> ops{
-      "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="};
-  return t.kind == TokKind::kPunct && ops.count(t.text) > 0;
-}
-
-bool is_mutator(std::string_view s) {
-  static const std::set<std::string, std::less<>> m{
-      "push_back", "emplace_back", "pop_back", "clear",    "resize",
-      "reserve",   "assign",       "insert",   "erase",    "emplace",
-      "store",     "exchange",     "fetch_add", "fetch_sub", "swap",
-      "push",      "pop",          "reset"};
-  return m.count(s) > 0;
-}
-
-void rule_l4(const LexedFile& f, const Scan& sc, std::vector<Finding>* out) {
-  const RuleDef& rule = rule_defs()[3];
-  const std::vector<Token>& toks = f.tokens;
-
-  struct Region {
-    int begin_line = 0;
-    int end_line = 0;
-    const std::set<std::string>* allow = nullptr;
-  };
-  std::vector<Region> regions;
-  const RegionMarker* open = nullptr;
-  for (const RegionMarker& m : f.markers) {
-    if (m.begin) {
-      if (open != nullptr) {
-        add(out, rule, f, m.line,
-            "nested 'parallel-region begin' (previous begin at line " +
-                std::to_string(open->line) + " is still open)");
-      }
-      open = &m;
-    } else {
-      if (open == nullptr) {
-        add(out, rule, f, m.line, "'parallel-region end' without a begin");
-        continue;
-      }
-      regions.push_back(Region{open->line, m.line, &open->allow});
-      open = nullptr;
-    }
-  }
-  if (open != nullptr) {
-    add(out, rule, f, open->line,
-        "'parallel-region begin' never closed by an end marker");
-  }
-  if (regions.empty()) return;
-
-  auto region_allowing = [&regions](int line) -> const Region* {
-    for (const Region& r : regions) {
-      if (line > r.begin_line && line < r.end_line) return &r;
-    }
-    return nullptr;
-  };
-
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokKind::kIdent) continue;
-    const Region* reg = region_allowing(t.line);
-    if (reg == nullptr) continue;
-
-    // Roots: `member_` by naming convention, or `this->member`.
-    bool rooted = t.text.size() > 1 && ends_with(t.text, "_");
-    if (i > 0 && (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->") ||
-                  is_punct(toks[i - 1], "::"))) {
-      // Only `this->member` keeps root status; `other.member_` is rooted
-      // at `other`, which is per-stripe state by construction.
-      rooted = is_punct(toks[i - 1], "->") && i > 1 &&
-               is_ident(toks[i - 2], "this");
-    }
-    if (!rooted) continue;
-
-    bool write = false;
-    std::string op;
-    if (i > 0 && (is_punct(toks[i - 1], "++") || is_punct(toks[i - 1], "--"))) {
-      write = true;
-      op = toks[i - 1].text;
-    }
-    std::size_t j = i + 1;
-    int guard = 0;
-    while (!write && j < toks.size() && guard++ < 64) {
-      const Token& n = toks[j];
-      if (is_punct(n, "[")) {
-        const std::size_t m = sc.match[j];
-        if (m == npos) break;
-        j = m + 1;
-        continue;
-      }
-      if (is_punct(n, ".") || is_punct(n, "->")) {
-        if (j + 1 >= toks.size() || toks[j + 1].kind != TokKind::kIdent) {
-          break;
-        }
-        const std::string& sub = toks[j + 1].text;
-        if (j + 2 < toks.size() && is_punct(toks[j + 2], "(")) {
-          if (is_mutator(sub)) {
-            write = true;
-            op = sub + "()";
-          }
-          break;  // non-mutating call ends the chain
-        }
-        j += 2;
-        continue;
-      }
-      if (is_assign_op(n) || is_punct(n, "++") || is_punct(n, "--")) {
-        write = true;
-        op = n.text;
-      }
-      break;
-    }
-    if (!write) continue;
-    if (reg->allow->count(t.text) > 0) continue;
-    std::string allowed;
-    for (const std::string& a : *reg->allow) {
-      allowed += allowed.empty() ? a : ", " + a;
-    }
-    add(out, rule, f, t.line,
-        "write ('" + op + "') to engine member '" + t.text +
-            "' inside a parallel region (allowed: " +
-            (allowed.empty() ? "none" : allowed) +
-            ") — shared state may only be mutated in serial commit "
-            "phases");
-  }
-}
-
-// --------------------------------------------------------------------------
 // MCB-L5: busy-wait step() loops
 // --------------------------------------------------------------------------
 
 void rule_l5(const LexedFile& f, const Scan& sc, std::vector<Finding>* out) {
-  const RuleDef& rule = rule_defs()[4];
+  const RuleDef& rule = rule_defs()[3];
   const std::vector<Token>& toks = f.tokens;
   for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
     const Token& t = toks[i];
@@ -861,7 +731,7 @@ void rule_l5(const LexedFile& f, const Scan& sc, std::vector<Finding>* out) {
 // --------------------------------------------------------------------------
 
 void rule_l6(const LexedFile& f, std::vector<Finding>* out) {
-  const RuleDef& rule = rule_defs()[5];
+  const RuleDef& rule = rule_defs()[4];
   const std::vector<Token>& toks = f.tokens;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (!is_ident(toks[i], "new")) continue;
@@ -895,9 +765,8 @@ FileReport analyze(const LexedFile& f, const Options& opts) {
   if (rule_in_scope(defs[0], f.path, opts.all_scopes)) rule_l1(f, sc, &raw);
   if (rule_in_scope(defs[1], f.path, opts.all_scopes)) rule_l2(f, &raw);
   if (rule_in_scope(defs[2], f.path, opts.all_scopes)) rule_l3(f, sc, &raw);
-  if (rule_in_scope(defs[3], f.path, opts.all_scopes)) rule_l4(f, sc, &raw);
-  if (rule_in_scope(defs[4], f.path, opts.all_scopes)) rule_l5(f, sc, &raw);
-  if (rule_in_scope(defs[5], f.path, opts.all_scopes)) rule_l6(f, &raw);
+  if (rule_in_scope(defs[3], f.path, opts.all_scopes)) rule_l5(f, sc, &raw);
+  if (rule_in_scope(defs[4], f.path, opts.all_scopes)) rule_l6(f, &raw);
 
   FileReport rep;
   for (Finding& fi : raw) {

@@ -1,5 +1,7 @@
-// mcblint rule engine: the six repo-specific rules MCB-L1..L6, numbered in
-// the style of the conformance checker's MCB-W1/R1/C1 trace rules. Where
+// mcblint rule engine: the repo-specific rules MCB-L1..L3, L5 and L6 (L4
+// was retired with the engine it guarded; the other ids stay stable),
+// numbered in the style of the conformance checker's MCB-W1/R1/C1 trace
+// rules. Where
 // the conformance checker audits *executions* against the model spec, these
 // rules audit *source* against the engine's determinism contract — the
 // third leg next to TSan (races on observed schedules) and the trace
@@ -11,8 +13,6 @@
 //   MCB-L2  nondeterminism         wall clocks / PRNGs / host-thread
 //                                  queries in protocol & engine code
 //   MCB-L3  unordered-iteration    range-for over std::unordered_*
-//   MCB-L4  parallel-phase         writes to engine members inside fenced
-//                                  parallel regions, off the allowlist
 //   MCB-L5  busy-wait-step         loops whose whole body is co_await
 //                                  ...step() — O(t) where skip() is O(1)
 //   MCB-L6  naked-new              `new` outside the frame arena in

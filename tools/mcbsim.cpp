@@ -1,22 +1,19 @@
 // mcbsim — command-line driver for the MCB library.
 //
 //   mcbsim sort    --p 16 --k 4 --n 1024 [--shape even] [--seed 1]
-//                  [--algorithm auto] [--engine event|reference|parallel]
-//                  [--threads N] [--json]
+//                  [--algorithm auto] [--engine event|reference] [--json]
 //   mcbsim select  --p 16 --k 4 --n 1024 [--rank d | median by default]
 //                  [--shape even] [--seed 1]
-//                  [--engine event|reference|parallel] [--threads N] [--json]
+//                  [--engine event|reference] [--json]
 //   mcbsim psum    --p 16 --k 4 [--op add|max|min]
 //   mcbsim trace   --p 4  [--n 48] [--seed 3]   (cycle-level channel dump)
 //   mcbsim bounds  --p 16 --k 4 --n 1024 [--shape even] [--d rank]
 //   mcbsim sweep   --p 8,16 --k 2,4 --n 1024 [--shapes even,zipf]
 //                  [--algorithms auto,select] [--seeds 3] [--seed 1]
-//                  [--threads N] [--engine event|reference|parallel]
+//                  [--threads N] [--engine event|reference]
 //                  [--check] [--json]
 //
-// For sort/select/trace, --threads N sets the parallel engine's worker count
-// (0 = all hardware threads) and requires --engine parallel. For sweep,
-// --threads is the trial-pool width and works with any engine.
+// Only sweep takes --threads: the trial-pool width. Single runs are serial.
 //   mcbsim gates   <bench.json>   (scan a BENCH_*.json for gate results)
 //   mcbsim report  <run.json|sweep.json>   (deterministic Markdown report)
 //
@@ -129,23 +126,6 @@ void print_stats_text(const RunStats& stats, std::ostream& os) {
   os << t;
 }
 
-/// Parallel-engine thread accounting for text output. The engine silently
-/// caps the request at min(hardware, stripe count); saying what actually
-/// ran keeps "--threads 64 was slower than I expected" debuggable.
-void print_thread_note(const SimConfig& cfg, const RunStats& stats,
-                       std::ostream& os) {
-  if (cfg.engine != Engine::kParallel) return;
-  os << "threads: requested "
-     << (stats.threads_requested == 0 ? std::string("0 (hardware)")
-                                      : std::to_string(stats.threads_requested))
-     << ", effective " << stats.threads_effective;
-  if (stats.threads_requested != 0 &&
-      stats.threads_effective < stats.threads_requested) {
-    os << "  [capped at min(hardware, stripe count)]";
-  }
-  os << "\n";
-}
-
 /// Shared telemetry flags (sort/select/trace). --trace-out implies --obs:
 /// the exporter needs the collectors.
 struct ObsOptions {
@@ -163,22 +143,20 @@ ObsOptions parse_obs(const util::Cli& cli) {
 }
 
 /// Post-run telemetry steps: derive idle time, write the Perfetto trace if
-/// requested (with the profiler's host-time pid when one ran), and
-/// reconcile spans against PhaseStats. Returns the reconciliation problems
-/// (empty = reconciled); callers exit 1 on any.
+/// requested, and reconcile spans against PhaseStats. Returns the
+/// reconciliation problems (empty = reconciled); callers exit 1 on any.
 std::vector<std::string> finish_obs(const ObsOptions& opts,
                                     const SimConfig& cfg,
                                     const RunStats& stats,
                                     const obs::Recorder& recorder,
-                                    obs::Timeline& timeline,
-                                    const obs::Profiler* profiler) {
+                                    obs::Timeline& timeline) {
   timeline.finalize(stats.cycles);
   if (!opts.trace_out.empty()) {
     std::ofstream out(opts.trace_out);
     if (!out) {
       throw std::invalid_argument("cannot write trace to " + opts.trace_out);
     }
-    out << obs::chrome_trace_json(stats, cfg, &recorder, &timeline, profiler);
+    out << obs::chrome_trace_json(stats, cfg, &recorder, &timeline);
   }
   return recorder.reconcile(stats);
 }
@@ -252,33 +230,29 @@ std::vector<std::size_t> input_sizes(
   return sizes;
 }
 
-/// Shared --engine flag (sort/select/trace/sweep): all engines expose the
-/// same observable behaviour, so every run — checked ones in particular —
-/// can be replayed on any of them.
+/// Shared --engine flag (sort/select/trace/serve/sweep): both engines
+/// expose the same observable behaviour, so every run — checked ones in
+/// particular — can be replayed on either.
 Engine parse_engine(const util::Cli& cli) {
   const auto engine = cli.get_string("engine", "event");
   if (engine == "reference") return Engine::kReference;
   if (engine == "event") return Engine::kEventDriven;
-  if (engine == "parallel") return Engine::kParallel;
   throw std::invalid_argument("unknown engine '" + engine +
-                              "' (event|reference|parallel)");
+                              "' (event|reference)");
 }
 
-/// Shared --engine/--threads pair for the single-run commands
-/// (sort/select/trace). --threads picks the parallel engine's worker count
-/// (0 = hardware) and is rejected with the serial engines — a silent fall
-/// back to serial would misreport what was measured. (sweep has its own
-/// --threads: the trial-pool width; parallel-engine trials there are
-/// single-threaded, see harness::run_trial.)
+/// --engine for the single-run commands (sort/select/trace/serve), which
+/// run on one thread: --threads belongs to sweep alone (its trial-pool
+/// width), so here it is an unknown flag — a usage error, not the warning
+/// other unread flags get, since a silently ignored thread count would
+/// misreport what was measured.
 void apply_engine_flags(const util::Cli& cli, SimConfig& cfg) {
-  cfg.engine = parse_engine(cli);
-  const auto threads = cli.get_uint("threads", 0);
-  if (threads != 0 && cfg.engine != Engine::kParallel) {
+  if (cli.has("threads")) {
     throw std::invalid_argument(
-        "--threads requires --engine parallel (the serial engines run on "
-        "one thread)");
+        "unknown flag --threads (only sweep takes it; single runs are "
+        "serial)");
   }
-  cfg.threads = threads;
+  cfg.engine = parse_engine(cli);
 }
 
 int cmd_sort(const util::Cli& cli) {
@@ -321,7 +295,7 @@ int cmd_sort(const util::Cli& cli) {
   std::vector<std::string> obs_problems;
   if (obs_opts.on) {
     obs_problems = finish_obs(obs_opts, cfg, res.run.stats, recorder,
-                              *timeline, profile ? &*profiler : nullptr);
+                              *timeline);
   }
   if (json) {
     std::cout << "{\"algorithm\":\""
@@ -341,7 +315,6 @@ int cmd_sort(const util::Cli& cli) {
     std::cout << "sorted n=" << n << " over MCB(" << p << "," << k
               << ") with " << algo::to_string(res.used) << "\n";
     print_stats_text(res.run.stats, std::cout);
-    print_thread_note(cfg, res.run.stats, std::cout);
     if (obs_opts.on) print_obs_text(std::cout, res.run.stats, recorder, *timeline);
     if (do_check) std::cout << checker->report().summary();
     if (profile) std::cout << profiler->text();
@@ -407,8 +380,7 @@ int cmd_select(const util::Cli& cli) {
   if (do_check) checker->finish(res.stats);
   std::vector<std::string> obs_problems;
   if (obs_opts.on) {
-    obs_problems = finish_obs(obs_opts, cfg, res.stats, recorder, *timeline,
-                              profile ? &*profiler : nullptr);
+    obs_problems = finish_obs(obs_opts, cfg, res.stats, recorder, *timeline);
   }
   if (json) {
     std::cout << "{\"algorithm\":\"selection\",\"value\":" << res.value
@@ -428,7 +400,6 @@ int cmd_select(const util::Cli& cli) {
     std::cout << "N[" << d << "] = " << res.value << "  ("
               << res.filter_phases << " filtering phases)\n";
     print_stats_text(res.stats, std::cout);
-    print_thread_note(cfg, res.stats, std::cout);
     if (obs_opts.on) print_obs_text(std::cout, res.stats, recorder, *timeline);
     if (do_check) std::cout << checker->report().summary();
     if (profile) std::cout << profiler->text();
@@ -440,8 +411,8 @@ int cmd_select(const util::Cli& cli) {
 // Online serving mode: one persistent network answers a deterministic
 // query stream with batched multi-rank selection (src/serve). The report —
 // JSON with --json, Markdown otherwise — carries only model-level fields,
-// so it is byte-identical across engines and thread counts for one seed;
-// tools/ci.sh cmp's it across --threads under TSan. The exceptions are
+// so it is byte-identical across engines for one seed; tools/ci.sh cmp's
+// the event and reference documents. The exceptions are
 // opt-in host telemetry: --profile adds the quarantined "host_profile"
 // member, and --obs/--trace-out attach the span/timeline collectors to the
 // whole session (the obs fields themselves stay deterministic).
@@ -489,8 +460,7 @@ int cmd_serve(const util::Cli& cli) {
         throw std::invalid_argument("cannot write trace to " +
                                     obs_opts.trace_out);
       }
-      out << obs::chrome_trace_json(agg, sc.sim, &recorder, &*timeline,
-                                    profile ? &*profiler : nullptr);
+      out << obs::chrome_trace_json(agg, sc.sim, &recorder, &*timeline);
     }
   }
   if (cli.get_bool("json")) {
@@ -579,7 +549,7 @@ int cmd_trace(const util::Cli& cli) {
   std::vector<std::string> obs_problems;
   if (obs_opts.on) {
     obs_problems = finish_obs(obs_opts, cfg, res.run.stats, recorder,
-                              *timeline, profile ? &*profiler : nullptr);
+                              *timeline);
   }
   std::cout << "columnsort on MCB(" << p << "," << p << "), n=" << n << ": "
             << res.run.stats.cycles << " cycles\n"
@@ -687,7 +657,7 @@ int cmd_gates(const std::string& path) {
 // Strict-parses a JSON document and re-serializes it canonically with every
 // host-telemetry field removed, at any nesting depth: the quarantined
 // "host_profile" subtrees plus the per-run host fields of "stats"
-// (wall clock, throughput, thread identity, arena counters). What survives
+// (wall clock, throughput, arena counters). What survives
 // is exactly the deterministic model-level content, so CI can `cmp` a
 // profiled run against an unprofiled one — the determinism contract the
 // profiler must not break, made executable.
@@ -700,10 +670,8 @@ int cmd_strip_host(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   static const std::vector<std::string> kHostFields = {
-      "host_profile",     "sim_wall_ns",       "cycles_per_sec",
-      "threads_requested", "threads_effective", "frame_allocs",
-      "frame_frees",      "frame_reuses",      "arena_bytes_peak",
-      "arena_hit_rate"};
+      "host_profile", "sim_wall_ns",  "cycles_per_sec",   "frame_allocs",
+      "frame_frees",  "frame_reuses", "arena_bytes_peak", "arena_hit_rate"};
   std::cout << util::json_serialize_without(util::json_parse(buf.str()),
                                             kHostFields)
             << '\n';
@@ -807,25 +775,25 @@ int usage() {
       "usage: mcbsim <sort|select|serve|psum|trace|bounds|sweep|gates|"
       "report|strip-host> [--flags]\n"
       "  sort    --p --k --n [--shape] [--seed] [--algorithm] [--engine]"
-      " [--threads] [--check] [--json]\n"
+      " [--check] [--json]\n"
       "          [--obs] [--trace-out f.json] [--obs-buckets N] [--profile]\n"
       "  select  --p --k --n [--rank] [--shape] [--seed] [--shout-echo]"
-      " [--engine] [--threads] [--check]\n"
+      " [--engine] [--check]\n"
       "          [--json] [--obs] [--trace-out f.json] [--obs-buckets N]"
       " [--profile]\n"
       "  serve   --p --k --n [--seed] --queries N"
       " [--classes rank:4,topk:2,churn:1]\n"
-      "          [--batch B] [--engine] [--threads] [--verify] [--json]\n"
+      "          [--batch B] [--engine] [--verify] [--json]\n"
       "          [--obs] [--trace-out f.json] [--obs-buckets N] [--profile]\n"
       "          one persistent network answers a seeded query stream;\n"
-      "          output is byte-identical across engines/threads per seed\n"
+      "          output is byte-identical across engines per seed\n"
       "  psum    --p --k [--op add|max|min]\n"
-      "  trace   --p [--n] [--seed] [--limit] [--engine] [--threads]"
-      " [--check] [--obs] [--trace-out f.json] [--profile]\n"
+      "  trace   --p [--n] [--seed] [--limit] [--engine] [--check] [--obs]"
+      " [--trace-out f.json] [--profile]\n"
       "  bounds  --p --k --n [--shape] [--d]\n"
       "  sweep   --p 8,16 --k 2,4 --n 1024,4096 [--shapes even,zipf]\n"
       "          [--algorithms auto,select] [--seeds S] [--seed B]\n"
-      "          [--threads N] [--engine event|reference|parallel] [--check]"
+      "          [--threads N] [--engine event|reference] [--check]"
       " [--obs] [--json]\n"
       "  gates   <bench.json>   exit 0 = all gates enforced+passed,\n"
       "          1 = enforced gate failed, 3 = unenforced gates present\n"
@@ -834,17 +802,15 @@ int usage() {
       "  strip-host <any.json>  re-serialize canonically with host-telemetry\n"
       "          fields (host_profile, sim_wall_ns, ...) removed, for\n"
       "          byte-comparing profiled against unprofiled runs\n"
-      "--engine picks the simulator loop (event|reference|parallel; all are\n"
-      "observably identical). For sort/select/trace, --threads N sets the\n"
-      "parallel engine's worker count (0 = hardware) and requires --engine\n"
-      "parallel; for sweep it is the trial-pool width with any engine.\n"
+      "--engine picks the simulator loop (event|reference; both are\n"
+      "observably identical). --threads is sweep's trial-pool width (0 =\n"
+      "hardware); single runs are serial.\n"
       "--check attaches the model-conformance checker (src/check): exit 1\n"
       "and a violation report on any model-rule breach.\n"
       "--obs collects phase spans and a per-channel timeline; --trace-out\n"
       "writes a Chrome trace-event / Perfetto JSON trace (implies --obs).\n"
-      "--profile attaches the host-time engine profiler: per cycle-batch\n"
-      "commit/dispatch/wait/merge wall time, lane busy time and imbalance\n"
-      "ratio, quarantined under \"host_profile\" (strip-host removes it).\n";
+      "--profile attaches the host-time profiler: run count and run wall\n"
+      "time, quarantined under \"host_profile\" (strip-host removes it).\n";
   return 2;
 }
 

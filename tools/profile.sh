@@ -1,19 +1,17 @@
 #!/usr/bin/env bash
-# Profiles the parallel engine's hot path with Linux perf.
+# Profiles the event engine's hot path with Linux perf.
 #
 # Builds the `perf` CMake preset (RelWithDebInfo, -O3 -march=native, LTO
 # when the toolchain supports it — frame pointers kept so perf's call
 # graphs resolve without DWARF unwinding every sample), perf-records one
 # simspeed selection row through mcbsim, and prints the top hot symbols.
-# The default row is the parallel-gate workload (selection p=65536 k=4
-# n=262144, the point the bench gates measure), so a profile and the gate
-# numbers describe the same run.
+# The default row is the largest always-run bench_simspeed selection row
+# (p=65536 k=4 n=262144, the key of its p=2^20 budget guard), so a profile
+# and the bench numbers describe the same run.
 #
-# The recorded run also carries the in-process flight recorder (mcbsim
+# The recorded run also carries the in-process host profiler (mcbsim
 # select --profile), so next to perf's symbol table — which says *where*
-# host time went — the script prints the engine's own accounting of *what*
-# the time bought: serial commit vs dispatch vs barrier wait vs merge,
-# per barrier site, with the lane-imbalance ratio.
+# host time went — the script prints the profiler's run-wall total.
 #
 # Usage:
 #   tools/profile.sh                 # record the default row, print top 10
@@ -29,7 +27,7 @@ cd "$(dirname "$0")/.."
 
 TOP_N=10
 OUT_DIR=build-perf
-ROW=(--p 65536 --k 4 --n 262144 --engine parallel --threads 0 --profile)
+ROW=(--p 65536 --k 4 --n 262144 --engine event --profile)
 
 list_mode=0
 extra=()
@@ -42,7 +40,7 @@ done
 # Extra flags override the default row wholesale: mixing "--p 4096" into
 # the default geometry would profile a workload nobody asked for.
 if [ "${#extra[@]}" -gt 0 ]; then
-  ROW=("${extra[@]}" --engine parallel --threads 0 --profile)
+  ROW=("${extra[@]}" --engine event --profile)
 fi
 
 CMD=("$OUT_DIR/tools/mcbsim" select "${ROW[@]}")
@@ -67,9 +65,9 @@ cmake --build --preset perf -j "$(nproc)" --target mcbsim
 echo "=== perf record: ${CMD[*]} ==="
 perf record -g -o "$OUT_DIR/perf.data" -- "${CMD[@]}" > "$OUT_DIR/profile_run.txt"
 
-echo "=== engine flight recorder (same run) ==="
-# --profile makes mcbsim print the recorder's breakdown after the run
-# summary; everything from its "host profile:" top line onward is ours.
+echo "=== host profiler (same run) ==="
+# --profile makes mcbsim print the profiler's totals after the run
+# summary; everything from its "host profile:" line onward is ours.
 sed -n '/^host profile:/,$p' "$OUT_DIR/profile_run.txt"
 
 echo "=== top $TOP_N hot symbols ==="
