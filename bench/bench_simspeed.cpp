@@ -7,6 +7,11 @@
 // the quantity every future scaling experiment is bounded by. For each grid
 // point every engine runs the identical workload kReps times; the row kept
 // is the median rep by wall clock (single runs proved too noisy to gate on).
+// Each rep is also timed end to end, the way a user waits for it: setup_ns
+// is the host time outside Network::run() up to the answer (workload build,
+// network construction, install, result hand-back and teardown), run_ns is
+// run() itself (= sim_wall_ns), verify_ns checks the answer (sortedness, or
+// the median against a sequential selection), and total_ns spans all three.
 // The two largest selection points (p=16384 and p=65536, n=4p) skip the
 // reference loop: its O(p) per-cycle scans make it minutes-slow there, and
 // its correctness standing comes from the equivalence tests, not from being
@@ -15,21 +20,27 @@
 // bit-identical accounting; this binary additionally cross-checks that every
 // rep and both engines agree on cycles and messages.
 //
-// Output: a per-grid-point table (median wall ns, resumes, cycles/sec,
-// arena telemetry, speedups) and a machine-readable BENCH_simspeed.json
+// Output: a per-grid-point table (median wall ns, setup and total ms,
+// resumes, cycles/sec, arena telemetry, speedups) and a machine-readable BENCH_simspeed.json
 // (path overridable as argv[1]) so future PRs can track the
 // simulator-performance trajectory. Field names of earlier revisions are
 // preserved; medians slot into the old single-run fields. Each run row also
 // carries ns_per_proc_cycle = sim_wall_ns / (p * cycles), the
-// size-normalized cost that makes rows of different geometry comparable.
+// size-normalized cost that makes rows of different geometry comparable,
+// and {median, min, max} over the reps of setup_ns, run_ns, verify_ns and
+// total_ns.
 //
-// Two gates, each failing the binary when enforced:
+// Three gates, each failing the binary when enforced:
 //   * event_vs_reference — the event engine must beat the reference loop
 //     >= 5x on the skip-heavy selection p=4096 k=4 point (since PR 1).
 //   * arena_vs_pr2 — with the frame arena on, the same point's event
 //     wall-clock must beat the PR-2 recorded baseline >= 1.3x and the
 //     arena hit rate must exceed 0.9 in steady state. Not enforced in
 //     MCB_FRAME_ARENA=OFF builds (tools/ci.sh warns on unenforced gates).
+//   * setup_linear — setup must scale linearly in p: on the event
+//     selection rows, setup_ns / p at p=65536 must stay within 2x of its
+//     value at p=4096. An O(p^2) install measured 11x there, so host noise
+//     cannot fake a pass.
 //
 // One extra row rides outside the gate grid: selection p=2^20 (n=4p),
 // event engine only, a single rep — the megaprocessor data point. It only
@@ -51,7 +62,9 @@
 #include "algo/selection.hpp"
 #include "algo/sort.hpp"
 #include "bench_common.hpp"
+#include "obs/clock.hpp"
 #include "obs/profiler.hpp"
+#include "seq/selection.hpp"
 #include "util/workload.hpp"
 
 namespace mcb::bench {
@@ -62,7 +75,7 @@ namespace {
 // RunStats either way.
 obs::Profiler* g_profiler = nullptr;
 
-constexpr std::size_t kReps = 3;
+constexpr std::size_t kReps = 5;
 
 // Event-engine wall clock of selection p=4096 k=4 recorded in
 // BENCH_simspeed.json by PR 2 (commit 59e879e), before the frame arena and
@@ -70,6 +83,11 @@ constexpr std::size_t kReps = 3;
 constexpr std::uint64_t kPr2EventWallNs = 206128073;
 constexpr double kArenaRequiredSpeedup = 1.3;
 constexpr double kArenaRequiredHitRate = 0.9;
+
+// setup_linear: setup_ns / p at the large point over the small one.
+constexpr std::size_t kSetupSmallP = 4096;
+constexpr std::size_t kSetupLargeP = 65536;
+constexpr double kSetupMaxPerProcRatio = 2.0;
 
 // The p=2^20 row runs only when the p=65536 event median wall clock came
 // in under this budget (the big row is ~16x that work), or when
@@ -82,9 +100,28 @@ struct GridPoint {
   bool skip_reference = false;  // the two huge selection rows
 };
 
+/// One rep: the run's statistics and the host time a user waits for.
+struct Rep {
+  RunStats stats;
+  std::uint64_t setup_ns = 0;   // outside run(), up to the answer
+  std::uint64_t verify_ns = 0;  // checking the answer
+  std::uint64_t total_ns = 0;   // setup + run + verify
+};
+
+/// Median, min and max of one host-time field over the reps.
+struct Spread {
+  std::uint64_t median = 0, min = 0, max = 0;
+};
+
+Spread spread(std::vector<std::uint64_t> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? Spread{} : Spread{v[v.size() / 2], v.front(), v.back()};
+}
+
 struct EngineResult {
   RunStats median;                     // the median rep by sim_wall_ns
   std::vector<std::uint64_t> wall_ns;  // all reps, run order
+  Spread setup_ns, run_ns, verify_ns, total_ns;
 };
 
 struct Row {
@@ -117,25 +154,50 @@ const char* engine_json_name(Engine e) {
   return "unknown";
 }
 
-RunStats run_point(const GridPoint& pt, Engine engine) {
+Rep run_point(const GridPoint& pt, Engine engine) {
   SimConfig cfg{.p = pt.p, .k = pt.k};
   cfg.engine = engine;
   if (engine == Engine::kEventDriven) cfg.profiler = g_profiler;
+  obs::Clock& clk = obs::default_clock();
+  Rep r;
+  const std::uint64_t t0 = clk.now_ns();
   const auto w = util::make_workload(pt.n, pt.p, util::Shape::kEven, 42);
+  std::uint64_t t1 = 0;
   if (pt.bench == "sort") {
     auto res = algo::sort(cfg, w.inputs);
+    t1 = clk.now_ns();
     check_sorted(res.run.outputs);
-    return res.run.stats;
+    r.stats = std::move(res.run.stats);
+  } else {
+    const auto res = algo::select_median(cfg, w.inputs);
+    t1 = clk.now_ns();
+    std::vector<Word> all;
+    all.reserve(pt.n);
+    for (const auto& in : w.inputs) all.insert(all.end(), in.begin(), in.end());
+    if (res.value != seq::kth_largest(all, (all.size() + 1) / 2)) {
+      std::cerr << "BENCH FAILURE: selection p=" << pt.p
+                << " returned a wrong median\n";
+      std::abort();
+    }
+    r.stats = res.stats;
   }
-  auto res = algo::select_median(cfg, w.inputs);
-  return res.stats;
+  const std::uint64_t t2 = clk.now_ns();
+  r.setup_ns = t1 - t0 - r.stats.sim_wall_ns;
+  r.verify_ns = t2 - t1;
+  r.total_ns = t2 - t0;
+  return r;
 }
 
 EngineResult run_reps(const GridPoint& pt, Engine engine) {
   std::vector<RunStats> reps;
   reps.reserve(kReps);
+  std::vector<std::uint64_t> setup, verify, total;
   for (std::size_t i = 0; i < kReps; ++i) {
-    reps.push_back(run_point(pt, engine));
+    Rep rep = run_point(pt, engine);
+    setup.push_back(rep.setup_ns);
+    verify.push_back(rep.verify_ns);
+    total.push_back(rep.total_ns);
+    reps.push_back(std::move(rep.stats));
     if (reps.back().cycles != reps.front().cycles ||
         reps.back().messages != reps.front().messages) {
       std::cerr << "BENCH FAILURE: nondeterministic accounting across reps "
@@ -146,6 +208,10 @@ EngineResult run_reps(const GridPoint& pt, Engine engine) {
   }
   EngineResult r;
   for (const auto& s : reps) r.wall_ns.push_back(s.sim_wall_ns);
+  r.setup_ns = spread(std::move(setup));
+  r.run_ns = spread(r.wall_ns);
+  r.verify_ns = spread(std::move(verify));
+  r.total_ns = spread(std::move(total));
   auto by_wall = reps;  // median by wall clock; ties keep run order
   std::sort(by_wall.begin(), by_wall.end(),
             [](const RunStats& a, const RunStats& b) {
@@ -160,6 +226,19 @@ EngineResult run_reps(const GridPoint& pt, Engine engine) {
 double ns_per_proc_cycle(const GridPoint& pt, const RunStats& s) {
   const double work = static_cast<double>(pt.p) * static_cast<double>(s.cycles);
   return work == 0.0 ? 0.0 : static_cast<double>(s.sim_wall_ns) / work;
+}
+
+/// setup_ns per processor at a grid point: the setup_linear gate's unit.
+double setup_ns_per_proc(const Row& r) {
+  return static_cast<double>(r.event.setup_ns.median) /
+         static_cast<double>(r.pt.p);
+}
+
+std::string json_spread(const Spread& s) {
+  std::ostringstream os;
+  os << "{\"median\": " << s.median << ", \"min\": " << s.min
+     << ", \"max\": " << s.max << "}";
+  return os.str();
 }
 
 /// One run as rolled up at a grid point (reference vs skipped, a single
@@ -181,6 +260,10 @@ std::string json_run_row(const GridPoint& pt, const EngineResult& er,
      << ", \"frame_frees\": " << s.frame_frees
      << ", \"arena_bytes_peak\": " << s.arena_bytes_peak
      << ", \"arena_hit_rate\": " << s.arena_hit_rate
+     << ", \"setup_ns\": " << json_spread(er.setup_ns)
+     << ", \"run_ns\": " << json_spread(er.run_ns)
+     << ", \"verify_ns\": " << json_spread(er.verify_ns)
+     << ", \"total_ns\": " << json_spread(er.total_ns)
      << ", \"wall_ns_reps\": [";
   for (std::size_t i = 0; i < er.wall_ns.size(); ++i) {
     os << (i ? ", " : "") << er.wall_ns[i];
@@ -190,7 +273,8 @@ std::string json_run_row(const GridPoint& pt, const EngineResult& er,
 }
 
 void write_json(const std::vector<Row>& rows, const Row& headline,
-                const BigRow& huge, const std::string& path) {
+                const Row& setup_large, const BigRow& huge,
+                const std::string& path) {
   const bool arena_on = MCB_FRAME_ARENA_ENABLED != 0;
   const double arena_speedup =
       headline.event.median.sim_wall_ns == 0
@@ -201,6 +285,9 @@ void write_json(const std::vector<Row>& rows, const Row& headline,
   const bool arena_passed = arena_speedup >= kArenaRequiredSpeedup &&
                             hit_rate > kArenaRequiredHitRate;
   const bool ref_passed = headline.speedup() >= 5.0;
+  const double setup_ratio =
+      setup_ns_per_proc(setup_large) / setup_ns_per_proc(headline);
+  const bool setup_passed = setup_ratio <= kSetupMaxPerProcRatio;
 
   std::ofstream out(path);
   if (!out) {
@@ -258,6 +345,15 @@ void write_json(const std::vector<Row>& rows, const Row& headline,
       << ", \"arena_hit_rate\": " << hit_rate
       << ", \"enforced\": " << (arena_on ? "true" : "false")
       << ", \"passed\": " << (arena_passed ? "true" : "false") << "},\n"
+      << "    {\"name\": \"setup_linear\", \"bench\": \"selection\", "
+         "\"k\": 4, \"small_p\": "
+      << kSetupSmallP << ", \"large_p\": " << kSetupLargeP
+      << ", \"small_setup_ns_per_proc\": " << setup_ns_per_proc(headline)
+      << ", \"large_setup_ns_per_proc\": " << setup_ns_per_proc(setup_large)
+      << ", \"max_ratio\": " << kSetupMaxPerProcRatio
+      << ", \"measured\": " << setup_ratio
+      << ", \"enforced\": true, \"passed\": "
+      << (setup_passed ? "true" : "false") << "},\n"
       // Coverage gate for the p=2^20 row: when the budget guard skipped it,
       // this stub reports enforced=false so `mcbsim gates` exits 3 and the
       // missing megaprocessor data point is surfaced, not silently absent.
@@ -316,7 +412,8 @@ int main(int argc, char** argv) {
   std::cout << "median of " << kReps << " reps per engine per point\n";
   util::Table t;
   t.header({"bench", "p", "k", "n", "cycles", "ref wall ms", "event wall ms",
-            "event resumes", "event cyc/s", "hit rate", "ref/event"});
+            "event setup ms", "event total ms", "event resumes",
+            "event cyc/s", "hit rate", "ref/event"});
   for (const auto& pt : grid) {
     Row r;
     r.pt = pt;
@@ -340,6 +437,10 @@ int main(int argc, char** argv) {
                      static_cast<double>(r.ref.median.sim_wall_ns) / 1e6, 2),
            util::Table::num(
                static_cast<double>(r.event.median.sim_wall_ns) / 1e6, 2),
+           util::Table::num(
+               static_cast<double>(r.event.setup_ns.median) / 1e6, 2),
+           util::Table::num(
+               static_cast<double>(r.event.total_ns.median) / 1e6, 2),
            util::Table::num(r.event.median.proc_resumes),
            util::Table::num(r.event.median.cycles_per_sec, 0),
            util::Table::num(r.event.median.arena_hit_rate, 3),
@@ -349,12 +450,15 @@ int main(int argc, char** argv) {
   }
   std::cout << t;
 
-  const Row* headline = nullptr;  // event_vs_reference + arena gates
-  const Row* big = nullptr;       // big-row budget key
+  // The k=4 selection rows carry the gates: p=4096 is the
+  // event_vs_reference and arena headline and setup_linear's small point;
+  // p=65536 is setup_linear's large point and the big-row budget key.
+  const Row* headline = nullptr;
+  const Row* big = nullptr;
   for (const auto& r : rows) {
-    if (r.pt.bench != "selection") continue;
-    if (r.pt.p == 4096) headline = &r;
-    if (r.pt.p == 65536) big = &r;
+    if (r.pt.bench != "selection" || r.pt.k != 4) continue;
+    if (r.pt.p == kSetupSmallP) headline = &r;
+    if (r.pt.p == kSetupLargeP) big = &r;
   }
   if (headline == nullptr || big == nullptr) {
     std::cerr << "BENCH FAILURE: gate grid point missing\n";
@@ -374,15 +478,23 @@ int main(int argc, char** argv) {
   if (huge.forced || huge.gate_wall_ns <= kBigRowBudgetWallNs) {
     std::cout << "\nrunning the p=2^20 selection row (event only, "
                  "1 rep)...\n";
-    RunStats s = run_point(huge.pt, Engine::kEventDriven);
-    huge.event.wall_ns.push_back(s.sim_wall_ns);
-    huge.event.median = std::move(s);
+    Rep rep = run_point(huge.pt, Engine::kEventDriven);
+    huge.event.wall_ns.push_back(rep.stats.sim_wall_ns);
+    huge.event.setup_ns = spread({rep.setup_ns});
+    huge.event.run_ns = spread(huge.event.wall_ns);
+    huge.event.verify_ns = spread({rep.verify_ns});
+    huge.event.total_ns = spread({rep.total_ns});
+    huge.event.median = std::move(rep.stats);
     huge.ran = true;
     std::cout << "selection p=2^20 k=4 event: "
               << static_cast<double>(huge.event.median.sim_wall_ns) / 1e6
               << " ms, " << huge.event.median.cycles << " cycles, "
               << ns_per_proc_cycle(huge.pt, huge.event.median)
-              << " ns/proc-cycle\n";
+              << " ns/proc-cycle, setup "
+              << static_cast<double>(huge.event.setup_ns.median) / 1e6
+              << " ms, total "
+              << static_cast<double>(huge.event.total_ns.median) / 1e6
+              << " ms\n";
   } else {
     std::cout << "\nSKIPPED the p=2^20 selection row: p=65536 event "
                  "median wall "
@@ -391,8 +503,11 @@ int main(int argc, char** argv) {
               << " ns budget (set MCB_SIMSPEED_FORCE_BIG=1 to force)\n";
   }
 
-  write_json(rows, *headline, huge, json_path);
+  write_json(rows, *headline, *big, huge, json_path);
   std::cout << "\nwrote " << json_path << "\n";
+
+  // Every gate is evaluated and printed; any enforced miss fails the binary.
+  int rc = 0;
 
   // Gate 1 (since PR 1): the skip-heavy selection workload at p=4096, k=4
   // must run at least 5x faster under the event engine than the reference.
@@ -402,7 +517,7 @@ int main(int argc, char** argv) {
     std::cerr << "BENCH FAILURE: expected >= 5x speedup on selection "
                  "p=4096 k=4, measured "
               << headline->speedup() << "x\n";
-    return 1;
+    rc = 1;
   }
 
   // Gate 2 (since PR 3): the frame arena + wake wheel must beat the PR-2
@@ -423,12 +538,27 @@ int main(int argc, char** argv) {
                  "(speedup "
               << arena_speedup << "x, hit rate "
               << headline->event.median.arena_hit_rate << ")\n";
-    return 1;
+    rc = 1;
+  }
+
+  // Gate 3: setup is O(p). An O(p^2) install measured 11x here.
+  const double setup_ratio =
+      setup_ns_per_proc(*big) / setup_ns_per_proc(*headline);
+  std::cout << "selection k=4 setup ns/proc at p=" << kSetupLargeP << " vs p="
+            << kSetupSmallP << ": " << setup_ns_per_proc(*big) << " vs "
+            << setup_ns_per_proc(*headline) << " = " << setup_ratio
+            << "x (gate <= " << kSetupMaxPerProcRatio << ")\n";
+  if (setup_ratio > kSetupMaxPerProcRatio) {
+    std::cerr << "BENCH FAILURE: setup_linear gate missed (setup ns/proc "
+                 "grew "
+              << setup_ratio << "x from p=" << kSetupSmallP
+              << " to p=" << kSetupLargeP << ")\n";
+    rc = 1;
   }
 
   if (prof.has_value()) {
     section("host profile: event engine, all grid points and reps");
     std::cout << prof->text();
   }
-  return 0;
+  return rc;
 }

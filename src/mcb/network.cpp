@@ -21,7 +21,6 @@ Network::Network(SimConfig cfg, TraceSink* sink)
     procs_.push_back(std::unique_ptr<Proc>(
         new Proc(*this, static_cast<ProcId>(i))));  // lint-allow: naked-new
   }
-  installed_.assign(cfg_.p, false);
   slot_written_.assign(cfg_.k, 0);
   slot_writer_.assign(cfg_.k, 0);
   slot_msg_.resize(cfg_.k);
@@ -38,14 +37,13 @@ Proc& Network::proc(ProcId i) {
 
 void Network::install(ProcId i, ProcMain program) {
   MCB_REQUIRE(i < procs_.size(), "processor index " << i << " of " << cfg_.p);
-  MCB_REQUIRE(!installed_[i], "P" << i + 1 << " already has a program");
-  MCB_REQUIRE(programs_.size() == static_cast<std::size_t>(
-                  std::count(installed_.begin(), installed_.end(), true)),
-              "programs/installed bookkeeping out of sync");
+  // A processor is installed exactly when its table slot holds a program
+  // handle, so the duplicate check is O(1) and, with duplicates rejected
+  // here, programs_.size() == p means every processor has one.
+  MCB_REQUIRE(!tab_.program[i], "P" << i + 1 << " already has a program");
   program.handle().promise().proc = procs_[i].get();
   tab_.resume_point[i] = program.handle();
   tab_.program[i] = program.handle();
-  installed_[i] = true;
   programs_.push_back(std::move(program));
 }
 
@@ -169,8 +167,7 @@ void Network::emit_event(ProcId i) {
 
 RunStats Network::run() {
   MCB_REQUIRE(!ran_, "Network::run() is single-shot — reset() re-arms it");
-  MCB_REQUIRE(std::all_of(installed_.begin(), installed_.end(),
-                          [](bool b) { return b; }),
+  MCB_REQUIRE(programs_.size() == cfg_.p,
               "every processor needs a program before run()");
   ran_ = true;
 
@@ -251,7 +248,6 @@ void Network::reset() {
   // for the next install round. Only then null the table's handles.
   programs_.clear();
   tab_.reset();
-  std::fill(installed_.begin(), installed_.end(), false);
 
   std::fill(slot_written_.begin(), slot_written_.end(), std::uint8_t{0});
   std::fill(slot_writer_.begin(), slot_writer_.end(), ProcId{0});

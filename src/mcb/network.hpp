@@ -17,7 +17,8 @@
 //     Suspending processors register their wake cycle and channel intents;
 //     each cycle touches only the participating processors and the written
 //     channels, and runs of cycles in which nothing observable happens are
-//     fast-forwarded in O(1). Simulation cost is O(events), not O(p·cycles).
+//     fast-forwarded in O(1). Simulation cost is O(events), not O(p·cycles),
+//     and every suspension is O(1) whatever its sleep length.
 //
 //   * kReference — the original scan-the-world loop: three O(p) passes and
 //     an O(k) slot sweep per cycle. It is the executable specification the
@@ -26,8 +27,10 @@
 //
 // Both engines walk the same struct-of-arrays state: per-processor hot state
 // lives in a ProcTable (mcb/proc_table.hpp) and channel slots in flat
-// per-channel arrays, both owned by this class. See docs/ENGINE.md for the
-// equivalence argument.
+// per-channel arrays, both owned by this class. Setup is O(p): construction
+// sizes those arrays once, and install() is O(1) per processor because a
+// processor counts as installed exactly when its ProcTable program handle
+// is set. See docs/ENGINE.md for the equivalence argument.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +67,9 @@ class Network {
   ///   net.install(i, my_protocol(net.proc(i), args...));
   Proc& proc(ProcId i);
 
-  /// Attaches a program to processor i. Every processor must have exactly
-  /// one program installed before run().
+  /// Attaches a program to processor i, in O(1): installing p programs is
+  /// O(p). Every processor must have exactly one program installed before
+  /// run(); a second install on the same processor throws.
   void install(ProcId i, ProcMain program);
 
   /// Runs to quiescence (all programs complete) and returns the statistics.
@@ -134,8 +138,9 @@ class Network {
 
   ProcTable tab_;
   std::vector<std::unique_ptr<Proc>> procs_;
-  std::vector<ProcMain> programs_;  // parallel to procs_; keeps frames alive
-  std::vector<bool> installed_;
+  // Installed programs in install order; keeps their frames alive.
+  // Processor i is installed iff tab_.program[i] is non-null.
+  std::vector<ProcMain> programs_;
 
   // Channel state for the cycle in flight, struct-of-arrays: who wrote, and what.
   std::vector<std::uint8_t> slot_written_;

@@ -1,26 +1,15 @@
 #include "mcb/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "util/check.hpp"
 
 namespace mcb {
 
-namespace {
-
-/// Heap comparator: the spill heap is a min-heap on the wake cycle (std::
-/// *_heap builds a max-heap under the comparator, so "later wakes first"
-/// yields the earliest wake at front()).
-struct SpillLater {
-  template <typename S>
-  bool operator()(const S& a, const S& b) const {
-    return a.wake > b.wake;
-  }
-};
-
-}  // namespace
-
-Scheduler::Scheduler(std::size_t p, std::size_t k) {
+Scheduler::Scheduler(std::size_t p, std::size_t k)
+    : link_(p, kNil), wake_(p, 0) {
   next_bucket_.reserve(p);
   drain_entries_.reserve(p);
   active_.reserve(p);
@@ -29,38 +18,66 @@ Scheduler::Scheduler(std::size_t p, std::size_t k) {
 
 void Scheduler::reset() {
   next_bucket_.clear();
-  for (auto& bucket : wheel_) bucket.clear();
-  wheel_count_ = 0;
-  spill_.clear();
+  wheel_ = {};
+  occupied_ = {};
+  cursor_ = 0;
   pending_ = 0;
   drain_entries_.clear();
   active_.clear();
   dirty_.clear();
 }
 
-void Scheduler::push_spill(ProcId id, Cycle wake) {
-  spill_.push_back(SpillEntry{wake, id});
-  std::push_heap(spill_.begin(), spill_.end(), SpillLater{});
+void Scheduler::append(std::size_t level, std::size_t slot, ProcId id) {
+  Slot& s = wheel_[level][slot];
+  link_[id] = kNil;
+  if (s.head == kNil) {
+    s.head = id;
+  } else {
+    link_[s.tail] = id;
+  }
+  s.tail = id;
+  occupied_[level] |= std::uint64_t{1} << slot;
+}
+
+void Scheduler::place(ProcId id, Cycle wake, Cycle now) {
+  wake_[id] = wake;
+  if (wake - now <= kSlots) {
+    append(0, wake & kSlotMask, id);
+    return;
+  }
+  // The highest base-kSlots digit in which wake differs from the cursor;
+  // wake - now > kSlots puts it at level >= 1, and wake's digit there is
+  // above the cursor's, so the slot lies ahead of the drain.
+  const std::size_t level = (std::bit_width(wake ^ now) - 1) / kSlotBits;
+  const std::size_t slot = (wake >> (level * kSlotBits)) & kSlotMask;
+  Cycle& lo = slot_min_[level][slot];
+  lo = (occupied_[level] >> slot & 1) != 0 ? std::min(lo, wake) : wake;
+  append(level, slot, id);
 }
 
 Cycle Scheduler::next_wake(Cycle now) const {
   if (!next_bucket_.empty()) return now + 1;
-  // The earliest pending wake is either in the wheel (scan forward from
-  // now+1; every pending wheel wake is within kWheelSize cycles, so the
-  // first occupied slot met is the earliest) or at the top of the spill
-  // heap — whichever comes first.
-  if (wheel_count_ > 0) {
-    for (Cycle d = 1; d <= kWheelSize; ++d) {
-      const Cycle c = now + d;
-      if (!wheel_[c & kWheelMask].empty()) {
-        return spill_.empty() ? c : std::min(c, spill_.front().wake);
-      }
-    }
-    MCB_CHECK(false, "wheel count " << wheel_count_ << " but no occupied "
-                                    << "slot within the horizon");
+  Cycle best = std::numeric_limits<Cycle>::max();
+  // Level 0 is a window (now, now + kSlots]: rotating the mask so that
+  // slot now+1 lands on bit 0 turns the earliest wake into a bit count.
+  if (occupied_[0] != 0) {
+    const int shift = static_cast<int>((now + 1) & kSlotMask);
+    best = now + 1 + static_cast<Cycle>(
+                          std::countr_zero(std::rotr(occupied_[0], shift)));
   }
-  MCB_CHECK(!spill_.empty(), "next_wake on an empty queue");
-  return spill_.front().wake;
+  // Above level 0 every level-j wake precedes every level-(j+1) wake, and
+  // lower slots precede higher ones, so the first occupied slot of the
+  // lowest occupied level holds the earliest of them.
+  for (std::size_t level = 1; level < kLevels; ++level) {
+    if (occupied_[level] == 0) continue;
+    const auto slot =
+        static_cast<std::size_t>(std::countr_zero(occupied_[level]));
+    best = std::min(best, slot_min_[level][slot]);
+    break;
+  }
+  MCB_CHECK(best != std::numeric_limits<Cycle>::max(),
+            "next_wake on an empty queue");
+  return best;
 }
 
 const std::vector<ProcId>& Scheduler::drain_due(Cycle now) {
@@ -68,31 +85,49 @@ const std::vector<ProcId>& Scheduler::drain_due(Cycle now) {
   // the previous drain's capacity as the fresh next bucket.
   drain_entries_.clear();
   std::swap(drain_entries_, next_bucket_);
-
-  // Merge the wheel bucket that has come due. Slot-window invariant: every
-  // entry in slot now & mask has wake == now exactly, so the whole bucket
-  // drains. Entries arrive across multiple registration cycles, hence in
-  // arbitrary id order — remember to re-sort below.
   bool merged = false;
-  auto& bucket = wheel_[now & kWheelMask];
-  if (!bucket.empty()) {
-    drain_entries_.insert(drain_entries_.end(), bucket.begin(), bucket.end());
-    wheel_count_ -= bucket.size();
-    bucket.clear();  // keeps capacity: the bucket vector is recycled
+
+  // Level-0 slot now & mask holds exactly the wakes due now (slot-window
+  // invariant). Take it before the cascade below refills it with now+kSlots.
+  auto take = [&](std::size_t level, std::size_t slot) {
+    const ProcId head = wheel_[level][slot].head;
+    wheel_[level][slot] = Slot{};
+    occupied_[level] &= ~(std::uint64_t{1} << slot);
+    return head;
+  };
+  const std::size_t slot0 = now & kSlotMask;
+  if ((occupied_[0] >> slot0 & 1) != 0) {
+    for (ProcId id = take(0, slot0); id != kNil; id = link_[id]) {
+      drain_entries_.push_back(id);
+    }
     merged = true;
   }
 
-  // Merge spill entries that have come due (long sleeps registered beyond
-  // the wheel horizon stay in the heap until their cycle arrives).
-  while (!spill_.empty() && spill_.front().wake <= now) {
-    std::pop_heap(spill_.begin(), spill_.end(), SpillLater{});
-    drain_entries_.push_back(spill_.back().id);
-    spill_.pop_back();
-    merged = true;
+  // Entering a new block at level L >= 1 cascades that block's slot. Levels
+  // 1..L-1 are empty: their wakes lay in the cursor's level-L block, all
+  // before now. Every entry lands strictly lower or is due now.
+  const Cycle moved = now ^ cursor_;
+  cursor_ = now;
+  if (moved > kSlotMask) {
+    const std::size_t level = (std::bit_width(moved) - 1) / kSlotBits;
+    const std::size_t slot = (now >> (level * kSlotBits)) & kSlotMask;
+    if ((occupied_[level] >> slot & 1) != 0) {
+      ProcId id = take(level, slot);
+      while (id != kNil) {
+        const ProcId next = link_[id];
+        if (wake_[id] == now) {
+          drain_entries_.push_back(id);
+          merged = true;
+        } else {
+          place(id, wake_[id], now);
+        }
+        id = next;
+      }
+    }
   }
 
   // Merged drains must be re-sorted by id for deterministic resume order,
-  // but most are already sorted (a wheel bucket filled during a single
+  // but most are already sorted (a slot filled during a single
   // registration cycle inherits that cycle's id-ordered drain), so a linear
   // is_sorted pass usually replaces the sort.
   if (merged &&

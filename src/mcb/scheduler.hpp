@@ -4,35 +4,43 @@
 // processors are asleep in Proc::skip() waiting for their turn, and the
 // rest re-awaken every cycle via channel operations. The scan-the-world
 // reference loop pays O(p) per cycle regardless; this scheduler makes each
-// suspension cost O(1) amortized and lets the network iterate only over the
+// suspension cost O(1) and lets the network iterate only over the
 // processors that actually participate in the cycle in flight.
 //
-// The wake queue is a three-tier structure keyed on the wake cycle — a
-// hierarchical bucket wheel in the calendar-queue tradition of discrete-event
-// simulators:
+// The wake queue is a hierarchical timing wheel (Varghese & Lauck) keyed on
+// the wake cycle, plus a fast lane for the next cycle:
 //
 //   * next bucket — processors waking exactly one cycle ahead (every channel
 //     op, and skip(1)). This is the hot path: pushes happen in processor-id
 //     order during the drain of the previous cycle, so the bucket is always
-//     id-sorted by construction and push/pop are O(1). A binary heap here
-//     measurably dominates simulation time (an O(log p) sift per resume,
-//     tens of millions of times per run).
-//   * wheel       — kWheelSize buckets indexed by wake & kWheelMask, holding
-//     wakes within the next kWheelSize cycles. Registration is one push_back
-//     into an array slot — O(1), no node allocation, no tree rebalancing —
-//     and bucket vectors are recycled drain over drain (clear keeps
-//     capacity). Slot residency is unambiguous: every pending wheel wake
-//     lies in (now, now + kWheelSize], a window of exactly kWheelSize
-//     cycles, so distinct pending wakes never share a slot and a drained
-//     bucket contains only entries due that very cycle.
-//   * spill heap  — wakes beyond the wheel horizon, in a binary min-heap on
-//     the wake cycle. Only very long skips land here (O(log #spilled) each);
-//     entries stay in the heap until their cycle comes due — no migration
-//     pass when the horizon advances past them.
+//     id-sorted by construction and push/pop are O(1). It stays a plain
+//     vector outside the wheel: tens of millions of resumes per run take
+//     this path, and a drain of it alone needs no sort check.
+//   * level 0    — kSlots slots indexed by wake & kSlotMask, holding every
+//     other wake within kSlots cycles of its registration. Every level-0
+//     wake lies in (cursor, cursor + kSlots], a window of exactly kSlots
+//     cycles, so a slot never mixes wake cycles and a drained slot holds
+//     only entries due that very cycle.
+//   * levels 1..kLevels-1 — longer sleeps. A level-j slot spans kSlots^j
+//     cycles: a wake w sits at the level of the highest base-kSlots digit in
+//     which w differs from the cursor, in the slot named by w's digit there.
+//     When the drain enters a new level-j block, that block's slot
+//     cascades: its entries are placed again relative to the new cursor, at
+//     a strictly lower level (or drained if due). A wake therefore moves at
+//     most kLevels-1 times, O(1) each, and kLevels levels cover every
+//     Cycle — there is no overflow structure.
 //
-// A drain that merged wheel or spill entries is re-sorted by processor id,
-// restoring the reference engine's deterministic resume order (the previous
-// ordered-map far queue needed the same sort; see docs/ENGINE.md).
+// Slots are intrusive singly linked lists threaded through per-processor
+// arrays (a processor sits in at most one slot at a time), appended at the
+// tail. The wheel therefore allocates nothing after construction, its
+// memory is O(p + kLevels·kSlots) whatever the schedule, and list order is
+// registration order: a slot filled during one id-ordered drain stays
+// id-sorted. A drain that merged slots is checked with is_sorted and
+// re-sorted only if needed, restoring the reference engine's deterministic
+// resume order (see docs/ENGINE.md).
+//
+// Each level keeps a 64-bit occupancy mask, so next_wake() is a rotate and
+// a std::countr_zero per level instead of a probe over slots.
 //
 // Two more lists let the run loop touch only what changed:
 //
@@ -51,6 +59,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "mcb/types.hpp"
@@ -59,45 +68,46 @@ namespace mcb {
 
 class Scheduler {
  public:
+  /// Sized for processor ids 0..p-1 and channels 0..k-1.
   Scheduler(std::size_t p, std::size_t k);
 
-  /// Empties every tier plus the active and dirty lists, keeping all vector
-  /// capacities, so a long-lived network (Network::reset) re-runs without
-  /// re-growing the queue structures.
+  /// Empties every tier plus the active and dirty lists and rewinds the
+  /// cursor to cycle 0, keeping all vector capacities, so a long-lived
+  /// network (Network::reset) re-runs without re-growing the queue.
   void reset();
 
   // --- wake queue ---------------------------------------------------------
+  //
+  // The queue's cursor is the cycle of the latest drain (0 before any).
+  // `now` arguments name that cursor: processors register while the drain
+  // at `now` is iterated, and the caller drains next at a cycle no later
+  // than next_wake(now).
 
   /// Registers processor `id` (suspended at cycle `now`) to be resumed at
   /// `wake`, with wake >= now + 1. A processor is scheduled at most once at
-  /// a time (it is suspended at a single awaiter). Entries are bare
-  /// processor ids — all per-processor state lives in the Network's
-  /// ProcTable, so the queue tiers are flat id arrays.
+  /// a time (it is suspended at a single awaiter), and registrations at one
+  /// cycle arrive in ascending id order (they come from an id-ordered
+  /// drain), which keeps the next bucket sorted without a sort.
   void schedule_wake(ProcId id, Cycle wake, Cycle now) {
     ++pending_;
-    const Cycle ahead = wake - now;
-    if (ahead == 1) {
+    if (wake - now == 1) {
       next_bucket_.push_back(id);
-    } else if (ahead <= kWheelSize) {
-      wheel_[wake & kWheelMask].push_back(id);
-      ++wheel_count_;
     } else {
-      push_spill(id, wake);
+      place(id, wake, now);
     }
   }
 
   bool queue_empty() const { return pending_ == 0; }
 
-  /// Earliest pending wake cycle given the current cycle `now`. Requires a
-  /// non-empty queue. O(1) on the hot path (next bucket occupied); at most
-  /// kWheelSize slot probes otherwise — only on idle-cycle fast-forwards,
-  /// which are rare by definition.
+  /// Earliest pending wake cycle. Requires a non-empty queue. O(1) when the
+  /// next bucket is occupied; otherwise one mask read per level.
   Cycle next_wake(Cycle now) const;
 
-  /// Collects every processor due at `now` in processor-id order. The
+  /// Collects every processor due at `now` in processor-id order, where
+  /// the latest drain was earlier than `now` and no pending wake is. The
   /// returned entries are valid until the next drain; processors
-  /// re-scheduling themselves while the caller iterates land in fresh
-  /// buckets and are never part of the same drain.
+  /// re-scheduling themselves while the caller iterates land in other
+  /// slots and are never part of the same drain.
   const std::vector<ProcId>& drain_due(Cycle now);
 
   // --- active list (participants of the cycle in flight) ------------------
@@ -116,21 +126,32 @@ class Scheduler {
   void clear_dirty() { dirty_.clear(); }
 
  private:
-  static constexpr std::size_t kWheelSize = 64;
-  static constexpr Cycle kWheelMask = kWheelSize - 1;
+  static constexpr unsigned kSlotBits = 6;
+  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+  static constexpr Cycle kSlotMask = kSlots - 1;
+  /// Enough base-kSlots digits for any Cycle.
+  static constexpr std::size_t kLevels = (64 + kSlotBits - 1) / kSlotBits;
+  static constexpr ProcId kNil = ~ProcId{0};
 
-  struct SpillEntry {
-    Cycle wake;
-    ProcId id;
+  struct Slot {
+    ProcId head = kNil;
+    ProcId tail = kNil;
   };
 
-  void push_spill(ProcId id, Cycle wake);
+  /// Files a wheel wake (wake - now >= 2) relative to cursor `now`.
+  void place(ProcId id, Cycle wake, Cycle now);
+  void append(std::size_t level, std::size_t slot, ProcId id);
 
   std::vector<ProcId> next_bucket_;  ///< wakes at (drain cycle)+1
-  std::array<std::vector<ProcId>, kWheelSize> wheel_;
-  std::size_t wheel_count_ = 0;     ///< entries across all wheel buckets
-  std::vector<SpillEntry> spill_;   ///< min-heap on wake, beyond the wheel
-  std::size_t pending_ = 0;         ///< entries across all three tiers
+  std::array<std::array<Slot, kSlots>, kLevels> wheel_{};
+  std::array<std::uint64_t, kLevels> occupied_{};  ///< bit s: slot s in use
+  /// Earliest wake filed in each slot of levels >= 1 (a level-0 slot holds
+  /// a single wake cycle). Slots empty as a whole, so the minimum is exact.
+  std::array<std::array<Cycle, kSlots>, kLevels> slot_min_{};
+  std::vector<ProcId> link_;  ///< per processor: successor in its slot
+  std::vector<Cycle> wake_;   ///< per processor: wake of a wheel resident
+  Cycle cursor_ = 0;          ///< cycle of the latest drain
+  std::size_t pending_ = 0;   ///< entries across all tiers
   std::vector<ProcId> drain_entries_;  ///< scratch, swapped with next bucket
   std::vector<ProcId> active_;
   std::vector<ChannelId> dirty_;

@@ -3,7 +3,9 @@
 // accounting, task composition and error propagation.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "mcb/errors.hpp"
@@ -289,17 +291,68 @@ TEST(NetworkTest, RunIsSingleShot) {
   EXPECT_THROW(net.run(), std::invalid_argument);
 }
 
-TEST(NetworkTest, MissingProgramRejected) {
-  Network net({.p = 2, .k = 1});
-  net.install(0, idle_program(net.proc(0), 1));
-  EXPECT_THROW(net.run(), std::invalid_argument);
+// Install contract: a processor counts as installed exactly when it holds a
+// program, so the checks below are what the O(1) bookkeeping must keep.
+std::string invalid_argument_message(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no std::invalid_argument thrown";
 }
 
 TEST(NetworkTest, DoubleInstallRejected) {
-  Network net({.p = 1, .k = 1});
+  Network net({.p = 4, .k = 1});
+  for (ProcId i = 0; i < 4; ++i) {
+    net.install(i, idle_program(net.proc(i), 1));
+  }
+  const std::string msg = invalid_argument_message(
+      [&] { net.install(2, idle_program(net.proc(2), 1)); });
+  EXPECT_NE(msg.find("P3 already has a program"), std::string::npos) << msg;
+  // The rejected install left the network runnable.
+  EXPECT_EQ(net.run().cycles, 1u);
+}
+
+TEST(NetworkTest, MissingProgramRejected) {
+  Network net({.p = 3, .k = 1});
   net.install(0, idle_program(net.proc(0), 1));
-  EXPECT_THROW(net.install(0, idle_program(net.proc(0), 1)),
-               std::invalid_argument);
+  net.install(2, idle_program(net.proc(2), 1));
+  const std::string msg = invalid_argument_message([&] { net.run(); });
+  EXPECT_NE(msg.find("every processor needs a program before run()"),
+            std::string::npos)
+      << msg;
+  // Installing the missing one completes the contract.
+  net.install(1, idle_program(net.proc(1), 2));
+  EXPECT_EQ(net.run().cycles, 2u);
+}
+
+TEST(NetworkTest, ResetClearsInstallsAndRerunIsIdentical) {
+  constexpr ProcId kP = 6;
+  Network net({.p = kP, .k = 2});
+  auto prog = [](Proc& self) -> ProcMain {
+    co_await self.skip(3 * self.id() + 1);
+    co_await self.write(self.id() % 2, Message::of(self.id()));
+    co_await self.read((self.id() + 1) % 2);
+  };
+  auto install_all = [&] {
+    for (ProcId i = 0; i < kP; ++i) net.install(i, prog(net.proc(i)));
+  };
+  install_all();
+  const RunStats first = net.run();
+  net.reset();
+  // Every processor is installable again, each exactly once.
+  install_all();
+  EXPECT_THROW(net.install(0, prog(net.proc(0))), std::invalid_argument);
+  const RunStats second = net.run();
+  EXPECT_EQ(second.cycles, first.cycles);
+  EXPECT_EQ(second.messages, first.messages);
+  EXPECT_EQ(second.messages_per_proc, first.messages_per_proc);
+  EXPECT_EQ(second.messages_per_channel, first.messages_per_channel);
+  EXPECT_EQ(second.proc_resumes, first.proc_resumes);
+  // A reset network with nothing installed refuses to run.
+  net.reset();
+  EXPECT_THROW(net.run(), std::invalid_argument);
 }
 
 TEST(NetworkTest, MaxCyclesGuard) {

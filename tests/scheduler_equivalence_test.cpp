@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
 #include <vector>
 
 #include "algo/baselines.hpp"
@@ -225,7 +226,13 @@ TEST(SchedulerEquivalence, SweepJsonStableUnderReferenceEngine) {
 
 TEST(SchedulerEquivalence, SkipHeavyHandRolledProtocol) {
   // Direct network-level check of the fast-forward path: staggered sleepers
-  // with long gaps, a phase marker, and a final rendezvous broadcast.
+  // with long gaps, a phase marker, and a final rendezvous broadcast. The
+  // last sleepers' gaps straddle the wake wheel's level boundaries (64^2
+  // and 64^3 cycles), so their wakes cascade through every level that a
+  // run this long reaches; idle stretches cost nothing under fast-forward.
+  static constexpr Cycle kFarGaps[] = {4095, 4096, 4097, 5000,
+                                       262143, 262144, 262145, 300000};
+  constexpr ProcId kNear = 32 - std::size(kFarGaps);
   auto go = [](const SimConfig& cfg) {
     Network net(cfg);
     auto sleeper = [](Proc& self, Cycle gap) -> ProcMain {
@@ -237,7 +244,8 @@ TEST(SchedulerEquivalence, SkipHeavyHandRolledProtocol) {
       co_await self.skip(5 * (self.id() + 1));
     };
     for (ProcId i = 0; i < cfg.p; ++i) {
-      net.install(i, sleeper(net.proc(i), 17 * (i + 1)));
+      const Cycle gap = i < kNear ? 17 * (i + 1) : kFarGaps[i - kNear];
+      net.install(i, sleeper(net.proc(i), gap));
     }
     return net.run();
   };
