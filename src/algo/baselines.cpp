@@ -1,5 +1,7 @@
 #include "algo/baselines.hpp"
 
+#include <utility>
+
 #include "algo/common.hpp"
 #include "algo/partial_sums.hpp"
 #include "algo/uneven_sort.hpp"
@@ -45,11 +47,14 @@ ProcMain central_program(Proc& self, const std::vector<Word>& input,
       self.note_aux(pool.size());
       seq::sort_descending(pool);
     } else {
-      if (lo > 0) co_await self.skip(lo);
+      Cycle idle = lo;  // slept out by the first write
       for (Word w : input) {
-        co_await self.write(0, Message::of(w));
+        auto aw = self.cycle_after(std::exchange(idle, 0),
+                                   WriteOp{0, Message::of(w)}, std::nullopt);
+        co_await aw;
       }
-      if (n > hi) co_await self.skip(n - hi);
+      idle += n - hi;
+      if (idle > 0) co_await self.skip(idle);
     }
   }
 
@@ -65,13 +70,16 @@ ProcMain central_program(Proc& self, const std::vector<Word>& input,
       if (r >= lo && r < hi) output.push_back(pool[r]);
     }
   } else {
-    if (lo > 0) co_await self.skip(lo);
+    Cycle idle = lo;  // slept out by the first read
     for (std::size_t r = lo; r < hi; ++r) {
-      auto got = co_await self.read(0);
+      auto aw = self.cycle_after(std::exchange(idle, 0), std::nullopt,
+                                 ChannelId{0});
+      const Proc::ReadResult got = co_await aw;
       MCB_CHECK(got.has_value(), "scatter slot " << r << " empty");
       output.push_back(got->at(0));
     }
-    if (n > hi) co_await self.skip(n - hi);
+    idle += n - hi;
+    if (idle > 0) co_await self.skip(idle);
   }
 }
 
@@ -107,12 +115,16 @@ ProcMain central_multiread_program(Proc& self, std::size_t ni,
     } else {
       const std::size_t stream = (i - 1) % streams;
       const std::size_t slot = (i - 1) / streams;
-      if (slot > 0) co_await self.skip(static_cast<Cycle>(slot * ni));
+      Cycle idle = slot * ni;  // slept out by the first write
       for (Word w : input) {
-        co_await self.write(static_cast<ChannelId>(stream), Message::of(w));
+        auto aw = self.cycle_after(
+            std::exchange(idle, 0),
+            WriteOp{static_cast<ChannelId>(stream), Message::of(w)},
+            std::nullopt);
+        co_await aw;
       }
-      const Cycle rest = gather_cycles - static_cast<Cycle>((slot + 1) * ni);
-      if (rest > 0) co_await self.skip(rest);
+      idle += gather_cycles - static_cast<Cycle>((slot + 1) * ni);
+      if (idle > 0) co_await self.skip(idle);
     }
   }
 
@@ -128,13 +140,16 @@ ProcMain central_multiread_program(Proc& self, std::size_t ni,
       if (r >= lo && r < hi) output.push_back(pool[r]);
     }
   } else {
-    if (lo > 0) co_await self.skip(lo);
+    Cycle idle = lo;  // slept out by the first read
     for (std::size_t r = lo; r < hi; ++r) {
-      auto got = co_await self.read(0);
+      auto aw = self.cycle_after(std::exchange(idle, 0), std::nullopt,
+                                 ChannelId{0});
+      const Proc::ReadResult got = co_await aw;
       MCB_CHECK(got.has_value(), "scatter slot " << r << " empty");
       output.push_back(got->at(0));
     }
-    if (n > hi) co_await self.skip(n - hi);
+    idle += n - hi;
+    if (idle > 0) co_await self.skip(idle);
   }
 }
 

@@ -1,5 +1,7 @@
 #include "algo/columnsort_core.hpp"
 
+#include <utility>
+
 #include "obs/span.hpp"
 #include "seq/columnsort.hpp"
 #include "seq/sorting.hpp"
@@ -150,6 +152,9 @@ Task<void> redistribute(Proc& self, const CorePlan& plan, bool is_rep,
   const std::size_t real_here =
       is_rep ? std::min(m, n > my_col * m ? n - my_col * m : std::size_t{0})
              : 0;
+  // Idle cycles owed but not yet slept; every action sleeps them out in the
+  // same suspension (cycle_after), across both passes.
+  Cycle idle = 0;
   for (int pass = 0; pass < 2; ++pass) {
     // A contiguous segment of <= m ranks spans at most two consecutive
     // columns; collect the first in pass 0, the second in pass 1.
@@ -168,14 +173,16 @@ Task<void> redistribute(Proc& self, const CorePlan& plan, bool is_rep,
     if (!is_rep) {
       // Non-representatives only read; sleep through the rest of the pass
       // (observationally identical to idle cycles: no intent either way).
-      if (t_read0 > 0) co_await self.skip(t_read0);
+      idle += t_read0;
       for (std::size_t t = t_read0; t < t_read1; ++t) {
-        auto got = co_await self.read(static_cast<ChannelId>(want_col));
+        auto aw = self.cycle_after(std::exchange(idle, 0), std::nullopt,
+                                   static_cast<ChannelId>(want_col));
+        const Proc::ReadResult got = co_await aw;
         MCB_CHECK(got.has_value(), "redistribute slot empty (rank "
                                        << want_col * m + t << ")");
         output[want_col * m + t - lo] = KV{got->at(0), got->at(1)};
       }
-      if (t_read1 < m) co_await self.skip(m - t_read1);
+      idle += m - t_read1;
       continue;
     }
     if (want_col == my_col) {
@@ -194,18 +201,19 @@ Task<void> redistribute(Proc& self, const CorePlan& plan, bool is_rep,
       const bool reading = t >= t_read0 && t < t_read1;
       if (!writing && !reading) {
         const std::size_t next_act = t < t_read0 ? t_read0 : m;
-        co_await self.skip(next_act - t);
+        idle += next_act - t;
         t = next_act;
         continue;
       }
-      std::optional<WriteOp> write;
-      std::optional<ChannelId> read;
-      if (writing) {
-        write = WriteOp{static_cast<ChannelId>(my_col),
-                        Message::of(column[t].key, column[t].val)};
-      }
-      if (reading) read = static_cast<ChannelId>(want_col);
-      auto got = co_await self.cycle(std::move(write), read);
+      auto aw = self.cycle_after(
+          std::exchange(idle, 0),
+          writing ? std::optional<WriteOp>(
+                        WriteOp{static_cast<ChannelId>(my_col),
+                                Message::of(column[t].key, column[t].val)})
+                  : std::nullopt,
+          reading ? std::optional<ChannelId>(static_cast<ChannelId>(want_col))
+                  : std::nullopt);
+      const Proc::ReadResult got = co_await aw;
       if (reading) {
         MCB_CHECK(got.has_value(), "redistribute slot empty (rank "
                                        << want_col * m + t << ")");
@@ -214,6 +222,7 @@ Task<void> redistribute(Proc& self, const CorePlan& plan, bool is_rep,
       ++t;
     }
   }
+  if (idle > 0) co_await self.skip(idle);
 }
 
 }  // namespace mcb::algo::detail

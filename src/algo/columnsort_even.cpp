@@ -1,5 +1,7 @@
 #include "algo/columnsort_even.hpp"
 
+#include <utility>
+
 #include "obs/span.hpp"
 #include "seq/columnsort.hpp"
 #include "util/check.hpp"
@@ -59,9 +61,13 @@ Task<void> columnsort_even_collective(Proc& self, const EvenSortPlan& plan,
     obs::Span sp(self, "even.gather");
     const Cycle gather_cycles = static_cast<Cycle>((plan.g - 1) * plan.ni);
     if (!is_rep) {
-      if (idx > 0) co_await self.skip(static_cast<Cycle>(idx * plan.ni));
+      // Sleep to this member's window, riding on its first write.
+      Cycle idle = static_cast<Cycle>(idx * plan.ni);
       for (const KV& e : data) {
-        co_await self.write(jch, Message::of(e.key, e.val));
+        auto aw = self.cycle_after(std::exchange(idle, 0),
+                                   WriteOp{jch, Message::of(e.key, e.val)},
+                                   std::nullopt);
+        co_await aw;
       }
       const Cycle rest =
           gather_cycles - static_cast<Cycle>((idx + 1) * plan.ni);
@@ -69,7 +75,8 @@ Task<void> columnsort_even_collective(Proc& self, const EvenSortPlan& plan,
     } else {
       column.reserve(m);
       for (Cycle t = 0; t < gather_cycles; ++t) {
-        auto got = co_await self.read(jch);
+        auto aw = self.read(jch);
+        const Proc::ReadResult got = co_await aw;
         MCB_CHECK(got.has_value(), "gather slot empty at P" << i + 1);
         column.push_back(KV{got->at(0), got->at(1)});
       }

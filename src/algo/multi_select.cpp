@@ -114,9 +114,11 @@ ProcMain multi_selection_program(Proc& self, const MultiSelCtx& ctx,
       Word med_star = 0;
       if (am_star) {
         med_star = pair[0].key;
-        co_await self.write(0, Message::of(med_star));
+        auto aw = self.write(0, Message::of(med_star));
+        co_await aw;
       } else {
-        auto got = co_await self.read(0);
+        auto aw = self.read(0);
+        const Proc::ReadResult got = co_await aw;
         MCB_CHECK(got.has_value(), "no weighted-median broadcast");
         med_star = got->at(0);
       }
@@ -192,10 +194,12 @@ ProcMain multi_selection_program(Proc& self, const MultiSelCtx& ctx,
       for (std::size_t t = 0; t < m; ++t) {
         if (t >= lo && t < hi) {
           const Word w = seg.cands[t - lo];
-          co_await self.write(0, Message::of(w));
+          auto aw = self.write(0, Message::of(w));
+          co_await aw;
           pool.push_back(w);
         } else {
-          auto got = co_await self.read(0);
+          auto aw = self.read(0);
+          const Proc::ReadResult got = co_await aw;
           MCB_CHECK(got.has_value(), "termination slot " << t << " empty");
           pool.push_back(got->at(0));
         }
@@ -206,16 +210,23 @@ ProcMain multi_selection_program(Proc& self, const MultiSelCtx& ctx,
                   "rank " << r.d << " of " << m << " survivors");
         const Word a = seq::kth_largest(pool, r.d);
         answers[r.idx] = a;
-        co_await self.write(0, Message::of(a));
+        auto aw = self.write(0, Message::of(a));
+        co_await aw;
       }
     } else {
-      if (lo > 0) co_await self.skip(lo);
+      // Sleep to the window, write it, sleep to the answers: each sleep
+      // rides on the next channel action (one suspension per action).
+      Cycle idle = lo;
       for (Word w : seg.cands) {
-        co_await self.write(0, Message::of(w));
+        auto aw = self.cycle_after(std::exchange(idle, 0),
+                                   WriteOp{0, Message::of(w)}, std::nullopt);
+        co_await aw;
       }
-      if (m > hi) co_await self.skip(m - hi);
+      idle += m - hi;
       for (const RankRef& r : seg.ranks) {
-        auto got = co_await self.read(0);
+        auto aw = self.cycle_after(std::exchange(idle, 0), std::nullopt,
+                                   ChannelId{0});
+        const Proc::ReadResult got = co_await aw;
         MCB_CHECK(got.has_value(), "no answer broadcast for rank " << r.d);
         answers[r.idx] = got->at(0);
       }

@@ -1,6 +1,7 @@
 #include "algo/partial_sums.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <vector>
 
@@ -9,29 +10,56 @@
 
 namespace mcb::algo {
 
-SumOp SumOp::add() {
-  return {[](Word a, Word b) { return a + b; }, 0};
+const SumOp& SumOp::add() {
+  static const SumOp op{[](Word a, Word b) { return a + b; }, 0};
+  return op;
 }
 
-SumOp SumOp::max() {
-  return {[](Word a, Word b) { return std::max(a, b); },
-          std::numeric_limits<Word>::min()};
+const SumOp& SumOp::max() {
+  static const SumOp op{[](Word a, Word b) { return std::max(a, b); },
+                        std::numeric_limits<Word>::min()};
+  return op;
 }
 
-SumOp SumOp::min() {
-  return {[](Word a, Word b) { return std::min(a, b); },
-          std::numeric_limits<Word>::max()};
+const SumOp& SumOp::min() {
+  static const SumOp op{[](Word a, Word b) { return std::min(a, b); },
+                        std::numeric_limits<Word>::max()};
+  return op;
 }
 
 namespace {
 
-std::size_t ceil_log2(std::size_t p) {
-  std::size_t d = 0;
-  while ((std::size_t{1} << d) < p) ++d;
-  return d;
+std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
+
+/// Cycles of bottom-up tree level l (fathers at level l+1, k per cycle);
+/// top-down level l+1 serves the same fathers and takes as many.
+std::size_t level_cycles(std::size_t p2, std::size_t k, std::size_t l) {
+  return ceil_div(p2 >> (l + 1), k);
 }
 
-std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
+/// Sum of level_cycles over the bottom-up levels from..depth-1: the cycles a
+/// processor whose subtree tops out below level `from` sleeps through on the
+/// way up, and again on the way down. Memoized per (p, k) for the calling
+/// thread; the value is returned by copy, so a hosted network with another
+/// shape rebuilding the memo cannot pull it from under a suspended caller.
+std::size_t idle_levels(std::size_t p, std::size_t k, std::size_t depth,
+                        std::size_t from) {
+  struct Memo {
+    std::size_t p = 0, k = 0;
+    std::vector<std::size_t> suffix;  ///< suffix[l] = levels l..depth-1
+  };
+  thread_local Memo memo;
+  if (memo.p != p || memo.k != k) {
+    const std::size_t p2 = std::size_t{1} << depth;
+    memo.p = p;
+    memo.k = k;
+    memo.suffix.assign(depth + 1, 0);
+    for (std::size_t l = depth; l-- > 0;) {
+      memo.suffix[l] = memo.suffix[l + 1] + level_cycles(p2, k, l);
+    }
+  }
+  return memo.suffix[from];
+}
 
 }  // namespace
 
@@ -40,7 +68,7 @@ Task<PartialSumsResult> partial_sums(Proc& self, Word a_i, const SumOp& op,
   const std::size_t p = self.p();
   const std::size_t k = self.k();
   const std::size_t i = self.id();
-  const std::size_t depth = ceil_log2(p);
+  const std::size_t depth = std::bit_width(p - 1);  // ceil(log2 p)
   const std::size_t p2 = std::size_t{1} << depth;
 
   obs::Span sp(self, "partial-sums");
@@ -53,105 +81,90 @@ Task<PartialSumsResult> partial_sums(Proc& self, Word a_i, const SumOp& op,
     co_return out;
   }
 
-  // val[l] = combined value of the subtree of the level-l node this
-  // processor simulates (it simulates node (l, i >> l) iff 2^l | i).
+  // Processor i simulates node (l, i >> l) iff 2^l | i, i.e. at levels
+  // 0..top, and acts only there. Bottom-up it receives its right son's
+  // subtree value at every level below top and sends its own to the father
+  // at top; top-down it receives F at top + 1 and sends to its right sons
+  // at top..1. P_1 simulates the root (top = depth). Every other level is
+  // idle for it, and the idle levels above top are one contiguous stretch
+  // of the schedule (the last levels up, the first levels down), so a
+  // processor costs O(top) host work, not O(log p).
+  const std::size_t top =
+      i == 0 ? depth : static_cast<std::size_t>(std::countr_zero(i));
+
+  // val[l] = combined value of the subtree of node (l, i >> l).
   std::vector<Word> val(depth + 1, op.identity);
   val[0] = a_i;
   self.note_aux(val.size());
 
-  // Idle cycles owed to the schedule but not yet slept. Each tree level
-  // burns exactly `cycles` cycles with at most one channel action at
-  // in-level cycle `at` (`at == SIZE_MAX` = idle level); idle cycles
-  // accumulate in `pending` so a processor that sits out several
-  // consecutive levels sleeps through them in a single suspension. The
-  // per-level step is written inline in both loops rather than as a helper
-  // coroutine: a helper frame per processor per level dominated the
-  // simulator's allocation profile (~90% of all coroutine frames), and most
-  // of those calls never suspended at all.
+  // Idle cycles owed to the schedule but not yet slept. Level l lasts
+  // level_cycles(l) cycles and a processor acts in at most one of them, at
+  // in-level cycle `at`; each action sleeps out the owed cycles in the same
+  // suspension (cycle_after), and the rest of its level becomes owed. The
+  // per-level step is written inline rather than as a helper coroutine: a
+  // helper frame per processor per level dominated the simulator's
+  // allocation profile. Each awaiter is built in its own statement so the
+  // message temporaries stay out of the coroutine frame (docs/ENGINE.md).
   std::size_t pending = 0;
 
   // --- bottom-up phase ------------------------------------------------------
-  for (std::size_t l = 0; l < depth; ++l) {
-    const std::size_t pairs = p2 >> (l + 1);  // fathers at level l+1
-    const std::size_t cycles = ceil_div(pairs, k);
-    const std::size_t stride = std::size_t{1} << l;
+  for (std::size_t l = 0; l < top; ++l) {
+    // Father simulator (== left son simulator): receive from the right son.
+    const std::size_t father = i >> (l + 1);
+    const std::size_t at = father / k;
+    auto aw = self.cycle_after(pending + at, std::nullopt,
+                               static_cast<ChannelId>(father % k));
+    const Proc::ReadResult got = co_await aw;
+    // Silence = dummy right subtree (p not a power of two) = identity.
+    val[l + 1] = got ? op.combine(val[l], got->at(0)) : val[l];
+    pending = level_cycles(p2, k, l) - at - 1;
+  }
 
-    std::size_t at = SIZE_MAX;
-    std::optional<WriteOp> write;
-    std::optional<ChannelId> read;
-    if (i % stride == 0) {
-      const std::size_t node = i >> l;
-      if (node % 2 == 1) {
-        // Right son: send subtree value to the father's simulator.
-        const std::size_t father = node / 2;
-        at = father / k;
-        write = WriteOp{static_cast<ChannelId>(father % k),
-                        Message::of(val[l])};
-      } else if (i % (stride * 2) == 0) {
-        // Father simulator (== left son simulator): receive from right son.
-        const std::size_t father = node / 2;
-        at = father / k;
-        read = static_cast<ChannelId>(father % k);
-      }
-    }
-    Proc::ReadResult got;
-    if (at == SIZE_MAX || at >= cycles) {
-      pending += cycles;
-    } else {
-      if (pending + at > 0) co_await self.skip(pending + at);
-      got = co_await self.cycle(std::move(write), read);
-      pending = cycles - at - 1;
-    }
-    if (i % (stride * 2) == 0) {
-      // Silence = dummy right subtree (p not a power of two) = identity.
-      val[l + 1] = got ? op.combine(val[l], got->at(0)) : val[l];
-    }
+  // --- the turn at the top: up to the father, back down -------------------
+  // F = combined value of everything left of the current node's subtree.
+  Word f = op.identity;
+  if (i == 0) {
+    out.total = val[depth];
+  } else {
+    // Right son at level top: send the subtree value to the father's
+    // simulator, sleep through the levels above twice, then receive F in
+    // top-down level top + 1 — the same father, channel and in-level cycle.
+    const std::size_t father = i >> (top + 1);
+    const std::size_t at = father / k;
+    const auto ch = static_cast<ChannelId>(father % k);
+    const std::size_t cycles = level_cycles(p2, k, top);
+    auto up = self.cycle_after(pending + at, WriteOp{ch, Message::of(val[top])},
+                               std::nullopt);
+    co_await up;
+    // The rest of this level, the levels above it up and down, and `at`
+    // cycles into top-down level top + 1.
+    pending = (cycles - at - 1) + 2 * idle_levels(p, k, depth, top + 1) + at;
+    auto down = self.cycle_after(pending, std::nullopt, ch);
+    const Proc::ReadResult got = co_await down;
+    MCB_CHECK(got.has_value(), "top-down message missing at P" << i + 1);
+    f = got->at(0);
+    pending = cycles - at - 1;
   }
 
   // --- top-down phase -------------------------------------------------------
-  // F = combined value of everything left of the current node's subtree.
-  Word f = op.identity;
-  if (i == 0) out.total = val[depth];
-  for (std::size_t l = depth; l >= 1; --l) {
-    const std::size_t fathers = p2 >> l;
-    const std::size_t cycles = ceil_div(fathers, k);
-    const std::size_t stride = std::size_t{1} << (l - 1);
-
-    std::size_t at = SIZE_MAX;
-    std::optional<WriteOp> write;
-    std::optional<ChannelId> read;
-    bool receiving = false;
-    if (i % stride == 0) {
-      const std::size_t node = i >> (l - 1);  // this proc's node at level l-1
-      if (node % 2 == 0 && i % (stride * 2) == 0) {
-        // Father: send F ⊕ L to the right son, unless the right subtree is
-        // entirely dummy (its simulator would not exist).
-        const std::size_t father = node / 2;
-        if (i + stride < p) {
-          at = father / k;
-          write = WriteOp{static_cast<ChannelId>(father % k),
-                          Message::of(op.combine(f, val[l - 1]))};
-        }
-        // f unchanged for the left son (== this processor).
-      } else if (node % 2 == 1) {
-        const std::size_t father = node / 2;
-        at = father / k;
-        read = static_cast<ChannelId>(father % k);
-        receiving = true;
-      }
-    }
-    Proc::ReadResult got;
-    if (at == SIZE_MAX || at >= cycles) {
+  for (std::size_t l = top; l >= 1; --l) {
+    // Father: send F ⊕ L to the right son, unless the right subtree is
+    // entirely dummy (its simulator would not exist). F is unchanged for
+    // the left son (== this processor).
+    const std::size_t cycles = level_cycles(p2, k, l - 1);
+    if (i + (std::size_t{1} << (l - 1)) >= p) {
       pending += cycles;
-    } else {
-      if (pending + at > 0) co_await self.skip(pending + at);
-      got = co_await self.cycle(std::move(write), read);
-      pending = cycles - at - 1;
+      continue;
     }
-    if (receiving) {
-      MCB_CHECK(got.has_value(), "top-down message missing at P" << i + 1);
-      f = got->at(0);
-    }
+    const std::size_t father = i >> l;
+    const std::size_t at = father / k;
+    auto aw = self.cycle_after(
+        pending + at,
+        WriteOp{static_cast<ChannelId>(father % k),
+                Message::of(op.combine(f, val[l - 1]))},
+        std::nullopt);
+    co_await aw;
+    pending = cycles - at - 1;
   }
 
   out.before = f;
@@ -159,14 +172,13 @@ Task<PartialSumsResult> partial_sums(Proc& self, Word a_i, const SumOp& op,
 
   // --- optional total broadcast --------------------------------------------
   if (opts.with_total) {
-    if (pending > 0) {
-      co_await self.skip(pending);
-      pending = 0;
-    }
-    if (i == 0) {
-      co_await self.write(0, Message::of(out.total));
-    } else {
-      auto got = co_await self.read(0);
+    auto aw = i == 0 ? self.cycle_after(pending,
+                                        WriteOp{0, Message::of(out.total)},
+                                        std::nullopt)
+                     : self.cycle_after(pending, std::nullopt, ChannelId{0});
+    const Proc::ReadResult got = co_await aw;
+    pending = 0;
+    if (i != 0) {
       MCB_CHECK(got.has_value(), "total broadcast missing at P" << i + 1);
       out.total = got->at(0);
     }
@@ -174,42 +186,40 @@ Task<PartialSumsResult> partial_sums(Proc& self, Word a_i, const SumOp& op,
 
   // --- optional neighbour exchange -------------------------------------
   // P_{i+1} tells P_i its inclusive prefix; O(p/k) cycles, p-1 messages.
-  // Each processor acts in at most two cycles of the exchange and sleeps
-  // through the rest.
+  // P_i sends in exchange cycle (i-1)/k and reads in cycle i/k — one cycle
+  // when they coincide — and sleeps through the rest.
   if (opts.with_next) {
-    if (pending > 0) {
-      co_await self.skip(pending);
-      pending = 0;
-    }
     out.next = out.self;  // correct for the last processor
     const std::size_t cycles = ceil_div(p - 1, k);
-    const std::size_t send_at = i >= 1 ? (i - 1) / k : SIZE_MAX;
-    const std::size_t read_at = i + 1 < p ? i / k : SIZE_MAX;
-    for (std::size_t t = 0; t < cycles;) {
-      std::optional<WriteOp> write;
-      std::optional<ChannelId> read;
-      if (t == send_at) {
-        write = WriteOp{static_cast<ChannelId>((i - 1) % k),
-                        Message::of(out.self)};
-      }
-      if (t == read_at) {
-        read = static_cast<ChannelId>(i % k);
-      }
-      if (!write && !read) {
-        std::size_t next = cycles;
-        if (send_at != SIZE_MAX && send_at > t) next = std::min(next, send_at);
-        if (read_at != SIZE_MAX && read_at > t) next = std::min(next, read_at);
-        co_await self.skip(next - t);
-        t = next;
-        continue;
-      }
-      auto got = co_await self.cycle(std::move(write), read);
-      if (t == read_at) {
+    const bool reads = i + 1 < p;
+    const std::size_t read_at = i / k;
+    std::size_t t = 0;  // exchange cycles accounted for
+    if (i >= 1) {
+      const std::size_t send_at = (i - 1) / k;
+      const bool read_too = reads && read_at == send_at;
+      auto aw = self.cycle_after(
+          pending + send_at,
+          WriteOp{static_cast<ChannelId>((i - 1) % k), Message::of(out.self)},
+          read_too ? std::optional<ChannelId>(static_cast<ChannelId>(i % k))
+                   : std::nullopt);
+      const Proc::ReadResult got = co_await aw;
+      if (read_too) {
         MCB_CHECK(got.has_value(), "neighbour prefix missing at P" << i + 1);
         out.next = got->at(0);
       }
-      ++t;
+      pending = 0;
+      t = send_at + 1;
     }
+    if (reads && read_at >= t) {
+      auto aw = self.cycle_after(pending + read_at - t, std::nullopt,
+                                 static_cast<ChannelId>(i % k));
+      const Proc::ReadResult got = co_await aw;
+      MCB_CHECK(got.has_value(), "neighbour prefix missing at P" << i + 1);
+      out.next = got->at(0);
+      pending = 0;
+      t = read_at + 1;
+    }
+    pending += cycles - t;
   }
 
   if (pending > 0) co_await self.skip(pending);

@@ -11,6 +11,9 @@
 // cycle each.
 //
 // Complexity: O(p/k + log k) cycles and O(p) messages, matching the paper.
+// Host cost: processor i acts only at the countr_zero(i) + 1 tree levels it
+// simulates and sleeps through the rest in one suspension per action, so
+// the collective is O(p) host work in total (docs/ENGINE.md).
 //
 // This is a *collective*: every processor of the network must co_await it
 // in the same cycle, like an MPI collective. General p is supported (the
@@ -32,9 +35,13 @@ struct SumOp {
   std::function<Word(Word, Word)> combine;
   Word identity = 0;
 
-  static SumOp add();
-  static SumOp max();
-  static SumOp min();
+  /// The stock operators, as shared instances: partial_sums holds its
+  /// operator by reference across suspensions, so `auto t =
+  /// partial_sums(self, a, SumOp::add()); co_await t;` must not leave it
+  /// referring to a destroyed temporary.
+  static const SumOp& add();
+  static const SumOp& max();
+  static const SumOp& min();
 };
 
 struct PartialSumsOptions {
@@ -49,7 +56,8 @@ struct PartialSumsResult {
   Word total = 0;   ///< a_1 ⊕ ... ⊕ a_p       (needs with_total)
 };
 
-/// The collective. `a_i` is this processor's input value.
+/// The collective. `a_i` is this processor's input value. `op` must
+/// outlive the returned task.
 Task<PartialSumsResult> partial_sums(Proc& self, Word a_i, const SumOp& op,
                                      PartialSumsOptions opts = {});
 

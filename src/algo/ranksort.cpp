@@ -84,17 +84,18 @@ Task<void> ranksort_group(Proc& self, const GroupSpec& grp,
   // Action slots are the emit list (sorted by slot) merged with the
   // contiguous target window; sleep through the gaps between them.
   std::size_t next_emit = 0;
-  for (std::size_t slot = 0; slot < n_grp;) {
+  for (std::size_t slot = 0; slot < n_grp; ++slot) {
     std::size_t next_act = n_grp;
     if (next_emit < emits.size()) {
       next_act = std::min(next_act, emits[next_emit].first);
     }
     if (slot < tgt_end) next_act = std::min(next_act, std::max(slot, tgt_start));
-    if (next_act > slot) {
-      co_await self.skip(next_act - slot);
-      slot = next_act;
-      continue;
+    if (next_act == n_grp) {  // nothing left to do in this pass
+      co_await self.skip(n_grp - slot);
+      break;
     }
+    const Cycle idle = next_act - slot;  // slept out by this action
+    slot = next_act;
     std::size_t e = SIZE_MAX;
     if (next_emit < emits.size() && emits[next_emit].first == slot) {
       e = emits[next_emit].second;
@@ -105,16 +106,19 @@ Task<void> ranksort_group(Proc& self, const GroupSpec& grp,
       // I own the element of this rank.
       if (target_is_me) {
         out[slot - tgt_start] = data[e];  // already in place: stay silent
-        co_await self.step();
+        auto aw = self.cycle_after(idle, std::nullopt, std::nullopt);
+        co_await aw;
       } else {
-        co_await self.write(grp.channel, Message::of(data[e]));
+        auto aw = self.cycle_after(
+            idle, WriteOp{grp.channel, Message::of(data[e])}, std::nullopt);
+        co_await aw;
       }
     } else {
-      auto got = co_await self.read(grp.channel);
+      auto aw = self.cycle_after(idle, std::nullopt, grp.channel);
+      const Proc::ReadResult got = co_await aw;
       MCB_CHECK(got.has_value(), "pass-2 slot " << slot << " silent");
       out[slot - tgt_start] = got->at(0);
     }
-    ++slot;
   }
   data = std::move(out);
 }

@@ -1,6 +1,7 @@
 #include "algo/selection.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "algo/columnsort_even.hpp"
 #include "algo/common.hpp"
@@ -88,9 +89,11 @@ ProcMain selection_program(Proc& self, const SelCtx& ctx,
     Word med_star = 0;
     if (am_star) {
       med_star = pair[0].key;
-      co_await self.write(0, Message::of(med_star));
+      auto aw = self.write(0, Message::of(med_star));
+      co_await aw;
     } else {
-      auto got = co_await self.read(0);
+      auto aw = self.read(0);
+      const Proc::ReadResult got = co_await aw;
       MCB_CHECK(got.has_value(), "no weighted-median broadcast");
       med_star = got->at(0);
     }
@@ -138,24 +141,31 @@ ProcMain selection_program(Proc& self, const SelCtx& ctx,
       for (std::size_t t = 0; t < m; ++t) {
         if (t >= lo && t < hi) {
           const Word w = cands[t - lo];
-          co_await self.write(0, Message::of(w));
+          auto aw = self.write(0, Message::of(w));
+          co_await aw;
           pool.push_back(w);
         } else {
-          auto got = co_await self.read(0);
+          auto aw = self.read(0);
+          const Proc::ReadResult got = co_await aw;
           MCB_CHECK(got.has_value(), "termination slot " << t << " empty");
           pool.push_back(got->at(0));
         }
       }
       self.note_aux(pool.size());
       answer = seq::kth_largest(pool, d);
-      co_await self.write(0, Message::of(answer));
+      auto aw = self.write(0, Message::of(answer));
+      co_await aw;
     } else {
-      if (lo > 0) co_await self.skip(lo);
+      // Sleep to the window, write it, sleep to the answer: each sleep
+      // rides on the next channel action (one suspension per action).
+      Cycle idle = lo;
       for (Word w : cands) {
-        co_await self.write(0, Message::of(w));
+        auto aw = self.cycle_after(std::exchange(idle, 0),
+                                   WriteOp{0, Message::of(w)}, std::nullopt);
+        co_await aw;
       }
-      if (m > hi) co_await self.skip(m - hi);
-      auto got = co_await self.read(0);
+      auto aw = self.cycle_after(idle + (m - hi), std::nullopt, ChannelId{0});
+      const Proc::ReadResult got = co_await aw;
       MCB_CHECK(got.has_value(), "no answer broadcast");
       answer = got->at(0);
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "algo/columnsort_core.hpp"
 #include "algo/common.hpp"
@@ -133,12 +134,14 @@ ProcMain uneven_program(Proc& self, const UnevenCtx& ctx,
   if (i == 0) self.mark_phase("phase0b:collect");
   std::vector<KV> column;
   if (!is_rep) {
-    if (my_offset > 0) co_await self.skip(my_offset);
+    Cycle idle = my_offset;  // slept out by the first write
     for (Word w : input) {
-      co_await self.write(gch, Message::of(w));
+      auto aw = self.cycle_after(std::exchange(idle, 0),
+                                 WriteOp{gch, Message::of(w)}, std::nullopt);
+      co_await aw;
     }
-    const std::size_t rest = m - my_offset - input.size();
-    if (rest > 0) co_await self.skip(rest);
+    idle += m - my_offset - input.size();
+    if (idle > 0) co_await self.skip(idle);
   } else {
     const std::size_t incoming = my_group_total - input.size();
     column.reserve(m);

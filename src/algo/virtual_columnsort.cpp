@@ -1,6 +1,7 @@
 #include "algo/virtual_columnsort.hpp"
 
 #include <array>
+#include <utility>
 
 #include "algo/columnsort_core.hpp"
 #include "algo/common.hpp"
@@ -40,9 +41,11 @@ std::size_t row_owner(const VCtx& ctx, std::size_t r) {
   return std::min(r / ctx.ni, ctx.g - 1);
 }
 
+/// One transform over the virtual columns. `idle` cycles are slept out
+/// before the first round, riding on this member's first action.
 Task<void> v_transform(Proc& self, const VCtx& ctx, std::size_t t,
                        std::size_t j, std::size_t idx,
-                       std::vector<Word>& rows) {
+                       std::vector<Word>& rows, Cycle idle = 0) {
   const auto& table = ctx.plan.tables[t];
   const std::size_t m = ctx.plan.m;
   const std::size_t base = idx * ctx.ni;
@@ -86,7 +89,8 @@ Task<void> v_transform(Proc& self, const VCtx& ctx, std::size_t t,
     }
     const auto sc = round.src[j];
     if (sc != sched::kIdle) read = static_cast<ChannelId>(sc);
-    auto got = co_await self.cycle(std::move(write), read);
+    auto aw = self.cycle_after(std::exchange(idle, 0), std::move(write), read);
+    const Proc::ReadResult got = co_await aw;
     if (got) {
       const auto dr = static_cast<std::size_t>(got->at(1));
       if (row_owner(ctx, dr) == idx) next[dr - base] = got->at(0);
@@ -100,10 +104,14 @@ Task<void> v_transform(Proc& self, const VCtx& ctx, std::size_t t,
     const bool own_src = row_owner(ctx, sr) == idx;
     const bool own_dst = row_owner(ctx, dr) == idx;
     if (own_src) {
-      co_await self.write(jch, Message::of(rows[sr - base],
-                                           static_cast<Word>(dr)));
+      auto aw = self.cycle_after(
+          std::exchange(idle, 0),
+          WriteOp{jch, Message::of(rows[sr - base], static_cast<Word>(dr))},
+          std::nullopt);
+      co_await aw;
     } else {
-      auto got = co_await self.read(jch);
+      auto aw = self.cycle_after(std::exchange(idle, 0), std::nullopt, jch);
+      const Proc::ReadResult got = co_await aw;
       if (own_dst) {
         MCB_CHECK(got.has_value(), "intra move " << sr << "->" << dr
                                                  << " silent");
@@ -113,9 +121,8 @@ Task<void> v_transform(Proc& self, const VCtx& ctx, std::size_t t,
   }
   // Columns with fewer moves sleep through the padding rounds that keep the
   // group lockstep.
-  if (ctx.intra_rounds[t] > moves.size()) {
-    co_await self.skip(ctx.intra_rounds[t] - moves.size());
-  }
+  idle += ctx.intra_rounds[t] - moves.size();
+  if (idle > 0) co_await self.skip(idle);
   rows.swap(next);
 }
 
@@ -158,12 +165,10 @@ ProcMain virtual_program(Proc& self, const VCtx& ctx,
     co_await v_transform(self, ctx, 1, j, idx, rows);     // phase 4
     co_await v_sort(self, ctx, j, rows);                  // phase 5
     co_await v_transform(self, ctx, 2, j, idx, rows);     // phase 6
-    if (j != 0) {                                         // phase 7
-      co_await v_sort(self, ctx, j, rows);
-    } else if (ctx.sort_cost > 0) {
-      co_await self.skip(ctx.sort_cost);  // column 1 idles in lockstep
-    }
-    co_await v_transform(self, ctx, 3, j, idx, rows);     // phase 8
+    // Column 1 idles through phase 7 in lockstep, into phase 8.
+    const Cycle idle = j != 0 ? 0 : ctx.sort_cost;
+    if (j != 0) co_await v_sort(self, ctx, j, rows);      // phase 7
+    co_await v_transform(self, ctx, 3, j, idx, rows, idle);  // phase 8
   }
 
   // --- final ownership fix-up ----------------------------------------------

@@ -60,12 +60,18 @@ void Network::resume_proc(ProcId id) {
   }
 }
 
-void Network::on_cycle_op(Proc& pr) {
+void Network::on_cycle_op(Proc& pr, Cycle idle) {
   const ProcId id = pr.id_;
-  tab_.wake_cycle[id] = now_ + 1;
-  if (mode_ == Engine::kEventDriven) {
+  tab_.wake_cycle[id] = now_ + idle + 1;
+  if (mode_ != Engine::kEventDriven) return;
+  if (idle == 0) {
     sched_.add_active(id);
     sched_.schedule_wake(id, now_ + 1, now_);
+  } else {
+    // Sleep out the idle cycles first; the drain at now + idle turns the
+    // held intent into an active one without resuming the processor.
+    tab_.deferred[id] = 1;
+    sched_.schedule_wake(id, now_ + idle, now_);
   }
 }
 
@@ -320,7 +326,10 @@ void Network::run_event_loop() {
     // Step 3: the cycle completes. Clear only the channels written this
     // cycle, then resume every processor due at the new time, in processor
     // order (the drain is id-sorted; processors re-registering while it is
-    // iterated wake strictly later and land in fresh buckets).
+    // iterated wake strictly later and land in fresh buckets). A deferred
+    // processor has slept out the idle part of its cycle_after: it joins
+    // the new cycle's active list as if it had just resumed and called
+    // cycle(), so active list and next bucket stay id-sorted.
     for (ChannelId c : sched_.dirty()) {
       slot_written_[c] = 0;
     }
@@ -328,6 +337,12 @@ void Network::run_event_loop() {
     sched_.clear_active();
     ++now_;
     for (ProcId id : sched_.drain_due(now_)) {
+      if (tab_.deferred[id] != 0) {
+        tab_.deferred[id] = 0;
+        sched_.add_active(id);
+        sched_.schedule_wake(id, now_ + 1, now_);
+        continue;
+      }
       clear_intents(id);
       resume_proc(id);
     }
@@ -336,15 +351,21 @@ void Network::run_event_loop() {
 
 // The scan-the-world reference loop — the seed implementation, kept as the
 // executable specification of the cycle semantics and as the baseline that
-// bench_simspeed measures the other engines against.
+// bench_simspeed measures the other engines against. A channel intent
+// applies in the cycle before its processor's wake: the write, read and
+// trace scans consider processor id in cycle now_ only when
+// wake_cycle[id] == now_ + 1 (a finished processor's wake lies behind).
 void Network::run_reference_loop() {
+  const auto acts = [this](ProcId id) {
+    return tab_.wake_cycle[id] == now_ + 1;
+  };
   while (alive_ > 0) {
     if (now_ >= cfg_.max_cycles) throw_max_cycles();
 
     // Step 1: writes. Collision check per the model.
     std::fill(slot_written_.begin(), slot_written_.end(), std::uint8_t{0});
     for (ProcId id = 0; id < cfg_.p; ++id) {
-      if (tab_.done[id] != 0) continue;
+      if (!acts(id)) continue;
       const auto& w = tab_.pending_write[id];
       if (!w) continue;
       const ChannelId c = w->channel;
@@ -361,12 +382,12 @@ void Network::run_reference_loop() {
 
     // Step 2: reads (concurrent reads allowed; silence is observable).
     for (ProcId id = 0; id < cfg_.p; ++id) {
-      if (tab_.done[id] == 0) apply_read(id);
+      if (acts(id)) apply_read(id);
     }
 
     if (sink_ != nullptr) {
       for (ProcId id = 0; id < cfg_.p; ++id) {
-        if (tab_.done[id] == 0) emit_event(id);
+        if (acts(id)) emit_event(id);
       }
     }
 

@@ -110,9 +110,9 @@ class Network {
   friend struct Proc::MultiReadAwaiter;
 
   // Suspension hooks called by the Proc awaiters. on_cycle_op: `pr` holds a
-  // channel intent for the cycle in flight and wakes next cycle. on_sleep:
-  // `pr` sleeps for t cycles with no channel activity.
-  void on_cycle_op(Proc& pr);
+  // channel intent for cycle now + idle and wakes in the cycle after it.
+  // on_sleep: `pr` sleeps for t cycles with no channel activity.
+  void on_cycle_op(Proc& pr, Cycle idle);
   void on_sleep(Proc& pr, Cycle t);
 
   void resume_proc(ProcId id);

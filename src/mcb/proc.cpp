@@ -16,6 +16,11 @@ void Proc::mark_done() { net_->tab_.done[id_] = 1; }
 
 Proc::CycleAwaiter Proc::cycle(std::optional<WriteOp> write,
                                std::optional<ChannelId> read) {
+  return cycle_after(0, std::move(write), read);
+}
+
+Proc::CycleAwaiter Proc::cycle_after(Cycle idle, std::optional<WriteOp> write,
+                                     std::optional<ChannelId> read) {
   if (write) {
     MCB_REQUIRE(write->channel < k(), "P" << id_ + 1 << " writing channel "
                                           << write->channel << " of " << k());
@@ -26,7 +31,7 @@ Proc::CycleAwaiter Proc::cycle(std::optional<WriteOp> write,
   }
   net_->tab_.pending_write[id_] = std::move(write);
   net_->tab_.pending_read[id_] = read;
-  return CycleAwaiter{*this};
+  return CycleAwaiter{*this, idle};
 }
 
 Proc::CycleAwaiter Proc::write(ChannelId ch, Message m) {
@@ -70,7 +75,7 @@ void Proc::span_end() { net_->span_end(); }
 
 void Proc::CycleAwaiter::await_suspend(std::coroutine_handle<> h) noexcept {
   proc.net_->tab_.resume_point[proc.id_] = h;
-  proc.net_->on_cycle_op(proc);
+  proc.net_->on_cycle_op(proc, idle);
 }
 
 Proc::ReadResult Proc::CycleAwaiter::await_resume() const noexcept {
@@ -89,7 +94,7 @@ void Proc::SkipAwaiter::await_suspend(std::coroutine_handle<> h) noexcept {
 void Proc::MultiReadAwaiter::await_suspend(
     std::coroutine_handle<> h) noexcept {
   proc.net_->tab_.resume_point[proc.id_] = h;
-  proc.net_->on_cycle_op(proc);
+  proc.net_->on_cycle_op(proc, 0);
 }
 
 std::vector<Proc::ReadResult> Proc::MultiReadAwaiter::await_resume()

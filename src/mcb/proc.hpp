@@ -40,9 +40,18 @@ class Proc {
 
   /// Full generality: optionally write one channel and read one channel.
   /// Yields the message read (nullopt on silence or when not reading).
+  /// Same as cycle_after(0, write, read).
   struct CycleAwaiter;
   CycleAwaiter cycle(std::optional<WriteOp> write,
                      std::optional<ChannelId> read);
+
+  /// Idles `idle` cycles, then acts as cycle(write, read) in the next one.
+  /// Observably identical to `co_await skip(idle); co_await cycle(write,
+  /// read);` but suspends once: the intent applies in cycle now() + idle
+  /// and the processor resumes after it. The paper's protocols wait their
+  /// turn by counting cycles and then act, so this is their common step.
+  CycleAwaiter cycle_after(Cycle idle, std::optional<WriteOp> write,
+                           std::optional<ChannelId> read);
 
   CycleAwaiter write(ChannelId ch, Message m);
   CycleAwaiter read(ChannelId ch);
@@ -82,6 +91,7 @@ class Proc {
 
   struct CycleAwaiter {
     Proc& proc;
+    Cycle idle;  ///< cycles slept before the channel action
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) noexcept;
     ReadResult await_resume() const noexcept;

@@ -37,6 +37,10 @@ struct ProcTable {
   std::vector<Cycle> wake_cycle;
   /// Program completed (one byte per flag, not a packed vector<bool>).
   std::vector<std::uint8_t> done;
+  /// Event engine: the processor sleeps out the idle part of a
+  /// Proc::cycle_after and holds its channel intent for the cycle after the
+  /// wake; the drain makes it active for that cycle instead of resuming it.
+  std::vector<std::uint8_t> deferred;
 
   // Per-cycle channel intents and results.
   std::vector<std::optional<WriteOp>> pending_write;
@@ -53,6 +57,7 @@ struct ProcTable {
     program.resize(p);
     wake_cycle.assign(p, 0);
     done.assign(p, 0);
+    deferred.assign(p, 0);
     pending_write.resize(p);
     pending_read.resize(p);
     pending_read_all.assign(p, 0);
@@ -70,6 +75,7 @@ struct ProcTable {
     std::fill(program.begin(), program.end(), ProcMain::handle_type{});
     std::fill(wake_cycle.begin(), wake_cycle.end(), Cycle{0});
     std::fill(done.begin(), done.end(), std::uint8_t{0});
+    std::fill(deferred.begin(), deferred.end(), std::uint8_t{0});
     for (auto& w : pending_write) w.reset();
     for (auto& r : pending_read) r.reset();
     std::fill(pending_read_all.begin(), pending_read_all.end(),

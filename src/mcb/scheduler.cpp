@@ -9,7 +9,7 @@
 namespace mcb {
 
 Scheduler::Scheduler(std::size_t p, std::size_t k)
-    : link_(p, kNil), wake_(p, 0) {
+    : link_(p, kNil), wake_(p, 0), drain_bits_((p + 63) / 64, 0) {
   next_bucket_.reserve(p);
   drain_entries_.reserve(p);
   active_.reserve(p);
@@ -132,10 +132,32 @@ const std::vector<ProcId>& Scheduler::drain_due(Cycle now) {
   // is_sorted pass usually replaces the sort.
   if (merged &&
       !std::is_sorted(drain_entries_.begin(), drain_entries_.end())) {
-    std::sort(drain_entries_.begin(), drain_entries_.end());
+    sort_drain();
   }
   pending_ -= drain_entries_.size();
   return drain_entries_;
+}
+
+void Scheduler::sort_drain() {
+  // The ids are distinct (a processor sits in one tier at a time), so a
+  // bitmap scan orders them in O(n + p/64): cheaper than a sort once the
+  // drain holds a fair share of the p ids.
+  const std::size_t p = link_.size();
+  if (drain_entries_.size() * 256 < p) {
+    std::sort(drain_entries_.begin(), drain_entries_.end());
+    return;
+  }
+  for (ProcId id : drain_entries_) {
+    drain_bits_[id / 64] |= std::uint64_t{1} << (id % 64);
+  }
+  drain_entries_.clear();
+  for (std::size_t w = 0; w < drain_bits_.size(); ++w) {
+    for (std::uint64_t bits = drain_bits_[w]; bits != 0; bits &= bits - 1) {
+      drain_entries_.push_back(static_cast<ProcId>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+    }
+    drain_bits_[w] = 0;
+  }
 }
 
 }  // namespace mcb

@@ -11,7 +11,7 @@
 // the wake cycle, plus a fast lane for the next cycle:
 //
 //   * next bucket — processors waking exactly one cycle ahead (every channel
-//     op, and skip(1)). This is the hot path: pushes happen in processor-id
+//     op, skip(1), and every Proc::cycle_after whose idle part just ended). This is the hot path: pushes happen in processor-id
 //     order during the drain of the previous cycle, so the bucket is always
 //     id-sorted by construction and push/pop are O(1). It stays a plain
 //     vector outside the wheel: tens of millions of resumes per run take
@@ -37,22 +37,25 @@
 // registration order: a slot filled during one id-ordered drain stays
 // id-sorted. A drain that merged slots is checked with is_sorted and
 // re-sorted only if needed, restoring the reference engine's deterministic
-// resume order (see docs/ENGINE.md).
+// resume order (see docs/ENGINE.md). Large unsorted drains (at least p/256
+// ids, e.g. every reader of a broadcast that slept out an idle stretch
+// registered across many cycles) are rebuilt from a p-bit bitmap in
+// O(n + p/64) instead of sorted.
 //
 // Each level keeps a 64-bit occupancy mask, so next_wake() is a rotate and
 // a std::countr_zero per level instead of a probe over slots.
 //
 // Two more lists let the run loop touch only what changed:
 //
-//   * active list — processors that suspended with a channel intent
-//     (write / read / multi-read) for the cycle in flight. The write, read
-//     and trace steps iterate this list only.
+//   * active list — processors whose channel intent (write / read /
+//     multi-read) applies in the cycle in flight. The write, read and trace
+//     steps iterate this list only.
 //   * dirty list  — channels written in the cycle in flight, so clearing
 //     slots is O(writes), not O(k).
 //
 // Invariants (see docs/ENGINE.md): every live suspended processor sits in
 // exactly one tier; the active list holds exactly the processors whose
-// wake cycle is now+1 *and* that registered a channel intent; a cycle whose
+// wake cycle is now+1 *and* that hold a channel intent; a cycle whose
 // drain would be empty is observationally silent and may be skipped
 // wholesale (idle-cycle fast-forward).
 #pragma once
@@ -138,6 +141,8 @@ class Scheduler {
     ProcId tail = kNil;
   };
 
+  /// Puts the unsorted drain in id order.
+  void sort_drain();
   /// Files a wheel wake (wake - now >= 2) relative to cursor `now`.
   void place(ProcId id, Cycle wake, Cycle now);
   void append(std::size_t level, std::size_t slot, ProcId id);
@@ -153,6 +158,7 @@ class Scheduler {
   Cycle cursor_ = 0;          ///< cycle of the latest drain
   std::size_t pending_ = 0;   ///< entries across all tiers
   std::vector<ProcId> drain_entries_;  ///< scratch, swapped with next bucket
+  std::vector<std::uint64_t> drain_bits_;  ///< p-bit id set, all zero at rest
   std::vector<ProcId> active_;
   std::vector<ChannelId> dirty_;
 };

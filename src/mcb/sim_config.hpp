@@ -19,8 +19,8 @@ class Profiler;  // src/obs/profiler.hpp — host run-wall accounting
 /// (cycles, messages, phases — see docs/ENGINE.md); they differ only in
 /// wall-clock cost.
 enum class Engine {
-  /// Wake-queue scheduler: sleeping processors cost O(log p) total instead
-  /// of O(sleep length), per-cycle work scales with the processors actually
+  /// Wake-queue scheduler: every suspension costs O(1) whatever its sleep
+  /// length, per-cycle work scales with the processors actually
   /// participating, and runs of idle cycles are fast-forwarded. The default.
   kEventDriven,
   /// The original scan-the-world loop: O(p) scans plus an O(k) slot sweep

@@ -1,13 +1,14 @@
-// lint-allow fixture: one deliberate violation of every rule (L1-L3, L5,
-// L6), each silenced by an escape comment — trailing, line-above, slug and
-// MCB-Lx id forms are all exercised. tests/mcblint_test.cpp asserts zero
-// findings and exactly five suppressions.
+// lint-allow fixture: one deliberate violation of every rule (L1-L3,
+// L5-L7), each silenced by an escape comment — trailing, line-above, slug
+// and MCB-Lx id forms are all exercised. tests/mcblint_test.cpp asserts
+// zero findings and exactly six suppressions.
 #include <cstdlib>
 #include <unordered_map>
 #include <vector>
 
 struct Proc {
   int step();
+  int skip(long t);
   long now() const;
 };
 struct Awaitable {
@@ -47,4 +48,10 @@ Task l5_allowed(Proc& self, long t) {
 
 void* l6_allowed() {
   return new int;  // lint-allow: MCB-L6
+}
+
+Task l7_allowed(Proc& self, long t) {
+  // Deliberately two suspensions. lint-allow: skip-then-act
+  co_await self.skip(t);
+  co_await self.step();
 }

@@ -103,14 +103,24 @@ TEST(McblintRules, L6NakedNewFiresOnFixture) {
   EXPECT_NE(r.findings[1].detail.find("new Frame"), std::string::npos);
 }
 
+TEST(McblintRules, L7SkipThenActFiresOnFixture) {
+  const auto r = analyze_fixture("l7_skip_then_act.cpp");
+  EXPECT_EQ(rule_lines(r), (RL{{"MCB-L7", 17},
+                               {"MCB-L7", 19},
+                               {"MCB-L7", 25},
+                               {"MCB-L7", 34},
+                               {"MCB-L7", 41}}));
+  EXPECT_NE(r.findings[3].detail.find("'me'"), std::string::npos);
+}
+
 // --- escapes and negatives ---------------------------------------------------
 
 TEST(McblintRules, LintAllowSuppressesEveryRuleAndForm) {
   // One violation per rule, silenced via trailing comments, comment-above,
-  // slug names and MCB-Lx ids. All five must be counted as suppressed.
+  // slug names and MCB-Lx ids. All six must be counted as suppressed.
   const auto r = analyze_fixture("allows.cpp");
   EXPECT_TRUE(r.findings.empty()) << render_text(r.findings);
-  EXPECT_EQ(r.suppressed_allow, 5);
+  EXPECT_EQ(r.suppressed_allow, 6);
 }
 
 TEST(McblintRules, CleanFixtureProducesNoFindings) {

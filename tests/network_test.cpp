@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mcb/errors.hpp"
 #include "mcb/network.hpp"
+#include "mcb/trace.hpp"
 #include "util/check.hpp"
 
 namespace mcb {
@@ -161,6 +165,179 @@ TEST(NetworkTest, SkipZeroIsNoop) {
   net.install(0, prog(net.proc(0)));
   auto stats = net.run();
   EXPECT_EQ(stats.cycles, 1u);
+}
+
+// --- cycle_after: skip(t) + cycle(w, r) in one suspension ------------------
+
+// Idle lengths straddling the wake wheel's slot and level boundaries.
+constexpr Cycle kIdleGaps[] = {1, 63, 64, 65, 4097, 300000};
+
+using Heard = std::vector<std::pair<Cycle, Word>>;
+
+/// Processors 0..3 share one gap sequence and meet in every action cycle,
+/// each writing its own channel and reading its neighbour's; processors
+/// 4..7 walk the sequence rotated and alternate write-only and read-only
+/// actions, so they land between and on the rendezvous cycles. `fused`
+/// picks cycle_after(t, w, r) over skip(t) then cycle(w, r).
+ProcMain gap_walker(Proc& self, bool fused, Heard& heard) {
+  const ProcId i = self.id();
+  const std::size_t rot = i < 4 ? 0 : i - 3;
+  const auto wch = static_cast<ChannelId>(i);
+  const auto rch = static_cast<ChannelId>(i < 4 ? (i + 1) % 4 : (i + 1) % 8);
+  constexpr std::size_t kSteps = std::size(kIdleGaps);
+  for (std::size_t s = 0; s < kSteps; ++s) {
+    const Cycle gap = kIdleGaps[(s + rot) % kSteps];
+    std::optional<WriteOp> w;
+    std::optional<ChannelId> r;
+    if (i < 4 || s % 2 == 0) w = WriteOp{wch, Message::of(i * 100 + s)};
+    if (i < 4 || s % 2 == 1) r = rch;
+    Proc::ReadResult got;
+    if (fused) {
+      got = co_await self.cycle_after(gap, w, r);
+    } else {
+      co_await self.skip(gap);
+      got = co_await self.cycle(w, r);
+    }
+    if (got) heard.emplace_back(self.now(), got->at(0));
+  }
+}
+
+struct EventLog final : TraceSink {
+  std::vector<CycleEvent> events;
+  void on_event(const CycleEvent& ev) override { events.push_back(ev); }
+};
+
+struct Observed {
+  RunStats stats;
+  std::vector<CycleEvent> events;
+  std::vector<Heard> heard;
+};
+
+constexpr ProcId kWalkers = 8;
+
+Observed run_walkers(Engine engine, bool fused) {
+  Observed out;
+  out.heard.resize(kWalkers);
+  EventLog log;
+  Network net({.p = kWalkers, .k = kWalkers, .engine = engine}, &log);
+  for (ProcId i = 0; i < kWalkers; ++i) {
+    net.install(i, gap_walker(net.proc(i), fused, out.heard[i]));
+  }
+  out.stats = net.run();
+  out.events = std::move(log.events);
+  return out;
+}
+
+void expect_same_events(const std::vector<CycleEvent>& a,
+                        const std::vector<CycleEvent>& b,
+                        const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].cycle, b[i].cycle) << label << " event " << i;
+    EXPECT_EQ(a[i].proc, b[i].proc) << label << " event " << i;
+    EXPECT_EQ(a[i].wrote, b[i].wrote) << label << " event " << i;
+    EXPECT_EQ(a[i].sent, b[i].sent) << label << " event " << i;
+    EXPECT_EQ(a[i].read, b[i].read) << label << " event " << i;
+    EXPECT_EQ(a[i].received, b[i].received) << label << " event " << i;
+  }
+}
+
+void expect_same_observation(const Observed& a, const Observed& b,
+                             const std::string& label) {
+  EXPECT_EQ(a.stats.cycles, b.stats.cycles) << label;
+  EXPECT_EQ(a.stats.messages, b.stats.messages) << label;
+  EXPECT_EQ(a.stats.messages_per_proc, b.stats.messages_per_proc) << label;
+  EXPECT_EQ(a.stats.messages_per_channel, b.stats.messages_per_channel)
+      << label;
+  EXPECT_EQ(a.stats.peak_aux_words, b.stats.peak_aux_words) << label;
+  EXPECT_EQ(a.heard, b.heard) << label;
+  expect_same_events(a.events, b.events, label);
+}
+
+TEST(NetworkTest, CycleAfterMatchesSkipThenCycle) {
+  for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
+    const std::string label =
+        e == Engine::kReference ? "reference" : "event";
+    const Observed split = run_walkers(e, false);
+    const Observed fused = run_walkers(e, true);
+    expect_same_observation(split, fused, label);
+    // Exactly one resume saved per fused action.
+    EXPECT_EQ(split.stats.proc_resumes - fused.stats.proc_resumes,
+              kWalkers * std::size(kIdleGaps))
+        << label;
+    EXPECT_GT(fused.stats.messages, 0u) << label;
+  }
+  const Observed ev = run_walkers(Engine::kEventDriven, true);
+  const Observed ref = run_walkers(Engine::kReference, true);
+  expect_same_observation(ev, ref, "event vs reference");
+  EXPECT_EQ(ev.stats.proc_resumes, ref.stats.proc_resumes);
+}
+
+/// Writes channel 0 in cycle `at`, fused or as skip + write.
+ProcMain late_writer(Proc& self, Cycle at, bool fused) {
+  const Message m = Message::of(self.id());
+  if (fused) {
+    co_await self.cycle_after(at, WriteOp{0, m}, std::nullopt);
+  } else {
+    co_await self.skip(at);
+    co_await self.write(0, m);
+  }
+}
+
+TEST(NetworkTest, CollisionInsideDeferredOpThrowsTheSameError) {
+  // P1 and P2 both write channel 0 in cycle 70 (past the wheel's first
+  // level); P0, listening there, is a fused reader.
+  for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
+    for (int mix = 0; mix < 4; ++mix) {
+      Network net({.p = 3, .k = 1, .engine = e});
+      auto reader = [](Proc& self) -> ProcMain {
+        co_await self.cycle_after(70, std::nullopt, ChannelId{0});
+      };
+      net.install(0, reader(net.proc(0)));
+      net.install(1, late_writer(net.proc(1), 70, (mix & 1) != 0));
+      net.install(2, late_writer(net.proc(2), 70, (mix & 2) != 0));
+      try {
+        net.run();
+        FAIL() << "expected CollisionError, mix " << mix;
+      } catch (const CollisionError& err) {
+        EXPECT_EQ(err.cycle(), 70u) << "mix " << mix;
+        EXPECT_EQ(err.channel(), 0u) << "mix " << mix;
+        EXPECT_EQ(err.first_writer(), 1u) << "mix " << mix;
+        EXPECT_EQ(err.second_writer(), 2u) << "mix " << mix;
+      }
+    }
+  }
+}
+
+TEST(NetworkTest, ResetAfterAbortWithDeferredOpsRerunsIdentically) {
+  for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
+    const std::string label =
+        e == Engine::kReference ? "reference" : "event";
+    EventLog log;
+    Network net({.p = kWalkers, .k = kWalkers, .engine = e}, &log);
+    // P0 and P1 collide on channel 0 in cycle 70 while the walkers hold
+    // fused ops whose idle part has not elapsed.
+    std::vector<Heard> scratch(kWalkers);
+    for (ProcId i = 0; i < kWalkers; ++i) {
+      net.install(i, i < 2 ? late_writer(net.proc(i), 70, true)
+                           : gap_walker(net.proc(i), true, scratch[i]));
+    }
+    EXPECT_THROW(net.run(), CollisionError) << label;
+    net.reset();
+    log.events.clear();
+    // The rerun starts with plain skips and cycles, which a stale deferral
+    // would shift.
+    Observed again;
+    again.heard.resize(kWalkers);
+    for (ProcId i = 0; i < kWalkers; ++i) {
+      net.install(i, gap_walker(net.proc(i), false, again.heard[i]));
+    }
+    again.stats = net.run();
+    again.events = std::move(log.events);
+    const Observed fresh = run_walkers(e, false);
+    expect_same_observation(fresh, again, label);
+    EXPECT_EQ(fresh.stats.proc_resumes, again.stats.proc_resumes) << label;
+  }
 }
 
 TEST(NetworkTest, PerProcAndPerChannelMessageCounts) {

@@ -37,6 +37,9 @@ void expect_identical_stats(const RunStats& ref, const RunStats& ev,
   EXPECT_EQ(ref.messages_per_proc, ev.messages_per_proc) << label;
   EXPECT_EQ(ref.messages_per_channel, ev.messages_per_channel) << label;
   EXPECT_EQ(ref.peak_aux_words, ev.peak_aux_words) << label;
+  // Host telemetry, but engine-independent: both engines resume a
+  // processor exactly when its wake cycle comes up.
+  EXPECT_EQ(ref.proc_resumes, ev.proc_resumes) << label;
   ASSERT_EQ(ref.phases.size(), ev.phases.size()) << label;
   for (std::size_t i = 0; i < ref.phases.size(); ++i) {
     EXPECT_EQ(ref.phases[i].name, ev.phases[i].name) << label;
@@ -230,17 +233,35 @@ TEST(SchedulerEquivalence, SkipHeavyHandRolledProtocol) {
   // last sleepers' gaps straddle the wake wheel's level boundaries (64^2
   // and 64^3 cycles), so their wakes cascade through every level that a
   // run this long reaches; idle stretches cost nothing under fast-forward.
+  // Odd processors fuse each sleep with the action after it
+  // (Proc::cycle_after), so deferred intents ride the same wheel levels and
+  // merge into drains with plain wakes.
   static constexpr Cycle kFarGaps[] = {4095, 4096, 4097, 5000,
                                        262143, 262144, 262145, 300000};
   constexpr ProcId kNear = 32 - std::size(kFarGaps);
   auto go = [](const SimConfig& cfg) {
     Network net(cfg);
     auto sleeper = [](Proc& self, Cycle gap) -> ProcMain {
+      const bool fused = self.id() % 2 == 1;
+      const auto ch = static_cast<ChannelId>(self.id() % self.k());
       if (self.id() == 0) self.mark_phase("stagger");
-      co_await self.skip(gap);
-      co_await self.write(static_cast<ChannelId>(self.id() % self.k()),
-                          Message::of(static_cast<Word>(self.id())));
+      if (fused) {
+        co_await self.cycle_after(
+            gap, WriteOp{ch, Message::of(static_cast<Word>(self.id()))},
+            std::nullopt);
+      } else {
+        co_await self.skip(gap);
+        co_await self.write(ch, Message::of(static_cast<Word>(self.id())));
+      }
       if (self.id() == 0) self.mark_phase("tail");
+      // A read of the own channel after a staggered sleep.
+      const Cycle tail = 17 * ((self.id() + 1) % 8 + 1) - 1;
+      if (fused) {
+        co_await self.cycle_after(tail, std::nullopt, ch);
+      } else {
+        co_await self.skip(tail);
+        co_await self.read(ch);
+      }
       co_await self.skip(5 * (self.id() + 1));
     };
     for (ProcId i = 0; i < cfg.p; ++i) {

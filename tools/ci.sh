@@ -8,7 +8,7 @@
 # proves the global-new fallback builds and passes the same suite.
 #
 # Static analysis rides along in three places: tools/lint.sh (mcblint, the
-# repo-aware analyzer with rules MCB-L1..L3, L5, L6, plus the clang-tidy
+# repo-aware analyzer with rules MCB-L1..L3, L5..L7, plus the clang-tidy
 # profile) runs against the release tree's compile_commands.json with the
 # same 0/1/3 exit discipline as `mcbsim gates` (3 = a tool could not run
 # here — loud warning, not silent pass); every preset leg re-runs that

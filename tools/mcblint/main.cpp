@@ -70,7 +70,9 @@ int main(int argc, char** argv) {
                 << "MCB-L5 busy-wait-step       loop body that is only "
                    "co_await ...step()\n"
                 << "MCB-L6 naked-new            naked new outside the frame "
-                   "arena\n";
+                   "arena\n"
+                << "MCB-L7 skip-then-act        skip() followed at once by a "
+                   "channel action (use cycle_after)\n";
       return 0;
     } else if (!a.empty() && a[0] == '-') {
       std::cerr << "mcblint: unknown option '" << a << "'\n";

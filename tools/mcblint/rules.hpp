@@ -1,4 +1,4 @@
-// mcblint rule engine: the repo-specific rules MCB-L1..L3, L5 and L6 (L4
+// mcblint rule engine: the repo-specific rules MCB-L1..L3 and L5..L7 (L4
 // was retired with the engine it guarded; the other ids stay stable),
 // numbered in the style of the conformance checker's MCB-W1/R1/C1 trace
 // rules. Where
@@ -17,6 +17,9 @@
 //                                  ...step() — O(t) where skip() is O(1)
 //   MCB-L6  naked-new              `new` outside the frame arena in
 //                                  protocol code
+//   MCB-L7  skip-then-act          co_await X.skip(t) followed at once by a
+//                                  channel action on X — cycle_after(t, ...)
+//                                  does both in one suspension
 //
 // Escapes: a `lint-allow: <slug-or-id>` comment on the finding's line or
 // the line above suppresses it; a baseline file grandfathers findings by
