@@ -392,11 +392,15 @@ int main(int argc, char** argv) {
   // selection stresses the wake queue and the idle-cycle fast-forward (at
   // p/k = 1024 nearly every processor is asleep in skip() at any instant —
   // the acceptance workload for the event engine). The two skip_reference
-  // rows are too large for the reference loop's O(p) per-cycle scans.
+  // rows are too large for the reference loop's O(p) per-cycle scans. The
+  // dense sort row (auto = columnsort-even, 256 elements per processor) is
+  // hostbench's sort_dense shape: nearly all of its cycles are Columnsort's
+  // fixed gather, transformation and redistribution windows.
   const std::vector<GridPoint> grid = {
       {"sort", 64, 8, 256},
       {"sort", 256, 16, 1024},
       {"sort", 1024, 32, 4096},
+      {"sort", 1024, 32, 262144},
       {"selection", 256, 4, 1024},
       {"selection", 1024, 4, 4096},
       {"selection", 4096, 4, 16384},

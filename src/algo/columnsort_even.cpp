@@ -1,5 +1,6 @@
 #include "algo/columnsort_even.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "obs/span.hpp"
@@ -35,7 +36,7 @@ EvenSortPlan EvenSortPlan::build(std::size_t p, std::size_t k, std::size_t ni,
   plan.g = p / plan.kk;
   const std::size_t m = round_up(plan.n / plan.kk, plan.kk);
   plan.redistribute = !(plan.g == 1 && m == plan.ni);
-  plan.core = detail::CorePlan::build(m, plan.kk, variant);
+  plan.core = detail::CorePlan::shared(m, plan.kk, variant);
   return plan;
 }
 
@@ -49,7 +50,7 @@ Task<void> columnsort_even_collective(Proc& self, const EvenSortPlan& plan,
   const std::size_t idx = i % plan.g;      // index within the group
   const bool is_rep = idx == plan.g - 1;   // highest-numbered member
   const auto jch = static_cast<ChannelId>(j);
-  const std::size_t m = plan.core.m;
+  const std::size_t m = plan.core->m;
 
   std::vector<KV> column;
 
@@ -59,26 +60,39 @@ Task<void> columnsort_even_collective(Proc& self, const EvenSortPlan& plan,
   // --- phase 0: gather the group's elements at the representative ---------
   if (plan.g > 1) {
     obs::Span sp(self, "even.gather");
-    const Cycle gather_cycles = static_cast<Cycle>((plan.g - 1) * plan.ni);
+    const std::size_t gather_cycles = (plan.g - 1) * plan.ni;
     if (!is_rep) {
-      // Sleep to this member's window, riding on its first write.
-      Cycle idle = static_cast<Cycle>(idx * plan.ni);
-      for (const KV& e : data) {
-        auto aw = self.cycle_after(std::exchange(idle, 0),
-                                   WriteOp{jch, Message::of(e.key, e.val)},
-                                   std::nullopt);
+      // Sleep to this member's window of ni writes, then burst them.
+      const Cycle idle = static_cast<Cycle>(idx * plan.ni);
+      if (plan.ni == 1) {
+        auto aw = self.cycle_after(
+            idle, WriteOp{jch, Message::of(data[0].key, data[0].val)},
+            std::nullopt);
         co_await aw;
+      } else {
+        if (idle > 0) co_await self.skip(idle);
+        auto burst = std::make_unique<detail::KvBurst>(detail::KvWindow{
+            .begin = 0, .end = plan.ni, .wch = jch, .src = data.data(),
+            .w1 = plan.ni});
+        while (!burst->done()) {
+          auto aw = burst->next(self);
+          co_await aw;
+          burst->place();
+        }
       }
-      const Cycle rest =
-          gather_cycles - static_cast<Cycle>((idx + 1) * plan.ni);
+      const auto rest =
+          static_cast<Cycle>(gather_cycles - (idx + 1) * plan.ni);
       if (rest > 0) co_await self.skip(rest);
     } else {
       column.reserve(m);
-      for (Cycle t = 0; t < gather_cycles; ++t) {
-        auto aw = self.read(jch);
-        const Proc::ReadResult got = co_await aw;
-        MCB_CHECK(got.has_value(), "gather slot empty at P" << i + 1);
-        column.push_back(KV{got->at(0), got->at(1)});
+      column.resize(gather_cycles);
+      auto burst = std::make_unique<detail::KvBurst>(detail::KvWindow{
+          .begin = 0, .end = gather_cycles, .rch = jch,
+          .dst = column.data(), .r0 = 0, .r1 = gather_cycles});
+      while (!burst->done()) {
+        auto aw = burst->next(self);
+        co_await aw;
+        burst->place();
       }
       column.insert(column.end(), data.begin(), data.end());
     }
@@ -91,9 +105,9 @@ Task<void> columnsort_even_collective(Proc& self, const EvenSortPlan& plan,
     obs::Span sp(self, "even.core");
     if (is_rep) {
       column.resize(m, KV{kDummy, 0});  // pad so kk | m
-      co_await detail::columnsort_phases(self, plan.core, j, column);
+      co_await detail::columnsort_phases(self, *plan.core, j, column);
     } else {
-      co_await detail::core_skip(self, plan.core);
+      co_await detail::core_skip(self, *plan.core);
     }
   }
 
@@ -104,7 +118,7 @@ Task<void> columnsort_even_collective(Proc& self, const EvenSortPlan& plan,
   }
   obs::Span sp(self, "even.redistribute");
   const std::size_t lo = i * plan.ni;  // this processor's final ranks
-  co_await detail::redistribute(self, plan.core, is_rep, j, column, plan.n,
+  co_await detail::redistribute(self, *plan.core, is_rep, j, column, plan.n,
                                 lo, lo + plan.ni, data);
 }
 
@@ -138,7 +152,7 @@ ColumnsortPairsResult run_pairs(const SimConfig& cfg,
 
   ColumnsortPairsResult result;
   result.columns = plan.kk;
-  result.column_len = plan.core.m;
+  result.column_len = plan.core->m;
   result.outputs.resize(cfg.p);
 
   Network net(cfg, sink);

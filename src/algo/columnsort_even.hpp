@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "algo/columnsort_core.hpp"
@@ -61,7 +62,9 @@ struct EvenSortPlan {
   std::size_t n = 0;
   std::size_t ni = 0;  ///< elements per processor
   bool redistribute = false;
-  detail::CorePlan core;
+  /// Shared with every plan of the same Columnsort shape
+  /// (detail::CorePlan::shared).
+  std::shared_ptr<const detail::CorePlan> core;
 
   /// Throws std::invalid_argument on infeasible parameters.
   static EvenSortPlan build(std::size_t p, std::size_t k, std::size_t ni,

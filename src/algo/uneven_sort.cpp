@@ -1,6 +1,7 @@
 #include "algo/uneven_sort.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <utility>
 
@@ -69,7 +70,7 @@ Formation plan_formation(const std::vector<std::size_t>& sizes,
 
 struct UnevenCtx {
   std::size_t k = 0;
-  detail::CorePlan plan;
+  std::shared_ptr<const detail::CorePlan> plan;
 };
 
 ProcMain uneven_program(Proc& self, const UnevenCtx& ctx,
@@ -124,9 +125,9 @@ ProcMain uneven_program(Proc& self, const UnevenCtx& ctx,
     ++kk;
   }
   MCB_CHECK(my_group != SIZE_MAX, "P" << i + 1 << " joined no group");
-  MCB_CHECK(kk == ctx.plan.kk,
-            "in-run group count " << kk << " != planned " << ctx.plan.kk);
-  const std::size_t m = ctx.plan.m;
+  MCB_CHECK(kk == ctx.plan->kk,
+            "in-run group count " << kk << " != planned " << ctx.plan->kk);
+  const std::size_t m = ctx.plan->m;
   const auto gch = static_cast<ChannelId>(my_group);
 
   // --- phase 0b: collect each group's elements at its representative ------
@@ -158,15 +159,15 @@ ProcMain uneven_program(Proc& self, const UnevenCtx& ctx,
   // --- phases 1-9 -----------------------------------------------------------
   if (i == 0) self.mark_phase("core:columnsort");
   if (is_rep) {
-    co_await detail::columnsort_phases(self, ctx.plan, my_group, column);
+    co_await detail::columnsort_phases(self, *ctx.plan, my_group, column);
   } else {
-    co_await detail::core_skip(self, ctx.plan);
+    co_await detail::core_skip(self, *ctx.plan);
   }
 
   // --- phase 10: redistribute ------------------------------------------------
   if (i == 0) self.mark_phase("phase10:redistribute");
   std::vector<KV> segment;
-  co_await detail::redistribute(self, ctx.plan, is_rep, my_group, column, n,
+  co_await detail::redistribute(self, *ctx.plan, is_rep, my_group, column, n,
                                 static_cast<std::size_t>(ps.before),
                                 static_cast<std::size_t>(ps.self), segment);
   output.clear();
@@ -196,7 +197,7 @@ UnevenSortResult uneven_sort(const SimConfig& cfg,
   const Formation f = plan_formation(sizes, cfg.k);
   UnevenCtx ctx;
   ctx.k = cfg.k;
-  ctx.plan = detail::CorePlan::build(f.m, f.kk);
+  ctx.plan = detail::CorePlan::shared(f.m, f.kk);
 
   UnevenSortResult result;
   result.groups = f.kk;

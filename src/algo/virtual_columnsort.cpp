@@ -1,6 +1,7 @@
 #include "algo/virtual_columnsort.hpp"
 
 #include <array>
+#include <memory>
 #include <utility>
 
 #include "algo/columnsort_core.hpp"
@@ -28,7 +29,7 @@ struct VCtx {
   std::size_t ni = 0;
   bool redistribute = false;
   LocalSort local_sort = LocalSort::kRankSort;
-  detail::CorePlan plan;
+  std::shared_ptr<const detail::CorePlan> plan;
   /// intra[t][c]: column c's intra moves for transform t, in src-row order.
   std::array<std::vector<std::vector<IntraMove>>, 4> intra;
   std::array<std::size_t, 4> intra_rounds{};  ///< max list length per t
@@ -46,8 +47,8 @@ std::size_t row_owner(const VCtx& ctx, std::size_t r) {
 Task<void> v_transform(Proc& self, const VCtx& ctx, std::size_t t,
                        std::size_t j, std::size_t idx,
                        std::vector<Word>& rows, Cycle idle = 0) {
-  const auto& table = ctx.plan.tables[t];
-  const std::size_t m = ctx.plan.m;
+  const auto& table = ctx.plan->tables[t];
+  const std::size_t m = ctx.plan->m;
   const std::size_t base = idx * ctx.ni;
   const auto jch = static_cast<ChannelId>(j);
 
@@ -75,10 +76,11 @@ Task<void> v_transform(Proc& self, const VCtx& ctx, std::size_t t,
   std::vector<std::size_t> ptr(ctx.kk, 0);
 
   // --- inter-column rounds --------------------------------------------------
-  for (const auto& round : ctx.plan.plans[t].rounds) {
+  const sched::TransferPlan& rounds = ctx.plan->plans[t];
+  for (std::size_t round = 0; round < rounds.cycles(); ++round) {
     std::optional<WriteOp> write;
     std::optional<ChannelId> read;
-    const auto dc = round.dst[j];
+    const auto dc = rounds.dst_of(round, j);
     if (dc != sched::kIdle) {
       const std::size_t r = queue[dc][ptr[dc]++];
       if (row_owner(ctx, r) == idx) {
@@ -87,7 +89,7 @@ Task<void> v_transform(Proc& self, const VCtx& ctx, std::size_t t,
                                          static_cast<Word>(dst % m))};
       }
     }
-    const auto sc = round.src[j];
+    const auto sc = rounds.src_of(round, j);
     if (sc != sched::kIdle) read = static_cast<ChannelId>(sc);
     auto aw = self.cycle_after(std::exchange(idle, 0), std::move(write), read);
     const Proc::ReadResult got = co_await aw;
@@ -147,7 +149,7 @@ ProcMain virtual_program(Proc& self, const VCtx& ctx,
   const std::size_t i = self.id();
   const std::size_t j = i / ctx.g;
   const std::size_t idx = i % ctx.g;
-  const std::size_t m = ctx.plan.m;
+  const std::size_t m = ctx.plan->m;
   const std::size_t base = idx * ctx.ni;
 
   // My slice of the virtual column; the last member also holds the padding.
@@ -240,13 +242,13 @@ ColumnsortEvenResult virtual_columnsort(
   ctx.g = cfg.p / ctx.kk;
   const std::size_t m = round_up(ctx.n / ctx.kk, ctx.kk);
   ctx.redistribute = m != ctx.g * ni;
-  ctx.plan = detail::CorePlan::build(m, ctx.kk);
+  ctx.plan = detail::CorePlan::shared(m, ctx.kk);
 
   // Intra-column move lists per transform.
   if (ctx.kk > 1) {
     for (std::size_t t = 0; t < 4; ++t) {
       ctx.intra[t].resize(ctx.kk);
-      const auto& table = ctx.plan.tables[t];
+      const auto& table = ctx.plan->tables[t];
       for (std::size_t c = 0; c < ctx.kk; ++c) {
         for (std::size_t r = 0; r < m; ++r) {
           const std::size_t dst = table[c * m + r];

@@ -60,17 +60,19 @@ void Network::resume_proc(ProcId id) {
   }
 }
 
-void Network::on_cycle_op(Proc& pr, Cycle idle) {
+void Network::on_cycle_op(Proc& pr, Cycle idle, bool beats_left) {
   const ProcId id = pr.id_;
   tab_.wake_cycle[id] = now_ + idle + 1;
   if (mode_ != Engine::kEventDriven) return;
   if (idle == 0) {
+    if (beats_left) tab_.deferred[id] = ProcTable::kBeatsLeft;
     sched_.add_active(id);
     sched_.schedule_wake(id, now_ + 1, now_);
   } else {
     // Sleep out the idle cycles first; the drain at now + idle turns the
     // held intent into an active one without resuming the processor.
-    tab_.deferred[id] = 1;
+    tab_.deferred[id] =
+        ProcTable::kIdleLeft | (beats_left ? ProcTable::kBeatsLeft : 0);
     sched_.schedule_wake(id, now_ + idle, now_);
   }
 }
@@ -327,9 +329,11 @@ void Network::run_event_loop() {
     // cycle, then resume every processor due at the new time, in processor
     // order (the drain is id-sorted; processors re-registering while it is
     // iterated wake strictly later and land in fresh buckets). A deferred
-    // processor has slept out the idle part of its cycle_after: it joins
-    // the new cycle's active list as if it had just resumed and called
-    // cycle(), so active list and next bucket stay id-sorted.
+    // processor has slept out the idle part of its cycle_after or
+    // burst_after, or finished a burst beat with more to come: it joins
+    // the new cycle's active list, with its next beat loaded, as if it had
+    // just resumed and called cycle(), so active list and next bucket stay
+    // id-sorted.
     for (ChannelId c : sched_.dirty()) {
       slot_written_[c] = 0;
     }
@@ -337,8 +341,12 @@ void Network::run_event_loop() {
     sched_.clear_active();
     ++now_;
     for (ProcId id : sched_.drain_due(now_)) {
-      if (tab_.deferred[id] != 0) {
-        tab_.deferred[id] = 0;
+      if (std::uint8_t& held = tab_.deferred[id]; held != 0) {
+        if ((held & ProcTable::kIdleLeft) != 0) {
+          held &= ProcTable::kBeatsLeft;
+        } else if (!tab_.next_beat(id)) {
+          held = 0;
+        }
         sched_.add_active(id);
         sched_.schedule_wake(id, now_ + 1, now_);
         continue;
@@ -392,10 +400,16 @@ void Network::run_reference_loop() {
     }
 
     // Step 3: the cycle completes; resume local computation of every
-    // processor due this cycle (in processor order, for determinism).
+    // processor due this cycle (in processor order, for determinism). A
+    // processor inside a burst with beats left loads its next beat instead.
     ++now_;
     for (ProcId id = 0; id < cfg_.p; ++id) {
       if (tab_.done[id] != 0 || tab_.wake_cycle[id] > now_) continue;
+      if (tab_.burst[id].next != tab_.burst[id].end) {
+        tab_.next_beat(id);
+        tab_.wake_cycle[id] = now_ + 1;
+        continue;
+      }
       clear_intents(id);
       resume_proc(id);
     }

@@ -106,13 +106,15 @@ class Network {
  private:
   friend class Proc;
   friend struct Proc::CycleAwaiter;
+  friend struct Proc::BurstAwaiter;
   friend struct Proc::SkipAwaiter;
   friend struct Proc::MultiReadAwaiter;
 
   // Suspension hooks called by the Proc awaiters. on_cycle_op: `pr` holds a
-  // channel intent for cycle now + idle and wakes in the cycle after it.
+  // channel intent for cycle now + idle and wakes in the cycle after it;
+  // with `beats_left`, a burst continues from that wake without a resume.
   // on_sleep: `pr` sleeps for t cycles with no channel activity.
-  void on_cycle_op(Proc& pr, Cycle idle);
+  void on_cycle_op(Proc& pr, Cycle idle, bool beats_left = false);
   void on_sleep(Proc& pr, Cycle t);
 
   void resume_proc(ProcId id);

@@ -34,6 +34,30 @@ Proc::CycleAwaiter Proc::cycle_after(Cycle idle, std::optional<WriteOp> write,
   return CycleAwaiter{*this, idle};
 }
 
+Proc::BurstAwaiter Proc::burst_after(Cycle idle, std::span<const Beat> beats,
+                                     std::span<ReadResult> got) {
+  MCB_REQUIRE(!beats.empty(), "P" << id_ + 1 << " bursting no beats");
+  bool reads = false;
+  for (const Beat& b : beats) {
+    MCB_REQUIRE(b.write == kNoChannel || b.write < k(),
+                "P" << id_ + 1 << " writing channel " << b.write << " of "
+                    << k());
+    MCB_REQUIRE(b.read == kNoChannel || b.read < k(),
+                "P" << id_ + 1 << " reading channel " << b.read << " of "
+                    << k());
+    reads = reads || b.read != kNoChannel;
+  }
+  MCB_REQUIRE(got.size() == beats.size() || (got.empty() && !reads),
+              "P" << id_ + 1 << " bursting " << beats.size() << " beats into "
+                  << got.size() << " read slots");
+  ProcTable& tab = net_->tab_;
+  tab.load_beat(id_, beats.front());
+  tab.burst[id_] = ProcTable::Burst{beats.data() + 1,
+                                    beats.data() + beats.size(),
+                                    got.empty() ? nullptr : got.data()};
+  return BurstAwaiter{*this, idle};
+}
+
 Proc::CycleAwaiter Proc::write(ChannelId ch, Message m) {
   return cycle(WriteOp{ch, std::move(m)}, std::nullopt);
 }
@@ -80,6 +104,20 @@ void Proc::CycleAwaiter::await_suspend(std::coroutine_handle<> h) noexcept {
 
 Proc::ReadResult Proc::CycleAwaiter::await_resume() const noexcept {
   return std::move(proc.net_->tab_.read_result[proc.id_]);
+}
+
+void Proc::BurstAwaiter::await_suspend(std::coroutine_handle<> h) noexcept {
+  ProcTable& tab = proc.net_->tab_;
+  tab.resume_point[proc.id_] = h;
+  const ProcTable::Burst& b = tab.burst[proc.id_];
+  proc.net_->on_cycle_op(proc, idle, b.next != b.end);
+}
+
+void Proc::BurstAwaiter::await_resume() const noexcept {
+  ProcTable& tab = proc.net_->tab_;
+  ProcTable::Burst& b = tab.burst[proc.id_];
+  if (b.got != nullptr) *b.got = std::move(tab.read_result[proc.id_]);
+  b.got = nullptr;
 }
 
 void Proc::SkipAwaiter::await_suspend(std::coroutine_handle<> h) noexcept {

@@ -5,8 +5,11 @@
 #include <coroutine>
 #include <cstddef>
 #include <optional>
+#include <ranges>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "mcb/coro.hpp"
@@ -21,6 +24,15 @@ class Network;
 struct WriteOp {
   ChannelId channel = 0;
   Message msg;
+};
+
+/// One cycle of a Proc::burst_after: write `msg` on channel `write` and/or
+/// read channel `read`; kNoChannel leaves that half out (a beat with
+/// neither is an idle cycle).
+struct Beat {
+  Message msg;
+  ChannelId write = kNoChannel;
+  ChannelId read = kNoChannel;
 };
 
 class Proc {
@@ -52,6 +64,26 @@ class Proc {
   /// turn by counting cycles and then act, so this is their common step.
   CycleAwaiter cycle_after(Cycle idle, std::optional<WriteOp> write,
                            std::optional<ChannelId> read);
+
+  /// A fixed run of channel actions in one suspension: observably identical
+  /// to cycle_after(idle, beat 0) followed by cycle_after(0, beat j) for
+  /// each later beat. The engine applies beat j in cycle now() + idle + j
+  /// and stores its read in got[j] without resuming the processor; the
+  /// processor resumes after the last beat. `beats` and `got` must stay
+  /// alive until then. Every beat is validated here: channels must be < k,
+  /// and `got` must hold one slot per beat, or be empty when no beat reads.
+  /// Use it for windows whose actions are known up front (Columnsort's
+  /// gather, transformations and redistribution); a single action stays on
+  /// cycle_after.
+  struct BurstAwaiter;
+  BurstAwaiter burst_after(Cycle idle, std::span<const Beat> beats,
+                           std::span<ReadResult> got);
+  /// A temporary container would die before the burst runs.
+  template <typename Beats>
+    requires(!std::is_lvalue_reference_v<Beats> &&
+             !std::ranges::borrowed_range<Beats>)
+  BurstAwaiter burst_after(Cycle idle, Beats&& beats,
+                           std::span<ReadResult> got) = delete;
 
   CycleAwaiter write(ChannelId ch, Message m);
   CycleAwaiter read(ChannelId ch);
@@ -95,6 +127,14 @@ class Proc {
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) noexcept;
     ReadResult await_resume() const noexcept;
+  };
+
+  struct BurstAwaiter {
+    Proc& proc;
+    Cycle idle;  ///< cycles slept before beat 0
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) noexcept;
+    void await_resume() const noexcept;  ///< stores the last beat's read
   };
 
   struct SkipAwaiter {

@@ -37,10 +37,25 @@ struct ProcTable {
   std::vector<Cycle> wake_cycle;
   /// Program completed (one byte per flag, not a packed vector<bool>).
   std::vector<std::uint8_t> done;
-  /// Event engine: the processor sleeps out the idle part of a
-  /// Proc::cycle_after and holds its channel intent for the cycle after the
-  /// wake; the drain makes it active for that cycle instead of resuming it.
+  /// Event engine: why the next drain must not resume the processor, as
+  /// bits. kIdleLeft: it sleeps out the idle part of a Proc::cycle_after or
+  /// burst_after and holds its channel intent for the cycle after the
+  /// wake. kBeatsLeft: a burst has beats after the one in flight (or, with
+  /// kIdleLeft, after beat 0). The drain makes it active for the next
+  /// cycle instead of resuming it.
   std::vector<std::uint8_t> deferred;
+  static constexpr std::uint8_t kIdleLeft = 1;
+  static constexpr std::uint8_t kBeatsLeft = 2;
+
+  /// Cursor of a Proc::burst_after in flight: the beats not yet loaded and
+  /// the read slot of the beat in flight (null when the burst keeps no
+  /// reads). Idle (next == end) outside a burst.
+  struct Burst {
+    const Beat* next = nullptr;
+    const Beat* end = nullptr;
+    Proc::ReadResult* got = nullptr;
+  };
+  std::vector<Burst> burst;
 
   // Per-cycle channel intents and results.
   std::vector<std::optional<WriteOp>> pending_write;
@@ -58,6 +73,7 @@ struct ProcTable {
     wake_cycle.assign(p, 0);
     done.assign(p, 0);
     deferred.assign(p, 0);
+    burst.assign(p, Burst{});
     pending_write.resize(p);
     pending_read.resize(p);
     pending_read_all.assign(p, 0);
@@ -76,6 +92,7 @@ struct ProcTable {
     std::fill(wake_cycle.begin(), wake_cycle.end(), Cycle{0});
     std::fill(done.begin(), done.end(), std::uint8_t{0});
     std::fill(deferred.begin(), deferred.end(), std::uint8_t{0});
+    std::fill(burst.begin(), burst.end(), Burst{});
     for (auto& w : pending_write) w.reset();
     for (auto& r : pending_read) r.reset();
     std::fill(pending_read_all.begin(), pending_read_all.end(),
@@ -83,6 +100,29 @@ struct ProcTable {
     for (auto& r : read_result) r.reset();
     for (auto& v : read_all_results) v.clear();
     std::fill(peak_aux_words.begin(), peak_aux_words.end(), std::size_t{0});
+  }
+
+  /// Makes `b` processor i's channel intent.
+  void load_beat(std::size_t i, const Beat& b) {
+    if (b.write != kNoChannel) {
+      pending_write[i] = WriteOp{b.write, b.msg};
+    } else {
+      pending_write[i].reset();
+    }
+    if (b.read != kNoChannel) {
+      pending_read[i] = b.read;
+    } else {
+      pending_read[i].reset();
+    }
+  }
+
+  /// Ends burst beat j of processor i: keeps its read in got[j] and loads
+  /// beat j + 1. Returns whether beats remain after that one.
+  bool next_beat(std::size_t i) {
+    Burst& b = burst[i];
+    if (b.got != nullptr) *b.got++ = std::move(read_result[i]);
+    load_beat(i, *b.next++);
+    return b.next != b.end;
   }
 };
 

@@ -18,4 +18,7 @@ using ChannelId = std::uint32_t;
 /// Cycle counter.
 using Cycle = std::uint64_t;
 
+/// "No channel": a Beat that does not write, or does not read.
+inline constexpr ChannelId kNoChannel = ~ChannelId{0};
+
 }  // namespace mcb

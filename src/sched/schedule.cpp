@@ -6,10 +6,8 @@ namespace mcb::sched {
 
 std::uint64_t TransferPlan::messages() const {
   std::uint64_t total = 0;
-  for (const auto& round : rounds) {
-    for (auto d : round.dst) {
-      if (d != kIdle) ++total;
-    }
+  for (auto d : dst) {
+    if (d != kIdle) ++total;
   }
   return total;
 }
@@ -49,25 +47,38 @@ TransferPlan plan_transform(Transform t, std::size_t m, std::size_t k,
   // the rest are padding (idle). Senders and receivers replay the same
   // deterministic assignment.
   CountMatrix real_left = counts;
-  for (const auto& term : birkhoff_decompose(padded)) {
+  const auto terms = birkhoff_decompose(padded);
+  std::size_t max_rounds = 0;
+  for (const auto& term : terms) max_rounds += term.count;
+  plan.dst.reserve(max_rounds * k);
+  plan.src.reserve(max_rounds * k);
+  for (const auto& term : terms) {
     for (std::uint64_t rep = 0; rep < term.count; ++rep) {
-      Round round;
-      round.dst.assign(k, kIdle);
-      round.src.assign(k, kIdle);
+      // Open the round at the end of the flat arrays; drop it again if it
+      // turns out to be all padding.
+      const std::size_t base = plan.dst.size();
+      plan.dst.resize(base + k, kIdle);
+      plan.src.resize(base + k, kIdle);
       bool any = false;
       for (std::size_t c = 0; c < k; ++c) {
         const std::uint32_t cd = term.perm[c];
         if (cd == c) continue;  // self-edges only arise as padding
         if (real_left[c][cd] > 0) {
           --real_left[c][cd];
-          round.dst[c] = cd;
-          round.src[cd] = static_cast<std::uint32_t>(c);
+          plan.dst[base + c] = cd;
+          plan.src[base + cd] = static_cast<std::uint32_t>(c);
           any = true;
         }
       }
-      if (any) plan.rounds.push_back(std::move(round));
+      if (!any) {
+        plan.dst.resize(base);
+        plan.src.resize(base);
+      }
     }
   }
+  // Rounds that carried only padding were dropped.
+  plan.dst.shrink_to_fit();
+  plan.src.shrink_to_fit();
   // Every real transfer must be scheduled.
   for (std::size_t c = 0; c < k; ++c) {
     for (std::size_t cd = 0; cd < k; ++cd) {
@@ -90,20 +101,23 @@ bool plan_is_valid(const TransferPlan& plan,
     if (c != cd) ++want[c][cd];
   }
   CountMatrix got(k, std::vector<std::uint64_t>(k, 0));
-  for (const auto& round : plan.rounds) {
-    if (round.dst.size() != k || round.src.size() != k) return false;
+  if (plan.dst.size() != plan.src.size() || plan.dst.size() % k != 0) {
+    return false;
+  }
+  for (std::size_t r = 0; r < plan.cycles(); ++r) {
     std::vector<bool> dst_used(k, false);
     for (std::size_t c = 0; c < k; ++c) {
-      const auto d = round.dst[c];
+      const auto d = plan.dst_of(r, c);
       if (d == kIdle) continue;
       if (d >= k || d == c) return false;
       if (dst_used[d]) return false;  // two senders to one receiver
       dst_used[d] = true;
-      if (round.src[d] != c) return false;  // src must invert dst
+      if (plan.src_of(r, d) != c) return false;  // src must invert dst
       ++got[c][d];
     }
     for (std::size_t cd = 0; cd < k; ++cd) {
-      if (round.src[cd] != kIdle && round.dst[round.src[cd]] != cd) {
+      const auto sc = plan.src_of(r, cd);
+      if (sc != kIdle && (sc >= k || plan.dst_of(r, sc) != cd)) {
         return false;
       }
     }

@@ -25,22 +25,26 @@ namespace mcb::sched {
 /// Sentinel for "no send / no receive this round".
 inline constexpr std::uint32_t kIdle = std::numeric_limits<std::uint32_t>::max();
 
-struct Round {
-  /// dst[c]: destination column of column c's broadcast this round, or
-  /// kIdle. dst[c] != c always (intra-column moves are local, not sent).
-  std::vector<std::uint32_t> dst;
-  /// src[c']: which column broadcasts to c' this round, or kIdle. Inverse
-  /// view of dst, precomputed for receivers.
-  std::vector<std::uint32_t> src;
-};
-
+/// The rounds are stored flat, round-major: entry r * k + c belongs to
+/// round r and column c.
 struct TransferPlan {
   Transform transform{};
   std::size_t m = 0;
   std::size_t k = 0;
-  std::vector<Round> rounds;
+  /// dst[r * k + c]: destination column of column c's broadcast in round
+  /// r, or kIdle. Never c itself (intra-column moves are local, not sent).
+  std::vector<std::uint32_t> dst;
+  /// src[r * k + c']: which column broadcasts to c' in round r, or kIdle.
+  /// Inverse view of dst, precomputed for receivers.
+  std::vector<std::uint32_t> src;
 
-  std::size_t cycles() const { return rounds.size(); }
+  std::size_t cycles() const { return k == 0 ? 0 : dst.size() / k; }
+  std::uint32_t dst_of(std::size_t round, std::size_t c) const {
+    return dst[round * k + c];
+  }
+  std::uint32_t src_of(std::size_t round, std::size_t c) const {
+    return src[round * k + c];
+  }
   /// Total broadcasts the plan performs (= cross-column element moves).
   std::uint64_t messages() const;
 };

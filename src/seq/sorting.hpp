@@ -156,6 +156,61 @@ void intro_sort(std::span<T> v, Cmp cmp = {}) {
   detail::intro_rec(v, depth, cmp);
 }
 
+/// Sorts v by merging its maximal runs (stretches already in cmp order)
+/// when they are few, and by intro_sort when the average run is shorter
+/// than kMinRunMean elements. Input that arrives as a handful of sorted
+/// runs — a Columnsort column after a matrix transformation holds about
+/// one per source column — then costs one scan plus O(n log runs) moves.
+/// Allocates an n-element buffer when it merges; stable then.
+template <typename T, typename Cmp = std::less<T>>
+void sort_by_runs(std::span<T> v, Cmp cmp = {}) {
+  constexpr std::size_t kMinRunMean = 8;
+  const std::size_t n = v.size();
+  // bounds: start of every run, then n.
+  std::vector<std::size_t> bounds{0};
+  for (std::size_t i = 1; i < n; ++i) {
+    if (!cmp(v[i], v[i - 1])) continue;
+    bounds.push_back(i);
+    if (bounds.size() * kMinRunMean > n) {
+      intro_sort(v, cmp);
+      return;
+    }
+  }
+  if (bounds.size() == 1) return;  // one run: already sorted
+  bounds.push_back(n);
+  std::vector<T> buf(n);
+  T* src = v.data();
+  T* dst = buf.data();
+  // Each pass merges neighbouring run pairs from src into dst, halving the
+  // run count; an odd last run is copied across.
+  while (bounds.size() > 2) {
+    std::size_t out = 0;
+    std::size_t r = 0;
+    for (; r + 2 < bounds.size(); r += 2) {
+      std::size_t a = bounds[r], b = bounds[r + 1], o = bounds[r];
+      const std::size_t mid = bounds[r + 1], hi = bounds[r + 2];
+      while (a < mid && b < hi) {
+        // !cmp(src[b], src[a]) keeps equal elements from the left: stable.
+        dst[o++] = !cmp(src[b], src[a]) ? std::move(src[a++])
+                                        : std::move(src[b++]);
+      }
+      while (a < mid) dst[o++] = std::move(src[a++]);
+      while (b < hi) dst[o++] = std::move(src[b++]);
+      bounds[out++] = bounds[r];
+    }
+    if (r + 1 < bounds.size()) {
+      for (std::size_t i = bounds[r]; i < n; ++i) dst[i] = std::move(src[i]);
+      bounds[out++] = bounds[r];
+    }
+    bounds[out++] = n;
+    bounds.resize(out);
+    std::swap(src, dst);
+  }
+  if (src != v.data()) {
+    for (std::size_t i = 0; i < n; ++i) v[i] = std::move(src[i]);
+  }
+}
+
 // --- Word conveniences in the paper's (descending) convention --------------
 
 void sort_descending(std::span<Word> v);

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
+#include <thread>
 
 #include "algo/columnsort_core.hpp"
 #include "algo/columnsort_even.hpp"
@@ -41,6 +43,31 @@ TEST(CorePlanTest, InvalidDimensionsRejected) {
   EXPECT_THROW(detail::CorePlan::build(9, 2), std::invalid_argument);
 }
 
+TEST(CorePlanTest, SharedOncePerShapeKeepingTheLastBuilt) {
+  auto a = detail::CorePlan::shared(12, 4);
+  EXPECT_EQ(detail::CorePlan::shared(12, 4).get(), a.get());
+  EXPECT_EQ(a->m, 12u);
+  EXPECT_EQ(a->kk, 4u);
+  // Concurrent callers of one shape get one plan.
+  std::vector<std::shared_ptr<const detail::CorePlan>> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    threads.emplace_back(
+        [&got, i] { got[i] = detail::CorePlan::shared(64, 8); });
+  }
+  for (auto& th : threads) th.join();
+  for (const auto& g : got) EXPECT_EQ(g.get(), got[0].get());
+  EXPECT_NE(got[0].get(), a.get());
+  // Once unheld, only the most recently built plan (64 x 8) is kept.
+  const std::weak_ptr<const detail::CorePlan> older = a;
+  const std::weak_ptr<const detail::CorePlan> newest = got[0];
+  a.reset();
+  got.clear();
+  EXPECT_TRUE(older.expired());
+  EXPECT_FALSE(newest.expired());
+  EXPECT_EQ(detail::CorePlan::shared(64, 8).get(), newest.lock().get());
+}
+
 TEST(CorePlanTest, SortColumnDescOrdersByKeyThenValue) {
   std::vector<KV> col{{3, 1}, {5, 0}, {3, 9}, {5, 2}, {-1, 7}};
   detail::sort_column_desc(col);
@@ -54,7 +81,7 @@ TEST(EvenSortPlanTest, FieldConsistency) {
   EXPECT_EQ(plan.n, 512u);
   EXPECT_EQ(plan.kk, 4u);
   EXPECT_EQ(plan.g, 4u);
-  EXPECT_EQ(plan.core.m, 128u);
+  EXPECT_EQ(plan.core->m, 128u);
   EXPECT_TRUE(plan.redistribute);  // g > 1
 
   // p == kk and kk | ni: no redistribution needed.

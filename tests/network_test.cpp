@@ -3,9 +3,11 @@
 // accounting, task composition and error propagation.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -339,6 +341,252 @@ TEST(NetworkTest, ResetAfterAbortWithDeferredOpsRerunsIdentically) {
     EXPECT_EQ(fresh.stats.proc_resumes, again.stats.proc_resumes) << label;
   }
 }
+
+// --- burst_after: a fixed run of channel actions in one suspension --------
+
+// Leading idles of the bursts, straddling the wake wheel's boundaries.
+constexpr Cycle kBurstIdles[] = {0, 1, 63, 64, 65, 4097};
+constexpr std::size_t kBurstSteps = std::size(kBurstIdles);
+
+/// Beats of processor i's step s: 1..4 of them. Processors 0..3 move in
+/// lockstep, each writing its own channel and reading its neighbour's in
+/// every beat; processors 4..7 walk rotated and mix write-only, read-only
+/// and idle beats, so they land between and on the lockstep cycles.
+std::vector<Beat> walker_beats(ProcId i, std::size_t s) {
+  const bool lockstep = i < 4;
+  std::vector<Beat> beats(1 + (s + (lockstep ? 0 : i)) % 4);
+  for (std::size_t j = 0; j < beats.size(); ++j) {
+    Beat& b = beats[j];
+    const std::size_t phase = s + j;
+    if (!lockstep && phase % 3 == 2) continue;  // an idle beat
+    if (lockstep || phase % 2 == 0) {
+      b.msg = Message::of(i * 1000 + s * 10 + j);
+      b.write = i;
+    }
+    if (lockstep || phase % 2 == 1) {
+      b.read = lockstep ? (i + 1) % 4 : (i + 1) % kWalkers;
+    }
+  }
+  return beats;
+}
+
+/// Beats saved as resumes when every step is one burst.
+std::uint64_t walker_extra_beats() {
+  std::uint64_t extra = 0;
+  for (ProcId i = 0; i < kWalkers; ++i) {
+    for (std::size_t s = 0; s < kBurstSteps; ++s) {
+      extra += walker_beats(i, s).size() - 1;
+    }
+  }
+  return extra;
+}
+
+/// Walks processor i's steps as one burst_after each, or as cycle_after
+/// per beat. Reads are logged with the cycle they completed in.
+ProcMain burst_walker(Proc& self, bool burst, Heard& heard) {
+  const ProcId i = self.id();
+  const std::size_t rot = i < 4 ? 0 : i - 3;
+  for (std::size_t s = 0; s < kBurstSteps; ++s) {
+    const Cycle idle = kBurstIdles[(s + rot) % kBurstSteps];
+    const std::vector<Beat> beats = walker_beats(i, s);
+    std::vector<Proc::ReadResult> got(beats.size());
+    if (burst) {
+      co_await self.burst_after(idle, beats, got);
+    } else {
+      for (std::size_t j = 0; j < beats.size(); ++j) {
+        const Beat& b = beats[j];
+        std::optional<WriteOp> w;
+        std::optional<ChannelId> r;
+        if (b.write != kNoChannel) w = WriteOp{b.write, b.msg};
+        if (b.read != kNoChannel) r = b.read;
+        got[j] = co_await self.cycle_after(j == 0 ? idle : 0, w, r);
+      }
+    }
+    for (std::size_t j = 0; j < got.size(); ++j) {
+      if (got[j]) {
+        heard.emplace_back(self.now() - (got.size() - 1 - j), got[j]->at(0));
+      }
+    }
+  }
+}
+
+Observed run_burst_walkers(Engine engine, bool burst) {
+  Observed out;
+  out.heard.resize(kWalkers);
+  EventLog log;
+  Network net({.p = kWalkers, .k = kWalkers, .engine = engine}, &log);
+  for (ProcId i = 0; i < kWalkers; ++i) {
+    net.install(i, burst_walker(net.proc(i), burst, out.heard[i]));
+  }
+  out.stats = net.run();
+  out.events = std::move(log.events);
+  return out;
+}
+
+TEST(NetworkTest, BurstMatchesCycleAfterPerBeat) {
+  for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
+    const std::string label =
+        e == Engine::kReference ? "reference" : "event";
+    const Observed split = run_burst_walkers(e, false);
+    const Observed burst = run_burst_walkers(e, true);
+    expect_same_observation(split, burst, label);
+    // One suspension per burst: every beat after the first saves a resume.
+    EXPECT_EQ(split.stats.proc_resumes - burst.stats.proc_resumes,
+              walker_extra_beats())
+        << label;
+    EXPECT_GT(burst.stats.messages, 0u) << label;
+    std::size_t heard = 0;
+    for (const Heard& h : burst.heard) heard += h.size();
+    EXPECT_GT(heard, 0u) << label;
+  }
+  const Observed ev = run_burst_walkers(Engine::kEventDriven, true);
+  const Observed ref = run_burst_walkers(Engine::kReference, true);
+  expect_same_observation(ev, ref, "event vs reference");
+  EXPECT_EQ(ev.stats.proc_resumes, ref.stats.proc_resumes);
+}
+
+/// Writes channel 0 in cycle `at` as beat 3 of a burst starting at cycle
+/// at - 3 (reading channel 0 in the other beats), or with a cycle_after.
+ProcMain burst_writer(Proc& self, Cycle at, bool burst) {
+  const Message m = Message::of(self.id());
+  if (burst) {
+    std::vector<Beat> beats(5, Beat{.msg = {}, .read = 0});
+    beats[3] = Beat{.msg = m, .write = 0};
+    std::vector<Proc::ReadResult> got(beats.size());
+    co_await self.burst_after(at - 3, beats, got);
+  } else {
+    co_await self.cycle_after(at, WriteOp{0, m}, std::nullopt);
+  }
+}
+
+TEST(NetworkTest, CollisionInsideBurstThrowsTheSameError) {
+  // P1 and P2 both write channel 0 in cycle 70 (past the wheel's first
+  // level), from inside bursts or not; P0 listens there in a burst.
+  for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
+    for (int mix = 0; mix < 4; ++mix) {
+      Network net({.p = 3, .k = 1, .engine = e});
+      auto reader = [](Proc& self) -> ProcMain {
+        std::vector<Beat> beats(4, Beat{.msg = {}, .read = 0});
+        std::vector<Proc::ReadResult> got(beats.size());
+        co_await self.burst_after(68, beats, got);
+      };
+      net.install(0, reader(net.proc(0)));
+      net.install(1, burst_writer(net.proc(1), 70, (mix & 1) != 0));
+      net.install(2, burst_writer(net.proc(2), 70, (mix & 2) != 0));
+      try {
+        net.run();
+        FAIL() << "expected CollisionError, mix " << mix;
+      } catch (const CollisionError& err) {
+        EXPECT_EQ(err.cycle(), 70u) << "mix " << mix;
+        EXPECT_EQ(err.channel(), 0u) << "mix " << mix;
+        EXPECT_EQ(err.first_writer(), 1u) << "mix " << mix;
+        EXPECT_EQ(err.second_writer(), 2u) << "mix " << mix;
+      }
+    }
+  }
+}
+
+TEST(NetworkTest, ResetAfterAbortMidBurstRerunsIdentically) {
+  for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
+    const std::string label =
+        e == Engine::kReference ? "reference" : "event";
+    EventLog log;
+    Network net({.p = kWalkers, .k = kWalkers, .engine = e}, &log);
+    // P0 and P1 collide on channel 0 in cycle 70 while the walkers are
+    // inside bursts or sleeping out their leading idles.
+    std::vector<Heard> scratch(kWalkers);
+    for (ProcId i = 0; i < kWalkers; ++i) {
+      net.install(i, i < 2 ? burst_writer(net.proc(i), 70, true)
+                           : burst_walker(net.proc(i), true, scratch[i]));
+    }
+    EXPECT_THROW(net.run(), CollisionError) << label;
+    net.reset();
+    log.events.clear();
+    // The rerun starts with plain cycle_afters, which a stale burst cursor
+    // would hijack.
+    Observed again;
+    again.heard.resize(kWalkers);
+    for (ProcId i = 0; i < kWalkers; ++i) {
+      net.install(i, burst_walker(net.proc(i), false, again.heard[i]));
+    }
+    again.stats = net.run();
+    again.events = std::move(log.events);
+    const Observed fresh = run_burst_walkers(e, false);
+    expect_same_observation(fresh, again, label);
+    EXPECT_EQ(fresh.stats.proc_resumes, again.stats.proc_resumes) << label;
+  }
+}
+
+TEST(NetworkTest, WriteOnlyBurstNeedsNoReadSlots) {
+  for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
+    Network net({.p = 2, .k = 2, .engine = e});
+    std::vector<Word> heard;
+    auto writer = [](Proc& self) -> ProcMain {
+      std::vector<Beat> beats(3);
+      for (std::size_t j = 0; j < beats.size(); ++j) {
+        beats[j] = Beat{.msg = Message::of(static_cast<Word>(10 + j)),
+                        .write = 1};
+      }
+      co_await self.burst_after(2, beats, {});
+    };
+    auto reader = [](Proc& self, std::vector<Word>& out) -> ProcMain {
+      for (int t = 0; t < 5; ++t) {
+        auto got = co_await self.read(1);
+        out.push_back(got ? got->at(0) : -1);
+      }
+    };
+    net.install(0, writer(net.proc(0)));
+    net.install(1, reader(net.proc(1), heard));
+    const RunStats stats = net.run();
+    EXPECT_EQ(heard, (std::vector<Word>{-1, -1, 10, 11, 12}));
+    EXPECT_EQ(stats.messages, 3u);
+    EXPECT_EQ(stats.cycles, 5u);
+  }
+}
+
+std::string invalid_argument_message(const std::function<void()>& f);
+
+std::string burst_error(std::vector<Beat> beats, std::size_t slots) {
+  Network net({.p = 2, .k = 2});
+  auto prog = [](Proc& self, std::vector<Beat> bs,
+                 std::size_t n) -> ProcMain {
+    std::vector<Proc::ReadResult> got(n);
+    co_await self.burst_after(0, bs, got);
+  };
+  net.install(0, prog(net.proc(0), std::move(beats), slots));
+  net.install(1, idle_program(net.proc(1), 1));
+  return invalid_argument_message([&] { net.run(); });
+}
+
+TEST(NetworkTest, BurstValidatesEveryBeatUpFront) {
+  const Beat ok{.msg = Message::of(1), .write = 0, .read = 1};
+  EXPECT_NE(burst_error({}, 0).find("bursting no beats"), std::string::npos);
+  const Beat bad_write{.msg = {}, .write = 2};
+  const Beat bad_read{.msg = {}, .read = 5};
+  EXPECT_NE(burst_error({ok, bad_write}, 2).find("writing channel 2"),
+            std::string::npos);
+  EXPECT_NE(burst_error({ok, ok, bad_read}, 3).find("reading channel 5"),
+            std::string::npos);
+  // Reads need one slot per beat.
+  EXPECT_NE(burst_error({ok, ok}, 0).find("into 0 read slots"),
+            std::string::npos);
+  EXPECT_NE(burst_error({ok, ok}, 1).find("into 1 read slots"),
+            std::string::npos);
+  EXPECT_EQ(burst_error({ok, ok}, 2), "no std::invalid_argument thrown");
+}
+
+// A temporary container would be gone before the burst runs, so passing one
+// must not compile.
+template <typename Beats>
+constexpr bool kBurstAccepts =
+    requires(Proc& self, std::span<Proc::ReadResult> got) {
+      self.burst_after(0, std::declval<Beats>(), got);
+    };
+static_assert(!kBurstAccepts<std::vector<Beat>>);
+static_assert(!kBurstAccepts<std::array<Beat, 2>>);
+static_assert(kBurstAccepts<std::vector<Beat>&>);
+static_assert(kBurstAccepts<const std::vector<Beat>&>);
+static_assert(kBurstAccepts<std::span<const Beat>>);
 
 TEST(NetworkTest, PerProcAndPerChannelMessageCounts) {
   Network net({.p = 3, .k = 2});

@@ -273,5 +273,49 @@ TEST(SchedulerEquivalence, SkipHeavyHandRolledProtocol) {
   expect_engines_agree({.p = 32, .k = 8}, go, "skip-heavy");
 }
 
+TEST(SchedulerEquivalence, BurstHeavyHandRolledProtocol) {
+  // Bursts (Proc::burst_after) of 1..40 beats behind leading idles that
+  // straddle the wake wheel's level boundaries, mixed with fused and plain
+  // single actions. Writer w owns channel w % k for its whole burst; every
+  // reader bursts over the windows of two writers, so beats land on busy,
+  // silent and freshly written channels alike, and bursts run concurrently
+  // with deferred wakes and plain sleeps in the same drains.
+  static constexpr Cycle kGaps[] = {0, 1, 63, 64, 65, 4095, 4097, 262145};
+  auto go = [](const SimConfig& cfg) {
+    Network net(cfg);
+    auto prog = [](Proc& self) -> ProcMain {
+      const ProcId i = self.id();
+      const std::size_t k = self.k();
+      const Cycle gap = kGaps[i % std::size(kGaps)];
+      if (i == 0) self.mark_phase("bursts");
+      std::vector<Beat> beats(1 + (7 * i) % 40);
+      std::vector<Proc::ReadResult> got(beats.size());
+      if (i < k) {
+        // Writer: its own channel every other beat, idle beats between.
+        for (std::size_t j = 0; j < beats.size(); j += 2) {
+          beats[j] = Beat{.msg = Message::of(static_cast<Word>(i * 100 + j)),
+                          .write = static_cast<ChannelId>(i)};
+        }
+        co_await self.burst_after(gap, beats, {});
+      } else {
+        for (std::size_t j = 0; j < beats.size(); ++j) {
+          beats[j].read = static_cast<ChannelId>((i + j / 8) % k);
+        }
+        co_await self.burst_after(gap, beats, got);
+      }
+      if (i == 0) self.mark_phase("tail");
+      // A fused read and a plain skip after the burst.
+      Word sum = 0;
+      for (const auto& g : got) sum += g ? g->at(0) : 0;
+      co_await self.cycle_after(static_cast<Cycle>(sum % 17), std::nullopt,
+                                static_cast<ChannelId>(i % k));
+      co_await self.skip(3 * (i % 5) + 1);
+    };
+    for (ProcId i = 0; i < cfg.p; ++i) net.install(i, prog(net.proc(i)));
+    return net.run();
+  };
+  expect_engines_agree({.p = 40, .k = 8}, go, "burst-heavy");
+}
+
 }  // namespace
 }  // namespace mcb

@@ -66,7 +66,8 @@ INSTANTIATE_TEST_SUITE_P(
         SortCase{"insertion", &insertion_sort<Word, std::greater<Word>>},
         SortCase{"heap", &heap_sort<Word, std::greater<Word>>},
         SortCase{"merge", &merge_sort<Word, std::greater<Word>>},
-        SortCase{"intro", &intro_sort<Word, std::greater<Word>>}),
+        SortCase{"intro", &intro_sort<Word, std::greater<Word>>},
+        SortCase{"runs", &sort_by_runs<Word, std::greater<Word>>}),
     [](const auto& pinfo) { return pinfo.param.name; });
 
 TEST(SortingTest, AscendingHelper) {
@@ -114,6 +115,68 @@ TEST(SortingTest, MergeSortIsStable) {
   merge_sort(std::span<P>(v), [](const P& a, const P& b) {
     return a.key < b.key;
   });
+  EXPECT_EQ(v, expect);
+}
+
+/// `runs` sorted runs of random lengths (some empty) drawn from [lo, hi],
+/// concatenated: the shape of a Columnsort column after a transformation.
+std::vector<Word> sorted_runs(std::size_t runs, std::size_t max_len,
+                              std::int64_t lo, std::int64_t hi,
+                              std::uint64_t seed) {
+  util::Xoshiro256StarStar rng(seed);
+  std::vector<Word> v;
+  for (std::size_t r = 0; r < runs; ++r) {
+    const auto len = static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(max_len)));
+    std::vector<Word> run(len);
+    for (auto& x : run) x = rng.uniform(lo, hi);
+    std::sort(run.begin(), run.end(), std::greater<Word>{});
+    v.insert(v.end(), run.begin(), run.end());
+  }
+  return v;
+}
+
+TEST(SortingTest, SortByRunsMatchesOracleOnFewSortedRuns) {
+  // Wide values, heavy duplicates, and all-equal columns; run counts on
+  // both sides of the merge / introsort cut-over.
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {-1000000, 1000000}, {0, 3}, {7, 7}};
+  std::size_t cases = 0;
+  for (const auto& [lo, hi] : ranges) {
+    for (std::size_t runs : {1u, 2u, 3u, 5u, 8u, 17u, 33u, 40u}) {
+      for (std::size_t max_len : {1u, 4u, 9u, 64u, 300u}) {
+        for (std::uint64_t seed = 0; seed < 3; ++seed) {
+          auto v = sorted_runs(runs, max_len, lo, hi,
+                               seed * 1009 + runs * 31 + max_len);
+          auto expect = v;
+          std::sort(expect.begin(), expect.end(), std::greater<Word>{});
+          sort_by_runs(std::span<Word>(v), std::greater<Word>{});
+          EXPECT_EQ(v, expect) << "runs=" << runs << " max_len=" << max_len
+                               << " range=[" << lo << "," << hi << "]";
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 3u * 8u * 5u * 3u);
+}
+
+TEST(SortingTest, SortByRunsMergesStably) {
+  // A few long runs take the merge path, which keeps equal keys in input
+  // order.
+  struct P {
+    int key;
+    int tag;
+    bool operator==(const P&) const = default;
+  };
+  std::vector<P> v;
+  for (int run = 0; run < 5; ++run) {
+    for (int i = 0; i < 60; ++i) v.push_back({i / 7, run * 100 + i});
+  }
+  auto expect = v;
+  const auto by_key = [](const P& a, const P& b) { return a.key < b.key; };
+  std::stable_sort(expect.begin(), expect.end(), by_key);
+  sort_by_runs(std::span<P>(v), by_key);
   EXPECT_EQ(v, expect);
 }
 

@@ -21,6 +21,10 @@
 # until-fail:20, in parallel), so a host-shape race cannot hide behind a
 # single lucky pass.
 #
+# Each suite leg also cmp's the event and reference engines on a dense
+# columnsort (the trace event stream, and the stripped JSON of the checked
+# p=1024, k=32 dense sort), where nearly every cycle is a burst beat.
+#
 # Each suite leg also smokes the telemetry layer end-to-end: --obs runs
 # (span reconciliation is a hard failure), a --trace-out export, and the
 # `mcbsim report` determinism contract (byte-identical output across
@@ -130,6 +134,25 @@ run_preset() {
     --batch 8 --seed 7 --engine reference --json \
     > "$builddir/serve_reference.json"
   cmp "$builddir/serve_event.json" "$builddir/serve_reference.json"
+  # Burst smoke: Columnsort's gather, transformations and redistribution
+  # run as multi-cycle bursts (Proc::burst_after), which the event engine
+  # advances in its drain and the reference engine in its resume scan. A
+  # dense columnsort must print the same cycle-by-cycle event stream under
+  # both, and the checked p=1024, k=32 dense sort the same model output,
+  # proc_resumes included, once the engine's own name is blanked.
+  echo "=== [$preset] burst smoke (event vs reference) ==="
+  for engine in event reference; do
+    "$builddir/tools/mcbsim" trace --p 16 --n 4096 --limit 1000000 \
+      --engine "$engine" > "$builddir/burst_trace_$engine.txt"
+    "$builddir/tools/mcbsim" sort --p 1024 --k 32 --n 262144 --check \
+      --json --engine "$engine" > "$builddir/burst_sort_$engine.json"
+    "$builddir/tools/mcbsim" strip-host "$builddir/burst_sort_$engine.json" \
+      | sed "s/\"engine\":\"$engine\"/\"engine\":\"-\"/" \
+      > "$builddir/burst_sort_$engine.stripped.json"
+  done
+  cmp "$builddir/burst_trace_event.txt" "$builddir/burst_trace_reference.txt"
+  cmp "$builddir/burst_sort_event.stripped.json" \
+    "$builddir/burst_sort_reference.stripped.json"
   # Profiler quarantine contract, made executable: a --profile run may add
   # host-time telemetry but must not perturb one model-level byte. strip-host
   # strict-parses each document (malformed profiler JSON fails here) and
