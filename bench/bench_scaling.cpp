@@ -109,7 +109,7 @@ void BM_SimulatorCycleOverhead(benchmark::State& state) {
     Network net({.p = p, .k = 1});
     auto prog = [](Proc& self) -> ProcMain {
       for (int t = 0; t < 1000; ++t) {
-        co_await self.step();
+        co_await self.window(1);
       }
     };
     for (ProcId i = 0; i < p; ++i) net.install(i, prog(net.proc(i)));

@@ -390,7 +390,7 @@ int main(int argc, char** argv) {
 
   // Sort stresses dense cycles (most processors participate every cycle);
   // selection stresses the wake queue and the idle-cycle fast-forward (at
-  // p/k = 1024 nearly every processor is asleep in skip() at any instant —
+  // p/k = 1024 nearly every processor is asleep at any instant —
   // the acceptance workload for the event engine). The two skip_reference
   // rows are too large for the reference loop's O(p) per-cycle scans. The
   // dense sort row (auto = columnsort-even, 256 elements per processor) is

@@ -13,6 +13,23 @@
 namespace mcb::algo {
 namespace {
 
+/// P_1 broadcasts the sorted pool rank by rank on channel 0; every other
+/// processor keeps its segment, ranks [lo, hi) (counts are preserved by
+/// sorting), and sleeps outside that window.
+Task<void> scatter(Proc& self, const std::vector<Word>& pool, std::size_t n,
+                   std::size_t lo, std::size_t hi, std::vector<Word>& output) {
+  if (self.id() == 0) {
+    output.assign(pool.begin() + static_cast<std::ptrdiff_t>(lo),
+                  pool.begin() + static_cast<std::ptrdiff_t>(hi));
+    auto aw = write_window(self, pool, 0);
+    co_await aw;
+  } else {
+    output.resize(hi - lo);
+    auto aw = read_window(self, lo, output, 0, n - hi);
+    co_await aw;
+  }
+}
+
 ProcMain central_program(Proc& self, const std::vector<Word>& input,
                          std::vector<Word>& output) {
   const std::size_t i = self.id();
@@ -33,54 +50,20 @@ ProcMain central_program(Proc& self, const std::vector<Word>& input,
     obs::Span sp(self, "gather");
     if (i == 0) {
       // P_1 streams its own window, reads everyone else's.
-      pool.reserve(n);
-      for (std::size_t t = 0; t < n; ++t) {
-        if (t >= lo && t < hi) {
-          co_await self.write(0, Message::of(input[t - lo]));
-          pool.push_back(input[t - lo]);
-        } else {
-          auto got = co_await self.read(0);
-          MCB_CHECK(got.has_value(), "gather slot " << t << " empty");
-          pool.push_back(got->at(0));
-        }
-      }
+      pool.resize(n);
+      auto aw = collect_window(self, input, lo, pool);
+      co_await aw;
       self.note_aux(pool.size());
       seq::sort_descending(pool);
     } else {
-      Cycle idle = lo;  // slept out by the first write
-      for (Word w : input) {
-        auto aw = self.cycle_after(std::exchange(idle, 0),
-                                   WriteOp{0, Message::of(w)}, std::nullopt);
-        co_await aw;
-      }
-      idle += n - hi;
-      if (idle > 0) co_await self.skip(idle);
+      auto aw = write_window(self, input, lo, 0, n - hi);
+      co_await aw;
     }
   }
 
   if (i == 0) self.mark_phase("scatter");
   obs::Span sp(self, "scatter");
-  // P_1 broadcasts the sorted order rank by rank; everyone keeps its
-  // segment (ranks [lo, hi) — counts are preserved by sorting) and sleeps
-  // outside its window.
-  output.reserve(hi - lo);
-  if (i == 0) {
-    for (std::size_t r = 0; r < n; ++r) {
-      co_await self.write(0, Message::of(pool[r]));
-      if (r >= lo && r < hi) output.push_back(pool[r]);
-    }
-  } else {
-    Cycle idle = lo;  // slept out by the first read
-    for (std::size_t r = lo; r < hi; ++r) {
-      auto aw = self.cycle_after(std::exchange(idle, 0), std::nullopt,
-                                 ChannelId{0});
-      const Proc::ReadResult got = co_await aw;
-      MCB_CHECK(got.has_value(), "scatter slot " << r << " empty");
-      output.push_back(got->at(0));
-    }
-    idle += n - hi;
-    if (idle > 0) co_await self.skip(idle);
-  }
+  co_await scatter(self, pool, n, lo, hi, output);
 }
 
 ProcMain central_multiread_program(Proc& self, std::size_t ni,
@@ -115,42 +98,17 @@ ProcMain central_multiread_program(Proc& self, std::size_t ni,
     } else {
       const std::size_t stream = (i - 1) % streams;
       const std::size_t slot = (i - 1) / streams;
-      Cycle idle = slot * ni;  // slept out by the first write
-      for (Word w : input) {
-        auto aw = self.cycle_after(
-            std::exchange(idle, 0),
-            WriteOp{static_cast<ChannelId>(stream), Message::of(w)},
-            std::nullopt);
-        co_await aw;
-      }
-      idle += gather_cycles - static_cast<Cycle>((slot + 1) * ni);
-      if (idle > 0) co_await self.skip(idle);
+      auto aw = write_window(self, input, slot * ni,
+                             static_cast<ChannelId>(stream),
+                             gather_cycles - (slot + 1) * ni);
+      co_await aw;
     }
   }
 
   // --- scatter: rank by rank on channel 0 (the single-writer bottleneck) --
   if (i == 0) self.mark_phase("scatter");
   obs::Span sp(self, "scatter");
-  const std::size_t lo = i * ni;
-  const std::size_t hi = lo + ni;
-  output.reserve(ni);
-  if (i == 0) {
-    for (std::size_t r = 0; r < n; ++r) {
-      co_await self.write(0, Message::of(pool[r]));
-      if (r >= lo && r < hi) output.push_back(pool[r]);
-    }
-  } else {
-    Cycle idle = lo;  // slept out by the first read
-    for (std::size_t r = lo; r < hi; ++r) {
-      auto aw = self.cycle_after(std::exchange(idle, 0), std::nullopt,
-                                 ChannelId{0});
-      const Proc::ReadResult got = co_await aw;
-      MCB_CHECK(got.has_value(), "scatter slot " << r << " empty");
-      output.push_back(got->at(0));
-    }
-    idle += n - hi;
-    if (idle > 0) co_await self.skip(idle);
-  }
+  co_await scatter(self, pool, n, i * ni, (i + 1) * ni, output);
 }
 
 }  // namespace

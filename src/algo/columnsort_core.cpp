@@ -16,10 +16,10 @@ namespace {
 /// its column move locally up front; the rest leave one per plan round
 /// whose schedule names a destination for this column, and arrivals land
 /// at the row their message carries.
-class TransformBurst {
+class Transform {
  public:
-  TransformBurst(const CorePlan& plan, std::size_t t, std::size_t my_col,
-                 const std::vector<KV>& column)
+  Transform(const CorePlan& plan, std::size_t t, std::size_t my_col,
+            const std::vector<KV>& column)
       : table_(plan.tables[t]),
         rounds_(plan.plans[t]),
         m_(plan.m),
@@ -39,39 +39,32 @@ class TransformBurst {
     }
   }
 
-  bool done() const { return round_ == rounds_.cycles(); }
+  std::size_t rounds() const { return rounds_.cycles(); }
 
-  Proc::BurstAwaiter next(Proc& self) {
-    c_.len = std::min(kBurstLen, rounds_.cycles() - round_);
-    for (std::size_t j = 0; j < c_.len; ++j) {
-      Beat& b = c_.beats[j];
-      const auto dc = rounds_.dst_of(round_ + j, col_);
-      b.write = kNoChannel;
-      if (dc != sched::kIdle) {
-        MCB_CHECK(ptr_[dc] < queue_[dc].size(),
-                  "send queue " << col_ << "->" << dc << " exhausted");
-        const std::size_t r = queue_[dc][ptr_[dc]++];
-        const std::size_t dst = table_[col_ * m_ + r];
-        b.msg = Message::of(column_[r].key, column_[r].val,
-                            static_cast<Word>(dst % m_));
-        b.write = static_cast<ChannelId>(col_);
-      }
-      const auto sc = rounds_.src_of(round_ + j, col_);
-      b.read = sc != sched::kIdle ? static_cast<ChannelId>(sc) : kNoChannel;
+  /// This column's action in plan round `round`; rounds are filled in
+  /// order.
+  Beat fill(std::size_t round) {
+    Beat b;
+    const auto dc = rounds_.dst_of(round, col_);
+    if (dc != sched::kIdle) {
+      MCB_CHECK(ptr_[dc] < queue_[dc].size(),
+                "send queue " << col_ << "->" << dc << " exhausted");
+      const std::size_t r = queue_[dc][ptr_[dc]++];
+      const std::size_t dst = table_[col_ * m_ + r];
+      b.msg = Message::of(column_[r].key, column_[r].val,
+                          static_cast<Word>(dst % m_));
+      b.write = static_cast<ChannelId>(col_);
     }
-    return self.burst_after(0, {c_.beats.data(), c_.len},
-                            {c_.got.data(), c_.len});
+    const auto sc = rounds_.src_of(round, col_);
+    if (sc != sched::kIdle) b.read = static_cast<ChannelId>(sc);
+    return b;
   }
 
-  void place() {
-    for (std::size_t j = 0; j < c_.len; ++j) {
-      if (c_.beats[j].read == kNoChannel) continue;
-      const Proc::ReadResult& got = c_.got[j];
-      MCB_CHECK(got.has_value(),
-                "missing transfer on channel " << c_.beats[j].read);
-      next_[static_cast<std::size_t>((*got)[2])] = KV{(*got)[0], (*got)[1]};
-    }
-    round_ += c_.len;
+  /// Lands the element read in plan round `round`.
+  void place(std::size_t round, const Proc::ReadResult& got) {
+    MCB_CHECK(got.has_value(), "missing transfer on channel "
+                                   << rounds_.src_of(round, col_));
+    next_[static_cast<std::size_t>((*got)[2])] = KV{(*got)[0], (*got)[1]};
   }
 
   std::vector<KV>& next() { return next_; }
@@ -86,55 +79,85 @@ class TransformBurst {
   /// queue_[dc]: rows bound for column dc, in the order they are sent.
   std::vector<std::vector<std::uint32_t>> queue_;
   std::vector<std::size_t> ptr_;
-  std::size_t round_ = 0;
-  BurstChunk c_;
 };
 
-/// The next run of action cycles at or after t, as [a, b) (a == b when
-/// none is left), in a redistribution pass whose actions are the write
-/// prefix [0, w1) and the read window [r0, r1): the write prefix (with any
-/// reads inside it), then what is left of the read window. t is 0 or the
-/// end of the previous run.
-std::pair<std::size_t, std::size_t> next_run(std::size_t t, std::size_t w1,
-                                             std::size_t r0,
-                                             std::size_t r1) {
-  if (t < w1) return {t, w1};
-  if (t < r1) return {std::max(t, r0), r1};
-  return {t, t};
+/// One processor's side of one redistribution pass (phase 10): its action
+/// cycles [a, b) of the pass's m, a representative's write prefix [0, w1)
+/// of its column `src` on channel wch and the read window [r0, r1) of
+/// channel rch, with idle beats in any gap between them (a == b: none).
+/// The element read in slot t lands in out[t + at].
+struct Pass {
+  std::size_t a = 0, b = 0, w1 = 0, r0 = 0, r1 = 0, at = 0;
+  ChannelId wch = kNoChannel, rch = kNoChannel;
+  const KV* src = nullptr;
+  KV* out = nullptr;
+
+  Beat fill(std::size_t j) const {
+    const std::size_t t = a + j;
+    Beat beat;
+    if (t < w1) {
+      beat.msg = Message::of(src[t].key, src[t].val);
+      beat.write = wch;
+    }
+    if (t >= r0 && t < r1) beat.read = rch;
+    return beat;
+  }
+
+  void place(std::size_t j, const Proc::ReadResult& got) const {
+    const std::size_t t = a + j;
+    MCB_CHECK(got.has_value(),
+              "redistribute slot " << t << " of column " << rch << " empty");
+    out[t + at] = KV{(*got)[0], (*got)[1]};
+  }
+};
+
+/// Pass `pass` (0 or 1) of the redistribution of ranks [lo, hi) to this
+/// processor. A contiguous segment of <= m ranks spans at most two
+/// consecutive columns; pass 0 collects the first, pass 1 the second. A
+/// representative takes the part that lies in its own column locally.
+Pass plan_pass(std::size_t pass, const CorePlan& plan, bool is_rep,
+               std::size_t my_col, const std::vector<KV>& column,
+               std::size_t n, std::size_t lo, std::size_t hi,
+               std::vector<KV>& output) {
+  const std::size_t m = plan.m;
+  const std::size_t want_col =
+      hi == lo ? SIZE_MAX : (pass == 0 ? lo / m : (hi - 1) / m);
+  // The in-column slots t whose rank want_col*m + t falls in [lo, hi).
+  // Contiguous by construction, and empty when want_col is SIZE_MAX.
+  std::size_t t_read0 = m, t_read1 = m;
+  if (want_col != SIZE_MAX) {
+    const std::size_t col_lo = want_col * m;
+    t_read0 = lo > col_lo ? lo - col_lo : 0;
+    t_read1 = hi > col_lo ? std::min(m, hi - col_lo) : 0;
+    if (t_read1 < t_read0) t_read1 = t_read0;
+  }
+  if (is_rep && want_col == my_col) {
+    for (std::size_t t = t_read0; t < t_read1; ++t) {
+      output[want_col * m + t - lo] = column[t];
+    }
+    t_read0 = t_read1 = m;
+  }
+  Pass ps;
+  // Real (non-dummy) elements in this representative's final column: the
+  // dummies are the global minimum, so reals occupy ranks [0, n) and
+  // column c holds ranks [c*m, c*m + m).
+  ps.w1 = is_rep ? std::min(m, n > my_col * m ? n - my_col * m
+                                              : std::size_t{0})
+                 : 0;
+  ps.r0 = t_read0;
+  ps.r1 = t_read1;
+  const bool reads = t_read0 < t_read1;
+  ps.a = ps.w1 > 0 ? 0 : (reads ? t_read0 : 0);
+  ps.b = std::max(ps.w1, reads ? t_read1 : 0);
+  ps.wch = static_cast<ChannelId>(my_col);
+  ps.rch = static_cast<ChannelId>(want_col);
+  ps.src = column.data();
+  ps.out = output.data();
+  ps.at = want_col * m - lo;  // modulo 2^64; t + at is in [0, hi - lo)
+  return ps;
 }
 
 }  // namespace
-
-Proc::BurstAwaiter KvBurst::next(Proc& self) {
-  c_.len = std::min(kBurstLen, w_.end - t_);
-  for (std::size_t j = 0; j < c_.len; ++j) {
-    const std::size_t t = t_ + j;
-    Beat& b = c_.beats[j];
-    b.write = kNoChannel;
-    if (t < w_.w1) {
-      const KV& e = w_.src[t];
-      b.msg = Message::of(e.key, e.val);
-      b.write = w_.wch;
-    }
-    b.read = t >= w_.r0 && t < w_.r1 ? w_.rch : kNoChannel;
-  }
-  // A write-only window keeps no reads.
-  const std::size_t slots = w_.r0 < w_.r1 ? c_.len : 0;
-  return self.burst_after(0, {c_.beats.data(), c_.len},
-                          {c_.got.data(), slots});
-}
-
-void KvBurst::place() {
-  for (std::size_t j = 0; j < c_.len; ++j) {
-    const std::size_t t = t_ + j;
-    if (t < w_.r0 || t >= w_.r1) continue;
-    const Proc::ReadResult& got = c_.got[j];
-    MCB_CHECK(got.has_value(), "burst read of channel " << w_.rch
-                                   << " silent in window cycle " << t);
-    w_.dst[t - w_.r0] = KV{(*got)[0], (*got)[1]};
-  }
-  t_ += c_.len;
-}
 
 CorePlan CorePlan::build(std::size_t m, std::size_t kk,
                          seq::ColumnsortVariant variant) {
@@ -203,14 +226,15 @@ void sort_column_desc(std::vector<KV>& column) {
 
 Task<void> run_transform(Proc& self, const CorePlan& plan, std::size_t t,
                          std::size_t my_col, std::vector<KV>& column) {
-  auto burst = std::make_unique<TransformBurst>(plan, t, my_col, column);
+  Transform tr(plan, t, my_col, column);
   self.note_aux(2 * plan.m);
-  while (!burst->done()) {
-    auto aw = burst->next(self);
-    co_await aw;
-    burst->place();
-  }
-  column.swap(burst->next());
+  auto aw = self.window(
+      0, tr.rounds(), 0, [&tr](std::size_t round) { return tr.fill(round); },
+      [&tr](std::size_t round, const Proc::ReadResult& got) {
+        tr.place(round, got);
+      });
+  co_await aw;
+  column.swap(tr.next());
 }
 
 Task<void> columnsort_phases(Proc& self, const CorePlan& plan,
@@ -260,105 +284,40 @@ Task<void> columnsort_phases(Proc& self, const CorePlan& plan,
   }
 }
 
-Task<void> core_skip(Proc& self, const CorePlan& plan) {
-  if (plan.core_cycles > 0) co_await self.skip(plan.core_cycles);
-}
-
 Task<void> redistribute(Proc& self, const CorePlan& plan, bool is_rep,
                         std::size_t my_col, const std::vector<KV>& column,
                         std::size_t n, std::size_t lo, std::size_t hi,
                         std::vector<KV>& output) {
-  const std::size_t m = plan.m;
   MCB_CHECK(hi >= lo && hi <= n, "segment [" << lo << "," << hi << ") of "
                                              << n);
-  MCB_CHECK(hi - lo <= m, "segment longer than a column");
+  MCB_CHECK(hi - lo <= plan.m, "segment longer than a column");
   output.assign(hi - lo, KV{});
-  // Real (non-dummy) elements in this representative's final column: the
-  // dummies are the global minimum, so reals occupy ranks [0, n) and column
-  // c holds ranks [c*m, c*m + m).
-  const std::size_t real_here =
-      is_rep ? std::min(m, n > my_col * m ? n - my_col * m : std::size_t{0})
-             : 0;
-  // Idle cycles owed but not yet slept, carried across both passes into
-  // the next action.
+  // Cycles owed before the next window. The last window carries the rest
+  // of the phase as its trail.
   Cycle idle = 0;
-  for (int pass = 0; pass < 2; ++pass) {
-    // A contiguous segment of <= m ranks spans at most two consecutive
-    // columns; collect the first in pass 0, the second in pass 1.
-    const std::size_t want_col =
-        hi == lo ? SIZE_MAX : (pass == 0 ? lo / m : (hi - 1) / m);
-    // This processor's read window within the pass: the in-column slots t
-    // whose rank want_col*m + t falls in [lo, hi). Contiguous by
-    // construction, and empty when want_col is SIZE_MAX.
-    std::size_t t_read0 = m, t_read1 = m;
-    if (want_col != SIZE_MAX) {
-      const std::size_t col_lo = want_col * m;
-      t_read0 = lo > col_lo ? lo - col_lo : 0;
-      t_read1 = hi > col_lo ? std::min(m, hi - col_lo) : 0;
-      if (t_read1 < t_read0) t_read1 = t_read0;
+  for (std::size_t pass = 0; pass < 2; ++pass) {
+    const Pass ps =
+        plan_pass(pass, plan, is_rep, my_col, column, n, lo, hi, output);
+    if (ps.a == ps.b) {
+      idle += plan.m;
+      continue;
     }
-    if (is_rep && want_col == my_col) {
-      // Own column: take the segment locally, no channel reads needed.
-      for (std::size_t t = t_read0; t < t_read1; ++t) {
-        output[want_col * m + t - lo] = column[t];
-      }
-      t_read0 = t_read1 = m;
-    }
-    // The pass's action cycles: a representative's write prefix
-    // [0, real_here) and the (possibly overlapping) read window, taken as
-    // at most two runs; sleep through the gaps and the idle tail.
-    const std::size_t w1 = is_rep ? real_here : 0;
-    std::size_t t = 0;
-    while (true) {
-      const auto [a, b] = next_run(t, w1, t_read0, t_read1);
-      if (a == b) break;
-      idle += a - t;
-      t = b;
-      if (b - a == 1) {
-        // A single action stays on cycle_after: no buffer to build.
-        const bool writing = a < w1;
-        const bool reading = a >= t_read0 && a < t_read1;
-        auto aw = self.cycle_after(
-            std::exchange(idle, 0),
-            writing ? std::optional<WriteOp>(
-                          WriteOp{static_cast<ChannelId>(my_col),
-                                  Message::of(column[a].key, column[a].val)})
-                    : std::nullopt,
-            reading ? std::optional<ChannelId>(
-                          static_cast<ChannelId>(want_col))
-                    : std::nullopt);
-        const Proc::ReadResult got = co_await aw;
-        if (reading) {
-          MCB_CHECK(got.has_value(), "redistribute slot empty (rank "
-                                         << want_col * m + a << ")");
-          output[want_col * m + a - lo] = KV{(*got)[0], (*got)[1]};
-        }
-        continue;
-      }
-      // Sleep to the run before building its buffer, so a processor holds
-      // one only while it acts.
-      if (idle > 0) co_await self.skip(std::exchange(idle, 0));
-      auto burst = std::make_unique<KvBurst>(KvWindow{
-          .begin = a,
-          .end = b,
-          .wch = static_cast<ChannelId>(my_col),
-          .src = column.data(),
-          .w1 = w1,
-          .rch = static_cast<ChannelId>(want_col),
-          .dst = t_read0 < t_read1
-                     ? output.data() + (want_col * m + t_read0 - lo)
-                     : nullptr,
-          .r0 = t_read0,
-          .r1 = t_read1});
-      while (!burst->done()) {
-        auto aw = burst->next(self);
-        co_await aw;
-        burst->place();
-      }
-    }
-    idle += m - t;
+    const bool last = pass == 1 || [&] {
+      const Pass next =
+          plan_pass(1, plan, is_rep, my_col, column, n, lo, hi, output);
+      return next.a == next.b;
+    }();
+    const Cycle lead = std::exchange(idle, plan.m - ps.b) + ps.a;
+    auto aw = self.window(
+        lead, ps.b - ps.a, last ? idle + (pass == 0 ? plan.m : 0) : 0,
+        [&ps](std::size_t j) { return ps.fill(j); },
+        [&ps](std::size_t j, const Proc::ReadResult& got) {
+          ps.place(j, got);
+        });
+    co_await aw;
+    if (last) co_return;
   }
-  if (idle > 0) co_await self.skip(idle);
+  co_await self.window(idle);
 }
 
 }  // namespace mcb::algo::detail

@@ -53,77 +53,23 @@ struct CorePlan {
 /// column is a few sorted runs, which this merges.
 void sort_column_desc(std::vector<KV>& column);
 
-// --- bursts over fixed windows ---------------------------------------------
-//
-// Every channel action of the gather, the transformations and the
-// redistribution is fixed before any data moves, so those loops run as
-// Proc::burst_after chunks of kBurstLen beats: one resume per chunk instead
-// of one per cycle. A chunk's beats and read slots live in a heap buffer
-// that a processor allocates when its window opens and frees when it
-// closes, never in the coroutine frames that every processor carries.
-
-/// Beats per burst chunk.
-inline constexpr std::size_t kBurstLen = 32;
-
-/// One chunk's beats and read slots.
-struct BurstChunk {
-  std::array<Beat, kBurstLen> beats;
-  std::array<Proc::ReadResult, kBurstLen> got;
-  std::size_t len = 0;  ///< beats filled
-};
-
-/// A processor's channel actions over the consecutive cycles [begin, end)
-/// of a fixed window: in cycle t it writes the pair src[t] on `wch` when
-/// t lies in [0, w1), and reads channel `rch` into dst[t - r0] when t
-/// lies in [r0, r1). Cycles in neither range are idle beats.
-struct KvWindow {
-  std::size_t begin = 0, end = 0;
-  ChannelId wch = kNoChannel;
-  const KV* src = nullptr;
-  std::size_t w1 = 0;
-  ChannelId rch = kNoChannel;
-  KV* dst = nullptr;
-  std::size_t r0 = 0, r1 = 0;
-};
-
-/// Walks a KvWindow chunk by chunk:
-///   while (!b->done()) {
-///     auto aw = b->next(self);
-///     co_await aw;
-///     b->place();
-///   }
-class KvBurst {
- public:
-  explicit KvBurst(const KvWindow& w) : w_(w), t_(w.begin) {}
-  bool done() const { return t_ == w_.end; }
-  /// Fills the next chunk's beats and starts its burst.
-  Proc::BurstAwaiter next(Proc& self);
-  /// Stores the chunk's reads and moves past it.
-  void place();
-
- private:
-  KvWindow w_;
-  std::size_t t_;
-  BurstChunk c_;
-};
-
 /// One matrix transformation (phase 2/4/6/8) from the point of view of the
-/// representative owning column `my_col`; `t` indexes CorePlan::plans.
+/// representative owning column `my_col`; `t` indexes CorePlan::plans. The
+/// plan fixes every round before any data moves, so the whole
+/// transformation is one Proc::window.
 Task<void> run_transform(Proc& self, const CorePlan& plan, std::size_t t,
                          std::size_t my_col, std::vector<KV>& column);
 
 /// Phases 1-9 for a representative (column owner). `column` must already be
-/// padded to length plan.m. Non-representatives call core_skip instead.
+/// padded to length plan.m. Non-representatives sleep plan.core_cycles.
 Task<void> columnsort_phases(Proc& self, const CorePlan& plan,
                              std::size_t my_col, std::vector<KV>& column);
-
-/// The matching skip for processors that do not own a column.
-Task<void> core_skip(Proc& self, const CorePlan& plan);
 
 /// Phase 10: representatives broadcast the real (non-dummy) prefix of their
 /// sorted columns twice; every processor collects its final segment of
 /// global ranks [lo, hi). `n` is the number of real elements; `column` is
-/// ignored for non-representatives. Costs exactly 2*m cycles.
+/// ignored for non-representatives. Costs exactly 2*m cycles, as at most
+/// two Proc::windows per processor.
 Task<void> redistribute(Proc& self, const CorePlan& plan, bool is_rep,
                         std::size_t my_col, const std::vector<KV>& column,
                         std::size_t n, std::size_t lo, std::size_t hi,

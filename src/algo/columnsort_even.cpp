@@ -1,6 +1,5 @@
 #include "algo/columnsort_even.hpp"
 
-#include <memory>
 #include <utility>
 
 #include "obs/span.hpp"
@@ -62,38 +61,25 @@ Task<void> columnsort_even_collective(Proc& self, const EvenSortPlan& plan,
     obs::Span sp(self, "even.gather");
     const std::size_t gather_cycles = (plan.g - 1) * plan.ni;
     if (!is_rep) {
-      // Sleep to this member's window of ni writes, then burst them.
-      const Cycle idle = static_cast<Cycle>(idx * plan.ni);
-      if (plan.ni == 1) {
-        auto aw = self.cycle_after(
-            idle, WriteOp{jch, Message::of(data[0].key, data[0].val)},
-            std::nullopt);
-        co_await aw;
-      } else {
-        if (idle > 0) co_await self.skip(idle);
-        auto burst = std::make_unique<detail::KvBurst>(detail::KvWindow{
-            .begin = 0, .end = plan.ni, .wch = jch, .src = data.data(),
-            .w1 = plan.ni});
-        while (!burst->done()) {
-          auto aw = burst->next(self);
-          co_await aw;
-          burst->place();
-        }
-      }
-      const auto rest =
-          static_cast<Cycle>(gather_cycles - (idx + 1) * plan.ni);
-      if (rest > 0) co_await self.skip(rest);
+      // This member's ni writes, between the other members' windows.
+      const std::size_t lead = idx * plan.ni;
+      auto aw = self.window(lead, plan.ni, gather_cycles - lead - plan.ni,
+                            [&data, jch](std::size_t t) {
+                              return Beat{Message::of(data[t].key, data[t].val),
+                                          jch};
+                            });
+      co_await aw;
     } else {
       column.reserve(m);
       column.resize(gather_cycles);
-      auto burst = std::make_unique<detail::KvBurst>(detail::KvWindow{
-          .begin = 0, .end = gather_cycles, .rch = jch,
-          .dst = column.data(), .r0 = 0, .r1 = gather_cycles});
-      while (!burst->done()) {
-        auto aw = burst->next(self);
-        co_await aw;
-        burst->place();
-      }
+      auto aw = self.window(
+          0, gather_cycles, 0,
+          [jch](std::size_t) { return Beat{{}, kNoChannel, jch}; },
+          [&column](std::size_t t, const Proc::ReadResult& got) {
+            MCB_CHECK(got.has_value(), "gather slot " << t << " silent");
+            column[t] = KV{(*got)[0], (*got)[1]};
+          });
+      co_await aw;
       column.insert(column.end(), data.begin(), data.end());
     }
   } else {
@@ -107,7 +93,7 @@ Task<void> columnsort_even_collective(Proc& self, const EvenSortPlan& plan,
       column.resize(m, KV{kDummy, 0});  // pad so kk | m
       co_await detail::columnsort_phases(self, *plan.core, j, column);
     } else {
-      co_await detail::core_skip(self, *plan.core);
+      co_await self.window(plan.core->core_cycles);
     }
   }
 

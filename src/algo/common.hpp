@@ -3,8 +3,13 @@
 
 #include <cstddef>
 #include <limits>
+#include <span>
+#include <string_view>
+#include <vector>
 
+#include "mcb/proc.hpp"
 #include "mcb/types.hpp"
+#include "util/check.hpp"
 
 namespace mcb::algo {
 
@@ -29,6 +34,13 @@ struct KV {
   }
 };
 
+/// The precondition selection and select_ranks state for their inputs. On
+/// duplicate keys their filter drops every copy of the weighted median but
+/// counts one, so they stop with std::invalid_argument naming it as soon as
+/// a count disagrees, rather than answer wrong.
+inline constexpr std::string_view kDistinctValues =
+    "selection requires distinct values";
+
 inline constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
   return (a + b - 1) / b;
 }
@@ -36,6 +48,53 @@ inline constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
 /// Rounds `a` up to a multiple of `b`.
 inline constexpr std::size_t round_up(std::size_t a, std::size_t b) {
   return ceil_div(a, b) * b;
+}
+
+// --- stream windows ---------------------------------------------------------
+//
+// The central baselines and selection's termination stream single words
+// over one channel in slots every processor knows in advance, so each side
+// of such a stream is one Proc::window. Build the awaiter in its own
+// statement: `auto aw = write_window(...); co_await aw;`.
+
+/// Writes values[j] on channel `ch` in cycle lead + j, then sleeps `trail`
+/// more cycles.
+inline auto write_window(Proc& self, std::span<const Word> values, Cycle lead,
+                         ChannelId ch = 0, Cycle trail = 0) {
+  return self.window(lead, values.size(), trail, [values, ch](std::size_t j) {
+    return Beat{Message::of(values[j]), ch};
+  });
+}
+
+/// Reads channel `ch` in cycle lead + j into out[j], then sleeps `trail`
+/// more cycles.
+inline auto read_window(Proc& self, Cycle lead, std::span<Word> out,
+                        ChannelId ch = 0, Cycle trail = 0) {
+  return self.window(
+      lead, out.size(), trail,
+      [ch](std::size_t) { return Beat{{}, kNoChannel, ch}; },
+      [out](std::size_t j, const Proc::ReadResult& got) {
+        MCB_CHECK(got.has_value(), "stream slot " << j << " silent");
+        out[j] = got->at(0);
+      });
+}
+
+/// The collector's side of a channel-0 stream of pool.size() slots in
+/// which it owns slots [lo, lo + mine.size()): it writes its own values
+/// there, reads every other slot, and ends with slot t's value in pool[t].
+inline auto collect_window(Proc& self, std::span<const Word> mine,
+                           std::size_t lo, std::vector<Word>& pool) {
+  return self.window(
+      0, pool.size(), 0,
+      [mine, lo, &pool](std::size_t t) {
+        if (t < lo || t - lo >= mine.size()) return Beat{{}, kNoChannel, 0};
+        pool[t] = mine[t - lo];
+        return Beat{Message::of(pool[t]), 0};
+      },
+      [&pool](std::size_t t, const Proc::ReadResult& got) {
+        MCB_CHECK(got.has_value(), "stream slot " << t << " empty");
+        pool[t] = got->at(0);
+      });
 }
 
 }  // namespace mcb::algo

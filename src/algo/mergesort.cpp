@@ -180,7 +180,7 @@ Task<void> mergesort_group(Proc& self, const GroupSpec& grp,
         inserting = true;
         co_await self.write(ch, key_message(cand));
       } else {
-        co_await self.step();
+        co_await self.window(1);
       }
     } else {
       auto got = co_await self.read(ch);

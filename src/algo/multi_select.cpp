@@ -106,8 +106,10 @@ ProcMain multi_selection_program(Proc& self, const MultiSelCtx& ctx,
       const auto ps = co_await partial_sums(self, pair[0].val, SumOp::add(),
                                             {.with_total = true});
       const auto m = static_cast<std::size_t>(ps.total);
-      MCB_CHECK(m == seg.m_known, "candidate count drifted: " << m << " vs "
-                                                              << seg.m_known);
+      MCB_REQUIRE(m == seg.m_known, kDistinctValues
+                                        << ": duplicate keys made the "
+                                           "candidate count drift ("
+                                        << m << " vs " << seg.m_known << ")");
       const std::size_t half = (m + 1) / 2;  // ceil(m/2)
       const bool am_star = static_cast<std::size_t>(ps.before) < half &&
                            half <= static_cast<std::size_t>(ps.self);
@@ -189,46 +191,36 @@ ProcMain multi_selection_program(Proc& self, const MultiSelCtx& ctx,
     const auto lo = static_cast<std::size_t>(ps.before);
     const auto hi = static_cast<std::size_t>(ps.self);
     if (i == 0) {
-      std::vector<Word> pool;
-      pool.reserve(m);
-      for (std::size_t t = 0; t < m; ++t) {
-        if (t >= lo && t < hi) {
-          const Word w = seg.cands[t - lo];
-          auto aw = self.write(0, Message::of(w));
-          co_await aw;
-          pool.push_back(w);
-        } else {
-          auto aw = self.read(0);
-          const Proc::ReadResult got = co_await aw;
-          MCB_CHECK(got.has_value(), "termination slot " << t << " empty");
-          pool.push_back(got->at(0));
-        }
-      }
+      std::vector<Word> pool(m);
+      auto aw = collect_window(self, seg.cands, lo, pool);
+      co_await aw;
       self.note_aux(pool.size());
-      for (const RankRef& r : seg.ranks) {
-        MCB_CHECK(r.d >= 1 && r.d <= m,
-                  "rank " << r.d << " of " << m << " survivors");
-        const Word a = seq::kth_largest(pool, r.d);
-        answers[r.idx] = a;
-        auto aw = self.write(0, Message::of(a));
-        co_await aw;
+      std::vector<Word> out(seg.ranks.size());
+      for (std::size_t r = 0; r < out.size(); ++r) {
+        const std::size_t d = seg.ranks[r].d;
+        MCB_REQUIRE(d >= 1 && d <= m, kDistinctValues
+                                          << ": duplicate keys left rank "
+                                          << d << " of " << m
+                                          << " survivors");
+        out[r] = seq::kth_largest(pool, d);
+        answers[seg.ranks[r].idx] = out[r];
       }
+      auto ans = write_window(self, out, 0);
+      co_await ans;
     } else {
-      // Sleep to the window, write it, sleep to the answers: each sleep
-      // rides on the next channel action (one suspension per action).
-      Cycle idle = lo;
-      for (Word w : seg.cands) {
-        auto aw = self.cycle_after(std::exchange(idle, 0),
-                                   WriteOp{0, Message::of(w)}, std::nullopt);
+      // Sleep to the window, write it, sleep to the answers and read them:
+      // one suspension for the window and one for the answers.
+      Cycle idle = lo + (m - hi);
+      if (!seg.cands.empty()) {
+        auto aw = write_window(self, seg.cands, lo);
         co_await aw;
+        idle = m - hi;
       }
-      idle += m - hi;
-      for (const RankRef& r : seg.ranks) {
-        auto aw = self.cycle_after(std::exchange(idle, 0), std::nullopt,
-                                   ChannelId{0});
-        const Proc::ReadResult got = co_await aw;
-        MCB_CHECK(got.has_value(), "no answer broadcast for rank " << r.d);
-        answers[r.idx] = got->at(0);
+      std::vector<Word> got(seg.ranks.size());
+      auto aw = read_window(self, idle, got);
+      co_await aw;
+      for (std::size_t r = 0; r < got.size(); ++r) {
+        answers[seg.ranks[r].idx] = got[r];
       }
     }
   }

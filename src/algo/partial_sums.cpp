@@ -100,12 +100,15 @@ Task<PartialSumsResult> partial_sums(Proc& self, Word a_i, const SumOp& op,
   // Idle cycles owed to the schedule but not yet slept. Level l lasts
   // level_cycles(l) cycles and a processor acts in at most one of them, at
   // in-level cycle `at`; each action sleeps out the owed cycles in the same
-  // suspension (cycle_after), and the rest of its level becomes owed. The
-  // per-level step is written inline rather than as a helper coroutine: a
-  // helper frame per processor per level dominated the simulator's
-  // allocation profile. Each awaiter is built in its own statement so the
-  // message temporaries stay out of the coroutine frame (docs/ENGINE.md).
+  // suspension (cycle_after), and the rest of its level becomes owed. A
+  // processor's last action carries the rest of the collective as its
+  // trailing idle instead. The per-level step is written inline rather
+  // than as a helper coroutine: a helper frame per processor per level
+  // dominated the simulator's allocation profile. Each awaiter is built in
+  // its own statement so the message temporaries stay out of the coroutine
+  // frame (docs/ENGINE.md).
   std::size_t pending = 0;
+  const bool plain = !opts.with_total && !opts.with_next;
 
   // --- bottom-up phase ------------------------------------------------------
   for (std::size_t l = 0; l < top; ++l) {
@@ -122,6 +125,9 @@ Task<PartialSumsResult> partial_sums(Proc& self, Word a_i, const SumOp& op,
 
   // --- the turn at the top: up to the father, back down -------------------
   // F = combined value of everything left of the current node's subtree.
+  // The top-down read is a processor's last action in a plain collective
+  // when it sends on no level below top (all its right sons are dummies).
+  const bool down_last = i != 0 && plain && (top == 0 || i + 1 >= p);
   Word f = op.identity;
   if (i == 0) {
     out.total = val[depth];
@@ -139,15 +145,22 @@ Task<PartialSumsResult> partial_sums(Proc& self, Word a_i, const SumOp& op,
     // The rest of this level, the levels above it up and down, and `at`
     // cycles into top-down level top + 1.
     pending = (cycles - at - 1) + 2 * idle_levels(p, k, depth, top + 1) + at;
-    auto down = self.cycle_after(pending, std::nullopt, ch);
+    // The rest of level top, and of levels top..1 down as the trail.
+    const std::size_t rest =
+        (cycles - at - 1) +
+        (down_last
+             ? idle_levels(p, k, depth, 0) - idle_levels(p, k, depth, top)
+             : 0);
+    auto down =
+        self.cycle_after(pending, std::nullopt, ch, down_last ? rest : 0);
     const Proc::ReadResult got = co_await down;
     MCB_CHECK(got.has_value(), "top-down message missing at P" << i + 1);
     f = got->at(0);
-    pending = cycles - at - 1;
+    pending = down_last ? 0 : rest;
   }
 
   // --- top-down phase -------------------------------------------------------
-  for (std::size_t l = top; l >= 1; --l) {
+  for (std::size_t l = down_last ? 0 : top; l >= 1; --l) {
     // Father: send F ⊕ L to the right son, unless the right subtree is
     // entirely dummy (its simulator would not exist). F is unchanged for
     // the left son (== this processor).
@@ -158,13 +171,14 @@ Task<PartialSumsResult> partial_sums(Proc& self, Word a_i, const SumOp& op,
     }
     const std::size_t father = i >> l;
     const std::size_t at = father / k;
+    const bool last = plain && l == 1;
     auto aw = self.cycle_after(
         pending + at,
         WriteOp{static_cast<ChannelId>(father % k),
                 Message::of(op.combine(f, val[l - 1]))},
-        std::nullopt);
+        std::nullopt, last ? cycles - at - 1 : 0);
     co_await aw;
-    pending = cycles - at - 1;
+    pending = last ? 0 : cycles - at - 1;
   }
 
   out.before = f;
@@ -197,11 +211,13 @@ Task<PartialSumsResult> partial_sums(Proc& self, Word a_i, const SumOp& op,
     if (i >= 1) {
       const std::size_t send_at = (i - 1) / k;
       const bool read_too = reads && read_at == send_at;
+      const bool last = !reads || read_too;
       auto aw = self.cycle_after(
           pending + send_at,
           WriteOp{static_cast<ChannelId>((i - 1) % k), Message::of(out.self)},
           read_too ? std::optional<ChannelId>(static_cast<ChannelId>(i % k))
-                   : std::nullopt);
+                   : std::nullopt,
+          last ? cycles - send_at - 1 : 0);
       const Proc::ReadResult got = co_await aw;
       if (read_too) {
         MCB_CHECK(got.has_value(), "neighbour prefix missing at P" << i + 1);
@@ -212,17 +228,17 @@ Task<PartialSumsResult> partial_sums(Proc& self, Word a_i, const SumOp& op,
     }
     if (reads && read_at >= t) {
       auto aw = self.cycle_after(pending + read_at - t, std::nullopt,
-                                 static_cast<ChannelId>(i % k));
+                                 static_cast<ChannelId>(i % k),
+                                 cycles - read_at - 1);
       const Proc::ReadResult got = co_await aw;
       MCB_CHECK(got.has_value(), "neighbour prefix missing at P" << i + 1);
       out.next = got->at(0);
       pending = 0;
-      t = read_at + 1;
     }
-    pending += cycles - t;
   }
 
-  if (pending > 0) co_await self.skip(pending);
+  MCB_CHECK(pending == 0, "P" << i + 1 << " left " << pending
+                              << " cycles of the collective unslept");
   co_return out;
 }
 

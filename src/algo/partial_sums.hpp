@@ -21,8 +21,6 @@
 // write, and the detectable silence stands in for the identity value).
 #pragma once
 
-#include <functional>
-
 #include "mcb/coro.hpp"
 #include "mcb/proc.hpp"
 #include "mcb/types.hpp"
@@ -32,7 +30,7 @@ namespace mcb::algo {
 /// The ⊕ operator with its identity element. Must be commutative and
 /// associative; both sides only ever see values produced by `a_i`s and ⊕.
 struct SumOp {
-  std::function<Word(Word, Word)> combine;
+  Word (*combine)(Word, Word) = nullptr;
   Word identity = 0;
 
   /// The stock operators, as shared instances: partial_sums holds its

@@ -40,35 +40,41 @@ Task<void> ranksort_group(Proc& self, const GroupSpec& grp,
 
   // --- pass 1: broadcast everything once; count larger elements -----------
   // rank[e] starts at 1 and ends as the element's 1-based descending rank.
+  // Everyone (sender included) bumps the rank of every local element
+  // smaller than the one broadcast in a slot.
   std::vector<std::size_t> rank(data.size(), 1);
   self.note_aux(rank.size());
-  for (std::size_t slot = 0; slot < n_grp; ++slot) {
-    const bool mine = slot >= my_start && slot < my_start + data.size();
-    Word bv = 0;  // broadcast value / owner / index this slot
-    std::size_t bo = 0, bi = 0;
-    if (mine) {
-      bi = slot - my_start;
-      bo = me;
-      bv = data[bi];
-      co_await self.write(grp.channel, Message::of(bv, bo, bi));
-    } else {
-      auto got = co_await self.read(grp.channel);
-      MCB_CHECK(got.has_value(), "pass-1 slot " << slot << " silent");
-      bv = got->at(0);
-      bo = static_cast<std::size_t>(got->at(1));
-      bi = static_cast<std::size_t>(got->at(2));
-    }
-    // Everyone (sender included) bumps the rank of every local element
-    // smaller than the broadcast one.
+  const auto bump = [&](Word bv, std::size_t bo, std::size_t bi) {
     for (std::size_t e = 0; e < data.size(); ++e) {
       if (triple_less(data[e], me, e, bv, bo, bi)) ++rank[e];
     }
+  };
+  {
+    auto aw = self.window(
+        0, n_grp, 0,
+        [&](std::size_t slot) {
+          if (slot < my_start || slot - my_start >= data.size()) {
+            return Beat{{}, kNoChannel, grp.channel};
+          }
+          const std::size_t bi = slot - my_start;
+          bump(data[bi], me, bi);
+          return Beat{Message::of(data[bi], me, bi), grp.channel};
+        },
+        [&](std::size_t slot, const Proc::ReadResult& got) {
+          MCB_CHECK(got.has_value(), "pass-1 slot " << slot << " silent");
+          bump(got->at(0), static_cast<std::size_t>(got->at(1)),
+               static_cast<std::size_t>(got->at(2)));
+        });
+    co_await aw;
   }
 
   // --- pass 2: emit in rank order; targets collect their segments ---------
   std::size_t tgt_start = 0;  // first output rank (0-based) owned by me
   for (std::size_t g = 0; g < me; ++g) tgt_start += sizes[g];
   const std::size_t tgt_end = tgt_start + sizes[me];
+  const auto targets_me = [&](std::size_t slot) {
+    return slot >= tgt_start && slot < tgt_end;
+  };
 
   // My elements in emit order: (slot, element index) sorted by slot. A
   // pointer walk over this list keeps pass-2 bookkeeping at O(n_i) words
@@ -77,49 +83,39 @@ Task<void> ranksort_group(Proc& self, const GroupSpec& grp,
   std::vector<std::pair<std::size_t, std::size_t>> emits(data.size());
   for (std::size_t e = 0; e < data.size(); ++e) {
     emits[e] = {rank[e] - 1, e};
+    // An element already in its target slot stays put, silently.
+    if (targets_me(rank[e] - 1)) out[rank[e] - 1 - tgt_start] = data[e];
   }
   seq::intro_sort(std::span<std::pair<std::size_t, std::size_t>>(emits));
   self.note_aux(rank.size() + out.size() + emits.size());
 
-  // Action slots are the emit list (sorted by slot) merged with the
-  // contiguous target window; sleep through the gaps between them.
-  std::size_t next_emit = 0;
-  for (std::size_t slot = 0; slot < n_grp; ++slot) {
-    std::size_t next_act = n_grp;
-    if (next_emit < emits.size()) {
-      next_act = std::min(next_act, emits[next_emit].first);
-    }
-    if (slot < tgt_end) next_act = std::min(next_act, std::max(slot, tgt_start));
-    if (next_act == n_grp) {  // nothing left to do in this pass
-      co_await self.skip(n_grp - slot);
-      break;
-    }
-    const Cycle idle = next_act - slot;  // slept out by this action
-    slot = next_act;
-    std::size_t e = SIZE_MAX;
-    if (next_emit < emits.size() && emits[next_emit].first == slot) {
-      e = emits[next_emit].second;
-      ++next_emit;
-    }
-    const bool target_is_me = slot >= tgt_start && slot < tgt_end;
-    if (e != SIZE_MAX) {
-      // I own the element of this rank.
-      if (target_is_me) {
-        out[slot - tgt_start] = data[e];  // already in place: stay silent
-        auto aw = self.cycle_after(idle, std::nullopt, std::nullopt);
-        co_await aw;
-      } else {
-        auto aw = self.cycle_after(
-            idle, WriteOp{grp.channel, Message::of(data[e])}, std::nullopt);
-        co_await aw;
-      }
-    } else {
-      auto aw = self.cycle_after(idle, std::nullopt, grp.channel);
-      const Proc::ReadResult got = co_await aw;
-      MCB_CHECK(got.has_value(), "pass-2 slot " << slot << " silent");
-      out[slot - tgt_start] = got->at(0);
-    }
+  // One window over my action slots [first, last): the emit slots and the
+  // target window, with idle beats between them.
+  std::size_t first = tgt_start < tgt_end ? tgt_start : n_grp;
+  std::size_t last = tgt_end;
+  if (!emits.empty()) {
+    first = std::min(first, emits.front().first);
+    last = std::max(last, emits.back().first + 1);
   }
+  if (first > last) first = last;
+  std::size_t next_emit = 0;
+  auto aw = self.window(
+      first, last - first, n_grp - last,
+      [&](std::size_t j) {
+        const std::size_t slot = first + j;
+        const bool emit =
+            next_emit < emits.size() && emits[next_emit].first == slot;
+        const std::size_t e = emit ? emits[next_emit++].second : 0;
+        if (targets_me(slot)) {
+          return emit ? Beat{} : Beat{{}, kNoChannel, grp.channel};
+        }
+        return emit ? Beat{Message::of(data[e]), grp.channel} : Beat{};
+      },
+      [&](std::size_t j, const Proc::ReadResult& got) {
+        MCB_CHECK(got.has_value(), "pass-2 slot " << first + j << " silent");
+        out[first + j - tgt_start] = got->at(0);
+      });
+  co_await aw;
   data = std::move(out);
 }
 

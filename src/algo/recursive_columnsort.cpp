@@ -155,29 +155,35 @@ Task<void> exec_transform(Proc& self, const RNode& node, std::size_t t,
     }
   }
 
-  for (const auto& round : node.trounds[t]) {
-    std::optional<WriteOp> write;
-    std::optional<ChannelId> read;
-    std::size_t expect_dst = SIZE_MAX;
-    for (const auto& e : round) {
-      if (owner_of(node, e.src_pos) == my_idx) {
-        write = WriteOp{static_cast<ChannelId>(first_ch + e.channel),
-                        Message::of(mine[e.src_pos - base],
-                                    static_cast<Word>(e.dst_pos))};
-      }
-      if (owner_of(node, e.dst_pos) == my_idx) {
-        read = static_cast<ChannelId>(first_ch + e.channel);
-        expect_dst = e.dst_pos;
-      }
-    }
-    auto got = co_await self.cycle(std::move(write), read);
-    if (expect_dst != SIZE_MAX) {
-      MCB_CHECK(got.has_value(), "segmented transfer missing");
-      MCB_CHECK(static_cast<std::size_t>(got->at(1)) == expect_dst,
-                "segmented transfer routed to the wrong slot");
-      next[expect_dst - base] = got->at(0);
-    }
-  }
+  // The rounds are fixed before any data moves: one window.
+  const auto& rounds = node.trounds[t];
+  auto aw = self.window(
+      0, rounds.size(), 0,
+      [&](std::size_t r) {
+        Beat b;
+        for (const auto& e : rounds[r]) {
+          if (owner_of(node, e.src_pos) == my_idx) {
+            b.msg = Message::of(mine[e.src_pos - base],
+                                static_cast<Word>(e.dst_pos));
+            b.write = static_cast<ChannelId>(first_ch + e.channel);
+          }
+          if (owner_of(node, e.dst_pos) == my_idx) {
+            b.read = static_cast<ChannelId>(first_ch + e.channel);
+          }
+        }
+        return b;
+      },
+      [&](std::size_t r, const Proc::ReadResult& got) {
+        std::size_t expect_dst = SIZE_MAX;
+        for (const auto& e : rounds[r]) {
+          if (owner_of(node, e.dst_pos) == my_idx) expect_dst = e.dst_pos;
+        }
+        MCB_CHECK(got.has_value(), "segmented transfer missing");
+        MCB_CHECK(static_cast<std::size_t>(got->at(1)) == expect_dst,
+                  "segmented transfer routed to the wrong slot");
+        next[expect_dst - base] = got->at(0);
+      });
+  co_await aw;
   mine.swap(next);
 }
 
@@ -213,8 +219,8 @@ Task<void> rsort_exec(Proc& self, const RNode& node, ProcId first_proc,
   co_await exec_transform(self, node, 2, my_idx, first_ch, mine);  // phase 6
   if (my_col != 0) {                                               // phase 7
     co_await rsort_exec(self, child, child_first, child_ch, mine);
-  } else if (child.cost > 0) {
-    co_await self.skip(child.cost);
+  } else {
+    co_await self.window(child.cost);
   }
   co_await exec_transform(self, node, 3, my_idx, first_ch, mine);  // phase 8
 }

@@ -81,8 +81,10 @@ ProcMain selection_program(Proc& self, const SelCtx& ctx,
     const auto ps = co_await partial_sums(self, pair[0].val, SumOp::add(),
                                           {.with_total = true});
     const auto m = static_cast<std::size_t>(ps.total);
-    MCB_CHECK(m == m_known, "candidate count drifted: " << m << " vs "
-                                                        << m_known);
+    MCB_REQUIRE(m == m_known, kDistinctValues
+                                  << ": duplicate keys made the candidate "
+                                     "count drift ("
+                                  << m << " vs " << m_known << ")");
     const std::size_t half = (m + 1) / 2;  // ceil(m/2)
     const bool am_star = static_cast<std::size_t>(ps.before) < half &&
                          half <= static_cast<std::size_t>(ps.self);
@@ -132,39 +134,29 @@ ProcMain selection_program(Proc& self, const SelCtx& ctx,
         self, static_cast<Word>(cands.size()), SumOp::add(),
         {.with_total = true});
     const auto m = static_cast<std::size_t>(ps.total);
-    MCB_CHECK(d >= 1 && d <= m, "rank " << d << " of " << m << " survivors");
+    MCB_REQUIRE(d >= 1 && d <= m, kDistinctValues
+                                      << ": duplicate keys left rank " << d
+                                      << " of " << m << " survivors");
     const auto lo = static_cast<std::size_t>(ps.before);
     const auto hi = static_cast<std::size_t>(ps.self);
     if (i == 0) {
-      std::vector<Word> pool;
-      pool.reserve(m);
-      for (std::size_t t = 0; t < m; ++t) {
-        if (t >= lo && t < hi) {
-          const Word w = cands[t - lo];
-          auto aw = self.write(0, Message::of(w));
-          co_await aw;
-          pool.push_back(w);
-        } else {
-          auto aw = self.read(0);
-          const Proc::ReadResult got = co_await aw;
-          MCB_CHECK(got.has_value(), "termination slot " << t << " empty");
-          pool.push_back(got->at(0));
-        }
-      }
+      std::vector<Word> pool(m);
+      auto aw = collect_window(self, cands, lo, pool);
+      co_await aw;
       self.note_aux(pool.size());
       answer = seq::kth_largest(pool, d);
-      auto aw = self.write(0, Message::of(answer));
-      co_await aw;
+      auto ans = self.write(0, Message::of(answer));
+      co_await ans;
     } else {
-      // Sleep to the window, write it, sleep to the answer: each sleep
-      // rides on the next channel action (one suspension per action).
-      Cycle idle = lo;
-      for (Word w : cands) {
-        auto aw = self.cycle_after(std::exchange(idle, 0),
-                                   WriteOp{0, Message::of(w)}, std::nullopt);
+      // Sleep to the window, write it, sleep to the answer: one suspension
+      // for the window and one for the answer.
+      Cycle idle = lo + (m - hi);
+      if (!cands.empty()) {
+        auto aw = write_window(self, cands, lo);
         co_await aw;
+        idle = m - hi;
       }
-      auto aw = self.cycle_after(idle + (m - hi), std::nullopt, ChannelId{0});
+      auto aw = self.cycle_after(idle, std::nullopt, ChannelId{0});
       const Proc::ReadResult got = co_await aw;
       MCB_CHECK(got.has_value(), "no answer broadcast");
       answer = got->at(0);

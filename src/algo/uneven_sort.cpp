@@ -135,25 +135,26 @@ ProcMain uneven_program(Proc& self, const UnevenCtx& ctx,
   if (i == 0) self.mark_phase("phase0b:collect");
   std::vector<KV> column;
   if (!is_rep) {
-    Cycle idle = my_offset;  // slept out by the first write
-    for (Word w : input) {
-      auto aw = self.cycle_after(std::exchange(idle, 0),
-                                 WriteOp{gch, Message::of(w)}, std::nullopt);
-      co_await aw;
-    }
-    idle += m - my_offset - input.size();
-    if (idle > 0) co_await self.skip(idle);
+    auto aw = self.window(my_offset, input.size(),
+                          m - my_offset - input.size(),
+                          [&input, gch](std::size_t t) {
+                            return Beat{Message::of(input[t]), gch};
+                          });
+    co_await aw;
   } else {
     const std::size_t incoming = my_group_total - input.size();
     column.reserve(m);
-    for (std::size_t t = 0; t < incoming; ++t) {
-      auto got = co_await self.read(gch);
-      MCB_CHECK(got.has_value(), "collection slot " << t << " empty");
-      column.push_back(KV{got->at(0), 0});
-    }
+    column.resize(incoming);
+    auto aw = self.window(
+        0, incoming, m - incoming,
+        [gch](std::size_t) { return Beat{{}, kNoChannel, gch}; },
+        [&column](std::size_t t, const Proc::ReadResult& got) {
+          MCB_CHECK(got.has_value(), "collection slot " << t << " empty");
+          column[t] = KV{got->at(0), 0};
+        });
+    co_await aw;
     for (Word w : input) column.push_back(KV{w, 0});
     column.resize(m, KV{kDummy, 0});
-    if (incoming < m) co_await self.skip(m - incoming);
   }
 
   // --- phases 1-9 -----------------------------------------------------------
@@ -161,7 +162,7 @@ ProcMain uneven_program(Proc& self, const UnevenCtx& ctx,
   if (is_rep) {
     co_await detail::columnsort_phases(self, *ctx.plan, my_group, column);
   } else {
-    co_await detail::core_skip(self, *ctx.plan);
+    co_await self.window(ctx.plan->core_cycles);
   }
 
   // --- phase 10: redistribute ------------------------------------------------

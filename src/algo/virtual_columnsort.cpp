@@ -42,8 +42,8 @@ std::size_t row_owner(const VCtx& ctx, std::size_t r) {
   return std::min(r / ctx.ni, ctx.g - 1);
 }
 
-/// One transform over the virtual columns. `idle` cycles are slept out
-/// before the first round, riding on this member's first action.
+/// One transform over the virtual columns, as one window. `idle` cycles are
+/// slept out before the first round, as the window's lead.
 Task<void> v_transform(Proc& self, const VCtx& ctx, std::size_t t,
                        std::size_t j, std::size_t idx,
                        std::vector<Word>& rows, Cycle idle = 0) {
@@ -75,56 +75,52 @@ Task<void> v_transform(Proc& self, const VCtx& ctx, std::size_t t,
   }
   std::vector<std::size_t> ptr(ctx.kk, 0);
 
-  // --- inter-column rounds --------------------------------------------------
+  // The inter-column rounds, then the intra-column rounds (a fixed count
+  // across columns, for lockstep), as one window: columns with fewer intra
+  // moves sleep through the padding rounds as its trail.
   const sched::TransferPlan& rounds = ctx.plan->plans[t];
-  for (std::size_t round = 0; round < rounds.cycles(); ++round) {
-    std::optional<WriteOp> write;
-    std::optional<ChannelId> read;
-    const auto dc = rounds.dst_of(round, j);
-    if (dc != sched::kIdle) {
-      const std::size_t r = queue[dc][ptr[dc]++];
-      if (row_owner(ctx, r) == idx) {
-        const std::size_t dst = table[j * m + r];
-        write = WriteOp{jch, Message::of(rows[r - base],
-                                         static_cast<Word>(dst % m))};
-      }
-    }
-    const auto sc = rounds.src_of(round, j);
-    if (sc != sched::kIdle) read = static_cast<ChannelId>(sc);
-    auto aw = self.cycle_after(std::exchange(idle, 0), std::move(write), read);
-    const Proc::ReadResult got = co_await aw;
-    if (got) {
-      const auto dr = static_cast<std::size_t>(got->at(1));
-      if (row_owner(ctx, dr) == idx) next[dr - base] = got->at(0);
-    }
-  }
-
-  // --- intra-column rounds (fixed count across columns, for lockstep) -----
   const auto& moves = ctx.intra[t][j];
-  for (std::size_t round = 0; round < moves.size(); ++round) {
-    const auto [sr, dr] = moves[round];
-    const bool own_src = row_owner(ctx, sr) == idx;
-    const bool own_dst = row_owner(ctx, dr) == idx;
-    if (own_src) {
-      auto aw = self.cycle_after(
-          std::exchange(idle, 0),
-          WriteOp{jch, Message::of(rows[sr - base], static_cast<Word>(dr))},
-          std::nullopt);
-      co_await aw;
-    } else {
-      auto aw = self.cycle_after(std::exchange(idle, 0), std::nullopt, jch);
-      const Proc::ReadResult got = co_await aw;
-      if (own_dst) {
-        MCB_CHECK(got.has_value(), "intra move " << sr << "->" << dr
-                                                 << " silent");
-        next[dr - base] = got->at(0);
-      }
-    }
-  }
-  // Columns with fewer moves sleep through the padding rounds that keep the
-  // group lockstep.
-  idle += ctx.intra_rounds[t] - moves.size();
-  if (idle > 0) co_await self.skip(idle);
+  const std::size_t inter = rounds.cycles();
+  auto aw = self.window(
+      idle, inter + moves.size(), ctx.intra_rounds[t] - moves.size(),
+      [&](std::size_t round) {
+        Beat b;
+        if (round >= inter) {
+          const auto [sr, dr] = moves[round - inter];
+          if (row_owner(ctx, sr) == idx) {
+            b.msg = Message::of(rows[sr - base], static_cast<Word>(dr));
+            b.write = jch;
+          } else {
+            b.read = jch;
+          }
+          return b;
+        }
+        const auto dc = rounds.dst_of(round, j);
+        if (dc != sched::kIdle) {
+          const std::size_t r = queue[dc][ptr[dc]++];
+          if (row_owner(ctx, r) == idx) {
+            const std::size_t dst = table[j * m + r];
+            b.msg = Message::of(rows[r - base], static_cast<Word>(dst % m));
+            b.write = jch;
+          }
+        }
+        const auto sc = rounds.src_of(round, j);
+        if (sc != sched::kIdle) b.read = static_cast<ChannelId>(sc);
+        return b;
+      },
+      [&](std::size_t round, const Proc::ReadResult& got) {
+        if (round >= inter) {
+          const auto [sr, dr] = moves[round - inter];
+          if (row_owner(ctx, dr) != idx) return;
+          MCB_CHECK(got.has_value(), "intra move " << sr << "->" << dr
+                                                   << " silent");
+          next[dr - base] = got->at(0);
+        } else if (got) {
+          const auto dr = static_cast<std::size_t>(got->at(1));
+          if (row_owner(ctx, dr) == idx) next[dr - base] = got->at(0);
+        }
+      });
+  co_await aw;
   rows.swap(next);
 }
 
@@ -185,31 +181,38 @@ ProcMain virtual_program(Proc& self, const VCtx& ctx,
   const std::size_t hi = lo + ctx.ni;
   output.assign(ctx.ni, 0);
   const auto jch = static_cast<ChannelId>(j);
-  for (int pass = 0; pass < 2; ++pass) {
-    const std::size_t want_col = pass == 0 ? lo / m : (hi - 1) / m;
-    for (std::size_t t = 0; t < m; ++t) {
-      std::optional<WriteOp> write;
-      std::optional<ChannelId> read;
-      const bool i_broadcast =
-          row_owner(ctx, t) == idx && j * m + t < ctx.n;
-      if (i_broadcast) {
-        write = WriteOp{jch, Message::of(rows[t - base])};
-      }
-      const std::size_t rank = want_col * m + t;
-      bool reading = rank >= lo && rank < hi;
-      if (reading && want_col == j && row_owner(ctx, t) == idx) {
-        output[rank - lo] = rows[t - base];  // my own row
-        reading = false;
-      }
-      if (reading) read = static_cast<ChannelId>(want_col);
-      auto got = co_await self.cycle(std::move(write), read);
-      if (reading) {
+  // Both passes as one window of 2m beats.
+  const auto rank_of = [&](std::size_t beat) {
+    const std::size_t want_col = beat < m ? lo / m : (hi - 1) / m;
+    return want_col * m + beat % m;
+  };
+  auto aw = self.window(
+      0, 2 * m, 0,
+      [&](std::size_t beat) {
+        const std::size_t t = beat % m;
+        const std::size_t rank = rank_of(beat);
+        const bool mine = row_owner(ctx, t) == idx;
+        Beat b;
+        if (mine && j * m + t < ctx.n) {
+          b.msg = Message::of(rows[t - base]);
+          b.write = jch;
+        }
+        if (rank >= lo && rank < hi) {
+          if (rank / m == j && mine) {
+            output[rank - lo] = rows[t - base];  // my own row
+          } else {
+            b.read = static_cast<ChannelId>(rank / m);
+          }
+        }
+        return b;
+      },
+      [&](std::size_t beat, const Proc::ReadResult& got) {
+        const std::size_t rank = rank_of(beat);
         MCB_CHECK(got.has_value(),
                   "virtual redistribute slot empty (rank " << rank << ")");
         output[rank - lo] = got->at(0);
-      }
-    }
-  }
+      });
+  co_await aw;
 }
 
 }  // namespace
@@ -270,7 +273,7 @@ ColumnsortEvenResult virtual_columnsort(
   ctx.sizes.assign(ctx.g, ni);
   ctx.sizes.back() = m - (ctx.g - 1) * ni;
 
-  // Deterministic cost of one virtual-column sort, for the phase-7 skip.
+  // Deterministic cost of one virtual-column sort, for the phase-7 sleep.
   if (ctx.g > 1) {
     ctx.sort_cost = ctx.local_sort == LocalSort::kRankSort
                         ? 2 * m

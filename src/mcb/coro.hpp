@@ -8,13 +8,14 @@
 //     co_await sub_phase(self, ...);   // compose algorithms (Task<T>)
 //   }
 //
-// Execution model: the Network resumes each processor once per cycle it
-// participates in. A processor suspends at a cycle boundary by awaiting one
-// of the Proc channel operations (see proc.hpp); the awaiter registers the
-// processor's wake cycle and channel intents with the Network's scheduler,
-// so sleeping processors (Proc::skip) cost nothing until they are due.
-// Between two suspensions a processor performs arbitrary local computation —
-// exactly the "write, read, compute" cycle of Section 2 of the paper.
+// Execution model: a processor suspends at a cycle boundary by awaiting a
+// Proc channel action (see proc.hpp) — one cycle, or a whole window of
+// them — and the Network resumes it once that action is over. The awaiter
+// registers the processor's wake cycle and channel intents with the
+// Network's scheduler, so sleeping processors (the idle parts of a
+// Proc::window) cost nothing until they are due. Between two suspensions
+// a processor performs arbitrary local computation — the "write, read,
+// compute" cycle of Section 2 of the paper.
 //
 // Task<T> is an awaitable subroutine bound to the same processor. Awaiting
 // it transfers control into the subroutine; the subroutine's own cycle

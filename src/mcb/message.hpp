@@ -39,7 +39,8 @@ class Message {
              (std::convertible_to<Ws, Word> && ...))
   static Message of(Ws... ws) {
     Message m;
-    (m.push(static_cast<Word>(ws)), ...);
+    m.words_ = {static_cast<Word>(ws)...};
+    m.size_ = sizeof...(Ws);
     return m;
   }
 

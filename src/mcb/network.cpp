@@ -60,29 +60,100 @@ void Network::resume_proc(ProcId id) {
   }
 }
 
-void Network::on_cycle_op(Proc& pr, Cycle idle, bool beats_left) {
-  const ProcId id = pr.id_;
-  tab_.wake_cycle[id] = now_ + idle + 1;
-  if (mode_ != Engine::kEventDriven) return;
-  if (idle == 0) {
-    if (beats_left) tab_.deferred[id] = ProcTable::kBeatsLeft;
+void Network::on_window(ProcId id, Cycle lead, std::size_t beats,
+                        const ProcTable::Window& w) {
+  const bool event = mode_ == Engine::kEventDriven;
+  if (beats == 0) {  // a sleep
+    tab_.wake_cycle[id] = now_ + lead + w.trail;
+    if (event) sched_.schedule_wake(id, tab_.wake_cycle[id], now_);
+    return;
+  }
+  // Beat 0 applies in cycle now + lead: the reference scan acts on it when
+  // wake_cycle is the cycle after, the event engine when it is active. The
+  // event engine sleeps out the lead first (j = 0); the drain at now + lead
+  // makes the held beat active without resuming the processor.
+  tab_.wake_cycle[id] = now_ + lead + 1;
+  const std::uint32_t j = event && lead > 0 ? 0 : 1;
+  if (beats > 1 || w.trail > 0) {
+    tab_.window[id] = w;
+    tab_.pos[id] = {j, static_cast<std::uint32_t>(beats)};
+  } else if (j == 0) {
+    tab_.pos[id] = {0, 1};
+  }
+  if (!event) return;
+  if (lead == 0) {
     sched_.add_active(id);
     sched_.schedule_wake(id, now_ + 1, now_);
   } else {
-    // Sleep out the idle cycles first; the drain at now + idle turns the
-    // held intent into an active one without resuming the processor.
-    tab_.deferred[id] =
-        ProcTable::kIdleLeft | (beats_left ? ProcTable::kBeatsLeft : 0);
-    sched_.schedule_wake(id, now_ + idle, now_);
+    sched_.schedule_wake(id, now_ + lead, now_);
   }
 }
 
-void Network::on_sleep(Proc& pr, Cycle t) {
-  const ProcId id = pr.id_;
-  tab_.wake_cycle[id] = now_ + t;
-  if (mode_ == Engine::kEventDriven) {
-    sched_.schedule_wake(id, now_ + t, now_);
+bool Network::next_beat(ProcId id) {
+  ProcTable::Pos& at = tab_.pos[id];
+  if (at.j == 0) {  // the lead is over: beat 0 acts
+    at.j = 1;
+    return true;
   }
+  // Beat j - 1 is done. Beat 0, and every beat of a window of at most
+  // kBlock beats, passes through the intent slot itself; the later beats
+  // of a longer window come from its block.
+  constexpr std::size_t kBlock = ProcTable::kBlock;
+  ProcTable::Window& w = tab_.window[id];
+  Beat& intent = tab_.intent[id];
+  Proc::ReadResult& read = tab_.read_result[id];
+  if (w.block == ProcTable::kNoBlock) {
+    if (w.place != nullptr && intent.read != kNoChannel) {
+      w.place(w.ctx, at.j - 1, {&intent, 1}, {&read, 1});
+    }
+    if (at.j == at.n) return close_window(id);
+    if (at.n <= kBlock) {
+      w.fill(w.ctx, at.j, {&intent, 1});
+      check_intent(id);
+      ++at.j;
+      return true;
+    }
+    w.block = tab_.lend_block();
+    w.fill(w.ctx, at.j,
+           {tab_.blocks[w.block].beats.data(),
+            std::min<std::size_t>(kBlock, at.n - at.j)});
+  } else {
+    ProcTable::Block& b = tab_.blocks[w.block];
+    const std::size_t slot = (at.j - 2) % kBlock;
+    if (intent.read != kNoChannel) b.got[slot] = std::move(read);
+    if (slot + 1 == kBlock || at.j == at.n) {
+      if (w.place != nullptr) {
+        w.place(w.ctx, at.j - 1 - slot, {b.beats.data(), slot + 1},
+                {b.got.data(), slot + 1});
+      }
+      if (at.j == at.n) {
+        tab_.free_blocks.push_back(std::exchange(w.block, ProcTable::kNoBlock));
+        return close_window(id);
+      }
+      w.fill(w.ctx, at.j,
+             {b.beats.data(), std::min<std::size_t>(kBlock, at.n - at.j)});
+    }
+  }
+  intent = tab_.blocks[w.block].beats[(at.j - 1) % kBlock];
+  check_intent(id);
+  ++at.j;
+  return true;
+}
+
+bool Network::close_window(ProcId id) {
+  tab_.pos[id].n = 0;
+  tab_.window[id].place = nullptr;
+  return false;
+}
+
+void Network::bad_intent(ProcId id) const {
+  const Beat& b = tab_.intent[id];
+  MCB_REQUIRE(b.write == kNoChannel || b.write < cfg_.k,
+              "P" << id + 1 << " writing channel " << b.write << " of "
+                  << cfg_.k);
+  MCB_REQUIRE(b.read == kNoChannel || b.read < cfg_.k,
+              "P" << id + 1 << " reading channel " << b.read << " of "
+                  << cfg_.k);
 }
 
 void Network::span_begin(std::string_view name) {
@@ -129,16 +200,19 @@ void Network::throw_max_cycles() const {
 }
 
 void Network::clear_intents(ProcId i) {
-  tab_.pending_write[i].reset();
-  tab_.pending_read[i].reset();
+  tab_.intent[i].write = kNoChannel;
+  tab_.intent[i].read = kNoChannel;
   tab_.pending_read_all[i] = 0;
 }
 
 void Network::apply_read(ProcId i) {
-  tab_.read_result[i].reset();
-  if (const auto& rc = tab_.pending_read[i]) {
-    if (slot_written_[*rc] != 0) {
-      tab_.read_result[i] = slot_msg_[*rc];
+  // A processor that reads nothing keeps its last result: a cycle_after
+  // with a trailing idle returns it after the trail.
+  if (const ChannelId rc = tab_.intent[i].read; rc != kNoChannel) {
+    if (slot_written_[rc] != 0) {
+      tab_.read_result[i] = slot_msg_[rc];
+    } else {
+      tab_.read_result[i].reset();
     }
   }
   if (tab_.pending_read_all[i] != 0) {
@@ -153,19 +227,22 @@ void Network::apply_read(ProcId i) {
 }
 
 void Network::emit_event(ProcId i) {
-  const auto& w = tab_.pending_write[i];
-  if (!w && !tab_.pending_read[i] && tab_.pending_read_all[i] == 0) {
+  const Beat& b = tab_.intent[i];
+  if (b.write == kNoChannel && b.read == kNoChannel &&
+      tab_.pending_read_all[i] == 0) {
     return;
   }
   CycleEvent ev;
   ev.cycle = now_;
   ev.proc = i;
-  if (w) {
-    ev.wrote = w->channel;
-    ev.sent = w->msg;
+  if (b.write != kNoChannel) {
+    ev.wrote = b.write;
+    ev.sent = b.msg;
   }
-  ev.read = tab_.pending_read[i];
-  ev.received = tab_.read_result[i];
+  if (b.read != kNoChannel) {
+    ev.read = b.read;
+    ev.received = tab_.read_result[i];
+  }
   if (tab_.pending_read_all[i] != 0) {
     ev.read_all = true;
     ev.received_all = tab_.read_all_results[i];
@@ -303,15 +380,15 @@ void Network::run_event_loop() {
     // processors that suspended with a channel intent, in id order — the
     // same order the reference scan visits them.
     for (ProcId id : active) {
-      const auto& w = tab_.pending_write[id];
-      if (!w) continue;
-      const ChannelId c = w->channel;
+      const Beat& b = tab_.intent[id];
+      if (b.write == kNoChannel) continue;
+      const ChannelId c = b.write;
       if (slot_written_[c] != 0) {
         throw CollisionError(now_, c, slot_writer_[c], id);
       }
       slot_written_[c] = 1;
       slot_writer_[c] = id;
-      slot_msg_[c] = w->msg;
+      slot_msg_[c] = b.msg;
       sched_.mark_dirty(c);
       ++stats_.messages;
       ++stats_.messages_per_proc[id];
@@ -328,12 +405,11 @@ void Network::run_event_loop() {
     // Step 3: the cycle completes. Clear only the channels written this
     // cycle, then resume every processor due at the new time, in processor
     // order (the drain is id-sorted; processors re-registering while it is
-    // iterated wake strictly later and land in fresh buckets). A deferred
-    // processor has slept out the idle part of its cycle_after or
-    // burst_after, or finished a burst beat with more to come: it joins
-    // the new cycle's active list, with its next beat loaded, as if it had
-    // just resumed and called cycle(), so active list and next bucket stay
-    // id-sorted.
+    // iterated wake strictly later and land in fresh buckets). A processor
+    // inside a window is not resumed: it has slept out the window's lead,
+    // or applied a beat and has another to act on — then it joins the new
+    // cycle's active list, as if it had just resumed and acted, so active
+    // list and next bucket stay id-sorted — or it sleeps out the trail.
     for (ChannelId c : sched_.dirty()) {
       slot_written_[c] = 0;
     }
@@ -341,15 +417,17 @@ void Network::run_event_loop() {
     sched_.clear_active();
     ++now_;
     for (ProcId id : sched_.drain_due(now_)) {
-      if (std::uint8_t& held = tab_.deferred[id]; held != 0) {
-        if ((held & ProcTable::kIdleLeft) != 0) {
-          held &= ProcTable::kBeatsLeft;
-        } else if (!tab_.next_beat(id)) {
-          held = 0;
+      if (tab_.pos[id].n != 0) {
+        if (next_beat(id)) {
+          sched_.add_active(id);
+          sched_.schedule_wake(id, now_ + 1, now_);
+          continue;
         }
-        sched_.add_active(id);
-        sched_.schedule_wake(id, now_ + 1, now_);
-        continue;
+        if (Cycle& trail = tab_.window[id].trail; trail > 0) {
+          clear_intents(id);
+          sched_.schedule_wake(id, now_ + std::exchange(trail, 0), now_);
+          continue;
+        }
       }
       clear_intents(id);
       resume_proc(id);
@@ -374,15 +452,15 @@ void Network::run_reference_loop() {
     std::fill(slot_written_.begin(), slot_written_.end(), std::uint8_t{0});
     for (ProcId id = 0; id < cfg_.p; ++id) {
       if (!acts(id)) continue;
-      const auto& w = tab_.pending_write[id];
-      if (!w) continue;
-      const ChannelId c = w->channel;
+      const Beat& b = tab_.intent[id];
+      if (b.write == kNoChannel) continue;
+      const ChannelId c = b.write;
       if (slot_written_[c] != 0) {
         throw CollisionError(now_, c, slot_writer_[c], id);
       }
       slot_written_[c] = 1;
       slot_writer_[c] = id;
-      slot_msg_[c] = w->msg;
+      slot_msg_[c] = b.msg;
       ++stats_.messages;
       ++stats_.messages_per_proc[id];
       ++stats_.messages_per_channel[c];
@@ -401,14 +479,21 @@ void Network::run_reference_loop() {
 
     // Step 3: the cycle completes; resume local computation of every
     // processor due this cycle (in processor order, for determinism). A
-    // processor inside a burst with beats left loads its next beat instead.
+    // processor inside a window acts on its next beat instead, or sleeps
+    // out the window's trail.
     ++now_;
     for (ProcId id = 0; id < cfg_.p; ++id) {
       if (tab_.done[id] != 0 || tab_.wake_cycle[id] > now_) continue;
-      if (tab_.burst[id].next != tab_.burst[id].end) {
-        tab_.next_beat(id);
-        tab_.wake_cycle[id] = now_ + 1;
-        continue;
+      if (tab_.pos[id].n != 0) {
+        if (next_beat(id)) {
+          tab_.wake_cycle[id] = now_ + 1;
+          continue;
+        }
+        if (Cycle& trail = tab_.window[id].trail; trail > 0) {
+          clear_intents(id);
+          tab_.wake_cycle[id] = now_ + std::exchange(trail, 0);
+          continue;
+        }
       }
       clear_intents(id);
       resume_proc(id);

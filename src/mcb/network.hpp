@@ -106,16 +106,29 @@ class Network {
  private:
   friend class Proc;
   friend struct Proc::CycleAwaiter;
-  friend struct Proc::BurstAwaiter;
-  friend struct Proc::SkipAwaiter;
   friend struct Proc::MultiReadAwaiter;
 
-  // Suspension hooks called by the Proc awaiters. on_cycle_op: `pr` holds a
-  // channel intent for cycle now + idle and wakes in the cycle after it;
-  // with `beats_left`, a burst continues from that wake without a resume.
-  // on_sleep: `pr` sleeps for t cycles with no channel activity.
-  void on_cycle_op(Proc& pr, Cycle idle, bool beats_left = false);
-  void on_sleep(Proc& pr, Cycle t);
+  // The suspension hook of every awaiter: processor id opens a window of
+  // `beats` beats (beat 0, if any, already loaded) after `lead` idle
+  // cycles, with callbacks and trail `w`. A window of no beats is a sleep
+  // of lead + w.trail cycles.
+  void on_window(ProcId id, Cycle lead, std::size_t beats,
+                 const ProcTable::Window& w);
+  // Processor id is due inside its window with beat j - 1 just applied:
+  // hands that beat's read to place, then loads the next beat and returns
+  // true, or closes the window and returns false.
+  bool next_beat(ProcId id);
+  bool close_window(ProcId id);  // returns false, for next_beat
+  // Throws std::invalid_argument when processor id's intent names a
+  // channel >= k.
+  void check_intent(ProcId id) const {
+    const Beat& b = tab_.intent[id];
+    if ((b.write != kNoChannel && b.write >= cfg_.k) ||
+        (b.read != kNoChannel && b.read >= cfg_.k)) {
+      bad_intent(id);
+    }
+  }
+  void bad_intent(ProcId id) const;
 
   void resume_proc(ProcId id);
   void run_event_loop();

@@ -1,6 +1,7 @@
 #include "mcb/proc.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "mcb/network.hpp"
@@ -20,42 +21,51 @@ Proc::CycleAwaiter Proc::cycle(std::optional<WriteOp> write,
 }
 
 Proc::CycleAwaiter Proc::cycle_after(Cycle idle, std::optional<WriteOp> write,
-                                     std::optional<ChannelId> read) {
-  if (write) {
-    MCB_REQUIRE(write->channel < k(), "P" << id_ + 1 << " writing channel "
-                                          << write->channel << " of " << k());
-  }
-  if (read) {
-    MCB_REQUIRE(*read < k(), "P" << id_ + 1 << " reading channel " << *read
-                                 << " of " << k());
-  }
-  net_->tab_.pending_write[id_] = std::move(write);
-  net_->tab_.pending_read[id_] = read;
-  return CycleAwaiter{*this, idle};
+                                     std::optional<ChannelId> read,
+                                     Cycle trail) {
+  set_intent(write, read.value_or(kNoChannel));
+  net_->tab_.read_result[id_].reset();  // reading nothing yields nullopt
+  return CycleAwaiter{*this, idle, trail};
 }
 
-Proc::BurstAwaiter Proc::burst_after(Cycle idle, std::span<const Beat> beats,
-                                     std::span<ReadResult> got) {
-  MCB_REQUIRE(!beats.empty(), "P" << id_ + 1 << " bursting no beats");
-  bool reads = false;
-  for (const Beat& b : beats) {
-    MCB_REQUIRE(b.write == kNoChannel || b.write < k(),
-                "P" << id_ + 1 << " writing channel " << b.write << " of "
-                    << k());
-    MCB_REQUIRE(b.read == kNoChannel || b.read < k(),
-                "P" << id_ + 1 << " reading channel " << b.read << " of "
-                    << k());
-    reads = reads || b.read != kNoChannel;
+Proc::WindowAwaiter<Proc::NoFn, Proc::NoFn> Proc::window(Cycle idle) {
+  return {*this, idle, 0, 0, false, {}, {}};
+}
+
+void Proc::require_beats(std::size_t beats) const {
+  MCB_REQUIRE(beats <= UINT32_MAX, "P" << id_ + 1 << " opening a window of "
+                                       << beats << " beats");
+}
+
+bool Proc::load_beat(Beat b) {
+  net_->tab_.intent[id_] = std::move(b);
+  net_->check_intent(id_);
+  net_->tab_.read_result[id_].reset();
+  return net_->tab_.intent[id_].read != kNoChannel;
+}
+
+Proc::ReadResult Proc::take_read() {
+  return std::move(net_->tab_.read_result[id_]);
+}
+
+void Proc::set_intent(std::optional<WriteOp>& write, ChannelId read) {
+  // Field by field: a whole Beat assembled on the stack and copied in
+  // stalls on store forwarding, on every action.
+  Beat& b = net_->tab_.intent[id_];
+  b.write = kNoChannel;
+  if (write) {
+    b.msg = std::move(write->msg);
+    b.write = write->channel;
   }
-  MCB_REQUIRE(got.size() == beats.size() || (got.empty() && !reads),
-              "P" << id_ + 1 << " bursting " << beats.size() << " beats into "
-                  << got.size() << " read slots");
-  ProcTable& tab = net_->tab_;
-  tab.load_beat(id_, beats.front());
-  tab.burst[id_] = ProcTable::Burst{beats.data() + 1,
-                                    beats.data() + beats.size(),
-                                    got.empty() ? nullptr : got.data()};
-  return BurstAwaiter{*this, idle};
+  b.read = read;
+  net_->check_intent(id_);
+}
+
+void Proc::open_window(std::coroutine_handle<> h, Cycle lead,
+                       std::size_t beats, Cycle trail, FillFn fill,
+                       PlaceFn place, void* ctx) {
+  net_->tab_.resume_point[id_] = h;
+  net_->on_window(id_, lead, beats, ProcTable::Window{fill, place, ctx, trail});
 }
 
 Proc::CycleAwaiter Proc::write(ChannelId ch, Message m) {
@@ -68,20 +78,11 @@ Proc::CycleAwaiter Proc::write_read(ChannelId wch, Message m, ChannelId rch) {
   return cycle(WriteOp{wch, std::move(m)}, rch);
 }
 
-Proc::CycleAwaiter Proc::step() { return cycle(std::nullopt, std::nullopt); }
-
-Proc::SkipAwaiter Proc::skip(Cycle t) { return SkipAwaiter{*this, t}; }
-
 Proc::MultiReadAwaiter Proc::cycle_all(std::optional<WriteOp> write) {
   MCB_REQUIRE(net_->config().multi_read,
               "cycle_all requires SimConfig::multi_read (the Section 9 "
               "model extension)");
-  if (write) {
-    MCB_REQUIRE(write->channel < k(), "P" << id_ + 1 << " writing channel "
-                                          << write->channel << " of " << k());
-  }
-  net_->tab_.pending_write[id_] = std::move(write);
-  net_->tab_.pending_read[id_].reset();
+  set_intent(write, kNoChannel);
   net_->tab_.pending_read_all[id_] = 1;
   return MultiReadAwaiter{*this};
 }
@@ -99,40 +100,18 @@ void Proc::span_end() { net_->span_end(); }
 
 void Proc::CycleAwaiter::await_suspend(std::coroutine_handle<> h) noexcept {
   proc.net_->tab_.resume_point[proc.id_] = h;
-  proc.net_->on_cycle_op(proc, idle);
+  proc.net_->on_window(proc.id_, idle, 1,
+                       ProcTable::Window{nullptr, nullptr, nullptr, trail});
 }
 
 Proc::ReadResult Proc::CycleAwaiter::await_resume() const noexcept {
-  return std::move(proc.net_->tab_.read_result[proc.id_]);
-}
-
-void Proc::BurstAwaiter::await_suspend(std::coroutine_handle<> h) noexcept {
-  ProcTable& tab = proc.net_->tab_;
-  tab.resume_point[proc.id_] = h;
-  const ProcTable::Burst& b = tab.burst[proc.id_];
-  proc.net_->on_cycle_op(proc, idle, b.next != b.end);
-}
-
-void Proc::BurstAwaiter::await_resume() const noexcept {
-  ProcTable& tab = proc.net_->tab_;
-  ProcTable::Burst& b = tab.burst[proc.id_];
-  if (b.got != nullptr) *b.got = std::move(tab.read_result[proc.id_]);
-  b.got = nullptr;
-}
-
-void Proc::SkipAwaiter::await_suspend(std::coroutine_handle<> h) noexcept {
-  ProcTable& tab = proc.net_->tab_;
-  tab.pending_write[proc.id_].reset();
-  tab.pending_read[proc.id_].reset();
-  tab.pending_read_all[proc.id_] = 0;
-  tab.resume_point[proc.id_] = h;
-  proc.net_->on_sleep(proc, t);
+  return proc.take_read();
 }
 
 void Proc::MultiReadAwaiter::await_suspend(
     std::coroutine_handle<> h) noexcept {
   proc.net_->tab_.resume_point[proc.id_] = h;
-  proc.net_->on_cycle_op(proc, 0);
+  proc.net_->on_window(proc.id_, 0, 1, ProcTable::Window{});
 }
 
 std::vector<Proc::ReadResult> Proc::MultiReadAwaiter::await_resume()

@@ -5,11 +5,11 @@
 #include <coroutine>
 #include <cstddef>
 #include <optional>
-#include <ranges>
 #include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "mcb/coro.hpp"
@@ -26,9 +26,9 @@ struct WriteOp {
   Message msg;
 };
 
-/// One cycle of a Proc::burst_after: write `msg` on channel `write` and/or
-/// read channel `read`; kNoChannel leaves that half out (a beat with
-/// neither is an idle cycle).
+/// One cycle of a Proc::window: write `msg` on channel `write` and/or read
+/// channel `read`; kNoChannel leaves that half out (a beat with neither is
+/// an idle cycle).
 struct Beat {
   Message msg;
   ChannelId write = kNoChannel;
@@ -41,6 +41,18 @@ class Proc {
   /// observed on the channel it read, or nullopt on silence / no read.
   using ReadResult = std::optional<Message>;
 
+  /// A window's callbacks as the engine stores them, over a run of beats
+  /// j0, j0 + 1, ...: fill stores them in `out`; place hands each one of
+  /// `beats` that reads its result in `got`. `ctx` is the awaiter.
+  using FillFn = void (*)(void* ctx, std::size_t j0, std::span<Beat> out);
+  using PlaceFn = void (*)(void* ctx, std::size_t j0,
+                           std::span<const Beat> beats,
+                           std::span<ReadResult> got);
+
+  /// The fill of a window of no beats, or the place of one that keeps no
+  /// reads.
+  struct NoFn {};
+
   ProcId id() const { return id_; }
   std::size_t p() const;  ///< processors in the network
   std::size_t k() const;  ///< channels in the network
@@ -48,53 +60,60 @@ class Proc {
   /// Number of network cycles completed so far.
   Cycle now() const;
 
-  // --- cycle operations (awaitable; each consumes exactly one cycle) -----
+  // --- channel actions (awaitable) ----------------------------------------
+  //
+  // Every protocol in the paper is a fixed transmission schedule: count
+  // cycles to your turn, act over a known window, sleep. That is the one
+  // primitive, Proc::window; cycle_after is its one-beat spelling and the
+  // zero-beat window is a sleep.
 
-  /// Full generality: optionally write one channel and read one channel.
-  /// Yields the message read (nullopt on silence or when not reading).
-  /// Same as cycle_after(0, write, read).
+  /// The channel-action primitive: idle `lead` cycles, act for `beats`
+  /// cycles, idle `trail` cycles, then resume — one suspension. Beat j
+  /// applies in cycle now() + lead + j and is `fill(j)`, a plain function
+  /// returning a Beat; each beat that reads hands its ReadResult (nullopt
+  /// on silence) to `place(j, got)`. fill(0) runs here; the engine runs
+  /// the rest, in order of j, each fill(j) before beat j applies and each
+  /// place(j) after it completes — for a window of more than
+  /// ProcTable::kBlock beats, a block of beats at a time — and all before
+  /// the processor resumes (a one-beat window places as it resumes, the
+  /// way cycle_after returns its read). So a fill must not depend on the
+  /// window's own reads, and neither may suspend; an exception from either
+  /// aborts run(). Both live in the awaiter, so what they capture must
+  /// outlive it: build it in its own statement (`auto aw =
+  /// self.window(...); co_await aw;`). Channels are validated as each beat
+  /// loads (< k).
+  template <typename Fill, typename Place>
+  struct WindowAwaiter;
+  template <typename Fill, typename Place = NoFn>
+  WindowAwaiter<Fill, Place> window(Cycle lead, std::size_t beats, Cycle trail,
+                                    Fill fill, Place place = {}) {
+    require_beats(beats);
+    // A window of one beat is a cycle_after whose read goes to place: the
+    // engine keeps no callback for it, and the awaiter places the read
+    // (kept through the trail) as the processor resumes.
+    const bool reads = beats > 0 && load_beat(fill(std::size_t{0}));
+    return {*this, lead, beats, trail, beats == 1 && reads, std::move(fill),
+            std::move(place)};
+  }
+
+  /// A window of zero beats: sleep `idle` cycles (none: no suspension).
+  WindowAwaiter<NoFn, NoFn> window(Cycle idle);
+
+  /// One beat with its intent stored inline (no callback): idle `idle`
+  /// cycles, optionally write one channel and read one channel in the next,
+  /// idle `trail` more, resume. Yields the message read (nullopt on silence
+  /// or when not reading). The paper's protocols wait their turn by
+  /// counting cycles and then act, so this is their common step.
   struct CycleAwaiter;
+  CycleAwaiter cycle_after(Cycle idle, std::optional<WriteOp> write,
+                           std::optional<ChannelId> read, Cycle trail = 0);
+
+  /// cycle_after(0, write, read) and its one-sided spellings.
   CycleAwaiter cycle(std::optional<WriteOp> write,
                      std::optional<ChannelId> read);
-
-  /// Idles `idle` cycles, then acts as cycle(write, read) in the next one.
-  /// Observably identical to `co_await skip(idle); co_await cycle(write,
-  /// read);` but suspends once: the intent applies in cycle now() + idle
-  /// and the processor resumes after it. The paper's protocols wait their
-  /// turn by counting cycles and then act, so this is their common step.
-  CycleAwaiter cycle_after(Cycle idle, std::optional<WriteOp> write,
-                           std::optional<ChannelId> read);
-
-  /// A fixed run of channel actions in one suspension: observably identical
-  /// to cycle_after(idle, beat 0) followed by cycle_after(0, beat j) for
-  /// each later beat. The engine applies beat j in cycle now() + idle + j
-  /// and stores its read in got[j] without resuming the processor; the
-  /// processor resumes after the last beat. `beats` and `got` must stay
-  /// alive until then. Every beat is validated here: channels must be < k,
-  /// and `got` must hold one slot per beat, or be empty when no beat reads.
-  /// Use it for windows whose actions are known up front (Columnsort's
-  /// gather, transformations and redistribution); a single action stays on
-  /// cycle_after.
-  struct BurstAwaiter;
-  BurstAwaiter burst_after(Cycle idle, std::span<const Beat> beats,
-                           std::span<ReadResult> got);
-  /// A temporary container would die before the burst runs.
-  template <typename Beats>
-    requires(!std::is_lvalue_reference_v<Beats> &&
-             !std::ranges::borrowed_range<Beats>)
-  BurstAwaiter burst_after(Cycle idle, Beats&& beats,
-                           std::span<ReadResult> got) = delete;
-
   CycleAwaiter write(ChannelId ch, Message m);
   CycleAwaiter read(ChannelId ch);
   CycleAwaiter write_read(ChannelId wch, Message m, ChannelId rch);
-  CycleAwaiter step();  ///< participate in a cycle doing nothing
-
-  /// Sleep for `t >= 1` cycles without being rescheduled (equivalent to t
-  /// consecutive step()s but O(1) simulation work). Used for the paper's
-  /// "wait your turn by counting cycles" synchronization.
-  struct SkipAwaiter;
-  SkipAwaiter skip(Cycle t);
 
   /// Section 9 extension (requires SimConfig::multi_read): optionally write
   /// one channel and read EVERY channel this cycle. Yields one ReadResult
@@ -121,28 +140,61 @@ class Proc {
 
   // --- awaiters -----------------------------------------------------------
 
+  template <typename Fill, typename Place>
+  struct WindowAwaiter {
+    Proc& proc;
+    Cycle lead;
+    std::size_t beats;
+    Cycle trail;
+    bool place_on_resume;
+    [[no_unique_address]] Fill fill;
+    [[no_unique_address]] Place place;
+
+    bool await_ready() const noexcept { return lead + beats + trail == 0; }
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      PlaceFn place_fn = nullptr;
+      if constexpr (!std::is_same_v<Place, NoFn>) {
+        place_fn = [](void* ctx, std::size_t j0, std::span<const Beat> done,
+                      std::span<ReadResult> got) {
+          auto* aw = static_cast<WindowAwaiter*>(ctx);
+          for (std::size_t i = 0; i < done.size(); ++i) {
+            if (done[i].read != kNoChannel) {
+              aw->place(j0 + i, std::move(got[i]));
+            }
+          }
+        };
+        if (place_on_resume) place_fn = nullptr;
+      }
+      FillFn fill_fn = nullptr;
+      if constexpr (!std::is_same_v<Fill, NoFn>) {
+        fill_fn = [](void* ctx, std::size_t j0, std::span<Beat> out) {
+          auto* aw = static_cast<WindowAwaiter*>(ctx);
+          // Stored field by field: a whole-Beat copy of one assembled on
+          // the stack stalls on store forwarding, a cost paid per beat.
+          for (std::size_t i = 0; i < out.size(); ++i) {
+            const Beat b = aw->fill(j0 + i);
+            out[i].msg = b.msg;
+            out[i].write = b.write;
+            out[i].read = b.read;
+          }
+        };
+      }
+      proc.open_window(h, lead, beats, trail, fill_fn, place_fn, this);
+    }
+    void await_resume() {
+      if constexpr (!std::is_same_v<Place, NoFn>) {
+        if (place_on_resume) place(std::size_t{0}, proc.take_read());
+      }
+    }
+  };
+
   struct CycleAwaiter {
     Proc& proc;
-    Cycle idle;  ///< cycles slept before the channel action
+    Cycle idle;   ///< cycles slept before the channel action
+    Cycle trail;  ///< cycles slept after it
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) noexcept;
     ReadResult await_resume() const noexcept;
-  };
-
-  struct BurstAwaiter {
-    Proc& proc;
-    Cycle idle;  ///< cycles slept before beat 0
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) noexcept;
-    void await_resume() const noexcept;  ///< stores the last beat's read
-  };
-
-  struct SkipAwaiter {
-    Proc& proc;
-    Cycle t;
-    bool await_ready() const noexcept { return t == 0; }
-    void await_suspend(std::coroutine_handle<> h) noexcept;
-    void await_resume() const noexcept {}
   };
 
   struct MultiReadAwaiter {
@@ -163,6 +215,18 @@ class Proc {
   // Sets the done flag in the network's ProcTable (defined in proc.cpp,
   // where Network is complete).
   void mark_done();
+
+  // Make `b`, or `write` and `read`, this processor's channel intent,
+  // validating its channels. load_beat returns whether `b` reads (and
+  // clears the last read, as a cycle that reads nothing yields nullopt).
+  bool load_beat(Beat b);
+  ReadResult take_read();  // the last read, moved out
+  void set_intent(std::optional<WriteOp>& write, ChannelId read);
+  // Rejects windows longer than the engine's 32-bit beat cursor.
+  void require_beats(std::size_t beats) const;
+  // WindowAwaiter::await_suspend: hands the window to the engine.
+  void open_window(std::coroutine_handle<> h, Cycle lead, std::size_t beats,
+                   Cycle trail, FillFn fill, PlaceFn place, void* ctx);
 
   // Proc is a thin handle: all hot per-processor state (wake cycle, channel
   // intents, read results, resume handle) lives in the Network's ProcTable

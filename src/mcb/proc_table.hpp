@@ -12,9 +12,11 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -37,29 +39,55 @@ struct ProcTable {
   std::vector<Cycle> wake_cycle;
   /// Program completed (one byte per flag, not a packed vector<bool>).
   std::vector<std::uint8_t> done;
-  /// Event engine: why the next drain must not resume the processor, as
-  /// bits. kIdleLeft: it sleeps out the idle part of a Proc::cycle_after or
-  /// burst_after and holds its channel intent for the cycle after the
-  /// wake. kBeatsLeft: a burst has beats after the one in flight (or, with
-  /// kIdleLeft, after beat 0). The drain makes it active for the next
-  /// cycle instead of resuming it.
-  std::vector<std::uint8_t> deferred;
-  static constexpr std::uint8_t kIdleLeft = 1;
-  static constexpr std::uint8_t kBeatsLeft = 2;
-
-  /// Cursor of a Proc::burst_after in flight: the beats not yet loaded and
-  /// the read slot of the beat in flight (null when the burst keeps no
-  /// reads). Idle (next == end) outside a burst.
-  struct Burst {
-    const Beat* next = nullptr;
-    const Beat* end = nullptr;
-    Proc::ReadResult* got = nullptr;
+  /// The window in flight (a Proc::window, or a cycle_after with a lead
+  /// or a trail), split by how often the drain reads it. pos: beat j - 1
+  /// is the one applied last (j == 0: the event engine still sleeps out
+  /// the lead, with beat 0 loaded) of n (0: no window — the processor
+  /// resumes when next due). window: the callbacks (ctx is the awaiter),
+  /// the idle cycles after the last beat and the block lent to the window
+  /// (kNoBlock: none). place is null, trail 0 and block kNoBlock whenever
+  /// no window is open, so a one-beat window without a trail (its read is
+  /// placed by the awaiter) only sets pos.
+  struct Pos {
+    std::uint32_t j = 0;
+    std::uint32_t n = 0;
   };
-  std::vector<Burst> burst;
+  std::vector<Pos> pos;
+  static constexpr std::uint32_t kNoBlock = ~std::uint32_t{0};
+  struct Window {
+    Proc::FillFn fill = nullptr;
+    Proc::PlaceFn place = nullptr;
+    void* ctx = nullptr;
+    Cycle trail = 0;
+    std::uint32_t block = kNoBlock;
+  };
+  std::vector<Window> window;
 
-  // Per-cycle channel intents and results.
-  std::vector<std::optional<WriteOp>> pending_write;
-  std::vector<std::optional<ChannelId>> pending_read;
+  /// A window of more than kBlock beats acts from a block lent to it after
+  /// beat 0 until it ends: the engine fills kBlock beats at a time and
+  /// places their reads when the block is used up, so its callbacks run
+  /// once per block, not once per cycle. Blocks are kept for reuse.
+  static constexpr std::size_t kBlock = 32;
+  struct Block {
+    std::array<Beat, kBlock> beats;
+    std::array<Proc::ReadResult, kBlock> got;
+  };
+  std::vector<Block> blocks;
+  std::vector<std::uint32_t> free_blocks;
+
+  std::uint32_t lend_block() {
+    if (free_blocks.empty()) {
+      blocks.emplace_back();
+      return static_cast<std::uint32_t>(blocks.size() - 1);
+    }
+    const std::uint32_t b = free_blocks.back();
+    free_blocks.pop_back();
+    return b;
+  }
+
+  // Per-cycle channel intents and results. intent[i] is the beat processor
+  // i acts on in the cycle before its wake (kNoChannel halves: none).
+  std::vector<Beat> intent;
   std::vector<std::uint8_t> pending_read_all;
   std::vector<Proc::ReadResult> read_result;
   std::vector<std::vector<Proc::ReadResult>> read_all_results;
@@ -72,10 +100,9 @@ struct ProcTable {
     program.resize(p);
     wake_cycle.assign(p, 0);
     done.assign(p, 0);
-    deferred.assign(p, 0);
-    burst.assign(p, Burst{});
-    pending_write.resize(p);
-    pending_read.resize(p);
+    pos.assign(p, Pos{});
+    window.assign(p, Window{});
+    intent.assign(p, Beat{});
     pending_read_all.assign(p, 0);
     read_result.resize(p);
     read_all_results.resize(p);
@@ -91,38 +118,16 @@ struct ProcTable {
     std::fill(program.begin(), program.end(), ProcMain::handle_type{});
     std::fill(wake_cycle.begin(), wake_cycle.end(), Cycle{0});
     std::fill(done.begin(), done.end(), std::uint8_t{0});
-    std::fill(deferred.begin(), deferred.end(), std::uint8_t{0});
-    std::fill(burst.begin(), burst.end(), Burst{});
-    for (auto& w : pending_write) w.reset();
-    for (auto& r : pending_read) r.reset();
+    std::fill(pos.begin(), pos.end(), Pos{});
+    std::fill(window.begin(), window.end(), Window{});
+    std::fill(intent.begin(), intent.end(), Beat{});
     std::fill(pending_read_all.begin(), pending_read_all.end(),
               std::uint8_t{0});
     for (auto& r : read_result) r.reset();
     for (auto& v : read_all_results) v.clear();
     std::fill(peak_aux_words.begin(), peak_aux_words.end(), std::size_t{0});
-  }
-
-  /// Makes `b` processor i's channel intent.
-  void load_beat(std::size_t i, const Beat& b) {
-    if (b.write != kNoChannel) {
-      pending_write[i] = WriteOp{b.write, b.msg};
-    } else {
-      pending_write[i].reset();
-    }
-    if (b.read != kNoChannel) {
-      pending_read[i] = b.read;
-    } else {
-      pending_read[i].reset();
-    }
-  }
-
-  /// Ends burst beat j of processor i: keeps its read in got[j] and loads
-  /// beat j + 1. Returns whether beats remain after that one.
-  bool next_beat(std::size_t i) {
-    Burst& b = burst[i];
-    if (b.got != nullptr) *b.got++ = std::move(read_result[i]);
-    load_beat(i, *b.next++);
-    return b.next != b.end;
+    free_blocks.resize(blocks.size());
+    std::iota(free_blocks.begin(), free_blocks.end(), std::uint32_t{0});
   }
 };
 

@@ -1,8 +1,8 @@
 // Event queue for the event-driven simulation engine.
 //
 // The paper's protocols synchronize by counting cycles: at any instant many
-// processors are asleep in Proc::skip() waiting for their turn, and the
-// rest re-awaken every cycle via channel operations. The scan-the-world
+// processors sleep out the idle part of a Proc::window waiting for their
+// turn, and the rest act every cycle. The scan-the-world
 // reference loop pays O(p) per cycle regardless; this scheduler makes each
 // suspension cost O(1) and lets the network iterate only over the
 // processors that actually participate in the cycle in flight.
@@ -10,9 +10,9 @@
 // The wake queue is a hierarchical timing wheel (Varghese & Lauck) keyed on
 // the wake cycle, plus a fast lane for the next cycle:
 //
-//   * next bucket — processors waking exactly one cycle ahead (every channel
-//     op, skip(1), and every Proc::cycle_after whose idle part just ended). This is the hot path: pushes happen in processor-id
-//     order during the drain of the previous cycle, so the bucket is always
+//   * next bucket — processors waking exactly one cycle ahead (every beat
+//     of a window, and every window whose lead just ended). This is the
+//     hot path: pushes happen in processor-id order during the drain of the previous cycle, so the bucket is always
 //     id-sorted by construction and push/pop are O(1). It stays a plain
 //     vector outside the wheel: tens of millions of resumes per run take
 //     this path, and a drain of it alone needs no sort check.

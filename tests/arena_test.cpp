@@ -187,7 +187,7 @@ TEST(ArenaTest, FrameMayOutliveItsAllocationScope) {
 // --- end-to-end: Network runs recycle every frame ----------------------------
 
 Task<Word> double_up(Proc& self, Word x) {
-  co_await self.skip(1);
+  co_await self.window(1);
   co_return x * 2;
 }
 

@@ -5,7 +5,7 @@
 // a (p, k, ni) grid on both engines. The grid covers one processor per
 // column (g = 1), one element per processor (ni = 1), segments that
 // straddle two columns in the redistribution, a single column (k = 1), and
-// windows longer than one burst chunk. Any change to who acts in which
+// windows longer than 32 beats. Any change to who acts in which
 // cycle, on which channel, with which payload shows up here.
 #include <gtest/gtest.h>
 
@@ -63,7 +63,7 @@ const Shape kShapes[] = {
     {5, 1, 4},     // one column: no transformations
     {9, 3, 40},    // member windows of one chunk and a remainder
     {16, 4, 64},   // two full chunks per member window
-    {64, 8, 65},   // wide columns, long transformation bursts
+    {64, 8, 65},   // wide columns, long transformation windows
     {12, 8, 45},   // uneven: a representative's read window overlaps
     {10, 8, 50},   //   and extends past its write prefix
 };

@@ -15,12 +15,12 @@ namespace mcb {
 namespace {
 
 ProcMain delayed_write(Proc& self, Cycle delay, ChannelId ch, Word v) {
-  co_await self.skip(delay);
+  co_await self.window(delay);
   co_await self.write(ch, Message::of(v));
 }
 
 ProcMain idle(Proc& self, Cycle steps) {
-  co_await self.skip(steps);
+  co_await self.window(steps);
 }
 
 /// Runs a 4-processor network where P2 and P4 both write channel 1 in cycle

@@ -1,14 +1,12 @@
-// lint-allow fixture: one deliberate violation of every rule (L1-L3,
-// L5-L7), each silenced by an escape comment — trailing, line-above, slug
-// and MCB-Lx id forms are all exercised. tests/mcblint_test.cpp asserts
-// zero findings and exactly six suppressions.
+// lint-allow fixture: one deliberate violation of every rule (L1-L3, L6),
+// each silenced by an escape comment — trailing, line-above, slug and
+// MCB-Lx id forms are all exercised. tests/mcblint_test.cpp asserts zero
+// findings and exactly four suppressions.
 #include <cstdlib>
 #include <unordered_map>
 #include <vector>
 
 struct Proc {
-  int step();
-  int skip(long t);
   long now() const;
 };
 struct Awaitable {
@@ -39,19 +37,6 @@ int l3_allowed(const std::unordered_map<int, int>& m) {
   return n;
 }
 
-Task l5_allowed(Proc& self, long t) {
-  while (self.now() < t) {
-    co_await self.step();  // lint-allow: busy-wait-step
-  }
-  co_return;
-}
-
 void* l6_allowed() {
   return new int;  // lint-allow: MCB-L6
-}
-
-Task l7_allowed(Proc& self, long t) {
-  // Deliberately two suspensions. lint-allow: skip-then-act
-  co_await self.skip(t);
-  co_await self.step();
 }

@@ -6,13 +6,12 @@
 
 // rand(), new Frame, steady_clock::now() — all inert inside comments.
 /* Block comments too:
-   while (x) co_await self.step();
+   while (x) co_await self.window(1);
    int* p = new int;
 */
 
 struct Proc {
-  int step();
-  int skip(long);
+  int window(long);
   long now() const;
 };
 struct Task {};
@@ -21,7 +20,7 @@ const char* strings() {
   // Literals are stripped before the rules run — including raw strings
   // with rule-shaped contents and embedded quotes.
   static const std::string a = "rand() time(0) new Frame";
-  static const std::string b = R"(co_await self.step(); new int;
+  static const std::string b = R"(co_await self.window(1); new int;
       std::random_device rd; for (auto& x : umap) {})";
   static const char c = '"';
   (void)c;
@@ -35,9 +34,9 @@ const char* strings() {
 Task participates(Proc& self, long deadline) {
   while (self.now() <
          deadline) {
-    co_await self.step();
+    co_await self.window(1);
     if (self.now() % 2 == 0) {
-      co_await self.skip(2);
+      co_await self.window(2);
     }
   }
   co_return;
@@ -52,7 +51,7 @@ struct Holder {
 
 Task Holder::touch(Proc& self) {
   auto& d = data;  // member-rooted
-  co_await self.skip(1);
+  co_await self.window(1);
   (void)d.size();
   co_return;
 }

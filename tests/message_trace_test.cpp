@@ -74,7 +74,7 @@ TEST(TraceTest, CapturesWritesReadsAndSilence) {
   Network net({.p = 2, .k = 2}, &trace);
   auto writer = [](Proc& self) -> ProcMain {
     co_await self.write(0, Message::of(Word{42}));
-    co_await self.step();
+    co_await self.window(1);
   };
   auto reader = [](Proc& self) -> ProcMain {
     co_await self.read(0);
@@ -118,7 +118,7 @@ TEST(TraceTest, UtilizationFooterCountsWritesPerChannel) {
     co_await self.write(0, Message::of(Word{3}));
   };
   auto idle = [](Proc& self) -> ProcMain {
-    co_await self.step();  // no channel intent — invisible to the trace
+    co_await self.window(1);  // no channel intent — invisible to the trace
   };
   net.install(0, prog(net.proc(0)));
   net.install(1, idle(net.proc(1)));
@@ -233,7 +233,7 @@ TEST(StatsTest, RepeatedPhasesAggregate) {
     for (int round = 0; round < 3; ++round) {
       self.mark_phase("loop");
       co_await self.write(0, Message::of(Word{round}));
-      co_await self.step();
+      co_await self.window(1);
     }
   };
   net.install(0, prog(net.proc(0)));

@@ -1,15 +1,15 @@
 // Unit tests of the MCB network simulator: cycle semantics, broadcast
-// delivery, silence detection, collision faults, skip scheduling, stats
+// delivery, silence detection, collision faults, windows and sleeps, stats
 // accounting, task composition and error propagation.
 #include <gtest/gtest.h>
 
-#include <array>
+#include <cstdint>
 #include <functional>
 #include <iterator>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
 #include <utility>
 #include <vector>
 
@@ -25,7 +25,7 @@ namespace {
 
 ProcMain idle_program(Proc& self, Cycle steps) {
   for (Cycle t = 0; t < steps; ++t) {
-    co_await self.step();
+    co_await self.window(1);
   }
 }
 
@@ -91,7 +91,7 @@ TEST(NetworkTest, ChannelsAreMemoryless) {
   Network net({.p = 2, .k = 1});
   std::vector<Word> got;
   auto late_reader = [](Proc& self, std::vector<Word>& out) -> ProcMain {
-    co_await self.step();
+    co_await self.window(1);
     auto m = co_await self.read(0);
     if (m) out.push_back(m->at(0));
   };
@@ -136,12 +136,12 @@ TEST(NetworkTest, CollisionThrows) {
   }
 }
 
-TEST(NetworkTest, SkipMatchesSteps) {
-  // skip(t) must be cycle-for-cycle equivalent to t steps: a writer waits
-  // 5 cycles via skip, then writes; the reader polls every cycle.
+TEST(NetworkTest, ZeroBeatWindowSleeps) {
+  // window(t) must be cycle-for-cycle a sleep of t cycles: a writer sleeps
+  // 5 cycles, then writes; the reader polls every cycle.
   Network net({.p = 2, .k = 1});
-  auto skipper = [](Proc& self) -> ProcMain {
-    co_await self.skip(5);
+  auto sleeper = [](Proc& self) -> ProcMain {
+    co_await self.window(5);
     co_await self.write(0, Message::of(99));
   };
   std::vector<Cycle> heard_at;
@@ -151,25 +151,25 @@ TEST(NetworkTest, SkipMatchesSteps) {
       if (m) at.push_back(self.now() - 1);
     }
   };
-  net.install(0, skipper(net.proc(0)));
+  net.install(0, sleeper(net.proc(0)));
   net.install(1, poller(net.proc(1), heard_at));
   net.run();
   ASSERT_EQ(heard_at.size(), 1u);
-  EXPECT_EQ(heard_at[0], 5u);  // cycles 0..4 skipped, write lands in cycle 5
+  EXPECT_EQ(heard_at[0], 5u);  // cycles 0..4 slept, write lands in cycle 5
 }
 
-TEST(NetworkTest, SkipZeroIsNoop) {
+TEST(NetworkTest, EmptyWindowIsNoop) {
   Network net({.p = 1, .k = 1});
   auto prog = [](Proc& self) -> ProcMain {
-    co_await self.skip(0);  // must not consume a cycle
-    co_await self.step();
+    co_await self.window(0);  // must not consume a cycle
+    co_await self.window(1);
   };
   net.install(0, prog(net.proc(0)));
   auto stats = net.run();
   EXPECT_EQ(stats.cycles, 1u);
 }
 
-// --- cycle_after: skip(t) + cycle(w, r) in one suspension ------------------
+// --- cycle_after: a sleep of t cycles + cycle(w, r) in one suspension -----
 
 // Idle lengths straddling the wake wheel's slot and level boundaries.
 constexpr Cycle kIdleGaps[] = {1, 63, 64, 65, 4097, 300000};
@@ -180,7 +180,7 @@ using Heard = std::vector<std::pair<Cycle, Word>>;
 /// each writing its own channel and reading its neighbour's; processors
 /// 4..7 walk the sequence rotated and alternate write-only and read-only
 /// actions, so they land between and on the rendezvous cycles. `fused`
-/// picks cycle_after(t, w, r) over skip(t) then cycle(w, r).
+/// picks cycle_after(t, w, r) over window(t) then cycle(w, r).
 ProcMain gap_walker(Proc& self, bool fused, Heard& heard) {
   const ProcId i = self.id();
   const std::size_t rot = i < 4 ? 0 : i - 3;
@@ -197,7 +197,7 @@ ProcMain gap_walker(Proc& self, bool fused, Heard& heard) {
     if (fused) {
       got = co_await self.cycle_after(gap, w, r);
     } else {
-      co_await self.skip(gap);
+      co_await self.window(gap);
       got = co_await self.cycle(w, r);
     }
     if (got) heard.emplace_back(self.now(), got->at(0));
@@ -256,7 +256,7 @@ void expect_same_observation(const Observed& a, const Observed& b,
   expect_same_events(a.events, b.events, label);
 }
 
-TEST(NetworkTest, CycleAfterMatchesSkipThenCycle) {
+TEST(NetworkTest, CycleAfterMatchesSleepThenCycle) {
   for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
     const std::string label =
         e == Engine::kReference ? "reference" : "event";
@@ -275,13 +275,13 @@ TEST(NetworkTest, CycleAfterMatchesSkipThenCycle) {
   EXPECT_EQ(ev.stats.proc_resumes, ref.stats.proc_resumes);
 }
 
-/// Writes channel 0 in cycle `at`, fused or as skip + write.
+/// Writes channel 0 in cycle `at`, fused or as a sleep + write.
 ProcMain late_writer(Proc& self, Cycle at, bool fused) {
   const Message m = Message::of(self.id());
   if (fused) {
     co_await self.cycle_after(at, WriteOp{0, m}, std::nullopt);
   } else {
-    co_await self.skip(at);
+    co_await self.window(at);
     co_await self.write(0, m);
   }
 }
@@ -327,8 +327,8 @@ TEST(NetworkTest, ResetAfterAbortWithDeferredOpsRerunsIdentically) {
     EXPECT_THROW(net.run(), CollisionError) << label;
     net.reset();
     log.events.clear();
-    // The rerun starts with plain skips and cycles, which a stale deferral
-    // would shift.
+    // The rerun starts with plain sleeps and cycles, which a stale window
+    // cursor would shift.
     Observed again;
     again.heard.resize(kWalkers);
     for (ProcId i = 0; i < kWalkers; ++i) {
@@ -342,25 +342,29 @@ TEST(NetworkTest, ResetAfterAbortWithDeferredOpsRerunsIdentically) {
   }
 }
 
-// --- burst_after: a fixed run of channel actions in one suspension --------
+// --- window: leading idle, beats, trailing idle in one suspension ----------
 
-// Leading idles of the bursts, straddling the wake wheel's boundaries.
-constexpr Cycle kBurstIdles[] = {0, 1, 63, 64, 65, 4097};
-constexpr std::size_t kBurstSteps = std::size(kBurstIdles);
+// Leading and trailing idles, straddling the wake wheel's boundaries.
+constexpr Cycle kWindowIdles[] = {0, 1, 63, 64, 65, 4097};
+constexpr std::size_t kWindowSteps = std::size(kWindowIdles);
+// Beats per window: none (a sleep), one (the cycle_after shape), a few and
+// long ones.
+constexpr std::size_t kWindowBeats[] = {0, 1, 2, 5, 17, 40};
 
-/// Beats of processor i's step s: 1..4 of them. Processors 0..3 move in
-/// lockstep, each writing its own channel and reading its neighbour's in
-/// every beat; processors 4..7 walk rotated and mix write-only, read-only
-/// and idle beats, so they land between and on the lockstep cycles.
+/// Beats of processor i's step s. Processors 0..3 move in lockstep, each
+/// writing its own channel and reading its neighbour's in every beat;
+/// processors 4..7 walk rotated and mix write-only, read-only and idle
+/// beats, so they land between and on the lockstep cycles.
 std::vector<Beat> walker_beats(ProcId i, std::size_t s) {
   const bool lockstep = i < 4;
-  std::vector<Beat> beats(1 + (s + (lockstep ? 0 : i)) % 4);
+  std::vector<Beat> beats(
+      kWindowBeats[(s + (lockstep ? 0 : i)) % std::size(kWindowBeats)]);
   for (std::size_t j = 0; j < beats.size(); ++j) {
     Beat& b = beats[j];
     const std::size_t phase = s + j;
     if (!lockstep && phase % 3 == 2) continue;  // an idle beat
     if (lockstep || phase % 2 == 0) {
-      b.msg = Message::of(i * 1000 + s * 10 + j);
+      b.msg = Message::of(i * 1000 + s * 100 + j);
       b.write = i;
     }
     if (lockstep || phase % 2 == 1) {
@@ -370,109 +374,133 @@ std::vector<Beat> walker_beats(ProcId i, std::size_t s) {
   return beats;
 }
 
-/// Beats saved as resumes when every step is one burst.
-std::uint64_t walker_extra_beats() {
-  std::uint64_t extra = 0;
-  for (ProcId i = 0; i < kWalkers; ++i) {
-    for (std::size_t s = 0; s < kBurstSteps; ++s) {
-      extra += walker_beats(i, s).size() - 1;
-    }
-  }
-  return extra;
+Cycle walker_lead(ProcId i, std::size_t s) {
+  return kWindowIdles[(s + (i < 4 ? 0 : i - 3)) % kWindowSteps];
 }
 
-/// Walks processor i's steps as one burst_after each, or as cycle_after
-/// per beat. Reads are logged with the cycle they completed in.
-ProcMain burst_walker(Proc& self, bool burst, Heard& heard) {
+Cycle walker_trail(ProcId i, std::size_t s) {
+  return kWindowIdles[(s + (i < 4 ? 3 : i)) % kWindowSteps];
+}
+
+/// Resumes the spelled-out form of every step pays over its one window:
+/// a cycle_after per beat (the first carrying the lead), or a sleep for
+/// the lead of a window with no beats, then a sleep for the trail.
+std::uint64_t walker_saved_resumes() {
+  std::uint64_t saved = 0;
+  for (ProcId i = 0; i < kWalkers; ++i) {
+    for (std::size_t s = 0; s < kWindowSteps; ++s) {
+      const std::size_t beats = walker_beats(i, s).size();
+      const Cycle lead = walker_lead(i, s);
+      const Cycle trail = walker_trail(i, s);
+      const std::uint64_t split =
+          beats + (beats == 0 && lead > 0 ? 1 : 0) + (trail > 0 ? 1 : 0);
+      saved += split - (lead + beats + trail > 0 ? 1 : 0);
+    }
+  }
+  return saved;
+}
+
+/// Walks processor i's steps as one window each, or spelled out as a
+/// cycle_after per beat followed by a sleep. Reads are logged with the
+/// cycle they completed in.
+ProcMain window_walker(Proc& self, bool window, Heard& heard) {
   const ProcId i = self.id();
-  const std::size_t rot = i < 4 ? 0 : i - 3;
-  for (std::size_t s = 0; s < kBurstSteps; ++s) {
-    const Cycle idle = kBurstIdles[(s + rot) % kBurstSteps];
+  for (std::size_t s = 0; s < kWindowSteps; ++s) {
+    const Cycle lead = walker_lead(i, s);
+    const Cycle trail = walker_trail(i, s);
     const std::vector<Beat> beats = walker_beats(i, s);
     std::vector<Proc::ReadResult> got(beats.size());
-    if (burst) {
-      co_await self.burst_after(idle, beats, got);
+    const Cycle start = self.now();
+    if (window) {
+      auto aw = self.window(
+          lead, beats.size(), trail,
+          [&beats](std::size_t j) { return beats[j]; },
+          [&got](std::size_t j, Proc::ReadResult r) { got[j] = std::move(r); });
+      co_await aw;
     } else {
+      Cycle idle = lead;
       for (std::size_t j = 0; j < beats.size(); ++j) {
         const Beat& b = beats[j];
         std::optional<WriteOp> w;
         std::optional<ChannelId> r;
         if (b.write != kNoChannel) w = WriteOp{b.write, b.msg};
         if (b.read != kNoChannel) r = b.read;
-        got[j] = co_await self.cycle_after(j == 0 ? idle : 0, w, r);
+        got[j] = co_await self.cycle_after(std::exchange(idle, 0), w, r);
       }
+      co_await self.window(idle);
+      co_await self.window(trail);
     }
+    EXPECT_EQ(self.now(), start + lead + beats.size() + trail);
     for (std::size_t j = 0; j < got.size(); ++j) {
-      if (got[j]) {
-        heard.emplace_back(self.now() - (got.size() - 1 - j), got[j]->at(0));
-      }
+      if (got[j]) heard.emplace_back(start + lead + j + 1, got[j]->at(0));
     }
   }
 }
 
-Observed run_burst_walkers(Engine engine, bool burst) {
+Observed run_window_walkers(Engine engine, bool window) {
   Observed out;
   out.heard.resize(kWalkers);
   EventLog log;
   Network net({.p = kWalkers, .k = kWalkers, .engine = engine}, &log);
   for (ProcId i = 0; i < kWalkers; ++i) {
-    net.install(i, burst_walker(net.proc(i), burst, out.heard[i]));
+    net.install(i, window_walker(net.proc(i), window, out.heard[i]));
   }
   out.stats = net.run();
   out.events = std::move(log.events);
   return out;
 }
 
-TEST(NetworkTest, BurstMatchesCycleAfterPerBeat) {
+TEST(NetworkTest, WindowMatchesCycleAfterPerBeatThenSleep) {
   for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
     const std::string label =
         e == Engine::kReference ? "reference" : "event";
-    const Observed split = run_burst_walkers(e, false);
-    const Observed burst = run_burst_walkers(e, true);
-    expect_same_observation(split, burst, label);
-    // One suspension per burst: every beat after the first saves a resume.
-    EXPECT_EQ(split.stats.proc_resumes - burst.stats.proc_resumes,
-              walker_extra_beats())
+    const Observed split = run_window_walkers(e, false);
+    const Observed window = run_window_walkers(e, true);
+    expect_same_observation(split, window, label);
+    // Exactly one resume per window.
+    EXPECT_EQ(split.stats.proc_resumes - window.stats.proc_resumes,
+              walker_saved_resumes())
         << label;
-    EXPECT_GT(burst.stats.messages, 0u) << label;
+    EXPECT_GT(window.stats.messages, 0u) << label;
     std::size_t heard = 0;
-    for (const Heard& h : burst.heard) heard += h.size();
+    for (const Heard& h : window.heard) heard += h.size();
     EXPECT_GT(heard, 0u) << label;
   }
-  const Observed ev = run_burst_walkers(Engine::kEventDriven, true);
-  const Observed ref = run_burst_walkers(Engine::kReference, true);
+  const Observed ev = run_window_walkers(Engine::kEventDriven, true);
+  const Observed ref = run_window_walkers(Engine::kReference, true);
   expect_same_observation(ev, ref, "event vs reference");
   EXPECT_EQ(ev.stats.proc_resumes, ref.stats.proc_resumes);
 }
 
-/// Writes channel 0 in cycle `at` as beat 3 of a burst starting at cycle
+/// Writes channel 0 in cycle `at` as beat 3 of a window starting at cycle
 /// at - 3 (reading channel 0 in the other beats), or with a cycle_after.
-ProcMain burst_writer(Proc& self, Cycle at, bool burst) {
+ProcMain window_writer(Proc& self, Cycle at, bool window) {
   const Message m = Message::of(self.id());
-  if (burst) {
-    std::vector<Beat> beats(5, Beat{.msg = {}, .read = 0});
-    beats[3] = Beat{.msg = m, .write = 0};
-    std::vector<Proc::ReadResult> got(beats.size());
-    co_await self.burst_after(at - 3, beats, got);
+  if (window) {
+    auto aw = self.window(at - 3, 5, 2, [m](std::size_t j) {
+      return j == 3 ? Beat{m, 0} : Beat{{}, kNoChannel, 0};
+    });
+    co_await aw;
   } else {
     co_await self.cycle_after(at, WriteOp{0, m}, std::nullopt);
   }
 }
 
-TEST(NetworkTest, CollisionInsideBurstThrowsTheSameError) {
+TEST(NetworkTest, CollisionInsideWindowThrowsTheSameError) {
   // P1 and P2 both write channel 0 in cycle 70 (past the wheel's first
-  // level), from inside bursts or not; P0 listens there in a burst.
+  // level), from inside windows or not; P0 listens there in a window.
   for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
     for (int mix = 0; mix < 4; ++mix) {
       Network net({.p = 3, .k = 1, .engine = e});
       auto reader = [](Proc& self) -> ProcMain {
-        std::vector<Beat> beats(4, Beat{.msg = {}, .read = 0});
-        std::vector<Proc::ReadResult> got(beats.size());
-        co_await self.burst_after(68, beats, got);
+        auto aw = self.window(
+            68, 4, 1, [](std::size_t) { return Beat{{}, kNoChannel, 0}; },
+            [](std::size_t, const Proc::ReadResult&) {});
+        co_await aw;
       };
       net.install(0, reader(net.proc(0)));
-      net.install(1, burst_writer(net.proc(1), 70, (mix & 1) != 0));
-      net.install(2, burst_writer(net.proc(2), 70, (mix & 2) != 0));
+      net.install(1, window_writer(net.proc(1), 70, (mix & 1) != 0));
+      net.install(2, window_writer(net.proc(2), 70, (mix & 2) != 0));
       try {
         net.run();
         FAIL() << "expected CollisionError, mix " << mix;
@@ -486,48 +514,115 @@ TEST(NetworkTest, CollisionInsideBurstThrowsTheSameError) {
   }
 }
 
-TEST(NetworkTest, ResetAfterAbortMidBurstRerunsIdentically) {
+/// The exception a run throws, as (type, message).
+std::pair<std::string, std::string> run_error(Network& net) {
+  try {
+    net.run();
+  } catch (const std::exception& e) {
+    return {typeid(e).name(), e.what()};
+  }
+  return {"none", ""};
+}
+
+TEST(NetworkTest, ThrowingFillOrPlaceSurfacesTheSameOnBothEngines) {
+  // Processor 1 throws from fill or place at beat `at` of a window behind
+  // a 64-cycle lead (beat 0 fills in the call, later beats in the engine,
+  // those of a window longer than 32 beats a block at a time, and a
+  // one-beat window without trail places as it resumes); processor 0
+  // writes channel 0 in every cycle meanwhile.
+  struct Shape {
+    std::size_t beats, at;
+    Cycle trail;
+  };
+  for (bool in_place : {false, true}) {
+    for (const Shape sh : {Shape{7, 0, 5}, Shape{7, 1, 5}, Shape{7, 6, 5},
+                           Shape{70, 40, 5}, Shape{1, 0, 0}}) {
+      const std::size_t at = sh.at;
+      std::vector<std::pair<std::string, std::string>> errors;
+      for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
+        Network net({.p = 2, .k = 1, .engine = e});
+        auto talker = [](Proc& self) -> ProcMain {
+          auto aw = self.window(0, 150, 0, [](std::size_t j) {
+            return Beat{Message::of(static_cast<Word>(j)), 0};
+          });
+          co_await aw;
+        };
+        auto thrower = [](Proc& self, bool place, Shape shape) -> ProcMain {
+          const std::size_t bad = shape.at;
+          auto aw = self.window(
+              64, shape.beats, shape.trail,
+              [place, bad](std::size_t j) {
+                if (!place && j == bad) {
+                  throw std::domain_error("fill " + std::to_string(j));
+                }
+                return Beat{{}, kNoChannel, 0};
+              },
+              [place, bad](std::size_t j, const Proc::ReadResult& got) {
+                if (place && j == bad) {
+                  throw std::out_of_range("place " + std::to_string(j) +
+                                          " read " +
+                                          std::to_string(got->at(0)));
+                }
+              });
+          co_await aw;
+        };
+        net.install(0, talker(net.proc(0)));
+        net.install(1, thrower(net.proc(1), in_place, sh));
+        errors.push_back(run_error(net));
+      }
+      const std::string label = std::string(in_place ? "place " : "fill ") +
+                                std::to_string(at) + " of " +
+                                std::to_string(sh.beats);
+      EXPECT_EQ(errors[0], errors[1]) << label;
+      EXPECT_EQ(errors[0].second,
+                in_place ? "place " + std::to_string(at) + " read " +
+                               std::to_string(64 + at)
+                         : "fill " + std::to_string(at))
+          << label;
+    }
+  }
+}
+
+TEST(NetworkTest, ResetAfterAbortMidWindowRerunsIdentically) {
   for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
     const std::string label =
         e == Engine::kReference ? "reference" : "event";
     EventLog log;
     Network net({.p = kWalkers, .k = kWalkers, .engine = e}, &log);
     // P0 and P1 collide on channel 0 in cycle 70 while the walkers are
-    // inside bursts or sleeping out their leading idles.
+    // inside windows, in their leads or in their trails.
     std::vector<Heard> scratch(kWalkers);
     for (ProcId i = 0; i < kWalkers; ++i) {
-      net.install(i, i < 2 ? burst_writer(net.proc(i), 70, true)
-                           : burst_walker(net.proc(i), true, scratch[i]));
+      net.install(i, i < 2 ? window_writer(net.proc(i), 70, true)
+                           : window_walker(net.proc(i), true, scratch[i]));
     }
     EXPECT_THROW(net.run(), CollisionError) << label;
     net.reset();
     log.events.clear();
-    // The rerun starts with plain cycle_afters, which a stale burst cursor
-    // would hijack.
+    // The rerun starts with plain cycle_afters and sleeps, which a stale
+    // window cursor would hijack.
     Observed again;
     again.heard.resize(kWalkers);
     for (ProcId i = 0; i < kWalkers; ++i) {
-      net.install(i, burst_walker(net.proc(i), false, again.heard[i]));
+      net.install(i, window_walker(net.proc(i), false, again.heard[i]));
     }
     again.stats = net.run();
     again.events = std::move(log.events);
-    const Observed fresh = run_burst_walkers(e, false);
+    const Observed fresh = run_window_walkers(e, false);
     expect_same_observation(fresh, again, label);
     EXPECT_EQ(fresh.stats.proc_resumes, again.stats.proc_resumes) << label;
   }
 }
 
-TEST(NetworkTest, WriteOnlyBurstNeedsNoReadSlots) {
+TEST(NetworkTest, WriteOnlyWindowNeedsNoPlace) {
   for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
     Network net({.p = 2, .k = 2, .engine = e});
     std::vector<Word> heard;
     auto writer = [](Proc& self) -> ProcMain {
-      std::vector<Beat> beats(3);
-      for (std::size_t j = 0; j < beats.size(); ++j) {
-        beats[j] = Beat{.msg = Message::of(static_cast<Word>(10 + j)),
-                        .write = 1};
-      }
-      co_await self.burst_after(2, beats, {});
+      auto aw = self.window(2, 3, 0, [](std::size_t j) {
+        return Beat{Message::of(static_cast<Word>(10 + j)), 1};
+      });
+      co_await aw;
     };
     auto reader = [](Proc& self, std::vector<Word>& out) -> ProcMain {
       for (int t = 0; t < 5; ++t) {
@@ -544,49 +639,66 @@ TEST(NetworkTest, WriteOnlyBurstNeedsNoReadSlots) {
   }
 }
 
+TEST(NetworkTest, CycleAfterTrailKeepsTheRead) {
+  // A cycle_after with a trailing idle returns its read after the trail,
+  // on both engines, even while other processors act around it.
+  for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
+    Network net({.p = 2, .k = 1, .engine = e});
+    std::optional<Word> got_value;
+    Cycle resumed_at = 0;
+    auto writer = [](Proc& self) -> ProcMain {
+      auto aw = self.window(0, 70, 0, [](std::size_t j) {
+        return Beat{Message::of(static_cast<Word>(j)), 0};
+      });
+      co_await aw;
+    };
+    auto reader = [](Proc& self, std::optional<Word>& out,
+                     Cycle& at) -> ProcMain {
+      auto aw = self.cycle_after(3, std::nullopt, ChannelId{0}, 65);
+      const Proc::ReadResult got = co_await aw;
+      if (got) out = got->at(0);
+      at = self.now();
+    };
+    net.install(0, writer(net.proc(0)));
+    net.install(1, reader(net.proc(1), got_value, resumed_at));
+    net.run();
+    EXPECT_EQ(got_value, std::optional<Word>(3));
+    EXPECT_EQ(resumed_at, 69u);
+  }
+}
+
 std::string invalid_argument_message(const std::function<void()>& f);
 
-std::string burst_error(std::vector<Beat> beats, std::size_t slots) {
-  Network net({.p = 2, .k = 2});
-  auto prog = [](Proc& self, std::vector<Beat> bs,
-                 std::size_t n) -> ProcMain {
-    std::vector<Proc::ReadResult> got(n);
-    co_await self.burst_after(0, bs, got);
+/// Runs a window whose beat `bad` writes channel `wch` and reads `rch`.
+std::string window_error(Engine e, std::size_t bad, ChannelId wch,
+                         ChannelId rch) {
+  Network net({.p = 2, .k = 2, .engine = e});
+  auto prog = [](Proc& self, std::size_t at, ChannelId w,
+                 ChannelId r) -> ProcMain {
+    auto aw = self.window(
+        1, 4, 0,
+        [=](std::size_t j) {
+          return j == at ? Beat{Message::of(1), w, r} : Beat{};
+        },
+        [](std::size_t, const Proc::ReadResult&) {});
+    co_await aw;
   };
-  net.install(0, prog(net.proc(0), std::move(beats), slots));
+  net.install(0, prog(net.proc(0), bad, wch, rch));
   net.install(1, idle_program(net.proc(1), 1));
   return invalid_argument_message([&] { net.run(); });
 }
 
-TEST(NetworkTest, BurstValidatesEveryBeatUpFront) {
-  const Beat ok{.msg = Message::of(1), .write = 0, .read = 1};
-  EXPECT_NE(burst_error({}, 0).find("bursting no beats"), std::string::npos);
-  const Beat bad_write{.msg = {}, .write = 2};
-  const Beat bad_read{.msg = {}, .read = 5};
-  EXPECT_NE(burst_error({ok, bad_write}, 2).find("writing channel 2"),
-            std::string::npos);
-  EXPECT_NE(burst_error({ok, ok, bad_read}, 3).find("reading channel 5"),
-            std::string::npos);
-  // Reads need one slot per beat.
-  EXPECT_NE(burst_error({ok, ok}, 0).find("into 0 read slots"),
-            std::string::npos);
-  EXPECT_NE(burst_error({ok, ok}, 1).find("into 1 read slots"),
-            std::string::npos);
-  EXPECT_EQ(burst_error({ok, ok}, 2), "no std::invalid_argument thrown");
+TEST(NetworkTest, WindowValidatesEachBeatAsItLoads) {
+  for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
+    for (std::size_t bad : {0u, 2u}) {
+      EXPECT_NE(window_error(e, bad, 2, kNoChannel).find("writing channel 2"),
+                std::string::npos);
+      EXPECT_NE(window_error(e, bad, kNoChannel, 5).find("reading channel 5"),
+                std::string::npos);
+      EXPECT_EQ(window_error(e, bad, 1, 0), "no std::invalid_argument thrown");
+    }
+  }
 }
-
-// A temporary container would be gone before the burst runs, so passing one
-// must not compile.
-template <typename Beats>
-constexpr bool kBurstAccepts =
-    requires(Proc& self, std::span<Proc::ReadResult> got) {
-      self.burst_after(0, std::declval<Beats>(), got);
-    };
-static_assert(!kBurstAccepts<std::vector<Beat>>);
-static_assert(!kBurstAccepts<std::array<Beat, 2>>);
-static_assert(kBurstAccepts<std::vector<Beat>&>);
-static_assert(kBurstAccepts<const std::vector<Beat>&>);
-static_assert(kBurstAccepts<std::span<const Beat>>);
 
 TEST(NetworkTest, PerProcAndPerChannelMessageCounts) {
   Network net({.p = 3, .k = 2});
@@ -639,7 +751,7 @@ TEST(NetworkTest, TaskCompositionRoundTrip) {
 }
 
 Task<int> nested_inner(Proc& self) {
-  co_await self.step();
+  co_await self.window(1);
   co_return 7;
 }
 
@@ -664,7 +776,7 @@ TEST(NetworkTest, DeeplyNestedTasks) {
 TEST(NetworkTest, ExceptionInProgramPropagates) {
   Network net({.p = 2, .k = 1});
   auto thrower = [](Proc& self) -> ProcMain {
-    co_await self.step();
+    co_await self.window(1);
     throw std::runtime_error("boom");
   };
   net.install(0, thrower(net.proc(0)));
@@ -675,7 +787,7 @@ TEST(NetworkTest, ExceptionInProgramPropagates) {
 TEST(NetworkTest, ExceptionInTaskPropagatesToMain) {
   Network net({.p = 1, .k = 1});
   auto failing_task = [](Proc& self) -> Task<void> {
-    co_await self.step();
+    co_await self.window(1);
     throw std::runtime_error("task boom");
   };
   bool caught = false;
@@ -756,7 +868,7 @@ TEST(NetworkTest, ResetClearsInstallsAndRerunIsIdentical) {
   constexpr ProcId kP = 6;
   Network net({.p = kP, .k = 2});
   auto prog = [](Proc& self) -> ProcMain {
-    co_await self.skip(3 * self.id() + 1);
+    co_await self.window(3 * self.id() + 1);
     co_await self.write(self.id() % 2, Message::of(self.id()));
     co_await self.read((self.id() + 1) % 2);
   };
@@ -793,7 +905,7 @@ TEST(NetworkTest, PhaseAccounting) {
     co_await self.write(0, Message::of(1));
     co_await self.write(0, Message::of(2));
     self.mark_phase("beta");
-    co_await self.step();
+    co_await self.window(1);
     co_await self.write(0, Message::of(3));
   };
   net.install(0, prog(net.proc(0)));
@@ -812,9 +924,9 @@ TEST(NetworkTest, AuxStorageTracking) {
   Network net({.p = 2, .k = 1});
   auto prog = [](Proc& self, std::size_t hi) -> ProcMain {
     self.note_aux(3);
-    co_await self.step();
+    co_await self.window(1);
     self.note_aux(hi);
-    co_await self.step();
+    co_await self.window(1);
     self.note_aux(1);
   };
   net.install(0, prog(net.proc(0), 17));

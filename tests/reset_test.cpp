@@ -77,11 +77,11 @@ void expect_equivalent_runs(const RunStats& fresh, const RunStats& reset,
 void install_sleepers(Network& net, const SimConfig& cfg) {
   auto sleeper = [](Proc& self, Cycle gap) -> ProcMain {
     if (self.id() == 0) self.mark_phase("stagger");
-    co_await self.skip(gap);
+    co_await self.window(gap);
     co_await self.write(static_cast<ChannelId>(self.id() % self.k()),
                         Message::of(static_cast<Word>(self.id())));
     if (self.id() == 0) self.mark_phase("tail");
-    co_await self.skip(3 * (self.id() + 1));
+    co_await self.window(3 * (self.id() + 1));
   };
   for (ProcId i = 0; i < cfg.p; ++i) {
     net.install(i, sleeper(net.proc(i), 11 * (i + 1)));

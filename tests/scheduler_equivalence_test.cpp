@@ -234,8 +234,8 @@ TEST(SchedulerEquivalence, SkipHeavyHandRolledProtocol) {
   // and 64^3 cycles), so their wakes cascade through every level that a
   // run this long reaches; idle stretches cost nothing under fast-forward.
   // Odd processors fuse each sleep with the action after it
-  // (Proc::cycle_after), so deferred intents ride the same wheel levels and
-  // merge into drains with plain wakes.
+  // (Proc::cycle_after), so intents held through a lead ride the same wheel
+  // levels and merge into drains with plain wakes.
   static constexpr Cycle kFarGaps[] = {4095, 4096, 4097, 5000,
                                        262143, 262144, 262145, 300000};
   constexpr ProcId kNear = 32 - std::size(kFarGaps);
@@ -250,7 +250,7 @@ TEST(SchedulerEquivalence, SkipHeavyHandRolledProtocol) {
             gap, WriteOp{ch, Message::of(static_cast<Word>(self.id()))},
             std::nullopt);
       } else {
-        co_await self.skip(gap);
+        co_await self.window(gap);
         co_await self.write(ch, Message::of(static_cast<Word>(self.id())));
       }
       if (self.id() == 0) self.mark_phase("tail");
@@ -259,10 +259,10 @@ TEST(SchedulerEquivalence, SkipHeavyHandRolledProtocol) {
       if (fused) {
         co_await self.cycle_after(tail, std::nullopt, ch);
       } else {
-        co_await self.skip(tail);
+        co_await self.window(tail);
         co_await self.read(ch);
       }
-      co_await self.skip(5 * (self.id() + 1));
+      co_await self.window(5 * (self.id() + 1));
     };
     for (ProcId i = 0; i < cfg.p; ++i) {
       const Cycle gap = i < kNear ? 17 * (i + 1) : kFarGaps[i - kNear];
@@ -273,13 +273,14 @@ TEST(SchedulerEquivalence, SkipHeavyHandRolledProtocol) {
   expect_engines_agree({.p = 32, .k = 8}, go, "skip-heavy");
 }
 
-TEST(SchedulerEquivalence, BurstHeavyHandRolledProtocol) {
-  // Bursts (Proc::burst_after) of 1..40 beats behind leading idles that
-  // straddle the wake wheel's level boundaries, mixed with fused and plain
-  // single actions. Writer w owns channel w % k for its whole burst; every
-  // reader bursts over the windows of two writers, so beats land on busy,
-  // silent and freshly written channels alike, and bursts run concurrently
-  // with deferred wakes and plain sleeps in the same drains.
+TEST(SchedulerEquivalence, WindowHeavyHandRolledProtocol) {
+  // Windows (Proc::window) of 0..40 beats behind leading idles and before
+  // trailing idles that straddle the wake wheel's level boundaries, mixed
+  // with fused single actions that carry trails and plain sleeps. Writer w
+  // owns channel w % k for its whole window; every reader's window spans
+  // the windows of two writers, so beats land on busy, silent and freshly
+  // written channels alike, and windows run concurrently with leads,
+  // trails and sleeps in the same drains.
   static constexpr Cycle kGaps[] = {0, 1, 63, 64, 65, 4095, 4097, 262145};
   auto go = [](const SimConfig& cfg) {
     Network net(cfg);
@@ -287,34 +288,40 @@ TEST(SchedulerEquivalence, BurstHeavyHandRolledProtocol) {
       const ProcId i = self.id();
       const std::size_t k = self.k();
       const Cycle gap = kGaps[i % std::size(kGaps)];
-      if (i == 0) self.mark_phase("bursts");
-      std::vector<Beat> beats(1 + (7 * i) % 40);
-      std::vector<Proc::ReadResult> got(beats.size());
+      const Cycle trail = kGaps[(i + 3) % std::size(kGaps)];
+      if (i == 0) self.mark_phase("windows");
+      const std::size_t beats = (7 * i) % 41;
+      Word sum = 0;
       if (i < k) {
         // Writer: its own channel every other beat, idle beats between.
-        for (std::size_t j = 0; j < beats.size(); j += 2) {
-          beats[j] = Beat{.msg = Message::of(static_cast<Word>(i * 100 + j)),
-                          .write = static_cast<ChannelId>(i)};
-        }
-        co_await self.burst_after(gap, beats, {});
+        auto aw = self.window(gap, beats, trail, [i](std::size_t j) {
+          if (j % 2 != 0) return Beat{};
+          return Beat{Message::of(static_cast<Word>(i * 100 + j)),
+                      static_cast<ChannelId>(i)};
+        });
+        co_await aw;
       } else {
-        for (std::size_t j = 0; j < beats.size(); ++j) {
-          beats[j].read = static_cast<ChannelId>((i + j / 8) % k);
-        }
-        co_await self.burst_after(gap, beats, got);
+        auto aw = self.window(
+            gap, beats, trail,
+            [i, k](std::size_t j) {
+              return Beat{{}, kNoChannel, static_cast<ChannelId>((i + j / 8) % k)};
+            },
+            [&sum](std::size_t j, const Proc::ReadResult& got) {
+              sum += got ? got->at(0) * static_cast<Word>(j + 1) : 0;
+            });
+        co_await aw;
       }
       if (i == 0) self.mark_phase("tail");
-      // A fused read and a plain skip after the burst.
-      Word sum = 0;
-      for (const auto& g : got) sum += g ? g->at(0) : 0;
-      co_await self.cycle_after(static_cast<Cycle>(sum % 17), std::nullopt,
-                                static_cast<ChannelId>(i % k));
-      co_await self.skip(3 * (i % 5) + 1);
+      // A fused read with a trail, then a plain sleep.
+      auto aw = self.cycle_after(static_cast<Cycle>(sum % 17), std::nullopt,
+                                 static_cast<ChannelId>(i % k), i % 3);
+      co_await aw;
+      co_await self.window(3 * (i % 5) + 1);
     };
     for (ProcId i = 0; i < cfg.p; ++i) net.install(i, prog(net.proc(i)));
     return net.run();
   };
-  expect_engines_agree({.p = 40, .k = 8}, go, "burst-heavy");
+  expect_engines_agree({.p = 40, .k = 8}, go, "window-heavy");
 }
 
 }  // namespace

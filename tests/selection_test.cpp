@@ -6,10 +6,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "algo/common.hpp"
+#include "algo/multi_select.hpp"
 #include "algo/selection.hpp"
+#include "util/random.hpp"
 #include "util/workload.hpp"
 
 namespace mcb::algo {
@@ -152,6 +156,60 @@ TEST(SelectionTest, InvalidArgumentsRejected) {
   std::vector<std::vector<Word>> dummy{{1}, {kDummy}};
   EXPECT_THROW(select_rank({.p = 2, .k = 1}, dummy, 1),
                std::invalid_argument);
+}
+
+// Duplicate keys break the distinct-values precondition. Selection and
+// select_ranks must then either still answer right or stop with
+// std::invalid_argument naming that precondition — never a wrong value and
+// never an internal-invariant std::logic_error.
+TEST(SelectionTest, DuplicateKeysAnswerRightOrNameThePrecondition) {
+  std::size_t answered = 0, rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    util::Xoshiro256StarStar rng(seed);
+    std::vector<std::vector<Word>> inputs(8);
+    std::vector<Word> all;
+    for (auto& in : inputs) {
+      in.resize(static_cast<std::size_t>(rng.uniform(1, 12)));
+      for (Word& w : in) w = rng.uniform(0, 9);
+      all.insert(all.end(), in.begin(), in.end());
+    }
+    const auto n = static_cast<std::int64_t>(all.size());
+    const std::vector<std::size_t> ds{
+        static_cast<std::size_t>(rng.uniform(1, n)),
+        static_cast<std::size_t>(rng.uniform(1, n)), (all.size() + 1) / 2};
+    std::vector<Word> expect;
+    for (std::size_t d : ds) {
+      std::vector<Word> v = all;
+      std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(d - 1),
+                       v.end(), std::greater<Word>{});
+      expect.push_back(v[d - 1]);
+    }
+    const auto check = [&](const std::string& what, const auto& run) {
+      try {
+        run();
+        ++answered;
+      } catch (const std::invalid_argument& e) {
+        ++rejected;
+        EXPECT_NE(std::string(e.what()).find(kDistinctValues),
+                  std::string::npos)
+            << what << " seed " << seed << ": " << e.what();
+      } catch (const std::logic_error& e) {
+        ADD_FAILURE() << what << " seed " << seed << ": " << e.what();
+      }
+    };
+    check("select_rank", [&] {
+      EXPECT_EQ(select_rank({.p = 8, .k = 2}, inputs, ds[0]).value,
+                expect[0])
+          << "seed " << seed << " d " << ds[0];
+    });
+    check("select_ranks", [&] {
+      EXPECT_EQ(select_ranks({.p = 8, .k = 2}, inputs, ds).values, expect)
+          << "seed " << seed;
+    });
+  }
+  // Both outcomes occur over the grid, so each branch is exercised.
+  EXPECT_GT(answered, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(SelectionTest, NegativeValues) {

@@ -8,7 +8,7 @@
 # proves the global-new fallback builds and passes the same suite.
 #
 # Static analysis rides along in three places: tools/lint.sh (mcblint, the
-# repo-aware analyzer with rules MCB-L1..L3, L5..L7, plus the clang-tidy
+# repo-aware analyzer with rules MCB-L1..L3, L6, plus the clang-tidy
 # profile) runs against the release tree's compile_commands.json with the
 # same 0/1/3 exit discipline as `mcbsim gates` (3 = a tool could not run
 # here — loud warning, not silent pass); every preset leg re-runs that
@@ -23,7 +23,8 @@
 #
 # Each suite leg also cmp's the event and reference engines on a dense
 # columnsort (the trace event stream, and the stripped JSON of the checked
-# p=1024, k=32 dense sort), where nearly every cycle is a burst beat.
+# p=1024, k=32 dense sort), where nearly every cycle is a window beat, and
+# the stripped JSON of selection, uneven, central, rank-sort and serve runs.
 #
 # Each suite leg also smokes the telemetry layer end-to-end: --obs runs
 # (span reconciliation is a hard failure), a --trace-out export, and the
@@ -135,7 +136,7 @@ run_preset() {
     > "$builddir/serve_reference.json"
   cmp "$builddir/serve_event.json" "$builddir/serve_reference.json"
   # Burst smoke: Columnsort's gather, transformations and redistribution
-  # run as multi-cycle bursts (Proc::burst_after), which the event engine
+  # run as multi-cycle windows (Proc::window), which the event engine
   # advances in its drain and the reference engine in its resume scan. A
   # dense columnsort must print the same cycle-by-cycle event stream under
   # both, and the checked p=1024, k=32 dense sort the same model output,
@@ -153,6 +154,30 @@ run_preset() {
   cmp "$builddir/burst_trace_event.txt" "$builddir/burst_trace_reference.txt"
   cmp "$builddir/burst_sort_event.stripped.json" \
     "$builddir/burst_sort_reference.stripped.json"
+  # The same check on the other loops that run as windows: selection's
+  # termination, uneven's collection, the central baseline's gather and
+  # scatter, rank-sort's passes, and a serving session's batches.
+  window_runs=(
+    "select:select --p 1024 --k 8 --n 4096 --check"
+    "uneven:sort --p 64 --k 8 --n 4096 --algorithm uneven --shape zipf --check"
+    "central:sort --p 64 --k 8 --n 4096 --algorithm central --check"
+    "ranksort:sort --p 64 --k 8 --n 4096 --algorithm ranksort --check"
+    "serve:serve --p 64 --k 4 --n 1024 --queries 32 --batch 8 --seed 7"
+  )
+  for run in "${window_runs[@]}"; do
+    name=${run%%:*}
+    read -r -a args <<< "${run#*:}"
+    for engine in event reference; do
+      "$builddir/tools/mcbsim" "${args[@]}" --json --engine "$engine" \
+        > "$builddir/window_${name}_$engine.json"
+      "$builddir/tools/mcbsim" strip-host \
+        "$builddir/window_${name}_$engine.json" \
+        | sed "s/\"engine\":\"$engine\"/\"engine\":\"-\"/" \
+        > "$builddir/window_${name}_$engine.stripped.json"
+    done
+    cmp "$builddir/window_${name}_event.stripped.json" \
+      "$builddir/window_${name}_reference.stripped.json"
+  done
   # Profiler quarantine contract, made executable: a --profile run may add
   # host-time telemetry but must not perturb one model-level byte. strip-host
   # strict-parses each document (malformed profiler JSON fails here) and

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Static-analysis wall: mcblint (the repo-aware analyzer, tools/mcblint/,
-# rules MCB-L1..L3, L5..L7 — see docs/LINT.md) plus the clang-tidy profile in
+# rules MCB-L1..L3, L6 — see docs/LINT.md) plus the clang-tidy profile in
 # .clang-tidy, over the library, tools and bench sources. Run by
 # tools/ci.sh on every preset leg.
 #
@@ -33,7 +33,7 @@ SKIPPED=0
 # to fire the rules (tests/mcblint_test.cpp asserts the exact findings).
 LINT_PATHS=(src bench tools/mcbsim.cpp tools/mcblint)
 
-# --- mcblint: repo rules MCB-L1..L3, L5..L7 --------------------------------
+# --- mcblint: repo rules MCB-L1..L3, L6 --------------------------------
 
 run_mcblint() {
   local bin=""
@@ -46,12 +46,12 @@ run_mcblint() {
   done
   if [ -z "$bin" ]; then
     echo "WARNING: no mcblint binary in any configured build tree — the" \
-         "repo rules MCB-L1..L3, L5..L7 DID NOT RUN (build one first, e.g." \
+         "repo rules MCB-L1..L3, L6 DID NOT RUN (build one first, e.g." \
          "cmake --build build --target mcblint)" >&2
     MISSING=$((MISSING + 1))
     return 0
   fi
-  echo "=== mcblint (repo rules MCB-L1..L3, L5..L7; binary: $bin) ==="
+  echo "=== mcblint (repo rules MCB-L1..L3, L6; binary: $bin) ==="
   local rc=0
   "$bin" --root . --baseline tools/mcblint/baseline.txt \
     "${LINT_PATHS[@]}" || rc=$?

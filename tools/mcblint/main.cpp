@@ -67,12 +67,8 @@ int main(int argc, char** argv) {
                    "topology in protocol code\n"
                 << "MCB-L3 unordered-iteration  range-for over "
                    "std::unordered_* in protocol code\n"
-                << "MCB-L5 busy-wait-step       loop body that is only "
-                   "co_await ...step()\n"
                 << "MCB-L6 naked-new            naked new outside the frame "
-                   "arena\n"
-                << "MCB-L7 skip-then-act        skip() followed at once by a "
-                   "channel action (use cycle_after)\n";
+                   "arena\n";
       return 0;
     } else if (!a.empty() && a[0] == '-') {
       std::cerr << "mcblint: unknown option '" << a << "'\n";

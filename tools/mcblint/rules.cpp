@@ -37,8 +37,8 @@ struct RuleDef {
   std::vector<std::string_view> scopes;  // path prefixes; empty = everywhere
 };
 
-const std::array<RuleDef, 6>& rule_defs() {
-  static const std::array<RuleDef, 6> defs{{
+const std::array<RuleDef, 4>& rule_defs() {
+  static const std::array<RuleDef, 4> defs{{
       {"MCB-L1", "use-after-suspend", {}},
       {"MCB-L2",
        "nondeterminism",
@@ -46,12 +46,10 @@ const std::array<RuleDef, 6>& rule_defs() {
       {"MCB-L3",
        "unordered-iteration",
        {"src/mcb/", "src/algo/", "src/se/", "src/sched/", "src/serve/"}},
-      {"MCB-L5", "busy-wait-step", {"src/"}},
       {"MCB-L6",
        "naked-new",
        {"src/mcb/", "src/algo/", "src/se/", "src/sched/", "src/check/",
         "src/harness/"}},
-      {"MCB-L7", "skip-then-act", {"src/"}},
   }};
   return defs;
 }
@@ -671,68 +669,11 @@ void rule_l3(const LexedFile& f, const Scan& sc, std::vector<Finding>* out) {
 }
 
 // --------------------------------------------------------------------------
-// MCB-L5: busy-wait step() loops
-// --------------------------------------------------------------------------
-
-void rule_l5(const LexedFile& f, const Scan& sc, std::vector<Finding>* out) {
-  const RuleDef& rule = rule_defs()[3];
-  const std::vector<Token>& toks = f.tokens;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokKind::kIdent || (t.text != "while" && t.text != "for")) {
-      continue;
-    }
-    if (!is_punct(toks[i + 1], "(")) continue;
-    const std::size_t header_close = sc.match[i + 1];
-    if (header_close == npos) continue;
-    std::size_t body_begin = header_close + 1;
-    std::size_t body_end;  // exclusive, past the trailing ';'
-    if (body_begin < toks.size() && is_punct(toks[body_begin], "{")) {
-      const std::size_t brace_close = sc.match[body_begin];
-      if (brace_close == npos) continue;
-      body_end = brace_close;  // '}' excluded
-      ++body_begin;
-    } else {
-      std::size_t j = body_begin;
-      int depth = 0;
-      while (j < toks.size()) {
-        const Token& b = toks[j];
-        if (b.kind == TokKind::kPunct) {
-          if (b.text == "(" || b.text == "[" || b.text == "{") ++depth;
-          else if (b.text == ")" || b.text == "]" || b.text == "}") --depth;
-          else if (b.text == ";" && depth == 0) break;
-        }
-        ++j;
-      }
-      if (j >= toks.size()) continue;
-      body_end = j + 1;
-    }
-    // The whole body must be exactly `co_await <expr>.step();`.
-    const std::size_t n = body_end - body_begin;
-    if (n < 5) continue;
-    if (!is_ident(toks[body_begin], "co_await")) continue;
-    int semis = 0;
-    for (std::size_t j = body_begin; j < body_end; ++j) {
-      if (is_punct(toks[j], ";")) ++semis;
-    }
-    if (semis != 1 || !is_punct(toks[body_end - 1], ";")) continue;
-    if (!is_punct(toks[body_end - 2], ")") ||
-        !is_punct(toks[body_end - 3], "(") ||
-        !is_ident(toks[body_end - 4], "step")) {
-      continue;
-    }
-    add(out, rule, f, toks[body_begin].line,
-        "busy-wait loop around step(): O(t) simulation work where "
-        "Proc::skip(t) is O(1) (see docs/ENGINE.md)");
-  }
-}
-
-// --------------------------------------------------------------------------
 // MCB-L6: naked new
 // --------------------------------------------------------------------------
 
 void rule_l6(const LexedFile& f, std::vector<Finding>* out) {
-  const RuleDef& rule = rule_defs()[4];
+  const RuleDef& rule = rule_defs()[3];
   const std::vector<Token>& toks = f.tokens;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (!is_ident(toks[i], "new")) continue;
@@ -745,103 +686,6 @@ void rule_l6(const LexedFile& f, std::vector<Finding>* out) {
         "naked new ('new " + next.text + "') in protocol code — frames "
         "come from the arena (util/arena.hpp), everything else owns "
         "memory via containers/smart pointers");
-  }
-}
-
-// --------------------------------------------------------------------------
-// MCB-L7: skip() followed at once by a channel action
-// --------------------------------------------------------------------------
-
-// If toks[i..] reads `co_await R . name (` (or `->`), the index of the '(';
-// npos otherwise.
-std::size_t awaited_member_call(const std::vector<Token>& toks, std::size_t i,
-                                std::string_view* recv,
-                                std::string_view* name) {
-  if (i + 4 >= toks.size() || !is_ident(toks[i], "co_await")) return npos;
-  if (toks[i + 1].kind != TokKind::kIdent ||
-      !(is_punct(toks[i + 2], ".") || is_punct(toks[i + 2], "->")) ||
-      toks[i + 3].kind != TokKind::kIdent || !is_punct(toks[i + 4], "(")) {
-    return npos;
-  }
-  *recv = toks[i + 1].text;
-  *name = toks[i + 3].text;
-  return i + 4;
-}
-
-// The ';' ending the expression statement that starts at j, or npos when
-// j starts a compound or control statement (or ends the block).
-std::size_t simple_statement_end(const std::vector<Token>& toks,
-                                 const Scan& sc, std::size_t j) {
-  static const std::set<std::string, std::less<>> kControl{
-      "if",   "else", "for",    "while",   "do",    "switch",
-      "case", "default", "return", "co_return", "break", "continue",
-      "goto"};
-  if (j >= toks.size() || is_punct(toks[j], "{") || is_punct(toks[j], "}") ||
-      (toks[j].kind == TokKind::kIdent && kControl.count(toks[j].text) > 0)) {
-    return npos;
-  }
-  for (std::size_t t = j; t < toks.size(); ++t) {
-    if (is_punct(toks[t], ";")) return t;
-    if (is_punct(toks[t], "}")) return npos;
-    if ((is_punct(toks[t], "(") || is_punct(toks[t], "[") ||
-         is_punct(toks[t], "{")) &&
-        sc.match[t] != npos) {
-      t = sc.match[t];
-    }
-  }
-  return npos;
-}
-
-// Whether the expression statement at j co_awaits recv.cycle/read/write/
-// write_read/step(...).
-bool statement_acts(const std::vector<Token>& toks, const Scan& sc,
-                    std::size_t j, std::string_view recv) {
-  const std::size_t end = simple_statement_end(toks, sc, j);
-  if (end == npos) return false;
-  for (std::size_t t = j; t < end; ++t) {
-    std::string_view r, name;
-    if (awaited_member_call(toks, t, &r, &name) != npos && r == recv &&
-        (name == "cycle" || name == "read" || name == "write" ||
-         name == "write_read" || name == "step")) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void rule_l7(const LexedFile& f, const Scan& sc, std::vector<Finding>* out) {
-  const RuleDef& rule = rule_defs()[5];
-  const std::vector<Token>& toks = f.tokens;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    std::string_view recv, name;
-    const std::size_t open = awaited_member_call(toks, i, &recv, &name);
-    if (open == npos || name != "skip" || sc.match[open] == npos) continue;
-    std::size_t next = sc.match[open] + 1;
-    if (next >= toks.size() || !is_punct(toks[next], ";")) continue;
-    ++next;
-    // `if (c) { co_await X.skip(t); }`: the skip is the whole block of an
-    // if without else; the statement after the block comes next.
-    if (next < toks.size() && is_punct(toks[next], "}") && i > 0 &&
-        is_punct(toks[i - 1], "{") && sc.match[next] == i - 1 && i > 1 &&
-        is_punct(toks[i - 2], ")") && sc.match[i - 2] != npos &&
-        sc.match[i - 2] > 0 && is_ident(toks[sc.match[i - 2] - 1], "if")) {
-      ++next;
-    }
-    bool fires = statement_acts(toks, sc, next, recv);
-    // A loop whose first statement acts: its first iteration acts at once.
-    if (!fires && next + 1 < toks.size() &&
-        (is_ident(toks[next], "for") || is_ident(toks[next], "while")) &&
-        is_punct(toks[next + 1], "(") && sc.match[next + 1] != npos) {
-      std::size_t body = sc.match[next + 1] + 1;
-      if (body < toks.size() && is_punct(toks[body], "{")) ++body;
-      fires = statement_acts(toks, sc, body, recv);
-    }
-    if (fires) {
-      add(out, rule, f, toks[i].line,
-          "skip() then a channel action on '" + std::string(recv) +
-              "': two suspensions where Proc::cycle_after(t, write, read) "
-              "takes one (see docs/ENGINE.md)");
-    }
   }
 }
 
@@ -863,9 +707,7 @@ FileReport analyze(const LexedFile& f, const Options& opts) {
   if (rule_in_scope(defs[0], f.path, opts.all_scopes)) rule_l1(f, sc, &raw);
   if (rule_in_scope(defs[1], f.path, opts.all_scopes)) rule_l2(f, &raw);
   if (rule_in_scope(defs[2], f.path, opts.all_scopes)) rule_l3(f, sc, &raw);
-  if (rule_in_scope(defs[3], f.path, opts.all_scopes)) rule_l5(f, sc, &raw);
-  if (rule_in_scope(defs[4], f.path, opts.all_scopes)) rule_l6(f, &raw);
-  if (rule_in_scope(defs[5], f.path, opts.all_scopes)) rule_l7(f, sc, &raw);
+  if (rule_in_scope(defs[3], f.path, opts.all_scopes)) rule_l6(f, &raw);
 
   FileReport rep;
   for (Finding& fi : raw) {

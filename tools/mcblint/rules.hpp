@@ -1,5 +1,6 @@
-// mcblint rule engine: the repo-specific rules MCB-L1..L3 and L5..L7 (L4
-// was retired with the engine it guarded; the other ids stay stable),
+// mcblint rule engine: the repo-specific rules MCB-L1..L3 and L6 (L4 was
+// retired with the engine it guarded, L5 and L7 with the Proc::step and
+// Proc::skip calls whose misuse they caught; the other ids stay stable),
 // numbered in the style of the conformance checker's MCB-W1/R1/C1 trace
 // rules. Where
 // the conformance checker audits *executions* against the model spec, these
@@ -13,13 +14,8 @@
 //   MCB-L2  nondeterminism         wall clocks / PRNGs / host-thread
 //                                  queries in protocol & engine code
 //   MCB-L3  unordered-iteration    range-for over std::unordered_*
-//   MCB-L5  busy-wait-step         loops whose whole body is co_await
-//                                  ...step() — O(t) where skip() is O(1)
 //   MCB-L6  naked-new              `new` outside the frame arena in
 //                                  protocol code
-//   MCB-L7  skip-then-act          co_await X.skip(t) followed at once by a
-//                                  channel action on X — cycle_after(t, ...)
-//                                  does both in one suspension
 //
 // Escapes: a `lint-allow: <slug-or-id>` comment on the finding's line or
 // the line above suppresses it; a baseline file grandfathers findings by

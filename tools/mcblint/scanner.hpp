@@ -7,8 +7,8 @@
 // distinguishes function bodies (including constructors with init lists,
 // trailing return types and noexcept specifiers) and lambda bodies from
 // class/namespace/enum braces, braced initializers and control-flow
-// compound statements. Rules that need "inside a coroutine" (L1) or
-// "this loop's body" (L5) build on these extents.
+// compound statements. Rules that need "inside a coroutine" (L1) build on
+// these extents.
 #pragma once
 
 #include <cstddef>
