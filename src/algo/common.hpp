@@ -1,8 +1,10 @@
 // Shared helpers for the distributed algorithms.
 #pragma once
 
+#include <coroutine>
 #include <cstddef>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -48,6 +50,40 @@ inline constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
 /// Rounds `a` up to a multiple of `b`.
 inline constexpr std::size_t round_up(std::size_t a, std::size_t b) {
   return ceil_div(a, b) * b;
+}
+
+// --- one-word broadcasts ---------------------------------------------------
+
+/// A one-word broadcast on channel 0 after `idle` cycles: the sender writes
+/// `value`, every other processor reads it, and every processor's co_await
+/// yields the word. A silent channel stops the run with `what`.
+struct WordCast {
+  Proc::CycleAwaiter aw;
+  Word value;
+  const char* what;  ///< nullptr at the sender
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) noexcept {
+    aw.await_suspend(h);
+  }
+  Word await_resume() const {
+    const Proc::ReadResult got = aw.await_resume();
+    if (what == nullptr) return value;
+    MCB_CHECK(got.has_value(), what);
+    return got->at(0);
+  }
+};
+
+/// Build it in its own statement: `auto aw = broadcast_word(...); Word w =
+/// co_await aw;`.
+inline WordCast broadcast_word(Proc& self, bool sends, Word value,
+                               const char* what, Cycle idle = 0) {
+  if (sends) {
+    return {self.cycle_after(idle, WriteOp{0, Message::of(value)},
+                             std::nullopt),
+            value, nullptr};
+  }
+  return {self.cycle_after(idle, std::nullopt, ChannelId{0}), 0, what};
 }
 
 // --- stream windows ---------------------------------------------------------

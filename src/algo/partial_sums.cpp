@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <vector>
 
+#include "algo/common.hpp"
 #include "obs/span.hpp"
 #include "util/check.hpp"
 
@@ -28,8 +32,6 @@ const SumOp& SumOp::min() {
 }
 
 namespace {
-
-std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
 /// Cycles of bottom-up tree level l (fathers at level l+1, k per cycle);
 /// top-down level l+1 serves the same fathers and takes as many.
@@ -61,185 +63,316 @@ std::size_t idle_levels(std::size_t p, std::size_t k, std::size_t depth,
   return memo.suffix[from];
 }
 
+/// One processor's walk through the collective's fixed schedule, as a plain
+/// state machine: step() names its next channel action and hands that
+/// action's read back to consume(), which plans the one after. The
+/// coroutine around it therefore has a single await site, and the frame
+/// holds this walk and one awaiter, not a slot per action.
+///
+/// Processor i simulates node (l, i >> l) iff 2^l | i, i.e. at levels
+/// 0..top, and acts only there. Bottom-up it receives its right son's
+/// subtree value at every level below top and sends its own to the father
+/// at top; top-down it receives F at top + 1 and sends to its right sons at
+/// top..1. P_1 simulates the root (top = depth). Every other level is idle
+/// for it, and the idle levels above top are one contiguous stretch of the
+/// schedule (the last levels up, the first levels down), so a processor
+/// costs O(top) host work, not O(log p).
+///
+/// Idle cycles owed to the schedule but not yet slept are `pending_`. Level
+/// l lasts level_cycles(l) cycles and a processor acts in at most one of
+/// them, at in-level cycle `at`; each action sleeps out the owed cycles in
+/// the same suspension (cycle_after), and the rest of its level becomes
+/// owed. A processor's last action carries the rest of the collective as
+/// its trailing idle instead.
+class Walk {
+ public:
+  /// The awaiter of one action: a cycle_after whose read goes to consume().
+  struct Step {
+    Proc::CycleAwaiter aw;
+    Walk& walk;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      aw.await_suspend(h);
+    }
+    void await_resume() { walk.consume(aw.await_resume()); }
+  };
+
+  Walk(std::size_t p, std::size_t k, std::size_t i, Word a_i, const SumOp& op,
+       PartialSumsOptions opts)
+      : p_(static_cast<std::uint32_t>(p)),
+        k_(static_cast<std::uint32_t>(k)),
+        i_(static_cast<std::uint32_t>(i)),
+        op_(&op),
+        f_(op.identity),
+        depth_(static_cast<std::uint8_t>(std::bit_width(p - 1))),
+        with_total_(opts.with_total),
+        with_next_(opts.with_next) {
+    if (p == 1) {
+      out_ = {op.identity, a_i, a_i, a_i};
+      return;
+    }
+    top_ = i == 0 ? depth_ : static_cast<std::uint8_t>(std::countr_zero(i));
+    // The top-down read is a processor's last action in a plain collective
+    // when it sends on no level below top (all its right sons are dummies).
+    down_last_ = i != 0 && !with_total_ && !with_next_ &&
+                 (top_ == 0 || i + 1 >= p);
+    // val[l] = combined value of the subtree of node (l, i >> l), l <= top.
+    if (top_ >= kNear) deep_ = std::make_unique<Word[]>(top_ + 1);
+    Word* v = val();
+    std::fill(v, v + top_ + 1, op.identity);
+    v[0] = a_i;
+    stage_ = Stage::kUp;
+    plan_next();
+  }
+
+  bool done() const { return stage_ == Stage::kDone; }
+  /// Tree values the paper charges this processor: one per level.
+  std::size_t tree_words() const { return std::size_t{depth_} + 1; }
+  const PartialSumsResult& result() const { return out_; }
+
+  /// The planned action, its intent set on `self`. Build it in its own
+  /// statement (docs/ENGINE.md): `auto aw = walk.step(self); co_await aw;`.
+  Step step(Proc& self) {
+    std::optional<WriteOp> w;
+    if (write_ != kNoChannel) w = WriteOp{write_, Message::of(word_)};
+    const std::optional<ChannelId> r =
+        read_ != kNoChannel ? std::optional<ChannelId>(read_) : std::nullopt;
+    return {self.cycle_after(idle_, std::move(w), r, trail_), *this};
+  }
+
+ private:
+  /// Tree values held inline; deeper processors (one in 2^kNear) use the
+  /// heap.
+  static constexpr std::size_t kNear = 4;
+
+  enum class Stage : std::uint8_t {
+    kUp,        ///< bottom-up level level_ < top: read the right son
+    kTopSend,   ///< bottom-up level top: send the subtree value up
+    kTopRead,   ///< top-down level top + 1: read F
+    kDown,      ///< top-down level level_ >= 1: send F ⊕ L to the right son
+    kTotal,     ///< optional total broadcast
+    kNextSend,  ///< optional neighbour exchange: send the prefix left
+    kNextRead,  ///< ... and read the right neighbour's, if not read yet
+    kDone,
+  };
+
+  Word* val() { return deep_ ? deep_.get() : near_; }
+  std::size_t levels(std::size_t l) const {
+    return level_cycles(std::size_t{1} << depth_, k_, l);
+  }
+  std::size_t idle(std::size_t from) const {
+    return idle_levels(p_, k_, depth_, from);
+  }
+
+  void plan(Cycle idle, ChannelId write, Word word, ChannelId read,
+            Cycle trail, Cycle after) {
+    idle_ = idle;
+    write_ = write;
+    word_ = word;
+    read_ = read;
+    trail_ = trail;
+    after_ = after;
+  }
+
+  /// Plans the action of the current stage, moving past stages in which
+  /// this processor does not act; at the end checks nothing is left owed.
+  void plan_next() {
+    const SumOp& op = *op_;
+    for (;;) {
+      switch (stage_) {
+        case Stage::kUp:
+          if (level_ < top_) {
+            // Father simulator (== left son simulator): receive from the
+            // right son.
+            const std::size_t father = i_ >> (level_ + 1);
+            const std::size_t at = father / k_;
+            plan(pending_ + at, kNoChannel, 0,
+                 static_cast<ChannelId>(father % k_), 0,
+                 levels(level_) - at - 1);
+            return;
+          }
+          if (i_ == 0) {
+            out_.total = val()[depth_];
+            stage_ = Stage::kDown;  // at level_ == top_
+          } else {
+            stage_ = Stage::kTopSend;
+          }
+          break;
+        case Stage::kTopSend:
+        case Stage::kTopRead: {
+          // Right son at level top: send the subtree value to the father's
+          // simulator, sleep through the levels above twice, then receive
+          // F in top-down level top + 1 — the same father, channel and
+          // in-level cycle.
+          const std::size_t father = i_ >> (top_ + 1);
+          const std::size_t at = father / k_;
+          const auto ch = static_cast<ChannelId>(father % k_);
+          const std::size_t cycles = levels(top_);
+          if (stage_ == Stage::kTopSend) {
+            // Owed after the send: the rest of this level, the levels
+            // above it up and down, and `at` cycles into top-down level
+            // top + 1.
+            plan(pending_ + at, ch, val()[top_], kNoChannel, 0,
+                 (cycles - at - 1) + 2 * idle(top_ + 1) + at);
+            return;
+          }
+          // The rest of level top, and of levels top..1 down as the trail.
+          const std::size_t rest =
+              (cycles - at - 1) + (down_last_ ? idle(0) - idle(top_) : 0);
+          plan(pending_, kNoChannel, 0, ch, down_last_ ? rest : 0,
+               down_last_ ? 0 : rest);
+          return;
+        }
+        case Stage::kDown: {
+          // Father: send F ⊕ L to the right son, unless the right subtree
+          // is entirely dummy (its simulator would not exist). F is
+          // unchanged for the left son (== this processor).
+          while (level_ >= 1 && i_ + (std::size_t{1} << (level_ - 1)) >= p_) {
+            pending_ += levels(level_ - 1);
+            --level_;
+          }
+          if (level_ == 0) {
+            out_.before = f_;
+            out_.self = op.combine(f_, val()[0]);
+            stage_ = Stage::kTotal;
+            break;
+          }
+          const std::size_t cycles = levels(level_ - 1);
+          const std::size_t father = i_ >> level_;
+          const std::size_t at = father / k_;
+          const bool last = !with_total_ && !with_next_ && level_ == 1;
+          plan(pending_ + at, static_cast<ChannelId>(father % k_),
+               op.combine(f_, val()[level_ - 1]), kNoChannel,
+               last ? cycles - at - 1 : 0, last ? 0 : cycles - at - 1);
+          return;
+        }
+        case Stage::kTotal:
+          if (!with_total_) {
+            stage_ = Stage::kNextSend;
+            break;
+          }
+          plan(pending_, i_ == 0 ? 0 : kNoChannel, out_.total,
+               i_ == 0 ? kNoChannel : 0, 0, 0);
+          return;
+        case Stage::kNextSend:
+        case Stage::kNextRead: {
+          // P_{i+1} tells P_i its inclusive prefix; O(p/k) cycles, p-1
+          // messages. P_i sends in exchange cycle (i-1)/k and reads in
+          // cycle i/k — one action when they coincide — and sleeps through
+          // the rest.
+          if (!with_next_) {
+            stage_ = Stage::kDone;
+            break;
+          }
+          const std::size_t cycles = ceil_div(p_ - 1, k_);
+          const bool reads = i_ + 1 < p_;
+          const std::size_t read_at = i_ / k_;
+          const auto read_ch = static_cast<ChannelId>(i_ % k_);
+          if (stage_ == Stage::kNextSend) {
+            out_.next = out_.self;  // correct for the last processor
+            if (i_ == 0) {
+              stage_ = Stage::kNextRead;
+              break;
+            }
+            const std::size_t send_at = (i_ - 1) / k_;
+            const bool read_too = reads && read_at == send_at;
+            const bool last = !reads || read_too;
+            plan(pending_ + send_at, static_cast<ChannelId>((i_ - 1) % k_),
+                 out_.self, read_too ? read_ch : kNoChannel,
+                 last ? cycles - send_at - 1 : 0, 0);
+            return;
+          }
+          // Exchange cycles already accounted for by the send.
+          const std::size_t t = i_ >= 1 ? (i_ - 1) / k_ + 1 : 0;
+          if (!reads || read_at < t) {
+            stage_ = Stage::kDone;
+            break;
+          }
+          plan(pending_ + read_at - t, kNoChannel, 0, read_ch,
+               cycles - read_at - 1, 0);
+          return;
+        }
+        case Stage::kDone:
+          MCB_CHECK(pending_ == 0, "P" << i_ + 1 << " left " << pending_
+                                       << " cycles of the collective unslept");
+          return;
+      }
+    }
+  }
+
+  /// Takes the planned action's read and plans the next action.
+  void consume(const Proc::ReadResult& got) {
+    pending_ = after_;
+    switch (stage_) {
+      case Stage::kUp: {
+        // Silence = dummy right subtree (p not a power of two) = identity.
+        Word* v = val();
+        v[level_ + 1] = got ? op_->combine(v[level_], got->at(0)) : v[level_];
+        ++level_;
+        break;
+      }
+      case Stage::kTopSend:
+        stage_ = Stage::kTopRead;
+        break;
+      case Stage::kTopRead:
+        MCB_CHECK(got.has_value(), "top-down message missing at P" << i_ + 1);
+        f_ = got->at(0);
+        level_ = down_last_ ? 0 : top_;
+        stage_ = Stage::kDown;
+        break;
+      case Stage::kDown:
+        --level_;
+        break;
+      case Stage::kTotal:
+        if (i_ != 0) {
+          MCB_CHECK(got.has_value(), "total broadcast missing at P" << i_ + 1);
+          out_.total = got->at(0);
+        }
+        stage_ = Stage::kNextSend;
+        break;
+      case Stage::kNextSend:
+      case Stage::kNextRead:
+        if (read_ != kNoChannel) {
+          MCB_CHECK(got.has_value(), "neighbour prefix missing at P" << i_ + 1);
+          out_.next = got->at(0);
+        }
+        stage_ = stage_ == Stage::kNextSend ? Stage::kNextRead : Stage::kDone;
+        break;
+      case Stage::kDone:
+        break;
+    }
+    plan_next();
+  }
+
+  std::uint32_t p_, k_, i_;
+  const SumOp* op_;
+  PartialSumsResult out_;
+  Word f_;  ///< combined value of everything left of the current node
+  Cycle pending_ = 0;
+  // The planned action: sleep idle_, write word_ on write_ and/or read
+  // read_, sleep trail_; then after_ cycles are owed.
+  Cycle idle_ = 0, trail_ = 0, after_ = 0;
+  Word word_ = 0;
+  ChannelId write_ = kNoChannel, read_ = kNoChannel;
+  std::uint8_t depth_, top_ = 0, level_ = 0;
+  Stage stage_ = Stage::kDone;
+  bool with_total_, with_next_, down_last_ = false;
+  Word near_[kNear] = {};
+  std::unique_ptr<Word[]> deep_;
+};
+
 }  // namespace
 
 Task<PartialSumsResult> partial_sums(Proc& self, Word a_i, const SumOp& op,
                                      PartialSumsOptions opts) {
-  const std::size_t p = self.p();
-  const std::size_t k = self.k();
-  const std::size_t i = self.id();
-  const std::size_t depth = std::bit_width(p - 1);  // ceil(log2 p)
-  const std::size_t p2 = std::size_t{1} << depth;
-
   obs::Span sp(self, "partial-sums");
-  PartialSumsResult out;
-  if (p == 1) {
-    out.before = op.identity;
-    out.self = a_i;
-    out.next = a_i;
-    out.total = a_i;
-    co_return out;
-  }
-
-  // Processor i simulates node (l, i >> l) iff 2^l | i, i.e. at levels
-  // 0..top, and acts only there. Bottom-up it receives its right son's
-  // subtree value at every level below top and sends its own to the father
-  // at top; top-down it receives F at top + 1 and sends to its right sons
-  // at top..1. P_1 simulates the root (top = depth). Every other level is
-  // idle for it, and the idle levels above top are one contiguous stretch
-  // of the schedule (the last levels up, the first levels down), so a
-  // processor costs O(top) host work, not O(log p).
-  const std::size_t top =
-      i == 0 ? depth : static_cast<std::size_t>(std::countr_zero(i));
-
-  // val[l] = combined value of the subtree of node (l, i >> l).
-  std::vector<Word> val(depth + 1, op.identity);
-  val[0] = a_i;
-  self.note_aux(val.size());
-
-  // Idle cycles owed to the schedule but not yet slept. Level l lasts
-  // level_cycles(l) cycles and a processor acts in at most one of them, at
-  // in-level cycle `at`; each action sleeps out the owed cycles in the same
-  // suspension (cycle_after), and the rest of its level becomes owed. A
-  // processor's last action carries the rest of the collective as its
-  // trailing idle instead. The per-level step is written inline rather
-  // than as a helper coroutine: a helper frame per processor per level
-  // dominated the simulator's allocation profile. Each awaiter is built in
-  // its own statement so the message temporaries stay out of the coroutine
-  // frame (docs/ENGINE.md).
-  std::size_t pending = 0;
-  const bool plain = !opts.with_total && !opts.with_next;
-
-  // --- bottom-up phase ------------------------------------------------------
-  for (std::size_t l = 0; l < top; ++l) {
-    // Father simulator (== left son simulator): receive from the right son.
-    const std::size_t father = i >> (l + 1);
-    const std::size_t at = father / k;
-    auto aw = self.cycle_after(pending + at, std::nullopt,
-                               static_cast<ChannelId>(father % k));
-    const Proc::ReadResult got = co_await aw;
-    // Silence = dummy right subtree (p not a power of two) = identity.
-    val[l + 1] = got ? op.combine(val[l], got->at(0)) : val[l];
-    pending = level_cycles(p2, k, l) - at - 1;
-  }
-
-  // --- the turn at the top: up to the father, back down -------------------
-  // F = combined value of everything left of the current node's subtree.
-  // The top-down read is a processor's last action in a plain collective
-  // when it sends on no level below top (all its right sons are dummies).
-  const bool down_last = i != 0 && plain && (top == 0 || i + 1 >= p);
-  Word f = op.identity;
-  if (i == 0) {
-    out.total = val[depth];
-  } else {
-    // Right son at level top: send the subtree value to the father's
-    // simulator, sleep through the levels above twice, then receive F in
-    // top-down level top + 1 — the same father, channel and in-level cycle.
-    const std::size_t father = i >> (top + 1);
-    const std::size_t at = father / k;
-    const auto ch = static_cast<ChannelId>(father % k);
-    const std::size_t cycles = level_cycles(p2, k, top);
-    auto up = self.cycle_after(pending + at, WriteOp{ch, Message::of(val[top])},
-                               std::nullopt);
-    co_await up;
-    // The rest of this level, the levels above it up and down, and `at`
-    // cycles into top-down level top + 1.
-    pending = (cycles - at - 1) + 2 * idle_levels(p, k, depth, top + 1) + at;
-    // The rest of level top, and of levels top..1 down as the trail.
-    const std::size_t rest =
-        (cycles - at - 1) +
-        (down_last
-             ? idle_levels(p, k, depth, 0) - idle_levels(p, k, depth, top)
-             : 0);
-    auto down =
-        self.cycle_after(pending, std::nullopt, ch, down_last ? rest : 0);
-    const Proc::ReadResult got = co_await down;
-    MCB_CHECK(got.has_value(), "top-down message missing at P" << i + 1);
-    f = got->at(0);
-    pending = down_last ? 0 : rest;
-  }
-
-  // --- top-down phase -------------------------------------------------------
-  for (std::size_t l = down_last ? 0 : top; l >= 1; --l) {
-    // Father: send F ⊕ L to the right son, unless the right subtree is
-    // entirely dummy (its simulator would not exist). F is unchanged for
-    // the left son (== this processor).
-    const std::size_t cycles = level_cycles(p2, k, l - 1);
-    if (i + (std::size_t{1} << (l - 1)) >= p) {
-      pending += cycles;
-      continue;
-    }
-    const std::size_t father = i >> l;
-    const std::size_t at = father / k;
-    const bool last = plain && l == 1;
-    auto aw = self.cycle_after(
-        pending + at,
-        WriteOp{static_cast<ChannelId>(father % k),
-                Message::of(op.combine(f, val[l - 1]))},
-        std::nullopt, last ? cycles - at - 1 : 0);
+  Walk walk(self.p(), self.k(), self.id(), a_i, op, opts);
+  if (self.p() > 1) self.note_aux(walk.tree_words());
+  while (!walk.done()) {
+    auto aw = walk.step(self);
     co_await aw;
-    pending = last ? 0 : cycles - at - 1;
   }
-
-  out.before = f;
-  out.self = op.combine(f, a_i);
-
-  // --- optional total broadcast --------------------------------------------
-  if (opts.with_total) {
-    auto aw = i == 0 ? self.cycle_after(pending,
-                                        WriteOp{0, Message::of(out.total)},
-                                        std::nullopt)
-                     : self.cycle_after(pending, std::nullopt, ChannelId{0});
-    const Proc::ReadResult got = co_await aw;
-    pending = 0;
-    if (i != 0) {
-      MCB_CHECK(got.has_value(), "total broadcast missing at P" << i + 1);
-      out.total = got->at(0);
-    }
-  }
-
-  // --- optional neighbour exchange -------------------------------------
-  // P_{i+1} tells P_i its inclusive prefix; O(p/k) cycles, p-1 messages.
-  // P_i sends in exchange cycle (i-1)/k and reads in cycle i/k — one cycle
-  // when they coincide — and sleeps through the rest.
-  if (opts.with_next) {
-    out.next = out.self;  // correct for the last processor
-    const std::size_t cycles = ceil_div(p - 1, k);
-    const bool reads = i + 1 < p;
-    const std::size_t read_at = i / k;
-    std::size_t t = 0;  // exchange cycles accounted for
-    if (i >= 1) {
-      const std::size_t send_at = (i - 1) / k;
-      const bool read_too = reads && read_at == send_at;
-      const bool last = !reads || read_too;
-      auto aw = self.cycle_after(
-          pending + send_at,
-          WriteOp{static_cast<ChannelId>((i - 1) % k), Message::of(out.self)},
-          read_too ? std::optional<ChannelId>(static_cast<ChannelId>(i % k))
-                   : std::nullopt,
-          last ? cycles - send_at - 1 : 0);
-      const Proc::ReadResult got = co_await aw;
-      if (read_too) {
-        MCB_CHECK(got.has_value(), "neighbour prefix missing at P" << i + 1);
-        out.next = got->at(0);
-      }
-      pending = 0;
-      t = send_at + 1;
-    }
-    if (reads && read_at >= t) {
-      auto aw = self.cycle_after(pending + read_at - t, std::nullopt,
-                                 static_cast<ChannelId>(i % k),
-                                 cycles - read_at - 1);
-      const Proc::ReadResult got = co_await aw;
-      MCB_CHECK(got.has_value(), "neighbour prefix missing at P" << i + 1);
-      out.next = got->at(0);
-      pending = 0;
-    }
-  }
-
-  MCB_CHECK(pending == 0, "P" << i + 1 << " left " << pending
-                              << " cycles of the collective unslept");
-  co_return out;
+  co_return walk.result();
 }
 
 }  // namespace mcb::algo

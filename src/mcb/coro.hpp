@@ -64,6 +64,11 @@ struct FrameAlloc {
 #endif
 };
 
+/// The frame of a program whose first parameter is `Proc& self`, from the
+/// arena of self's network (defined in proc.cpp, where Network is
+/// complete).
+void* program_frame_allocate(std::size_t bytes, Proc& self);
+
 /// Final awaiter of Task<T>: symmetric transfer back to the awaiting parent.
 struct TaskFinalAwaiter {
   bool await_ready() const noexcept { return false; }
@@ -180,9 +185,24 @@ inline Task<void> TaskPromise<void>::get_return_object() {
 
 /// Top-level program of one processor. Created by calling a coroutine
 /// function, then installed into a Network which drives it cycle by cycle.
+///
+/// A program whose first parameter is `Proc& self` takes its frame from
+/// the arena of self's network, so p programs cost p arena blocks, not p
+/// global allocations, and reset() recycles them for the next install;
+/// that network must outlive the program (it does when the program is
+/// installed there). Any other program (a lambda, say, whose first
+/// argument is the closure) falls back to FrameAlloc's plain operator new.
 class [[nodiscard]] ProcMain {
  public:
   struct promise_type : detail::FrameAlloc {
+#if MCB_FRAME_ARENA_ENABLED
+    using detail::FrameAlloc::operator new;
+    template <typename... Args>
+    static void* operator new(std::size_t bytes, Proc& self, Args&...) {
+      return detail::program_frame_allocate(bytes, self);
+    }
+#endif
+
     Proc* proc = nullptr;  // wired up by Network::install
     std::exception_ptr exception;
 

@@ -91,6 +91,11 @@ class Network {
   /// recycled. Must not be called from inside a processor program.
   void reset();
 
+  /// The frame arena's counters, monotonic over the network's life: the
+  /// program frames installed so far count before run() starts.
+  /// RunStats::frame_* report one run's share of them.
+  const util::ArenaStats& arena_stats() const { return arena_.stats(); }
+
   /// Completed cycles (valid during a run; queried by Proc::now()).
   Cycle now() const { return now_; }
 
@@ -107,6 +112,7 @@ class Network {
   friend class Proc;
   friend struct Proc::CycleAwaiter;
   friend struct Proc::MultiReadAwaiter;
+  friend void* detail::program_frame_allocate(std::size_t bytes, Proc& self);
 
   // The suspension hook of every awaiter: processor id opens a window of
   // `beats` beats (beat 0, if any, already loaded) after `lead` idle
@@ -144,11 +150,12 @@ class Network {
   SimConfig cfg_;
   TraceSink* sink_;
 
-  // Frame arena for this network's coroutine frames, installed
-  // thread_local for the duration of run(). Declared before programs_ so it
-  // is destroyed after them: destroying a suspended program (e.g. after a
-  // CollisionError aborted the run) frees its in-scope Task frames back
-  // into the arena.
+  // Frame arena for this network's coroutine frames: program frames at
+  // install (detail::program_frame_allocate), Task frames while it is
+  // installed thread_local for the duration of run(). Declared before
+  // programs_ so it is destroyed after them: destroying a program (e.g. a
+  // suspended one after a CollisionError aborted the run) frees its frame
+  // and its in-scope Task frames back into the arena.
   util::FrameArena arena_;
 
   ProcTable tab_;

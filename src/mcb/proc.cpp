@@ -9,6 +9,10 @@
 
 namespace mcb {
 
+void* detail::program_frame_allocate(std::size_t bytes, Proc& self) {
+  return util::frame_allocate_in(&self.net_->arena_, bytes);
+}
+
 std::size_t Proc::p() const { return net_->config().p; }
 std::size_t Proc::k() const { return net_->config().k; }
 Cycle Proc::now() const { return net_->now(); }

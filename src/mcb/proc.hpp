@@ -207,6 +207,7 @@ class Proc {
  private:
   friend class Network;
   friend struct ProcMain::promise_type::FinalAwaiter;
+  friend void* detail::program_frame_allocate(std::size_t bytes, Proc& self);
 
   Proc(Network& net, ProcId id) : net_(&net), id_(id) {}
   Proc(const Proc&) = delete;

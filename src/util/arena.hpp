@@ -37,7 +37,9 @@ namespace mcb::util {
 
 /// Telemetry counters of one arena. `allocs`/`frees`/`reuses`/`slab_allocs`
 /// are monotonic; `bytes_live`/`bytes_peak` track rounded class bytes
-/// (headers included).
+/// (headers included), each frame charged at the class it asked for, even
+/// when a larger free block serves it — so they are a function of the
+/// frames requested alone, the same on a fresh arena and a warm one.
 struct ArenaStats {
   std::uint64_t allocs = 0;       ///< requests served from this arena
   std::uint64_t frees = 0;        ///< frames returned to this arena
@@ -65,7 +67,7 @@ class FrameArena {
   /// back to global new (rare: a frame that big holds large locals that
   /// should live on the processor, not the coroutine frame).
   static constexpr std::size_t kGranularity = 64;
-  static constexpr std::size_t kNumClasses = 64;
+  static constexpr std::size_t kNumClasses = 64;  ///< one bit each in a mask
   static constexpr std::size_t kMaxClassBytes = kGranularity * kNumClasses;
   /// Slabs are carved bump-pointer style; one slab serves many classes.
   static constexpr std::size_t kSlabBytes = 64 * 1024;
@@ -79,8 +81,27 @@ class FrameArena {
 
   // Internal allocation interface (header excluded); frame code uses the
   // free functions below, tests may drive these directly.
-  void* allocate_class(std::size_t cls);
-  void deallocate_class(void* block, std::size_t cls);
+  //
+  // allocate_class serves exactly class `cls`: a free-list pop, else a
+  // carve from the current slab, else from a fresh one. allocate_fit may
+  // serve a larger class instead, and returns with the block the class it
+  // served, whose free list the block goes back to: when class `cls` has no
+  // free block and the current slab is too short for one, it takes the
+  // smallest larger free block rather than acquire a slab. So frames a
+  // size class smaller than an earlier phase's reuse that phase's blocks,
+  // and the footprint follows the live bytes rather than the sum of
+  // per-class peaks. deallocate_class takes the block's class and, for a
+  // block from allocate_fit, the class it was asked for.
+  struct Fit {
+    void* block;
+    std::size_t cls;
+  };
+  void* allocate_class(std::size_t cls) { return take(cls, cls); }
+  Fit allocate_fit(std::size_t cls);
+  void deallocate_class(void* block, std::size_t cls) {
+    deallocate_class(block, cls, cls);
+  }
+  void deallocate_class(void* block, std::size_t cls, std::size_t asked);
 
   static std::size_t class_of(std::size_t total_bytes) {
     return (total_bytes - 1) / kGranularity;
@@ -94,7 +115,11 @@ class FrameArena {
     FreeNode* next;
   };
 
+  // A block of class `cls` charged as class `asked`.
+  void* take(std::size_t cls, std::size_t asked);
+
   FreeNode* free_heads_[kNumClasses] = {};
+  std::uint64_t nonempty_ = 0;  ///< bit c set iff free_heads_[c] != nullptr
   std::vector<void*> slabs_;
   std::byte* bump_ = nullptr;     ///< next free byte in the current slab
   std::size_t remaining_ = 0;     ///< bytes left in the current slab
@@ -119,10 +144,13 @@ class FrameArenaScope {
   FrameArena* prev_;
 };
 
-/// Allocates a coroutine frame: from the current arena when one is installed
-/// and the size fits a class, from global new otherwise. The returned
-/// pointer is 16-byte aligned (the default new alignment GCC assumes for
-/// coroutine frames without an aligned promise operator new).
+/// Allocates a coroutine frame: from `arena` when it is non-null and the
+/// size fits a class, from global new otherwise. The returned pointer is
+/// 16-byte aligned (the default new alignment GCC assumes for coroutine
+/// frames without an aligned promise operator new).
+void* frame_allocate_in(FrameArena* arena, std::size_t bytes);
+
+/// frame_allocate_in the current arena.
 void* frame_allocate(std::size_t bytes);
 
 /// Frees a frame wherever it came from — the header, not the thread-local

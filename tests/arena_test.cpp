@@ -51,6 +51,36 @@ TEST(ArenaTest, FreedBlockIsReusedLifo) {
   EXPECT_EQ(arena.stats().reuses, 2u);
 }
 
+TEST(ArenaTest, FitTakesALargerFreeBlockBeforeANewSlab) {
+  FrameArena arena;
+  std::vector<void*> bigs;
+  // Fill the first slab with class-5 (384 B) blocks, then free them.
+  while (arena.stats().slab_allocs < 2) bigs.push_back(arena.allocate_class(5));
+  void* last = bigs.back();  // carved from the second slab
+  bigs.pop_back();
+  for (void* b : bigs) arena.deallocate_class(b, 5);
+  // Class 4 (320 B) has no free block, but the second slab still has room:
+  // a carve, not a borrow.
+  const auto carved = arena.allocate_fit(4);
+  EXPECT_EQ(carved.cls, 4u);
+  std::vector<FrameArena::Fit> fits{carved};
+  // Once the slab is too short, a freed class-5 block serves instead of a
+  // third slab; it is charged as the class asked for and goes back to its
+  // own list.
+  while (fits.back().cls == 4) fits.push_back(arena.allocate_fit(4));
+  EXPECT_EQ(fits.back().cls, 5u);
+  EXPECT_EQ(arena.stats().slab_allocs, 2u);
+  EXPECT_EQ(arena.stats().bytes_live,
+            FrameArena::class_bytes(5) +
+                fits.size() * FrameArena::class_bytes(4));
+  for (const auto& f : fits) arena.deallocate_class(f.block, f.cls, 4);
+  arena.deallocate_class(last, 5);
+  EXPECT_EQ(arena.stats().bytes_live, 0u);
+  // The borrowed block is back on the class-5 list.
+  EXPECT_EQ(arena.allocate_class(5), last);
+  EXPECT_EQ(arena.allocate_class(5), fits.back().block);
+}
+
 TEST(ArenaTest, ClassesDoNotShareFreeLists) {
   FrameArena arena;
   void* small = arena.allocate_class(0);
@@ -224,6 +254,72 @@ TEST(ArenaTest, NetworkRunRecyclesTaskFrames) {
   EXPECT_EQ(stats.arena_bytes_peak, 0u);
   EXPECT_EQ(stats.arena_hit_rate, 0.0);
 #endif
+}
+
+// --- program frames ----------------------------------------------------------
+
+ProcMain sleeper_program(Proc& self, Cycle t) { co_await self.window(t); }
+
+// Not Proc& first: its frame cannot name a network, so it takes global new.
+ProcMain tagged_sleeper(Cycle t, Proc& self) { co_await self.window(t); }
+
+TEST(ArenaTest, ProgramFramesComeFromTheirNetworksArena) {
+  const std::size_t p = 16;
+  Network net({.p = p, .k = 2});
+  for (ProcId i = 0; i < p; ++i) {
+    net.install(i, sleeper_program(net.proc(i), i + 1));
+  }
+#if MCB_FRAME_ARENA_ENABLED
+  // Installed, not yet run: the program frames are live in the arena.
+  EXPECT_EQ(net.arena_stats().allocs, p);
+  EXPECT_GT(net.arena_stats().bytes_live, 0u);
+#endif
+  const auto stats = net.run();
+  // The run's own frame counts exclude the frames installed before it.
+  EXPECT_EQ(stats.frame_allocs, 0u);
+  EXPECT_EQ(stats.frame_frees, 0u);
+#if MCB_FRAME_ARENA_ENABLED
+  EXPECT_EQ(stats.arena_bytes_peak, net.arena_stats().bytes_live);
+#else
+  EXPECT_EQ(stats.arena_bytes_peak, 0u);
+  EXPECT_EQ(net.arena_stats().allocs, 0u);
+#endif
+}
+
+TEST(ArenaTest, ResetRecyclesProgramFrames) {
+  const std::size_t p = 64;
+  Network net({.p = p, .k = 4});
+  std::vector<Word> out(p, 0);
+  for (int round = 0; round < 3; ++round) {
+    const auto slabs = net.arena_stats().slab_allocs;
+    for (ProcId i = 0; i < p; ++i) {
+      net.install(i, doubling_program(net.proc(i), out[i]));
+    }
+    net.run();
+    net.reset();
+    EXPECT_EQ(net.arena_stats().bytes_live, 0u) << "round " << round;
+    // Reinstall and rerun take every frame from the free lists.
+    if (round > 0) {
+      EXPECT_EQ(net.arena_stats().slab_allocs, slabs) << "round " << round;
+    }
+  }
+#if MCB_FRAME_ARENA_ENABLED
+  EXPECT_GT(net.arena_stats().slab_allocs, 0u);
+#else
+  EXPECT_EQ(net.arena_stats().slab_allocs, 0u);
+#endif
+}
+
+TEST(ArenaTest, ProgramWithoutProcFirstUsesGlobalNew) {
+  const std::size_t p = 8;
+  Network net({.p = p, .k = 1});
+  for (ProcId i = 0; i < p; ++i) {
+    net.install(i, tagged_sleeper(2 * i + 1, net.proc(i)));
+  }
+  EXPECT_EQ(net.arena_stats().allocs, 0u);
+  const auto stats = net.run();
+  EXPECT_EQ(stats.cycles, 2 * p - 1);
+  EXPECT_EQ(stats.arena_bytes_peak, 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <optional>
@@ -181,6 +182,53 @@ TEST(PartialSumsTest, StockOperatorsOutliveASplitAwait) {
   net.run();
   for (std::size_t i = 0; i < p; ++i) {
     EXPECT_EQ(got[i], static_cast<Word>((i + 1) * 100 + p)) << "P" << i + 1;
+  }
+}
+
+// --- deep tree paths --------------------------------------------------------
+
+// A processor keeps its tree values inline up to level 3 and on the heap
+// from level 4 (one processor in 16); the pinned table stops at p = 1000,
+// so these shapes exercise the heap path at depth 8, 9 and 12, including
+// P_1's root path, over every option combination on both engines. The
+// paper's accounting must not see the split: every processor still notes
+// depth + 1 words.
+TEST(PartialSumsTest, DeepTreePathsMatchInclusiveScan) {
+  for (std::size_t p : {std::size_t{256}, std::size_t{257},
+                        std::size_t{4096}}) {
+    util::Xoshiro256StarStar rng(p);
+    std::vector<Word> values(p);
+    for (auto& v : values) v = rng.uniform(-1000, 1000);
+    std::vector<Word> incl(p);
+    std::inclusive_scan(values.begin(), values.end(), incl.begin());
+    const std::size_t depth = std::bit_width(p - 1);
+    for (std::size_t k : {std::size_t{1}, std::size_t{8}}) {
+      for (unsigned bits = 0; bits < 4; ++bits) {
+        const PartialSumsOptions opts{.with_total = (bits & 1) != 0,
+                                      .with_next = (bits & 2) != 0};
+        for (Engine engine : {Engine::kEventDriven, Engine::kReference}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "p=" << p << " k=" << k << " opts=" << bits
+                       << (engine == Engine::kReference ? " reference"
+                                                        : " event"));
+          const auto out =
+              run_partial_sums(p, k, values, SumOp::add(), opts, engine);
+          for (std::size_t i = 0; i < p; ++i) {
+            const auto& r = out.results[i];
+            ASSERT_EQ(r.before, i == 0 ? 0 : incl[i - 1]) << "P" << i + 1;
+            ASSERT_EQ(r.self, incl[i]) << "P" << i + 1;
+            if (opts.with_next) {
+              ASSERT_EQ(r.next, incl[std::min(i + 1, p - 1)]) << "P" << i + 1;
+            }
+            if (opts.with_total) {
+              ASSERT_EQ(r.total, incl[p - 1]) << "P" << i + 1;
+            }
+          }
+          ASSERT_EQ(out.stats.peak_aux_words,
+                    std::vector<std::size_t>(p, depth + 1));
+        }
+      }
+    }
   }
 }
 
