@@ -10,6 +10,15 @@
 // segment. Ranks that land exactly on the weighted median are answered on
 // the spot.
 //
+// It is the same program as select_rank (algo/selection.cpp), which is a
+// batch of one rank. The batch's unique ranks are kept as a range per
+// segment — a split cuts it into a prefix, at most one rank answered on
+// the spot, and a suffix — and each processor writes its answers into its
+// own row of one p x B array. Every collected segment is a "terminate"
+// phase (accumulated into one PhaseStats entry) with a span of its own; a
+// batch answered entirely inside filtering still ends with one
+// zero-length "terminate" phase and span.
+//
 // Determinism/lockstep: every branching decision — which ranks resolve,
 // whether a segment splits, which segment is processed next — depends only
 // on globally known quantities (the rank list and the network-wide counts

@@ -24,6 +24,13 @@
 // Complexity: O((p/k) log(kn/p)) cycles and O(p log(kn/p)) messages, tight
 // by Corollary 7 for d = Theta(n) and p >= k^2.
 //
+// One protocol serves a single rank and a batch (algo/multi_select.hpp):
+// select_rank(d) is select_ranks({d}), and both run the program in
+// algo/selection.cpp. P_1 marks the phases "setup", "filter" (every round,
+// accumulated) and "terminate", each with a span of the same name. A run
+// always reports exactly one "terminate" phase, last; it is zero-length
+// when rank d was med_{i*} itself, found inside a filtering phase.
+//
 // The paper assumes distinct elements w.l.o.g.; this implementation
 // requires them (callers can lexicographically extend values as in
 // Section 3 if needed).
@@ -43,9 +50,6 @@ struct SelectionOptions {
   /// Candidate threshold below which the termination phase collects the
   /// survivors centrally; 0 = the paper's choice max(p/k, 1).
   std::size_t threshold = 0;
-  /// Use randomized quickselect instead of BFPRT for local medians (changes
-  /// nothing observable; both are free local computation).
-  bool use_quickselect = false;
 };
 
 struct SelectionResult {

@@ -76,29 +76,6 @@ Word kth_largest(std::span<Word> v, std::size_t d) {
   return select_bfprt(v, d);
 }
 
-Word kth_largest_quickselect(std::span<Word> v, std::size_t d,
-                             util::Xoshiro256StarStar& rng) {
-  MCB_REQUIRE(1 <= d && d <= v.size(),
-              "rank " << d << " out of range for " << v.size() << " elements");
-  while (true) {
-    if (v.size() <= 10) {
-      insertion_sort(v, std::greater<Word>{});
-      return v[d - 1];
-    }
-    const Word pivot = v[static_cast<std::size_t>(
-        rng.uniform(0, static_cast<std::int64_t>(v.size()) - 1))];
-    const auto [lt, gt] = partition3(v, pivot);
-    if (d <= lt) {
-      v = v.subspan(0, lt);
-    } else if (d <= gt) {
-      return pivot;
-    } else {
-      d -= gt;
-      v = v.subspan(gt);
-    }
-  }
-}
-
 Word median(std::span<Word> v) {
   MCB_REQUIRE(!v.empty(), "median of an empty list");
   return kth_largest(v, (v.size() + 1) / 2);

@@ -74,12 +74,10 @@ TEST(IntegrationTest, WholeRunDeterminism) {
   }
 }
 
-TEST(IntegrationTest, SelectionDeterminismIncludingQuickselect) {
+TEST(IntegrationTest, SelectionDeterminism) {
   auto w = util::make_workload(400, 8, util::Shape::kZipf, 4);
-  auto a = algo::select_median({.p = 8, .k = 4}, w.inputs,
-                               {.use_quickselect = true});
-  auto b = algo::select_median({.p = 8, .k = 4}, w.inputs,
-                               {.use_quickselect = true});
+  auto a = algo::select_median({.p = 8, .k = 4}, w.inputs);
+  auto b = algo::select_median({.p = 8, .k = 4}, w.inputs);
   EXPECT_EQ(a.value, b.value);
   EXPECT_EQ(a.stats.cycles, b.stats.cycles);
   EXPECT_EQ(a.filter_phases, b.filter_phases);

@@ -97,14 +97,6 @@ TEST(SelectionTest, MedianConvenience) {
   EXPECT_EQ(res.value, oracle_rank(w.inputs, 51));  // ceil(101/2)
 }
 
-TEST(SelectionTest, QuickselectOptionAgrees) {
-  auto w = util::make_workload(300, 6, util::Shape::kZipf, 4);
-  auto a = select_rank({.p = 6, .k = 3}, w.inputs, 77);
-  auto b = select_rank({.p = 6, .k = 3}, w.inputs, 77,
-                       {.use_quickselect = true});
-  EXPECT_EQ(a.value, b.value);
-}
-
 TEST(SelectionTest, ThresholdOverride) {
   auto w = util::make_workload(256, 8, util::Shape::kEven, 5);
   // A huge threshold forces zero filtering phases (straight to the

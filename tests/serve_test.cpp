@@ -19,6 +19,7 @@
 #include "serve/query.hpp"
 #include "serve/server.hpp"
 #include "util/json.hpp"
+#include "util/random.hpp"
 #include "util/workload.hpp"
 
 namespace mcb {
@@ -40,6 +41,40 @@ TEST(MultiSelectTest, MatchesHostGroundTruth) {
   ASSERT_EQ(res.values.size(), ds.size());
   for (std::size_t j = 0; j < ds.size(); ++j) {
     EXPECT_EQ(res.values[j], truth[ds[j] - 1]) << "rank " << ds[j];
+  }
+
+  // Every rank 1..n, shuffled and half of them repeated: the batch splits
+  // at nearly every filtering phase, so the segment stack runs deep. The
+  // run still reports exactly one "terminate" phase, last.
+  for (std::size_t p : {std::size_t{3}, std::size_t{37}}) {
+    const std::size_t n = 200;
+    const auto wp = util::make_workload(n, p, util::Shape::kRandom, p);
+    const auto all = sorted_desc(wp.inputs);
+    std::vector<std::size_t> every;
+    for (std::size_t d = 1; d <= n; ++d) every.push_back(d);
+    for (std::size_t d = 1; d <= n; d += 2) every.push_back(d);
+    util::Xoshiro256StarStar rng(p);
+    rng.shuffle(every);
+    for (std::size_t k : {std::size_t{1}, std::size_t{3}}) {
+      for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
+        const SimConfig cfg{.p = p, .k = k, .engine = e};
+        const auto got = algo::select_ranks(cfg, wp.inputs, every);
+        ASSERT_EQ(got.values.size(), every.size());
+        for (std::size_t j = 0; j < every.size(); ++j) {
+          ASSERT_EQ(got.values[j], all[every[j] - 1])
+              << "p=" << p << " k=" << k << " rank " << every[j];
+        }
+        const auto& phases = got.stats.phases;
+        ASSERT_FALSE(phases.empty());
+        EXPECT_EQ(phases.back().name, "terminate") << "p=" << p << " k=" << k;
+        EXPECT_EQ(std::count_if(phases.begin(), phases.end(),
+                                [](const PhaseStats& ph) {
+                                  return ph.name == "terminate";
+                                }),
+                  1)
+            << "p=" << p << " k=" << k;
+      }
+    }
   }
 }
 

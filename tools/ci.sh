@@ -156,9 +156,12 @@ run_preset() {
     "$builddir/burst_sort_reference.stripped.json"
   # The same check on the other loops that run as windows: selection's
   # termination, uneven's collection, the central baseline's gather and
-  # scatter, rank-sort's passes, and a serving session's batches.
+  # scatter, rank-sort's passes, and a serving session's batches. The
+  # second selection finds its rank inside a filtering phase, so its
+  # zero-length "terminate" phase and span are compared too.
   window_runs=(
     "select:select --p 1024 --k 8 --n 4096 --check"
+    "select-filtered:select --p 257 --k 2 --n 774 --shape zipf --seed 3 --rank 194 --obs"
     "uneven:sort --p 64 --k 8 --n 4096 --algorithm uneven --shape zipf --check"
     "central:sort --p 64 --k 8 --n 4096 --algorithm central --check"
     "ranksort:sort --p 64 --k 8 --n 4096 --algorithm ranksort --check"
