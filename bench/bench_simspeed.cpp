@@ -54,7 +54,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -63,17 +62,11 @@
 #include "algo/sort.hpp"
 #include "bench_common.hpp"
 #include "obs/clock.hpp"
-#include "obs/profiler.hpp"
 #include "seq/selection.hpp"
 #include "util/workload.hpp"
 
 namespace mcb::bench {
 namespace {
-
-// --profile attaches this host-time recorder to every event-engine run.
-// Host-side only: the gates and the JSON artifact are computed from the same
-// RunStats either way.
-obs::Profiler* g_profiler = nullptr;
 
 constexpr std::size_t kReps = 5;
 
@@ -157,7 +150,6 @@ const char* engine_json_name(Engine e) {
 Rep run_point(const GridPoint& pt, Engine engine) {
   SimConfig cfg{.p = pt.p, .k = pt.k};
   cfg.engine = engine;
-  if (engine == Engine::kEventDriven) cfg.profiler = g_profiler;
   obs::Clock& clk = obs::default_clock();
   Rep r;
   const std::uint64_t t0 = clk.now_ns();
@@ -373,20 +365,7 @@ int main(int argc, char** argv) {
   using namespace mcb;
   using namespace mcb::bench;
 
-  std::string json_path = "BENCH_simspeed.json";
-  bool profile = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--profile") {
-      profile = true;
-    } else {
-      json_path = argv[i];
-    }
-  }
-  std::optional<obs::Profiler> prof;
-  if (profile) {
-    prof.emplace();
-    g_profiler = &*prof;
-  }
+  const std::string json_path = argc > 1 ? argv[1] : "BENCH_simspeed.json";
 
   // Sort stresses dense cycles (most processors participate every cycle);
   // selection stresses the wake queue and the idle-cycle fast-forward (at
@@ -558,11 +537,6 @@ int main(int argc, char** argv) {
               << setup_ratio << "x from p=" << kSetupSmallP
               << " to p=" << kSetupLargeP << ")\n";
     rc = 1;
-  }
-
-  if (prof.has_value()) {
-    section("host profile: event engine, all grid points and reps");
-    std::cout << prof->text();
   }
   return rc;
 }

@@ -328,10 +328,10 @@ std::string sweep_json(const SweepRun& run) {
        << ", \"messages\": " << res.messages
        << ", \"peak_aux_words\": " << res.peak_aux_words
        << ", \"proc_resumes\": " << res.proc_resumes
-       << ", \"frame_allocs\": " << res.frame_allocs
+       << ", \"host\": {\"frame_allocs\": " << res.frame_allocs
        << ", \"frame_frees\": " << res.frame_frees
        << ", \"arena_bytes_peak\": " << res.arena_bytes_peak
-       << ", \"arena_hit_rate\": " << fmt(res.arena_hit_rate)
+       << ", \"arena_hit_rate\": " << fmt(res.arena_hit_rate) << '}'
        << ", \"predicted_cycles\": " << fmt(res.predicted_cycles)
        << ", \"predicted_messages\": " << fmt(res.predicted_messages)
        << ", \"conformance_violations\": " << res.conformance_violations;

@@ -111,8 +111,9 @@ struct TrialResult {
   std::uint64_t proc_resumes = 0;
   std::uint64_t sim_wall_ns = 0;
   /// Frame-arena telemetry. Deterministic given the spec (the trial's
-  /// coroutine execution is) — so these ARE serialized, unlike sim_wall_ns.
-  /// Zero in MCB_FRAME_ARENA=OFF builds.
+  /// coroutine execution is), so sweep_json serializes it, in the trial's
+  /// `host` object: it moves whenever the engine changes, and `mcbsim
+  /// strip-host` removes it. Zero in MCB_FRAME_ARENA=OFF builds.
   std::uint64_t frame_allocs = 0;
   std::uint64_t frame_frees = 0;
   std::uint64_t arena_bytes_peak = 0;

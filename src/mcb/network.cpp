@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/clock.hpp"
-#include "obs/profiler.hpp"
 #include "util/check.hpp"
 
 namespace mcb {
@@ -262,9 +261,6 @@ RunStats Network::run() {
   // totals (and, more usefully, its warm free lists).
   arena_base_ = arena_.stats();
 
-  // Attach the profiler (opt-in host run-wall accounting).
-  if (cfg_.profiler != nullptr) cfg_.profiler->begin_run();
-
   // Route coroutine frame allocations (Task subroutine frames created by
   // protocol code from here on) through this network's arena. The scope
   // nests, so a hosted Network run inside a program restores the outer
@@ -294,7 +290,6 @@ RunStats Network::run() {
       break;
   }
 
-  if (cfg_.profiler != nullptr) cfg_.profiler->end_run();
   finish_phase();
   stats_.cycles = now_;
   stats_.peak_aux_words = tab_.peak_aux_words;

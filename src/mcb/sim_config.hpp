@@ -10,8 +10,7 @@ namespace mcb {
 class SpanSink;
 
 namespace obs {
-class Clock;     // src/obs/clock.hpp — host wall-clock seam
-class Profiler;  // src/obs/profiler.hpp — host run-wall accounting
+class Clock;  // src/obs/clock.hpp — host wall-clock seam
 }  // namespace obs
 
 /// Which simulation engine drives Network::run(). Both implement the exact
@@ -55,21 +54,13 @@ struct SimConfig {
   /// nullptr (the default) costs one branch per span mark.
   SpanSink* span_sink = nullptr;
 
-  /// Host wall-clock source for run telemetry (RunStats::sim_wall_ns) and
-  /// the profiler's instrumentation stamps. nullptr (the default) means the
-  /// process steady clock (obs::default_clock()); tests inject a fake clock
+  /// Host wall-clock source for run telemetry (RunStats::sim_wall_ns, the
+  /// one measure of host time). nullptr (the default) means the process
+  /// steady clock (obs::default_clock()); tests inject a fake clock
   /// to make host-time telemetry deterministic. Never a protocol input —
   /// model time is the cycle counter (mcblint MCB-L2 holds the engine
   /// directories to that).
   obs::Clock* clock = nullptr;
-
-  /// Opt-in host-time recorder (obs::Profiler): run count and run wall
-  /// time, accumulated across every run it is attached to. Host telemetry
-  /// like sim_wall_ns — its output is quarantined in `host_profile`
-  /// subtrees and excluded from the determinism contract. Must outlive the
-  /// run. nullptr (the default) costs one predicted branch per
-  /// instrumentation site, matching the SpanSink pattern.
-  obs::Profiler* profiler = nullptr;
 
   void validate() const {
     MCB_REQUIRE(p >= 1, "need at least one processor");

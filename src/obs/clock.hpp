@@ -1,10 +1,10 @@
 // The host wall-clock seam.
 //
 // Model time in this repo is the cycle counter; wall time is host telemetry
-// (RunStats::sim_wall_ns, the host profiler) and must never become a
-// protocol input. mcblint rule MCB-L2 enforces that by flagging any direct
-// `*_clock::now()` call inside the model directories (src/mcb, src/algo,
-// src/se, src/sched, src/serve). Engine code therefore reads wall time only
+// (RunStats::sim_wall_ns) and must never become a protocol input. mcblint
+// rule MCB-L2 enforces that by flagging any direct `*_clock::now()` call
+// inside the model directories (src/mcb, src/algo, src/se, src/sched,
+// src/serve). Engine code therefore reads wall time only
 // through this interface: the call site names *what* it measures, the
 // implementation lives here in src/obs — host-observability territory,
 // outside MCB-L2's scope — and tests inject a fake clock to make host-time

@@ -99,15 +99,7 @@ std::string run_stats_json(const RunStats& stats) {
   std::ostringstream os;
   os << "{\"cycles\":" << stats.cycles << ",\"messages\":" << stats.messages
      << ",\"peak_aux_words\":" << stats.max_peak_aux()
-     << ",\"sim_wall_ns\":" << stats.sim_wall_ns
-     << ",\"proc_resumes\":" << stats.proc_resumes
-     << ",\"cycles_per_sec\":" << util::json_double(stats.cycles_per_sec)
-     << ",\"frame_allocs\":" << stats.frame_allocs
-     << ",\"frame_frees\":" << stats.frame_frees
-     << ",\"frame_reuses\":" << stats.frame_reuses
-     << ",\"arena_bytes_peak\":" << stats.arena_bytes_peak
-     << ",\"arena_hit_rate\":" << util::json_double(stats.arena_hit_rate)
-     << ",\"phases\":[";
+     << ",\"proc_resumes\":" << stats.proc_resumes << ",\"phases\":[";
   for (std::size_t i = 0; i < stats.phases.size(); ++i) {
     const auto& ph = stats.phases[i];
     if (i) os << ',';
@@ -117,6 +109,19 @@ std::string run_stats_json(const RunStats& stats) {
        << '}';
   }
   os << "]}";
+  return os.str();
+}
+
+std::string host_stats_json(const RunStats& stats) {
+  std::ostringstream os;
+  os << "{\"sim_wall_ns\":" << stats.sim_wall_ns
+     << ",\"cycles_per_sec\":" << util::json_double(stats.cycles_per_sec)
+     << ",\"frame_allocs\":" << stats.frame_allocs
+     << ",\"frame_frees\":" << stats.frame_frees
+     << ",\"frame_reuses\":" << stats.frame_reuses
+     << ",\"arena_bytes_peak\":" << stats.arena_bytes_peak
+     << ",\"arena_hit_rate\":" << util::json_double(stats.arena_hit_rate)
+     << '}';
   return os.str();
 }
 

@@ -32,11 +32,18 @@ class Timeline;
 std::string chrome_trace_json(const RunStats& stats, const SimConfig& cfg,
                               const Recorder* spans, const Timeline* timeline);
 
-/// One RunStats as a JSON object — the "stats" member of `mcbsim
-/// sort/select --json` and of the serving report. Strict RFC 8259: the
-/// double fields (cycles_per_sec, arena_hit_rate) go through
+/// The model side of one RunStats as a JSON object — the "stats" member of
+/// `mcbsim sort/select --json`: cycles, messages, peak_aux_words,
+/// proc_resumes (engine-invariant, so the engines' documents cmp equal with
+/// it) and phases. No host telemetry.
+std::string run_stats_json(const RunStats& stats);
+
+/// The host side of one RunStats as a JSON object — the "host" member
+/// `--profile` adds: sim_wall_ns, cycles_per_sec and the frame_*/arena_*
+/// counters. Outside the determinism contract; `mcbsim strip-host` removes
+/// every `host` member. Strict RFC 8259: the double fields go through
 /// util::json_double, so a non-finite value renders as 0 rather than an
 /// unparseable bare `nan`/`inf` token.
-std::string run_stats_json(const RunStats& stats);
+std::string host_stats_json(const RunStats& stats);
 
 }  // namespace mcb::obs

@@ -204,38 +204,15 @@ void theory_section(std::ostringstream& os, const util::JsonValue& doc,
   fenced(os, t.str());
 }
 
-void quantile_line(std::ostringstream& os, const util::JsonValue& h,
-                   const std::string& label) {
-  os << "- " << label << ": n=" << uint_of(num_or(h, "count", 0.0))
-     << ", p50=" << num_or(h, "p50", 0.0) << ", p95=" << num_or(h, "p95", 0.0)
-     << ", p99=" << num_or(h, "p99", 0.0) << ", max="
-     << num_or(h, "max", 0.0) << "\n";
-}
-
-/// Renders the quarantined `host_profile` subtree (present only on runs
-/// captured with --profile): run count and run wall time. Handles both the
-/// run-document shape (the profiler object directly) and the serve-document
-/// shape (a serving-window envelope wrapping a "profiler" member).
-void host_profile_section(std::ostringstream& os,
-                          const util::JsonValue& doc) {
-  const auto* hp = doc.find("host_profile");
-  if (hp == nullptr || !hp->is_object()) return;
-  const auto* prof = hp->find("profiler");
-  const bool serve_shape = prof != nullptr && prof->is_object();
-  if (!serve_shape) prof = hp;
-
+/// The "Host profile" section: the document's top-level `host` member
+/// (present only on documents captured with --profile).
+void host_section(std::ostringstream& os, const util::JsonValue& doc) {
+  const auto* host = doc.find("host");
+  if (host == nullptr || !host->is_object()) return;
   os << "\n## Host profile\n\n"
-     << "Host wall-clock telemetry — quarantined from the determinism "
-        "contract (`mcbsim strip-host` removes it).\n\n";
-  if (serve_shape) {
-    os << "- batch runs: " << uint_of(num_or(*hp, "batch_runs", 0.0)) << "\n";
-    if (const auto* bw = hp->find("batch_run_wall_ns");
-        bw != nullptr && bw->is_object()) {
-      quantile_line(os, *bw, "batch run wall ns");
-    }
-  }
-  os << "- runs: " << uint_of(num_or(*prof, "runs", 0.0))
-     << ", wall: " << num_or(*prof, "run_wall_ns", 0.0) / 1e6 << " ms\n";
+     << "Host telemetry, outside the determinism contract (`mcbsim "
+        "strip-host` removes every `host` member).\n\n"
+     << host_markdown(*host);
 }
 
 std::string run_report(const util::JsonValue& doc) {
@@ -269,7 +246,7 @@ std::string run_report(const util::JsonValue& doc) {
   spans_section(os, doc);
   timeline_section(os, doc, num_or(stats, "cycles", 0.0));
   theory_section(os, doc, stats, selection);
-  host_profile_section(os, doc);
+  host_section(os, doc);
   return os.str();
 }
 
@@ -452,7 +429,7 @@ std::string serve_report(const util::JsonValue& doc) {
     }
   }
 
-  host_profile_section(os, doc);
+  host_section(os, doc);
   return os.str();
 }
 
@@ -473,6 +450,24 @@ std::string spark(const std::vector<double>& values) {
     out.push_back(kLevels[level > 9 ? 9 : level]);
   }
   return out;
+}
+
+std::string host_markdown(const util::JsonValue& host) {
+  std::ostringstream os;
+  for (const auto& [name, value] : host.members()) {
+    os << "- " << name << ':';
+    if (value.is_object()) {
+      for (const auto& [key, v] : value.members()) {
+        os << ' ' << key << '=' << util::json_serialize(v);
+      }
+    } else if (value.is_array()) {
+      for (const auto& v : value.items()) os << ' ' << util::json_serialize(v);
+    } else {
+      os << ' ' << util::json_serialize(value);
+    }
+    os << '\n';
+  }
+  return os.str();
 }
 
 std::string report_markdown(const util::JsonValue& doc) {

@@ -5,7 +5,6 @@
 
 #include "algo/multi_select.hpp"
 #include "mcb/network.hpp"
-#include "obs/profiler.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
 
@@ -13,7 +12,7 @@ namespace mcb::serve {
 
 namespace {
 
-/// Batch runs shown in the serving report's rolling latency window.
+/// Batch runs shown in the host member's recent_batch_wall_ns window.
 constexpr std::size_t kServeWindow = 16;
 
 const char* kind_name(OpKind k) {
@@ -70,9 +69,7 @@ ServeReport run_server(const ServeConfig& cfg) {
     rep.filter_phases += res.filter_phases;
     rep.frame_allocs += res.stats.frame_allocs;
     rep.frame_reuses += res.stats.frame_reuses;
-    if (c.sim.profiler != nullptr) {
-      rep.batch_wall_ns.push_back(res.stats.sim_wall_ns);
-    }
+    rep.batch_wall_ns.push_back(res.stats.sim_wall_ns);
     rep.metrics.observe("serve.batch_size",
                         static_cast<double>(pending.size()));
     for (std::size_t i = 0; i < pending.size(); ++i) {
@@ -149,49 +146,6 @@ ServeReport run_server(const ServeConfig& cfg) {
                       ? 0.0
                       : 1000.0 * static_cast<double>(answered) /
                             static_cast<double>(rep.total_cycles));
-
-  // Render the host_profile subtree: the serving loop's own rolling batch
-  // latency window (per-flush host wall time) wrapped around the
-  // profiler's run-wall totals. Quarantined host telemetry.
-  if (c.sim.profiler != nullptr) {
-    const obs::Profiler& prof = *c.sim.profiler;
-    obs::Histogram h;
-    for (std::uint64_t w : rep.batch_wall_ns) {
-      h.record(static_cast<double>(w));
-    }
-    const std::size_t window =
-        rep.batch_wall_ns.size() < kServeWindow ? rep.batch_wall_ns.size()
-                                                : kServeWindow;
-    const std::size_t lo = rep.batch_wall_ns.size() - window;
-
-    std::ostringstream js;
-    js << "{\"batch_runs\":" << rep.batch_wall_ns.size()
-       << ",\"batch_run_wall_ns\":{\"count\":" << h.count()
-       << ",\"p50\":" << util::json_double(h.p50())
-       << ",\"p95\":" << util::json_double(h.p95())
-       << ",\"p99\":" << util::json_double(h.p99())
-       << ",\"max\":" << util::json_double(h.max())
-       << "},\"recent_batch_wall_ns\":[";
-    for (std::size_t i = lo; i < rep.batch_wall_ns.size(); ++i) {
-      if (i != lo) js << ',';
-      js << rep.batch_wall_ns[i];
-    }
-    js << "],\"profiler\":" << prof.json() << '}';
-    rep.host_profile_json = js.str();
-
-    std::ostringstream tx;
-    tx << "host profile (serving): " << rep.batch_wall_ns.size()
-       << " batch run(s); batch wall ns p50=" << util::json_double(h.p50())
-       << " p95=" << util::json_double(h.p95())
-       << " p99=" << util::json_double(h.p99())
-       << " max=" << util::json_double(h.max()) << "\n"
-       << "  recent batch wall ns (last " << window << "):";
-    for (std::size_t i = lo; i < rep.batch_wall_ns.size(); ++i) {
-      tx << ' ' << rep.batch_wall_ns[i];
-    }
-    tx << '\n' << prof.text();
-    rep.host_profile_text = tx.str();
-  }
   return rep;
 }
 
@@ -260,13 +214,7 @@ std::string ServeReport::json() const {
     }
     os << '}';
   }
-  os << ']';
-  // The one non-model member, present only when profiling was on. `mcbsim
-  // strip-host` removes it, restoring byte-identity with an unprofiled run.
-  if (!host_profile_json.empty()) {
-    os << ",\"host_profile\":" << host_profile_json;
-  }
-  os << '}';
+  os << "]}";
   return os.str();
 }
 
@@ -309,9 +257,34 @@ std::string ServeReport::markdown() const {
                               ? metrics.gauges().at(qpk)
                               : 0.0)
      << '\n';
-  if (!host_profile_text.empty()) {
-    os << "\n## Host profile\n\n" << host_profile_text;
+  return os.str();
+}
+
+std::string ServeReport::host_json() const {
+  obs::Histogram h;
+  std::uint64_t total = 0;
+  for (std::uint64_t w : batch_wall_ns) {
+    h.record(static_cast<double>(w));
+    total += w;
   }
+  const std::size_t lo = batch_wall_ns.size() > kServeWindow
+                             ? batch_wall_ns.size() - kServeWindow
+                             : 0;
+  std::ostringstream os;
+  os << "{\"sim_wall_ns\":" << total
+     << ",\"batch_runs\":" << batch_wall_ns.size()
+     << ",\"batch_run_wall_ns\":{\"count\":" << h.count()
+     << ",\"p50\":" << util::json_double(h.p50())
+     << ",\"p95\":" << util::json_double(h.p95())
+     << ",\"p99\":" << util::json_double(h.p99())
+     << ",\"max\":" << util::json_double(h.max())
+     << "},\"recent_batch_wall_ns\":[";
+  for (std::size_t i = lo; i < batch_wall_ns.size(); ++i) {
+    if (i != lo) os << ',';
+    os << batch_wall_ns[i];
+  }
+  os << "],\"frame_allocs\":" << frame_allocs
+     << ",\"frame_reuses\":" << frame_reuses << '}';
   return os.str();
 }
 

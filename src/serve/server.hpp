@@ -5,8 +5,8 @@
 // The server keeps ONE Network alive for the whole session: every batch
 // re-installs programs into the same ProcTable/channel-slot allocation via
 // Network::reset(), and the frame arenas stay warm, so steady-state batches
-// allocate almost nothing (RunStats::frame_reuses / arena_hit_rate in the
-// report show it).
+// allocate almost nothing (frame_reuses in the `host` member that
+// `mcbsim serve --profile` adds shows it).
 //
 // Admission/batching policy: rank_select and top_k queries are both "give
 // me the d-th largest" questions, so up to `batch` of them coalesce into
@@ -76,32 +76,30 @@ struct ServeReport {
   std::uint64_t total_messages = 0;
   std::size_t churn_ops = 0;
   std::size_t filter_phases = 0;      ///< summed over batch runs
-  /// Steady-state reuse evidence (host-side; excluded from json()):
-  /// summed frame allocs/reuses over every batch run.
-  std::uint64_t frame_allocs = 0;
-  std::uint64_t frame_reuses = 0;
   /// Per-class latency histograms plus serving counters; also carries
   /// "serve.cycles_per_query" and "serve.queries_per_kcycle" gauges.
   obs::Metrics metrics;
 
-  /// Host-time telemetry, populated only when ServeConfig::sim.profiler is
-  /// attached; all empty otherwise. batch_wall_ns is the per-flush host
-  /// wall time (RunStats::sim_wall_ns of each batch run) in flush order —
-  /// the serving loop's rolling latency window. The json/text pair is the
-  /// rendered `host_profile` subtree; like every host_profile, it is
-  /// excluded from the byte-identical determinism contract.
+  /// Host telemetry (excluded from json() and markdown(); host_json()
+  /// renders it). Steady-state reuse evidence: frame allocs/reuses summed
+  /// over every batch run.
+  std::uint64_t frame_allocs = 0;
+  std::uint64_t frame_reuses = 0;
+  /// Host wall time of each batch run (its RunStats::sim_wall_ns), in
+  /// flush order.
   std::vector<std::uint64_t> batch_wall_ns;
-  std::string host_profile_json;
-  std::string host_profile_text;
 
-  /// Deterministic JSON document (model-level fields only — byte-identical
-  /// across engines for one seed), plus, when profiling was on, a
-  /// trailing `host_profile` member that `mcbsim strip-host` removes before
-  /// any byte comparison.
+  /// Deterministic JSON document: model-level fields only, byte-identical
+  /// across engines for one seed.
   std::string json() const;
-  /// Deterministic Markdown report (same determinism contract; a trailing
-  /// "Host profile" section appears only when profiling was on).
+  /// Deterministic Markdown report (same determinism contract).
   std::string markdown() const;
+  /// The session's `host` member, which `mcbsim serve --profile` adds to
+  /// the document: sim_wall_ns (the sum of batch_wall_ns), batch_runs,
+  /// batch_run_wall_ns quantiles, the last batch walls
+  /// (recent_batch_wall_ns) and the frame counters. Outside the
+  /// determinism contract; `mcbsim strip-host` removes it.
+  std::string host_json() const;
 };
 
 /// Runs the whole session: dataset + stream from cfg.seed, one persistent

@@ -103,14 +103,25 @@ std::string run_command(const std::string& cmd) {
   return out;
 }
 
-void expect_stats_telemetry(const JsonValue& stats) {
+/// Checks a `--profile --json` run document: the model stats, and every
+/// RunStats host field under its top-level `host` member.
+void expect_stats_telemetry(const JsonValue& doc) {
+  const auto& stats = doc.at("stats");
   EXPECT_GT(stats.at("cycles").as_number(), 0.0);
   EXPECT_GT(stats.at("messages").as_number(), 0.0);
-  // The RunStats telemetry the seed CLI dropped: wall time, resume count
-  // and throughput must all be serialized.
-  ASSERT_NE(stats.find("sim_wall_ns"), nullptr);
+  // Resume count stays in stats: it is engine-invariant.
   EXPECT_GT(stats.at("proc_resumes").as_number(), 0.0);
-  ASSERT_NE(stats.find("cycles_per_sec"), nullptr);
+  // The RunStats host telemetry: wall time, throughput and the frame-arena
+  // counters must all be serialized, under "host" and nowhere else.
+  const auto& host = doc.at("host");
+  EXPECT_GT(host.at("sim_wall_ns").as_number(), 0.0);
+  for (const char* field :
+       {"cycles_per_sec", "frame_allocs", "frame_frees", "frame_reuses",
+        "arena_bytes_peak", "arena_hit_rate"}) {
+    EXPECT_NE(host.find(field), nullptr) << field;
+    EXPECT_EQ(stats.find(field), nullptr) << field;
+  }
+  EXPECT_EQ(stats.find("sim_wall_ns"), nullptr);
   // Phases carry their full accounting: name, first cycle, extent, traffic.
   ASSERT_TRUE(stats.at("phases").is_array());
   ASSERT_GT(stats.at("phases").size(), 0u);
@@ -138,11 +149,11 @@ void expect_config(const JsonValue& doc) {
 TEST(McbsimJsonTest, SortEmitsTelemetryAndParses) {
   if (mcbsim_bin() == nullptr) GTEST_SKIP() << "MCBSIM_BIN not set";
   const auto out = run_command(std::string(mcbsim_bin()) +
-                               " sort --p 8 --k 2 --n 128 --json");
+                               " sort --p 8 --k 2 --n 128 --json --profile");
   const auto doc = json_parse(out);
   EXPECT_FALSE(doc.at("algorithm").as_string().empty());
   expect_config(doc);
-  expect_stats_telemetry(doc.at("stats"));
+  expect_stats_telemetry(doc);
   // Telemetry is opt-in: no "obs" member without --obs.
   EXPECT_EQ(doc.find("obs"), nullptr);
 }
@@ -150,14 +161,14 @@ TEST(McbsimJsonTest, SortEmitsTelemetryAndParses) {
 TEST(McbsimJsonTest, SelectEmitsTelemetryAndParses) {
   if (mcbsim_bin() == nullptr) GTEST_SKIP() << "MCBSIM_BIN not set";
   const auto out = run_command(std::string(mcbsim_bin()) +
-                               " select --p 8 --k 2 --n 128 --json");
+                               " select --p 8 --k 2 --n 128 --json --profile");
   const auto doc = json_parse(out);
   ASSERT_NE(doc.find("value"), nullptr);
   EXPECT_GT(doc.at("filter_phases").as_number(), 0.0);
   expect_config(doc);
   // Selection documents the rank it solved for.
   EXPECT_GT(doc.at("config").at("rank").as_number(), 0.0);
-  expect_stats_telemetry(doc.at("stats"));
+  expect_stats_telemetry(doc);
 }
 
 TEST(McbsimJsonTest, SweepEmitsGridTrialsAndAggregates) {
@@ -174,8 +185,11 @@ TEST(McbsimJsonTest, SweepEmitsGridTrialsAndAggregates) {
   for (const auto& trial : doc.at("trials").items()) {
     EXPECT_EQ(trial.at("error").as_string(), "");
     EXPECT_GT(trial.at("cycles").as_number(), 0.0);
-    // Determinism contract: no host-side timing in sweep JSON.
+    // Determinism contract: no host-side timing in sweep JSON; the
+    // (deterministic) arena counters sit in the trial's "host" object.
     EXPECT_EQ(trial.find("sim_wall_ns"), nullptr);
+    EXPECT_EQ(trial.find("frame_allocs"), nullptr);
+    EXPECT_NE(trial.at("host").find("frame_allocs"), nullptr);
   }
   for (const auto& agg : doc.at("aggregates").items()) {
     EXPECT_EQ(agg.at("failed").as_number(), 0.0);
@@ -414,59 +428,99 @@ TEST(McbsimObsTest, SweepObsDeterministicAcrossThreadsAndReportable) {
   EXPECT_NE(rep.find("## Spans (all trials)"), std::string::npos);
 }
 
-// --- host profiler quarantine (--profile / strip-host) -----------------------
+// --- host telemetry (--profile / strip-host) ---------------------------------
 
-TEST(McbsimProfileTest, StripHostMakesProfiledSelectByteIdentical) {
-  if (mcbsim_bin() == nullptr) GTEST_SKIP() << "MCBSIM_BIN not set";
-  const std::string base =
-      " select --p 8 --k 2 --n 256 --json";
-  const auto plain_path = temp_path("cli_prof_plain.json");
-  const auto prof_path = temp_path("cli_prof_on.json");
-  std::ofstream(plain_path) << run_command(std::string(mcbsim_bin()) + base);
-  std::ofstream(prof_path)
-      << run_command(std::string(mcbsim_bin()) + base + " --profile");
-  // The profiled document parses strictly and carries the quarantined
-  // subtree; stripping host fields from both makes them byte-identical.
-  const auto doc = json_parse(read_file(prof_path));
-  ASSERT_NE(doc.find("host_profile"), nullptr);
-  EXPECT_EQ(doc.at("host_profile").at("runs").as_number(), 1.0);
-  const auto stripped_plain = run_command(std::string(mcbsim_bin()) +
-                                          " strip-host " + plain_path);
-  const auto stripped_prof =
-      run_command(std::string(mcbsim_bin()) + " strip-host " + prof_path);
-  EXPECT_EQ(stripped_plain, stripped_prof);
-  EXPECT_EQ(stripped_prof.find("host_profile"), std::string::npos);
+/// Members named "host" anywhere in `v`.
+std::size_t count_host_members(const JsonValue& v) {
+  std::size_t n = 0;
+  if (v.is_object()) {
+    for (const auto& [key, member] : v.members()) {
+      n += (key == "host" ? 1 : 0) + count_host_members(member);
+    }
+  } else if (v.is_array()) {
+    for (const auto& item : v.items()) n += count_host_members(item);
+  }
+  return n;
 }
 
-TEST(McbsimProfileTest, ServeProfileQuarantineAndReport) {
+/// The plain and --profile documents of one mcbsim command line.
+struct ProfilePair {
+  std::string plain_path;
+  std::string prof_path;
+};
+
+ProfilePair run_profile_pair(const std::string& name,
+                             const std::string& args) {
+  ProfilePair pair{temp_path("cli_" + name + "_plain.json"),
+                   temp_path("cli_" + name + "_prof.json")};
+  const std::string cmd = std::string(mcbsim_bin()) + args + " --json";
+  std::ofstream(pair.plain_path) << run_command(cmd);
+  std::ofstream(pair.prof_path) << run_command(cmd + " --profile");
+  return pair;
+}
+
+const char* const kProfiledCommands[][2] = {
+    {"sort", " sort --p 8 --k 2 --n 256"},
+    {"select", " select --p 8 --k 2 --n 256"},
+    {"serve", " serve --p 8 --k 2 --n 256 --queries 24 --batch 4 --seed 5"},
+};
+
+TEST(McbsimProfileTest, PlainDocumentsCarryNoHostMember) {
   if (mcbsim_bin() == nullptr) GTEST_SKIP() << "MCBSIM_BIN not set";
-  const std::string base =
-      " serve --p 8 --k 2 --n 256 --queries 24 --batch 4 --seed 5 --json";
-  const auto plain_path = temp_path("cli_serve_plain.json");
-  const auto prof_path = temp_path("cli_serve_prof.json");
-  std::ofstream(plain_path) << run_command(std::string(mcbsim_bin()) + base);
-  std::ofstream(prof_path)
-      << run_command(std::string(mcbsim_bin()) + base + " --profile");
-  const auto doc = json_parse(read_file(prof_path));
-  ASSERT_NE(doc.find("host_profile"), nullptr);
-  // One profiler spans every batch run of the serving session.
-  EXPECT_EQ(doc.at("host_profile").at("batch_runs").as_number(),
+  for (const auto& [name, args] : kProfiledCommands) {
+    const auto pair = run_profile_pair(name, args);
+    const auto plain = json_parse(read_file(pair.plain_path));
+    EXPECT_EQ(count_host_members(plain), 0u) << name;
+    if (const auto* stats = plain.find("stats")) {
+      EXPECT_EQ(stats->find("sim_wall_ns"), nullptr) << name;
+      EXPECT_EQ(stats->find("frame_allocs"), nullptr) << name;
+    }
+  }
+}
+
+TEST(McbsimProfileTest, ProfiledDocumentsHaveOneHostAndStripToPlain) {
+  if (mcbsim_bin() == nullptr) GTEST_SKIP() << "MCBSIM_BIN not set";
+  for (const auto& [name, args] : kProfiledCommands) {
+    const auto pair = run_profile_pair(name, args);
+    const auto prof = json_parse(read_file(pair.prof_path));
+    EXPECT_TRUE(prof.at("host").is_object()) << name;
+    EXPECT_EQ(count_host_members(prof), 1u) << name;
+    const auto stripped_plain = run_command(
+        std::string(mcbsim_bin()) + " strip-host " + pair.plain_path);
+    const auto stripped_prof = run_command(
+        std::string(mcbsim_bin()) + " strip-host " + pair.prof_path);
+    EXPECT_EQ(stripped_plain, stripped_prof) << name;
+    EXPECT_EQ(stripped_prof.find("\"host\""), std::string::npos) << name;
+  }
+  // One serving session: its host member counts every batch run.
+  const auto serve = run_profile_pair("serve_batches", kProfiledCommands[2][1]);
+  const auto doc = json_parse(read_file(serve.prof_path));
+  EXPECT_EQ(doc.at("host").at("batch_runs").as_number(),
             doc.at("batches").as_number());
-  EXPECT_EQ(doc.at("host_profile").at("profiler").at("runs").as_number(),
-            doc.at("batches").as_number());
-  const auto stripped_plain = run_command(std::string(mcbsim_bin()) +
-                                          " strip-host " + plain_path);
-  const auto stripped_prof =
-      run_command(std::string(mcbsim_bin()) + " strip-host " + prof_path);
-  EXPECT_EQ(stripped_plain, stripped_prof);
-  // The report renderer accepts serve documents and, when profiled, adds
-  // the host-profile section after the model-level tables.
-  const auto rep =
-      run_command(std::string(mcbsim_bin()) + " report " + prof_path);
+}
+
+TEST(McbsimProfileTest, ReportRendersHostSectionOnlyForProfiledDocuments) {
+  if (mcbsim_bin() == nullptr) GTEST_SKIP() << "MCBSIM_BIN not set";
+  for (const auto& [name, args] : kProfiledCommands) {
+    const auto pair = run_profile_pair(std::string("report_") + name, args);
+    const auto plain = run_command(std::string(mcbsim_bin()) + " report " +
+                                   pair.plain_path);
+    const auto prof = run_command(std::string(mcbsim_bin()) + " report " +
+                                  pair.prof_path);
+    EXPECT_EQ(plain.find("## Host profile"), std::string::npos) << name;
+    EXPECT_NE(prof.find("## Host profile"), std::string::npos) << name;
+    EXPECT_NE(prof.find("- sim_wall_ns: "), std::string::npos) << name;
+    // The host section is appended after the model-level report.
+    EXPECT_EQ(prof.compare(0, plain.size(), plain), 0) << name;
+  }
+  // A serve document renders its model-level tables before the host section.
+  const auto serve = run_profile_pair("report_serve_tables",
+                                      kProfiledCommands[2][1]);
+  const auto rep = run_command(std::string(mcbsim_bin()) + " report " +
+                               serve.prof_path);
   EXPECT_NE(rep.find("# mcbsim serving report"), std::string::npos);
   EXPECT_NE(rep.find("## Per-class latency"), std::string::npos);
   EXPECT_NE(rep.find("## Batch summary"), std::string::npos);
-  EXPECT_NE(rep.find("## Host profile"), std::string::npos);
 }
 
 TEST(McbsimProfileTest, ProfiledTraceOutMatchesUnprofiled) {

@@ -27,7 +27,6 @@
 #include "obs/clock.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "obs/timeline.hpp"
@@ -312,8 +311,8 @@ TEST(MetricsTest, NonFiniteValuesSerializeAsZeroAndRoundTrip) {
   EXPECT_DOUBLE_EQ(doc.at("histograms").at("h").at("max").as_number(), 3.0);
 }
 
-TEST(MetricsTest, RunStatsJsonGuardsNonFiniteDoubles) {
-  // The stats block mcbsim --json prints goes through the same guard: a
+TEST(MetricsTest, HostStatsJsonGuardsNonFiniteDoubles) {
+  // The host member mcbsim --profile prints goes through the same guard: a
   // poisoned cycles_per_sec must not leak "nan" into the document.
   RunStats stats;
   stats.cycles = 10;
@@ -322,8 +321,7 @@ TEST(MetricsTest, RunStatsJsonGuardsNonFiniteDoubles) {
   stats.messages_per_channel = {4};
   stats.cycles_per_sec = std::nan("");
   stats.arena_hit_rate = std::numeric_limits<double>::infinity();
-  const auto doc = util::json_parse(run_stats_json(stats));
-  EXPECT_DOUBLE_EQ(doc.at("cycles").as_number(), 10.0);
+  const auto doc = util::json_parse(host_stats_json(stats));
   EXPECT_DOUBLE_EQ(doc.at("cycles_per_sec").as_number(), 0.0);
   EXPECT_DOUBLE_EQ(doc.at("arena_hit_rate").as_number(), 0.0);
   ASSERT_NE(doc.find("frame_reuses"), nullptr);
@@ -481,7 +479,7 @@ TEST(ReportTest, RejectsUnrecognizedDocuments) {
                std::invalid_argument);
 }
 
-// --- host profiler (clock seam, run-wall accounting, quarantine) -------------
+// --- host clock seam ---------------------------------------------------------
 
 /// Deterministic clock: every now_ns() call advances by a fixed step, so a
 /// "wall duration" counts clock reads instead of host time.
@@ -498,34 +496,7 @@ class FakeClock final : public Clock {
   std::uint64_t now_ = 0;
 };
 
-TEST(ProfilerTest, RunWallAccumulatesAcrossRunsUnderFakeClock) {
-  // Step-1 clock: begin_run -> end_run is exactly 1 ns of wall.
-  FakeClock clk(1);
-  Profiler prof(&clk);
-  prof.end_run();  // no open run: a no-op
-  EXPECT_EQ(prof.runs(), 0u);
-  EXPECT_EQ(prof.run_wall_ns(), 0u);
-  for (int i = 0; i < 3; ++i) {
-    prof.begin_run();
-    prof.end_run();
-  }
-  EXPECT_EQ(prof.runs(), 3u);
-  EXPECT_EQ(prof.run_wall_ns(), 3u);
-}
-
-TEST(ProfilerTest, JsonIsStrictAndCarriesTheRunTotals) {
-  FakeClock clk(5);
-  Profiler prof(&clk);
-  prof.begin_run();
-  prof.end_run();
-
-  const auto doc = util::json_parse(prof.json());  // strict: throws on slack
-  EXPECT_EQ(doc.at("runs").as_number(), 1.0);
-  EXPECT_EQ(doc.at("run_wall_ns").as_number(), 5.0);
-  EXPECT_NE(prof.text().find("host profile: 1 run(s)"), std::string::npos);
-}
-
-TEST(ProfilerTest, ClockSeamMakesEngineWallClockDeterministic) {
+TEST(ClockSeamTest, ClockSeamMakesEngineWallClockDeterministic) {
   // The network reads wall time only through SimConfig::clock; a fixed-step
   // fake therefore makes sim_wall_ns a deterministic function of the run.
   auto w = util::make_workload(128, 8, util::Shape::kEven, 3);
@@ -543,23 +514,12 @@ TEST(ProfilerTest, ClockSeamMakesEngineWallClockDeterministic) {
   }
 }
 
-TEST(ProfilerTest, EngineRunIsCountedWithoutPerturbingTheModel) {
-  auto w = util::make_workload(256, 8, util::Shape::kEven, 11);
-  const SimConfig plain{.p = 8, .k = 2};
-  const auto baseline = algo::select_median(plain, w.inputs);
-
-  Profiler prof;
-  SimConfig cfg = plain;
-  cfg.profiler = &prof;
-  const auto profiled = algo::select_median(cfg, w.inputs);
-
-  // Quarantine: attaching the profiler changes zero model-level output.
-  EXPECT_EQ(profiled.value, baseline.value);
-  EXPECT_EQ(profiled.stats.cycles, baseline.stats.cycles);
-  EXPECT_EQ(profiled.stats.messages, baseline.stats.messages);
-
-  EXPECT_EQ(prof.runs(), 1u);
-  EXPECT_GT(prof.run_wall_ns(), 0u);
+TEST(HostReportTest, HostMarkdownRendersEveryMemberInOrder) {
+  const auto host = util::json_parse(
+      "{\"sim_wall_ns\":1200,\"q\":{\"p50\":2,\"max\":3.5},"
+      "\"recent\":[4,5]}");
+  EXPECT_EQ(host_markdown(host),
+            "- sim_wall_ns: 1200\n- q: p50=2 max=3.5\n- recent: 4 5\n");
 }
 
 // --- stats guards ------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <set>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 #include "algo/multi_select.hpp"
 #include "algo/selection.hpp"
 #include "mcb/network.hpp"
+#include "obs/clock.hpp"
 #include "serve/query.hpp"
 #include "serve/server.hpp"
 #include "util/json.hpp"
@@ -230,6 +232,53 @@ TEST(ServerTest, PersistentNetworkReusesFrames) {
   ASSERT_GT(rep.batches, 1u);
   // Batches after the first come out of the warmed arenas.
   EXPECT_GT(rep.frame_reuses, 0u);
+}
+
+/// Fixed-step fake clock: every now_ns() call advances by `step`.
+class StepClock final : public obs::Clock {
+ public:
+  explicit StepClock(std::uint64_t step) : step_(step) {}
+  std::uint64_t now_ns() override { return now_ += step_; }
+
+ private:
+  std::uint64_t step_;
+  std::uint64_t now_ = 0;
+};
+
+TEST(ServerTest, HostTelemetryIsTheBatchRunsWallClock) {
+  // Under a fixed-step clock a run's sim_wall_ns counts its clock reads, so
+  // a lone selection run under the same clock gives every batch run's wall.
+  StepClock solo_clock(7);
+  SimConfig solo{.p = 8, .k = 2};
+  solo.clock = &solo_clock;
+  const auto w = util::make_workload(256, 8, util::Shape::kEven, 5);
+  const auto run_wall =
+      algo::select_ranks(solo, w.inputs, {1, 128}).stats.sim_wall_ns;
+  ASSERT_GT(run_wall, 0u);
+
+  StepClock clock(7);
+  serve::ServeConfig sc;
+  sc.sim = {.p = 8, .k = 2};
+  sc.sim.clock = &clock;
+  sc.n = 256;
+  sc.queries = 24;
+  sc.batch = 4;
+  sc.seed = 5;
+  const auto rep = serve::run_server(sc);
+  ASSERT_EQ(rep.batch_wall_ns.size(), rep.batches);
+  std::uint64_t sum = 0;
+  for (std::uint64_t wall : rep.batch_wall_ns) {
+    EXPECT_EQ(wall, run_wall);
+    sum += wall;
+  }
+  const auto host = util::json_parse(rep.host_json());
+  EXPECT_EQ(host.at("sim_wall_ns").as_number(), static_cast<double>(sum));
+  EXPECT_EQ(host.at("batch_runs").as_number(),
+            static_cast<double>(rep.batches));
+  EXPECT_EQ(host.at("batch_run_wall_ns").at("max").as_number(),
+            static_cast<double>(run_wall));
+  // The model document carries none of it.
+  EXPECT_EQ(util::json_parse(rep.json()).find("host"), nullptr);
 }
 
 TEST(ServerTest, BatchingReducesCyclesPerQuery) {

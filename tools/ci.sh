@@ -181,22 +181,26 @@ run_preset() {
     cmp "$builddir/window_${name}_event.stripped.json" \
       "$builddir/window_${name}_reference.stripped.json"
   done
-  # Profiler quarantine contract, made executable: a --profile run may add
-  # host-time telemetry but must not perturb one model-level byte. strip-host
-  # strict-parses each document (malformed profiler JSON fails here) and
-  # re-serializes it without the quarantined host fields; profiled and
-  # unprofiled runs must then cmp equal. The report renderer must also
-  # accept a profiled document (it renders the Host profile section).
-  echo "=== [$preset] profiled smoke (host_profile quarantine) ==="
-  "$builddir/tools/mcbsim" sort --p 16 --k 4 --n 1024 --engine event \
-    --profile --json > "$builddir/prof_sort.json"
-  "$builddir/tools/mcbsim" sort --p 16 --k 4 --n 1024 --engine event \
-    --json > "$builddir/plain_sort.json"
-  "$builddir/tools/mcbsim" strip-host "$builddir/prof_sort.json" \
-    > "$builddir/prof_sort.stripped.json"
-  "$builddir/tools/mcbsim" strip-host "$builddir/plain_sort.json" \
-    > "$builddir/plain_sort.stripped.json"
-  cmp "$builddir/prof_sort.stripped.json" "$builddir/plain_sort.stripped.json"
+  # Host telemetry contract, made executable: --profile adds one "host"
+  # member and changes nothing else. strip-host strict-parses each document
+  # (malformed host JSON fails here) and re-serializes it without its "host"
+  # members; profiled and plain runs must then cmp equal. The plain serve
+  # document is compared raw above, so it must carry no host data at all.
+  # The report renders a Host profile section for a profiled document and
+  # none for a plain one.
+  echo "=== [$preset] profiled smoke (one host member) ==="
+  for cmd in sort select; do
+    "$builddir/tools/mcbsim" "$cmd" --p 16 --k 4 --n 1024 --engine event \
+      --profile --json > "$builddir/prof_$cmd.json"
+    "$builddir/tools/mcbsim" "$cmd" --p 16 --k 4 --n 1024 --engine event \
+      --json > "$builddir/plain_$cmd.json"
+    "$builddir/tools/mcbsim" strip-host "$builddir/prof_$cmd.json" \
+      > "$builddir/prof_$cmd.stripped.json"
+    "$builddir/tools/mcbsim" strip-host "$builddir/plain_$cmd.json" \
+      > "$builddir/plain_$cmd.stripped.json"
+    cmp "$builddir/prof_$cmd.stripped.json" \
+      "$builddir/plain_$cmd.stripped.json"
+  done
   "$builddir/tools/mcbsim" serve --p 16 --k 4 --n 1024 --queries 48 \
     --batch 8 --seed 7 --engine event --profile --json \
     > "$builddir/prof_serve.json"
@@ -205,7 +209,18 @@ run_preset() {
   "$builddir/tools/mcbsim" strip-host "$builddir/serve_event.json" \
     > "$builddir/plain_serve.stripped.json"
   cmp "$builddir/prof_serve.stripped.json" "$builddir/plain_serve.stripped.json"
-  "$builddir/tools/mcbsim" report "$builddir/prof_serve.json" > /dev/null
+  for doc in prof_select prof_serve plain_select serve_event; do
+    "$builddir/tools/mcbsim" report "$builddir/$doc.json" \
+      > "$builddir/$doc.report.md"
+  done
+  grep -q '^## Host profile$' "$builddir/prof_select.report.md"
+  grep -q '^## Host profile$' "$builddir/prof_serve.report.md"
+  for doc in plain_select serve_event; do
+    if grep -q '^## Host profile$' "$builddir/$doc.report.md"; then
+      echo "FAIL: report of plain $doc.json has a Host profile section" >&2
+      exit 1
+    fi
+  done
   run_mcblint_leg "$preset" "$builddir"
 }
 

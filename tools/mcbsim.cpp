@@ -28,10 +28,16 @@
 //                       (implies --obs); load it in ui.perfetto.dev
 //   --obs-buckets N     timeline resolution (default 256 buckets)
 //
+// sort/select/trace/serve accept --profile: add the run's host telemetry
+// (wall time, frame and arena counters) as one "host" member, or a
+// "host profile:" block in text output. Without it no output carries host
+// data; `mcbsim strip-host` removes every "host" member.
+//
 // Exit code 0 on success; 2 on usage errors; 1 on conformance violations or
 // failed trials; `gates` exits 1 on a failed enforced gate and 3 when
 // unenforced gates are present (tools/ci.sh turns 3 into a loud WARNING).
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -40,7 +46,6 @@
 #include "mcb/mcb.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "obs/timeline.hpp"
@@ -97,10 +102,6 @@ std::vector<std::size_t> parse_uint_list(const std::string& s) {
   return out;
 }
 
-void print_stats_json(const RunStats& stats, std::ostream& os) {
-  os << obs::run_stats_json(stats);
-}
-
 /// The run's logical identity: everything needed to regenerate its workload
 /// deterministically (mcbsim report recomputes theory bounds from this).
 void print_config_json(std::ostream& os, std::size_t p, std::size_t k,
@@ -140,32 +141,6 @@ ObsOptions parse_obs(const util::Cli& cli) {
   o.buckets = cli.get_uint("obs-buckets", 256);
   o.on = cli.get_bool("obs") || !o.trace_out.empty();
   return o;
-}
-
-/// Post-run telemetry steps: derive idle time, write the Perfetto trace if
-/// requested, and reconcile spans against PhaseStats. Returns the
-/// reconciliation problems (empty = reconciled); callers exit 1 on any.
-std::vector<std::string> finish_obs(const ObsOptions& opts,
-                                    const SimConfig& cfg,
-                                    const RunStats& stats,
-                                    const obs::Recorder& recorder,
-                                    obs::Timeline& timeline) {
-  timeline.finalize(stats.cycles);
-  if (!opts.trace_out.empty()) {
-    std::ofstream out(opts.trace_out);
-    if (!out) {
-      throw std::invalid_argument("cannot write trace to " + opts.trace_out);
-    }
-    out << obs::chrome_trace_json(stats, cfg, &recorder, &timeline);
-  }
-  return recorder.reconcile(stats);
-}
-
-int report_obs_problems(const std::vector<std::string>& problems) {
-  for (const auto& line : problems) {
-    std::cerr << "span reconciliation: " << line << '\n';
-  }
-  return problems.empty() ? 0 : 1;
 }
 
 /// The "obs" member of the run JSON: span summaries, the bucketed timeline
@@ -255,6 +230,118 @@ void apply_engine_flags(const util::Cli& cli, SimConfig& cfg) {
   cfg.engine = parse_engine(cli);
 }
 
+/// --profile's text rendering (sort/select/trace/serve): the `host` member
+/// through the report's host renderer, under the "host profile:" line that
+/// tools/profile.sh keys on.
+void print_host_text(std::ostream& os, const std::string& host_json) {
+  os << "\nhost profile:\n"
+     << obs::host_markdown(util::json_parse(host_json));
+}
+
+/// The observers of one sort/select/trace run, built from its flags —
+/// --engine, --check (the conformance checker), --obs/--trace-out (span
+/// recorder and channel timeline) and --profile (the `host` member) — and
+/// the output they add. A command runs its algorithm on `sink()` and hands
+/// the stats to print_json() or print_text(), which writes the result
+/// document and returns the exit code.
+class RunObservers {
+ public:
+  /// Applies the flags to `cfg`. `tap` is an extra sink fed the run's event
+  /// stream (trace's channel dump); nullptr for none.
+  RunObservers(const util::Cli& cli, SimConfig& cfg, TraceSink* tap = nullptr)
+      : opts_(parse_obs(cli)), profile_(cli.get_bool("profile")) {
+    apply_engine_flags(cli, cfg);
+    if (opts_.on) {
+      timeline_.emplace(cfg.k, opts_.buckets);
+      cfg.span_sink = &recorder_;
+    }
+    // Observers chain: with --check the checker tees the unmodified event
+    // stream into the tee, which fans it out to the tap and (with --obs)
+    // the timeline.
+    tee_.add(tap);
+    if (opts_.on) tee_.add(&*timeline_);
+    if (cli.get_bool("check")) checker_.emplace(cfg, tee_.as_sink());
+    cfg_ = cfg;
+  }
+
+  /// The checker, to arm its bound expectations; nullptr without --check.
+  check::ConformanceChecker* checker() {
+    return checker_ ? &*checker_ : nullptr;
+  }
+
+  /// The sink the run reports to: the head of the observer chain.
+  TraceSink* sink() { return checker_ ? &*checker_ : tee_.as_sink(); }
+
+  /// The command's own part of the output: answer and config in JSON, the
+  /// answer line and phase table in text.
+  using Head = std::function<void(std::ostream&)>;
+
+  /// Finishes the observers on the run's stats and prints `{` head
+  /// `,"stats":…` then the "obs", "conformance" and "host" members the
+  /// flags ask for `}`. Returns the exit code (see finish()).
+  int print_json(const RunStats& stats, const Head& head) {
+    const auto problems = finish(stats);
+    std::ostream& os = std::cout;
+    os << '{';
+    head(os);
+    os << ",\"stats\":" << obs::run_stats_json(stats);
+    if (opts_.on) {
+      os << ',';
+      print_obs_json(os, stats, recorder_, *timeline_);
+    }
+    if (checker_) os << ",\"conformance\":" << checker_->report().json();
+    if (profile_) os << ",\"host\":" << obs::host_stats_json(stats);
+    os << "}\n";
+    return exit_code(problems);
+  }
+
+  /// As print_json(), in text: head, then each observer's text.
+  int print_text(const RunStats& stats, const Head& head) {
+    const auto problems = finish(stats);
+    std::ostream& os = std::cout;
+    head(os);
+    if (opts_.on) print_obs_text(os, stats, recorder_, *timeline_);
+    if (checker_) os << checker_->report().summary();
+    if (profile_) print_host_text(os, obs::host_stats_json(stats));
+    return exit_code(problems);
+  }
+
+ private:
+  /// Finishes the checker and the obs collectors, writes --trace-out, and
+  /// returns the span/phase disagreements.
+  std::vector<std::string> finish(const RunStats& stats) {
+    if (checker_) checker_->finish(stats);
+    if (!opts_.on) return {};
+    timeline_->finalize(stats.cycles);
+    if (!opts_.trace_out.empty()) {
+      std::ofstream out(opts_.trace_out);
+      if (!out) {
+        throw std::invalid_argument("cannot write trace to " +
+                                    opts_.trace_out);
+      }
+      out << obs::chrome_trace_json(stats, cfg_, &recorder_, &*timeline_);
+    }
+    return recorder_.reconcile(stats);
+  }
+
+  /// 1 on a conformance violation or a span/phase disagreement, else 0.
+  int exit_code(const std::vector<std::string>& problems) const {
+    for (const auto& line : problems) {
+      std::cerr << "span reconciliation: " << line << '\n';
+    }
+    if (checker_ && !checker_->report().ok()) return 1;
+    return problems.empty() ? 0 : 1;
+  }
+
+  ObsOptions opts_;
+  bool profile_;
+  SimConfig cfg_;
+  obs::Recorder recorder_;
+  std::optional<obs::Timeline> timeline_;
+  TeeSink tee_;
+  std::optional<check::ConformanceChecker> checker_;
+};
+
 int cmd_sort(const util::Cli& cli) {
   const auto p = cli.get_uint("p", 16);
   const auto k = cli.get_uint("k", 4);
@@ -265,62 +352,28 @@ int cmd_sort(const util::Cli& cli) {
   const auto algorithm =
       algo::sort_algorithm_from_string(cli.get_string("algorithm", "auto"));
   const bool json = cli.get_bool("json");
-  const bool do_check = cli.get_bool("check");
-  const auto obs_opts = parse_obs(cli);
-  const bool profile = cli.get_bool("profile");
 
   auto w = util::make_workload(n, p, shape, seed);
   SimConfig cfg{.p = p, .k = k};
-  apply_engine_flags(cli, cfg);
-  obs::Recorder recorder;
-  std::optional<obs::Timeline> timeline;
-  if (obs_opts.on) {
-    timeline.emplace(k, obs_opts.buckets);
-    cfg.span_sink = &recorder;
-  }
-  std::optional<obs::Profiler> profiler;
-  if (profile) {
-    profiler.emplace();
-    cfg.profiler = &*profiler;
-  }
-  TraceSink* tail = obs_opts.on ? &*timeline : nullptr;
-  std::optional<check::ConformanceChecker> checker;
-  if (do_check) {
-    checker.emplace(cfg, tail);
+  RunObservers observers(cli, cfg);
+  if (auto* checker = observers.checker()) {
     checker->expect_sorting_bounds(input_sizes(w.inputs));
   }
   auto res = algo::sort(cfg, w.inputs, {.algorithm = algorithm},
-                        do_check ? static_cast<TraceSink*>(&*checker) : tail);
-  if (do_check) checker->finish(res.run.stats);
-  std::vector<std::string> obs_problems;
-  if (obs_opts.on) {
-    obs_problems = finish_obs(obs_opts, cfg, res.run.stats, recorder,
-                              *timeline);
-  }
+                        observers.sink());
   if (json) {
-    std::cout << "{\"algorithm\":\""
-              << util::json_escape(algo::to_string(res.used)) << "\",";
-    print_config_json(std::cout, p, k, n, shape_name, seed,
-                      cli.get_string("engine", "event"), std::nullopt);
-    std::cout << ",\"stats\":";
-    print_stats_json(res.run.stats, std::cout);
-    if (obs_opts.on) {
-      std::cout << ',';
-      print_obs_json(std::cout, res.run.stats, recorder, *timeline);
-    }
-    if (do_check) std::cout << ",\"conformance\":" << checker->report().json();
-    if (profile) std::cout << ",\"host_profile\":" << profiler->json();
-    std::cout << "}\n";
-  } else {
-    std::cout << "sorted n=" << n << " over MCB(" << p << "," << k
-              << ") with " << algo::to_string(res.used) << "\n";
-    print_stats_text(res.run.stats, std::cout);
-    if (obs_opts.on) print_obs_text(std::cout, res.run.stats, recorder, *timeline);
-    if (do_check) std::cout << checker->report().summary();
-    if (profile) std::cout << profiler->text();
+    return observers.print_json(res.run.stats, [&](std::ostream& os) {
+      os << "\"algorithm\":\"" << util::json_escape(algo::to_string(res.used))
+         << "\",";
+      print_config_json(os, p, k, n, shape_name, seed,
+                        cli.get_string("engine", "event"), std::nullopt);
+    });
   }
-  const int obs_rc = report_obs_problems(obs_problems);
-  return do_check && !checker->report().ok() ? 1 : obs_rc;
+  return observers.print_text(res.run.stats, [&](std::ostream& os) {
+    os << "sorted n=" << n << " over MCB(" << p << "," << k << ") with "
+       << algo::to_string(res.used) << "\n";
+    print_stats_text(res.run.stats, os);
+  });
 }
 
 int cmd_select(const util::Cli& cli) {
@@ -332,14 +385,10 @@ int cmd_select(const util::Cli& cli) {
   const auto seed = cli.get_uint("seed", 1);
   const auto d = cli.get_uint("rank", (n + 1) / 2);
   const bool json = cli.get_bool("json");
-  const bool shout_echo = cli.get_bool("shout-echo");
-  const bool do_check = cli.get_bool("check");
-  const auto obs_opts = parse_obs(cli);
-  const bool profile = cli.get_bool("profile");
 
   auto w = util::make_workload(n, p, shape, seed);
-  if (shout_echo) {
-    if (do_check) {
+  if (cli.get_bool("shout-echo")) {
+    if (cli.get_bool("check")) {
       std::cerr << "warning: --check applies to MCB runs only; the "
                    "shout-echo model has no cycle-level observer\n";
     }
@@ -356,64 +405,31 @@ int cmd_select(const util::Cli& cli) {
     return 0;
   }
   SimConfig cfg{.p = p, .k = k};
-  apply_engine_flags(cli, cfg);
-  obs::Recorder recorder;
-  std::optional<obs::Timeline> timeline;
-  if (obs_opts.on) {
-    timeline.emplace(k, obs_opts.buckets);
-    cfg.span_sink = &recorder;
-  }
-  std::optional<obs::Profiler> profiler;
-  if (profile) {
-    profiler.emplace();
-    cfg.profiler = &*profiler;
-  }
-  TraceSink* tail = obs_opts.on ? &*timeline : nullptr;
-  std::optional<check::ConformanceChecker> checker;
-  if (do_check) {
-    checker.emplace(cfg, tail);
+  RunObservers observers(cli, cfg);
+  if (auto* checker = observers.checker()) {
     checker->expect_selection_bounds(input_sizes(w.inputs), d);
   }
-  auto res =
-      algo::select_rank(cfg, w.inputs, d, {},
-                        do_check ? static_cast<TraceSink*>(&*checker) : tail);
-  if (do_check) checker->finish(res.stats);
-  std::vector<std::string> obs_problems;
-  if (obs_opts.on) {
-    obs_problems = finish_obs(obs_opts, cfg, res.stats, recorder, *timeline);
-  }
+  auto res = algo::select_rank(cfg, w.inputs, d, {}, observers.sink());
   if (json) {
-    std::cout << "{\"algorithm\":\"selection\",\"value\":" << res.value
-              << ",\"filter_phases\":" << res.filter_phases << ',';
-    print_config_json(std::cout, p, k, n, shape_name, seed,
-                      cli.get_string("engine", "event"), d);
-    std::cout << ",\"stats\":";
-    print_stats_json(res.stats, std::cout);
-    if (obs_opts.on) {
-      std::cout << ',';
-      print_obs_json(std::cout, res.stats, recorder, *timeline);
-    }
-    if (do_check) std::cout << ",\"conformance\":" << checker->report().json();
-    if (profile) std::cout << ",\"host_profile\":" << profiler->json();
-    std::cout << "}\n";
-  } else {
-    std::cout << "N[" << d << "] = " << res.value << "  ("
-              << res.filter_phases << " filtering phases)\n";
-    print_stats_text(res.stats, std::cout);
-    if (obs_opts.on) print_obs_text(std::cout, res.stats, recorder, *timeline);
-    if (do_check) std::cout << checker->report().summary();
-    if (profile) std::cout << profiler->text();
+    return observers.print_json(res.stats, [&](std::ostream& os) {
+      os << "\"algorithm\":\"selection\",\"value\":" << res.value
+         << ",\"filter_phases\":" << res.filter_phases << ',';
+      print_config_json(os, p, k, n, shape_name, seed,
+                        cli.get_string("engine", "event"), d);
+    });
   }
-  const int obs_rc = report_obs_problems(obs_problems);
-  return do_check && !checker->report().ok() ? 1 : obs_rc;
+  return observers.print_text(res.stats, [&](std::ostream& os) {
+    os << "N[" << d << "] = " << res.value << "  (" << res.filter_phases
+       << " filtering phases)\n";
+    print_stats_text(res.stats, os);
+  });
 }
 
 // Online serving mode: one persistent network answers a deterministic
 // query stream with batched multi-rank selection (src/serve). The report —
 // JSON with --json, Markdown otherwise — carries only model-level fields,
 // so it is byte-identical across engines for one seed; tools/ci.sh cmp's
-// the event and reference documents. The exceptions are
-// opt-in host telemetry: --profile adds the quarantined "host_profile"
+// the event and reference documents. --profile adds the session's `host`
 // member, and --obs/--trace-out attach the span/timeline collectors to the
 // whole session (the obs fields themselves stay deterministic).
 int cmd_serve(const util::Cli& cli) {
@@ -435,11 +451,6 @@ int cmd_serve(const util::Cli& cli) {
     timeline.emplace(sc.sim.k, obs_opts.buckets);
     sc.sim.span_sink = &recorder;
     sc.sink = &*timeline;
-  }
-  std::optional<obs::Profiler> profiler;
-  if (profile) {
-    profiler.emplace();
-    sc.sim.profiler = &*profiler;
   }
   apply_engine_flags(cli, sc.sim);
   const auto rep = serve::run_server(sc);
@@ -464,19 +475,21 @@ int cmd_serve(const util::Cli& cli) {
     }
   }
   if (cli.get_bool("json")) {
+    // Splice the "obs" and "host" members in before the document's closing
+    // brace — rep.json() owns the (deterministic) rest of the document.
     std::string doc = rep.json();
+    std::ostringstream os;
     if (obs_opts.on) {
-      // Splice the "obs" member in before the document's closing brace —
-      // rep.json() owns the (deterministic) rest of the document.
-      std::ostringstream os;
       os << ',';
       print_obs_json(os, agg, recorder, *timeline);
-      doc.insert(doc.size() - 1, os.str());
     }
+    if (profile) os << ",\"host\":" << rep.host_json();
+    doc.insert(doc.size() - 1, os.str());
     std::cout << doc << '\n';
   } else {
     std::cout << rep.markdown();
     if (obs_opts.on) print_obs_text(std::cout, agg, recorder, *timeline);
+    if (profile) print_host_text(std::cout, rep.host_json());
   }
   return 0;
 }
@@ -514,53 +527,19 @@ int cmd_trace(const util::Cli& cli) {
   const auto p = cli.get_uint("p", 4);
   const auto n = cli.get_uint("n", p * p * (p - 1));
   const auto seed = cli.get_uint("seed", 3);
-  const bool do_check = cli.get_bool("check");
-  const auto obs_opts = parse_obs(cli);
-  const bool profile = cli.get_bool("profile");
   ChannelTrace trace(cli.get_uint("limit", 256));
   auto w = util::make_workload(n, p, util::Shape::kEven, seed);
   SimConfig cfg{.p = p, .k = p};
-  apply_engine_flags(cli, cfg);
-  obs::Recorder recorder;
-  std::optional<obs::Timeline> timeline;
-  if (obs_opts.on) {
-    timeline.emplace(p, obs_opts.buckets);
-    cfg.span_sink = &recorder;
-  }
-  std::optional<obs::Profiler> profiler;
-  if (profile) {
-    profiler.emplace();
-    cfg.profiler = &*profiler;
-  }
-  // Observers chain: with --check the checker tees the unmodified event
-  // stream into the tee, which fans it out to the channel trace and (with
-  // --obs) the timeline.
-  TeeSink tee({&trace, obs_opts.on ? &*timeline : nullptr});
-  TraceSink* tail = tee.as_sink();
-  std::optional<check::ConformanceChecker> checker;
-  if (do_check) {
-    checker.emplace(cfg, tail);
+  RunObservers observers(cli, cfg, &trace);
+  if (auto* checker = observers.checker()) {
     checker->expect_sorting_bounds(input_sizes(w.inputs));
   }
-  auto res = algo::columnsort_even(
-      cfg, w.inputs, {},
-      do_check ? static_cast<TraceSink*>(&*checker) : tail);
-  if (do_check) checker->finish(res.run.stats);
-  std::vector<std::string> obs_problems;
-  if (obs_opts.on) {
-    obs_problems = finish_obs(obs_opts, cfg, res.run.stats, recorder,
-                              *timeline);
-  }
-  std::cout << "columnsort on MCB(" << p << "," << p << "), n=" << n << ": "
-            << res.run.stats.cycles << " cycles\n"
-            << trace.render(p);
-  if (obs_opts.on) {
-    print_obs_text(std::cout, res.run.stats, recorder, *timeline);
-  }
-  if (do_check) std::cout << checker->report().summary();
-  if (profile) std::cout << profiler->text();
-  const int obs_rc = report_obs_problems(obs_problems);
-  return do_check && !checker->report().ok() ? 1 : obs_rc;
+  auto res = algo::columnsort_even(cfg, w.inputs, {}, observers.sink());
+  return observers.print_text(res.run.stats, [&](std::ostream& os) {
+    os << "columnsort on MCB(" << p << "," << p << "), n=" << n << ": "
+       << res.run.stats.cycles << " cycles\n"
+       << trace.render(p);
+  });
 }
 
 // Renders the deterministic Markdown report of a previously captured
@@ -654,13 +633,11 @@ int cmd_gates(const std::string& path) {
   return any_unenforced ? 3 : 0;
 }
 
-// Strict-parses a JSON document and re-serializes it canonically with every
-// host-telemetry field removed, at any nesting depth: the quarantined
-// "host_profile" subtrees plus the per-run host fields of "stats"
-// (wall clock, throughput, arena counters). What survives
-// is exactly the deterministic model-level content, so CI can `cmp` a
-// profiled run against an unprofiled one — the determinism contract the
-// profiler must not break, made executable.
+// Strict-parses a JSON document and re-serializes it canonically without
+// its host telemetry: every member named "host", at any nesting depth (the
+// --profile member of a run or serve document, a sweep trial's arena
+// counters). What survives is exactly the deterministic model-level
+// content, so CI can `cmp` a profiled run against a plain one.
 int cmd_strip_host(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -669,11 +646,8 @@ int cmd_strip_host(const std::string& path) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  static const std::vector<std::string> kHostFields = {
-      "host_profile", "sim_wall_ns",  "cycles_per_sec",   "frame_allocs",
-      "frame_frees",  "frame_reuses", "arena_bytes_peak", "arena_hit_rate"};
   std::cout << util::json_serialize_without(util::json_parse(buf.str()),
-                                            kHostFields)
+                                            {"host"})
             << '\n';
   return 0;
 }
@@ -799,9 +773,8 @@ int usage() {
       "          1 = enforced gate failed, 3 = unenforced gates present\n"
       "  report  <run.json|sweep.json|serve.json>   render a deterministic\n"
       "          Markdown report (phases, spans, sparklines, theory ratios)\n"
-      "  strip-host <any.json>  re-serialize canonically with host-telemetry\n"
-      "          fields (host_profile, sim_wall_ns, ...) removed, for\n"
-      "          byte-comparing profiled against unprofiled runs\n"
+      "  strip-host <any.json>  re-serialize canonically without its \"host\"\n"
+      "          members, for byte-comparing profiled against plain runs\n"
       "--engine picks the simulator loop (event|reference; both are\n"
       "observably identical). --threads is sweep's trial-pool width (0 =\n"
       "hardware); single runs are serial.\n"
@@ -809,8 +782,8 @@ int usage() {
       "and a violation report on any model-rule breach.\n"
       "--obs collects phase spans and a per-channel timeline; --trace-out\n"
       "writes a Chrome trace-event / Perfetto JSON trace (implies --obs).\n"
-      "--profile attaches the host-time profiler: run count and run wall\n"
-      "time, quarantined under \"host_profile\" (strip-host removes it).\n";
+      "--profile adds the run's host telemetry (wall time, frame and arena\n"
+      "counters) as one \"host\" member (strip-host removes it).\n";
   return 2;
 }
 

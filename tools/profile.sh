@@ -9,9 +9,9 @@
 # (p=65536 k=4 n=262144, the key of its p=2^20 budget guard), so a profile
 # and the bench numbers describe the same run.
 #
-# The recorded run also carries the in-process host profiler (mcbsim
-# select --profile), so next to perf's symbol table — which says *where*
-# host time went — the script prints the profiler's run-wall total.
+# The recorded run also carries its host telemetry (mcbsim select
+# --profile), so next to perf's symbol table — which says *where* host time
+# went — the script prints the run's wall time and frame-arena counters.
 #
 # Usage:
 #   tools/profile.sh                 # record the default row, print top 10
@@ -65,8 +65,8 @@ cmake --build --preset perf -j "$(nproc)" --target mcbsim
 echo "=== perf record: ${CMD[*]} ==="
 perf record -g -o "$OUT_DIR/perf.data" -- "${CMD[@]}" > "$OUT_DIR/profile_run.txt"
 
-echo "=== host profiler (same run) ==="
-# --profile makes mcbsim print the profiler's totals after the run
+echo "=== host telemetry (same run) ==="
+# --profile makes mcbsim print the run's host member after the run
 # summary; everything from its "host profile:" line onward is ours.
 sed -n '/^host profile:/,$p' "$OUT_DIR/profile_run.txt"
 
