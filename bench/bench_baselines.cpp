@@ -5,8 +5,6 @@
 // (b) Filtering selection vs selection-by-sorting as n grows: the message
 //     gap widens like n / (p log(kn/p)); at tiny n the baseline is
 //     competitive (the crossover).
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 namespace {
@@ -79,22 +77,11 @@ void single_channel_matchup() {
   std::cout << t;
 }
 
-void BM_CentralSort(benchmark::State& state) {
-  auto w = util::make_workload(8192, 32, util::Shape::kEven, 1);
-  for (auto _ : state) {
-    auto res = algo::central_sort({.p = 32, .k = 8}, w.inputs);
-    benchmark::DoNotOptimize(res.stats.cycles);
-  }
-}
-BENCHMARK(BM_CentralSort)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   sort_vs_central();
   selection_crossover();
   single_channel_matchup();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

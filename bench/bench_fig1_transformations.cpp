@@ -3,8 +3,6 @@
 // Prints the worked example (what Figure 1 of the paper illustrates),
 // verifies the broadcast schedules hit the Koenig round bound across a
 // dimension sweep, and times the schedule builders.
-#include <benchmark/benchmark.h>
-
 #include <numeric>
 
 #include "bench_common.hpp"
@@ -62,32 +60,10 @@ void print_schedule_table() {
   std::cout << t;
 }
 
-void BM_PermutationTable(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sched::permutation_table(sched::Transform::kUndiagonalize, m, 16));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m * 16));
-}
-BENCHMARK(BM_PermutationTable)->Arg(256)->Arg(4096);
-
-void BM_PlanTransform(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sched::plan_transform(sched::Transform::kTranspose, m, 16));
-  }
-}
-BENCHMARK(BM_PlanTransform)->Arg(256)->Arg(4096);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_example();
   print_schedule_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

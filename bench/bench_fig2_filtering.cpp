@@ -3,8 +3,6 @@
 // Prints the candidate population entering every filtering phase of one
 // selection run — the quantity Figure 2 illustrates — and checks the >= 1/4
 // purge guarantee per phase, plus the geometric-decay fit across runs.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 
 #include "bench_common.hpp"
@@ -57,21 +55,10 @@ void decay_fit() {
   std::cout << t;
 }
 
-void BM_FilterPhase(benchmark::State& state) {
-  auto w = util::make_workload(32768, 32, util::Shape::kEven, 1);
-  for (auto _ : state) {
-    auto res = algo::select_median({.p = 32, .k = 4}, w.inputs);
-    benchmark::DoNotOptimize(res.filter_phases);
-  }
-}
-BENCHMARK(BM_FilterPhase)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   phase_trace();
   decay_fit();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,8 +5,6 @@
 // O(1), demonstrating Theta-tightness). For selection: the adversary game
 // of Theorem 1 played against the optimal exposure strategy, and the real
 // algorithm's message count against the Omega formula.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 #include "theory/adversary.hpp"
 #include "theory/bounds.hpp"
@@ -95,30 +93,12 @@ void selection_vs_bound() {
                     "bound up to constants (Theta-tight).\n";
 }
 
-void BM_AdversaryGame(benchmark::State& state) {
-  std::vector<std::size_t> sizes(64, 4096);
-  for (auto _ : state) {
-    theory::SelectionAdversary adv(sizes);
-    while (adv.total_candidates() > 2) {
-      for (std::size_t proc = 0; proc < 64; ++proc) {
-        if (adv.total_candidates() <= 2) break;
-        const std::size_t c = adv.candidates(proc);
-        if (c > 0) adv.expose(proc, (c + 1) / 2);
-      }
-    }
-    benchmark::DoNotOptimize(adv.messages());
-  }
-}
-BENCHMARK(BM_AdversaryGame);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   sorting_bounds();
   pmax_bound();
   adversary_game();
   selection_vs_bound();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

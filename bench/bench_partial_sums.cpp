@@ -2,8 +2,6 @@
 //
 // Cycles must track p/k + log k and messages must track p across both
 // sweeps. Run through the public collective on a real network.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 
 #include "bench_common.hpp"
@@ -15,10 +13,9 @@ using namespace mcb;
 RunStats run_ps(std::size_t p, std::size_t k) {
   Network net({.p = p, .k = k});
   auto prog = [](Proc& self) -> ProcMain {
-    auto res = co_await algo::partial_sums(
-        self, static_cast<Word>(self.id() + 1), algo::SumOp::add(),
-        {.with_total = true, .with_next = true});
-    benchmark::DoNotOptimize(res.self);
+    co_await algo::partial_sums(self, static_cast<Word>(self.id() + 1),
+                                algo::SumOp::add(),
+                                {.with_total = true, .with_next = true});
   };
   for (ProcId i = 0; i < p; ++i) net.install(i, prog(net.proc(i)));
   return net.run();
@@ -56,21 +53,10 @@ void sweep_k() {
   std::cout << t;
 }
 
-void BM_PartialSums(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    auto stats = run_ps(p, 8);
-    benchmark::DoNotOptimize(stats.cycles);
-  }
-}
-BENCHMARK(BM_PartialSums)->Arg(64)->Arg(512);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   sweep_p();
   sweep_k();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,8 +2,6 @@
 // simulation itself at the largest configurations the other experiments
 // build on, plus the cycle-count invariances at scale. Not a paper claim —
 // an engineering artifact documenting what the instrument can measure.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 
 #include "bench_common.hpp"
@@ -85,10 +83,8 @@ void partial_sums_scaling_table() {
   for (std::size_t p : {256u, 1024u, 4096u}) {
     Network net({.p = p, .k = 64});
     auto prog = [](Proc& self) -> ProcMain {
-      auto res = co_await algo::partial_sums(
-          self, static_cast<Word>(self.id()), algo::SumOp::add(),
-          {.with_total = true});
-      benchmark::DoNotOptimize(res.total);
+      co_await algo::partial_sums(self, static_cast<Word>(self.id()),
+                                  algo::SumOp::add(), {.with_total = true});
     };
     for (ProcId i = 0; i < p; ++i) net.install(i, prog(net.proc(i)));
     const auto t0 = std::chrono::steady_clock::now();
@@ -102,32 +98,11 @@ void partial_sums_scaling_table() {
   std::cout << t;
 }
 
-void BM_SimulatorCycleOverhead(benchmark::State& state) {
-  // Raw per-cycle simulation cost: p idle processors stepping.
-  const auto p = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    Network net({.p = p, .k = 1});
-    auto prog = [](Proc& self) -> ProcMain {
-      for (int t = 0; t < 1000; ++t) {
-        co_await self.window(1);
-      }
-    };
-    for (ProcId i = 0; i < p; ++i) net.install(i, prog(net.proc(i)));
-    auto stats = net.run();
-    benchmark::DoNotOptimize(stats.cycles);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          1000 * static_cast<std::int64_t>(p));
-}
-BENCHMARK(BM_SimulatorCycleOverhead)->Arg(16)->Arg(256);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   scaling_table();
   selection_scaling_table();
   partial_sums_scaling_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,8 +3,6 @@
 // Messages must track p*log2(kn/p) and cycles (p/k)*log2(kn/p); the number
 // of filtering phases tracks log(kn/p) via the >= 1/4 purge guarantee.
 // Sweeps n, p and the rank d.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 
 #include "bench_common.hpp"
@@ -108,24 +106,12 @@ void sweep_skew() {
   std::cout << t;
 }
 
-void BM_SelectMedian(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto w = util::make_workload(n, 32, util::Shape::kEven, 1);
-  for (auto _ : state) {
-    auto res = algo::select_median({.p = 32, .k = 4}, w.inputs);
-    benchmark::DoNotOptimize(res.value);
-  }
-}
-BENCHMARK(BM_SelectMedian)->Arg(4096)->Arg(65536)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   sweep_n();
   sweep_p();
   sweep_rank();
   sweep_skew();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

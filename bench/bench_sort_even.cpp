@@ -3,8 +3,6 @@
 // Tables: (a) messages vs n at fixed (p, k) — the Theta(n) claim; (b)
 // cycles vs n/k sweeping k at fixed n — the Theta(n/k) claim; both ratios
 // must be ~flat. Plus simulator wall-clock throughput.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 namespace {
@@ -85,25 +83,11 @@ void phase_breakdown() {
   std::cout << t;
 }
 
-void BM_ColumnsortEven(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto w = util::make_workload(n, 64, util::Shape::kEven, 1);
-  for (auto _ : state) {
-    auto res = algo::columnsort_even({.p = 64, .k = 8}, w.inputs);
-    benchmark::DoNotOptimize(res.run.stats.cycles);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ColumnsortEven)->Arg(4096)->Arg(32768)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   sweep_n();
   sweep_k();
   phase_breakdown();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

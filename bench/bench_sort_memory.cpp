@@ -5,8 +5,6 @@
 // (O(n_i) aux) and with Merge-Sort (O(1) aux), and the two single-channel
 // sorts on their own. Cycle/message costs side by side with peak
 // per-processor auxiliary storage.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 namespace {
@@ -72,21 +70,10 @@ void single_channel_table() {
                     "auxiliary storage (4-cycle rounds vs 2 passes).\n";
 }
 
-void BM_VirtualColumnsort(benchmark::State& state) {
-  auto w = util::make_workload(8192, 32, util::Shape::kEven, 1);
-  for (auto _ : state) {
-    auto res = algo::virtual_columnsort({.p = 32, .k = 4}, w.inputs);
-    benchmark::DoNotOptimize(res.run.stats.cycles);
-  }
-}
-BENCHMARK(BM_VirtualColumnsort)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   memory_table();
   single_channel_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

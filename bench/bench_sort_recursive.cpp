@@ -6,8 +6,6 @@
 // through segmented transformations. Tables: flat-vs-recursive cycles as n
 // shrinks relative to k (the crossover), and the max_split ablation (the
 // paper's "choice of s").
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 namespace {
@@ -83,22 +81,11 @@ void scaling_table() {
   std::cout << t;
 }
 
-void BM_RecursiveColumnsort(benchmark::State& state) {
-  auto w = util::make_workload(4096, 64, util::Shape::kEven, 1);
-  for (auto _ : state) {
-    auto res = algo::recursive_columnsort({.p = 64, .k = 64}, w.inputs);
-    benchmark::DoNotOptimize(res.run.stats.cycles);
-  }
-}
-BENCHMARK(BM_RecursiveColumnsort)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   crossover_table();
   ablation_table();
   scaling_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

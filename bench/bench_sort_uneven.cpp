@@ -2,8 +2,6 @@
 //
 // Sweeps the skew n_max/n from even to one-holder; cycles must track
 // max(n/k, n_max) and messages Theta(n) throughout.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 namespace {
@@ -52,21 +50,10 @@ void n_sweep() {
   std::cout << t;
 }
 
-void BM_UnevenSort(benchmark::State& state) {
-  auto w = util::make_workload(8192, 32, util::Shape::kZipf, 1);
-  for (auto _ : state) {
-    auto res = algo::uneven_sort({.p = 32, .k = 8}, w.inputs);
-    benchmark::DoNotOptimize(res.run.stats.cycles);
-  }
-}
-BENCHMARK(BM_UnevenSort)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   skew_sweep();
   n_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

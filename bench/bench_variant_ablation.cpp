@@ -5,8 +5,6 @@
 // nearly twice the column length per channel. For a fixed input that
 // difference decides how many channels the sort can actually use, and with
 // it the cycle count. The table quantifies the gap across n.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 namespace {
@@ -57,25 +55,10 @@ void cycles_table() {
                     "columns, the paper's variant wins proportionally.\n";
 }
 
-void BM_Variant(benchmark::State& state) {
-  auto w = util::make_workload(4096, 64, util::Shape::kEven, 1);
-  const auto variant = state.range(0) == 0
-                           ? seq::ColumnsortVariant::kUndiagonalize
-                           : seq::ColumnsortVariant::kUntranspose;
-  for (auto _ : state) {
-    auto res = algo::columnsort_even({.p = 64, .k = 16}, w.inputs,
-                                     {.variant = variant});
-    benchmark::DoNotOptimize(res.run.stats.cycles);
-  }
-}
-BENCHMARK(BM_Variant)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   feasibility_table();
   cycles_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 // subround schedule and compares the overhead factor against the paper's
 // O((p'/p)(k'/k)) claim and our schedule's (p'/p)^2 (k'/k) (the extra
 // factor pays for read scheduling; see mcb/virtualize.hpp).
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 #include "mcb/virtualize.hpp"
 
@@ -85,24 +83,10 @@ void executed_table() {
                     "verified against the virtual run.\n";
 }
 
-void BM_VirtualizationCost(benchmark::State& state) {
-  RunStats stats;
-  stats.cycles = 100000;
-  stats.messages = 400000;
-  for (auto _ : state) {
-    auto cost = virtualization_cost({.p = 16, .k = 4}, {.p = 256, .k = 64},
-                                    stats);
-    benchmark::DoNotOptimize(cost.real_cycles);
-  }
-}
-BENCHMARK(BM_VirtualizationCost);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   overhead_table();
   executed_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

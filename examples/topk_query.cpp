@@ -31,8 +31,8 @@ int main() {
   util::Table t;
   t.header({"quantile", "rank d", "value", "cycles", "messages"});
   for (const auto& q : queries) {
-    // Nearest-rank with the ceil convention (serve::quantile_rank, same as
-    // obs::Histogram::quantile): d = max(1, ceil(n * fraction)). Truncating
+    // Nearest-rank with the ceil convention (serve::quantile_rank, i.e.
+    // obs::nearest_rank): d = max(1, ceil(n * fraction)). Truncating
     // instead would answer rank 1638 for p90 over n=16384 — one element off
     // whenever n * fraction is not integral.
     const auto d = serve::quantile_rank(n, q.fraction);

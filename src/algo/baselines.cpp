@@ -6,7 +6,6 @@
 #include "algo/partial_sums.hpp"
 #include "algo/uneven_sort.hpp"
 #include "mcb/network.hpp"
-#include "obs/span.hpp"
 #include "seq/sorting.hpp"
 #include "util/check.hpp"
 
@@ -44,25 +43,19 @@ ProcMain central_program(Proc& self, const std::vector<Word>& input,
 
   if (i == 0) self.mark_phase("gather");
   std::vector<Word> pool;
-  {
-    // The span scope closes in the same resumption in which the "scatter"
-    // mark fires, so span and phase boundary stamps agree exactly.
-    obs::Span sp(self, "gather");
-    if (i == 0) {
-      // P_1 streams its own window, reads everyone else's.
-      pool.resize(n);
-      auto aw = collect_window(self, input, lo, pool);
-      co_await aw;
-      self.note_aux(pool.size());
-      seq::sort_descending(pool);
-    } else {
-      auto aw = write_window(self, input, lo, 0, n - hi);
-      co_await aw;
-    }
+  if (i == 0) {
+    // P_1 streams its own window, reads everyone else's.
+    pool.resize(n);
+    auto aw = collect_window(self, input, lo, pool);
+    co_await aw;
+    self.note_aux(pool.size());
+    seq::sort_descending(pool);
+  } else {
+    auto aw = write_window(self, input, lo, 0, n - hi);
+    co_await aw;
   }
 
   if (i == 0) self.mark_phase("scatter");
-  obs::Span sp(self, "scatter");
   co_await scatter(self, pool, n, lo, hi, output);
 }
 
@@ -80,34 +73,30 @@ ProcMain central_multiread_program(Proc& self, std::size_t ni,
   const std::size_t longest = ceil_div(p - 1, streams);
   const Cycle gather_cycles = static_cast<Cycle>(longest * ni);
   std::vector<Word> pool;
-  {
-    obs::Span sp(self, "gather-multiread");
-    if (i == 0) {
-      pool.reserve(n);
-      pool.insert(pool.end(), input.begin(), input.end());
-      for (Cycle t = 0; t < gather_cycles; ++t) {
-        auto got = co_await self.cycle_all(std::nullopt);
-        for (const auto& msg : got) {
-          if (msg) pool.push_back(msg->at(0));
-        }
+  if (i == 0) {
+    pool.reserve(n);
+    pool.insert(pool.end(), input.begin(), input.end());
+    for (Cycle t = 0; t < gather_cycles; ++t) {
+      auto got = co_await self.cycle_all(std::nullopt);
+      for (const auto& msg : got) {
+        if (msg) pool.push_back(msg->at(0));
       }
-      MCB_CHECK(pool.size() == n, "collector holds " << pool.size() << " of "
-                                                     << n);
-      self.note_aux(pool.size());
-      seq::sort_descending(pool);
-    } else {
-      const std::size_t stream = (i - 1) % streams;
-      const std::size_t slot = (i - 1) / streams;
-      auto aw = write_window(self, input, slot * ni,
-                             static_cast<ChannelId>(stream),
-                             gather_cycles - (slot + 1) * ni);
-      co_await aw;
     }
+    MCB_CHECK(pool.size() == n, "collector holds " << pool.size() << " of "
+                                                   << n);
+    self.note_aux(pool.size());
+    seq::sort_descending(pool);
+  } else {
+    const std::size_t stream = (i - 1) % streams;
+    const std::size_t slot = (i - 1) / streams;
+    auto aw = write_window(self, input, slot * ni,
+                           static_cast<ChannelId>(stream),
+                           gather_cycles - (slot + 1) * ni);
+    co_await aw;
   }
 
   // --- scatter: rank by rank on channel 0 (the single-writer bottleneck) --
   if (i == 0) self.mark_phase("scatter");
-  obs::Span sp(self, "scatter");
   co_await scatter(self, pool, n, i * ni, (i + 1) * ni, output);
 }
 

@@ -54,8 +54,8 @@ Task<void> columnsort_even_collective(Proc& self, const EvenSortPlan& plan,
   std::vector<KV> column;
 
   // Span names carry the "even." prefix so they never collide with the
-  // PhaseStats names of whatever program hosts this collective (the
-  // recorder's reconcile pass matches phases and spans by name).
+  // phase names of whatever program hosts this collective (a phase mark is
+  // a span too, and the recorder's summaries group spans by name).
   // --- phase 0: gather the group's elements at the representative ---------
   if (plan.g > 1) {
     obs::Span sp(self, "even.gather");
@@ -115,7 +115,6 @@ ProcMain pairs_program(Proc& self, const EvenSortPlan& plan,
                        std::vector<KV>& output) {
   output = input;
   if (self.id() == 0) self.mark_phase("even-columnsort");
-  obs::Span sp(self, "even-columnsort");
   co_await columnsort_even_collective(self, plan, output);
 }
 

@@ -5,7 +5,7 @@
 namespace mcb::algo {
 
 AlgoResult run_network(const SimConfig& cfg,
-                       std::vector<std::vector<Word>> inputs,
+                       const std::vector<std::vector<Word>>& inputs,
                        const ProgramFactory& factory, TraceSink* sink) {
   cfg.validate();
   MCB_REQUIRE(inputs.size() == cfg.p,

@@ -2,8 +2,9 @@
 //
 // All algorithms in algo/ share one calling convention: per-processor input
 // lists in, per-processor output lists plus run statistics out. The runner
-// owns the input/output storage for the lifetime of the run so processor
-// coroutines can safely hold references to it.
+// owns the output storage; the inputs stay the caller's, borrowed for the
+// synchronous run, so processor coroutines can safely hold references to
+// both without a copy.
 #pragma once
 
 #include <functional>
@@ -33,7 +34,7 @@ using ProgramFactory = std::function<ProcMain(
 /// Spawns factory(i) on every processor of an MCB(cfg.p, cfg.k), runs to
 /// quiescence and returns outputs + stats. `inputs.size()` must equal cfg.p.
 AlgoResult run_network(const SimConfig& cfg,
-                       std::vector<std::vector<Word>> inputs,
+                       const std::vector<std::vector<Word>>& inputs,
                        const ProgramFactory& factory,
                        TraceSink* sink = nullptr);
 

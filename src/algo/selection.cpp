@@ -14,7 +14,6 @@
 #include "algo/multi_select.hpp"
 #include "algo/partial_sums.hpp"
 #include "mcb/network.hpp"
-#include "obs/span.hpp"
 #include "seq/selection.hpp"
 #include "util/check.hpp"
 
@@ -190,18 +189,15 @@ Task<void> collect_and_select_ranks(Proc& self, const Seg& seg,
 ///
 /// Phases: "setup", then "filter" rounds and a "terminate" per collected
 /// segment. A run whose ranks were all answered inside filtering still
-/// ends with one zero-length "terminate" phase and span, so every run
+/// ends with one zero-length "terminate" phase, so every run
 /// reports the same three phases.
 ProcMain selection_program(Proc& self, const SelectionPlan& plan,
                            const std::vector<Word>& input,
                            std::span<Word> answers, SelTrace* trace) {
-  // Census: every processor must know the initial candidate count. The span
-  // scope must close in the same resumption in which the next mark_phase
-  // fires, so span and phase agree on their boundary stamps exactly.
+  // Census: every processor must know the initial candidate count.
   if (self.id() == 0) self.mark_phase("setup");
   Seg seg{{}, 0, plan.uds.size(), 0, 0};
   {
-    obs::Span sp(self, "setup");
     const auto init = co_await partial_sums(
         self, static_cast<Word>(input.size()), SumOp::add(),
         {.with_total = true});
@@ -215,7 +211,6 @@ ProcMain selection_program(Proc& self, const SelectionPlan& plan,
     // --- filtering phases (Section 8, per segment) -----------------------
     while (seg.lo < seg.hi && seg.m > plan.threshold) {
       if (self.id() == 0) self.mark_phase("filter");
-      obs::Span sp(self, "filter");
       if (trace != nullptr) {
         ++trace->phases;
         trace->candidates.push_back(seg.m);
@@ -248,7 +243,6 @@ ProcMain selection_program(Proc& self, const SelectionPlan& plan,
     // --- termination: one collection answers the segment's ranks ---------
     if (seg.lo < seg.hi) {
       if (self.id() == 0) self.mark_phase("terminate");
-      obs::Span sp(self, "terminate");
       co_await collect_and_select_ranks(
           self, seg, plan.uds, answers.subspan(seg.lo, seg.hi - seg.lo));
       collected = true;
@@ -257,10 +251,7 @@ ProcMain selection_program(Proc& self, const SelectionPlan& plan,
     seg = std::move(stack.back());
     stack.pop_back();
   }
-  if (!collected) {
-    if (self.id() == 0) self.mark_phase("terminate");
-    obs::Span sp(self, "terminate");
-  }
+  if (!collected && self.id() == 0) self.mark_phase("terminate");
 }
 
 /// Installs the program on every processor of `net`, runs it and hands

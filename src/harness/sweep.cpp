@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <numeric>
 #include <sstream>
 
@@ -12,6 +11,7 @@
 #include "algo/sort.hpp"
 #include "check/conformance.hpp"
 #include "harness/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "theory/bounds.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
@@ -242,12 +242,8 @@ Summary summarize(std::vector<double> values) {
   s.min = values.front();
   s.max = values.back();
   s.mean = std::accumulate(values.begin(), values.end(), 0.0) / count;
-  auto nearest_rank = [&](double q) {
-    const auto rank = static_cast<std::size_t>(std::ceil(q * count));
-    return values[(rank == 0 ? 1 : rank) - 1];
-  };
-  s.p50 = nearest_rank(0.50);
-  s.p95 = nearest_rank(0.95);
+  s.p50 = values[obs::nearest_rank(values.size(), 0.50) - 1];
+  s.p95 = values[obs::nearest_rank(values.size(), 0.95) - 1];
   return s;
 }
 

@@ -142,8 +142,8 @@ struct Summary {
   double p95 = 0.0;
 };
 
-/// Computes a Summary. Percentiles use the nearest-rank definition
-/// ceil(q * count) on the sorted values; empty input yields all zeros.
+/// Computes a Summary. Percentiles use the nearest-rank rule
+/// (obs::nearest_rank) on the sorted values; empty input yields all zeros.
 Summary summarize(std::vector<double> values);
 
 /// Cross-seed aggregation of one grid point.

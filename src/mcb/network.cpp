@@ -27,7 +27,14 @@ Network::Network(SimConfig cfg, TraceSink* sink)
   stats_.messages_per_channel.assign(cfg_.k, 0);
 }
 
-Network::~Network() = default;
+Network::~Network() {
+  // Members die in reverse declaration order, so stats_ and now_ would go
+  // before programs_; but destroying a suspended program closes its
+  // obs::Spans, which read both. Destroy the programs here instead, then
+  // close the phase span they were nested in.
+  programs_.clear();
+  if (!phase_name_.empty()) span_end();
+}
 
 Proc& Network::proc(ProcId i) {
   MCB_REQUIRE(i < procs_.size(), "processor index " << i << " of " << cfg_.p);
@@ -169,6 +176,7 @@ void Network::span_end() {
 
 void Network::mark_phase(std::string name) {
   finish_phase();
+  span_begin(name);
   phase_name_ = std::move(name);
   phase_start_cycle_ = now_;
   phase_start_messages_ = stats_.messages;
@@ -176,6 +184,7 @@ void Network::mark_phase(std::string name) {
 
 void Network::finish_phase() {
   if (phase_name_.empty()) return;
+  span_end();
   // Accumulate into an existing phase of the same name (phases that repeat,
   // e.g. the selection filtering rounds, aggregate naturally).
   for (auto& ph : stats_.phases) {
@@ -325,8 +334,10 @@ void Network::reset() {
   // Destroy the program objects first: destroying a suspended coroutine
   // frame releases it (and any in-scope Task frames it holds) back to the
   // owning arena through the allocation headers, so the free lists are warm
-  // for the next install round. Only then null the table's handles.
+  // for the next install round, and closes the frame's open spans before
+  // the phase span they nest in. Only then null the table's handles.
   programs_.clear();
+  if (!phase_name_.empty()) span_end();
   tab_.reset();
 
   std::fill(slot_written_.begin(), slot_written_.end(), std::uint8_t{0});

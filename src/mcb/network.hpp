@@ -99,12 +99,14 @@ class Network {
   /// Completed cycles (valid during a run; queried by Proc::now()).
   Cycle now() const { return now_; }
 
-  /// Starts a named accounting phase at the current cycle.
+  /// Starts a named accounting phase at the current cycle. The phase is
+  /// also a span: the mark begins it on SimConfig::span_sink, and the next
+  /// mark, the end of run(), reset() or the destructor ends it.
   void mark_phase(std::string name);
 
-  /// Span marks forwarded to SimConfig::span_sink (obs::Span), stamped with
-  /// the current cycle and network-wide message count. No-ops (one branch)
-  /// without a sink.
+  /// Span marks forwarded to SimConfig::span_sink (obs::Span, and the phase
+  /// marks above), stamped with the current cycle and network-wide message
+  /// count. No-ops (one branch) without a sink.
   void span_begin(std::string_view name);
   void span_end();
 

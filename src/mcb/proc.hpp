@@ -129,7 +129,8 @@ class Proc {
   void note_aux(std::size_t words);
 
   /// Marks the start of a named algorithm phase (records global cycle and
-  /// message counters). By convention only processor 0 calls this.
+  /// message counters, and begins the phase's span; Network::mark_phase).
+  /// By convention only processor 0 calls this.
   void mark_phase(std::string name);
 
   /// Span marks forwarded to the network's SpanSink (see obs::Span, which

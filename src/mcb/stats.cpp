@@ -1,7 +1,5 @@
 #include "mcb/stats.hpp"
 
-#include <sstream>
-
 namespace mcb {
 
 double safe_cycles_per_sec(Cycle cycles, std::uint64_t wall_ns) {
@@ -14,26 +12,6 @@ const PhaseStats* RunStats::phase(const std::string& name) const {
     if (ph.name == name) return &ph;
   }
   return nullptr;
-}
-
-std::string RunStats::summary() const {
-  std::ostringstream os;
-  os << "cycles=" << cycles << " messages=" << messages
-     << " peak_aux_words=" << max_peak_aux() << '\n';
-  if (sim_wall_ns > 0) {
-    os << "  sim_wall_ns=" << sim_wall_ns << " proc_resumes=" << proc_resumes
-       << " cycles_per_sec=" << cycles_per_sec << '\n';
-  }
-  if (frame_allocs > 0) {
-    os << "  frame_allocs=" << frame_allocs << " frame_frees=" << frame_frees
-       << " arena_bytes_peak=" << arena_bytes_peak
-       << " arena_hit_rate=" << arena_hit_rate << '\n';
-  }
-  for (const auto& ph : phases) {
-    os << "  phase " << ph.name << ": cycles=" << ph.cycles
-       << " messages=" << ph.messages << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace mcb

@@ -58,9 +58,6 @@ struct RunStats {
   /// Finds a phase by name; nullptr if absent. Phases with duplicate names
   /// are accumulated into the first occurrence when recorded.
   const PhaseStats* phase(const std::string& name) const;
-
-  /// Multi-line human-readable summary.
-  std::string summary() const;
 };
 
 }  // namespace mcb

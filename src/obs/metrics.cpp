@@ -2,23 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "obs/span.hpp"
-#include "obs/timeline.hpp"
-#include "util/json.hpp"
-#include "util/table.hpp"
 
 namespace mcb::obs {
 
-namespace {
-
-/// Deterministic double rendering (mirrors harness::sweep_json's fmt),
-/// guarded for JSON embedding: NaN/Inf have no JSON literal, so non-finite
-/// values render as 0 (util::json_double).
-std::string fmt(double v) { return util::json_double(v); }
-
-}  // namespace
+std::size_t nearest_rank(std::size_t n, double q) {
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(n)));
+  return std::clamp<std::size_t>(rank, 1, n);
+}
 
 double Histogram::quantile(double q) const {
   if (values_.empty()) return 0.0;
@@ -28,132 +19,12 @@ double Histogram::quantile(double q) const {
     dirty_ = false;
     ++sort_passes_;
   }
-  const auto count = static_cast<double>(sorted_.size());
-  auto rank = static_cast<std::size_t>(std::ceil(q * count));
-  if (rank == 0) rank = 1;
-  return sorted_[rank - 1];
+  return sorted_[nearest_rank(sorted_.size(), q) - 1];
 }
 
 double Histogram::max() const {
   if (values_.empty()) return 0.0;
   return *std::max_element(values_.begin(), values_.end());
-}
-
-void Metrics::add(const std::string& name, std::uint64_t delta) {
-  counters_[name] += delta;
-}
-
-void Metrics::set(const std::string& name, double value) {
-  gauges_[name] = value;
-}
-
-void Metrics::observe(const std::string& name, double value) {
-  histograms_[name].record(value);
-}
-
-std::uint64_t Metrics::counter(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-std::string Metrics::render() const {
-  std::ostringstream os;
-  if (!counters_.empty() || !gauges_.empty()) {
-    util::Table t;
-    t.header({"metric", "value"});
-    for (const auto& [name, v] : counters_) {
-      t.row({util::Table::txt(name), util::Table::num(v)});
-    }
-    for (const auto& [name, v] : gauges_) {
-      t.row({util::Table::txt(name), util::Table::num(v, 3)});
-    }
-    os << t;
-  }
-  if (!histograms_.empty()) {
-    util::Table t;
-    t.header({"histogram", "count", "p50", "p95", "max"});
-    for (const auto& [name, h] : histograms_) {
-      t.row({util::Table::txt(name), util::Table::num(h.count()),
-             util::Table::num(h.p50(), 1), util::Table::num(h.p95(), 1),
-             util::Table::num(h.max(), 1)});
-    }
-    os << t;
-  }
-  return os.str();
-}
-
-std::string Metrics::json() const {
-  std::ostringstream os;
-  os << "{\"counters\": {";
-  bool first = true;
-  for (const auto& [name, v] : counters_) {
-    os << (first ? "" : ", ") << '"' << util::json_escape(name)
-       << "\": " << v;
-    first = false;
-  }
-  os << "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : gauges_) {
-    os << (first ? "" : ", ") << '"' << util::json_escape(name)
-       << "\": " << fmt(v);
-    first = false;
-  }
-  os << "}, \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    os << (first ? "" : ", ") << '"' << util::json_escape(name)
-       << "\": {\"count\": " << h.count() << ", \"p50\": " << fmt(h.p50())
-       << ", \"p95\": " << fmt(h.p95()) << ", \"max\": " << fmt(h.max())
-       << '}';
-    first = false;
-  }
-  os << "}}";
-  return os.str();
-}
-
-Metrics collect_metrics(const RunStats& stats, const Recorder* spans,
-                        const Timeline* timeline) {
-  Metrics m;
-  m.add("run.cycles", stats.cycles);
-  m.add("run.messages", stats.messages);
-  m.add("run.peak_aux_words", stats.max_peak_aux());
-
-  if (timeline != nullptr) {
-    m.add("timeline.busy_cycles", timeline->busy_cycles());
-    if (timeline->finalized()) {
-      m.add("timeline.idle_cycles", timeline->idle_cycles());
-    }
-    m.add("timeline.reads", timeline->total_reads());
-    m.add("timeline.silent_reads", timeline->total_silent_reads());
-    m.add("timeline.multi_reads", timeline->total_multi_reads());
-    const auto& per_channel = timeline->writes_per_channel();
-    for (std::size_t c = 0; c < per_channel.size(); ++c) {
-      m.add("channel.C" + std::to_string(c + 1) + ".writes", per_channel[c]);
-    }
-    // Per-bucket utilization of the busiest view we have: writes per bucket
-    // as a fraction of bucket width * k (the theoretical write capacity).
-    const double cap = static_cast<double>(timeline->bucket_cycles()) *
-                       static_cast<double>(timeline->k());
-    for (const auto& b : timeline->buckets()) {
-      std::uint64_t writes = 0;
-      for (std::uint64_t w : b.writes) writes += w;
-      m.observe("bucket.write_utilization",
-                cap > 0.0 ? static_cast<double>(writes) / cap : 0.0);
-    }
-  }
-
-  if (spans != nullptr) {
-    m.add("spans.recorded", spans->records().size());
-    m.add("spans.dropped", spans->dropped());
-    m.add("spans.max_depth", spans->max_depth());
-    for (const auto& s : spans->summarize()) {
-      m.add("span." + s.name + ".count", s.count);
-      m.add("span." + s.name + ".cycles", s.cycles);
-      m.add("span." + s.name + ".messages", s.messages);
-      m.observe("span.cycles", static_cast<double>(s.cycles));
-    }
-  }
-  return m;
 }
 
 }  // namespace mcb::obs

@@ -1,33 +1,29 @@
-// A small metrics registry: counters, gauges and exact-quantile histograms.
+// The exact-quantile histogram and the nearest-rank rule every quantile in
+// the project uses.
 //
-// The registry is the bridge between the raw telemetry collectors (span
-// Recorder, Timeline) and the renderers/exporters: collect_metrics() folds
-// a finished run into named metrics, and render()/json() emit them with
-// deterministic ordering (name-sorted) and formatting, so two runs of the
-// same deterministic simulation produce byte-identical output.
-//
-// Histograms are exact, not sketched: the consumers record at most
-// O(max_buckets + spans) values per run, so storing them and computing
-// nearest-rank p50/p95 plus the true max costs less than a sketch would.
+// Histograms are exact, not sketched: the consumers (serve's per-class
+// latencies, its host batch walls) record at most one value per query or
+// batch, so storing them and computing nearest-rank p50/p95/p99 plus the
+// true max costs less than a sketch would.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
-
-#include "mcb/stats.hpp"
 
 namespace mcb::obs {
 
-class Recorder;
-class Timeline;
+/// The nearest-rank rule: the 1-based rank of the q-quantile of n sorted
+/// values, ceil(q * n) floored at 1 (q = 0 still names an element) and
+/// capped at n (fp round-up at q = 1). n must be positive.
+/// Histogram::quantile, harness::summarize and serve::quantile_rank all
+/// use it, so a "p99" means the same element everywhere.
+std::size_t nearest_rank(std::size_t n, double q);
 
-/// Exact-quantile histogram (nearest-rank, matching harness::summarize).
-/// Quantile queries sort once and serve every subsequent query from the
-/// cached order until the next record() — the serving layer records one
-/// sample per query and renders several quantiles per report, which the
-/// old copy-and-sort-per-call behaviour made quadratic.
+/// Exact-quantile histogram (nearest-rank). Quantile queries sort once and
+/// serve every subsequent query from the cached order until the next
+/// record(): the serving layer records one sample per query and renders
+/// several quantiles per report, which sorting per call made quadratic.
 class Histogram {
  public:
   void record(double v) {
@@ -39,10 +35,8 @@ class Histogram {
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
   double max() const;
-  /// Nearest-rank quantile: ceil(q * count)-th smallest; 0 when empty.
+  /// Nearest-rank quantile (nearest_rank above); 0 when empty.
   double quantile(double q) const;
-  /// Samples in record order (exporters that need the raw series).
-  const std::vector<double>& values() const { return values_; }
   /// Times the cache actually sorted — telemetry for the sort-once
   /// contract (tests assert it stays at 1 across repeated quantiles).
   std::uint64_t sort_passes() const { return sort_passes_; }
@@ -55,45 +49,5 @@ class Histogram {
   mutable bool dirty_ = false;
   mutable std::uint64_t sort_passes_ = 0;
 };
-
-class Metrics {
- public:
-  /// Counter: monotone uint64, add() accumulates.
-  void add(const std::string& name, std::uint64_t delta);
-  /// Gauge: last-write-wins double.
-  void set(const std::string& name, double value);
-  /// Histogram sample.
-  void observe(const std::string& name, double value);
-
-  const std::map<std::string, std::uint64_t>& counters() const {
-    return counters_;
-  }
-  const std::map<std::string, double>& gauges() const { return gauges_; }
-  const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
-
-  std::uint64_t counter(const std::string& name) const;
-
-  /// Deterministic aligned-table rendering (counters, gauges, then
-  /// histograms with count/p50/p95/max columns).
-  std::string render() const;
-
-  /// Deterministic JSON object:
-  /// {"counters": {...}, "gauges": {...},
-  ///  "histograms": {"x": {"count": n, "p50": ..., "p95": ..., "max": ...}}}
-  std::string json() const;
-
- private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, double> gauges_;
-  std::map<std::string, Histogram> histograms_;
-};
-
-/// Folds a finished run into the registry: totals from `stats`, per-channel
-/// and idle/busy accounting from the timeline, per-phase aggregates from
-/// the span recorder. Either collector may be null.
-Metrics collect_metrics(const RunStats& stats, const Recorder* spans,
-                        const Timeline* timeline);
 
 }  // namespace mcb::obs

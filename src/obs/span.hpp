@@ -1,13 +1,16 @@
-// RAII phase spans and their recorder.
+// RAII protocol spans and their recorder.
 //
 // The paper's complexity claims are per-phase claims (Columnsort's 10
 // phases, selection's filtering rounds), so the telemetry layer records
 // *where* the cycles and messages went, not just the end-of-run totals.
-// Protocol code opens a span around a phase:
+// Every Proc::mark_phase is itself a span: the network begins it at the
+// mark and ends it at the next mark or at the end of the run, so a phase
+// has one source for its PhaseStats row and its span. Protocol code opens
+// an obs::Span around a sub-protocol inside a phase:
 //
 //   {
-//     obs::Span sp(self, "filter");
-//     ... the filtering round ...
+//     obs::Span sp(self, "partial-sums");
+//     ... the collective ...
 //   }  // span closes here
 //
 // Spans nest (RAII inside one coroutine guarantees well-formed nesting),
@@ -19,9 +22,10 @@
 //
 // The Recorder buffers at most `capacity` records (drops beyond it, counted
 // in dropped()) and aggregates them into per-name summaries; reconcile()
-// cross-checks the records against the flat PhaseStats accounting that
-// Network::mark_phase produces — the two systems are independent paths over
-// the same counters, so any disagreement is a telemetry bug.
+// cross-checks the records against the run's PhaseStats. A phase's span
+// ends on whatever record is open at the next mark, so a sub-span left
+// open across a phase mark shows up there as an ill-formed stream or a
+// phase whose span totals disagree with its PhaseStats row.
 #pragma once
 
 #include <cstddef>

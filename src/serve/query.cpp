@@ -1,12 +1,12 @@
 #include "serve/query.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <iterator>
 #include <limits>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/workload.hpp"
 
@@ -29,13 +29,7 @@ std::size_t quantile_rank(std::size_t n, double fraction) {
   MCB_REQUIRE(n > 0, "quantile_rank over an empty set");
   MCB_REQUIRE(fraction >= 0.0 && fraction <= 1.0,
               "fraction " << fraction << " outside [0, 1]");
-  // Nearest-rank with the ceil convention of obs::Histogram::quantile:
-  // rank ceil(n * fraction), floored at 1 (fraction 0 still names an
-  // element), capped at n (fp round-up on fraction 1).
-  auto d = static_cast<std::size_t>(
-      std::ceil(fraction * static_cast<double>(n)));
-  if (d == 0) d = 1;
-  return std::min(d, n);
+  return obs::nearest_rank(n, fraction);
 }
 
 std::vector<ClassSpec> parse_classes(const std::string& spec) {

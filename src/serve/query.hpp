@@ -21,11 +21,11 @@
 namespace mcb::serve {
 
 /// Nearest-rank rank for the top `fraction` of `n` elements:
-/// max(1, ceil(n * fraction)), clamped to n. The same convention as
-/// obs::Histogram::quantile (ceil(q * count), floored at rank 1), so a
-/// "p99" rank query and the p99 of a latency histogram mean the same
-/// element. Callers that truncate instead (size_t(n * f)) are off by one
-/// whenever n * f is not integral — the bug examples/topk_query.cpp had.
+/// obs::nearest_rank(n, fraction), the rule obs::Histogram::quantile uses
+/// too, so a "p99" rank query and the p99 of a latency histogram mean the
+/// same element. Callers that truncate instead (size_t(n * f)) are off by
+/// one whenever n * f is not integral — the bug examples/topk_query.cpp
+/// had.
 std::size_t quantile_rank(std::size_t n, double fraction);
 
 /// The three operation kinds a serving class can issue.

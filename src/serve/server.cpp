@@ -24,6 +24,23 @@ const char* kind_name(OpKind k) {
   return "?";
 }
 
+/// Queries answered over the session: every operation but churn.
+double answered(const ServeReport& rep) {
+  return static_cast<double>(rep.queries.size() - rep.churn_ops);
+}
+
+double cycles_per_query(const ServeReport& rep) {
+  return answered(rep) == 0.0
+             ? 0.0
+             : static_cast<double>(rep.total_cycles) / answered(rep);
+}
+
+double queries_per_kcycle(const ServeReport& rep) {
+  return rep.total_cycles == 0
+             ? 0.0
+             : 1000.0 * answered(rep) / static_cast<double>(rep.total_cycles);
+}
+
 }  // namespace
 
 ServeReport run_server(const ServeConfig& cfg) {
@@ -46,6 +63,7 @@ ServeReport run_server(const ServeConfig& cfg) {
 
   ServeReport rep;
   rep.cfg = c;
+  rep.classes.resize(c.classes.size());
 
   struct Pending {
     std::size_t index;
@@ -70,8 +88,6 @@ ServeReport run_server(const ServeConfig& cfg) {
     rep.frame_allocs += res.stats.frame_allocs;
     rep.frame_reuses += res.stats.frame_reuses;
     rep.batch_wall_ns.push_back(res.stats.sim_wall_ns);
-    rep.metrics.observe("serve.batch_size",
-                        static_cast<double>(pending.size()));
     for (std::size_t i = 0; i < pending.size(); ++i) {
       const Pending& pq = pending[i];
       QueryRecord r;
@@ -88,8 +104,7 @@ ServeReport run_server(const ServeConfig& cfg) {
                                             << ": got " << r.value
                                             << ", ground truth " << want);
       }
-      rep.metrics.observe(
-          "class." + c.classes[pq.cls].name + ".latency_cycles",
+      rep.classes[pq.cls].latency_cycles.record(
           static_cast<double>(res.stats.cycles));
       rep.queries.push_back(r);
     }
@@ -98,7 +113,7 @@ ServeReport run_server(const ServeConfig& cfg) {
 
   for (std::size_t qi = 0; qi < c.queries; ++qi) {
     const Query q = stream.next();
-    rep.metrics.add("class." + c.classes[q.cls].name + ".ops", 1);
+    ++rep.classes[q.cls].ops;
     if (q.kind == OpKind::kChurn) {
       // Churn is a barrier: answer everything admitted before it first, so
       // every batch runs against one consistent dataset snapshot.
@@ -126,26 +141,6 @@ ServeReport run_server(const ServeConfig& cfg) {
     if (pending.size() >= c.batch) flush();
   }
   flush();
-
-  std::size_t answered = 0;
-  for (const auto& r : rep.queries) {
-    if (r.kind != OpKind::kChurn) ++answered;
-  }
-  rep.metrics.add("serve.queries", c.queries);
-  rep.metrics.add("serve.answered", answered);
-  rep.metrics.add("serve.batches", rep.batches);
-  rep.metrics.add("serve.churn_ops", rep.churn_ops);
-  rep.metrics.add("serve.total_cycles", rep.total_cycles);
-  rep.metrics.add("serve.total_messages", rep.total_messages);
-  rep.metrics.set("serve.cycles_per_query",
-                  answered == 0 ? 0.0
-                                : static_cast<double>(rep.total_cycles) /
-                                      static_cast<double>(answered));
-  rep.metrics.set("serve.queries_per_kcycle",
-                  rep.total_cycles == 0
-                      ? 0.0
-                      : 1000.0 * static_cast<double>(answered) /
-                            static_cast<double>(rep.total_cycles));
   return rep;
 }
 
@@ -169,29 +164,17 @@ std::string ServeReport::json() const {
      << ",\"churn_ops\":" << churn_ops
      << ",\"filter_phases\":" << filter_phases;
 
-  const auto* cpq = "serve.cycles_per_query";
-  const auto* qpk = "serve.queries_per_kcycle";
-  os << ",\"cycles_per_query\":"
-     << util::json_double(metrics.gauges().count(cpq) != 0
-                              ? metrics.gauges().at(cpq)
-                              : 0.0)
+  os << ",\"cycles_per_query\":" << util::json_double(cycles_per_query(*this))
      << ",\"queries_per_kcycle\":"
-     << util::json_double(metrics.gauges().count(qpk) != 0
-                              ? metrics.gauges().at(qpk)
-                              : 0.0);
+     << util::json_double(queries_per_kcycle(*this));
 
   os << ",\"classes\":[";
-  bool first = true;
   for (std::size_t i = 0; i < cfg.classes.size(); ++i) {
-    const auto& cl = cfg.classes[i];
-    if (!first) os << ',';
-    first = false;
-    os << "{\"name\":\"" << util::json_escape(cl.name)
-       << "\",\"ops\":" << metrics.counter("class." + cl.name + ".ops");
-    const auto& hists = metrics.histograms();
-    const auto it = hists.find("class." + cl.name + ".latency_cycles");
-    if (it != hists.end()) {
-      const auto& h = it->second;
+    if (i) os << ',';
+    os << "{\"name\":\"" << util::json_escape(cfg.classes[i].name)
+       << "\",\"ops\":" << classes[i].ops;
+    const auto& h = classes[i].latency_cycles;
+    if (h.count() != 0) {
       os << ",\"latency_cycles\":{\"count\":" << h.count()
          << ",\"p50\":" << util::json_double(h.p50())
          << ",\"p95\":" << util::json_double(h.p95())
@@ -231,13 +214,10 @@ std::string ServeReport::markdown() const {
      << "- churn ops (barriers):     " << churn_ops << "\n\n";
   os << "| class | ops | answered | p50 | p95 | p99 | max cycles |\n"
      << "|---|---|---|---|---|---|---|\n";
-  for (const auto& cl : cfg.classes) {
-    const auto ops = metrics.counter("class." + cl.name + ".ops");
-    const auto& hists = metrics.histograms();
-    const auto it = hists.find("class." + cl.name + ".latency_cycles");
-    os << "| " << cl.name << " | " << ops << " | ";
-    if (it != hists.end()) {
-      const auto& h = it->second;
+  for (std::size_t i = 0; i < cfg.classes.size(); ++i) {
+    const auto& h = classes[i].latency_cycles;
+    os << "| " << cfg.classes[i].name << " | " << classes[i].ops << " | ";
+    if (h.count() != 0) {
       os << h.count() << " | " << util::json_double(h.p50()) << " | "
          << util::json_double(h.p95()) << " | " << util::json_double(h.p99())
          << " | " << util::json_double(h.max());
@@ -246,17 +226,9 @@ std::string ServeReport::markdown() const {
     }
     os << " |\n";
   }
-  const auto* cpq = "serve.cycles_per_query";
-  const auto* qpk = "serve.queries_per_kcycle";
-  os << "\n- cycles/query:      "
-     << util::json_double(metrics.gauges().count(cpq) != 0
-                              ? metrics.gauges().at(cpq)
-                              : 0.0)
+  os << "\n- cycles/query:      " << util::json_double(cycles_per_query(*this))
      << "\n- queries/kcycle:    "
-     << util::json_double(metrics.gauges().count(qpk) != 0
-                              ? metrics.gauges().at(qpk)
-                              : 0.0)
-     << '\n';
+     << util::json_double(queries_per_kcycle(*this)) << '\n';
   return os.str();
 }
 

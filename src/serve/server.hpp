@@ -18,8 +18,8 @@
 //
 // Latency accounting: a query's simulated-cycle latency is the cycles of
 // the batch run that answered it — every member of a batch waits for the
-// whole run, exactly like requests coalesced behind one scan. Per-class
-// obs::Histograms aggregate p50/p95/p99; throughput is queries per 1000
+// whole run, exactly like requests coalesced behind one scan. A per-class
+// obs::Histogram aggregates p50/p95/p99; throughput is queries per 1000
 // simulated cycles. The report carries only model-level quantities
 // (cycles, messages, values, phases), so it is byte-identical across
 // engines for a fixed seed — `tools/ci.sh` cmp's it.
@@ -76,9 +76,14 @@ struct ServeReport {
   std::uint64_t total_messages = 0;
   std::size_t churn_ops = 0;
   std::size_t filter_phases = 0;      ///< summed over batch runs
-  /// Per-class latency histograms plus serving counters; also carries
-  /// "serve.cycles_per_query" and "serve.queries_per_kcycle" gauges.
-  obs::Metrics metrics;
+  /// One class's share of the stream.
+  struct ClassStats {
+    std::uint64_t ops = 0;          ///< operations drawn for the class
+    obs::Histogram latency_cycles;  ///< one sample per answered query
+  };
+  /// Parallel to cfg.classes. cycles/query and queries/kcycle are derived
+  /// from total_cycles and the answered counts where they are rendered.
+  std::vector<ClassStats> classes;
 
   /// Host telemetry (excluded from json() and markdown(); host_json()
   /// renders it). Steady-state reuse evidence: frame allocs/reuses summed

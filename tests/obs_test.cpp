@@ -1,10 +1,10 @@
 // Tests of the run-telemetry layer (src/obs): span recording and
 // reconciliation against PhaseStats, the bounded-memory channel timeline,
-// the metrics registry, the Chrome trace-event exporter and the report
-// sparkline. The span/phase reconciliation tests are the load-bearing ones:
-// spans and PhaseStats are two independent accounting paths over the same
-// engine counters, so exact agreement across the whole algorithm x engine
-// grid pins both.
+// the histogram and its nearest-rank rule, the Chrome trace-event exporter
+// and the report sparkline. The span/phase reconciliation tests are the
+// load-bearing ones: every phase mark is a span, protocol code nests its
+// sub-protocol spans inside them, and exact agreement across the whole
+// algorithm x engine grid pins that nesting on both engines.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +14,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -258,7 +259,7 @@ TEST(TimelineTest, CountsMultiReads) {
   EXPECT_EQ(tl.writes_per_channel()[1], 1u);
 }
 
-// --- metrics -----------------------------------------------------------------
+// --- histogram ---------------------------------------------------------------
 
 TEST(MetricsTest, HistogramQuantilesAreExactNearestRank) {
   Histogram h;
@@ -293,22 +294,35 @@ TEST(MetricsTest, HistogramSortsOnceAcrossQuantileCalls) {
   EXPECT_EQ(h.sort_passes(), 2u);
 }
 
+TEST(MetricsTest, NearestRankIsCeilFlooredAtOneCappedAtN) {
+  EXPECT_EQ(nearest_rank(5, 0.5), 3u);    // ceil(2.5)
+  EXPECT_EQ(nearest_rank(5, 0.95), 5u);   // ceil(4.75)
+  EXPECT_EQ(nearest_rank(5, 0.0), 1u);    // floored at rank 1
+  EXPECT_EQ(nearest_rank(5, 1.0), 5u);
+  EXPECT_EQ(nearest_rank(1000, 0.001), 1u);
+  EXPECT_EQ(nearest_rank(1001, 0.5), 501u);
+}
+
 TEST(MetricsTest, NonFiniteValuesSerializeAsZeroAndRoundTrip) {
-  // NaN/Inf have no JSON literal; the old formatter streamed them raw and
-  // produced documents a strict parser rejects. util::json_double pins
-  // them to 0.
-  Metrics m;
-  m.set("nan_gauge", std::nan(""));
-  m.set("inf_gauge", std::numeric_limits<double>::infinity());
-  m.set("finite_gauge", 2.5);
-  m.observe("h", -std::numeric_limits<double>::infinity());
-  m.observe("h", 3.0);
-  const auto doc = util::json_parse(m.json());
-  EXPECT_DOUBLE_EQ(doc.at("gauges").at("nan_gauge").as_number(), 0.0);
-  EXPECT_DOUBLE_EQ(doc.at("gauges").at("inf_gauge").as_number(), 0.0);
-  EXPECT_DOUBLE_EQ(doc.at("gauges").at("finite_gauge").as_number(), 2.5);
-  EXPECT_DOUBLE_EQ(doc.at("histograms").at("h").at("p50").as_number(), 0.0);
-  EXPECT_DOUBLE_EQ(doc.at("histograms").at("h").at("max").as_number(), 3.0);
+  // NaN/Inf have no JSON literal; a raw stream of them produces documents a
+  // strict parser rejects. util::json_double pins them to 0, and every
+  // histogram quantile a document carries is rendered through it.
+  Histogram h;
+  h.record(-std::numeric_limits<double>::infinity());
+  h.record(3.0);
+  std::ostringstream os;
+  os << "{\"nan\": " << util::json_double(std::nan(""))
+     << ", \"inf\": "
+     << util::json_double(std::numeric_limits<double>::infinity())
+     << ", \"finite\": " << util::json_double(2.5)
+     << ", \"p50\": " << util::json_double(h.p50())
+     << ", \"max\": " << util::json_double(h.max()) << '}';
+  const auto doc = util::json_parse(os.str());
+  EXPECT_DOUBLE_EQ(doc.at("nan").as_number(), 0.0);
+  EXPECT_DOUBLE_EQ(doc.at("inf").as_number(), 0.0);
+  EXPECT_DOUBLE_EQ(doc.at("finite").as_number(), 2.5);
+  EXPECT_DOUBLE_EQ(doc.at("p50").as_number(), 0.0);
+  EXPECT_DOUBLE_EQ(doc.at("max").as_number(), 3.0);
 }
 
 TEST(MetricsTest, HostStatsJsonGuardsNonFiniteDoubles) {
@@ -325,39 +339,6 @@ TEST(MetricsTest, HostStatsJsonGuardsNonFiniteDoubles) {
   EXPECT_DOUBLE_EQ(doc.at("cycles_per_sec").as_number(), 0.0);
   EXPECT_DOUBLE_EQ(doc.at("arena_hit_rate").as_number(), 0.0);
   ASSERT_NE(doc.find("frame_reuses"), nullptr);
-}
-
-TEST(MetricsTest, RegistryAccumulatesAndRendersDeterministically) {
-  Metrics m;
-  m.add("a.count", 2);
-  m.add("a.count", 3);
-  m.set("g", 1.5);
-  m.observe("h", 1.0);
-  m.observe("h", 9.0);
-  EXPECT_EQ(m.counter("a.count"), 5u);
-  EXPECT_EQ(m.counter("missing"), 0u);
-  const auto text = m.render();
-  EXPECT_NE(text.find("a.count"), std::string::npos);
-  // json() must survive the strict parser and carry the histogram stats.
-  const auto doc = util::json_parse(m.json());
-  EXPECT_DOUBLE_EQ(doc.at("counters").at("a.count").as_number(), 5.0);
-  EXPECT_DOUBLE_EQ(doc.at("histograms").at("h").at("p95").as_number(), 9.0);
-}
-
-TEST(MetricsTest, CollectFoldsRunAndCollectors) {
-  auto w = util::make_workload(256, 8, util::Shape::kEven, 17);
-  Instrumented run(2);
-  run_instrumented(run, {.p = 8, .k = 2}, w.inputs, SortAlgorithm::kAuto);
-  const Metrics m = collect_metrics(run.stats, &run.recorder, &run.timeline);
-  EXPECT_EQ(m.counter("run.messages"), run.stats.messages);
-  EXPECT_EQ(m.counter("run.cycles"), run.stats.cycles);
-  EXPECT_EQ(m.counter("channel.C1.writes") + m.counter("channel.C2.writes"),
-            run.stats.messages);
-  EXPECT_GT(m.counter("spans.recorded"), 0u);
-  // Null collectors are fine: only the run.* metrics appear.
-  const Metrics bare = collect_metrics(run.stats, nullptr, nullptr);
-  EXPECT_EQ(bare.counter("run.messages"), run.stats.messages);
-  EXPECT_EQ(bare.counter("spans.recorded"), 0u);
 }
 
 // --- exporter ----------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include "algo/common.hpp"
 #include "algo/multi_select.hpp"
 #include "algo/selection.hpp"
+#include "obs/span.hpp"
 #include "util/random.hpp"
 #include "util/workload.hpp"
 
@@ -150,6 +151,29 @@ TEST(SelectionTest, InvalidArgumentsRejected) {
                std::invalid_argument);
 }
 
+/// One duplicate-key case: 8 processors holding 1-12 keys each from 0..9,
+/// and three ranks to ask for (two random, then the median).
+struct DuplicateKeyCase {
+  std::vector<std::vector<Word>> inputs;
+  std::vector<Word> all;
+  std::vector<std::size_t> ds;
+};
+
+DuplicateKeyCase duplicate_key_case(std::uint64_t seed) {
+  util::Xoshiro256StarStar rng(seed);
+  DuplicateKeyCase c;
+  c.inputs.resize(8);
+  for (auto& in : c.inputs) {
+    in.resize(static_cast<std::size_t>(rng.uniform(1, 12)));
+    for (Word& w : in) w = rng.uniform(0, 9);
+    c.all.insert(c.all.end(), in.begin(), in.end());
+  }
+  const auto n = static_cast<std::int64_t>(c.all.size());
+  c.ds = {static_cast<std::size_t>(rng.uniform(1, n)),
+          static_cast<std::size_t>(rng.uniform(1, n)), (c.all.size() + 1) / 2};
+  return c;
+}
+
 // Duplicate keys break the distinct-values precondition. Selection and
 // select_ranks must then either still answer right or stop with
 // std::invalid_argument naming that precondition — never a wrong value and
@@ -157,21 +181,12 @@ TEST(SelectionTest, InvalidArgumentsRejected) {
 TEST(SelectionTest, DuplicateKeysAnswerRightOrNameThePrecondition) {
   std::size_t answered = 0, rejected = 0;
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
-    util::Xoshiro256StarStar rng(seed);
-    std::vector<std::vector<Word>> inputs(8);
-    std::vector<Word> all;
-    for (auto& in : inputs) {
-      in.resize(static_cast<std::size_t>(rng.uniform(1, 12)));
-      for (Word& w : in) w = rng.uniform(0, 9);
-      all.insert(all.end(), in.begin(), in.end());
-    }
-    const auto n = static_cast<std::int64_t>(all.size());
-    const std::vector<std::size_t> ds{
-        static_cast<std::size_t>(rng.uniform(1, n)),
-        static_cast<std::size_t>(rng.uniform(1, n)), (all.size() + 1) / 2};
+    const auto c = duplicate_key_case(seed);
+    const auto& inputs = c.inputs;
+    const auto& ds = c.ds;
     std::vector<Word> expect;
     for (std::size_t d : ds) {
-      std::vector<Word> v = all;
+      std::vector<Word> v = c.all;
       std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(d - 1),
                        v.end(), std::greater<Word>{});
       expect.push_back(v[d - 1]);
@@ -202,6 +217,33 @@ TEST(SelectionTest, DuplicateKeysAnswerRightOrNameThePrecondition) {
   // Both outcomes occur over the grid, so each branch is exercised.
   EXPECT_GT(answered, 0u);
   EXPECT_GT(rejected, 0u);
+}
+
+// A run that stops on the precondition leaves its programs suspended inside
+// the "filter" phase and its sub-protocol spans. Destroying the network
+// must close those spans, then the phase span they nest in, while the
+// network's counters are still alive: the recorder's stream is balanced
+// once the network is gone.
+TEST(SelectionTest, StoppedRunLeavesWellFormedSpansOnceNetworkIsGone) {
+  std::size_t stopped = 0;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    const auto c = duplicate_key_case(seed);
+    obs::Recorder rec;
+    SimConfig cfg{.p = 8, .k = 2};
+    cfg.span_sink = &rec;
+    try {
+      select_rank(cfg, c.inputs, c.ds[0]);
+      continue;
+    } catch (const std::invalid_argument& e) {
+      ASSERT_NE(std::string(e.what()).find(kDistinctValues),
+                std::string::npos)
+          << e.what();
+    }
+    ++stopped;
+    EXPECT_TRUE(rec.well_formed()) << "seed " << seed;
+    EXPECT_FALSE(rec.records().empty()) << "seed " << seed;
+  }
+  EXPECT_GT(stopped, 0u);
 }
 
 // Host memory guard: the coroutine frames a selection holds at its peak,

@@ -45,7 +45,6 @@
 #include "harness/sweep.hpp"
 #include "mcb/mcb.hpp"
 #include "obs/export.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "obs/timeline.hpp"
@@ -143,10 +142,9 @@ ObsOptions parse_obs(const util::Cli& cli) {
   return o;
 }
 
-/// The "obs" member of the run JSON: span summaries, the bucketed timeline
-/// and the metrics registry. All fields are deterministic.
-void print_obs_json(std::ostream& os, const RunStats& stats,
-                    const obs::Recorder& recorder,
+/// The "obs" member of the run JSON: span summaries (phases included) and
+/// the bucketed timeline. All fields are deterministic.
+void print_obs_json(std::ostream& os, const obs::Recorder& recorder,
                     const obs::Timeline& timeline) {
   os << "\"obs\":{\"spans\":[";
   const auto sums = recorder.summarize();
@@ -177,12 +175,12 @@ void print_obs_json(std::ostream& os, const RunStats& stats,
     }
     os << "]}";
   }
-  os << "]},\"metrics\":"
-     << obs::collect_metrics(stats, &recorder, &timeline).json() << '}';
+  os << "]}}";
 }
 
-void print_obs_text(std::ostream& os, const RunStats& stats,
-                    const obs::Recorder& recorder,
+/// --obs in text: the span table, then the timeline's totals and
+/// per-channel writes.
+void print_obs_text(std::ostream& os, const obs::Recorder& recorder,
                     const obs::Timeline& timeline) {
   const auto sums = recorder.summarize();
   if (!sums.empty()) {
@@ -194,7 +192,22 @@ void print_obs_text(std::ostream& os, const RunStats& stats,
     }
     os << t;
   }
-  os << obs::collect_metrics(stats, &recorder, &timeline).render();
+  util::Table t;
+  t.header({"timeline", "value"});
+  t.row({util::Table::txt("busy cycles"),
+         util::Table::num(timeline.busy_cycles())});
+  t.row({util::Table::txt("idle cycles"),
+         util::Table::num(timeline.idle_cycles())});
+  t.row({util::Table::txt("reads"), util::Table::num(timeline.total_reads())});
+  t.row({util::Table::txt("silent reads"),
+         util::Table::num(timeline.total_silent_reads())});
+  const auto& per_channel = timeline.writes_per_channel();
+  for (std::size_t c = 0; c < per_channel.size(); ++c) {
+    std::string name = "C";
+    name.append(std::to_string(c + 1)).append(" writes");
+    t.row({util::Table::txt(name), util::Table::num(per_channel[c])});
+  }
+  os << t;
 }
 
 std::vector<std::size_t> input_sizes(
@@ -287,7 +300,7 @@ class RunObservers {
     os << ",\"stats\":" << obs::run_stats_json(stats);
     if (opts_.on) {
       os << ',';
-      print_obs_json(os, stats, recorder_, *timeline_);
+      print_obs_json(os, recorder_, *timeline_);
     }
     if (checker_) os << ",\"conformance\":" << checker_->report().json();
     if (profile_) os << ",\"host\":" << obs::host_stats_json(stats);
@@ -300,7 +313,7 @@ class RunObservers {
     const auto problems = finish(stats);
     std::ostream& os = std::cout;
     head(os);
-    if (opts_.on) print_obs_text(os, stats, recorder_, *timeline_);
+    if (opts_.on) print_obs_text(os, recorder_, *timeline_);
     if (checker_) os << checker_->report().summary();
     if (profile_) print_host_text(os, obs::host_stats_json(stats));
     return exit_code(problems);
@@ -481,14 +494,14 @@ int cmd_serve(const util::Cli& cli) {
     std::ostringstream os;
     if (obs_opts.on) {
       os << ',';
-      print_obs_json(os, agg, recorder, *timeline);
+      print_obs_json(os, recorder, *timeline);
     }
     if (profile) os << ",\"host\":" << rep.host_json();
     doc.insert(doc.size() - 1, os.str());
     std::cout << doc << '\n';
   } else {
     std::cout << rep.markdown();
-    if (obs_opts.on) print_obs_text(std::cout, agg, recorder, *timeline);
+    if (obs_opts.on) print_obs_text(std::cout, recorder, *timeline);
     if (profile) print_host_text(std::cout, rep.host_json());
   }
   return 0;
