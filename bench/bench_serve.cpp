@@ -112,8 +112,7 @@ std::string json_run_row(const GridPoint& pt, const Mode& mode,
      << ", \"total_messages\": " << r.rep.total_messages
      << ", \"filter_phases\": " << r.rep.filter_phases
      << ", \"cycles_per_query\": " << util::json_double(r.cycles_per_query)
-     << ", \"frame_allocs\": " << r.rep.frame_allocs
-     << ", \"frame_reuses\": " << r.rep.frame_reuses << "}";
+     << ", \"frame_allocs\": " << r.rep.frame_allocs << "}";
   return os.str();
 }
 

@@ -21,8 +21,8 @@
 // rep and both engines agree on cycles and messages.
 //
 // Output: a per-grid-point table (median wall ns, setup and total ms,
-// resumes, cycles/sec, arena telemetry, speedups) and a machine-readable BENCH_simspeed.json
-// (path overridable as argv[1]) so future PRs can track the
+// resumes, cycles/sec, frame bytes per processor, speedups) and a
+// machine-readable BENCH_simspeed.json (path overridable as argv[1]) so future PRs can track the
 // simulator-performance trajectory. Field names of earlier revisions are
 // preserved; medians slot into the old single-run fields. Each run row also
 // carries ns_per_proc_cycle = sim_wall_ns / (p * cycles), the
@@ -33,10 +33,10 @@
 // Three gates, each failing the binary when enforced:
 //   * event_vs_reference — the event engine must beat the reference loop
 //     >= 5x on the skip-heavy selection p=4096 k=4 point (since PR 1).
-//   * arena_vs_pr2 — with the frame arena on, the same point's event
-//     wall-clock must beat the PR-2 recorded baseline >= 1.3x and the
-//     arena hit rate must exceed 0.9 in steady state. Not enforced in
-//     MCB_FRAME_ARENA=OFF builds (tools/ci.sh warns on unenforced gates).
+//   * frames_vs_baseline — the same point's event wall-clock must beat the
+//     recorded baseline below >= 1.3x, and its run must allocate at most p + 0
+//     coroutine frames: each processor's program, with every sub-protocol
+//     a step awaiter inside it.
 //   * setup_linear — setup must scale linearly in p: on the event
 //     selection rows, setup_ns / p at p=65536 must stay within 2x of its
 //     value at p=4096. An O(p^2) install measured 11x there, so host noise
@@ -71,11 +71,12 @@ namespace {
 constexpr std::size_t kReps = 5;
 
 // Event-engine wall clock of selection p=4096 k=4 recorded in
-// BENCH_simspeed.json by PR 2 (commit 59e879e), before the frame arena and
-// the wake wheel. The arena gate measures against this fixed point.
+// BENCH_simspeed.json at commit 59e879e, before the wake wheel. The
+// frames_vs_baseline gate measures against this fixed point.
 constexpr std::uint64_t kPr2EventWallNs = 206128073;
-constexpr double kArenaRequiredSpeedup = 1.3;
-constexpr double kArenaRequiredHitRate = 0.9;
+constexpr double kFramesRequiredSpeedup = 1.3;
+// Frames a selection run may allocate beyond its p programs.
+constexpr std::uint64_t kFrameSlack = 0;
 
 // setup_linear: setup_ns / p at the large point over the small one.
 constexpr std::size_t kSetupSmallP = 4096;
@@ -220,6 +221,20 @@ double ns_per_proc_cycle(const GridPoint& pt, const RunStats& s) {
   return work == 0.0 ? 0.0 : static_cast<double>(s.sim_wall_ns) / work;
 }
 
+/// Coroutine frame bytes per processor: one program frame when every
+/// sub-protocol is a step awaiter.
+double frame_bytes_per_proc(const GridPoint& pt, const RunStats& s) {
+  return static_cast<double>(s.frame_bytes) / static_cast<double>(pt.p);
+}
+
+/// The headline's event median against the recorded baseline wall clock.
+double baseline_speedup(const Row& headline) {
+  return headline.event.median.sim_wall_ns == 0
+             ? 0.0
+             : static_cast<double>(kPr2EventWallNs) /
+                   static_cast<double>(headline.event.median.sim_wall_ns);
+}
+
 /// setup_ns per processor at a grid point: the setup_linear gate's unit.
 double setup_ns_per_proc(const Row& r) {
   return static_cast<double>(r.event.setup_ns.median) /
@@ -249,9 +264,7 @@ std::string json_run_row(const GridPoint& pt, const EngineResult& er,
      << ", \"proc_resumes\": " << s.proc_resumes
      << ", \"cycles_per_sec\": " << s.cycles_per_sec
      << ", \"frame_allocs\": " << s.frame_allocs
-     << ", \"frame_frees\": " << s.frame_frees
-     << ", \"arena_bytes_peak\": " << s.arena_bytes_peak
-     << ", \"arena_hit_rate\": " << s.arena_hit_rate
+     << ", \"frame_bytes_per_proc\": " << frame_bytes_per_proc(pt, s)
      << ", \"setup_ns\": " << json_spread(er.setup_ns)
      << ", \"run_ns\": " << json_spread(er.run_ns)
      << ", \"verify_ns\": " << json_spread(er.verify_ns)
@@ -267,15 +280,10 @@ std::string json_run_row(const GridPoint& pt, const EngineResult& er,
 void write_json(const std::vector<Row>& rows, const Row& headline,
                 const Row& setup_large, const BigRow& huge,
                 const std::string& path) {
-  const bool arena_on = MCB_FRAME_ARENA_ENABLED != 0;
-  const double arena_speedup =
-      headline.event.median.sim_wall_ns == 0
-          ? 0.0
-          : static_cast<double>(kPr2EventWallNs) /
-                static_cast<double>(headline.event.median.sim_wall_ns);
-  const double hit_rate = headline.event.median.arena_hit_rate;
-  const bool arena_passed = arena_speedup >= kArenaRequiredSpeedup &&
-                            hit_rate > kArenaRequiredHitRate;
+  const double frames_speedup = baseline_speedup(headline);
+  const std::uint64_t frame_allocs = headline.event.median.frame_allocs;
+  const bool frames_passed = frames_speedup >= kFramesRequiredSpeedup &&
+                             frame_allocs <= headline.pt.p + kFrameSlack;
   const bool ref_passed = headline.speedup() >= 5.0;
   const double setup_ratio =
       setup_ns_per_proc(setup_large) / setup_ns_per_proc(headline);
@@ -327,16 +335,16 @@ void write_json(const std::vector<Row>& rows, const Row& headline,
          "\"p\": 4096, \"k\": 4, \"required_speedup\": 5.0, \"measured\": "
       << headline.speedup() << ", \"enforced\": true, \"passed\": "
       << (ref_passed ? "true" : "false") << "},\n"
-      << "    {\"name\": \"arena_vs_pr2\", \"bench\": \"selection\", "
+      << "    {\"name\": \"frames_vs_baseline\", \"bench\": \"selection\", "
          "\"p\": 4096, \"k\": 4, \"baseline_event_wall_ns\": "
       << kPr2EventWallNs
       << ", \"median_event_wall_ns\": " << headline.event.median.sim_wall_ns
-      << ", \"required_speedup\": " << kArenaRequiredSpeedup
-      << ", \"measured\": " << arena_speedup
-      << ", \"required_hit_rate\": " << kArenaRequiredHitRate
-      << ", \"arena_hit_rate\": " << hit_rate
-      << ", \"enforced\": " << (arena_on ? "true" : "false")
-      << ", \"passed\": " << (arena_passed ? "true" : "false") << "},\n"
+      << ", \"required_speedup\": " << kFramesRequiredSpeedup
+      << ", \"measured\": " << frames_speedup
+      << ", \"max_frame_allocs\": " << headline.pt.p + kFrameSlack
+      << ", \"frame_allocs\": " << frame_allocs
+      << ", \"enforced\": true, \"passed\": "
+      << (frames_passed ? "true" : "false") << "},\n"
       << "    {\"name\": \"setup_linear\", \"bench\": \"selection\", "
          "\"k\": 4, \"small_p\": "
       << kSetupSmallP << ", \"large_p\": " << kSetupLargeP
@@ -396,7 +404,7 @@ int main(int argc, char** argv) {
   util::Table t;
   t.header({"bench", "p", "k", "n", "cycles", "ref wall ms", "event wall ms",
             "event setup ms", "event total ms", "event resumes",
-            "event cyc/s", "hit rate", "ref/event"});
+            "event cyc/s", "frame B/proc", "ref/event"});
   for (const auto& pt : grid) {
     Row r;
     r.pt = pt;
@@ -426,7 +434,7 @@ int main(int argc, char** argv) {
                static_cast<double>(r.event.total_ns.median) / 1e6, 2),
            util::Table::num(r.event.median.proc_resumes),
            util::Table::num(r.event.median.cycles_per_sec, 0),
-           util::Table::num(r.event.median.arena_hit_rate, 3),
+           util::Table::num(frame_bytes_per_proc(pt, r.event.median), 0),
            pt.skip_reference ? util::Table::txt("-")
                              : util::Table::num(r.speedup(), 2)});
     rows.push_back(std::move(r));
@@ -434,8 +442,8 @@ int main(int argc, char** argv) {
   std::cout << t;
 
   // The k=4 selection rows carry the gates: p=4096 is the
-  // event_vs_reference and arena headline and setup_linear's small point;
-  // p=65536 is setup_linear's large point and the big-row budget key.
+  // event_vs_reference and frames_vs_baseline headline and setup_linear's small
+  // point; p=65536 is setup_linear's large point and the big-row budget key.
   const Row* headline = nullptr;
   const Row* big = nullptr;
   for (const auto& r : rows) {
@@ -503,24 +511,18 @@ int main(int argc, char** argv) {
     rc = 1;
   }
 
-  // Gate 2 (since PR 3): the frame arena + wake wheel must beat the PR-2
-  // recorded event wall clock >= 1.3x with a > 0.9 steady-state hit rate.
-  const double arena_speedup =
-      static_cast<double>(kPr2EventWallNs) /
-      static_cast<double>(headline->event.median.sim_wall_ns);
-  std::cout << "selection p=4096 k=4 vs PR-2 baseline: " << arena_speedup
-            << "x (gate >= " << kArenaRequiredSpeedup
-            << "), arena hit rate " << headline->event.median.arena_hit_rate
-            << " (gate > " << kArenaRequiredHitRate << ")"
-            << (MCB_FRAME_ARENA_ENABLED ? "" : " [NOT ENFORCED: arena off]")
-            << "\n";
-  if (MCB_FRAME_ARENA_ENABLED &&
-      (arena_speedup < kArenaRequiredSpeedup ||
-       headline->event.median.arena_hit_rate <= kArenaRequiredHitRate)) {
-    std::cerr << "BENCH FAILURE: arena gate missed on selection p=4096 k=4 "
-                 "(speedup "
-              << arena_speedup << "x, hit rate "
-              << headline->event.median.arena_hit_rate << ")\n";
+  // Gate 2: the event engine must beat the recorded baseline wall clock
+  // >= 1.3x, and the run must allocate no frame beyond its p programs.
+  const double frames_speedup = baseline_speedup(*headline);
+  const std::uint64_t frame_allocs = headline->event.median.frame_allocs;
+  const std::uint64_t max_frames = headline->pt.p + kFrameSlack;
+  std::cout << "selection p=4096 k=4 vs recorded baseline: " << frames_speedup
+            << "x (gate >= " << kFramesRequiredSpeedup << "), frame allocs "
+            << frame_allocs << " (gate <= " << max_frames << ")\n";
+  if (frames_speedup < kFramesRequiredSpeedup || frame_allocs > max_frames) {
+    std::cerr << "BENCH FAILURE: frames_vs_baseline gate missed on selection "
+                 "p=4096 k=4 (speedup "
+              << frames_speedup << "x, " << frame_allocs << " frames)\n";
     rc = 1;
   }
 

@@ -1,5 +1,6 @@
 #include "algo/baselines.hpp"
 
+#include <span>
 #include <utility>
 
 #include "algo/common.hpp"
@@ -11,6 +12,50 @@
 
 namespace mcb::algo {
 namespace {
+
+// Each side of a single-word stream over one channel, in slots every
+// processor knows in advance, is one Proc::window. Build the awaiter in its
+// own statement: `auto aw = write_window(...); co_await aw;`.
+
+/// Writes values[j] on channel `ch` in cycle lead + j, then sleeps `trail`
+/// more cycles.
+auto write_window(Proc& self, std::span<const Word> values, Cycle lead,
+                  ChannelId ch = 0, Cycle trail = 0) {
+  return self.window(lead, values.size(), trail, [values, ch](std::size_t j) {
+    return Beat{Message::of(values[j]), ch};
+  });
+}
+
+/// Reads channel `ch` in cycle lead + j into out[j], then sleeps `trail`
+/// more cycles.
+auto read_window(Proc& self, Cycle lead, std::span<Word> out,
+                 ChannelId ch = 0, Cycle trail = 0) {
+  return self.window(
+      lead, out.size(), trail,
+      [ch](std::size_t) { return Beat{{}, kNoChannel, ch}; },
+      [out](std::size_t j, const Proc::ReadResult& got) {
+        MCB_CHECK(got.has_value(), "stream slot " << j << " silent");
+        out[j] = got->at(0);
+      });
+}
+
+/// The collector's side of a channel-0 stream of pool.size() slots in
+/// which it owns slots [lo, lo + mine.size()): it writes its own values
+/// there, reads every other slot, and ends with slot t's value in pool[t].
+auto collect_window(Proc& self, std::span<const Word> mine, std::size_t lo,
+                    std::vector<Word>& pool) {
+  return self.window(
+      0, pool.size(), 0,
+      [mine, lo, &pool](std::size_t t) {
+        if (t < lo || t - lo >= mine.size()) return Beat{{}, kNoChannel, 0};
+        pool[t] = mine[t - lo];
+        return Beat{Message::of(pool[t]), 0};
+      },
+      [&pool](std::size_t t, const Proc::ReadResult& got) {
+        MCB_CHECK(got.has_value(), "stream slot " << t << " empty");
+        pool[t] = got->at(0);
+      });
+}
 
 /// P_1 broadcasts the sorted pool rank by rank on channel 0; every other
 /// processor keeps its segment, ranks [lo, hi) (counts are preserved by

@@ -2,30 +2,10 @@
 
 #include <algorithm>
 
-#include "obs/span.hpp"
+#include "mcb/network.hpp"
 #include "util/check.hpp"
 
 namespace mcb::algo {
-
-Task<Word> reduce(Proc& self, Word value, const SumOp& op) {
-  obs::Span sp(self, "reduce");
-  const auto res =
-      co_await partial_sums(self, value, op, {.with_total = true});
-  co_return res.total;
-}
-
-Task<Word> broadcast_value(Proc& self, ProcId root, Word value) {
-  MCB_REQUIRE(root < self.p(), "root " << root << " of " << self.p());
-  obs::Span sp(self, "broadcast");
-  if (self.id() == root) {
-    co_await self.write(0, Message::of(value));
-    co_return value;
-  }
-  auto got = co_await self.read(0);
-  MCB_CHECK(got.has_value(), "broadcast from P" << root + 1 << " missing");
-  co_return got->at(0);
-}
-
 namespace {
 
 Word local_fold(std::span<const Word> local, const SumOp& op) {
@@ -36,27 +16,43 @@ Word local_fold(std::span<const Word> local, const SumOp& op) {
 
 }  // namespace
 
-Task<Word> find_max(Proc& self, std::span<const Word> local) {
-  co_return co_await reduce(self, local_fold(local, SumOp::max()),
-                            SumOp::max());
+Reduce find_max(Proc& self, std::span<const Word> local) {
+  return reduce(self, local_fold(local, SumOp::max()), SumOp::max());
 }
 
-Task<Word> find_min(Proc& self, std::span<const Word> local) {
-  co_return co_await reduce(self, local_fold(local, SumOp::min()),
-                            SumOp::min());
+Reduce find_min(Proc& self, std::span<const Word> local) {
+  return reduce(self, local_fold(local, SumOp::min()), SumOp::min());
 }
 
-Task<Word> count_ge(Proc& self, std::span<const Word> local, Word pivot) {
+Reduce count_ge(Proc& self, std::span<const Word> local, Word pivot) {
   Word count = 0;
   for (Word w : local) {
     if (w >= pivot) ++count;
   }
-  co_return co_await reduce(self, count, SumOp::add());
+  return reduce(self, count, SumOp::add());
 }
 
 namespace {
 
 enum class Kind { kMax, kMin, kCountGe };
+
+Reduce collective(Proc& self, Kind kind, Word pivot,
+                  std::span<const Word> local) {
+  switch (kind) {
+    case Kind::kMax:
+      return find_max(self, local);
+    case Kind::kMin:
+      return find_min(self, local);
+    case Kind::kCountGe:
+      break;
+  }
+  return count_ge(self, local, pivot);
+}
+
+ProcMain collective_program(Proc& self, Kind kind, Word pivot,
+                            const std::vector<Word>& local, Word& out) {
+  out = co_await collective(self, kind, pivot, local);
+}
 
 CollectiveResult run_collective(const SimConfig& cfg,
                                 const std::vector<std::vector<Word>>& inputs,
@@ -72,22 +68,9 @@ CollectiveResult run_collective(const SimConfig& cfg,
 
   std::vector<Word> answers(cfg.p, 0);
   Network net(cfg);
-  auto prog = [](Proc& self, Kind kd, Word pv,
-                 const std::vector<Word>& local, Word& out) -> ProcMain {
-    switch (kd) {
-      case Kind::kMax:
-        out = co_await find_max(self, local);
-        break;
-      case Kind::kMin:
-        out = co_await find_min(self, local);
-        break;
-      case Kind::kCountGe:
-        out = co_await count_ge(self, local, pv);
-        break;
-    }
-  };
   for (ProcId i = 0; i < cfg.p; ++i) {
-    net.install(i, prog(net.proc(i), kind, pivot, inputs[i], answers[i]));
+    net.install(i, collective_program(net.proc(i), kind, pivot, inputs[i],
+                                      answers[i]));
   }
   CollectiveResult result;
   result.stats = net.run();

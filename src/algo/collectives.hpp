@@ -12,37 +12,43 @@
 //                 local extrema)
 //   count_ge      population count of elements >= a pivot (the counting
 //                 step the selection algorithm repeats)
-//   broadcast_value
-//                 one processor's value to everyone: 1 cycle, 1 message
 //
-// All are collectives: every processor must co_await them together.
+// All are collectives: every processor must co_await them together. Each
+// is one Partial-Sums walk, a step awaiter in the caller's frame. (The
+// one-word broadcast is algo::broadcast_word, in algo/common.hpp.)
 #pragma once
 
 #include <span>
 
 #include "algo/partial_sums.hpp"
 #include "algo/runner.hpp"
-#include "mcb/coro.hpp"
 #include "mcb/proc.hpp"
 
 namespace mcb::algo {
 
+/// A Partial-Sums with the total, under a "reduce" span, whose co_await
+/// yields the total.
+class [[nodiscard]] Reduce : public PartialSums {
+ public:
+  Reduce(Proc& self, Word value, const SumOp& op)
+      : PartialSums(self, value, op, {.with_total = true}, true) {}
+  Word await_resume() const { return result().total; }
+};
+
 /// ⊕-reduction of one value per processor; every processor learns the
 /// total. O(p/k + log k) cycles, O(p) messages.
-Task<Word> reduce(Proc& self, Word value, const SumOp& op);
-
-/// Broadcast `value` from processor `root` to everyone; returns the value
-/// at every processor. 1 cycle, 1 message (on channel 0).
-Task<Word> broadcast_value(Proc& self, ProcId root, Word value);
+inline Reduce reduce(Proc& self, Word value, const SumOp& op) {
+  return Reduce(self, value, op);
+}
 
 /// Extrema of the distributed multiset (each processor passes its local
 /// list). Empty local lists are allowed as long as one element exists
 /// somewhere.
-Task<Word> find_max(Proc& self, std::span<const Word> local);
-Task<Word> find_min(Proc& self, std::span<const Word> local);
+Reduce find_max(Proc& self, std::span<const Word> local);
+Reduce find_min(Proc& self, std::span<const Word> local);
 
 /// Number of elements >= pivot across the network.
-Task<Word> count_ge(Proc& self, std::span<const Word> local, Word pivot);
+Reduce count_ge(Proc& self, std::span<const Word> local, Word pivot);
 
 // --- standalone drivers (build a network, run one collective) -------------
 

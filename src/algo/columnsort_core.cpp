@@ -10,7 +10,6 @@
 #include "util/check.hpp"
 
 namespace mcb::algo::detail {
-namespace {
 
 /// One representative's side of a transformation: elements that stay in
 /// its column move locally up front; the rest leave one per plan round
@@ -81,35 +80,7 @@ class Transform {
   std::vector<std::size_t> ptr_;
 };
 
-/// One processor's side of one redistribution pass (phase 10): its action
-/// cycles [a, b) of the pass's m, a representative's write prefix [0, w1)
-/// of its column `src` on channel wch and the read window [r0, r1) of
-/// channel rch, with idle beats in any gap between them (a == b: none).
-/// The element read in slot t lands in out[t + at].
-struct Pass {
-  std::size_t a = 0, b = 0, w1 = 0, r0 = 0, r1 = 0, at = 0;
-  ChannelId wch = kNoChannel, rch = kNoChannel;
-  const KV* src = nullptr;
-  KV* out = nullptr;
-
-  Beat fill(std::size_t j) const {
-    const std::size_t t = a + j;
-    Beat beat;
-    if (t < w1) {
-      beat.msg = Message::of(src[t].key, src[t].val);
-      beat.write = wch;
-    }
-    if (t >= r0 && t < r1) beat.read = rch;
-    return beat;
-  }
-
-  void place(std::size_t j, const Proc::ReadResult& got) const {
-    const std::size_t t = a + j;
-    MCB_CHECK(got.has_value(),
-              "redistribute slot " << t << " of column " << rch << " empty");
-    out[t + at] = KV{(*got)[0], (*got)[1]};
-  }
-};
+namespace {
 
 /// Pass `pass` (0 or 1) of the redistribution of ranks [lo, hi) to this
 /// processor. A contiguous segment of <= m ranks spans at most two
@@ -224,100 +195,119 @@ void sort_column_desc(std::vector<KV>& column) {
   });
 }
 
-Task<void> run_transform(Proc& self, const CorePlan& plan, std::size_t t,
-                         std::size_t my_col, std::vector<KV>& column) {
-  Transform tr(plan, t, my_col, column);
+RunTransform::RunTransform(Proc& self, const CorePlan& plan, std::size_t t,
+                           std::size_t my_col, std::vector<KV>& column)
+    : StepAwaiter(self),
+      column_(&column),
+      tr_(std::make_unique<Transform>(plan, t, my_col, column)) {
   self.note_aux(2 * plan.m);
-  auto aw = self.window(
-      0, tr.rounds(), 0, [&tr](std::size_t round) { return tr.fill(round); },
-      [&tr](std::size_t round, const Proc::ReadResult& got) {
-        tr.place(round, got);
-      });
-  co_await aw;
-  column.swap(tr.next());
 }
 
-Task<void> columnsort_phases(Proc& self, const CorePlan& plan,
-                             std::size_t my_col, std::vector<KV>& column) {
-  MCB_CHECK(column.size() == plan.m,
-            "column length " << column.size() << " != m=" << plan.m);
-  self.note_aux(column.size());
-  // Phase spans: the odd (local sort) phases cost zero cycles by the model
-  // — local computation is free — so their spans record a 0-cycle mark;
-  // the transform phases carry the communication.
-  {
-    obs::Span sp(self, "cs.phase1.sort");                    // phase 1
-    sort_column_desc(column);
-  }
-  if (plan.kk > 1) {
-    {
-      obs::Span sp(self, "cs.phase2.transform");             // phase 2
-      co_await run_transform(self, plan, 0, my_col, column);
+RunTransform::~RunTransform() = default;
+
+bool RunTransform::begin(Proc& self) {
+  if (tr_->rounds() == 0) return step(self);
+  self.act_window(*tr_, 0, tr_->rounds(), 0);
+  return true;
+}
+
+bool RunTransform::step(Proc&) {
+  column_->swap(tr_->next());
+  return false;
+}
+
+// Phase spans: the odd (local sort) phases cost zero cycles by the model
+// — local computation is free — so their spans record a 0-cycle mark; the
+// transform phases carry the communication. Phase 9 (local re-sort) is
+// unnecessary: the schedules place every element at its exact destination
+// row, so after phase 8 the column is already in final order.
+bool ColumnsortPhases::begin(Proc& self) {
+  MCB_CHECK(column_->size() == plan_->m,
+            "column length " << column_->size() << " != m=" << plan_->m);
+  self.note_aux(column_->size());
+  sort(self, "cs.phase1.sort");
+  return plan_->kk > 1 && transform(self);
+}
+
+bool ColumnsortPhases::step(Proc& self) {
+  tr_->step(self);  // a transformation is one window
+  return finish(self) && transform(self);
+}
+
+bool ColumnsortPhases::transform(Proc& self) {
+  static constexpr const char* kSpans[] = {
+      "cs.phase2.transform", "cs.phase4.transform", "cs.phase6.transform",
+      "cs.phase8.transform"};
+  for (;;) {
+    span_.open(self, kSpans[t_]);
+    if (tr_.emplace(self, *plan_, t_, my_col_, *column_).begin(self)) {
+      return true;
     }
-    {
-      obs::Span sp(self, "cs.phase3.sort");                  // phase 3
-      sort_column_desc(column);
-    }
-    {
-      obs::Span sp(self, "cs.phase4.transform");             // phase 4
-      co_await run_transform(self, plan, 1, my_col, column);
-    }
-    {
-      obs::Span sp(self, "cs.phase5.sort");                  // phase 5
-      sort_column_desc(column);
-    }
-    {
-      obs::Span sp(self, "cs.phase6.transform");             // phase 6
-      co_await run_transform(self, plan, 2, my_col, column);
-    }
-    if (my_col != 0) {
-      obs::Span sp(self, "cs.phase7.sort");                  // phase 7
-      sort_column_desc(column);
-    }
-    {
-      obs::Span sp(self, "cs.phase8.transform");             // phase 8
-      co_await run_transform(self, plan, 3, my_col, column);
-    }
-    // Phase 9 (local re-sort) is unnecessary: the schedules place every
-    // element at its exact destination row, so after phase 8 the column is
-    // already in final order.
+    if (!finish(self)) return false;
   }
 }
 
-Task<void> redistribute(Proc& self, const CorePlan& plan, bool is_rep,
-                        std::size_t my_col, const std::vector<KV>& column,
-                        std::size_t n, std::size_t lo, std::size_t hi,
-                        std::vector<KV>& output) {
+bool ColumnsortPhases::finish(Proc& self) {
+  tr_.reset();
+  span_.close();
+  switch (t_++) {
+    case 0:
+      sort(self, "cs.phase3.sort");
+      return true;
+    case 1:
+      sort(self, "cs.phase5.sort");
+      return true;
+    case 2:
+      if (my_col_ != 0) sort(self, "cs.phase7.sort");
+      return true;
+    default:
+      return false;
+  }
+}
+
+void ColumnsortPhases::sort(Proc& self, const char* span) {
+  obs::Span sp(self, span);
+  sort_column_desc(*column_);
+}
+
+Redistribute::Redistribute(Proc& self, const CorePlan& plan, bool is_rep,
+                           std::size_t my_col, const std::vector<KV>& column,
+                           std::size_t n, std::size_t lo, std::size_t hi,
+                           std::vector<KV>& output)
+    : StepAwaiter(self), m_(plan.m) {
   MCB_CHECK(hi >= lo && hi <= n, "segment [" << lo << "," << hi << ") of "
                                              << n);
   MCB_CHECK(hi - lo <= plan.m, "segment longer than a column");
   output.assign(hi - lo, KV{});
-  // Cycles owed before the next window. The last window carries the rest
-  // of the phase as its trail.
-  Cycle idle = 0;
   for (std::size_t pass = 0; pass < 2; ++pass) {
-    const Pass ps =
+    passes_[pass] =
         plan_pass(pass, plan, is_rep, my_col, column, n, lo, hi, output);
+  }
+}
+
+bool Redistribute::step(Proc& self) {
+  if (last_) return false;
+  ++pass_;
+  open(self);
+  return true;
+}
+
+void Redistribute::open(Proc& self) {
+  // The last window carries the rest of the phase as its trail.
+  for (; pass_ < 2; ++pass_) {
+    Pass& ps = passes_[pass_];
     if (ps.a == ps.b) {
-      idle += plan.m;
+      idle_ += m_;
       continue;
     }
-    const bool last = pass == 1 || [&] {
-      const Pass next =
-          plan_pass(1, plan, is_rep, my_col, column, n, lo, hi, output);
-      return next.a == next.b;
-    }();
-    const Cycle lead = std::exchange(idle, plan.m - ps.b) + ps.a;
-    auto aw = self.window(
-        lead, ps.b - ps.a, last ? idle + (pass == 0 ? plan.m : 0) : 0,
-        [&ps](std::size_t j) { return ps.fill(j); },
-        [&ps](std::size_t j, const Proc::ReadResult& got) {
-          ps.place(j, got);
-        });
-    co_await aw;
-    if (last) co_return;
+    last_ = pass_ == 1 || passes_[1].a == passes_[1].b;
+    const Cycle lead = std::exchange(idle_, m_ - ps.b) + ps.a;
+    self.act_window(ps, lead, ps.b - ps.a,
+                    last_ ? idle_ + (pass_ == 0 ? m_ : 0) : 0);
+    return;
   }
-  co_await self.window(idle);
+  last_ = true;
+  self.act_sleep(idle_);
 }
 
 }  // namespace mcb::algo::detail

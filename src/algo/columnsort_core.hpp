@@ -7,6 +7,8 @@
 // The core sorts (key, value) pairs — KV — descending by key; plain-Word
 // entry points wrap values of zero around this. Messages carry at most
 // (key, value, destination-row), within the model's O(log beta)-bit budget.
+// Each step is a step awaiter (Proc::StepAwaiter), held in its caller's
+// frame.
 //
 // Internal header — not part of the public API surface.
 #pragma once
@@ -14,14 +16,15 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "algo/common.hpp"
-#include "mcb/coro.hpp"
-#include "seq/columnsort.hpp"
 #include "mcb/proc.hpp"
+#include "obs/span.hpp"
 #include "sched/schedule.hpp"
+#include "seq/columnsort.hpp"
 
 namespace mcb::algo::detail {
 
@@ -53,26 +56,115 @@ struct CorePlan {
 /// column is a few sorted runs, which this merges.
 void sort_column_desc(std::vector<KV>& column);
 
+class Transform;
+
 /// One matrix transformation (phase 2/4/6/8) from the point of view of the
 /// representative owning column `my_col`; `t` indexes CorePlan::plans. The
 /// plan fixes every round before any data moves, so the whole
-/// transformation is one Proc::window.
-Task<void> run_transform(Proc& self, const CorePlan& plan, std::size_t t,
-                         std::size_t my_col, std::vector<KV>& column);
+/// transformation is one window. Its tables live on the heap: only
+/// representatives build one.
+class [[nodiscard]] RunTransform : public Proc::StepAwaiter<RunTransform> {
+ public:
+  RunTransform(Proc& self, const CorePlan& plan, std::size_t t,
+               std::size_t my_col, std::vector<KV>& column);
+  ~RunTransform();
 
-/// Phases 1-9 for a representative (column owner). `column` must already be
-/// padded to length plan.m. Non-representatives sleep plan.core_cycles.
-Task<void> columnsort_phases(Proc& self, const CorePlan& plan,
-                             std::size_t my_col, std::vector<KV>& column);
+  bool begin(Proc& self);
+  bool step(Proc& self);
+
+ private:
+  std::vector<KV>* column_;
+  std::unique_ptr<Transform> tr_;
+};
+
+/// Phases 1-9 for a representative (column owner). `column` must already
+/// be padded to length plan.m. Non-representatives sleep
+/// plan.core_cycles instead (self.window(plan.core_cycles)).
+class [[nodiscard]] ColumnsortPhases
+    : public Proc::StepAwaiter<ColumnsortPhases> {
+ public:
+  ColumnsortPhases(Proc& self, const CorePlan& plan, std::size_t my_col,
+                   std::vector<KV>& column)
+      : StepAwaiter(self), plan_(&plan), my_col_(my_col), column_(&column) {}
+
+  bool begin(Proc& self);
+  bool step(Proc& self);
+
+ private:
+  // Opens transformation t_, running the local sort after each one that
+  // needs no cycles in place; false once phase 8 is done.
+  bool transform(Proc& self);
+  // Ends transformation t_ and runs the local sort after it; false after
+  // phase 8.
+  bool finish(Proc& self);
+  void sort(Proc& self, const char* span);
+
+  const CorePlan* plan_;
+  std::size_t my_col_;
+  std::vector<KV>* column_;
+  std::uint8_t t_ = 0;  ///< transformation in flight, 0..3
+  obs::Span span_;
+  std::optional<RunTransform> tr_;
+};
+
+/// One processor's side of one redistribution pass (phase 10): its action
+/// cycles [a, b) of the pass's m, a representative's write prefix [0, w1)
+/// of its column `src` on channel wch and the read window [r0, r1) of
+/// channel rch, with idle beats in any gap between them (a == b: none).
+/// The element read in slot t lands in out[t + at].
+struct Pass {
+  std::size_t a = 0, b = 0, w1 = 0, r0 = 0, r1 = 0, at = 0;
+  ChannelId wch = kNoChannel, rch = kNoChannel;
+  const KV* src = nullptr;
+  KV* out = nullptr;
+
+  Beat fill(std::size_t j) const {
+    const std::size_t t = a + j;
+    Beat beat;
+    if (t < w1) {
+      beat.msg = Message::of(src[t].key, src[t].val);
+      beat.write = wch;
+    }
+    if (t >= r0 && t < r1) beat.read = rch;
+    return beat;
+  }
+
+  void place(std::size_t j, const Proc::ReadResult& got) const {
+    const std::size_t t = a + j;
+    MCB_CHECK(got.has_value(),
+              "redistribute slot " << t << " of column " << rch << " empty");
+    out[t + at] = KV{(*got)[0], (*got)[1]};
+  }
+};
 
 /// Phase 10: representatives broadcast the real (non-dummy) prefix of their
 /// sorted columns twice; every processor collects its final segment of
 /// global ranks [lo, hi). `n` is the number of real elements; `column` is
 /// ignored for non-representatives. Costs exactly 2*m cycles, as at most
-/// two Proc::windows per processor.
-Task<void> redistribute(Proc& self, const CorePlan& plan, bool is_rep,
-                        std::size_t my_col, const std::vector<KV>& column,
-                        std::size_t n, std::size_t lo, std::size_t hi,
-                        std::vector<KV>& output);
+/// two windows per processor.
+class [[nodiscard]] Redistribute : public Proc::StepAwaiter<Redistribute> {
+ public:
+  Redistribute(Proc& self, const CorePlan& plan, bool is_rep,
+               std::size_t my_col, const std::vector<KV>& column,
+               std::size_t n, std::size_t lo, std::size_t hi,
+               std::vector<KV>& output);
+
+  bool begin(Proc& self) {
+    open(self);
+    return true;
+  }
+  bool step(Proc& self);
+
+ private:
+  // Opens the window of the first pass from pass_ on with anything to do,
+  // or the sleep through the rest of the phase.
+  void open(Proc& self);
+
+  Pass passes_[2];
+  std::size_t m_;
+  Cycle idle_ = 0;  ///< cycles owed before the next window
+  std::uint8_t pass_ = 0;
+  bool last_ = false;
+};
 
 }  // namespace mcb::algo::detail

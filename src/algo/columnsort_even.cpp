@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "obs/span.hpp"
+#include "mcb/network.hpp"
 #include "seq/columnsort.hpp"
 #include "util/check.hpp"
 
@@ -39,73 +39,106 @@ EvenSortPlan EvenSortPlan::build(std::size_t p, std::size_t k, std::size_t ni,
   return plan;
 }
 
-Task<void> columnsort_even_collective(Proc& self, const EvenSortPlan& plan,
-                                      std::vector<KV>& data) {
-  MCB_REQUIRE(data.size() == plan.ni, "local list size " << data.size()
-                                                         << " != plan ni="
-                                                         << plan.ni);
-  const std::size_t i = self.id();
-  const std::size_t j = i / plan.g;        // group / column index
-  const std::size_t idx = i % plan.g;      // index within the group
-  const bool is_rep = idx == plan.g - 1;   // highest-numbered member
-  const auto jch = static_cast<ChannelId>(j);
-  const std::size_t m = plan.core->m;
+EvenSort::EvenSort(Proc& self, const EvenSortPlan& plan,
+                   std::vector<KV>& data)
+    : StepAwaiter(self),
+      plan_(&plan),
+      data_(&data),
+      j_(self.id() / plan.g),
+      idx_(self.id() % plan.g),
+      is_rep_(idx_ == plan.g - 1) {}
 
-  std::vector<KV> column;
-
-  // Span names carry the "even." prefix so they never collide with the
-  // phase names of whatever program hosts this collective (a phase mark is
-  // a span too, and the recorder's summaries group spans by name).
+// Span names carry the "even." prefix so they never collide with the phase
+// names of whatever program hosts this collective (a phase mark is a span
+// too, and the recorder's summaries group spans by name).
+bool EvenSort::begin(Proc& self) {
+  MCB_REQUIRE(data_->size() == plan_->ni, "local list size "
+                                              << data_->size()
+                                              << " != plan ni=" << plan_->ni);
+  if (plan_->g == 1) {
+    column_ = *data_;
+    return core(self);
+  }
   // --- phase 0: gather the group's elements at the representative ---------
-  if (plan.g > 1) {
-    obs::Span sp(self, "even.gather");
-    const std::size_t gather_cycles = (plan.g - 1) * plan.ni;
-    if (!is_rep) {
-      // This member's ni writes, between the other members' windows.
-      const std::size_t lead = idx * plan.ni;
-      auto aw = self.window(lead, plan.ni, gather_cycles - lead - plan.ni,
-                            [&data, jch](std::size_t t) {
-                              return Beat{Message::of(data[t].key, data[t].val),
-                                          jch};
-                            });
-      co_await aw;
-    } else {
-      column.reserve(m);
-      column.resize(gather_cycles);
-      auto aw = self.window(
-          0, gather_cycles, 0,
-          [jch](std::size_t) { return Beat{{}, kNoChannel, jch}; },
-          [&column](std::size_t t, const Proc::ReadResult& got) {
-            MCB_CHECK(got.has_value(), "gather slot " << t << " silent");
-            column[t] = KV{(*got)[0], (*got)[1]};
-          });
-      co_await aw;
-      column.insert(column.end(), data.begin(), data.end());
-    }
+  span_.open(self, "even.gather");
+  const std::size_t ni = plan_->ni;
+  const std::size_t gather_cycles = (plan_->g - 1) * ni;
+  if (!is_rep_) {
+    // This member's ni writes, between the other members' windows.
+    const std::size_t lead = idx_ * ni;
+    self.act_window(*this, lead, ni, gather_cycles - lead - ni);
   } else {
-    column = data;
+    column_.reserve(plan_->core->m);
+    column_.resize(gather_cycles);
+    self.act_window(*this, 0, gather_cycles, 0);
   }
+  return true;
+}
 
-  // --- phases 1-9: Columnsort over the representatives' columns -----------
-  {
-    obs::Span sp(self, "even.core");
-    if (is_rep) {
-      column.resize(m, KV{kDummy, 0});  // pad so kk | m
-      co_await detail::columnsort_phases(self, *plan.core, j, column);
-    } else {
-      co_await self.window(plan.core->core_cycles);
+Beat EvenSort::fill(std::size_t t) const {
+  const auto jch = static_cast<ChannelId>(j_);
+  if (is_rep_) return Beat{{}, kNoChannel, jch};
+  const KV& e = (*data_)[t];
+  return Beat{Message::of(e.key, e.val), jch};
+}
+
+void EvenSort::place(std::size_t t, const Proc::ReadResult& got) {
+  MCB_CHECK(got.has_value(), "gather slot " << t << " silent");
+  column_[t] = KV{(*got)[0], (*got)[1]};
+}
+
+bool EvenSort::step(Proc& self) {
+  switch (stage_) {
+    case Stage::kGather:
+      if (is_rep_) column_.insert(column_.end(), data_->begin(), data_->end());
+      span_.close();
+      return core(self);
+    case Stage::kCore:
+      if (is_rep_ && std::get<detail::ColumnsortPhases>(sub_).step(self)) {
+        return true;
+      }
+      span_.close();
+      return redistribute(self);
+    case Stage::kRedistribute:
+      break;
+  }
+  if (std::get<detail::Redistribute>(sub_).step(self)) return true;
+  span_.close();
+  return false;
+}
+
+// --- phases 1-9: Columnsort over the representatives' columns -------------
+bool EvenSort::core(Proc& self) {
+  stage_ = Stage::kCore;
+  span_.open(self, "even.core");
+  if (is_rep_) {
+    column_.resize(plan_->core->m, KV{kDummy, 0});  // pad so kk | m
+    if (sub_.emplace<detail::ColumnsortPhases>(self, *plan_->core, j_,
+                                               column_)
+            .begin(self)) {
+      return true;
     }
+  } else if (plan_->core->core_cycles > 0) {
+    self.act_sleep(plan_->core->core_cycles);
+    return true;
   }
+  span_.close();
+  return redistribute(self);
+}
 
-  // --- phase 10: redistribute sorted segments ------------------------------
-  if (!plan.redistribute) {
-    data = std::move(column);
-    co_return;
+// --- phase 10: redistribute sorted segments --------------------------------
+bool EvenSort::redistribute(Proc& self) {
+  if (!plan_->redistribute) {
+    *data_ = std::move(column_);
+    return false;
   }
-  obs::Span sp(self, "even.redistribute");
-  const std::size_t lo = i * plan.ni;  // this processor's final ranks
-  co_await detail::redistribute(self, *plan.core, is_rep, j, column, plan.n,
-                                lo, lo + plan.ni, data);
+  stage_ = Stage::kRedistribute;
+  span_.open(self, "even.redistribute");
+  const std::size_t lo = self.id() * plan_->ni;  // final ranks
+  return sub_.emplace<detail::Redistribute>(self, *plan_->core, is_rep_, j_,
+                                            column_, plan_->n, lo,
+                                            lo + plan_->ni, *data_)
+      .begin(self);
 }
 
 namespace {

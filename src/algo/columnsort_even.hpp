@@ -33,6 +33,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "algo/columnsort_core.hpp"
@@ -75,9 +76,45 @@ struct EvenSortPlan {
 
 /// The collective: sorts `data` (exactly plan.ni pairs per processor, keys
 /// != kDummy) descending across the network; on return `data` holds this
-/// processor's segment. All processors must co_await together.
-Task<void> columnsort_even_collective(Proc& self, const EvenSortPlan& plan,
-                                      std::vector<KV>& data);
+/// processor's segment. All processors must co_await together. A step
+/// awaiter (Proc::StepAwaiter): phase 0's gather window, then phases 1-9
+/// and phase 10 as sub-awaiters it steps in place.
+class [[nodiscard]] EvenSort : public Proc::StepAwaiter<EvenSort> {
+ public:
+  EvenSort(Proc& self, const EvenSortPlan& plan, std::vector<KV>& data);
+
+  bool begin(Proc& self);
+  bool step(Proc& self);
+
+  /// The gather window's beats: a member writes its pairs on its group's
+  /// channel, the representative reads them into its column.
+  Beat fill(std::size_t t) const;
+  void place(std::size_t t, const Proc::ReadResult& got);
+
+ private:
+  enum class Stage : std::uint8_t { kGather, kCore, kRedistribute };
+
+  // Enter phases 1-9, and phase 10; false once the sort is done.
+  bool core(Proc& self);
+  bool redistribute(Proc& self);
+
+  const EvenSortPlan* plan_;
+  std::vector<KV>* data_;
+  std::vector<KV> column_;  ///< the representative's column
+  std::size_t j_;           ///< group / column index
+  std::size_t idx_;         ///< index within the group
+  bool is_rep_;             ///< highest-numbered member of the group
+  Stage stage_ = Stage::kGather;
+  obs::Span span_;
+  std::variant<std::monostate, detail::ColumnsortPhases, detail::Redistribute>
+      sub_;
+};
+
+inline EvenSort columnsort_even_collective(Proc& self,
+                                           const EvenSortPlan& plan,
+                                           std::vector<KV>& data) {
+  return EvenSort(self, plan, data);
+}
 
 struct ColumnsortEvenResult {
   AlgoResult run;              ///< outputs[i] = P_i's sorted segment; stats

@@ -72,9 +72,8 @@ MultiSelectionResult select_ranks(const SimConfig& cfg,
 
 /// Same collective, but installed onto a caller-owned network — the serving
 /// layer's entry point. `net` must be freshly constructed or reset(), with
-/// net.config().p == inputs.size(); the run reuses whatever allocations and
-/// warmed frame arenas the network carries. The caller resets again before
-/// the next batch.
+/// net.config().p == inputs.size(); the run reuses whatever allocations the
+/// network carries. The caller resets again before the next batch.
 MultiSelectionResult select_ranks_on(Network& net,
                                      const std::vector<std::vector<Word>>& inputs,
                                      const std::vector<std::size_t>& ds,

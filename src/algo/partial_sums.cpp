@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "algo/common.hpp"
@@ -63,316 +62,250 @@ std::size_t idle_levels(std::size_t p, std::size_t k, std::size_t depth,
   return memo.suffix[from];
 }
 
-/// One processor's walk through the collective's fixed schedule, as a plain
-/// state machine: step() names its next channel action and hands that
-/// action's read back to consume(), which plans the one after. The
-/// coroutine around it therefore has a single await site, and the frame
-/// holds this walk and one awaiter, not a slot per action.
-///
-/// Processor i simulates node (l, i >> l) iff 2^l | i, i.e. at levels
-/// 0..top, and acts only there. Bottom-up it receives its right son's
-/// subtree value at every level below top and sends its own to the father
-/// at top; top-down it receives F at top + 1 and sends to its right sons at
-/// top..1. P_1 simulates the root (top = depth). Every other level is idle
-/// for it, and the idle levels above top are one contiguous stretch of the
-/// schedule (the last levels up, the first levels down), so a processor
-/// costs O(top) host work, not O(log p).
-///
-/// Idle cycles owed to the schedule but not yet slept are `pending_`. Level
-/// l lasts level_cycles(l) cycles and a processor acts in at most one of
-/// them, at in-level cycle `at`; each action sleeps out the owed cycles in
-/// the same suspension (cycle_after), and the rest of its level becomes
-/// owed. A processor's last action carries the rest of the collective as
-/// its trailing idle instead.
-class Walk {
- public:
-  /// The awaiter of one action: a cycle_after whose read goes to consume().
-  struct Step {
-    Proc::CycleAwaiter aw;
-    Walk& walk;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) noexcept {
-      aw.await_suspend(h);
-    }
-    void await_resume() { walk.consume(aw.await_resume()); }
-  };
-
-  Walk(std::size_t p, std::size_t k, std::size_t i, Word a_i, const SumOp& op,
-       PartialSumsOptions opts)
-      : p_(static_cast<std::uint32_t>(p)),
-        k_(static_cast<std::uint32_t>(k)),
-        i_(static_cast<std::uint32_t>(i)),
-        op_(&op),
-        f_(op.identity),
-        depth_(static_cast<std::uint8_t>(std::bit_width(p - 1))),
-        with_total_(opts.with_total),
-        with_next_(opts.with_next) {
-    if (p == 1) {
-      out_ = {op.identity, a_i, a_i, a_i};
-      return;
-    }
-    top_ = i == 0 ? depth_ : static_cast<std::uint8_t>(std::countr_zero(i));
-    // The top-down read is a processor's last action in a plain collective
-    // when it sends on no level below top (all its right sons are dummies).
-    down_last_ = i != 0 && !with_total_ && !with_next_ &&
-                 (top_ == 0 || i + 1 >= p);
-    // val[l] = combined value of the subtree of node (l, i >> l), l <= top.
-    if (top_ >= kNear) deep_ = std::make_unique<Word[]>(top_ + 1);
-    Word* v = val();
-    std::fill(v, v + top_ + 1, op.identity);
-    v[0] = a_i;
-    stage_ = Stage::kUp;
-    plan_next();
-  }
-
-  bool done() const { return stage_ == Stage::kDone; }
-  /// Tree values the paper charges this processor: one per level.
-  std::size_t tree_words() const { return std::size_t{depth_} + 1; }
-  const PartialSumsResult& result() const { return out_; }
-
-  /// The planned action, its intent set on `self`. Build it in its own
-  /// statement (docs/ENGINE.md): `auto aw = walk.step(self); co_await aw;`.
-  Step step(Proc& self) {
-    std::optional<WriteOp> w;
-    if (write_ != kNoChannel) w = WriteOp{write_, Message::of(word_)};
-    const std::optional<ChannelId> r =
-        read_ != kNoChannel ? std::optional<ChannelId>(read_) : std::nullopt;
-    return {self.cycle_after(idle_, std::move(w), r, trail_), *this};
-  }
-
- private:
-  /// Tree values held inline; deeper processors (one in 2^kNear) use the
-  /// heap.
-  static constexpr std::size_t kNear = 4;
-
-  enum class Stage : std::uint8_t {
-    kUp,        ///< bottom-up level level_ < top: read the right son
-    kTopSend,   ///< bottom-up level top: send the subtree value up
-    kTopRead,   ///< top-down level top + 1: read F
-    kDown,      ///< top-down level level_ >= 1: send F ⊕ L to the right son
-    kTotal,     ///< optional total broadcast
-    kNextSend,  ///< optional neighbour exchange: send the prefix left
-    kNextRead,  ///< ... and read the right neighbour's, if not read yet
-    kDone,
-  };
-
-  Word* val() { return deep_ ? deep_.get() : near_; }
-  std::size_t levels(std::size_t l) const {
-    return level_cycles(std::size_t{1} << depth_, k_, l);
-  }
-  std::size_t idle(std::size_t from) const {
-    return idle_levels(p_, k_, depth_, from);
-  }
-
-  void plan(Cycle idle, ChannelId write, Word word, ChannelId read,
-            Cycle trail, Cycle after) {
-    idle_ = idle;
-    write_ = write;
-    word_ = word;
-    read_ = read;
-    trail_ = trail;
-    after_ = after;
-  }
-
-  /// Plans the action of the current stage, moving past stages in which
-  /// this processor does not act; at the end checks nothing is left owed.
-  void plan_next() {
-    const SumOp& op = *op_;
-    for (;;) {
-      switch (stage_) {
-        case Stage::kUp:
-          if (level_ < top_) {
-            // Father simulator (== left son simulator): receive from the
-            // right son.
-            const std::size_t father = i_ >> (level_ + 1);
-            const std::size_t at = father / k_;
-            plan(pending_ + at, kNoChannel, 0,
-                 static_cast<ChannelId>(father % k_), 0,
-                 levels(level_) - at - 1);
-            return;
-          }
-          if (i_ == 0) {
-            out_.total = val()[depth_];
-            stage_ = Stage::kDown;  // at level_ == top_
-          } else {
-            stage_ = Stage::kTopSend;
-          }
-          break;
-        case Stage::kTopSend:
-        case Stage::kTopRead: {
-          // Right son at level top: send the subtree value to the father's
-          // simulator, sleep through the levels above twice, then receive
-          // F in top-down level top + 1 — the same father, channel and
-          // in-level cycle.
-          const std::size_t father = i_ >> (top_ + 1);
-          const std::size_t at = father / k_;
-          const auto ch = static_cast<ChannelId>(father % k_);
-          const std::size_t cycles = levels(top_);
-          if (stage_ == Stage::kTopSend) {
-            // Owed after the send: the rest of this level, the levels
-            // above it up and down, and `at` cycles into top-down level
-            // top + 1.
-            plan(pending_ + at, ch, val()[top_], kNoChannel, 0,
-                 (cycles - at - 1) + 2 * idle(top_ + 1) + at);
-            return;
-          }
-          // The rest of level top, and of levels top..1 down as the trail.
-          const std::size_t rest =
-              (cycles - at - 1) + (down_last_ ? idle(0) - idle(top_) : 0);
-          plan(pending_, kNoChannel, 0, ch, down_last_ ? rest : 0,
-               down_last_ ? 0 : rest);
-          return;
-        }
-        case Stage::kDown: {
-          // Father: send F ⊕ L to the right son, unless the right subtree
-          // is entirely dummy (its simulator would not exist). F is
-          // unchanged for the left son (== this processor).
-          while (level_ >= 1 && i_ + (std::size_t{1} << (level_ - 1)) >= p_) {
-            pending_ += levels(level_ - 1);
-            --level_;
-          }
-          if (level_ == 0) {
-            out_.before = f_;
-            out_.self = op.combine(f_, val()[0]);
-            stage_ = Stage::kTotal;
-            break;
-          }
-          const std::size_t cycles = levels(level_ - 1);
-          const std::size_t father = i_ >> level_;
-          const std::size_t at = father / k_;
-          const bool last = !with_total_ && !with_next_ && level_ == 1;
-          plan(pending_ + at, static_cast<ChannelId>(father % k_),
-               op.combine(f_, val()[level_ - 1]), kNoChannel,
-               last ? cycles - at - 1 : 0, last ? 0 : cycles - at - 1);
-          return;
-        }
-        case Stage::kTotal:
-          if (!with_total_) {
-            stage_ = Stage::kNextSend;
-            break;
-          }
-          plan(pending_, i_ == 0 ? 0 : kNoChannel, out_.total,
-               i_ == 0 ? kNoChannel : 0, 0, 0);
-          return;
-        case Stage::kNextSend:
-        case Stage::kNextRead: {
-          // P_{i+1} tells P_i its inclusive prefix; O(p/k) cycles, p-1
-          // messages. P_i sends in exchange cycle (i-1)/k and reads in
-          // cycle i/k — one action when they coincide — and sleeps through
-          // the rest.
-          if (!with_next_) {
-            stage_ = Stage::kDone;
-            break;
-          }
-          const std::size_t cycles = ceil_div(p_ - 1, k_);
-          const bool reads = i_ + 1 < p_;
-          const std::size_t read_at = i_ / k_;
-          const auto read_ch = static_cast<ChannelId>(i_ % k_);
-          if (stage_ == Stage::kNextSend) {
-            out_.next = out_.self;  // correct for the last processor
-            if (i_ == 0) {
-              stage_ = Stage::kNextRead;
-              break;
-            }
-            const std::size_t send_at = (i_ - 1) / k_;
-            const bool read_too = reads && read_at == send_at;
-            const bool last = !reads || read_too;
-            plan(pending_ + send_at, static_cast<ChannelId>((i_ - 1) % k_),
-                 out_.self, read_too ? read_ch : kNoChannel,
-                 last ? cycles - send_at - 1 : 0, 0);
-            return;
-          }
-          // Exchange cycles already accounted for by the send.
-          const std::size_t t = i_ >= 1 ? (i_ - 1) / k_ + 1 : 0;
-          if (!reads || read_at < t) {
-            stage_ = Stage::kDone;
-            break;
-          }
-          plan(pending_ + read_at - t, kNoChannel, 0, read_ch,
-               cycles - read_at - 1, 0);
-          return;
-        }
-        case Stage::kDone:
-          MCB_CHECK(pending_ == 0, "P" << i_ + 1 << " left " << pending_
-                                       << " cycles of the collective unslept");
-          return;
-      }
-    }
-  }
-
-  /// Takes the planned action's read and plans the next action.
-  void consume(const Proc::ReadResult& got) {
-    pending_ = after_;
-    switch (stage_) {
-      case Stage::kUp: {
-        // Silence = dummy right subtree (p not a power of two) = identity.
-        Word* v = val();
-        v[level_ + 1] = got ? op_->combine(v[level_], got->at(0)) : v[level_];
-        ++level_;
-        break;
-      }
-      case Stage::kTopSend:
-        stage_ = Stage::kTopRead;
-        break;
-      case Stage::kTopRead:
-        MCB_CHECK(got.has_value(), "top-down message missing at P" << i_ + 1);
-        f_ = got->at(0);
-        level_ = down_last_ ? 0 : top_;
-        stage_ = Stage::kDown;
-        break;
-      case Stage::kDown:
-        --level_;
-        break;
-      case Stage::kTotal:
-        if (i_ != 0) {
-          MCB_CHECK(got.has_value(), "total broadcast missing at P" << i_ + 1);
-          out_.total = got->at(0);
-        }
-        stage_ = Stage::kNextSend;
-        break;
-      case Stage::kNextSend:
-      case Stage::kNextRead:
-        if (read_ != kNoChannel) {
-          MCB_CHECK(got.has_value(), "neighbour prefix missing at P" << i_ + 1);
-          out_.next = got->at(0);
-        }
-        stage_ = stage_ == Stage::kNextSend ? Stage::kNextRead : Stage::kDone;
-        break;
-      case Stage::kDone:
-        break;
-    }
-    plan_next();
-  }
-
-  std::uint32_t p_, k_, i_;
-  const SumOp* op_;
-  PartialSumsResult out_;
-  Word f_;  ///< combined value of everything left of the current node
-  Cycle pending_ = 0;
-  // The planned action: sleep idle_, write word_ on write_ and/or read
-  // read_, sleep trail_; then after_ cycles are owed.
-  Cycle idle_ = 0, trail_ = 0, after_ = 0;
-  Word word_ = 0;
-  ChannelId write_ = kNoChannel, read_ = kNoChannel;
-  std::uint8_t depth_, top_ = 0, level_ = 0;
-  Stage stage_ = Stage::kDone;
-  bool with_total_, with_next_, down_last_ = false;
-  Word near_[kNear] = {};
-  std::unique_ptr<Word[]> deep_;
-};
-
 }  // namespace
 
-Task<PartialSumsResult> partial_sums(Proc& self, Word a_i, const SumOp& op,
-                                     PartialSumsOptions opts) {
-  obs::Span sp(self, "partial-sums");
-  Walk walk(self.p(), self.k(), self.id(), a_i, op, opts);
-  if (self.p() > 1) self.note_aux(walk.tree_words());
-  while (!walk.done()) {
-    auto aw = walk.step(self);
-    co_await aw;
+PartialSums::PartialSums(Proc& self, Word a_i, const SumOp& op,
+                         PartialSumsOptions opts, bool reduce)
+    : StepAwaiter(self),
+      p_(static_cast<std::uint32_t>(self.p())),
+      k_(static_cast<std::uint32_t>(self.k())),
+      i_(static_cast<std::uint32_t>(self.id())),
+      op_(&op),
+      f_(op.identity),
+      depth_(static_cast<std::uint8_t>(std::bit_width(self.p() - 1))),
+      with_total_(opts.with_total),
+      with_next_(opts.with_next),
+      reduce_(reduce) {
+  const std::size_t p = p_, i = i_;
+  if (p == 1) {
+    out_ = {op.identity, a_i, a_i, a_i};
+    return;
   }
-  co_return walk.result();
+  top_ = i == 0 ? depth_ : static_cast<std::uint8_t>(std::countr_zero(i));
+  // The top-down read is a processor's last action in a plain collective
+  // when it sends on no level below top (all its right sons are dummies).
+  down_last_ = i != 0 && !with_total_ && !with_next_ &&
+               (top_ == 0 || i + 1 >= p);
+  // val[l] = combined value of the subtree of node (l, i >> l), l <= top.
+  if (top_ >= kNear) deep_ = std::make_unique<Word[]>(top_ + 1);
+  Word* v = val();
+  std::fill(v, v + top_ + 1, op.identity);
+  v[0] = a_i;
+  stage_ = Stage::kUp;
+  plan_next();
+}
+
+/// Plans the action of the current stage, moving past stages in which
+/// this processor does not act; at the end checks nothing is left owed.
+void PartialSums::plan_next() {
+  const SumOp& op = *op_;
+  for (;;) {
+    switch (stage_) {
+      case Stage::kUp:
+        if (level_ < top_) {
+          // Father simulator (== left son simulator): receive from the
+          // right son.
+          const std::size_t father = i_ >> (level_ + 1);
+          const std::size_t at = father / k_;
+          plan(pending_ + at, kNoChannel, 0,
+               static_cast<ChannelId>(father % k_), 0,
+               levels(level_) - at - 1);
+          return;
+        }
+        if (i_ == 0) {
+          out_.total = val()[depth_];
+          stage_ = Stage::kDown;  // at level_ == top_
+        } else {
+          stage_ = Stage::kTopSend;
+        }
+        break;
+      case Stage::kTopSend:
+      case Stage::kTopRead: {
+        // Right son at level top: send the subtree value to the father's
+        // simulator, sleep through the levels above twice, then receive
+        // F in top-down level top + 1 — the same father, channel and
+        // in-level cycle.
+        const std::size_t father = i_ >> (top_ + 1);
+        const std::size_t at = father / k_;
+        const auto ch = static_cast<ChannelId>(father % k_);
+        const std::size_t cycles = levels(top_);
+        if (stage_ == Stage::kTopSend) {
+          // Owed after the send: the rest of this level, the levels
+          // above it up and down, and `at` cycles into top-down level
+          // top + 1.
+          plan(pending_ + at, ch, val()[top_], kNoChannel, 0,
+               (cycles - at - 1) + 2 * idle(top_ + 1) + at);
+          return;
+        }
+        // The rest of level top, and of levels top..1 down as the trail.
+        const std::size_t rest =
+            (cycles - at - 1) + (down_last_ ? idle(0) - idle(top_) : 0);
+        plan(pending_, kNoChannel, 0, ch, down_last_ ? rest : 0,
+             down_last_ ? 0 : rest);
+        return;
+      }
+      case Stage::kDown: {
+        // Father: send F ⊕ L to the right son, unless the right subtree
+        // is entirely dummy (its simulator would not exist). F is
+        // unchanged for the left son (== this processor).
+        while (level_ >= 1 && i_ + (std::size_t{1} << (level_ - 1)) >= p_) {
+          pending_ += levels(level_ - 1);
+          --level_;
+        }
+        if (level_ == 0) {
+          out_.before = f_;
+          out_.self = op.combine(f_, val()[0]);
+          stage_ = Stage::kTotal;
+          break;
+        }
+        const std::size_t cycles = levels(level_ - 1);
+        const std::size_t father = i_ >> level_;
+        const std::size_t at = father / k_;
+        const bool last = !with_total_ && !with_next_ && level_ == 1;
+        plan(pending_ + at, static_cast<ChannelId>(father % k_),
+             op.combine(f_, val()[level_ - 1]), kNoChannel,
+             last ? cycles - at - 1 : 0, last ? 0 : cycles - at - 1);
+        return;
+      }
+      case Stage::kTotal:
+        if (!with_total_) {
+          stage_ = Stage::kNextSend;
+          break;
+        }
+        plan(pending_, i_ == 0 ? 0 : kNoChannel, out_.total,
+             i_ == 0 ? kNoChannel : 0, 0, 0);
+        return;
+      case Stage::kNextSend:
+      case Stage::kNextRead: {
+        // P_{i+1} tells P_i its inclusive prefix; O(p/k) cycles, p-1
+        // messages. P_i sends in exchange cycle (i-1)/k and reads in
+        // cycle i/k — one action when they coincide — and sleeps through
+        // the rest.
+        if (!with_next_) {
+          stage_ = Stage::kDone;
+          break;
+        }
+        const std::size_t cycles = ceil_div(p_ - 1, k_);
+        const bool reads = i_ + 1 < p_;
+        const std::size_t read_at = i_ / k_;
+        const auto read_ch = static_cast<ChannelId>(i_ % k_);
+        if (stage_ == Stage::kNextSend) {
+          out_.next = out_.self;  // correct for the last processor
+          if (i_ == 0) {
+            stage_ = Stage::kNextRead;
+            break;
+          }
+          const std::size_t send_at = (i_ - 1) / k_;
+          const bool read_too = reads && read_at == send_at;
+          const bool last = !reads || read_too;
+          plan(pending_ + send_at, static_cast<ChannelId>((i_ - 1) % k_),
+               out_.self, read_too ? read_ch : kNoChannel,
+               last ? cycles - send_at - 1 : 0, 0);
+          return;
+        }
+        // Exchange cycles already accounted for by the send.
+        const std::size_t t = i_ >= 1 ? (i_ - 1) / k_ + 1 : 0;
+        if (!reads || read_at < t) {
+          stage_ = Stage::kDone;
+          break;
+        }
+        plan(pending_ + read_at - t, kNoChannel, 0, read_ch,
+             cycles - read_at - 1, 0);
+        return;
+      }
+      case Stage::kDone:
+        MCB_CHECK(pending_ == 0, "P" << i_ + 1 << " left " << pending_
+                                     << " cycles of the collective unslept");
+        return;
+    }
+  }
+}
+
+/// Takes the planned action's read and plans the next action.
+void PartialSums::consume(const Proc::ReadResult& got) {
+  pending_ = after_;
+  switch (stage_) {
+    case Stage::kUp: {
+      // Silence = dummy right subtree (p not a power of two) = identity.
+      Word* v = val();
+      v[level_ + 1] = got ? op_->combine(v[level_], got->at(0)) : v[level_];
+      ++level_;
+      break;
+    }
+    case Stage::kTopSend:
+      stage_ = Stage::kTopRead;
+      break;
+    case Stage::kTopRead:
+      MCB_CHECK(got.has_value(), "top-down message missing at P" << i_ + 1);
+      f_ = got->at(0);
+      level_ = down_last_ ? 0 : top_;
+      stage_ = Stage::kDown;
+      break;
+    case Stage::kDown:
+      --level_;
+      break;
+    case Stage::kTotal:
+      if (i_ != 0) {
+        MCB_CHECK(got.has_value(), "total broadcast missing at P" << i_ + 1);
+        out_.total = got->at(0);
+      }
+      stage_ = Stage::kNextSend;
+      break;
+    case Stage::kNextSend:
+    case Stage::kNextRead:
+      if (read_ != kNoChannel) {
+        MCB_CHECK(got.has_value(), "neighbour prefix missing at P" << i_ + 1);
+        out_.next = got->at(0);
+      }
+      stage_ = stage_ == Stage::kNextSend ? Stage::kNextRead : Stage::kDone;
+      break;
+    case Stage::kDone:
+      break;
+  }
+  plan_next();
+}
+
+std::size_t PartialSums::levels(std::size_t l) const {
+  return level_cycles(std::size_t{1} << depth_, k_, l);
+}
+
+std::size_t PartialSums::idle(std::size_t from) const {
+  return idle_levels(p_, k_, depth_, from);
+}
+
+void PartialSums::plan(Cycle idle, ChannelId write, Word word, ChannelId read,
+                       Cycle trail, Cycle after) {
+  idle_ = idle;
+  write_ = write;
+  word_ = word;
+  read_ = read;
+  trail_ = trail;
+  after_ = after;
+}
+
+bool PartialSums::begin(Proc& self) {
+  if (reduce_) reduce_span_.open(self, "reduce");
+  span_.open(self, "partial-sums");
+  // Tree values the paper charges this processor: one per level.
+  if (p_ > 1) self.note_aux(std::size_t{depth_} + 1);
+  return act(self);
+}
+
+bool PartialSums::step(Proc& self) {
+  consume(self.take_read());
+  return act(self);
+}
+
+/// Opens the planned action, or ends the collective's spans once the walk
+/// is done.
+bool PartialSums::act(Proc& self) {
+  if (stage_ == Stage::kDone) {
+    span_.close();
+    reduce_span_.close();
+    return false;
+  }
+  self.act_window(*this, idle_, 1, trail_);
+  return true;
 }
 
 }  // namespace mcb::algo

@@ -130,62 +130,98 @@ void check_survivors(const Seg& seg, const std::vector<std::size_t>& uds,
                                       << " of " << m << " survivors");
 }
 
-/// P_1's side of a segment's termination stream: writes its own survivors
-/// in slots [lo, lo + |cands|) of the m, reads everyone else's, selects
-/// each of the segment's ranks from the one pool into `out` and broadcasts
-/// them in rank order.
-Task<void> select_ranks_at_root(Proc& self, const Seg& seg,
-                                const std::vector<std::size_t>& uds,
-                                std::size_t lo, std::size_t m,
-                                std::span<Word> out) {
-  std::vector<Word> pool(m);
-  auto aw = collect_window(self, seg.cands, lo, pool);
-  co_await aw;
-  self.note_aux(pool.size());
-  for (std::size_t j = 0; j < out.size(); ++j) {
-    out[j] = seq::kth_largest(pool, uds[seg.lo + j] - seg.off);
-  }
-  auto ans = write_window(self, out, 0);
-  co_await ans;
-}
+/// One side of a channel-0 stream of single words: slot t writes
+/// w[t - w0] for t in [w0, w0 + wn) and reads into r[t] otherwise; a
+/// written word lands in r[t] too, when r is set.
+struct Stream {
+  const Word* w = nullptr;
+  std::size_t w0 = 0, wn = 0;
+  Word* r = nullptr;
 
-/// Termination of a segment: one collection answers all its ranks. Prefix
-/// offsets give every processor a write window on channel 0; P_1 appends
-/// its own survivors locally during its window and reads everyone else's,
-/// then selects the ranks from the one pool and broadcasts them in rank
-/// order — one cycle per rank. `out` is the segment's slice of this
-/// processor's answer row, so the other processors read the answers
-/// straight into place. A subroutine, so its await sites stay out of the
-/// program's frame, and P_1's collector one of its own.
-Task<void> collect_and_select_ranks(Proc& self, const Seg& seg,
-                                    const std::vector<std::size_t>& uds,
-                                    std::span<Word> out) {
-  const auto ps = co_await partial_sums(
-      self, static_cast<Word>(seg.cands.size()), SumOp::add(),
-      {.with_total = true});
-  check_survivors(seg, uds, static_cast<std::size_t>(ps.total));
-  // Slots [before, self) of the total are this processor's.
-  if (self.id() == 0) {
-    co_await select_ranks_at_root(
-        self, seg, uds, static_cast<std::size_t>(ps.before),
-        static_cast<std::size_t>(ps.total), out);
-    co_return;
+  Beat fill(std::size_t t) const {
+    if (t - w0 >= wn) return Beat{{}, kNoChannel, 0};
+    if (r != nullptr) r[t] = w[t - w0];
+    return Beat{Message::of(w[t - w0]), 0};
   }
-  // Sleep to the window, write it, sleep to the answers and read them:
-  // one suspension for the window and one for the answers.
-  Cycle idle = static_cast<Cycle>(ps.before + (ps.total - ps.self));
-  if (!seg.cands.empty()) {
-    auto aw = write_window(self, seg.cands, static_cast<Cycle>(ps.before));
-    co_await aw;
-    idle = static_cast<Cycle>(ps.total - ps.self);
+  void place(std::size_t t, const Proc::ReadResult& got) const {
+    MCB_CHECK(got.has_value(), "stream slot " << t << " silent");
+    r[t] = got->at(0);
   }
-  auto aw = read_window(self, idle, out);
-  co_await aw;
-}
+};
+
+/// Termination of a segment, once Partial-Sums over the survivor counts
+/// gave `counts`: one collection answers all its ranks. Prefix offsets
+/// give every processor a write window on channel 0; P_1 writes its own
+/// survivors in its slots [before, self) of the total, reads everyone
+/// else's, then selects the ranks from the one pool and broadcasts them
+/// in rank order — one cycle per rank. `out` is the segment's slice of
+/// this processor's answer row, so the other processors read the answers
+/// straight into place.
+class [[nodiscard]] Terminate : public Proc::StepAwaiter<Terminate> {
+ public:
+  Terminate(Proc& self, const Seg& seg, const std::vector<std::size_t>& uds,
+            const PartialSumsResult& counts, std::span<Word> out)
+      : StepAwaiter(self),
+        seg_(&seg),
+        uds_(&uds),
+        out_(out),
+        before_(static_cast<std::size_t>(counts.before)),
+        after_(static_cast<std::size_t>(counts.total - counts.self)),
+        total_(static_cast<std::size_t>(counts.total)) {}
+
+  bool begin(Proc& self) {
+    const std::vector<Word>& mine = seg_->cands;
+    if (self.id() == 0) {
+      pool_.resize(total_);
+      open(self, {mine.data(), before_, mine.size(), pool_.data()}, 0,
+           total_);
+    } else if (!mine.empty()) {
+      open(self, {mine.data(), 0, mine.size(), nullptr}, before_,
+           mine.size());
+    } else {
+      read_answers(self, before_ + after_);
+    }
+    return true;
+  }
+
+  bool step(Proc& self) {
+    if (last_) return false;
+    if (self.id() != 0) {
+      read_answers(self, after_);
+      return true;
+    }
+    self.note_aux(pool_.size());
+    for (std::size_t j = 0; j < out_.size(); ++j) {
+      out_[j] = seq::kth_largest(pool_, (*uds_)[seg_->lo + j] - seg_->off);
+    }
+    last_ = true;
+    open(self, {out_.data(), 0, out_.size(), nullptr}, 0, out_.size());
+    return true;
+  }
+
+ private:
+  void read_answers(Proc& self, Cycle lead) {
+    last_ = true;
+    open(self, {nullptr, 0, 0, out_.data()}, lead, out_.size());
+  }
+  void open(Proc& self, Stream s, Cycle lead, std::size_t beats) {
+    stream_ = s;
+    self.act_window(stream_, lead, beats, 0);
+  }
+
+  const Seg* seg_;
+  const std::vector<std::size_t>* uds_;
+  std::span<Word> out_;
+  std::size_t before_, after_, total_;
+  std::vector<Word> pool_;  ///< P_1's: every survivor, in stream order
+  Stream stream_;           ///< the window in flight
+  bool last_ = false;       ///< it is the answers' window
+};
 
 /// One processor's selection. `answers` is its row of the answer array,
-/// parallel to plan.uds. Only what crosses a phase lives in the frame;
-/// `trace` is P_1's alone (nullptr elsewhere).
+/// parallel to plan.uds. Only what crosses a phase lives in the frame, and
+/// every sub-protocol runs in one slot of it, `sub`; `trace` is P_1's
+/// alone (nullptr elsewhere).
 ///
 /// Phases: "setup", then "filter" rounds and a "terminate" per collected
 /// segment. A run whose ranks were all answered inside filtering still
@@ -194,15 +230,15 @@ Task<void> collect_and_select_ranks(Proc& self, const Seg& seg,
 ProcMain selection_program(Proc& self, const SelectionPlan& plan,
                            const std::vector<Word>& input,
                            std::span<Word> answers, SelTrace* trace) {
+  StepSlot<PartialSums, EvenSort, Terminate> sub;
+  constexpr PartialSumsOptions kTotal{.with_total = true};
   // Census: every processor must know the initial candidate count.
   if (self.id() == 0) self.mark_phase("setup");
   Seg seg{{}, 0, plan.uds.size(), 0, 0};
-  {
-    const auto init = co_await partial_sums(
-        self, static_cast<Word>(input.size()), SumOp::add(),
-        {.with_total = true});
-    seg.m = static_cast<std::size_t>(init.total);
-  }
+  sub.emplace<PartialSums>(self, static_cast<Word>(input.size()),
+                           SumOp::add(), kTotal);
+  co_await sub;
+  seg.m = static_cast<std::size_t>(sub.get<PartialSums>().result().total);
   seg.cands = input;
   std::vector<Seg> stack;
   bool collected = false;
@@ -218,11 +254,13 @@ ProcMain selection_program(Proc& self, const SelectionPlan& plan,
 
       // 1. local medians, 2. sorted descending by median.
       std::vector<KV> pair(1, median_pair(seg.cands));
-      co_await columnsort_even_collective(self, plan.pair_sort, pair);
+      sub.emplace<EvenSort>(self, plan.pair_sort, pair);
+      co_await sub;
 
       // 3. prefix counts over the sorted order; locate the weighted median.
-      const auto ps = co_await partial_sums(self, pair[0].val, SumOp::add(),
-                                            {.with_total = true});
+      sub.emplace<PartialSums>(self, pair[0].val, SumOp::add(), kTotal);
+      co_await sub;
+      const PartialSumsResult& ps = sub.get<PartialSums>().result();
       MCB_REQUIRE(static_cast<std::size_t>(ps.total) == seg.m,
                   kDistinctValues << ": duplicate keys made the candidate "
                                      "count drift ("
@@ -231,20 +269,27 @@ ProcMain selection_program(Proc& self, const SelectionPlan& plan,
       const Word med_star = co_await cast;
 
       // 4. count candidates >= med_star network-wide.
-      const auto gs = co_await partial_sums(
-          self, count_at_least(seg.cands, med_star), SumOp::add(),
-          {.with_total = true});
+      sub.emplace<PartialSums>(self, count_at_least(seg.cands, med_star),
+                               SumOp::add(), kTotal);
+      co_await sub;
+      const Word m_s = sub.get<PartialSums>().result().total;
 
       // 5. route every rank.
-      route_ranks(seg, plan.uds, med_star, static_cast<std::size_t>(gs.total),
+      route_ranks(seg, plan.uds, med_star, static_cast<std::size_t>(m_s),
                   stack, answers);
     }
 
     // --- termination: one collection answers the segment's ranks ---------
     if (seg.lo < seg.hi) {
       if (self.id() == 0) self.mark_phase("terminate");
-      co_await collect_and_select_ranks(
-          self, seg, plan.uds, answers.subspan(seg.lo, seg.hi - seg.lo));
+      sub.emplace<PartialSums>(self, static_cast<Word>(seg.cands.size()),
+                               SumOp::add(), kTotal);
+      co_await sub;
+      const PartialSumsResult counts = sub.get<PartialSums>().result();
+      check_survivors(seg, plan.uds, static_cast<std::size_t>(counts.total));
+      sub.emplace<Terminate>(self, seg, plan.uds, counts,
+                             answers.subspan(seg.lo, seg.hi - seg.lo));
+      co_await sub;
       collected = true;
     }
     if (stack.empty()) break;

@@ -80,14 +80,22 @@ ProcMain uneven_program(Proc& self, const UnevenCtx& ctx,
   const std::size_t p = self.p();
   const auto ni = static_cast<Word>(input.size());
 
+  // Every sub-protocol runs in this one slot (Proc::StepAwaiter).
+  StepSlot<PartialSums, detail::ColumnsortPhases, detail::Redistribute> sub;
+
   // --- phase 0a: learn the distribution and form groups --------------------
   if (i == 0) self.mark_phase("phase0a:form");
-  const auto ps = co_await partial_sums(
-      self, ni, SumOp::add(), {.with_total = true, .with_next = true});
-  const auto mx =
-      co_await partial_sums(self, ni, SumOp::max(), {.with_total = true});
+  sub.emplace<PartialSums>(
+      self, ni, SumOp::add(),
+      PartialSumsOptions{.with_total = true, .with_next = true});
+  co_await sub;
+  const PartialSumsResult ps = sub.get<PartialSums>().result();
+  sub.emplace<PartialSums>(self, ni, SumOp::max(),
+                           PartialSumsOptions{.with_total = true});
+  co_await sub;
+  const auto n_max =
+      static_cast<std::size_t>(sub.get<PartialSums>().result().total);
   const auto n = static_cast<std::size_t>(ps.total);
-  const auto n_max = static_cast<std::size_t>(mx.total);
   const std::size_t k_eff = effective_k(n, ctx.k);
   const std::size_t budget = ceil_div(n, k_eff) + n_max - 1;
 
@@ -160,7 +168,8 @@ ProcMain uneven_program(Proc& self, const UnevenCtx& ctx,
   // --- phases 1-9 -----------------------------------------------------------
   if (i == 0) self.mark_phase("core:columnsort");
   if (is_rep) {
-    co_await detail::columnsort_phases(self, *ctx.plan, my_group, column);
+    sub.emplace<detail::ColumnsortPhases>(self, *ctx.plan, my_group, column);
+    co_await sub;
   } else {
     co_await self.window(ctx.plan->core_cycles);
   }
@@ -168,9 +177,11 @@ ProcMain uneven_program(Proc& self, const UnevenCtx& ctx,
   // --- phase 10: redistribute ------------------------------------------------
   if (i == 0) self.mark_phase("phase10:redistribute");
   std::vector<KV> segment;
-  co_await detail::redistribute(self, *ctx.plan, is_rep, my_group, column, n,
-                                static_cast<std::size_t>(ps.before),
-                                static_cast<std::size_t>(ps.self), segment);
+  sub.emplace<detail::Redistribute>(
+      self, *ctx.plan, is_rep, my_group, column, n,
+      static_cast<std::size_t>(ps.before), static_cast<std::size_t>(ps.self),
+      segment);
+  co_await sub;
   output.clear();
   output.reserve(segment.size());
   for (const KV& e : segment) output.push_back(e.key);

@@ -51,9 +51,7 @@ void fill_stats(TrialResult& r, const RunStats& stats) {
   r.proc_resumes = stats.proc_resumes;
   r.sim_wall_ns = stats.sim_wall_ns;
   r.frame_allocs = stats.frame_allocs;
-  r.frame_frees = stats.frame_frees;
-  r.arena_bytes_peak = stats.arena_bytes_peak;
-  r.arena_hit_rate = stats.arena_hit_rate;
+  r.frame_bytes = stats.frame_bytes;
 }
 
 void fill_spans(TrialResult& r, const obs::Recorder& rec,
@@ -325,9 +323,7 @@ std::string sweep_json(const SweepRun& run) {
        << ", \"peak_aux_words\": " << res.peak_aux_words
        << ", \"proc_resumes\": " << res.proc_resumes
        << ", \"host\": {\"frame_allocs\": " << res.frame_allocs
-       << ", \"frame_frees\": " << res.frame_frees
-       << ", \"arena_bytes_peak\": " << res.arena_bytes_peak
-       << ", \"arena_hit_rate\": " << fmt(res.arena_hit_rate) << '}'
+       << ", \"frame_bytes\": " << res.frame_bytes << '}'
        << ", \"predicted_cycles\": " << fmt(res.predicted_cycles)
        << ", \"predicted_messages\": " << fmt(res.predicted_messages)
        << ", \"conformance_violations\": " << res.conformance_violations;

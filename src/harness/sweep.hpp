@@ -110,13 +110,14 @@ struct TrialResult {
   std::size_t peak_aux_words = 0;
   std::uint64_t proc_resumes = 0;
   std::uint64_t sim_wall_ns = 0;
-  /// Frame-arena telemetry. Deterministic given the spec (the trial's
-  /// coroutine execution is), so sweep_json serializes it, in the trial's
-  /// `host` object: it moves whenever the engine changes, and `mcbsim
-  /// strip-host` removes it. Zero in MCB_FRAME_ARENA=OFF builds.
+  /// Frame telemetry (RunStats::frame_allocs and frame_bytes).
+  /// Deterministic given the spec and the build, so sweep_json serializes
+  /// it, in the trial's `host` object: it moves whenever a protocol's or
+  /// the compiler's frame layout does, and `mcbsim strip-host` removes it.
   std::uint64_t frame_allocs = 0;
-  std::uint64_t frame_frees = 0;
-  std::uint64_t arena_bytes_peak = 0;
+  std::uint64_t frame_bytes = 0;
+  /// Always 0: nothing recycles frames. Kept so that existing readers of
+  /// the field still build; sweep_json does not serialize it.
   double arena_hit_rate = 0.0;
   /// Theta-term predictions from theory/bounds for this point's geometry.
   double predicted_cycles = 0.0;

@@ -5,7 +5,7 @@
 //   ProcMain my_protocol(Proc& self, ...) {
 //     auto got = co_await self.write_read(c_out, Message::of(42), c_in);
 //     ...
-//     co_await sub_phase(self, ...);   // compose algorithms (Task<T>)
+//     auto ps = co_await algo::partial_sums(self, ...);  // a sub-protocol
 //   }
 //
 // Execution model: a processor suspends at a cycle boundary by awaiting a
@@ -17,22 +17,26 @@
 // a processor performs arbitrary local computation — the "write, read,
 // compute" cycle of Section 2 of the paper.
 //
-// Task<T> is an awaitable subroutine bound to the same processor. Awaiting
-// it transfers control into the subroutine; the subroutine's own cycle
-// awaits register themselves as the processor's resume point, so the Network
-// always resumes the innermost active coroutine. On completion, control
-// symmetrically transfers back to the awaiting parent. This makes the
-// paper's composition ("using the Partial-Sums algorithm, ...") a one-line
-// co_await.
+// The paper's composition ("using the Partial-Sums algorithm, ...") is a
+// one-line co_await. A sub-protocol is a step awaiter (Proc::StepAwaiter
+// in proc.hpp): a state machine held in the awaiter, in the caller's
+// frame, that the engine steps from one channel action to the next, so a
+// processor's program is its only frame. Task<T> remains for composition
+// that is truly recursive or rare: an awaitable subroutine bound to the
+// same processor, with a frame of its own. Awaiting it transfers control
+// into the subroutine; the subroutine's own cycle awaits register
+// themselves as the processor's resume point, so the Network always
+// resumes the innermost active coroutine. On completion, control
+// symmetrically transfers back to the awaiting parent.
 #pragma once
 
 #include <coroutine>
 #include <exception>
 #include <new>
+#include <optional>
 #include <type_traits>
 #include <utility>
 
-#include "util/arena.hpp"
 
 namespace mcb {
 
@@ -43,31 +47,24 @@ class Task;
 
 namespace detail {
 
-/// Mixed into every promise type so coroutine frames allocate from the
-/// thread-local frame arena (util/arena.hpp) when one is installed —
-/// Network::run() installs its own — and from global new otherwise. The
-/// per-frame header written by frame_allocate routes the matching delete,
-/// so frames may legally outlive the arena *scope* (e.g. a suspended
-/// program destroyed by ~Network after run() returned). Compiled out by
-/// -DMCB_FRAME_ARENA=OFF, which falls back to global new/delete frames.
-struct FrameAlloc {
-#if MCB_FRAME_ARENA_ENABLED
-  static void* operator new(std::size_t bytes) {
-    return util::frame_allocate(bytes);
-  }
-  static void operator delete(void* p) noexcept {
-    util::frame_deallocate(p);
-  }
-  static void operator delete(void* p, std::size_t) noexcept {
-    util::frame_deallocate(p);
-  }
-#endif
-};
+/// Charges a frame of `bytes` to the network of `self`
+/// (RunStats::frame_allocs and frame_bytes), and a program frame taken
+/// from that network's program-frame region (defined in proc.cpp, where
+/// Network is complete).
+void charge_frame(Proc& self, std::size_t bytes);
+void* program_frame(Proc& self, std::size_t bytes);
 
-/// The frame of a program whose first parameter is `Proc& self`, from the
-/// arena of self's network (defined in proc.cpp, where Network is
-/// complete).
-void* program_frame_allocate(std::size_t bytes, Proc& self);
+/// Mixed into Task's promise: its frame comes from plain operator new, and
+/// the frame of a subroutine whose first parameter is `Proc& self` is
+/// charged to self's network.
+struct CountedFrame {
+  static void* operator new(std::size_t bytes) { return ::operator new(bytes); }
+  template <typename... Args>
+  static void* operator new(std::size_t bytes, Proc& self, Args&...) {
+    charge_frame(self, bytes);
+    return ::operator new(bytes);
+  }
+};
 
 /// Final awaiter of Task<T>: symmetric transfer back to the awaiting parent.
 struct TaskFinalAwaiter {
@@ -82,7 +79,7 @@ struct TaskFinalAwaiter {
 };
 
 template <typename T>
-struct TaskPromiseBase : FrameAlloc {
+struct TaskPromiseBase : CountedFrame {
   std::coroutine_handle<> continuation = nullptr;
   std::exception_ptr exception;
 
@@ -91,30 +88,12 @@ struct TaskPromiseBase : FrameAlloc {
   void unhandled_exception() noexcept { exception = std::current_exception(); }
 };
 
-/// The result lives in raw storage with an engaged flag instead of a
-/// std::optional<T>: the value is written exactly once (return_value) and
-/// moved out exactly once (await_resume), so the optional's re-engagement
-/// machinery is pure overhead on a path executed once per co_await.
 template <typename T>
 struct TaskPromise final : TaskPromiseBase<T> {
-  alignas(T) unsigned char storage[sizeof(T)];
-  bool engaged = false;
+  std::optional<T> result;
 
-  TaskPromise() noexcept {}
-  ~TaskPromise() {
-    if (engaged) result().~T();
-  }
-  TaskPromise(const TaskPromise&) = delete;
-  TaskPromise& operator=(const TaskPromise&) = delete;
-
-  T& result() noexcept {
-    return *std::launder(reinterpret_cast<T*>(storage));
-  }
   Task<T> get_return_object();
-  void return_value(T v) {
-    ::new (static_cast<void*>(storage)) T(std::move(v));
-    engaged = true;
-  }
+  void return_value(T v) { result.emplace(std::move(v)); }
 };
 
 template <>
@@ -161,7 +140,7 @@ class [[nodiscard]] Task {
       std::rethrow_exception(h_.promise().exception);
     }
     if constexpr (!std::is_void_v<T>) {
-      return std::move(h_.promise().result());
+      return std::move(*h_.promise().result);
     }
   }
 
@@ -184,24 +163,25 @@ inline Task<void> TaskPromise<void>::get_return_object() {
 }  // namespace detail
 
 /// Top-level program of one processor. Created by calling a coroutine
-/// function, then installed into a Network which drives it cycle by cycle.
-///
-/// A program whose first parameter is `Proc& self` takes its frame from
-/// the arena of self's network, so p programs cost p arena blocks, not p
-/// global allocations, and reset() recycles them for the next install;
-/// that network must outlive the program (it does when the program is
-/// installed there). Any other program (a lambda, say, whose first
-/// argument is the closure) falls back to FrameAlloc's plain operator new.
+/// function whose first parameter is `Proc& self` (a lambda's first after
+/// its closure), then installed into self's Network, which drives it cycle
+/// by cycle. The frame is charged to that network and carved from its
+/// program-frame region, which Network::reset() rewinds: so the network
+/// must outlive the program, and a program never installed must be gone
+/// before the network's next reset().
 class [[nodiscard]] ProcMain {
  public:
-  struct promise_type : detail::FrameAlloc {
-#if MCB_FRAME_ARENA_ENABLED
-    using detail::FrameAlloc::operator new;
+  struct promise_type {
     template <typename... Args>
     static void* operator new(std::size_t bytes, Proc& self, Args&...) {
-      return detail::program_frame_allocate(bytes, self);
+      return detail::program_frame(self, bytes);
     }
-#endif
+    template <typename Closure, typename... Args>
+    static void* operator new(std::size_t bytes, Closure&, Proc& self,
+                              Args&...) {
+      return detail::program_frame(self, bytes);
+    }
+    static void operator delete(void*) noexcept {}  // the region's
 
     Proc* proc = nullptr;  // wired up by Network::install
     std::exception_ptr exception;

@@ -53,8 +53,28 @@ void Network::install(ProcId i, ProcMain program) {
   programs_.push_back(std::move(program));
 }
 
+void* Network::program_frame(std::size_t bytes) {
+  bytes = (bytes + 15) & ~std::size_t{15};  // the default new alignment
+  for (;; ++frame_chunk_, frame_used_ = 0) {
+    if (frame_chunk_ == frame_chunks_.size()) {
+      const std::size_t size = std::max(bytes, kFrameChunkBytes);
+      frame_chunks_.push_back(
+          {std::make_unique_for_overwrite<std::byte[]>(size), size});
+    }
+    FrameChunk& c = frame_chunks_[frame_chunk_];
+    if (frame_used_ + bytes <= c.bytes) {
+      frame_used_ += bytes;
+      return c.mem.get() + (frame_used_ - bytes);
+    }
+  }
+}
+
 void Network::resume_proc(ProcId id) {
   ++stats_.proc_resumes;
+  if (ProcTable::Step& st = tab_.step[id]; st.fn != nullptr) {
+    if (st.fn(st.ctx)) return;  // the awaiter opened its next action
+    st.fn = nullptr;
+  }
   tab_.resume_point[id].resume();
   if (tab_.done[id]) {
     --alive_;
@@ -80,7 +100,7 @@ void Network::on_window(ProcId id, Cycle lead, std::size_t beats,
   // makes the held beat active without resuming the processor.
   tab_.wake_cycle[id] = now_ + lead + 1;
   const std::uint32_t j = event && lead > 0 ? 0 : 1;
-  if (beats > 1 || w.trail > 0) {
+  if (beats > 1 || w.trail > 0 || w.place != nullptr) {
     tab_.window[id] = w;
     tab_.pos[id] = {j, static_cast<std::uint32_t>(beats)};
   } else if (j == 0) {
@@ -264,18 +284,6 @@ RunStats Network::run() {
               "every processor needs a program before run()");
   ran_ = true;
 
-  // Snapshot the arena counters so the run telemetry below reports this
-  // run's deltas. On a fresh network every counter is zero and this is a
-  // no-op; on a reset network the arena carries the previous runs' monotonic
-  // totals (and, more usefully, its warm free lists).
-  arena_base_ = arena_.stats();
-
-  // Route coroutine frame allocations (Task subroutine frames created by
-  // protocol code from here on) through this network's arena. The scope
-  // nests, so a hosted Network run inside a program restores the outer
-  // arena when it finishes. No-op layout-wise under MCB_FRAME_ARENA=OFF.
-  util::FrameArenaScope frame_scope(&arena_);
-
   // Wall-clock telemetry (stats_.sim_wall_ns), never a protocol input —
   // the sim clock is the cycle counter. Read through the obs::Clock seam so
   // the engine directory stays free of direct *_clock::now() calls and
@@ -307,38 +315,19 @@ RunStats Network::run() {
   stats_.cycles_per_sec =
       safe_cycles_per_sec(stats_.cycles, stats_.sim_wall_ns);
 
-  // Allocation telemetry (host-side, like sim_wall_ns; all zero under
-  // MCB_FRAME_ARENA=OFF where frames go through plain global new).
-  //
-  // All counts are deltas against the start-of-run snapshot, so a run on a
-  // reset network reports the same frame_allocs/frees a fresh network would
-  // — what changes on reuse is frame_reuses and the hit rate, which is the
-  // point. bytes_peak stays the raw monotonic peak: live bytes return to
-  // zero between runs (every frame is freed), so later runs' peaks match a
-  // fresh network's and the value is reset-invariant anyway.
-  const util::ArenaStats& as = arena_.stats();
-  const std::uint64_t allocs = as.allocs - arena_base_.allocs;
-  const std::uint64_t slabs = as.slab_allocs - arena_base_.slab_allocs;
-  stats_.frame_allocs = allocs;
-  stats_.frame_frees = as.frees - arena_base_.frees;
-  stats_.frame_reuses = as.reuses - arena_base_.reuses;
-  stats_.arena_bytes_peak = as.bytes_peak;
-  stats_.arena_hit_rate =
-      allocs == 0 ? 0.0
-                  : static_cast<double>(allocs - slabs) /
-                        static_cast<double>(allocs);
   return stats_;
 }
 
 void Network::reset() {
-  // Destroy the program objects first: destroying a suspended coroutine
-  // frame releases it (and any in-scope Task frames it holds) back to the
-  // owning arena through the allocation headers, so the free lists are warm
-  // for the next install round, and closes the frame's open spans before
-  // the phase span they nest in. Only then null the table's handles.
+  // Destroy the program objects first: destroying a suspended program
+  // frees its in-scope Task frames and closes the frame's open spans
+  // before the phase span they nest in. Only then null the table's handles
+  // and rewind the program-frame region.
   programs_.clear();
   if (!phase_name_.empty()) span_end();
   tab_.reset();
+  frame_chunk_ = 0;
+  frame_used_ = 0;
 
   std::fill(slot_written_.begin(), slot_written_.end(), std::uint8_t{0});
   std::fill(slot_writer_.begin(), slot_writer_.end(), ProcId{0});
@@ -356,8 +345,6 @@ void Network::reset() {
   phase_name_.clear();
   phase_start_cycle_ = 0;
   phase_start_messages_ = 0;
-
-  arena_base_ = util::ArenaStats{};
 }
 
 // The event-driven engine. Observationally identical to the reference loop

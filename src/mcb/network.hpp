@@ -47,7 +47,6 @@
 #include "mcb/sim_config.hpp"
 #include "mcb/stats.hpp"
 #include "mcb/trace.hpp"
-#include "util/arena.hpp"
 
 namespace mcb {
 
@@ -80,21 +79,14 @@ class Network {
 
   /// Returns the network to its pre-install state so a new set of programs
   /// can be installed and run on the same allocation: processor contexts,
-  /// channel-slot arrays, scheduler tiers and — crucially for the serving
-  /// layer — the warmed coroutine-frame arena all survive, so repeated
-  /// runs skip both the setup allocations and most slab acquisitions
-  /// (RunStats::frame_reuses shows the free-list hits). Model-observable
-  /// state is cleared completely: a run after reset() is byte-identical —
-  /// stats, traces, conformance streams — to the same run on a fresh
-  /// network (tests/reset_test.cpp holds both engines to that). Safe after
-  /// a failed run too: suspended programs are destroyed and their frames
-  /// recycled. Must not be called from inside a processor program.
+  /// channel-slot arrays, scheduler tiers, window blocks and the
+  /// program-frame region all survive, so repeated runs skip the setup
+  /// allocations. Model-observable state is cleared completely: a run
+  /// after reset() is byte-identical — stats, traces, conformance streams —
+  /// to the same run on a fresh network (tests/reset_test.cpp holds both
+  /// engines to that). Safe after a failed run too: suspended programs are
+  /// destroyed. Must not be called from inside a processor program.
   void reset();
-
-  /// The frame arena's counters, monotonic over the network's life: the
-  /// program frames installed so far count before run() starts.
-  /// RunStats::frame_* report one run's share of them.
-  const util::ArenaStats& arena_stats() const { return arena_.stats(); }
 
   /// Completed cycles (valid during a run; queried by Proc::now()).
   Cycle now() const { return now_; }
@@ -114,7 +106,8 @@ class Network {
   friend class Proc;
   friend struct Proc::CycleAwaiter;
   friend struct Proc::MultiReadAwaiter;
-  friend void* detail::program_frame_allocate(std::size_t bytes, Proc& self);
+  friend void detail::charge_frame(Proc& self, std::size_t bytes);
+  friend void* detail::program_frame(Proc& self, std::size_t bytes);
 
   // The suspension hook of every awaiter: processor id opens a window of
   // `beats` beats (beat 0, if any, already loaded) after `lead` idle
@@ -138,6 +131,9 @@ class Network {
   }
   void bad_intent(ProcId id) const;
 
+  // Carves a program frame of `bytes` from the region.
+  void* program_frame(std::size_t bytes);
+
   void resume_proc(ProcId id);
   void run_event_loop();
   void run_reference_loop();
@@ -152,13 +148,20 @@ class Network {
   SimConfig cfg_;
   TraceSink* sink_;
 
-  // Frame arena for this network's coroutine frames: program frames at
-  // install (detail::program_frame_allocate), Task frames while it is
-  // installed thread_local for the duration of run(). Declared before
-  // programs_ so it is destroyed after them: destroying a program (e.g. a
-  // suspended one after a CollisionError aborted the run) frees its frame
-  // and its in-scope Task frames back into the arena.
-  util::FrameArena arena_;
+  // The program-frame region: programs' frames, carved in creation order
+  // from chunks that reset() rewinds once it has destroyed the programs,
+  // so a network that installs p programs per run allocates their frames
+  // once. Chunks stay below the allocator's mmap threshold, so the next
+  // network reuses their memory rather than faulting in fresh pages.
+  // Declared before programs_, whose frames it holds.
+  static constexpr std::size_t kFrameChunkBytes = 64 * 1024;
+  struct FrameChunk {
+    std::unique_ptr<std::byte[]> mem;
+    std::size_t bytes;
+  };
+  std::vector<FrameChunk> frame_chunks_;
+  std::size_t frame_chunk_ = 0;  ///< the chunk being carved
+  std::size_t frame_used_ = 0;   ///< its bytes carved
 
   ProcTable tab_;
   std::vector<std::unique_ptr<Proc>> procs_;
@@ -183,11 +186,6 @@ class Network {
   Cycle phase_start_cycle_ = 0;
   std::uint64_t phase_start_messages_ = 0;
 
-  // Arena counters at the start of the current run, so the per-run telemetry
-  // reports this run's deltas even on a reset network whose arena carries
-  // warm free lists from earlier runs. Zero for a fresh network, keeping
-  // first-run telemetry unchanged.
-  util::ArenaStats arena_base_;
 };
 
 }  // namespace mcb

@@ -9,8 +9,15 @@
 
 namespace mcb {
 
-void* detail::program_frame_allocate(std::size_t bytes, Proc& self) {
-  return util::frame_allocate_in(&self.net_->arena_, bytes);
+void detail::charge_frame(Proc& self, std::size_t bytes) {
+  RunStats& stats = self.net_->stats_;
+  ++stats.frame_allocs;
+  stats.frame_bytes += bytes;
+}
+
+void* detail::program_frame(Proc& self, std::size_t bytes) {
+  charge_frame(self, bytes);
+  return self.net_->program_frame(bytes);
 }
 
 std::size_t Proc::p() const { return net_->config().p; }
@@ -33,7 +40,7 @@ Proc::CycleAwaiter Proc::cycle_after(Cycle idle, std::optional<WriteOp> write,
 }
 
 Proc::WindowAwaiter<Proc::NoFn, Proc::NoFn> Proc::window(Cycle idle) {
-  return {*this, idle, 0, 0, false, {}, {}};
+  return {*this, idle, 0, 0, {}, {}};
 }
 
 void Proc::require_beats(std::size_t beats) const {
@@ -41,15 +48,26 @@ void Proc::require_beats(std::size_t beats) const {
                                        << beats << " beats");
 }
 
-bool Proc::load_beat(Beat b) {
+void Proc::load_beat(Beat b) {
   net_->tab_.intent[id_] = std::move(b);
   net_->check_intent(id_);
   net_->tab_.read_result[id_].reset();
-  return net_->tab_.intent[id_].read != kNoChannel;
 }
 
 Proc::ReadResult Proc::take_read() {
   return std::move(net_->tab_.read_result[id_]);
+}
+
+void Proc::act_sleep(Cycle cycles) {
+  net_->on_window(id_, cycles, 0, ProcTable::Window{});
+}
+
+void Proc::set_resume(std::coroutine_handle<> h) {
+  net_->tab_.resume_point[id_] = h;
+}
+
+void Proc::set_step(StepFn step, void* ctx) {
+  net_->tab_.step[id_] = {step, ctx};
 }
 
 void Proc::set_intent(std::optional<WriteOp>& write, ChannelId read) {
@@ -65,10 +83,8 @@ void Proc::set_intent(std::optional<WriteOp>& write, ChannelId read) {
   net_->check_intent(id_);
 }
 
-void Proc::open_window(std::coroutine_handle<> h, Cycle lead,
-                       std::size_t beats, Cycle trail, FillFn fill,
-                       PlaceFn place, void* ctx) {
-  net_->tab_.resume_point[id_] = h;
+void Proc::open_window(Cycle lead, std::size_t beats, Cycle trail,
+                       FillFn fill, PlaceFn place, void* ctx) {
   net_->on_window(id_, lead, beats, ProcTable::Window{fill, place, ctx, trail});
 }
 

@@ -28,11 +28,17 @@
 namespace mcb {
 
 /// Per-processor state, one array element per processor, indexed by ProcId.
-/// Owned by Network (declared after the frame arena, so coroutine frames
-/// outlive their handles here).
+/// Owned by Network.
 struct ProcTable {
   /// Innermost suspended coroutine; resuming it continues the program.
   std::vector<std::coroutine_handle<>> resume_point;
+  /// The step awaiter the processor is suspended on (fn null: none). Its
+  /// step runs in place of resuming resume_point until it returns false.
+  struct Step {
+    Proc::StepFn fn = nullptr;
+    void* ctx = nullptr;
+  };
+  std::vector<Step> step;
   /// Top-level program handle, for O(1) exception retrieval on completion.
   std::vector<ProcMain::handle_type> program;
   /// Cycle at which the processor is next due.
@@ -46,8 +52,8 @@ struct ProcTable {
   /// resumes when next due). window: the callbacks (ctx is the awaiter),
   /// the idle cycles after the last beat and the block lent to the window
   /// (kNoBlock: none). place is null, trail 0 and block kNoBlock whenever
-  /// no window is open, so a one-beat window without a trail (its read is
-  /// placed by the awaiter) only sets pos.
+  /// no window is open, so a one-beat window without a trail or a place (a
+  /// cycle_after) only sets pos.
   struct Pos {
     std::uint32_t j = 0;
     std::uint32_t n = 0;
@@ -97,6 +103,7 @@ struct ProcTable {
 
   void resize(std::size_t p) {
     resume_point.resize(p);
+    step.assign(p, Step{});
     program.resize(p);
     wake_cycle.assign(p, 0);
     done.assign(p, 0);
@@ -115,6 +122,7 @@ struct ProcTable {
   void reset() {
     std::fill(resume_point.begin(), resume_point.end(),
               std::coroutine_handle<>{});
+    std::fill(step.begin(), step.end(), Step{});
     std::fill(program.begin(), program.end(), ProcMain::handle_type{});
     std::fill(wake_cycle.begin(), wake_cycle.end(), Cycle{0});
     std::fill(done.begin(), done.end(), std::uint8_t{0});

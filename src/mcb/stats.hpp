@@ -40,13 +40,16 @@ struct RunStats {
   std::uint64_t proc_resumes = 0;  ///< coroutine resumptions performed
   double cycles_per_sec = 0.0;     ///< simulated cycles per host second
 
-  // Frame-arena telemetry (util/arena.hpp): coroutine frames allocated by
-  // this run's protocol code. All zero under MCB_FRAME_ARENA=OFF.
-  std::uint64_t frame_allocs = 0;      ///< frames served by the arena
-  std::uint64_t frame_frees = 0;       ///< frames recycled into the arena
-  std::uint64_t frame_reuses = 0;      ///< allocs served from a free list
-  std::uint64_t arena_bytes_peak = 0;  ///< peak live frame bytes
-  double arena_hit_rate = 0.0;         ///< free-list reuse fraction [0, 1]
+  // Frame telemetry: the coroutine frames charged to this network since
+  // it was built or reset — programs at install, Task subroutines during
+  // the run; every coroutine whose first parameter is `Proc& self`
+  // (detail::CountedFrame). A program whose sub-protocols are all step
+  // awaiters is its processor's only frame, so frame_allocs is p.
+  std::uint64_t frame_allocs = 0;  ///< frames charged
+  std::uint64_t frame_bytes = 0;   ///< their bytes, as operator new got them
+  /// Always 0: frames come from plain operator new, and nothing recycles
+  /// them. Kept so that existing readers of the field still build.
+  std::uint64_t frame_reuses = 0;
 
   /// Largest per-processor auxiliary storage over the whole run.
   std::size_t max_peak_aux() const {

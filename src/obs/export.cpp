@@ -117,11 +117,7 @@ std::string host_stats_json(const RunStats& stats) {
   os << "{\"sim_wall_ns\":" << stats.sim_wall_ns
      << ",\"cycles_per_sec\":" << util::json_double(stats.cycles_per_sec)
      << ",\"frame_allocs\":" << stats.frame_allocs
-     << ",\"frame_frees\":" << stats.frame_frees
-     << ",\"frame_reuses\":" << stats.frame_reuses
-     << ",\"arena_bytes_peak\":" << stats.arena_bytes_peak
-     << ",\"arena_hit_rate\":" << util::json_double(stats.arena_hit_rate)
-     << '}';
+     << ",\"frame_bytes\":" << stats.frame_bytes << '}';
   return os.str();
 }
 

@@ -39,8 +39,8 @@ std::string chrome_trace_json(const RunStats& stats, const SimConfig& cfg,
 std::string run_stats_json(const RunStats& stats);
 
 /// The host side of one RunStats as a JSON object — the "host" member
-/// `--profile` adds: sim_wall_ns, cycles_per_sec and the frame_*/arena_*
-/// counters. Outside the determinism contract; `mcbsim strip-host` removes
+/// `--profile` adds: sim_wall_ns, cycles_per_sec, frame_allocs and
+/// frame_bytes. Outside the determinism contract; `mcbsim strip-host` removes
 /// every `host` member. Strict RFC 8259: the double fields go through
 /// util::json_double, so a non-finite value renders as 0 rather than an
 /// unparseable bare `nan`/`inf` token.

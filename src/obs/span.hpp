@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "mcb/proc.hpp"
@@ -107,22 +108,29 @@ class Recorder final : public SpanSink {
 };
 
 /// The RAII span protocol code creates. Records only on processor 0 (and
-/// only when a sink is attached); move-only is unnecessary — spans are
-/// scoped, never stored.
+/// only when a sink is attached). A step awaiter holds its spans as
+/// members: default-constructed, opened when it begins and closed when it
+/// ends — or, if the run stops first, when it is destroyed.
 class Span {
  public:
-  Span(Proc& self, std::string_view name) {
+  Span() = default;
+  Span(Proc& self, std::string_view name) { open(self, name); }
+  ~Span() { close(); }
+
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+
+  /// Begins the span now; it must not be open.
+  void open(Proc& self, std::string_view name) {
     if (self.id() == 0) {
       proc_ = &self;
       self.span_begin(name);
     }
   }
-  ~Span() {
-    if (proc_ != nullptr) proc_->span_end();
+  /// Ends the span now, if it is open.
+  void close() {
+    if (proc_ != nullptr) std::exchange(proc_, nullptr)->span_end();
   }
-
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
 
  private:
   Proc* proc_ = nullptr;

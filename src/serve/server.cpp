@@ -56,8 +56,7 @@ ServeReport run_server(const ServeConfig& cfg) {
   QueryStream stream(c.classes, c.seed);
 
   // THE long-lived network: constructed once, reset between batches. Every
-  // batch re-installs programs into the same ProcTable/slot allocation and
-  // reuses the warmed frame arenas.
+  // batch re-installs programs into the same ProcTable/slot allocation.
   Network net(c.sim, c.sink);
   bool first_run = true;
 
@@ -86,7 +85,6 @@ ServeReport run_server(const ServeConfig& cfg) {
     rep.total_messages += res.stats.messages;
     rep.filter_phases += res.filter_phases;
     rep.frame_allocs += res.stats.frame_allocs;
-    rep.frame_reuses += res.stats.frame_reuses;
     rep.batch_wall_ns.push_back(res.stats.sim_wall_ns);
     for (std::size_t i = 0; i < pending.size(); ++i) {
       const Pending& pq = pending[i];
@@ -145,7 +143,7 @@ ServeReport run_server(const ServeConfig& cfg) {
 }
 
 std::string ServeReport::json() const {
-  // Model-level fields only: no wall clock, no arena counters, no engine
+  // Model-level fields only: no wall clock, no frame counters, no engine
   // identity — the document must be byte-identical for one seed
   // whichever engine answered it (tools/ci.sh cmp's exactly this).
   std::ostringstream os;
@@ -255,8 +253,7 @@ std::string ServeReport::host_json() const {
     if (i != lo) os << ',';
     os << batch_wall_ns[i];
   }
-  os << "],\"frame_allocs\":" << frame_allocs
-     << ",\"frame_reuses\":" << frame_reuses << '}';
+  os << "],\"frame_allocs\":" << frame_allocs << '}';
   return os.str();
 }
 

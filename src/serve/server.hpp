@@ -4,9 +4,9 @@
 // full Network construction and coroutine-frame cold start per question.
 // The server keeps ONE Network alive for the whole session: every batch
 // re-installs programs into the same ProcTable/channel-slot allocation via
-// Network::reset(), and the frame arenas stay warm, so steady-state batches
-// allocate almost nothing (frame_reuses in the `host` member that
-// `mcbsim serve --profile` adds shows it).
+// Network::reset(), and each processor's program is its only coroutine
+// frame, so a batch allocates p frames (frame_allocs in the `host` member
+// that `mcbsim serve --profile` adds shows it).
 //
 // Admission/batching policy: rank_select and top_k queries are both "give
 // me the d-th largest" questions, so up to `batch` of them coalesce into
@@ -86,10 +86,8 @@ struct ServeReport {
   std::vector<ClassStats> classes;
 
   /// Host telemetry (excluded from json() and markdown(); host_json()
-  /// renders it). Steady-state reuse evidence: frame allocs/reuses summed
-  /// over every batch run.
+  /// renders it): frames summed over every batch run.
   std::uint64_t frame_allocs = 0;
-  std::uint64_t frame_reuses = 0;
   /// Host wall time of each batch run (its RunStats::sim_wall_ns), in
   /// flush order.
   std::vector<std::uint64_t> batch_wall_ns;

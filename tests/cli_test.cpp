@@ -111,13 +111,11 @@ void expect_stats_telemetry(const JsonValue& doc) {
   EXPECT_GT(stats.at("messages").as_number(), 0.0);
   // Resume count stays in stats: it is engine-invariant.
   EXPECT_GT(stats.at("proc_resumes").as_number(), 0.0);
-  // The RunStats host telemetry: wall time, throughput and the frame-arena
+  // The RunStats host telemetry: wall time, throughput and the frame
   // counters must all be serialized, under "host" and nowhere else.
   const auto& host = doc.at("host");
   EXPECT_GT(host.at("sim_wall_ns").as_number(), 0.0);
-  for (const char* field :
-       {"cycles_per_sec", "frame_allocs", "frame_frees", "frame_reuses",
-        "arena_bytes_peak", "arena_hit_rate"}) {
+  for (const char* field : {"cycles_per_sec", "frame_allocs", "frame_bytes"}) {
     EXPECT_NE(host.find(field), nullptr) << field;
     EXPECT_EQ(stats.find(field), nullptr) << field;
   }
@@ -186,7 +184,7 @@ TEST(McbsimJsonTest, SweepEmitsGridTrialsAndAggregates) {
     EXPECT_EQ(trial.at("error").as_string(), "");
     EXPECT_GT(trial.at("cycles").as_number(), 0.0);
     // Determinism contract: no host-side timing in sweep JSON; the
-    // (deterministic) arena counters sit in the trial's "host" object.
+    // (deterministic) frame counters sit in the trial's "host" object.
     EXPECT_EQ(trial.find("sim_wall_ns"), nullptr);
     EXPECT_EQ(trial.find("frame_allocs"), nullptr);
     EXPECT_NE(trial.at("host").find("frame_allocs"), nullptr);

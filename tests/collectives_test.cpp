@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "algo/collectives.hpp"
+#include "algo/common.hpp"
 #include "algo/selection.hpp"
 #include "util/workload.hpp"
 
@@ -67,8 +68,9 @@ TEST(CollectivesTest, BroadcastFromEveryRoot) {
     Network net({.p = p, .k = 3});
     std::vector<Word> got(p, 0);
     auto prog = [](Proc& self, ProcId r, Word& out) -> ProcMain {
-      out = co_await broadcast_value(
-          self, r, self.id() == r ? Word{555} : Word{0});
+      auto cast = broadcast_word(self, self.id() == r, Word{555},
+                                 "broadcast missing");
+      out = co_await cast;
     };
     for (ProcId i = 0; i < p; ++i) {
       net.install(i, prog(net.proc(i), root, got[i]));

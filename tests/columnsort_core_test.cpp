@@ -137,7 +137,7 @@ TEST(RunTransformTest, TransformsMatchPermutationTables) {
     auto work = columns;  // fresh copy per transform
     auto prog = [](Proc& self, const detail::CorePlan& pl, std::size_t tt,
                    std::vector<KV>& col) -> ProcMain {
-      co_await detail::run_transform(self, pl, tt, self.id(), col);
+      co_await detail::RunTransform(self, pl, tt, self.id(), col);
     };
     for (ProcId c = 0; c < kk; ++c) {
       net.install(c, prog(net.proc(c), plan, t, work[c]));

@@ -114,5 +114,19 @@ TEST(ErrorsTest, FaultsAreSimErrors) {
   }
 }
 
+// Check messages name their source file relative to the repository, so a
+// failing run reads the same in every checkout of one commit.
+TEST(ErrorsTest, CheckMessagesNameRepositoryRelativeSources) {
+  Network net({.p = 2, .k = 1});
+  try {
+    net.proc(5);
+    FAIL() << "processor 5 of 2 was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(" at src/mcb/network.cpp:"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("/src/"), std::string::npos) << msg;
+  }
+}
+
 }  // namespace
 }  // namespace mcb

@@ -1,0 +1,158 @@
+// Frame-count pins: a processor's program is its only coroutine frame.
+// Partial-Sums, the collectives, Columnsort and selection's termination
+// are step awaiters held in the program's frame (Proc::StepAwaiter), so a
+// run of any of them allocates exactly p frames — the programs installed
+// before it — on both engines, and a reset network allocates p again per
+// batch, in the same memory. Task<T> subroutines, kept for recursive
+// composition, are charged one frame per call.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <numeric>
+#include <vector>
+
+#include "algo/collectives.hpp"
+#include "algo/columnsort_even.hpp"
+#include "algo/multi_select.hpp"
+#include "algo/selection.hpp"
+#include "algo/uneven_sort.hpp"
+#include "mcb/network.hpp"
+#include "util/workload.hpp"
+
+namespace mcb {
+namespace {
+
+constexpr Engine kEngines[] = {Engine::kEventDriven, Engine::kReference};
+
+const char* name(Engine e) {
+  return e == Engine::kEventDriven ? "event" : "reference";
+}
+
+TEST(FrameTest, SelectRankAllocatesOneFramePerProcessor) {
+  const std::size_t p = 64, k = 4;
+  const auto w = util::make_workload(4 * p, p, util::Shape::kRandom, 3);
+  for (Engine e : kEngines) {
+    const auto res = algo::select_rank({.p = p, .k = k, .engine = e},
+                                       w.inputs, 100);
+    EXPECT_EQ(res.stats.frame_allocs, p) << name(e);
+    EXPECT_GT(res.stats.frame_bytes, 0u) << name(e);
+  }
+}
+
+TEST(FrameTest, EveryRankBatchAllocatesOneFramePerProcessor) {
+  // Every rank at once: the batch splits at every filtering phase, so the
+  // segment stack runs deep.
+  const std::size_t p = 16, k = 2, n = 128;
+  const auto w = util::make_workload(n, p, util::Shape::kEven, 5);
+  std::vector<std::size_t> ds(n);
+  std::iota(ds.begin(), ds.end(), std::size_t{1});
+  for (Engine e : kEngines) {
+    const auto res =
+        algo::select_ranks({.p = p, .k = k, .engine = e}, w.inputs, ds);
+    EXPECT_GT(res.filter_phases, 1u) << name(e);
+    EXPECT_EQ(res.stats.frame_allocs, p) << name(e);
+  }
+}
+
+TEST(FrameTest, ColumnsortEvenAllocatesOneFramePerProcessor) {
+  const std::size_t p = 32, k = 4;
+  const auto w = util::make_workload(64 * p, p, util::Shape::kEven, 7);
+  for (Engine e : kEngines) {
+    const auto res =
+        algo::columnsort_even({.p = p, .k = k, .engine = e}, w.inputs);
+    EXPECT_EQ(res.run.stats.frame_allocs, p) << name(e);
+  }
+}
+
+TEST(FrameTest, UnevenSortAllocatesOneFramePerProcessor) {
+  const std::size_t p = 32, k = 4;
+  const auto w = util::make_workload(2048, p, util::Shape::kZipf, 11);
+  for (Engine e : kEngines) {
+    const auto res =
+        algo::uneven_sort({.p = p, .k = k, .engine = e}, w.inputs);
+    EXPECT_EQ(res.run.stats.frame_allocs, p) << name(e);
+  }
+}
+
+TEST(FrameTest, CollectivesAllocateOneFramePerProcessor) {
+  const std::size_t p = 24, k = 4;
+  const auto w = util::make_workload(8 * p, p, util::Shape::kRandom, 13);
+  for (Engine e : kEngines) {
+    const SimConfig cfg{.p = p, .k = k, .engine = e};
+    EXPECT_EQ(algo::run_find_max(cfg, w.inputs).stats.frame_allocs, p)
+        << name(e);
+    EXPECT_EQ(algo::run_count_ge(cfg, w.inputs, 0).stats.frame_allocs, p)
+        << name(e);
+  }
+}
+
+TEST(FrameTest, ServeBatchesOnOneResetNetworkAllocateOneFrameEach) {
+  const std::size_t p = 16, k = 4;
+  const auto w = util::make_workload(512, p, util::Shape::kRandom, 17);
+  const std::vector<std::vector<std::size_t>> batches = {
+      {1, 52, 256, 500}, {7, 412}, {300}};
+  for (Engine e : kEngines) {
+    Network net({.p = p, .k = k, .engine = e});
+    std::uint64_t bytes = 0;
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      if (b > 0) net.reset();
+      const auto res = algo::select_ranks_on(net, w.inputs, batches[b]);
+      EXPECT_EQ(res.stats.frame_allocs, p) << name(e) << " batch " << b;
+      if (b == 0) bytes = res.stats.frame_bytes;
+      EXPECT_EQ(res.stats.frame_bytes, bytes) << name(e) << " batch " << b;
+    }
+  }
+}
+
+// --- what is charged ---------------------------------------------------------
+
+Task<Word> double_up(Proc& self, Word x) {
+  co_await self.window(1);
+  co_return x * 2;
+}
+
+ProcMain doubling_program(Proc& self, Word& out) {
+  Word v = 1;
+  for (int i = 0; i < 50; ++i) {
+    v = co_await double_up(self, v % 1000);
+  }
+  out = v;
+}
+
+TEST(FrameTest, TaskFramesAreChargedPerCall) {
+  const std::size_t p = 8;
+  Network net({.p = p, .k = 1});
+  std::vector<Word> out(p, 0);
+  for (ProcId i = 0; i < p; ++i) {
+    net.install(i, doubling_program(net.proc(i), out[i]));
+  }
+  // The program frames are charged at install, before the run.
+  const auto stats = net.run();
+  for (Word v : out) EXPECT_NE(v, 0);
+  EXPECT_EQ(stats.frame_allocs, p + 50 * p);
+  EXPECT_EQ(stats.frame_reuses, 0u);
+}
+
+ProcMain sleeper(Proc& self, Cycle t) { co_await self.window(t); }
+
+TEST(FrameTest, ResetReusesTheProgramFrameRegion) {
+  // Program frames are carved from the network's region, which reset()
+  // rewinds: the next round's programs take the same memory.
+  const std::size_t p = 16;
+  Network net({.p = p, .k = 1});
+  std::vector<void*> first;
+  for (int round = 0; round < 3; ++round) {
+    if (round > 0) net.reset();
+    for (ProcId i = 0; i < p; ++i) {
+      ProcMain prog = sleeper(net.proc(i), i + 1);
+      if (round == 0) first.push_back(prog.handle().address());
+      EXPECT_EQ(prog.handle().address(), first[i]) << "round " << round;
+      net.install(i, std::move(prog));
+    }
+    const auto stats = net.run();
+    EXPECT_EQ(stats.frame_allocs, p);
+  }
+}
+
+}  // namespace
+}  // namespace mcb

@@ -1,4 +1,4 @@
-// MCB-L6 fixture: naked new outside the frame arena. Lines are asserted
+// MCB-L6 fixture: naked new in protocol code. Lines are asserted
 // by tests/mcblint_test.cpp.
 #include <cstddef>
 #include <new>
@@ -15,7 +15,7 @@ void* naked() {
 }
 
 // Fine: placement new never takes ownership, nothrow is placement-form,
-// and operator-new definitions are the arena itself.
+// and operator-new definitions are the allocator itself.
 struct Arena {
   void* slot();
   static void* operator new(std::size_t n);

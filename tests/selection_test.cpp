@@ -246,28 +246,22 @@ TEST(SelectionTest, StoppedRunLeavesWellFormedSpansOnceNetworkIsGone) {
   EXPECT_GT(stopped, 0u);
 }
 
-// Host memory guard: the coroutine frames a selection holds at its peak,
-// per processor. Program frames (installed before the run) and the frames
-// of the collectives come from the network's arena, so arena_bytes_peak / p
-// is the frame bytes of one processor at its deepest point: its program
-// frame plus the two Columnsort frames, which the Partial-Sums and
-// termination frames reuse. Measured 1280 B (a 512 B program block and two
-// 384 B blocks; GCC 12, -O2 and -O3). A frame that grows past its size
-// class moves it. Sanitizers and unoptimised builds lay frames out
-// differently, and the arena-off build has none.
-TEST(SelectionTest, ArenaBytesPerProcessorWithinBudget) {
+// Host memory guard: a selecting processor's program is its only frame —
+// every sub-protocol is a step awaiter in it — so frame_allocs is p and
+// frame_bytes / p is one program frame. Measured 592 B (GCC 12, -O2 and
+// -O3). Sanitizers and unoptimised builds lay frames out differently, so
+// they check the count only.
+TEST(SelectionTest, FrameBytesPerProcessorWithinBudget) {
+  const std::size_t p = 4096, k = 8;
+  auto w = util::make_workload(4 * p, p, util::Shape::kEven, 1);
+  const auto res = select_median({.p = p, .k = k}, w.inputs);
+  EXPECT_EQ(res.stats.frame_allocs, p);
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
     !defined(__OPTIMIZE__)
   GTEST_SKIP() << "frame sizes are those of an optimised, uninstrumented "
                   "build";
 #endif
-  if (!MCB_FRAME_ARENA_ENABLED) GTEST_SKIP() << "arena off";
-  const std::size_t p = 4096, k = 8;
-  auto w = util::make_workload(4 * p, p, util::Shape::kEven, 1);
-  const auto res = select_median({.p = p, .k = k}, w.inputs);
-  const double per_proc =
-      static_cast<double>(res.stats.arena_bytes_peak) / static_cast<double>(p);
-  EXPECT_LE(per_proc, 1280.0 * 1.25);
+  EXPECT_LE(res.stats.frame_bytes, 640 * p);
 }
 
 TEST(SelectionTest, NegativeValues) {

@@ -224,14 +224,14 @@ TEST(ServerTest, ReportByteIdenticalAcrossEngines) {
   EXPECT_EQ(ref.markdown(), got.markdown());
 }
 
-TEST(ServerTest, PersistentNetworkReusesFrames) {
-  if (!MCB_FRAME_ARENA_ENABLED) GTEST_SKIP() << "arena off";
+TEST(ServerTest, PersistentNetworkAllocatesOneFramePerProcessorPerBatch) {
   auto sc = small_config();
   sc.classes = serve::parse_classes("rank:1");  // several batches, no churn
   const auto rep = serve::run_server(sc);
   ASSERT_GT(rep.batches, 1u);
-  // Batches after the first come out of the warmed arenas.
-  EXPECT_GT(rep.frame_reuses, 0u);
+  // Each batch installs one program per processor, and the program is
+  // that processor's only frame.
+  EXPECT_EQ(rep.frame_allocs, rep.batches * sc.sim.p);
 }
 
 /// Fixed-step fake clock: every now_ns() call advances by `step`.

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# CI driver: builds the optimised, sanitizer and arena-fallback
-# configurations and runs the full test suite under each. The coroutine
-# scheduler (src/mcb/scheduler.*, Network::run_event_loop) and the frame
-# arena (src/util/arena.*) are pointer-heavy and lifetime-sensitive, so
-# every change is exercised under ASan+UBSan — with the arena ON, its
-# default — not just the optimised build; the MCB_FRAME_ARENA=OFF preset
-# proves the global-new fallback builds and passes the same suite.
+# CI driver: builds the optimised and sanitizer configurations and runs
+# the full test suite under each. The coroutine scheduler
+# (src/mcb/scheduler.*, Network::run_event_loop) and the step awaiters that
+# live in program frames (Proc::StepAwaiter) are pointer-heavy and
+# lifetime-sensitive, so every change is exercised under ASan+UBSan, not
+# just the optimised build. Every coroutine frame comes from plain
+# operator new, so the sanitizers see each one.
 #
 # Static analysis rides along in three places: tools/lint.sh (mcblint, the
 # repo-aware analyzer with rules MCB-L1..L3, L6, plus the clang-tidy
@@ -34,8 +34,7 @@
 # After the suites, the bench gates run on the release build. Every
 # BENCH_*.json records its gates with an "enforced" flag (a gate is
 # unenforced when the machine cannot express it, e.g. the parallel-sweep
-# speedup on < 4 hardware threads, or the arena gate in an arena-off
-# build). Gate checking is the `mcbsim gates` subcommand (a strict JSON
+# speedup on < 4 hardware threads). Gate checking is the `mcbsim gates` subcommand (a strict JSON
 # walk, not a grep): enforced-gate failures fail this script; unenforced
 # gates fail it too on machines with >= 4 hardware threads (where every
 # gate is expressible) and are surfaced as a visible WARNING on narrower
@@ -83,8 +82,7 @@ run_preset() {
   # grid on several workers with the conformance checker attached, plus the
   # determinism contract (the JSON output must not depend on the thread
   # count). Data races in the pool itself are the dedicated TSan leg's job
-  # (below); this pass covers lifetime handling under ASan+UBSan and, with
-  # the frame arena on, the per-trial thread_local arena install.
+  # (below); this pass covers lifetime handling under ASan+UBSan.
   echo "=== [$preset] sweep smoke ==="
   "$builddir/tools/mcbsim" sweep --p 4,8 --k 2 --n 64,128 \
     --shapes even,random --algorithms auto,select --seeds 2 --threads 4 \
@@ -246,8 +244,8 @@ run_mcblint_leg() {
 # enforced gate failed (or no gates found / unreadable artifact) — fails
 # CI; exit 3 = all enforced gates passed but unenforced ones exist. On a
 # machine with >= 4 hardware threads every gate in the release artifacts is
-# expressible (the arena is on, and bench_sweep's thread-scaling gate — the
-# only one — needs just 4 lanes), so exit 3 there means a gate that should
+# expressible (bench_sweep's thread-scaling gate — the only one that
+# depends on the machine — needs just 4 lanes), so exit 3 there means a gate that should
 # have been armed was not — a regression in the bench, not a machine
 # limitation — and fails CI.
 # Narrower machines keep the loud WARNING. Sole exception: the
@@ -316,7 +314,6 @@ case "$lint_rc" in
 esac
 
 run_preset asan-ubsan build-asan
-run_preset noarena build-noarena
 
 # ThreadSanitizer leg: the sweep's trial pool (src/harness) is the one
 # place real threads share state, so the harness suite and a checked
@@ -351,10 +348,10 @@ check_gates build-release/BENCH_sweep.json
 check_gates build-release/BENCH_serve.json
 
 if [ "$WARNINGS" -gt 0 ]; then
-  echo "CI OK with $WARNINGS WARNING(s): release + asan-ubsan + noarena" \
+  echo "CI OK with $WARNINGS WARNING(s): release + asan-ubsan" \
        "suites, lint, tsan leg and sweep smokes passed; some checks were" \
        "not enforceable on this machine (see warnings above)"
 else
-  echo "CI OK: release + asan-ubsan + noarena suites, lint, tsan leg," \
+  echo "CI OK: release + asan-ubsan suites, lint, tsan leg," \
        "sweep smokes and all bench gates passed"
 fi

@@ -37,8 +37,7 @@ LINT_PATHS=(src bench tools/mcbsim.cpp tools/mcblint)
 
 run_mcblint() {
   local bin=""
-  for d in "${1:-}" build build-release build-tsan build-perf build-asan \
-           build-noarena; do
+  for d in "${1:-}" build build-release build-tsan build-perf build-asan; do
     if [ -n "$d" ] && [ -x "$d/tools/mcblint/mcblint" ]; then
       bin="$d/tools/mcblint/mcblint"
       break

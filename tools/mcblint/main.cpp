@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
                    "topology in protocol code\n"
                 << "MCB-L3 unordered-iteration  range-for over "
                    "std::unordered_* in protocol code\n"
-                << "MCB-L6 naked-new            naked new outside the frame "
-                   "arena\n";
+                << "MCB-L6 naked-new            naked new in protocol "
+                   "code\n";
       return 0;
     } else if (!a.empty() && a[0] == '-') {
       std::cerr << "mcblint: unknown option '" << a << "'\n";

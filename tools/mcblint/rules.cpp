@@ -684,8 +684,8 @@ void rule_l6(const LexedFile& f, std::vector<Finding>* out) {
     if (next.kind != TokKind::kIdent) continue;
     add(out, rule, f, toks[i].line,
         "naked new ('new " + next.text + "') in protocol code — frames "
-        "come from the arena (util/arena.hpp), everything else owns "
-        "memory via containers/smart pointers");
+        "come from the promise types (mcb/coro.hpp), everything else "
+        "owns memory via containers/smart pointers");
   }
 }
 

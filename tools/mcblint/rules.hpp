@@ -14,8 +14,8 @@
 //   MCB-L2  nondeterminism         wall clocks / PRNGs / host-thread
 //                                  queries in protocol & engine code
 //   MCB-L3  unordered-iteration    range-for over std::unordered_*
-//   MCB-L6  naked-new              `new` outside the frame arena in
-//                                  protocol code
+//   MCB-L6  naked-new              `new` outside placement/operator
+//                                  new forms in protocol code
 //
 // Escapes: a `lint-allow: <slug-or-id>` comment on the finding's line or
 // the line above suppresses it; a baseline file grandfathers findings by

@@ -29,7 +29,7 @@
 //   --obs-buckets N     timeline resolution (default 256 buckets)
 //
 // sort/select/trace/serve accept --profile: add the run's host telemetry
-// (wall time, frame and arena counters) as one "host" member, or a
+// (wall time and frame counters) as one "host" member, or a
 // "host profile:" block in text output. Without it no output carries host
 // data; `mcbsim strip-host` removes every "host" member.
 //
@@ -648,7 +648,7 @@ int cmd_gates(const std::string& path) {
 
 // Strict-parses a JSON document and re-serializes it canonically without
 // its host telemetry: every member named "host", at any nesting depth (the
-// --profile member of a run or serve document, a sweep trial's arena
+// --profile member of a run or serve document, a sweep trial's frame
 // counters). What survives is exactly the deterministic model-level
 // content, so CI can `cmp` a profiled run against a plain one.
 int cmd_strip_host(const std::string& path) {
@@ -795,7 +795,7 @@ int usage() {
       "and a violation report on any model-rule breach.\n"
       "--obs collects phase spans and a per-channel timeline; --trace-out\n"
       "writes a Chrome trace-event / Perfetto JSON trace (implies --obs).\n"
-      "--profile adds the run's host telemetry (wall time, frame and arena\n"
+      "--profile adds the run's host telemetry (wall time and frame\n"
       "counters) as one \"host\" member (strip-host removes it).\n";
   return 2;
 }

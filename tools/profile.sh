@@ -11,7 +11,7 @@
 #
 # The recorded run also carries its host telemetry (mcbsim select
 # --profile), so next to perf's symbol table — which says *where* host time
-# went — the script prints the run's wall time and frame-arena counters.
+# went — the script prints the run's wall time and frame counters.
 #
 # Usage:
 #   tools/profile.sh                 # record the default row, print top 10
