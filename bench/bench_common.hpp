@@ -1,6 +1,7 @@
 // Shared helpers for the experiment harnesses. Each bench binary prints
-// measured-vs-predicted tables for one experiment of DESIGN.md §4, then
-// runs its google-benchmark timings (simulator wall-clock throughput).
+// measured-vs-predicted tables for one experiment of DESIGN.md §4.
+// bench_simspeed, bench_sweep and bench_serve also time the simulator and
+// record their gates in a BENCH_*.json artifact.
 #pragma once
 
 #include <iostream>

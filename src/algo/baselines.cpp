@@ -1,8 +1,5 @@
 #include "algo/baselines.hpp"
 
-#include <span>
-#include <utility>
-
 #include "algo/common.hpp"
 #include "algo/partial_sums.hpp"
 #include "algo/uneven_sort.hpp"
@@ -13,95 +10,52 @@
 namespace mcb::algo {
 namespace {
 
-// Each side of a single-word stream over one channel, in slots every
-// processor knows in advance, is one Proc::window. Build the awaiter in its
-// own statement: `auto aw = write_window(...); co_await aw;`.
+// Every transfer is a Stream of single words, in slots every processor
+// knows in advance, and a program runs its sub-protocols in one StepSlot.
+// On channel 0, P_1's window spans the whole stream; the others sleep
+// after theirs to its end.
 
-/// Writes values[j] on channel `ch` in cycle lead + j, then sleeps `trail`
-/// more cycles.
-auto write_window(Proc& self, std::span<const Word> values, Cycle lead,
-                  ChannelId ch = 0, Cycle trail = 0) {
-  return self.window(lead, values.size(), trail, [values, ch](std::size_t j) {
-    return Beat{Message::of(values[j]), ch};
-  });
-}
-
-/// Reads channel `ch` in cycle lead + j into out[j], then sleeps `trail`
-/// more cycles.
-auto read_window(Proc& self, Cycle lead, std::span<Word> out,
-                 ChannelId ch = 0, Cycle trail = 0) {
-  return self.window(
-      lead, out.size(), trail,
-      [ch](std::size_t) { return Beat{{}, kNoChannel, ch}; },
-      [out](std::size_t j, const Proc::ReadResult& got) {
-        MCB_CHECK(got.has_value(), "stream slot " << j << " silent");
-        out[j] = got->at(0);
-      });
-}
-
-/// The collector's side of a channel-0 stream of pool.size() slots in
-/// which it owns slots [lo, lo + mine.size()): it writes its own values
-/// there, reads every other slot, and ends with slot t's value in pool[t].
-auto collect_window(Proc& self, std::span<const Word> mine, std::size_t lo,
-                    std::vector<Word>& pool) {
-  return self.window(
-      0, pool.size(), 0,
-      [mine, lo, &pool](std::size_t t) {
-        if (t < lo || t - lo >= mine.size()) return Beat{{}, kNoChannel, 0};
-        pool[t] = mine[t - lo];
-        return Beat{Message::of(pool[t]), 0};
-      },
-      [&pool](std::size_t t, const Proc::ReadResult& got) {
-        MCB_CHECK(got.has_value(), "stream slot " << t << " empty");
-        pool[t] = got->at(0);
-      });
-}
-
-/// P_1 broadcasts the sorted pool rank by rank on channel 0; every other
-/// processor keeps its segment, ranks [lo, hi) (counts are preserved by
-/// sorting), and sleeps outside that window.
-Task<void> scatter(Proc& self, const std::vector<Word>& pool, std::size_t n,
-                   std::size_t lo, std::size_t hi, std::vector<Word>& output) {
-  if (self.id() == 0) {
-    output.assign(pool.begin() + static_cast<std::ptrdiff_t>(lo),
-                  pool.begin() + static_cast<std::ptrdiff_t>(hi));
-    auto aw = write_window(self, pool, 0);
-    co_await aw;
-  } else {
-    output.resize(hi - lo);
-    auto aw = read_window(self, lo, output, 0, n - hi);
-    co_await aw;
-  }
+/// The scatter: P_1 broadcasts the sorted pool rank by rank; every
+/// processor reads its segment, ranks [lo, hi) (counts are preserved by
+/// sorting), and P_1's own segment is its own words.
+Stream<Word> scatter(Proc& self, const std::vector<Word>& pool,
+                     std::size_t n, std::size_t lo, std::size_t hi,
+                     std::vector<Word>& output) {
+  output.resize(hi - lo);
+  return Stream<Word>(self, {pool, 0, 0}, {output, lo, 0}, 0,
+                      self.id() == 0 ? 0 : n - hi);
 }
 
 ProcMain central_program(Proc& self, const std::vector<Word>& input,
                          std::vector<Word>& output) {
   const std::size_t i = self.id();
+  StepSlot<PartialSums, Stream<Word>> sub;
 
   // Prefix counts drive both the gather offsets and the final segment.
-  const auto ps = co_await partial_sums(
-      self, static_cast<Word>(input.size()), SumOp::add(),
-      {.with_total = true});
+  sub.emplace<PartialSums>(self, static_cast<Word>(input.size()),
+                           SumOp::add(),
+                           PartialSumsOptions{.with_total = true});
+  co_await sub;
+  const PartialSumsResult ps = sub.get<PartialSums>().result();
   const auto n = static_cast<std::size_t>(ps.total);
   const auto lo = static_cast<std::size_t>(ps.before);
   const auto hi = static_cast<std::size_t>(ps.self);
 
+  // The gather: everyone writes its words in its slots, and P_1 reads
+  // everyone else's into the pool.
   if (i == 0) self.mark_phase("gather");
-  std::vector<Word> pool;
+  std::vector<Word> pool(i == 0 ? n : 0);
+  sub.emplace<Stream<Word>>(self, Slots<const Word>{input, lo, 0},
+                            Slots<Word>{pool, 0, 0}, 0, i == 0 ? 0 : n - hi);
+  co_await sub;
   if (i == 0) {
-    // P_1 streams its own window, reads everyone else's.
-    pool.resize(n);
-    auto aw = collect_window(self, input, lo, pool);
-    co_await aw;
     self.note_aux(pool.size());
     seq::sort_descending(pool);
-  } else {
-    auto aw = write_window(self, input, lo, 0, n - hi);
-    co_await aw;
   }
 
   if (i == 0) self.mark_phase("scatter");
-  co_await scatter(self, pool, n, lo, hi, output);
+  sub.emplace<Stream<Word>>(scatter(self, pool, n, lo, hi, output));
+  co_await sub;
 }
 
 ProcMain central_multiread_program(Proc& self, std::size_t ni,
@@ -111,6 +65,7 @@ ProcMain central_multiread_program(Proc& self, std::size_t ni,
   const std::size_t p = self.p();
   const std::size_t k = self.k();
   const std::size_t n = p * ni;
+  StepSlot<PartialSums, Stream<Word>> sub;
 
   // --- gather: k parallel writer streams, P_1 multi-reads all channels ----
   if (i == 0) self.mark_phase("gather-multiread");
@@ -132,17 +87,20 @@ ProcMain central_multiread_program(Proc& self, std::size_t ni,
     self.note_aux(pool.size());
     seq::sort_descending(pool);
   } else {
-    const std::size_t stream = (i - 1) % streams;
     const std::size_t slot = (i - 1) / streams;
-    auto aw = write_window(self, input, slot * ni,
-                           static_cast<ChannelId>(stream),
-                           gather_cycles - (slot + 1) * ni);
-    co_await aw;
+    sub.emplace<Stream<Word>>(
+        self,
+        Slots<const Word>{input, slot * ni,
+                          static_cast<ChannelId>((i - 1) % streams)},
+        Slots<Word>{}, 0, gather_cycles - (slot + 1) * ni);
+    co_await sub;
   }
 
   // --- scatter: rank by rank on channel 0 (the single-writer bottleneck) --
   if (i == 0) self.mark_phase("scatter");
-  co_await scatter(self, pool, n, i * ni, (i + 1) * ni, output);
+  sub.emplace<Stream<Word>>(
+      scatter(self, pool, n, i * ni, (i + 1) * ni, output));
+  co_await sub;
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <mutex>
-#include <utility>
 
 #include "obs/span.hpp"
 #include "seq/columnsort.hpp"
@@ -82,49 +81,55 @@ class Transform {
 
 namespace {
 
-/// Pass `pass` (0 or 1) of the redistribution of ranks [lo, hi) to this
-/// processor. A contiguous segment of <= m ranks spans at most two
-/// consecutive columns; pass 0 collects the first, pass 1 the second. A
-/// representative takes the part that lies in its own column locally.
-Pass plan_pass(std::size_t pass, const CorePlan& plan, bool is_rep,
-               std::size_t my_col, const std::vector<KV>& column,
-               std::size_t n, std::size_t lo, std::size_t hi,
-               std::vector<KV>& output) {
+/// The two passes of the redistribution of ranks [lo, hi) to this
+/// processor, as Streams with the phase's idle cycles as their leads and
+/// trails. A contiguous segment of <= m ranks spans at most two
+/// consecutive columns; pass 0 collects the part in the first, pass 1 the
+/// part in the second, each from its column's channel while a
+/// representative writes its own column's real prefix on its channel. A
+/// representative reading its own column takes that part locally, as the
+/// stream's own words.
+std::array<Stream<KV>, 2> plan_passes(Proc& self, const CorePlan& plan,
+                                      bool is_rep, std::size_t my_col,
+                                      const std::vector<KV>& column,
+                                      std::size_t n, std::size_t lo,
+                                      std::size_t hi,
+                                      std::vector<KV>& output) {
+  MCB_CHECK(hi >= lo && hi <= n, "segment [" << lo << "," << hi << ") of "
+                                             << n);
+  MCB_CHECK(hi - lo <= plan.m, "segment longer than a column");
+  output.assign(hi - lo, KV{});
   const std::size_t m = plan.m;
-  const std::size_t want_col =
-      hi == lo ? SIZE_MAX : (pass == 0 ? lo / m : (hi - 1) / m);
-  // The in-column slots t whose rank want_col*m + t falls in [lo, hi).
-  // Contiguous by construction, and empty when want_col is SIZE_MAX.
-  std::size_t t_read0 = m, t_read1 = m;
-  if (want_col != SIZE_MAX) {
-    const std::size_t col_lo = want_col * m;
-    t_read0 = lo > col_lo ? lo - col_lo : 0;
-    t_read1 = hi > col_lo ? std::min(m, hi - col_lo) : 0;
-    if (t_read1 < t_read0) t_read1 = t_read0;
-  }
-  if (is_rep && want_col == my_col) {
-    for (std::size_t t = t_read0; t < t_read1; ++t) {
-      output[want_col * m + t - lo] = column[t];
-    }
-    t_read0 = t_read1 = m;
-  }
-  Pass ps;
   // Real (non-dummy) elements in this representative's final column: the
   // dummies are the global minimum, so reals occupy ranks [0, n) and
   // column c holds ranks [c*m, c*m + m).
-  ps.w1 = is_rep ? std::min(m, n > my_col * m ? n - my_col * m
-                                              : std::size_t{0})
-                 : 0;
-  ps.r0 = t_read0;
-  ps.r1 = t_read1;
-  const bool reads = t_read0 < t_read1;
-  ps.a = ps.w1 > 0 ? 0 : (reads ? t_read0 : 0);
-  ps.b = std::max(ps.w1, reads ? t_read1 : 0);
-  ps.wch = static_cast<ChannelId>(my_col);
-  ps.rch = static_cast<ChannelId>(want_col);
-  ps.src = column.data();
-  ps.out = output.data();
-  ps.at = want_col * m - lo;  // modulo 2^64; t + at is in [0, hi - lo)
+  const std::size_t reals =
+      is_rep ? std::min(m, n > my_col * m ? n - my_col * m : std::size_t{0})
+             : 0;
+  const Slots<const KV> send{std::span(column).first(reals), 0,
+                             static_cast<ChannelId>(my_col)};
+  // The pass that reads the column holding `rank`: its in-column slots
+  // [t0, t1) are those whose rank col*m + t falls in [lo, hi).
+  const auto pass = [&](std::size_t rank) {
+    if (hi == lo) return Stream<KV>(self, send, {});
+    const std::size_t col = rank / m, col_lo = col * m;
+    const std::size_t t0 = lo > col_lo ? lo - col_lo : 0;
+    const std::size_t t1 = std::min(m, hi - col_lo);
+    return Stream<KV>(self, send,
+                      {std::span(output).subspan(col_lo + t0 - lo, t1 - t0),
+                       t0, static_cast<ChannelId>(col)});
+  };
+  std::array<Stream<KV>, 2> ps = {pass(lo), pass(hi - 1)};
+  // Each pass lasts m cycles. The last window carries the rest of the
+  // phase as its trail; with no window at all, pass 1's empty stream
+  // sleeps through both.
+  if (ps[0].empty()) {
+    ps[1].lead = m;
+  } else {
+    ps[1].lead = m - ps[0].end();
+    if (ps[1].empty()) ps[0].trail = 2 * m - ps[0].end();
+  }
+  ps[1].trail = m - ps[1].end();
   return ps;
 }
 
@@ -274,40 +279,8 @@ Redistribute::Redistribute(Proc& self, const CorePlan& plan, bool is_rep,
                            std::size_t my_col, const std::vector<KV>& column,
                            std::size_t n, std::size_t lo, std::size_t hi,
                            std::vector<KV>& output)
-    : StepAwaiter(self), m_(plan.m) {
-  MCB_CHECK(hi >= lo && hi <= n, "segment [" << lo << "," << hi << ") of "
-                                             << n);
-  MCB_CHECK(hi - lo <= plan.m, "segment longer than a column");
-  output.assign(hi - lo, KV{});
-  for (std::size_t pass = 0; pass < 2; ++pass) {
-    passes_[pass] =
-        plan_pass(pass, plan, is_rep, my_col, column, n, lo, hi, output);
-  }
-}
-
-bool Redistribute::step(Proc& self) {
-  if (last_) return false;
-  ++pass_;
-  open(self);
-  return true;
-}
-
-void Redistribute::open(Proc& self) {
-  // The last window carries the rest of the phase as its trail.
-  for (; pass_ < 2; ++pass_) {
-    Pass& ps = passes_[pass_];
-    if (ps.a == ps.b) {
-      idle_ += m_;
-      continue;
-    }
-    last_ = pass_ == 1 || passes_[1].a == passes_[1].b;
-    const Cycle lead = std::exchange(idle_, m_ - ps.b) + ps.a;
-    self.act_window(ps, lead, ps.b - ps.a,
-                    last_ ? idle_ + (pass_ == 0 ? m_ : 0) : 0);
-    return;
-  }
-  last_ = true;
-  self.act_sleep(idle_);
-}
+    : StepAwaiter(self),
+      passes_(plan_passes(self, plan, is_rep, my_col, column, n, lo, hi,
+                          output)) {}
 
 }  // namespace mcb::algo::detail

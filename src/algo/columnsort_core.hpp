@@ -1,6 +1,7 @@
 // Shared core of the distributed Columnsort implementations: the
 // transformation phases 1-9 run by the column representatives, and the
-// double-broadcast redistribution of phase 10. Used by the even
+// double-broadcast redistribution of phase 10, two block Streams
+// (algo/common.hpp) per processor. Used by the even
 // (Section 5.2) and uneven (Section 7.2) sorting algorithms and, through
 // the even collective, by selection (Section 8).
 //
@@ -107,41 +108,14 @@ class [[nodiscard]] ColumnsortPhases
   std::optional<RunTransform> tr_;
 };
 
-/// One processor's side of one redistribution pass (phase 10): its action
-/// cycles [a, b) of the pass's m, a representative's write prefix [0, w1)
-/// of its column `src` on channel wch and the read window [r0, r1) of
-/// channel rch, with idle beats in any gap between them (a == b: none).
-/// The element read in slot t lands in out[t + at].
-struct Pass {
-  std::size_t a = 0, b = 0, w1 = 0, r0 = 0, r1 = 0, at = 0;
-  ChannelId wch = kNoChannel, rch = kNoChannel;
-  const KV* src = nullptr;
-  KV* out = nullptr;
-
-  Beat fill(std::size_t j) const {
-    const std::size_t t = a + j;
-    Beat beat;
-    if (t < w1) {
-      beat.msg = Message::of(src[t].key, src[t].val);
-      beat.write = wch;
-    }
-    if (t >= r0 && t < r1) beat.read = rch;
-    return beat;
-  }
-
-  void place(std::size_t j, const Proc::ReadResult& got) const {
-    const std::size_t t = a + j;
-    MCB_CHECK(got.has_value(),
-              "redistribute slot " << t << " of column " << rch << " empty");
-    out[t + at] = KV{(*got)[0], (*got)[1]};
-  }
-};
-
 /// Phase 10: representatives broadcast the real (non-dummy) prefix of their
 /// sorted columns twice; every processor collects its final segment of
 /// global ranks [lo, hi). `n` is the number of real elements; `column` is
 /// ignored for non-representatives. Costs exactly 2*m cycles, as at most
-/// two windows per processor.
+/// two windows per processor: a pass is one Stream, writing the
+/// representative's prefix on its column's channel and reading the part of
+/// the segment that lies in one column from that column's channel; the
+/// idle cycles between and after them are the streams' lead and trail.
 class [[nodiscard]] Redistribute : public Proc::StepAwaiter<Redistribute> {
  public:
   Redistribute(Proc& self, const CorePlan& plan, bool is_rep,
@@ -150,21 +124,18 @@ class [[nodiscard]] Redistribute : public Proc::StepAwaiter<Redistribute> {
                std::vector<KV>& output);
 
   bool begin(Proc& self) {
-    open(self);
-    return true;
+    pass_ = passes_[0].empty() ? 1 : 0;
+    return passes_[pass_].begin(self);
   }
-  bool step(Proc& self);
+  bool step(Proc& self) {
+    if (pass_ == 1 || passes_[1].empty()) return false;
+    pass_ = 1;
+    return passes_[1].begin(self);
+  }
 
  private:
-  // Opens the window of the first pass from pass_ on with anything to do,
-  // or the sleep through the rest of the phase.
-  void open(Proc& self);
-
-  Pass passes_[2];
-  std::size_t m_;
-  Cycle idle_ = 0;  ///< cycles owed before the next window
-  std::uint8_t pass_ = 0;
-  bool last_ = false;
+  std::array<Stream<KV>, 2> passes_;
+  std::uint8_t pass_ = 0;  ///< the pass in flight
 };
 
 }  // namespace mcb::algo::detail

@@ -60,31 +60,24 @@ bool EvenSort::begin(Proc& self) {
     return core(self);
   }
   // --- phase 0: gather the group's elements at the representative ---------
+  // Each member writes its ni pairs on the group's channel in turn; the
+  // representative, last, sends nothing and reads them into its column.
   span_.open(self, "even.gather");
   const std::size_t ni = plan_->ni;
   const std::size_t gather_cycles = (plan_->g - 1) * ni;
-  if (!is_rep_) {
-    // This member's ni writes, between the other members' windows.
-    const std::size_t lead = idx_ * ni;
-    self.act_window(*this, lead, ni, gather_cycles - lead - ni);
-  } else {
+  const std::size_t at = idx_ * ni;
+  const auto jch = static_cast<ChannelId>(j_);
+  std::span<const KV> mine = *data_;
+  if (is_rep_) {
+    mine = {};
     column_.reserve(plan_->core->m);
     column_.resize(gather_cycles);
-    self.act_window(*this, 0, gather_cycles, 0);
   }
-  return true;
-}
-
-Beat EvenSort::fill(std::size_t t) const {
-  const auto jch = static_cast<ChannelId>(j_);
-  if (is_rep_) return Beat{{}, kNoChannel, jch};
-  const KV& e = (*data_)[t];
-  return Beat{Message::of(e.key, e.val), jch};
-}
-
-void EvenSort::place(std::size_t t, const Proc::ReadResult& got) {
-  MCB_CHECK(got.has_value(), "gather slot " << t << " silent");
-  column_[t] = KV{(*got)[0], (*got)[1]};
+  return sub_
+      .emplace<Stream<KV>>(self, Slots<const KV>{mine, at, jch},
+                           Slots<KV>{column_, 0, jch}, 0,
+                           is_rep_ ? 0 : gather_cycles - at - ni)
+      .begin(self);
 }
 
 bool EvenSort::step(Proc& self) {

@@ -77,7 +77,7 @@ struct EvenSortPlan {
 /// The collective: sorts `data` (exactly plan.ni pairs per processor, keys
 /// != kDummy) descending across the network; on return `data` holds this
 /// processor's segment. All processors must co_await together. A step
-/// awaiter (Proc::StepAwaiter): phase 0's gather window, then phases 1-9
+/// awaiter (Proc::StepAwaiter): phase 0's gather stream, then phases 1-9
 /// and phase 10 as sub-awaiters it steps in place.
 class [[nodiscard]] EvenSort : public Proc::StepAwaiter<EvenSort> {
  public:
@@ -85,11 +85,6 @@ class [[nodiscard]] EvenSort : public Proc::StepAwaiter<EvenSort> {
 
   bool begin(Proc& self);
   bool step(Proc& self);
-
-  /// The gather window's beats: a member writes its pairs on its group's
-  /// channel, the representative reads them into its column.
-  Beat fill(std::size_t t) const;
-  void place(std::size_t t, const Proc::ReadResult& got);
 
  private:
   enum class Stage : std::uint8_t { kGather, kCore, kRedistribute };
@@ -106,7 +101,8 @@ class [[nodiscard]] EvenSort : public Proc::StepAwaiter<EvenSort> {
   bool is_rep_;             ///< highest-numbered member of the group
   Stage stage_ = Stage::kGather;
   obs::Span span_;
-  std::variant<std::monostate, detail::ColumnsortPhases, detail::Redistribute>
+  std::variant<std::monostate, Stream<KV>, detail::ColumnsortPhases,
+               detail::Redistribute>
       sub_;
 };
 

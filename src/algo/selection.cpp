@@ -130,25 +130,6 @@ void check_survivors(const Seg& seg, const std::vector<std::size_t>& uds,
                                       << " of " << m << " survivors");
 }
 
-/// One side of a channel-0 stream of single words: slot t writes
-/// w[t - w0] for t in [w0, w0 + wn) and reads into r[t] otherwise; a
-/// written word lands in r[t] too, when r is set.
-struct Stream {
-  const Word* w = nullptr;
-  std::size_t w0 = 0, wn = 0;
-  Word* r = nullptr;
-
-  Beat fill(std::size_t t) const {
-    if (t - w0 >= wn) return Beat{{}, kNoChannel, 0};
-    if (r != nullptr) r[t] = w[t - w0];
-    return Beat{Message::of(w[t - w0]), 0};
-  }
-  void place(std::size_t t, const Proc::ReadResult& got) const {
-    MCB_CHECK(got.has_value(), "stream slot " << t << " silent");
-    r[t] = got->at(0);
-  }
-};
-
 /// Termination of a segment, once Partial-Sums over the survivor counts
 /// gave `counts`: one collection answers all its ranks. Prefix offsets
 /// give every processor a write window on channel 0; P_1 writes its own
@@ -156,7 +137,7 @@ struct Stream {
 /// else's, then selects the ranks from the one pool and broadcasts them
 /// in rank order — one cycle per rank. `out` is the segment's slice of
 /// this processor's answer row, so the other processors read the answers
-/// straight into place.
+/// straight into place. Each window is one channel-0 Stream.
 class [[nodiscard]] Terminate : public Proc::StepAwaiter<Terminate> {
  public:
   Terminate(Proc& self, const Seg& seg, const std::vector<std::size_t>& uds,
@@ -167,46 +148,36 @@ class [[nodiscard]] Terminate : public Proc::StepAwaiter<Terminate> {
         out_(out),
         before_(static_cast<std::size_t>(counts.before)),
         after_(static_cast<std::size_t>(counts.total - counts.self)),
-        total_(static_cast<std::size_t>(counts.total)) {}
+        total_(static_cast<std::size_t>(counts.total)),
+        stream_(self, {}, {}) {}
 
   bool begin(Proc& self) {
-    const std::vector<Word>& mine = seg_->cands;
+    const Slots<const Word> mine{seg_->cands, before_, 0};
     if (self.id() == 0) {
       pool_.resize(total_);
-      open(self, {mine.data(), before_, mine.size(), pool_.data()}, 0,
-           total_);
-    } else if (!mine.empty()) {
-      open(self, {mine.data(), 0, mine.size(), nullptr}, before_,
-           mine.size());
-    } else {
-      read_answers(self, before_ + after_);
+      return open(self, mine, {pool_, 0, 0});
     }
-    return true;
+    if (!mine.data.empty()) return open(self, mine, {});
+    last_ = true;
+    return open(self, {}, {out_, 0, 0}, before_ + after_);
   }
 
   bool step(Proc& self) {
     if (last_) return false;
-    if (self.id() != 0) {
-      read_answers(self, after_);
-      return true;
-    }
+    last_ = true;
+    if (self.id() != 0) return open(self, {}, {out_, 0, 0}, after_);
     self.note_aux(pool_.size());
     for (std::size_t j = 0; j < out_.size(); ++j) {
       out_[j] = seq::kth_largest(pool_, (*uds_)[seg_->lo + j] - seg_->off);
     }
-    last_ = true;
-    open(self, {out_.data(), 0, out_.size(), nullptr}, 0, out_.size());
-    return true;
+    return open(self, {out_, 0, 0}, {});
   }
 
  private:
-  void read_answers(Proc& self, Cycle lead) {
-    last_ = true;
-    open(self, {nullptr, 0, 0, out_.data()}, lead, out_.size());
-  }
-  void open(Proc& self, Stream s, Cycle lead, std::size_t beats) {
-    stream_ = s;
-    self.act_window(stream_, lead, beats, 0);
+  bool open(Proc& self, Slots<const Word> send, Slots<Word> recv,
+            Cycle lead = 0) {
+    stream_ = Stream<Word>(self, send, recv, lead);
+    return stream_.begin(self);
   }
 
   const Seg* seg_;
@@ -214,7 +185,7 @@ class [[nodiscard]] Terminate : public Proc::StepAwaiter<Terminate> {
   std::span<Word> out_;
   std::size_t before_, after_, total_;
   std::vector<Word> pool_;  ///< P_1's: every survivor, in stream order
-  Stream stream_;           ///< the window in flight
+  Stream<Word> stream_;     ///< the window in flight
   bool last_ = false;       ///< it is the answers' window
 };
 

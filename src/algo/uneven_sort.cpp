@@ -81,7 +81,9 @@ ProcMain uneven_program(Proc& self, const UnevenCtx& ctx,
   const auto ni = static_cast<Word>(input.size());
 
   // Every sub-protocol runs in this one slot (Proc::StepAwaiter).
-  StepSlot<PartialSums, detail::ColumnsortPhases, detail::Redistribute> sub;
+  StepSlot<PartialSums, Stream<Word>, detail::ColumnsortPhases,
+           detail::Redistribute>
+      sub;
 
   // --- phase 0a: learn the distribution and form groups --------------------
   if (i == 0) self.mark_phase("phase0a:form");
@@ -114,15 +116,11 @@ ProcMain uneven_program(Proc& self, const UnevenCtx& ctx,
     const bool announces =
         joins && (i == p - 1 ||
                   static_cast<std::size_t>(ps.next) > assigned + budget);
-    std::size_t group_total = 0;
-    if (announces) {
-      group_total = static_cast<std::size_t>(ps.self) - assigned;
-      co_await self.write(0, Message::of(static_cast<Word>(group_total)));
-    } else {
-      auto got = co_await self.read(0);
-      MCB_CHECK(got.has_value(), "no representative announced group " << kk);
-      group_total = static_cast<std::size_t>(got->at(0));
-    }
+    auto cast = broadcast_word(
+        self, announces,
+        static_cast<Word>(static_cast<std::size_t>(ps.self) - assigned),
+        "no representative announced a group");
+    const auto group_total = static_cast<std::size_t>(co_await cast);
     if (joins) {
       my_group = kk;
       my_offset = static_cast<std::size_t>(ps.before) - assigned;
@@ -140,28 +138,24 @@ ProcMain uneven_program(Proc& self, const UnevenCtx& ctx,
 
   // --- phase 0b: collect each group's elements at its representative ------
   // Fixed window of m cycles for every group (m bounds every group total).
+  // Messages are one word; the representative gathers the group's words in
+  // `output`, which phase 10 overwrites, and builds its column from there.
   if (i == 0) self.mark_phase("phase0b:collect");
   std::vector<KV> column;
   if (!is_rep) {
-    auto aw = self.window(my_offset, input.size(),
-                          m - my_offset - input.size(),
-                          [&input, gch](std::size_t t) {
-                            return Beat{Message::of(input[t]), gch};
-                          });
-    co_await aw;
+    sub.emplace<Stream<Word>>(self, Slots<const Word>{input, my_offset, gch},
+                              Slots<Word>{}, 0,
+                              m - my_offset - input.size());
+    co_await sub;
   } else {
-    const std::size_t incoming = my_group_total - input.size();
+    output.resize(my_group_total - input.size());
+    sub.emplace<Stream<Word>>(self, Slots<const Word>{},
+                              Slots<Word>{output, 0, gch}, 0,
+                              m - output.size());
+    co_await sub;
+    output.insert(output.end(), input.begin(), input.end());
     column.reserve(m);
-    column.resize(incoming);
-    auto aw = self.window(
-        0, incoming, m - incoming,
-        [gch](std::size_t) { return Beat{{}, kNoChannel, gch}; },
-        [&column](std::size_t t, const Proc::ReadResult& got) {
-          MCB_CHECK(got.has_value(), "collection slot " << t << " empty");
-          column[t] = KV{got->at(0), 0};
-        });
-    co_await aw;
-    for (Word w : input) column.push_back(KV{w, 0});
+    for (Word w : output) column.push_back(KV{w, 0});
     column.resize(m, KV{kDummy, 0});
   }
 

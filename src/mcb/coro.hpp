@@ -22,8 +22,9 @@
 // in proc.hpp): a state machine held in the awaiter, in the caller's
 // frame, that the engine steps from one channel action to the next, so a
 // processor's program is its only frame. Task<T> remains for composition
-// that is truly recursive or rare: an awaitable subroutine bound to the
-// same processor, with a frame of its own. Awaiting it transfers control
+// that is truly recursive or rare — the virtual, recursive, rank-sort and
+// merge-sort group programs: an awaitable subroutine bound to the same
+// processor, with a frame of its own. Awaiting it transfers control
 // into the subroutine; the subroutine's own cycle awaits register
 // themselves as the processor's resume point, so the Network always
 // resumes the innermost active coroutine. On completion, control

@@ -1,6 +1,10 @@
 #include "mcb/network.hpp"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
+#include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "obs/clock.hpp"
@@ -9,16 +13,16 @@
 namespace mcb {
 
 Network::Network(SimConfig cfg, TraceSink* sink)
-    : cfg_(cfg), sink_(sink), sched_(cfg.p, cfg.k) {
+    : cfg_(cfg),
+      sink_(sink),
+      procs_(std::allocator<Proc>().allocate(cfg.p), ProcArray{cfg.p}),
+      sched_(cfg.p, cfg.k) {
   cfg_.validate();
   mode_ = cfg_.engine;
   tab_.resize(cfg_.p);
-  procs_.reserve(cfg_.p);
+  static_assert(std::is_trivially_destructible_v<Proc>);
   for (std::size_t i = 0; i < cfg_.p; ++i) {
-    // Proc's constructor is private (Network is its only factory), so
-    // make_unique cannot reach it.
-    procs_.push_back(std::unique_ptr<Proc>(
-        new Proc(*this, static_cast<ProcId>(i))));  // lint-allow: naked-new
+    ::new (static_cast<void*>(&procs_[i])) Proc(*this, static_cast<ProcId>(i));
   }
   slot_written_.assign(cfg_.k, 0);
   slot_writer_.assign(cfg_.k, 0);
@@ -37,17 +41,17 @@ Network::~Network() {
 }
 
 Proc& Network::proc(ProcId i) {
-  MCB_REQUIRE(i < procs_.size(), "processor index " << i << " of " << cfg_.p);
-  return *procs_[i];
+  MCB_REQUIRE(i < cfg_.p, "processor index " << i << " of " << cfg_.p);
+  return procs_[i];
 }
 
 void Network::install(ProcId i, ProcMain program) {
-  MCB_REQUIRE(i < procs_.size(), "processor index " << i << " of " << cfg_.p);
+  MCB_REQUIRE(i < cfg_.p, "processor index " << i << " of " << cfg_.p);
   // A processor is installed exactly when its table slot holds a program
   // handle, so the duplicate check is O(1) and, with duplicates rejected
   // here, programs_.size() == p means every processor has one.
   MCB_REQUIRE(!tab_.program[i], "P" << i + 1 << " already has a program");
-  program.handle().promise().proc = procs_[i].get();
+  program.handle().promise().proc = &procs_[i];
   tab_.resume_point[i] = program.handle();
   tab_.program[i] = program.handle();
   programs_.push_back(std::move(program));
@@ -63,8 +67,10 @@ void* Network::program_frame(std::size_t bytes) {
     }
     FrameChunk& c = frame_chunks_[frame_chunk_];
     if (frame_used_ + bytes <= c.bytes) {
+      std::byte* frame = c.mem.get() + frame_used_;
       frame_used_ += bytes;
-      return c.mem.get() + (frame_used_ - bytes);
+      ASAN_UNPOISON_MEMORY_REGION(frame, bytes);
+      return frame;
     }
   }
 }
@@ -326,6 +332,11 @@ void Network::reset() {
   programs_.clear();
   if (!phase_name_.empty()) span_end();
   tab_.reset();
+  // Under AddressSanitizer a use of a destroyed program's frame is
+  // reported from here on, until program_frame() carves the bytes again.
+  for (const FrameChunk& c : frame_chunks_) {
+    ASAN_POISON_MEMORY_REGION(c.mem.get(), c.bytes);
+  }
   frame_chunk_ = 0;
   frame_used_ = 0;
 

@@ -164,7 +164,14 @@ class Network {
   std::size_t frame_used_ = 0;   ///< its bytes carved
 
   ProcTable tab_;
-  std::vector<std::unique_ptr<Proc>> procs_;
+  // The p processor contexts, by value in one allocation that never
+  // moves: Proc is neither copyable nor movable, so each is built in place,
+  // and being trivially destructible it needs no destructor call.
+  struct ProcArray {
+    std::size_t p;
+    void operator()(Proc* a) const { std::allocator<Proc>().deallocate(a, p); }
+  };
+  std::unique_ptr<Proc[], ProcArray> procs_;
   // Installed programs in install order; keeps their frames alive.
   // Processor i is installed iff tab_.program[i] is non-null.
   std::vector<ProcMain> programs_;

@@ -1,16 +1,18 @@
 // Frame-count pins: a processor's program is its only coroutine frame.
-// Partial-Sums, the collectives, Columnsort and selection's termination
-// are step awaiters held in the program's frame (Proc::StepAwaiter), so a
-// run of any of them allocates exactly p frames — the programs installed
-// before it — on both engines, and a reset network allocates p again per
-// batch, in the same memory. Task<T> subroutines, kept for recursive
-// composition, are charged one frame per call.
+// Partial-Sums, the collectives, Columnsort, the block streams and
+// selection's termination are step awaiters held in the program's frame
+// (Proc::StepAwaiter), so a run of any of them allocates exactly p frames —
+// the programs installed before it — on both engines, and a reset network
+// allocates p again per batch, in the same memory. Task<T> subroutines,
+// kept for recursive composition, are charged one frame per call.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <numeric>
+#include <utility>
 #include <vector>
 
+#include "algo/baselines.hpp"
 #include "algo/collectives.hpp"
 #include "algo/columnsort_even.hpp"
 #include "algo/multi_select.hpp"
@@ -71,6 +73,23 @@ TEST(FrameTest, UnevenSortAllocatesOneFramePerProcessor) {
     const auto res =
         algo::uneven_sort({.p = p, .k = k, .engine = e}, w.inputs);
     EXPECT_EQ(res.run.stats.frame_allocs, p) << name(e);
+  }
+}
+
+TEST(FrameTest, CentralSortsAllocateOneFramePerProcessor) {
+  const std::size_t p = 16, k = 4;
+  const auto w = util::make_workload(32 * p, p, util::Shape::kEven, 19);
+  for (Engine e : kEngines) {
+    EXPECT_EQ(
+        algo::central_sort({.p = p, .k = k, .engine = e}, w.inputs)
+            .stats.frame_allocs,
+        p)
+        << name(e);
+    EXPECT_EQ(algo::central_sort_multiread(
+                  {.p = p, .k = k, .multi_read = true, .engine = e}, w.inputs)
+                  .stats.frame_allocs,
+              p)
+        << name(e);
   }
 }
 
@@ -152,6 +171,28 @@ TEST(FrameTest, ResetReusesTheProgramFrameRegion) {
     const auto stats = net.run();
     EXPECT_EQ(stats.frame_allocs, p);
   }
+}
+
+TEST(FrameDeathTest, ProgramFrameUsedAfterResetIsReported) {
+#if defined(__SANITIZE_ADDRESS__)
+  // reset() poisons the region it rewinds, so a frame of the last round
+  // reads as poisoned until the next round carves it again.
+  const auto touch_after_reset = [] {
+    Network net({.p = 2, .k = 1});
+    std::vector<void*> frames;
+    for (ProcId i = 0; i < 2; ++i) {
+      ProcMain prog = sleeper(net.proc(i), 1);
+      frames.push_back(prog.handle().address());
+      net.install(i, std::move(prog));
+    }
+    net.run();
+    net.reset();
+    return *static_cast<volatile unsigned char*>(frames[1]);
+  };
+  EXPECT_DEATH(touch_after_reset(), "use-after-poison");
+#else
+  GTEST_SKIP() << "needs AddressSanitizer";
+#endif
 }
 
 }  // namespace

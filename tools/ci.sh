@@ -24,7 +24,8 @@
 # Each suite leg also cmp's the event and reference engines on a dense
 # columnsort (the trace event stream, and the stripped JSON of the checked
 # p=1024, k=32 dense sort), where nearly every cycle is a window beat, and
-# the stripped JSON of selection, uneven, central, rank-sort and serve runs.
+# the stripped JSON of selection, uneven, central, rank-sort, virtual,
+# recursive and serve runs.
 #
 # Each suite leg also smokes the telemetry layer end-to-end: --obs runs
 # (span reconciliation is a hard failure), a --trace-out export, and the
@@ -154,15 +155,19 @@ run_preset() {
     "$builddir/burst_sort_reference.stripped.json"
   # The same check on the other loops that run as windows: selection's
   # termination, uneven's collection, the central baseline's gather and
-  # scatter, rank-sort's passes, and a serving session's batches. The
-  # second selection finds its rank inside a filtering phase, so its
-  # zero-length "terminate" phase and span are compared too.
+  # scatter, rank-sort's passes, virtual Columnsort's transformations and
+  # redistribution, recursive Columnsort's levels, and a serving
+  # session's batches. The second selection finds its rank inside a
+  # filtering phase, so its zero-length "terminate" phase and span are
+  # compared too.
   window_runs=(
     "select:select --p 1024 --k 8 --n 4096 --check"
     "select-filtered:select --p 257 --k 2 --n 774 --shape zipf --seed 3 --rank 194 --obs"
     "uneven:sort --p 64 --k 8 --n 4096 --algorithm uneven --shape zipf --check"
     "central:sort --p 64 --k 8 --n 4096 --algorithm central --check"
     "ranksort:sort --p 64 --k 8 --n 4096 --algorithm ranksort --check"
+    "virtual:sort --p 64 --k 8 --n 4096 --algorithm virtual --check"
+    "recursive:sort --p 64 --k 8 --n 4096 --algorithm recursive --check"
     "serve:serve --p 64 --k 4 --n 1024 --queries 32 --batch 8 --seed 7"
   )
   for run in "${window_runs[@]}"; do
