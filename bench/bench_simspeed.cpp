@@ -27,8 +27,9 @@
 // preserved; medians slot into the old single-run fields. Each run row also
 // carries ns_per_proc_cycle = sim_wall_ns / (p * cycles), the
 // size-normalized cost that makes rows of different geometry comparable,
-// and {median, min, max} over the reps of setup_ns, run_ns, verify_ns and
-// total_ns.
+// ns_per_message = sim_wall_ns / messages, the host cost per unit of work
+// the model counts, and {median, min, max} over the reps of setup_ns,
+// run_ns, verify_ns and total_ns.
 //
 // Three gates, each failing the binary when enforced:
 //   * event_vs_reference — the event engine must beat the reference loop
@@ -221,6 +222,14 @@ double ns_per_proc_cycle(const GridPoint& pt, const RunStats& s) {
   return work == 0.0 ? 0.0 : static_cast<double>(s.sim_wall_ns) / work;
 }
 
+/// sim_wall_ns per channel write: host nanoseconds per message, the work
+/// the model counts.
+double ns_per_message(const RunStats& s) {
+  return s.messages == 0 ? 0.0
+                         : static_cast<double>(s.sim_wall_ns) /
+                               static_cast<double>(s.messages);
+}
+
 /// Coroutine frame bytes per processor: one program frame when every
 /// sub-protocol is a step awaiter.
 double frame_bytes_per_proc(const GridPoint& pt, const RunStats& s) {
@@ -261,6 +270,7 @@ std::string json_run_row(const GridPoint& pt, const EngineResult& er,
      << ", \"cycles\": " << s.cycles << ", \"messages\": " << s.messages
      << ", \"sim_wall_ns\": " << s.sim_wall_ns
      << ", \"ns_per_proc_cycle\": " << ns_per_proc_cycle(pt, s)
+     << ", \"ns_per_message\": " << ns_per_message(s)
      << ", \"proc_resumes\": " << s.proc_resumes
      << ", \"cycles_per_sec\": " << s.cycles_per_sec
      << ", \"frame_allocs\": " << s.frame_allocs
@@ -404,7 +414,7 @@ int main(int argc, char** argv) {
   util::Table t;
   t.header({"bench", "p", "k", "n", "cycles", "ref wall ms", "event wall ms",
             "event setup ms", "event total ms", "event resumes",
-            "event cyc/s", "frame B/proc", "ref/event"});
+            "event cyc/s", "event ns/msg", "frame B/proc", "ref/event"});
   for (const auto& pt : grid) {
     Row r;
     r.pt = pt;
@@ -434,6 +444,7 @@ int main(int argc, char** argv) {
                static_cast<double>(r.event.total_ns.median) / 1e6, 2),
            util::Table::num(r.event.median.proc_resumes),
            util::Table::num(r.event.median.cycles_per_sec, 0),
+           util::Table::num(ns_per_message(r.event.median), 1),
            util::Table::num(frame_bytes_per_proc(pt, r.event.median), 0),
            pt.skip_reference ? util::Table::txt("-")
                              : util::Table::num(r.speedup(), 2)});

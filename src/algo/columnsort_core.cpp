@@ -1,6 +1,8 @@
 #include "algo/columnsort_core.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <mutex>
 
 #include "obs/span.hpp"
@@ -195,8 +197,20 @@ std::shared_ptr<const CorePlan> CorePlan::shared(
 }
 
 void sort_column_desc(std::vector<KV>& column) {
-  seq::sort_by_runs(std::span<KV>(column), [](const KV& a, const KV& b) {
-    return desc_before(a, b);
+  const std::span<KV> v(column);
+  const auto desc = [](const KV& a, const KV& b) { return desc_before(a, b); };
+  if (v.size() < kRadixMinColumn) {
+    seq::sort_by_runs(v, desc);
+    return;
+  }
+  if (seq::merge_runs(v, desc)) return;
+  // Descending (key, val) is ascending complemented offset-binary words:
+  // kDummy, the least key, becomes the largest word and sorts last.
+  seq::radix_sort(v, [](const KV& x) {
+    constexpr auto kSign = std::uint64_t{1} << 63;
+    return std::array<std::uint64_t, 2>{
+        ~(static_cast<std::uint64_t>(x.key) ^ kSign),
+        ~(static_cast<std::uint64_t>(x.val) ^ kSign)};
   });
 }
 

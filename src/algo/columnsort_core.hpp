@@ -53,8 +53,15 @@ struct CorePlan {
       seq::ColumnsortVariant variant = seq::ColumnsortVariant::kUndiagonalize);
 };
 
+/// Columns of many runs shorter than this sort by comparison
+/// (seq::intro_sort); longer ones by radix (seq::radix_sort), whose
+/// counting passes only pay off past it.
+inline constexpr std::size_t kRadixMinColumn = 256;
+
 /// Sorts a column descending by (key, val). After a transformation a
-/// column is a few sorted runs, which this merges.
+/// column is a few sorted runs, which this merges; an unsorted column (as
+/// in phase 1) sorts by comparison below kRadixMinColumn rows and by radix
+/// from there on.
 void sort_column_desc(std::vector<KV>& column);
 
 class Transform;

@@ -239,15 +239,22 @@ void Network::clear_intents(ProcId i) {
   tab_.pending_read_all[i] = 0;
 }
 
+void Network::collide(ChannelId c, ProcId id) const {
+  throw CollisionError(now_, c, slot_writer_[c], id);
+}
+
+void Network::clear_slots() {
+  for (ChannelId c : sched_.dirty()) {
+    slot_written_[c] = 0;
+  }
+  sched_.clear_dirty();
+}
+
 void Network::apply_read(ProcId i) {
   // A processor that reads nothing keeps its last result: a cycle_after
   // with a trailing idle returns it after the trail.
   if (const ChannelId rc = tab_.intent[i].read; rc != kNoChannel) {
-    if (slot_written_[rc] != 0) {
-      tab_.read_result[i] = slot_msg_[rc];
-    } else {
-      tab_.read_result[i].reset();
-    }
+    read_channel(rc, tab_.read_result[i]);
   }
   if (tab_.pending_read_all[i] != 0) {
     auto& out = tab_.read_all_results[i];
@@ -260,8 +267,8 @@ void Network::apply_read(ProcId i) {
   }
 }
 
-void Network::emit_event(ProcId i) {
-  const Beat& b = tab_.intent[i];
+void Network::emit_event(ProcId i, const Beat& b,
+                         const Proc::ReadResult& got) {
   if (b.write == kNoChannel && b.read == kNoChannel &&
       tab_.pending_read_all[i] == 0) {
     return;
@@ -275,7 +282,7 @@ void Network::emit_event(ProcId i) {
   }
   if (b.read != kNoChannel) {
     ev.read = b.read;
-    ev.received = tab_.read_result[i];
+    ev.received = got;
   }
   if (tab_.pending_read_all[i] != 0) {
     ev.read_all = true;
@@ -362,8 +369,9 @@ void Network::reset() {
 // below (which is the semantics specification); see docs/ENGINE.md for the
 // step-by-step argument. The three O(p) scans become iterations over the
 // scheduler's active list, the O(k) slot sweep becomes an iteration over the
-// dirty-channel list, and stretches of cycles in which no processor is due
-// are skipped in one jump.
+// dirty-channel list, stretches of cycles in which no processor is due
+// are skipped in one jump, and stretches in which the same processors act
+// from their window blocks run without the per-cycle drain.
 void Network::run_event_loop() {
   while (alive_ > 0) {
     MCB_REQUIRE(!sched_.queue_empty(),
@@ -377,33 +385,22 @@ void Network::run_event_loop() {
     const Cycle next = sched_.next_wake(now_);
     if (next > now_ + 1) now_ = next - 1;
     if (now_ >= cfg_.max_cycles) throw_max_cycles();
+    if (run_dense_stretch()) continue;
 
     const auto& active = sched_.active();
 
     // Step 1: writes. Collision check per the model. `active` holds the
     // processors that suspended with a channel intent, in id order — the
     // same order the reference scan visits them.
-    for (ProcId id : active) {
-      const Beat& b = tab_.intent[id];
-      if (b.write == kNoChannel) continue;
-      const ChannelId c = b.write;
-      if (slot_written_[c] != 0) {
-        throw CollisionError(now_, c, slot_writer_[c], id);
-      }
-      slot_written_[c] = 1;
-      slot_writer_[c] = id;
-      slot_msg_[c] = b.msg;
-      sched_.mark_dirty(c);
-      ++stats_.messages;
-      ++stats_.messages_per_proc[id];
-      ++stats_.messages_per_channel[c];
-    }
+    for (ProcId id : active) write_beat(id, tab_.intent[id]);
 
     // Step 2: reads (concurrent reads allowed; silence is observable).
     for (ProcId id : active) apply_read(id);
 
     if (sink_ != nullptr) {
-      for (ProcId id : active) emit_event(id);
+      for (ProcId id : active) {
+        emit_event(id, tab_.intent[id], tab_.read_result[id]);
+      }
     }
 
     // Step 3: the cycle completes. Clear only the channels written this
@@ -414,10 +411,7 @@ void Network::run_event_loop() {
     // or applied a beat and has another to act on — then it joins the new
     // cycle's active list, as if it had just resumed and acted, so active
     // list and next bucket stay id-sorted — or it sleeps out the trail.
-    for (ChannelId c : sched_.dirty()) {
-      slot_written_[c] = 0;
-    }
-    sched_.clear_dirty();
+    clear_slots();
     sched_.clear_active();
     ++now_;
     for (ProcId id : sched_.drain_due(now_)) {
@@ -439,6 +433,86 @@ void Network::run_event_loop() {
   }
 }
 
+// Dense fast-forward. When every active processor acts from a lent window
+// block, the next bucket holds exactly the active list and the wheel holds
+// no wake for the next B - 1 drains, each of those drains would only move
+// every active processor on to its next block beat, in id order: no
+// callback runs, no one resumes, no one joins. So the B - 1 cycles from
+// now_ run here with the cycle's own write and read steps, straight from
+// the blocks, and leave the table as those drains would. B is at most the
+// beats left in any active block, so the last beat of a block, whose
+// drain places and refills it or ends the window, runs in the normal loop.
+// B also stops short of a beat with a channel >= k, which the normal drain
+// then rejects as it loads, and of max_cycles, which the loop then throws.
+bool Network::run_dense_stretch() {
+  constexpr std::size_t kBlock = ProcTable::kBlock;
+  const auto& active = sched_.active();
+  if (active.empty() || sched_.next_bucket_size() != active.size()) {
+    return false;
+  }
+  // Beats of the stretch: cycles now_ .. now_ + beats - 2 run here.
+  std::size_t beats = kBlock;
+  if (const Cycle wake = sched_.wheel_next_wake(now_); wake - now_ < beats) {
+    beats = static_cast<std::size_t>(wake - now_);
+  }
+  if (cfg_.max_cycles - now_ < beats - 1) {
+    beats = static_cast<std::size_t>(cfg_.max_cycles - now_) + 1;
+  }
+  if (beats < 2) return false;
+  lanes_.clear();
+  for (ProcId id : active) {
+    const std::uint32_t block = tab_.window[id].block;
+    if (block == ProcTable::kNoBlock || tab_.pending_read_all[id] != 0) {
+      return false;
+    }
+    // Beat j - 1 applies now, from slot s of a block of `len` beats.
+    const ProcTable::Pos at = tab_.pos[id];
+    const std::size_t s = (at.j - 2) % kBlock;
+    const std::size_t len =
+        std::min<std::size_t>(kBlock, at.n - (at.j - 1 - s));
+    beats = std::min(beats, len - s);
+    if (beats < 2) return false;
+    ProcTable::Block& b = tab_.blocks[block];
+    lanes_.push_back({id, b.beats.data() + s, b.got.data() + s});
+  }
+  // Stop short of the first beat naming a channel >= k.
+  for (const Lane& l : lanes_) {
+    for (std::size_t c = 1; c < beats; ++c) {
+      if (bad_channels(l.beats[c])) beats = c;
+    }
+  }
+  if (beats < 2) return false;
+
+  for (std::size_t c = 0; c + 1 < beats; ++c) {
+    for (const Lane& l : lanes_) write_beat(l.id, l.beats[c]);
+    for (const Lane& l : lanes_) {
+      if (const ChannelId rc = l.beats[c].read; rc != kNoChannel) {
+        read_channel(rc, l.got[c]);
+      }
+    }
+    if (sink_ != nullptr) {
+      for (const Lane& l : lanes_) emit_event(l.id, l.beats[c], l.got[c]);
+    }
+    clear_slots();
+    ++now_;
+  }
+
+  // The table as the skipped drains leave it: each beat's read moved on
+  // to its slot (the last one stays in read_result) and the next beat
+  // loaded. The processors stay on the active list and in the next bucket.
+  for (const Lane& l : lanes_) {
+    tab_.pos[l.id].j += static_cast<std::uint32_t>(beats - 1);
+    tab_.intent[l.id] = l.beats[beats - 1];
+    for (std::size_t c = beats - 1; c-- > 0;) {
+      if (l.beats[c].read != kNoChannel) {
+        tab_.read_result[l.id] = l.got[c];
+        break;
+      }
+    }
+  }
+  return true;
+}
+
 // The scan-the-world reference loop — the seed implementation, kept as the
 // executable specification of the cycle semantics and as the baseline that
 // bench_simspeed measures the other engines against. A channel intent
@@ -452,22 +526,12 @@ void Network::run_reference_loop() {
   while (alive_ > 0) {
     if (now_ >= cfg_.max_cycles) throw_max_cycles();
 
-    // Step 1: writes. Collision check per the model.
+    // Step 1: writes. Collision check per the model. The shared write step
+    // also lists the channels it writes, which this loop clears wholesale.
     std::fill(slot_written_.begin(), slot_written_.end(), std::uint8_t{0});
+    sched_.clear_dirty();
     for (ProcId id = 0; id < cfg_.p; ++id) {
-      if (!acts(id)) continue;
-      const Beat& b = tab_.intent[id];
-      if (b.write == kNoChannel) continue;
-      const ChannelId c = b.write;
-      if (slot_written_[c] != 0) {
-        throw CollisionError(now_, c, slot_writer_[c], id);
-      }
-      slot_written_[c] = 1;
-      slot_writer_[c] = id;
-      slot_msg_[c] = b.msg;
-      ++stats_.messages;
-      ++stats_.messages_per_proc[id];
-      ++stats_.messages_per_channel[c];
+      if (acts(id)) write_beat(id, tab_.intent[id]);
     }
 
     // Step 2: reads (concurrent reads allowed; silence is observable).
@@ -477,7 +541,7 @@ void Network::run_reference_loop() {
 
     if (sink_ != nullptr) {
       for (ProcId id = 0; id < cfg_.p; ++id) {
-        if (acts(id)) emit_event(id);
+        if (acts(id)) emit_event(id, tab_.intent[id], tab_.read_result[id]);
       }
     }
 

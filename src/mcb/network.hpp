@@ -123,11 +123,11 @@ class Network {
   // Throws std::invalid_argument when processor id's intent names a
   // channel >= k.
   void check_intent(ProcId id) const {
-    const Beat& b = tab_.intent[id];
-    if ((b.write != kNoChannel && b.write >= cfg_.k) ||
-        (b.read != kNoChannel && b.read >= cfg_.k)) {
-      bad_intent(id);
-    }
+    if (bad_channels(tab_.intent[id])) bad_intent(id);
+  }
+  bool bad_channels(const Beat& b) const {
+    return (b.write != kNoChannel && b.write >= cfg_.k) ||
+           (b.read != kNoChannel && b.read >= cfg_.k);
   }
   void bad_intent(ProcId id) const;
 
@@ -136,13 +136,43 @@ class Network {
 
   void resume_proc(ProcId id);
   void run_event_loop();
+  // The event engine's dense fast-forward: runs the cycles from now_ on
+  // straight from the active processors' window blocks while no
+  // processor joins or leaves the active list, and returns whether it ran
+  // any (docs/ENGINE.md).
+  bool run_dense_stretch();
   void run_reference_loop();
   [[noreturn]] void throw_max_cycles() const;
   void finish_phase();
 
-  // Shared cycle steps over the SoA state (used by both engines).
+  // Shared cycle steps over the SoA state (used by both engines): the
+  // write of beat b by processor id (collision check and message stats),
+  // a read of channel c into `out` and a trace event; and the event
+  // engine's end of a cycle's writes, clear_slots.
+  void write_beat(ProcId id, const Beat& b) {
+    const ChannelId c = b.write;
+    if (c == kNoChannel) return;
+    if (slot_written_[c] != 0) collide(c, id);
+    slot_written_[c] = 1;
+    slot_writer_[c] = id;
+    slot_msg_[c] = b.msg;
+    sched_.mark_dirty(c);
+    ++stats_.messages;
+    ++stats_.messages_per_proc[id];
+    ++stats_.messages_per_channel[c];
+  }
+  [[noreturn]] void collide(ChannelId c, ProcId id) const;
+  void read_channel(ChannelId c, Proc::ReadResult& out) const {
+    if (slot_written_[c] != 0) {
+      out = slot_msg_[c];
+    } else {
+      out.reset();
+    }
+  }
   void apply_read(ProcId i);
-  void emit_event(ProcId i);  // requires sink_ != nullptr
+  // Requires sink_ != nullptr.
+  void emit_event(ProcId i, const Beat& b, const Proc::ReadResult& got);
+  void clear_slots();
   void clear_intents(ProcId i);
 
   SimConfig cfg_;
@@ -183,6 +213,14 @@ class Network {
 
   Scheduler sched_;
   Engine mode_ = Engine::kEventDriven;
+  // A dense stretch's processors, in id order: beats[c] and got[c] are
+  // the beat and read slot of its c-th cycle.
+  struct Lane {
+    ProcId id;
+    const Beat* beats;
+    Proc::ReadResult* got;
+  };
+  std::vector<Lane> lanes_;
 
   Cycle now_ = 0;
   std::size_t alive_ = 0;

@@ -72,7 +72,12 @@ struct ProcTable {
   /// A window of more than kBlock beats acts from a block lent to it after
   /// beat 0 until it ends: the engine fills kBlock beats at a time and
   /// places their reads when the block is used up, so its callbacks run
-  /// once per block, not once per cycle. Blocks are kept for reuse.
+  /// once per block, not once per cycle. Beat j >= 1 sits in beats[(j - 1)
+  /// % kBlock] and its read lands in got[(j - 1) % kBlock]. While every
+  /// active processor acts from a block, the event engine's dense
+  /// stretches apply beats and land reads here directly, without copying
+  /// them through intent and read_result (Network::run_dense_stretch).
+  /// Blocks are kept for reuse.
   static constexpr std::size_t kBlock = 32;
   struct Block {
     std::array<Beat, kBlock> beats;

@@ -57,6 +57,13 @@ void Scheduler::place(ProcId id, Cycle wake, Cycle now) {
 
 Cycle Scheduler::next_wake(Cycle now) const {
   if (!next_bucket_.empty()) return now + 1;
+  const Cycle best = wheel_next_wake(now);
+  MCB_CHECK(best != std::numeric_limits<Cycle>::max(),
+            "next_wake on an empty queue");
+  return best;
+}
+
+Cycle Scheduler::wheel_next_wake(Cycle now) const {
   Cycle best = std::numeric_limits<Cycle>::max();
   // Level 0 is a window (now, now + kSlots]: rotating the mask so that
   // slot now+1 lands on bit 0 turns the earliest wake into a bit count.
@@ -75,8 +82,6 @@ Cycle Scheduler::next_wake(Cycle now) const {
     best = std::min(best, slot_min_[level][slot]);
     break;
   }
-  MCB_CHECK(best != std::numeric_limits<Cycle>::max(),
-            "next_wake on an empty queue");
   return best;
 }
 

@@ -55,9 +55,15 @@
 //
 // Invariants (see docs/ENGINE.md): every live suspended processor sits in
 // exactly one tier; the active list holds exactly the processors whose
-// wake cycle is now+1 *and* that hold a channel intent; a cycle whose
-// drain would be empty is observationally silent and may be skipped
-// wholesale (idle-cycle fast-forward).
+// wake cycle is now+1 *and* that hold a channel intent, so it is a subset
+// of the next bucket, and the two are equal when their sizes are; a cycle
+// whose drain would be empty is observationally silent and may be skipped
+// wholesale (idle-cycle fast-forward). When the next bucket equals the
+// active list and the wheel holds no wake for a few cycles, the drains in
+// between hold the same processors again and again, and the network may
+// skip them as a dense stretch without touching the queue: the cursor
+// then lags the network's cycle, as after an idle jump, with no wake
+// pending before the next drain.
 #pragma once
 
 #include <array>
@@ -105,6 +111,16 @@ class Scheduler {
   /// Earliest pending wake cycle. Requires a non-empty queue. O(1) when the
   /// next bucket is occupied; otherwise one mask read per level.
   Cycle next_wake(Cycle now) const;
+
+  /// Earliest wake filed in the wheel, the next bucket aside (the largest
+  /// Cycle when there is none). One mask read per level.
+  Cycle wheel_next_wake(Cycle now) const;
+
+  /// Processors in the next bucket. Every processor on the active list is
+  /// in it (it acts in the cycle before its wake, one cycle ahead), so a
+  /// next bucket no larger than the active list holds exactly that list:
+  /// the drain ending the cycle in flight holds no one else.
+  std::size_t next_bucket_size() const { return next_bucket_.size(); }
 
   /// Collects every processor due at `now` in processor-id order, where
   /// the latest drain was earlier than `now` and no pending wake is. The

@@ -1,11 +1,13 @@
 // Sequential sorting substrate.
 //
 // The paper's local sorting phases cite [Knut73]; this module provides the
-// stand-in: insertion sort, heapsort, bottom-up merge sort and an introsort
+// stand-in: insertion sort, heapsort, bottom-up merge sort, an introsort
 // driver (quicksort with median-of-three, depth-limited into heapsort,
-// insertion sort for small ranges). Implemented from scratch so the library
-// has no hidden dependency on std::sort; std algorithms appear only in tests
-// as oracles.
+// insertion sort for small ranges), a merge of presorted runs, and an LSD
+// radix sort (Knuth's sorting by distribution, 5.2.5) for long
+// unsorted inputs whose order is that of unsigned digit words.
+// Implemented from scratch so the library has no hidden dependency on
+// std::sort; std algorithms appear only in tests as oracles.
 //
 // All comparators follow std conventions: cmp(a, b) == true iff a must
 // precede b. The paper orders lists in *descending* magnitude (N[1] is the
@@ -13,9 +15,13 @@
 // default.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mcb/types.hpp"
@@ -157,13 +163,14 @@ void intro_sort(std::span<T> v, Cmp cmp = {}) {
 }
 
 /// Sorts v by merging its maximal runs (stretches already in cmp order)
-/// when they are few, and by intro_sort when the average run is shorter
-/// than kMinRunMean elements. Input that arrives as a handful of sorted
-/// runs — a Columnsort column after a matrix transformation holds about
-/// one per source column — then costs one scan plus O(n log runs) moves.
-/// Allocates an n-element buffer when it merges; stable then.
+/// when they are few, and returns false, with v untouched, when the
+/// average run is shorter than kMinRunMean elements. Input that arrives as
+/// a handful of sorted runs — a Columnsort column after a matrix
+/// transformation holds about one per source column — then costs one scan
+/// plus O(n log runs) moves. Allocates an n-element buffer when it merges;
+/// stable then.
 template <typename T, typename Cmp = std::less<T>>
-void sort_by_runs(std::span<T> v, Cmp cmp = {}) {
+bool merge_runs(std::span<T> v, Cmp cmp = {}) {
   constexpr std::size_t kMinRunMean = 8;
   const std::size_t n = v.size();
   // bounds: start of every run, then n.
@@ -171,12 +178,9 @@ void sort_by_runs(std::span<T> v, Cmp cmp = {}) {
   for (std::size_t i = 1; i < n; ++i) {
     if (!cmp(v[i], v[i - 1])) continue;
     bounds.push_back(i);
-    if (bounds.size() * kMinRunMean > n) {
-      intro_sort(v, cmp);
-      return;
-    }
+    if (bounds.size() * kMinRunMean > n) return false;
   }
-  if (bounds.size() == 1) return;  // one run: already sorted
+  if (bounds.size() == 1) return true;  // one run: already sorted
   bounds.push_back(n);
   std::vector<T> buf(n);
   T* src = v.data();
@@ -204,6 +208,69 @@ void sort_by_runs(std::span<T> v, Cmp cmp = {}) {
     }
     bounds[out++] = n;
     bounds.resize(out);
+    std::swap(src, dst);
+  }
+  if (src != v.data()) {
+    for (std::size_t i = 0; i < n; ++i) v[i] = std::move(src[i]);
+  }
+  return true;
+}
+
+/// merge_runs, falling back to intro_sort when the runs are many.
+template <typename T, typename Cmp = std::less<T>>
+void sort_by_runs(std::span<T> v, Cmp cmp = {}) {
+  if (!merge_runs(v, cmp)) intro_sort(v, cmp);
+}
+
+/// LSD radix sort (Knuth 5.2.5): orders v ascending by digits(x), a
+/// std::array of std::uint64_t words compared most significant word
+/// first. One scan finds the bytes in which some element differs from the
+/// first, a second counts every such byte's values, then each varying
+/// byte, least significant first, takes one stable distribution pass
+/// between v and an n-element buffer. Bytes equal across v cost nothing,
+/// so the passes are as many as the bytes the values actually use. Stable;
+/// O(n · varying bytes + 256 · varying bytes) time.
+template <typename T, typename Digits>
+void radix_sort(std::span<T> v, Digits digits) {
+  using Key = decltype(digits(v[0]));
+  constexpr std::size_t kWords = std::tuple_size_v<Key>;
+  const std::size_t n = v.size();
+  if (n < 2) return;
+  const Key first = digits(v[0]);
+  Key differ{};
+  for (const T& x : v) {
+    const Key d = digits(x);
+    for (std::size_t w = 0; w < kWords; ++w) differ[w] |= d[w] ^ first[w];
+  }
+  // The varying bytes, least significant first, as (word, shift).
+  std::array<std::pair<std::size_t, unsigned>, 8 * kWords> pass{};
+  std::size_t passes = 0;
+  for (std::size_t w = kWords; w-- > 0;) {
+    for (unsigned shift = 0; shift < 64; shift += 8) {
+      if ((differ[w] >> shift & 0xff) != 0) pass[passes++] = {w, shift};
+    }
+  }
+  if (passes == 0) return;  // all equal
+  std::vector<std::array<std::size_t, 256>> start(passes);
+  for (const T& x : v) {
+    const Key d = digits(x);
+    for (std::size_t p = 0; p < passes; ++p) {
+      ++start[p][d[pass[p].first] >> pass[p].second & 0xff];
+    }
+  }
+  for (auto& count : start) {  // counts become first output positions
+    std::size_t at = 0;
+    for (std::size_t& c : count) at += std::exchange(c, at);
+  }
+  std::vector<T> buf(n);
+  T* src = v.data();
+  T* dst = buf.data();
+  for (std::size_t p = 0; p < passes; ++p) {
+    auto& next = start[p];
+    const auto [w, shift] = pass[p];
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[next[digits(src[i])[w] >> shift & 0xff]++] = std::move(src[i]);
+    }
     std::swap(src, dst);
   }
   if (src != v.data()) {

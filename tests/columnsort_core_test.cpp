@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -73,6 +74,69 @@ TEST(CorePlanTest, SortColumnDescOrdersByKeyThenValue) {
   detail::sort_column_desc(col);
   const std::vector<KV> expect{{5, 2}, {5, 0}, {3, 9}, {3, 1}, {-1, 7}};
   EXPECT_EQ(col, expect);
+}
+
+TEST(CorePlanTest, SortColumnDescMatchesStdSortOracle) {
+  // Every path of the column sort — merged runs, the comparison sort below
+  // kRadixMinColumn rows and the radix sort from there on — against
+  // std::sort: kDummy padding, negative and extreme keys, duplicate keys
+  // with equal and different values, and all-equal, sorted and reversed
+  // columns, at sizes around the cut-over.
+  constexpr Word kMax = std::numeric_limits<Word>::max();
+  const std::size_t cut = detail::kRadixMinColumn;
+  util::Xoshiro256StarStar rng(0xc01);
+  const auto random_col = [&rng](std::size_t n, Word lo, Word hi,
+                                 Word vals) {
+    std::vector<KV> col(n);
+    for (KV& x : col) x = {rng.uniform(lo, hi), rng.uniform(0, vals)};
+    return col;
+  };
+  std::size_t cases = 0;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                              std::size_t{64}, cut - 1, cut, cut + 1,
+                              2 * cut + 3, std::size_t{8192}}) {
+    std::vector<std::vector<KV>> cols = {
+        random_col(n, 1, 2000000, 0),            // distinct-ish, val 0
+        random_col(n, -1000, 1000, 0),           // negative, duplicates
+        random_col(n, -3, 3, 5),                 // equal keys, other vals
+        random_col(n, kDummy, kMax, 1000),       // every key byte varies
+        std::vector<KV>(n, KV{42, 7}),           // all equal
+    };
+    // kDummy padding: a random column whose tail, then every third row,
+    // is a dummy (key kDummy, value 0).
+    auto tail = random_col(n, -50, 50, 3);
+    for (std::size_t i = n - n / 4; i < n; ++i) tail[i] = {kDummy, 0};
+    auto mixed = random_col(n, -1000000, 1000000, 0);
+    for (std::size_t i = 0; i < n; i += 3) mixed[i] = {kDummy, 0};
+    cols.push_back(std::move(tail));
+    cols.push_back(std::move(mixed));
+    // Sorted, reversed, and a few presorted runs.
+    auto sorted = random_col(n, -100000, 100000, 9);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const KV& a, const KV& b) { return desc_before(a, b); });
+    auto reversed = sorted;
+    std::reverse(reversed.begin(), reversed.end());
+    auto runs = random_col(n, -100000, 100000, 0);
+    for (std::size_t r = 0; r < 4; ++r) {
+      const auto lo = static_cast<std::ptrdiff_t>(r * n / 4);
+      const auto hi = static_cast<std::ptrdiff_t>((r + 1) * n / 4);
+      std::sort(runs.begin() + lo, runs.begin() + hi,
+                [](const KV& a, const KV& b) { return desc_before(a, b); });
+    }
+    cols.push_back(std::move(sorted));
+    cols.push_back(std::move(reversed));
+    cols.push_back(std::move(runs));
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      auto col = cols[c];
+      auto expect = cols[c];
+      std::sort(expect.begin(), expect.end(),
+                [](const KV& a, const KV& b) { return desc_before(a, b); });
+      detail::sort_column_desc(col);
+      EXPECT_EQ(col, expect) << "n=" << n << " column " << c;
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 9u * 10u);
 }
 
 TEST(EvenSortPlanTest, FieldConsistency) {

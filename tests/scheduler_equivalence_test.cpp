@@ -12,6 +12,8 @@
 
 #include <functional>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "algo/baselines.hpp"
@@ -322,6 +324,195 @@ TEST(SchedulerEquivalence, WindowHeavyHandRolledProtocol) {
     return net.run();
   };
   expect_engines_agree({.p = 40, .k = 8}, go, "window-heavy");
+}
+
+// --- Dense fast-forward ----------------------------------------------------
+//
+// Processors acting every cycle from window blocks run as dense stretches
+// on the event engine (docs/ENGINE.md). Each case below makes a stretch
+// end somewhere else — a sleeper's wake, blocks of staggered windows, a
+// collision, max_cycles, an out-of-range channel — and holds the event
+// engine to the reference engine on everything observable: the stats, the
+// error, what the programs saw (placed reads, and take_read after windows
+// without a place) and, with a trace sink attached, every cycle event.
+
+struct DenseCase {
+  std::string name;
+  bool staggered = false;  // leads and lengths differ: blocks end apart
+  bool sleeper = false;    // the last processor wakes mid-block
+  std::size_t max_cycles = SimConfig{}.max_cycles;
+  std::size_t collide_beat = ~std::size_t{0};  // P6 also writes channel 0
+  std::size_t bad_beat = ~std::size_t{0};      // P7 reads channel k
+};
+
+ProcMain dense_prog(Proc& self, const DenseCase& c, std::vector<Word>& seen) {
+  const ProcId i = self.id();
+  const std::size_t k = self.k();
+  if (c.sleeper && i + 1 == self.p()) {
+    for (const Cycle nap : {Cycle{40}, Cycle{23}, Cycle{9}, Cycle{64}}) {
+      co_await self.window(nap);
+      const auto got = co_await self.read(0);
+      seen.push_back(got ? got->at(0) : -1);
+    }
+    co_return;
+  }
+  // Processors below k own channel i and write it on three beats of four;
+  // everyone reads a channel other than its own, moving on every 16 beats.
+  // Odd processors keep no reads but the last (take_read) and stop reading
+  // at beat 88, so their last read applies inside a stretch.
+  const auto fill = [i, k, &c](std::size_t j) {
+    Beat b;
+    if (i < k && (i + j) % 4 != 0) {
+      b.msg = Message::of(static_cast<Word>(i * 1000 + j));
+      b.write = static_cast<ChannelId>(i);
+    }
+    if (i == 5 && j == c.collide_beat) {
+      b.msg = Message::of(Word{-5});
+      b.write = 0;
+    }
+    if (i % 2 == 0 || j < 88) {
+      b.read = static_cast<ChannelId>((i + 1 + (j / 16) % (k - 1)) % k);
+    }
+    if (i == 6 && j == c.bad_beat) b.read = static_cast<ChannelId>(k);
+    return b;
+  };
+  for (std::size_t round = 0; round < 2; ++round) {
+    const Cycle lead = c.staggered ? (i + round) % 7 : round;
+    const std::size_t beats = (c.staggered ? 90 + 5 * i : 100) - 30 * round;
+    const Cycle trail = c.staggered ? i % 3 : 0;
+    if (i % 2 == 0) {
+      Word sum = 0;
+      auto aw = self.window(lead, beats, trail, fill,
+                            [&sum](std::size_t j, const Proc::ReadResult& got) {
+                              sum += got ? got->at(0) * static_cast<Word>(j + 1)
+                                         : -static_cast<Word>(j);
+                            });
+      co_await aw;
+      seen.push_back(sum);
+    } else {
+      auto aw = self.window(lead, beats, trail, fill);
+      co_await aw;
+      const auto got = self.take_read();
+      seen.push_back(got ? got->at(0) : -1);
+    }
+  }
+}
+
+struct DenseOutcome {
+  RunStats stats;
+  std::string error;  // empty: the run completed
+  std::vector<std::vector<Word>> seen;
+  std::vector<CycleEvent> events;
+};
+
+DenseOutcome run_dense(const DenseCase& c, Engine e, bool traced) {
+  SimConfig cfg{.p = 12, .k = 8, .engine = e};
+  cfg.max_cycles = c.max_cycles;
+  ChannelTrace trace(1u << 20);
+  DenseOutcome out;
+  out.seen.resize(cfg.p);
+  Network net(cfg, traced ? &trace : nullptr);
+  for (ProcId i = 0; i < cfg.p; ++i) {
+    net.install(i, dense_prog(net.proc(i), c, out.seen[i]));
+  }
+  try {
+    out.stats = net.run();
+  } catch (const CollisionError& ex) {
+    out.error = std::string("collision: ") + ex.what();
+  } catch (const ProtocolError& ex) {
+    out.error = std::string("protocol: ") + ex.what();
+  } catch (const std::invalid_argument& ex) {
+    out.error = std::string("invalid: ") + ex.what();
+  }
+  EXPECT_FALSE(trace.truncated());
+  out.events = trace.events();
+  return out;
+}
+
+void expect_same_events(const std::vector<CycleEvent>& a,
+                        const std::vector<CycleEvent>& b,
+                        const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].cycle, b[i].cycle) << label << " event " << i;
+    EXPECT_EQ(a[i].proc, b[i].proc) << label << " event " << i;
+    EXPECT_EQ(a[i].wrote, b[i].wrote) << label << " event " << i;
+    EXPECT_EQ(a[i].sent, b[i].sent) << label << " event " << i;
+    EXPECT_EQ(a[i].read, b[i].read) << label << " event " << i;
+    EXPECT_EQ(a[i].received, b[i].received) << label << " event " << i;
+  }
+}
+
+/// Runs case `c` on both engines, with and without a trace sink, and
+/// returns the reference outcome after checking that all four agree.
+DenseOutcome expect_dense_agree(const DenseCase& c) {
+  const DenseOutcome ref = run_dense(c, Engine::kReference, true);
+  for (const bool traced : {true, false}) {
+    const std::string label =
+        c.name + (traced ? "/traced" : "/plain");
+    const DenseOutcome ev = run_dense(c, Engine::kEventDriven, traced);
+    EXPECT_EQ(ref.error, ev.error) << label;
+    EXPECT_EQ(ref.seen, ev.seen) << label;
+    if (ref.error.empty()) expect_identical_stats(ref.stats, ev.stats, label);
+    if (traced) expect_same_events(ref.events, ev.events, label);
+  }
+  return ref;
+}
+
+TEST(SchedulerEquivalence, DenseStretchesAlignedBlocks) {
+  const DenseOutcome ref = expect_dense_agree({.name = "aligned"});
+  EXPECT_TRUE(ref.error.empty()) << ref.error;
+  EXPECT_GT(ref.stats.messages, 0u);
+}
+
+TEST(SchedulerEquivalence, DenseStretchEndsAtBlocksEndingApart) {
+  const DenseOutcome ref =
+      expect_dense_agree({.name = "staggered", .staggered = true});
+  EXPECT_TRUE(ref.error.empty()) << ref.error;
+}
+
+TEST(SchedulerEquivalence, DenseStretchEndsAtSleeperWakingMidBlock) {
+  // The sleeper wakes at cycles 40, 64, 74 and 139: inside blocks.
+  for (const bool staggered : {false, true}) {
+    const DenseOutcome ref = expect_dense_agree(
+        {.name = "sleeper", .staggered = staggered, .sleeper = true});
+    EXPECT_TRUE(ref.error.empty()) << ref.error;
+    EXPECT_EQ(ref.seen.back().size(), 4u);
+  }
+}
+
+TEST(SchedulerEquivalence, DenseStretchCollision) {
+  // Beat 45 of the first window applies in cycle 45, inside the stretch
+  // over the second block; P1 writes channel 0 in it too.
+  const DenseOutcome ref =
+      expect_dense_agree({.name = "collision", .collide_beat = 45});
+  EXPECT_EQ(ref.error.rfind("collision: ", 0), 0u) << ref.error;
+  EXPECT_NE(ref.error.find("45"), std::string::npos) << ref.error;
+}
+
+TEST(SchedulerEquivalence, DenseStretchReachesMaxCycles) {
+  for (const std::size_t limit : {std::size_t{2}, std::size_t{50},
+                                  std::size_t{64}, std::size_t{65}}) {
+    const DenseOutcome ref = expect_dense_agree(
+        {.name = "max_cycles=" + std::to_string(limit), .max_cycles = limit});
+    EXPECT_EQ(ref.error.rfind("protocol: ", 0), 0u) << ref.error;
+  }
+}
+
+TEST(SchedulerEquivalence, DenseStretchStopsAtOutOfRangeChannel) {
+  // Beat 50 sits in the second block; beat 33 starts the second block and
+  // 64 ends it.
+  for (const std::size_t beat : {std::size_t{33}, std::size_t{50},
+                                 std::size_t{64}}) {
+    const DenseOutcome ref = expect_dense_agree(
+        {.name = "bad-channel@" + std::to_string(beat), .bad_beat = beat});
+    EXPECT_EQ(ref.error.rfind("invalid: ", 0), 0u) << ref.error;
+    EXPECT_NE(ref.error.find("P7 reading channel 8 of 8"), std::string::npos)
+        << ref.error;
+    // Every beat before the bad one applied on both engines.
+    ASSERT_FALSE(ref.events.empty());
+    EXPECT_EQ(ref.events.back().cycle, beat - 1);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "seq/sorting.hpp"
@@ -178,6 +181,38 @@ TEST(SortingTest, SortByRunsMergesStably) {
   std::stable_sort(expect.begin(), expect.end(), by_key);
   sort_by_runs(std::span<P>(v), by_key);
   EXPECT_EQ(v, expect);
+}
+
+TEST(SortingTest, RadixSortMatchesStableOracle) {
+  // Ascending by the offset-binary image of the key (the signed order),
+  // over sizes and ranges that leave one, several or all eight key bytes
+  // varying; equal keys keep their input order.
+  struct P {
+    Word key;
+    std::uint32_t tag;
+    bool operator==(const P&) const = default;
+  };
+  const auto digits = [](const P& x) {
+    return std::array<std::uint64_t, 1>{static_cast<std::uint64_t>(x.key) ^
+                                        (std::uint64_t{1} << 63)};
+  };
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {7, 7}, {0, 3}, {-200, 200}, {-1000000, 1000000},
+      {std::numeric_limits<std::int64_t>::min(),
+       std::numeric_limits<std::int64_t>::max()}};
+  for (const auto& [lo, hi] : ranges) {
+    for (std::size_t n : {0u, 1u, 2u, 17u, 256u, 1000u}) {
+      util::Xoshiro256StarStar rng(n * 131 + static_cast<std::uint64_t>(hi));
+      std::vector<P> v(n);
+      for (std::uint32_t i = 0; i < n; ++i) v[i] = {rng.uniform(lo, hi), i};
+      auto expect = v;
+      std::stable_sort(expect.begin(), expect.end(),
+                       [](const P& a, const P& b) { return a.key < b.key; });
+      radix_sort(std::span<P>(v), digits);
+      EXPECT_EQ(v, expect) << "n=" << n << " range=[" << lo << "," << hi
+                           << "]";
+    }
+  }
 }
 
 }  // namespace

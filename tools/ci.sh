@@ -136,23 +136,33 @@ run_preset() {
   cmp "$builddir/serve_event.json" "$builddir/serve_reference.json"
   # Burst smoke: Columnsort's gather, transformations and redistribution
   # run as multi-cycle windows (Proc::window), which the event engine
-  # advances in its drain and the reference engine in its resume scan. A
-  # dense columnsort must print the same cycle-by-cycle event stream under
-  # both, and the checked p=1024, k=32 dense sort the same model output,
-  # proc_resumes included, once the engine's own name is blanked.
+  # advances in its drain, or runs as dense stretches straight from the
+  # window blocks, and the reference engine advances in its resume scan.
+  # A dense columnsort must print the same cycle-by-cycle event stream
+  # under both, and the p=1024, k=32 dense sort the same model output,
+  # proc_resumes included, once the engine's own name is blanked: checked
+  # (stretches with the checker's trace sink attached) and plain (the
+  # sink-less stretches every benchmark runs).
   echo "=== [$preset] burst smoke (event vs reference) ==="
   for engine in event reference; do
     "$builddir/tools/mcbsim" trace --p 16 --n 4096 --limit 1000000 \
       --engine "$engine" > "$builddir/burst_trace_$engine.txt"
-    "$builddir/tools/mcbsim" sort --p 1024 --k 32 --n 262144 --check \
-      --json --engine "$engine" > "$builddir/burst_sort_$engine.json"
-    "$builddir/tools/mcbsim" strip-host "$builddir/burst_sort_$engine.json" \
-      | sed "s/\"engine\":\"$engine\"/\"engine\":\"-\"/" \
-      > "$builddir/burst_sort_$engine.stripped.json"
+    for mode in check plain; do
+      flags=(--json --engine "$engine")
+      if [[ $mode == check ]]; then flags+=(--check); fi
+      "$builddir/tools/mcbsim" sort --p 1024 --k 32 --n 262144 "${flags[@]}" \
+        > "$builddir/burst_${mode}_$engine.json"
+      "$builddir/tools/mcbsim" strip-host \
+        "$builddir/burst_${mode}_$engine.json" \
+        | sed "s/\"engine\":\"$engine\"/\"engine\":\"-\"/" \
+        > "$builddir/burst_${mode}_$engine.stripped.json"
+    done
   done
   cmp "$builddir/burst_trace_event.txt" "$builddir/burst_trace_reference.txt"
-  cmp "$builddir/burst_sort_event.stripped.json" \
-    "$builddir/burst_sort_reference.stripped.json"
+  for mode in check plain; do
+    cmp "$builddir/burst_${mode}_event.stripped.json" \
+      "$builddir/burst_${mode}_reference.stripped.json"
+  done
   # The same check on the other loops that run as windows: selection's
   # termination, uneven's collection, the central baseline's gather and
   # scatter, rank-sort's passes, virtual Columnsort's transformations and
