@@ -9,18 +9,7 @@
 namespace mcb::algo {
 namespace {
 
-/// Globally unique element identity: (value, owner, serial), ordered
-/// lexicographically — the paper's distinctness device.
-struct Key {
-  Word value = 0;
-  Word owner = -1;  ///< -1 encodes the null pointer
-  Word serial = 0;
-
-  bool null() const { return owner < 0; }
-  friend auto operator<=>(const Key&, const Key&) = default;
-};
-
-constexpr Key kNullKey{};
+using Key = MergeSort::Key;
 
 Message key_message(const Key& k) { return Message::of(k.value, k.owner, k.serial); }
 
@@ -28,230 +17,212 @@ Key key_from(const Message& m, std::size_t at = 0) {
   return Key{m.at(at), m.at(at + 1), m.at(at + 2)};
 }
 
-}  // namespace
-
-Task<void> mergesort_group(Proc& self, const GroupSpec& grp,
-                           std::span<const std::size_t> sizes,
-                           std::vector<Word>& data) {
-  MCB_REQUIRE(sizes.size() == grp.count, "sizes for " << sizes.size()
-                                                      << " members, group of "
-                                                      << grp.count);
-  const std::size_t me = self.id() - grp.first;
-  MCB_CHECK(self.id() >= grp.first && me < grp.count,
-            "P" << self.id() + 1 << " outside group");
-  MCB_REQUIRE(data.size() == sizes[me],
-              "local list size " << data.size() << " != declared "
-                                 << sizes[me]);
-  const ChannelId ch = grp.channel;
-  const std::size_t n_grp =
-      std::accumulate(sizes.begin(), sizes.end(), std::size_t{0});
-  std::size_t tgt_start = 0;  // my output ranks: [tgt_start, tgt_end)
-  for (std::size_t g = 0; g < me; ++g) tgt_start += sizes[g];
-  const std::size_t tgt_end = tgt_start + sizes[me];
-
-  // Remaining (unplaced) elements as keys, sorted descending; front = top.
-  Word next_serial = 0;
-  std::vector<Key> remaining;
-  remaining.reserve(data.size() + 1);
-  for (Word v : data) {
-    remaining.push_back(Key{v, static_cast<Word>(me), next_serial++});
-  }
-  seq::intro_sort(std::span<Key>(remaining), std::greater<Key>{});
-
-  std::vector<Word> out;
-  out.reserve(sizes[me]);
-
-  // Linked-list state.
-  bool listed = false;
-  std::size_t rank = 0;   // 1-based when listed
-  Key pointer = kNullKey;  // next smaller listed top
-
-  // Auxiliary storage beyond the element capacity: constant bookkeeping
-  // plus at most one element of slack (see C2 eviction rule).
-  auto note = [&] {
-    const std::size_t held = remaining.size() + out.size();
-    const std::size_t slack = held > sizes[me] ? held - sizes[me] : 0;
-    self.note_aux(8 + slack);
-  };
-  note();
-
-  // --- initial construction: members insert their tops one by one ---------
-  // Each insertion is 3 cycles: (a) broadcast the candidate top, (b) P_b
-  // replies with the insertion point, (c) on silence in (b), the demoted
-  // previous head hands over its top as the new head's pointer.
-  for (std::size_t g = 0; g < grp.count; ++g) {
-    const bool inserting = g == me;
-    Key cand;
-    // (a)
-    if (inserting) {
-      cand = remaining.front();
-      co_await self.write(ch, key_message(cand));
-    } else {
-      auto got = co_await self.read(ch);
-      MCB_CHECK(got.has_value(), "construction broadcast missing");
-      cand = key_from(*got);
-    }
-    const bool am_pb = listed && remaining.front() > cand &&
-                       (pointer.null() || pointer < cand);
-    bool was_head = listed && rank == 1;
-    if (listed && remaining.front() < cand) ++rank;
-    // (b)
-    if (am_pb) {
-      co_await self.write(ch, Message::of(static_cast<Word>(rank + 1),
-                                           pointer.value, pointer.owner,
-                                           pointer.serial));
-      pointer = cand;
-    } else {
-      auto got = co_await self.read(ch);
-      if (inserting) {
-        if (got) {
-          rank = static_cast<std::size_t>(got->at(0));
-          pointer = key_from(*got, 1);
-        } else {
-          rank = 1;  // new global maximum; pointer set in (c)
-        }
-        listed = true;
-      }
-    }
-    // (c)
-    if (was_head && rank == 2) {
-      // I was the head and got demoted: the inserter is the new head and
-      // needs my top as its pointer.
-      co_await self.write(ch, key_message(remaining.front()));
-    } else {
-      auto got = co_await self.read(ch);
-      if (inserting && rank == 1 && got) {
-        pointer = key_from(*got);
-      }
-    }
-  }
-
-  // --- main rounds: place one element per round ----------------------------
-  for (std::size_t slot = 0; slot < n_grp; ++slot) {
-    const bool am_head = listed && rank == 1;
-    const bool am_target = slot >= tgt_start && slot < tgt_end;
-
-    // C1: head -> target.
-    Word placed = 0;
-    if (am_head) {
-      placed = remaining.front().value;
-      co_await self.write(ch, Message::of(placed));
-      remaining.erase(remaining.begin());
-      listed = false;
-      rank = 0;
-    } else {
-      auto got = co_await self.read(ch);
-      MCB_CHECK(got.has_value(), "round " << slot << ": no head broadcast");
-      placed = got->at(0);
-      if (listed) --rank;
-    }
-    if (am_target) {
-      out.push_back(placed);
-      note();
-    }
-
-    // C2: target -> head (replacement), silence otherwise. The target only
-    // evicts when it keeps at least two unplaced elements, so its listed
-    // top is never evicted and the linked list stays intact.
-    if (am_target && !am_head && remaining.size() >= 2) {
-      const Key evicted = remaining.back();
-      remaining.pop_back();
-      co_await self.write(ch, Message::of(evicted.value));
-      note();
-    } else {
-      auto got = co_await self.read(ch);
-      if (am_head && got) {
-        // Re-tag and merge into my remaining list.
-        const Key k{got->at(0), static_cast<Word>(me), next_serial++};
-        remaining.insert(
-            std::upper_bound(remaining.begin(), remaining.end(), k,
-                             std::greater<Key>{}),
-            k);
-        note();
-      }
-    }
-
-    // C3: head re-inserts its new top (silence when it ran dry).
-    Key cand = kNullKey;
-    bool inserting = false;
-    if (am_head) {
-      if (!remaining.empty()) {
-        cand = remaining.front();
-        inserting = true;
-        co_await self.write(ch, key_message(cand));
-      } else {
-        co_await self.window(1);
-      }
-    } else {
-      auto got = co_await self.read(ch);
-      if (got) cand = key_from(*got);
-    }
-    const bool have_cand = !cand.null();
-
-    // C4: P_b replies with the insertion point.
-    const bool am_pb = have_cand && listed && remaining.front() > cand &&
-                       (pointer.null() || pointer < cand);
-    if (have_cand && listed && remaining.front() < cand) ++rank;
-    if (am_pb) {
-      co_await self.write(ch, Message::of(static_cast<Word>(rank + 1),
-                                           pointer.value, pointer.owner,
-                                           pointer.serial));
-      pointer = cand;
-    } else {
-      auto got = co_await self.read(ch);
-      if (am_head && inserting) {
-        if (got) {
-          rank = static_cast<std::size_t>(got->at(0));
-          pointer = key_from(*got, 1);
-        } else {
-          // New global maximum: rank 1; my old pointer already names the
-          // current second-largest top (only heads are ever removed).
-          rank = 1;
-        }
-        listed = true;
-      }
-    }
-  }
-
-  MCB_CHECK(out.size() == sizes[me],
-            "P" << me << " placed " << out.size() << " of " << sizes[me]);
-  MCB_CHECK(remaining.empty(),
-            "P" << me << " still holds " << remaining.size() << " elements");
-  data = std::move(out);
+// A list position reply: the inserter's new rank and its successor.
+Message insertion_point(std::size_t rank, const Key& pointer) {
+  return Message::of(static_cast<Word>(rank + 1), pointer.value,
+                     pointer.owner, pointer.serial);
 }
 
+}  // namespace
+
+MergeSort mergesort_group(Proc& self, const GroupSpec& grp,
+                          std::span<const std::size_t> sizes,
+                          std::vector<Word>& data) {
+  return MergeSort(self, grp, sizes, data);
+}
+
+bool MergeSort::begin(Proc& self) {
+  remaining_.reserve(data_->size() + 1);
+  for (Word v : *data_) {
+    remaining_.push_back(Key{v, static_cast<Word>(seat_.me), next_serial_++});
+  }
+  seq::intro_sort(std::span<Key>(remaining_), std::greater<Key>{});
+  out_.reserve(seat_.end - seat_.first);
+  note(self);
+  return act(self);
+}
+
+void MergeSort::note(Proc& self) {
+  // Constant bookkeeping plus at most one element of slack (see the C2
+  // eviction rule).
+  const std::size_t cap = seat_.end - seat_.first;
+  const std::size_t held = remaining_.size() + out_.size();
+  const std::size_t slack = held > cap ? held - cap : 0;
+  self.note_aux(8 + slack);
+}
+
+void MergeSort::write(Proc& self, const Message& msg) {
+  reads_ = false;
+  beat_ = Beat{msg, grp_.channel};
+  self.act_window(*this, 0, 1, 0);
+}
+
+void MergeSort::read(Proc& self) {
+  reads_ = true;
+  beat_ = Beat{{}, kNoChannel, grp_.channel};
+  self.act_window(*this, 0, 1, 0);
+}
+
+// --- initial construction: members insert their tops one by one -----------
+// Each insertion is 3 cycles: (a) broadcast the candidate top, (b) P_b
+// replies with the insertion point, (c) on silence in (b), the demoted
+// previous head hands over its top as the new head's pointer.
+//
+// --- main rounds: place one element per round --------------------------------
+// C1 head -> target: the next-largest element (placed at output slot r);
+// C2 target -> head: replacement; C3 the head re-inserts its new top and
+// C4 P_b replies, as (a) and (b) do.
 namespace {
+enum Kind : std::uint8_t { kBroadcast, kReply, kHandover, kPlace, kEvict };
+constexpr Kind kInsertion[] = {kBroadcast, kReply, kHandover};
+constexpr Kind kRound[] = {kPlace, kEvict, kBroadcast, kReply};
+}  // namespace
 
-ProcMain mergesort_program(Proc& self, const GroupSpec& grp,
-                           const std::vector<std::size_t>& sizes,
-                           const std::vector<Word>& in,
-                           std::vector<Word>& out) {
-  out = in;
-  co_await mergesort_group(self, grp, sizes, out);
+bool MergeSort::act(Proc& self) {
+  const std::size_t built = 3 * grp_.count;
+  const bool round = cycle_ >= built;
+  const std::size_t c = round ? cycle_ - built : cycle_;
+  if (round && c == 4 * seat_.n) {
+    MCB_CHECK(out_.size() == seat_.end - seat_.first,
+              "P" << seat_.me << " placed " << out_.size() << " of "
+                  << seat_.end - seat_.first);
+    MCB_CHECK(remaining_.empty(), "P" << seat_.me << " still holds "
+                                      << remaining_.size() << " elements");
+    *data_ = std::move(out_);
+    return false;
+  }
+  kind_ = round ? kRound[c % 4] : kInsertion[c % 3];
+  switch (kind_) {
+    case kBroadcast:
+      // Member c/3 inserts in the construction, the head in a round; a
+      // head that ran dry stays silent.
+      inserting_ = round ? head_ && !remaining_.empty() : c / 3 == seat_.me;
+      cand_ = inserting_ ? remaining_.front() : Key{};
+      if (inserting_) {
+        write(self, key_message(cand_));
+      } else if (round && head_) {
+        reads_ = false;
+        self.act_sleep(1);
+      } else {
+        read(self);
+      }
+      break;
+    case kReply:
+      if (pb_) {
+        write(self, insertion_point(rank_, pointer_));
+      } else {
+        read(self);
+      }
+      break;
+    case kHandover:
+      if (head_ && rank_ == 2) {
+        // I was the head and got demoted: the inserter is the new head and
+        // needs my top as its pointer.
+        write(self, key_message(remaining_.front()));
+      } else {
+        read(self);
+      }
+      break;
+    case kPlace:
+      head_ = listed_ && rank_ == 1;
+      target_ = c / 4 >= seat_.first && c / 4 < seat_.end;
+      if (head_) {
+        write(self, Message::of(remaining_.front().value));
+      } else {
+        read(self);
+      }
+      break;
+    case kEvict:
+      // The target only evicts when it keeps at least two unplaced
+      // elements, so its listed top is never evicted and the linked list
+      // stays intact.
+      if (target_ && !head_ && remaining_.size() >= 2) {
+        const Key evicted = remaining_.back();
+        remaining_.pop_back();
+        write(self, Message::of(evicted.value));
+      } else {
+        read(self);
+      }
+      break;
+  }
+  return true;
 }
 
-}  // namespace
+void MergeSort::land(Proc& self) {
+  const Proc::ReadResult got =
+      reads_ ? self.take_read() : Proc::ReadResult{};
+  const bool round = cycle_ >= 3 * grp_.count;
+  switch (kind_) {
+    case kBroadcast:
+      if (got) {
+        cand_ = key_from(*got);
+      } else {
+        MCB_CHECK(round || inserting_, "construction broadcast missing");
+      }
+      if (!round) head_ = listed_ && rank_ == 1;  // may be demoted now
+      // P_b is the listed member whose top is the least one above cand_.
+      pb_ = !cand_.null() && listed_ && remaining_.front() > cand_ &&
+            (pointer_.null() || pointer_ < cand_);
+      if (!cand_.null() && listed_ && remaining_.front() < cand_) ++rank_;
+      return;
+    case kReply:
+      if (pb_) {
+        pointer_ = cand_;
+      } else if (inserting_) {
+        if (got) {
+          rank_ = static_cast<std::size_t>(got->at(0));
+          pointer_ = key_from(*got, 1);
+        } else {
+          // A new global maximum: rank 1. In a round, its old pointer
+          // already names the current second-largest top (only heads are
+          // ever removed); in the construction, (c) sets it.
+          rank_ = 1;
+        }
+        listed_ = true;
+      }
+      return;
+    case kHandover:
+      if (inserting_ && rank_ == 1 && got) pointer_ = key_from(*got);
+      return;
+    case kPlace: {
+      Word placed = 0;
+      if (head_) {
+        placed = remaining_.front().value;
+        remaining_.erase(remaining_.begin());
+        listed_ = false;
+        rank_ = 0;
+      } else {
+        MCB_CHECK(got.has_value(), "round " << (cycle_ - 3 * grp_.count) / 4
+                                            << ": no head broadcast");
+        placed = got->at(0);
+        if (listed_) --rank_;
+      }
+      if (target_) {
+        out_.push_back(placed);
+        note(self);
+      }
+      return;
+    }
+    case kEvict:
+      if (!reads_) {
+        note(self);
+      } else if (head_ && got) {
+        // Re-tag and merge into my remaining list.
+        const Key k{got->at(0), static_cast<Word>(seat_.me), next_serial_++};
+        remaining_.insert(std::upper_bound(remaining_.begin(),
+                                           remaining_.end(), k,
+                                           std::greater<Key>{}),
+                          k);
+        note(self);
+      }
+      return;
+  }
+}
 
 AlgoResult mergesort(const SimConfig& cfg,
                      const std::vector<std::vector<Word>>& inputs,
                      TraceSink* sink) {
-  cfg.validate();
-  MCB_REQUIRE(inputs.size() == cfg.p, "inputs for " << inputs.size()
-                                                    << " processors, p="
-                                                    << cfg.p);
-  std::vector<std::size_t> sizes(cfg.p);
-  for (std::size_t i = 0; i < cfg.p; ++i) {
-    MCB_REQUIRE(!inputs[i].empty(), "P" << i + 1 << " holds no elements");
-    sizes[i] = inputs[i].size();
-  }
-  const GroupSpec grp{0, cfg.p, 0};
-  return run_network(
-      cfg, inputs,
-      [&grp, &sizes](Proc& self, const std::vector<Word>& in,
-                     std::vector<Word>& out) {
-        return mergesort_program(self, grp, sizes, in, out);
-      },
-      sink);
+  return detail::single_channel_sort<MergeSort>(cfg, inputs, sink);
 }
 
 }  // namespace mcb::algo

@@ -1,7 +1,10 @@
 #include "algo/recursive_columnsort.hpp"
 
 #include <array>
+#include <cstdint>
 #include <memory>
+#include <variant>
+#include <vector>
 
 #include "algo/common.hpp"
 #include "algo/ranksort.hpp"
@@ -36,6 +39,9 @@ struct RNode {
   std::size_t kc = 0;     ///< channels
   std::size_t chunk = 0;  ///< elements per processor (n_c / q)
   Cycle cost = 0;         ///< deterministic cycle count of this node
+
+  // kRankSort only: every member's element count (chunk).
+  std::vector<std::size_t> sizes;
 
   // kSplit only:
   std::size_t ksplit = 0;  ///< k' columns
@@ -101,6 +107,7 @@ std::unique_ptr<RNode> build_rnode(std::size_t n_c, std::size_t q,
   if (kc == 1) {
     node->kind = RNode::Kind::kRankSort;
     node->cost = static_cast<Cycle>(2 * n_c);
+    node->sizes.assign(q, node->chunk);
     return node;
   }
 
@@ -123,6 +130,7 @@ std::unique_ptr<RNode> build_rnode(std::size_t n_c, std::size_t q,
     // wasteful — only reachable for degenerate dimensions.
     node->kind = RNode::Kind::kRankSort;
     node->cost = static_cast<Cycle>(2 * n_c);
+    node->sizes.assign(q, node->chunk);
     return node;
   }
 
@@ -138,99 +146,167 @@ std::unique_ptr<RNode> build_rnode(std::size_t n_c, std::size_t q,
   return node;
 }
 
-/// Executes one segmented transformation from this processor's view.
-Task<void> exec_transform(Proc& self, const RNode& node, std::size_t t,
-                          std::size_t my_idx, ChannelId first_ch,
-                          std::vector<Word>& mine) {
-  const auto& table = node.tables[t];
-  const std::size_t base = my_idx * node.chunk;
-
-  std::vector<Word> next(mine.size());
-  self.note_aux(2 * mine.size());
-  // Moves that stay inside this processor are local copies.
-  for (std::size_t pos = base; pos < base + node.chunk; ++pos) {
-    const std::size_t dst = table[pos];
-    if (owner_of(node, dst) == my_idx) {
-      next[dst - base] = mine[pos - base];
+/// One segmented transformation from this processor's view. The rounds
+/// are fixed before any data moves, so it is one window, with this step
+/// awaiter as its source.
+class [[nodiscard]] SegTransform : public Proc::StepAwaiter<SegTransform> {
+ public:
+  SegTransform(Proc& self, const RNode& node, std::size_t t,
+               std::size_t my_idx, ChannelId first_ch,
+               std::vector<Word>& mine)
+      : StepAwaiter(self),
+        node_(&node),
+        rounds_(&node.trounds[t]),
+        mine_(&mine),
+        next_(mine.size()),
+        my_idx_(my_idx),
+        base_(my_idx * node.chunk),
+        first_ch_(first_ch) {
+    const auto& table = node.tables[t];
+    self.note_aux(2 * mine.size());
+    // Moves that stay inside this processor are local copies.
+    for (std::size_t pos = base_; pos < base_ + node.chunk; ++pos) {
+      const std::size_t dst = table[pos];
+      if (owner_of(node, dst) == my_idx) {
+        next_[dst - base_] = mine[pos - base_];
+      }
     }
   }
 
-  // The rounds are fixed before any data moves: one window.
-  const auto& rounds = node.trounds[t];
-  auto aw = self.window(
-      0, rounds.size(), 0,
-      [&](std::size_t r) {
-        Beat b;
-        for (const auto& e : rounds[r]) {
-          if (owner_of(node, e.src_pos) == my_idx) {
-            b.msg = Message::of(mine[e.src_pos - base],
-                                static_cast<Word>(e.dst_pos));
-            b.write = static_cast<ChannelId>(first_ch + e.channel);
-          }
-          if (owner_of(node, e.dst_pos) == my_idx) {
-            b.read = static_cast<ChannelId>(first_ch + e.channel);
-          }
-        }
-        return b;
-      },
-      [&](std::size_t r, const Proc::ReadResult& got) {
-        std::size_t expect_dst = SIZE_MAX;
-        for (const auto& e : rounds[r]) {
-          if (owner_of(node, e.dst_pos) == my_idx) expect_dst = e.dst_pos;
-        }
-        MCB_CHECK(got.has_value(), "segmented transfer missing");
-        MCB_CHECK(static_cast<std::size_t>(got->at(1)) == expect_dst,
-                  "segmented transfer routed to the wrong slot");
-        next[expect_dst - base] = got->at(0);
-      });
-  co_await aw;
-  mine.swap(next);
-}
+  bool begin(Proc& self) {
+    if (rounds_->empty()) return step(self);
+    self.act_window(*this, 0, rounds_->size(), 0);
+    return true;
+  }
+  bool step(Proc&) {
+    mine_->swap(next_);
+    return false;
+  }
 
-Task<void> rsort_exec(Proc& self, const RNode& node, ProcId first_proc,
-                      ChannelId first_ch, std::vector<Word>& mine) {
-  const std::size_t my_idx = self.id() - first_proc;
-  switch (node.kind) {
-    case RNode::Kind::kLocal:
-      seq::sort_descending(mine);
-      co_return;
-    case RNode::Kind::kRankSort: {
-      const GroupSpec grp{first_proc, node.q, first_ch};
-      std::vector<std::size_t> sizes(node.q, node.chunk);
-      co_await ranksort_group(self, grp, sizes, mine);
-      co_return;
+  Beat fill(std::size_t r) const {
+    Beat b;
+    for (const auto& e : (*rounds_)[r]) {
+      if (owner_of(*node_, e.src_pos) == my_idx_) {
+        b.msg = Message::of((*mine_)[e.src_pos - base_],
+                            static_cast<Word>(e.dst_pos));
+        b.write = static_cast<ChannelId>(first_ch_ + e.channel);
+      }
+      if (owner_of(*node_, e.dst_pos) == my_idx_) {
+        b.read = static_cast<ChannelId>(first_ch_ + e.channel);
+      }
     }
-    case RNode::Kind::kSplit:
-      break;
+    return b;
   }
 
-  const RNode& child = *node.child;
-  const std::size_t my_col = my_idx / child.q;
-  const auto child_first =
-      static_cast<ProcId>(first_proc + my_col * child.q);
-  const auto child_ch =
-      static_cast<ChannelId>(first_ch + my_col * child.kc);
-
-  co_await rsort_exec(self, child, child_first, child_ch, mine);   // phase 1
-  co_await exec_transform(self, node, 0, my_idx, first_ch, mine);  // phase 2
-  co_await rsort_exec(self, child, child_first, child_ch, mine);   // phase 3
-  co_await exec_transform(self, node, 1, my_idx, first_ch, mine);  // phase 4
-  co_await rsort_exec(self, child, child_first, child_ch, mine);   // phase 5
-  co_await exec_transform(self, node, 2, my_idx, first_ch, mine);  // phase 6
-  if (my_col != 0) {                                               // phase 7
-    co_await rsort_exec(self, child, child_first, child_ch, mine);
-  } else {
-    co_await self.window(child.cost);
+  void place(std::size_t r, const Proc::ReadResult& got) {
+    std::size_t expect_dst = SIZE_MAX;
+    for (const auto& e : (*rounds_)[r]) {
+      if (owner_of(*node_, e.dst_pos) == my_idx_) expect_dst = e.dst_pos;
+    }
+    MCB_CHECK(got.has_value(), "segmented transfer missing");
+    MCB_CHECK(static_cast<std::size_t>(got->at(1)) == expect_dst,
+              "segmented transfer routed to the wrong slot");
+    next_[expect_dst - base_] = got->at(0);
   }
-  co_await exec_transform(self, node, 3, my_idx, first_ch, mine);  // phase 8
-}
+
+ private:
+  const RNode* node_;
+  const std::vector<std::vector<TEdge>>* rounds_;
+  std::vector<Word>* mine_;
+  std::vector<Word> next_;
+  std::size_t my_idx_;
+  std::size_t base_;
+  ChannelId first_ch_;
+};
+
+/// The recursive sort from one processor's view, as one step awaiter. All
+/// k' children of a split are isomorphic and a processor lies in exactly
+/// one of them, so its path down the plan tree is one node per level:
+/// `path_` holds the nodes it is inside, innermost last, each with the
+/// phase to start next, and `sub_` the action in flight (a Rank-Sort, a
+/// transformation, or nothing while phase 7's idle child sleeps).
+class [[nodiscard]] RecursiveSort : public Proc::StepAwaiter<RecursiveSort> {
+ public:
+  RecursiveSort(Proc& self, const RNode& root, std::vector<Word>& mine)
+      : StepAwaiter(self), mine_(&mine), path_{Level{&root, 0, 0, 0}} {}
+
+  bool begin(Proc& self) { return walk(self); }
+  bool step(Proc& self) {
+    if (auto* rs = std::get_if<RankSort>(&sub_)) {
+      if (rs->step(self)) return true;
+    } else if (auto* tr = std::get_if<SegTransform>(&sub_)) {
+      tr->step(self);
+    }
+    return walk(self);
+  }
+
+ private:
+  struct Level {
+    const RNode* node;
+    ProcId first_proc;   ///< the node's first processor
+    ChannelId first_ch;  ///< and channel
+    std::uint8_t phase;  ///< next to start: 0..7 for phases 1..8 of a split
+  };
+
+  // Starts the next step of the innermost node, descending into children
+  // and leaving finished nodes, until an action opens (true) or the root
+  // is done (false).
+  bool walk(Proc& self) {
+    while (!path_.empty()) {
+      Level& lv = path_.back();
+      const RNode& node = *lv.node;
+      const std::size_t phase = lv.phase++;
+      if (phase == (node.kind == RNode::Kind::kSplit ? 8 : 1)) {
+        path_.pop_back();
+        continue;
+      }
+      if (node.kind == RNode::Kind::kLocal) {
+        seq::sort_descending(*mine_);
+        continue;
+      }
+      if (node.kind == RNode::Kind::kRankSort) {
+        const GroupSpec grp{lv.first_proc, node.q, lv.first_ch};
+        if (sub_.emplace<RankSort>(self, grp, node.sizes, *mine_).begin(self)) {
+          return true;
+        }
+        continue;
+      }
+      const std::size_t my_idx = self.id() - lv.first_proc;
+      if (phase % 2 == 1) {  // phases 2, 4, 6, 8
+        if (sub_.emplace<SegTransform>(self, node, phase / 2, my_idx,
+                                       lv.first_ch, *mine_)
+                .begin(self)) {
+          return true;
+        }
+        continue;
+      }
+      const RNode& child = *node.child;  // phases 1, 3, 5, 7
+      const std::size_t my_col = my_idx / child.q;
+      if (phase == 6 && my_col == 0) {
+        // Column 1 skips phase 7, idling through it in lockstep.
+        if (child.cost == 0) continue;
+        sub_.emplace<std::monostate>();
+        self.act_sleep(child.cost);
+        return true;
+      }
+      path_.push_back(
+          Level{&child, static_cast<ProcId>(lv.first_proc + my_col * child.q),
+                static_cast<ChannelId>(lv.first_ch + my_col * child.kc), 0});
+    }
+    return false;
+  }
+
+  std::vector<Word>* mine_;
+  std::vector<Level> path_;
+  std::variant<std::monostate, RankSort, SegTransform> sub_;
+};
 
 ProcMain recursive_program(Proc& self, const RNode& root,
                            const std::vector<Word>& input,
                            std::vector<Word>& output) {
   if (self.id() == 0) self.mark_phase("recursive-columnsort");
   output = input;
-  co_await rsort_exec(self, root, 0, 0, output);
+  co_await RecursiveSort(self, root, output);
 }
 
 }  // namespace

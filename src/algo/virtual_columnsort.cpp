@@ -3,6 +3,7 @@
 #include <array>
 #include <memory>
 #include <utility>
+#include <variant>
 
 #include "algo/columnsort_core.hpp"
 #include "algo/common.hpp"
@@ -42,100 +43,137 @@ std::size_t row_owner(const VCtx& ctx, std::size_t r) {
   return std::min(r / ctx.ni, ctx.g - 1);
 }
 
-/// One transform over the virtual columns, as one window. `idle` cycles are
-/// slept out before the first round, as the window's lead.
-Task<void> v_transform(Proc& self, const VCtx& ctx, std::size_t t,
-                       std::size_t j, std::size_t idx,
-                       std::vector<Word>& rows, Cycle idle = 0) {
-  const auto& table = ctx.plan->tables[t];
-  const std::size_t m = ctx.plan->m;
-  const std::size_t base = idx * ctx.ni;
-  const auto jch = static_cast<ChannelId>(j);
-
-  std::vector<Word> next(rows.size());
-  self.note_aux(2 * rows.size());
-
-  // Intra-column moves that stay within this member are pure local copies
-  // (including stationary elements).
-  for (std::size_t r = base; r < base + rows.size(); ++r) {
-    const std::size_t dst = table[j * m + r];
-    if (dst / m == j && row_owner(ctx, dst % m) == idx) {
-      next[dst % m - base] = rows[r - base];
+/// One transform over the virtual columns, as one window with this step
+/// awaiter as its source. `idle` cycles are slept out before the first
+/// round, as the window's lead.
+class [[nodiscard]] VTransform : public Proc::StepAwaiter<VTransform> {
+ public:
+  VTransform(Proc& self, const VCtx& ctx, std::size_t t,
+             std::vector<Word>& rows, Cycle idle)
+      : StepAwaiter(self),
+        ctx_(&ctx),
+        j_(self.id() / ctx.g),
+        idx_(self.id() % ctx.g),
+        base_(idx_ * ctx.ni),
+        table_(&ctx.plan->tables[t]),
+        rounds_(&ctx.plan->plans[t]),
+        moves_(&ctx.intra[t][j_]),
+        rows_(&rows),
+        next_(rows.size()),
+        queue_(ctx.kk),
+        ptr_(ctx.kk, 0),
+        idle_(idle),
+        pad_(ctx.intra_rounds[t] - moves_->size()) {
+    const std::size_t m = ctx.plan->m;
+    self.note_aux(2 * rows.size());
+    // Intra-column moves that stay within this member are pure local
+    // copies (including stationary elements).
+    for (std::size_t r = base_; r < base_ + rows.size(); ++r) {
+      const std::size_t dst = (*table_)[j_ * m + r];
+      if (dst / m == j_ && row_owner(ctx, dst % m) == idx_) {
+        next_[dst % m - base_] = rows[r - base_];
+      }
+    }
+    // Every member replays the column's send queues so the owner of the
+    // scheduled row knows when to speak (deterministic local computation).
+    for (std::size_t r = 0; r < m; ++r) {
+      const std::size_t dst = (*table_)[j_ * m + r];
+      if (dst / m != j_) {
+        queue_[dst / m].push_back(static_cast<std::uint32_t>(r));
+      }
     }
   }
-
-  // Every member replays the column's send queues so the owner of the
-  // scheduled row knows when to speak (deterministic local computation).
-  std::vector<std::vector<std::uint32_t>> queue(ctx.kk);
-  for (std::size_t r = 0; r < m; ++r) {
-    const std::size_t dst = table[j * m + r];
-    if (dst / m != j) {
-      queue[dst / m].push_back(static_cast<std::uint32_t>(r));
-    }
-  }
-  std::vector<std::size_t> ptr(ctx.kk, 0);
 
   // The inter-column rounds, then the intra-column rounds (a fixed count
   // across columns, for lockstep), as one window: columns with fewer intra
   // moves sleep through the padding rounds as its trail.
-  const sched::TransferPlan& rounds = ctx.plan->plans[t];
-  const auto& moves = ctx.intra[t][j];
-  const std::size_t inter = rounds.cycles();
-  auto aw = self.window(
-      idle, inter + moves.size(), ctx.intra_rounds[t] - moves.size(),
-      [&](std::size_t round) {
-        Beat b;
-        if (round >= inter) {
-          const auto [sr, dr] = moves[round - inter];
-          if (row_owner(ctx, sr) == idx) {
-            b.msg = Message::of(rows[sr - base], static_cast<Word>(dr));
-            b.write = jch;
-          } else {
-            b.read = jch;
-          }
-          return b;
-        }
-        const auto dc = rounds.dst_of(round, j);
-        if (dc != sched::kIdle) {
-          const std::size_t r = queue[dc][ptr[dc]++];
-          if (row_owner(ctx, r) == idx) {
-            const std::size_t dst = table[j * m + r];
-            b.msg = Message::of(rows[r - base], static_cast<Word>(dst % m));
-            b.write = jch;
-          }
-        }
-        const auto sc = rounds.src_of(round, j);
-        if (sc != sched::kIdle) b.read = static_cast<ChannelId>(sc);
-        return b;
-      },
-      [&](std::size_t round, const Proc::ReadResult& got) {
-        if (round >= inter) {
-          const auto [sr, dr] = moves[round - inter];
-          if (row_owner(ctx, dr) != idx) return;
-          MCB_CHECK(got.has_value(), "intra move " << sr << "->" << dr
-                                                   << " silent");
-          next[dr - base] = got->at(0);
-        } else if (got) {
-          const auto dr = static_cast<std::size_t>(got->at(1));
-          if (row_owner(ctx, dr) == idx) next[dr - base] = got->at(0);
-        }
-      });
-  co_await aw;
-  rows.swap(next);
-}
+  bool begin(Proc& self) {
+    const std::size_t beats = rounds_->cycles() + moves_->size();
+    if (idle_ + beats + pad_ == 0) return step(self);
+    self.act_window(*this, idle_, beats, pad_);
+    return true;
+  }
+  bool step(Proc&) {
+    rows_->swap(next_);
+    return false;
+  }
 
-Task<void> v_sort(Proc& self, const VCtx& ctx, std::size_t j,
-                  std::vector<Word>& rows) {
+  Beat fill(std::size_t round) {
+    const std::size_t m = ctx_->plan->m;
+    const std::size_t inter = rounds_->cycles();
+    const auto jch = static_cast<ChannelId>(j_);
+    const std::vector<Word>& rows = *rows_;
+    Beat b;
+    if (round >= inter) {
+      const auto [sr, dr] = (*moves_)[round - inter];
+      if (row_owner(*ctx_, sr) == idx_) {
+        b.msg = Message::of(rows[sr - base_], static_cast<Word>(dr));
+        b.write = jch;
+      } else {
+        b.read = jch;
+      }
+      return b;
+    }
+    const auto dc = rounds_->dst_of(round, j_);
+    if (dc != sched::kIdle) {
+      const std::size_t r = queue_[dc][ptr_[dc]++];
+      if (row_owner(*ctx_, r) == idx_) {
+        const std::size_t dst = (*table_)[j_ * m + r];
+        b.msg = Message::of(rows[r - base_], static_cast<Word>(dst % m));
+        b.write = jch;
+      }
+    }
+    const auto sc = rounds_->src_of(round, j_);
+    if (sc != sched::kIdle) b.read = static_cast<ChannelId>(sc);
+    return b;
+  }
+
+  void place(std::size_t round, const Proc::ReadResult& got) {
+    const std::size_t inter = rounds_->cycles();
+    if (round >= inter) {
+      const auto [sr, dr] = (*moves_)[round - inter];
+      if (row_owner(*ctx_, dr) != idx_) return;
+      MCB_CHECK(got.has_value(), "intra move " << sr << "->" << dr
+                                               << " silent");
+      next_[dr - base_] = got->at(0);
+    } else if (got) {
+      const auto dr = static_cast<std::size_t>(got->at(1));
+      if (row_owner(*ctx_, dr) == idx_) next_[dr - base_] = got->at(0);
+    }
+  }
+
+ private:
+  const VCtx* ctx_;
+  std::size_t j_, idx_, base_;  ///< column, member index, first row held
+  const std::vector<std::uint32_t>* table_;
+  const sched::TransferPlan* rounds_;
+  const std::vector<IntraMove>* moves_;
+  std::vector<Word>* rows_;
+  std::vector<Word> next_;
+  std::vector<std::vector<std::uint32_t>> queue_;
+  std::vector<std::size_t> ptr_;
+  Cycle idle_;
+  std::size_t pad_;  ///< padding rounds, slept as the trail
+};
+
+using Sub = StepSlot<RankSort, MergeSort, VTransform>;
+
+/// Loads the sort of virtual column j into `sub`: the group's Rank-Sort or
+/// Merge-Sort collective on its channel, or, with one member per group,
+/// nothing to await, as the whole column is local and sorts here for free.
+void load_sort(Sub& sub, Proc& self, const VCtx& ctx, std::size_t j,
+               std::vector<Word>& rows) {
   if (ctx.g == 1) {
-    seq::sort_descending(rows);  // whole column local: free
-    co_return;
+    seq::sort_descending(rows);
+    sub.emplace<std::monostate>();
+    return;
   }
   const GroupSpec grp{static_cast<ProcId>(j * ctx.g), ctx.g,
                       static_cast<ChannelId>(j)};
   if (ctx.local_sort == LocalSort::kRankSort) {
-    co_await ranksort_group(self, grp, ctx.sizes, rows);
+    sub.emplace<RankSort>(self, grp, ctx.sizes, rows);
   } else {
-    co_await mergesort_group(self, grp, ctx.sizes, rows);
+    sub.emplace<MergeSort>(self, grp, ctx.sizes, rows);
   }
 }
 
@@ -156,17 +194,20 @@ ProcMain virtual_program(Proc& self, const VCtx& ctx,
   self.note_aux(rows.size());
 
   if (i == 0) self.mark_phase("virtual-columnsort");
-  co_await v_sort(self, ctx, j, rows);                    // phase 1
-  if (ctx.kk > 1) {
-    co_await v_transform(self, ctx, 0, j, idx, rows);     // phase 2
-    co_await v_sort(self, ctx, j, rows);                  // phase 3
-    co_await v_transform(self, ctx, 1, j, idx, rows);     // phase 4
-    co_await v_sort(self, ctx, j, rows);                  // phase 5
-    co_await v_transform(self, ctx, 2, j, idx, rows);     // phase 6
-    // Column 1 idles through phase 7 in lockstep, into phase 8.
-    const Cycle idle = j != 0 ? 0 : ctx.sort_cost;
-    if (j != 0) co_await v_sort(self, ctx, j, rows);      // phase 7
-    co_await v_transform(self, ctx, 3, j, idx, rows, idle);  // phase 8
+  // Phases 1-8: column sorts and transforms alternate, and every step
+  // runs in `sub`. Column 1 skips the phase-7 sort and idles through it
+  // in lockstep, as the lead of phase 8.
+  Sub sub;
+  load_sort(sub, self, ctx, j, rows);  // phase 1
+  co_await sub;
+  for (std::size_t t = 0; t < 4 && ctx.kk > 1; ++t) {
+    const Cycle idle = t == 3 && j == 0 ? ctx.sort_cost : 0;
+    sub.emplace<VTransform>(self, ctx, t, rows, idle);  // phase 2t+2
+    co_await sub;
+    if (t < 2 || (t == 2 && j != 0)) {
+      load_sort(sub, self, ctx, j, rows);  // phase 2t+3
+      co_await sub;
+    }
   }
 
   // --- final ownership fix-up ----------------------------------------------

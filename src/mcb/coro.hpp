@@ -21,145 +21,25 @@
 // one-line co_await. A sub-protocol is a step awaiter (Proc::StepAwaiter
 // in proc.hpp): a state machine held in the awaiter, in the caller's
 // frame, that the engine steps from one channel action to the next, so a
-// processor's program is its only frame. Task<T> remains for composition
-// that is truly recursive or rare — the virtual, recursive, rank-sort and
-// merge-sort group programs: an awaitable subroutine bound to the same
-// processor, with a frame of its own. Awaiting it transfers control
-// into the subroutine; the subroutine's own cycle awaits register
-// themselves as the processor's resume point, so the Network always
-// resumes the innermost active coroutine. On completion, control
-// symmetrically transfers back to the awaiting parent.
+// processor's program is its only coroutine and its only frame, and the
+// Network resumes that program whenever an action ends.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
-#include <new>
-#include <optional>
-#include <type_traits>
 #include <utility>
-
 
 namespace mcb {
 
 class Proc;
 
-template <typename T>
-class Task;
-
 namespace detail {
 
-/// Charges a frame of `bytes` to the network of `self`
-/// (RunStats::frame_allocs and frame_bytes), and a program frame taken
-/// from that network's program-frame region (defined in proc.cpp, where
-/// Network is complete).
-void charge_frame(Proc& self, std::size_t bytes);
+/// A program frame of `bytes`, carved from the program-frame region of
+/// self's network and charged to it (RunStats::frame_allocs and
+/// frame_bytes); defined in proc.cpp, where Network is complete.
 void* program_frame(Proc& self, std::size_t bytes);
-
-/// Mixed into Task's promise: its frame comes from plain operator new, and
-/// the frame of a subroutine whose first parameter is `Proc& self` is
-/// charged to self's network.
-struct CountedFrame {
-  static void* operator new(std::size_t bytes) { return ::operator new(bytes); }
-  template <typename... Args>
-  static void* operator new(std::size_t bytes, Proc& self, Args&...) {
-    charge_frame(self, bytes);
-    return ::operator new(bytes);
-  }
-};
-
-/// Final awaiter of Task<T>: symmetric transfer back to the awaiting parent.
-struct TaskFinalAwaiter {
-  bool await_ready() const noexcept { return false; }
-  template <typename Promise>
-  std::coroutine_handle<> await_suspend(
-      std::coroutine_handle<Promise> h) noexcept {
-    auto cont = h.promise().continuation;
-    return cont ? cont : std::noop_coroutine();
-  }
-  void await_resume() const noexcept {}
-};
-
-template <typename T>
-struct TaskPromiseBase : CountedFrame {
-  std::coroutine_handle<> continuation = nullptr;
-  std::exception_ptr exception;
-
-  std::suspend_always initial_suspend() noexcept { return {}; }
-  TaskFinalAwaiter final_suspend() noexcept { return {}; }
-  void unhandled_exception() noexcept { exception = std::current_exception(); }
-};
-
-template <typename T>
-struct TaskPromise final : TaskPromiseBase<T> {
-  std::optional<T> result;
-
-  Task<T> get_return_object();
-  void return_value(T v) { result.emplace(std::move(v)); }
-};
-
-template <>
-struct TaskPromise<void> final : TaskPromiseBase<void> {
-  Task<void> get_return_object();
-  void return_void() noexcept {}
-};
-
-}  // namespace detail
-
-/// An awaitable subroutine running on the same processor as its awaiter.
-/// Move-only; owns the coroutine frame. Must be awaited exactly once (the
-/// [[nodiscard]] catches the common mistake of calling a protocol subroutine
-/// without co_await, which would silently run nothing).
-template <typename T = void>
-class [[nodiscard]] Task {
- public:
-  using promise_type = detail::TaskPromise<T>;
-  using handle_type = std::coroutine_handle<promise_type>;
-
-  explicit Task(handle_type h) : h_(h) {}
-  Task(Task&& o) noexcept : h_(std::exchange(o.h_, {})) {}
-  Task& operator=(Task&& o) noexcept {
-    if (this != &o) {
-      if (h_) h_.destroy();
-      h_ = std::exchange(o.h_, {});
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() {
-    if (h_) h_.destroy();
-  }
-
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(
-      std::coroutine_handle<> parent) noexcept {
-    h_.promise().continuation = parent;
-    return h_;  // symmetric transfer into the subroutine
-  }
-  T await_resume() {
-    if (h_.promise().exception) {
-      std::rethrow_exception(h_.promise().exception);
-    }
-    if constexpr (!std::is_void_v<T>) {
-      return std::move(*h_.promise().result);
-    }
-  }
-
- private:
-  handle_type h_;
-};
-
-namespace detail {
-
-template <typename T>
-Task<T> TaskPromise<T>::get_return_object() {
-  return Task<T>(std::coroutine_handle<TaskPromise<T>>::from_promise(*this));
-}
-
-inline Task<void> TaskPromise<void>::get_return_object() {
-  return Task<void>(
-      std::coroutine_handle<TaskPromise<void>>::from_promise(*this));
-}
 
 }  // namespace detail
 
@@ -184,7 +64,6 @@ class [[nodiscard]] ProcMain {
     }
     static void operator delete(void*) noexcept {}  // the region's
 
-    Proc* proc = nullptr;  // wired up by Network::install
     std::exception_ptr exception;
 
     ProcMain get_return_object() {
@@ -193,15 +72,9 @@ class [[nodiscard]] ProcMain {
     }
     std::suspend_always initial_suspend() noexcept { return {}; }
 
-    // Defined in proc.hpp (needs Proc to be complete): marks the processor
-    // done so the Network stops scheduling it.
-    struct FinalAwaiter {
-      bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<promise_type> h) noexcept;
-      void await_resume() const noexcept {}
-    };
-    FinalAwaiter final_suspend() noexcept { return {}; }
+    // Suspends at the end: the Network, which resumed the program, sees it
+    // done() as the resume returns.
+    std::suspend_always final_suspend() noexcept { return {}; }
     void return_void() noexcept {}
     void unhandled_exception() noexcept {
       exception = std::current_exception();

@@ -51,8 +51,6 @@ void Network::install(ProcId i, ProcMain program) {
   // handle, so the duplicate check is O(1) and, with duplicates rejected
   // here, programs_.size() == p means every processor has one.
   MCB_REQUIRE(!tab_.program[i], "P" << i + 1 << " already has a program");
-  program.handle().promise().proc = &procs_[i];
-  tab_.resume_point[i] = program.handle();
   tab_.program[i] = program.handle();
   programs_.push_back(std::move(program));
 }
@@ -81,14 +79,13 @@ void Network::resume_proc(ProcId id) {
     if (st.fn(st.ctx)) return;  // the awaiter opened its next action
     st.fn = nullptr;
   }
-  tab_.resume_point[id].resume();
-  if (tab_.done[id]) {
+  const ProcMain::handle_type program = tab_.program[id];
+  program.resume();
+  if (program.done()) {
+    tab_.done[id] = 1;
     --alive_;
-    // Surface any exception that escaped the program. The handle is stored
-    // in the table at install time, so this is O(1) per completion.
-    if (auto exc = tab_.program[id].promise().exception) {
-      std::rethrow_exception(exc);
-    }
+    // Surface any exception that escaped the program.
+    if (auto exc = program.promise().exception) std::rethrow_exception(exc);
   }
 }
 
@@ -333,9 +330,9 @@ RunStats Network::run() {
 
 void Network::reset() {
   // Destroy the program objects first: destroying a suspended program
-  // frees its in-scope Task frames and closes the frame's open spans
-  // before the phase span they nest in. Only then null the table's handles
-  // and rewind the program-frame region.
+  // destroys the step awaiters in its frame and closes the frame's open
+  // spans before the phase span they nest in. Only then null the table's
+  // handles and rewind the program-frame region.
   programs_.clear();
   if (!phase_name_.empty()) span_end();
   tab_.reset();

@@ -106,7 +106,6 @@ class Network {
   friend class Proc;
   friend struct Proc::CycleAwaiter;
   friend struct Proc::MultiReadAwaiter;
-  friend void detail::charge_frame(Proc& self, std::size_t bytes);
   friend void* detail::program_frame(Proc& self, std::size_t bytes);
 
   // The suspension hook of every awaiter: processor id opens a window of

@@ -9,22 +9,16 @@
 
 namespace mcb {
 
-void detail::charge_frame(Proc& self, std::size_t bytes) {
+void* detail::program_frame(Proc& self, std::size_t bytes) {
   RunStats& stats = self.net_->stats_;
   ++stats.frame_allocs;
   stats.frame_bytes += bytes;
-}
-
-void* detail::program_frame(Proc& self, std::size_t bytes) {
-  charge_frame(self, bytes);
   return self.net_->program_frame(bytes);
 }
 
 std::size_t Proc::p() const { return net_->config().p; }
 std::size_t Proc::k() const { return net_->config().k; }
 Cycle Proc::now() const { return net_->now(); }
-
-void Proc::mark_done() { net_->tab_.done[id_] = 1; }
 
 Proc::CycleAwaiter Proc::cycle(std::optional<WriteOp> write,
                                std::optional<ChannelId> read) {
@@ -60,10 +54,6 @@ Proc::ReadResult Proc::take_read() {
 
 void Proc::act_sleep(Cycle cycles) {
   net_->on_window(id_, cycles, 0, ProcTable::Window{});
-}
-
-void Proc::set_resume(std::coroutine_handle<> h) {
-  net_->tab_.resume_point[id_] = h;
 }
 
 void Proc::set_step(StepFn step, void* ctx) {
@@ -118,8 +108,7 @@ void Proc::span_begin(std::string_view name) { net_->span_begin(name); }
 
 void Proc::span_end() { net_->span_end(); }
 
-void Proc::CycleAwaiter::await_suspend(std::coroutine_handle<> h) noexcept {
-  proc.net_->tab_.resume_point[proc.id_] = h;
+void Proc::CycleAwaiter::await_suspend(std::coroutine_handle<>) noexcept {
   proc.net_->on_window(proc.id_, idle, 1,
                        ProcTable::Window{nullptr, nullptr, nullptr, trail});
 }
@@ -129,8 +118,7 @@ Proc::ReadResult Proc::CycleAwaiter::await_resume() const noexcept {
 }
 
 void Proc::MultiReadAwaiter::await_suspend(
-    std::coroutine_handle<> h) noexcept {
-  proc.net_->tab_.resume_point[proc.id_] = h;
+    std::coroutine_handle<>) noexcept {
   proc.net_->on_window(proc.id_, 0, 1, ProcTable::Window{});
 }
 

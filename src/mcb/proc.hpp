@@ -126,8 +126,7 @@ class Proc {
   // A sub-protocol (Partial-Sums, a Columnsort, selection's termination)
   // is a state machine held in its awaiter, so it lives in the caller's
   // frame; see StepAwaiter. Its begin() and step() open the processor's
-  // actions with act_window() or act_sleep(), which leave the resume point
-  // alone.
+  // actions with act_window() or act_sleep().
 
   template <typename Derived>
   class StepAwaiter;
@@ -176,8 +175,7 @@ class Proc {
     [[no_unique_address]] Place place;
 
     bool await_ready() const noexcept { return lead + beats + trail == 0; }
-    void await_suspend(std::coroutine_handle<> h) {
-      proc.set_resume(h);
+    void await_suspend(std::coroutine_handle<>) {
       proc.act_window(*this, lead, beats, trail);
     }
     void await_resume() const noexcept {}
@@ -200,10 +198,9 @@ class Proc {
    public:
     explicit StepAwaiter(Proc& self) : self_(&self) {}
     bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> h) {
+    bool await_suspend(std::coroutine_handle<>) {
       auto& d = static_cast<Derived&>(*this);
       if (!d.begin(*self_)) return false;
-      self_->set_resume(h);
       self_->set_step(
           [](void* ctx) {
             auto& a = *static_cast<Derived*>(ctx);
@@ -236,17 +233,11 @@ class Proc {
 
  private:
   friend class Network;
-  friend struct ProcMain::promise_type::FinalAwaiter;
-  friend void detail::charge_frame(Proc& self, std::size_t bytes);
   friend void* detail::program_frame(Proc& self, std::size_t bytes);
 
   Proc(Network& net, ProcId id) : net_(&net), id_(id) {}
   Proc(const Proc&) = delete;
   Proc& operator=(const Proc&) = delete;
-
-  // Sets the done flag in the network's ProcTable (defined in proc.cpp,
-  // where Network is complete).
-  void mark_done();
 
   // Make `b`, or `write` and `read`, this processor's channel intent,
   // validating its channels. load_beat clears the last read, as a cycle
@@ -255,8 +246,7 @@ class Proc {
   void set_intent(std::optional<WriteOp>& write, ChannelId read);
   // Rejects windows longer than the engine's 32-bit beat cursor.
   void require_beats(std::size_t beats) const;
-  // The coroutine the engine resumes, and the step it runs first.
-  void set_resume(std::coroutine_handle<> h);
+  // The step the engine runs in place of resuming the program.
   void set_step(StepFn step, void* ctx);
   // Hands a window to the engine.
   void open_window(Cycle lead, std::size_t beats, Cycle trail, FillFn fill,
@@ -287,7 +277,7 @@ class Proc {
   }
 
   // Proc is a thin handle: all hot per-processor state (wake cycle, channel
-  // intents, read results, resume handle) lives in the Network's ProcTable
+  // intents, read results, program handle) lives in the Network's ProcTable
   // (mcb/proc_table.hpp), indexed by id_, so the engines scan flat arrays
   // instead of chasing per-processor heap objects.
   Network* net_;
@@ -344,14 +334,5 @@ class StepSlot {
  private:
   std::variant<std::monostate, Steps...> steps_;
 };
-
-inline std::coroutine_handle<>
-ProcMain::promise_type::FinalAwaiter::await_suspend(
-    std::coroutine_handle<promise_type> h) noexcept {
-  if (h.promise().proc != nullptr) {
-    h.promise().proc->mark_done();
-  }
-  return std::noop_coroutine();
-}
 
 }  // namespace mcb

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <array>
-#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
@@ -30,20 +29,21 @@ namespace mcb {
 /// Per-processor state, one array element per processor, indexed by ProcId.
 /// Owned by Network.
 struct ProcTable {
-  /// Innermost suspended coroutine; resuming it continues the program.
-  std::vector<std::coroutine_handle<>> resume_point;
   /// The step awaiter the processor is suspended on (fn null: none). Its
-  /// step runs in place of resuming resume_point until it returns false.
+  /// step runs in place of resuming the program until it returns false.
   struct Step {
     Proc::StepFn fn = nullptr;
     void* ctx = nullptr;
   };
   std::vector<Step> step;
-  /// Top-level program handle, for O(1) exception retrieval on completion.
+  /// The processor's program: its only coroutine, which the engine resumes
+  /// when an action ends, and whose exception it retrieves in O(1) on
+  /// completion.
   std::vector<ProcMain::handle_type> program;
   /// Cycle at which the processor is next due.
   std::vector<Cycle> wake_cycle;
-  /// Program completed (one byte per flag, not a packed vector<bool>).
+  /// Program completed, as seen when the resume that finished it returned
+  /// (one byte per flag, not a packed vector<bool>).
   std::vector<std::uint8_t> done;
   /// The window in flight (a Proc::window, or a cycle_after with a lead
   /// or a trail), split by how often the drain reads it. pos: beat j - 1
@@ -107,7 +107,6 @@ struct ProcTable {
   std::vector<std::size_t> peak_aux_words;
 
   void resize(std::size_t p) {
-    resume_point.resize(p);
     step.assign(p, Step{});
     program.resize(p);
     wake_cycle.assign(p, 0);
@@ -125,8 +124,6 @@ struct ProcTable {
   /// allocation (Network::reset). Handles are nulled, not destroyed — the
   /// Network owns the program objects and clears them first.
   void reset() {
-    std::fill(resume_point.begin(), resume_point.end(),
-              std::coroutine_handle<>{});
     std::fill(step.begin(), step.end(), Step{});
     std::fill(program.begin(), program.end(), ProcMain::handle_type{});
     std::fill(wake_cycle.begin(), wake_cycle.end(), Cycle{0});

@@ -37,18 +37,20 @@ struct RunStats {
   // Simulator telemetry (host-side; not part of the model's accounting and
   // excluded from engine-equivalence comparisons).
   std::uint64_t sim_wall_ns = 0;   ///< wall-clock spent inside Network::run()
-  std::uint64_t proc_resumes = 0;  ///< coroutine resumptions performed
+  /// Program resumptions performed, each step of a step awaiter counted
+  /// as the resume it replaces.
+  std::uint64_t proc_resumes = 0;
   double cycles_per_sec = 0.0;     ///< simulated cycles per host second
 
   // Frame telemetry: the coroutine frames charged to this network since
-  // it was built or reset — programs at install, Task subroutines during
-  // the run; every coroutine whose first parameter is `Proc& self`
-  // (detail::CountedFrame). A program whose sub-protocols are all step
-  // awaiters is its processor's only frame, so frame_allocs is p.
+  // it was built or reset. A program is its processor's only coroutine
+  // (every sub-protocol is a step awaiter in its frame), and its frame is
+  // charged at creation (detail::program_frame), so frame_allocs is p.
   std::uint64_t frame_allocs = 0;  ///< frames charged
-  std::uint64_t frame_bytes = 0;   ///< their bytes, as operator new got them
-  /// Always 0: frames come from plain operator new, and nothing recycles
-  /// them. Kept so that existing readers of the field still build.
+  std::uint64_t frame_bytes = 0;   ///< their bytes, as the frames asked
+  /// Always 0: a reset network carves its next programs' frames from the
+  /// same region and charges them anew, and nothing counts that as reuse.
+  /// Kept so that existing readers of the field still build.
   std::uint64_t frame_reuses = 0;
 
   /// Largest per-processor auxiliary storage over the whole run.

@@ -54,7 +54,10 @@ std::int64_t Xoshiro256StarStar::uniform(std::int64_t lo, std::int64_t hi) {
   do {
     draw = (*this)();
   } while (draw >= limit);
-  return lo + static_cast<std::int64_t>(draw % range);
+  // The add wraps in unsigned arithmetic: lo + offset lies in [lo, hi],
+  // but the offset alone may not fit a signed word.
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   draw % range);
 }
 
 double Xoshiro256StarStar::uniform01() {

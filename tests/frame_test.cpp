@@ -1,10 +1,9 @@
 // Frame-count pins: a processor's program is its only coroutine frame.
-// Partial-Sums, the collectives, Columnsort, the block streams and
-// selection's termination are step awaiters held in the program's frame
-// (Proc::StepAwaiter), so a run of any of them allocates exactly p frames —
-// the programs installed before it — on both engines, and a reset network
-// allocates p again per batch, in the same memory. Task<T> subroutines,
-// kept for recursive composition, are charged one frame per call.
+// Partial-Sums, the collectives, the group sorts, every Columnsort, the
+// block streams and selection's termination are step awaiters held in the
+// program's frame (Proc::StepAwaiter), so a run of any of them allocates
+// exactly p frames — the programs installed before it — on both engines,
+// and a reset network allocates p again per batch, in the same memory.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,9 +14,13 @@
 #include "algo/baselines.hpp"
 #include "algo/collectives.hpp"
 #include "algo/columnsort_even.hpp"
+#include "algo/mergesort.hpp"
 #include "algo/multi_select.hpp"
+#include "algo/ranksort.hpp"
+#include "algo/recursive_columnsort.hpp"
 #include "algo/selection.hpp"
 #include "algo/uneven_sort.hpp"
+#include "algo/virtual_columnsort.hpp"
 #include "mcb/network.hpp"
 #include "util/workload.hpp"
 
@@ -93,6 +96,38 @@ TEST(FrameTest, CentralSortsAllocateOneFramePerProcessor) {
   }
 }
 
+TEST(FrameTest, GroupSortsAllocateOneFramePerProcessor) {
+  const std::size_t p = 16;
+  const auto uneven = util::make_workload(8 * p, p, util::Shape::kZipf, 23);
+  const auto even = util::make_workload(16 * p, p, util::Shape::kEven, 29);
+  for (Engine e : kEngines) {
+    const SimConfig one{.p = p, .k = 1, .engine = e};
+    const SimConfig four{.p = p, .k = 4, .engine = e};
+    EXPECT_EQ(algo::ranksort(one, uneven.inputs).stats.frame_allocs, p)
+        << name(e);
+    EXPECT_EQ(algo::mergesort(one, uneven.inputs).stats.frame_allocs, p)
+        << name(e);
+    for (auto ls : {algo::LocalSort::kRankSort, algo::LocalSort::kMergeSort}) {
+      EXPECT_EQ(algo::virtual_columnsort(four, even.inputs, {.local_sort = ls})
+                    .run.stats.frame_allocs,
+                p)
+          << name(e);
+    }
+  }
+}
+
+TEST(FrameTest, RecursiveColumnsortAllocatesOneFramePerProcessor) {
+  // Two levels of splits: every processor walks both inside one awaiter.
+  const std::size_t p = 64, k = 16;
+  const auto w = util::make_workload(4 * p, p, util::Shape::kEven, 31);
+  for (Engine e : kEngines) {
+    const auto res =
+        algo::recursive_columnsort({.p = p, .k = k, .engine = e}, w.inputs);
+    EXPECT_GE(res.depth, 2u) << name(e);
+    EXPECT_EQ(res.run.stats.frame_allocs, p) << name(e);
+  }
+}
+
 TEST(FrameTest, CollectivesAllocateOneFramePerProcessor) {
   const std::size_t p = 24, k = 4;
   const auto w = util::make_workload(8 * p, p, util::Shape::kRandom, 13);
@@ -124,33 +159,6 @@ TEST(FrameTest, ServeBatchesOnOneResetNetworkAllocateOneFrameEach) {
 }
 
 // --- what is charged ---------------------------------------------------------
-
-Task<Word> double_up(Proc& self, Word x) {
-  co_await self.window(1);
-  co_return x * 2;
-}
-
-ProcMain doubling_program(Proc& self, Word& out) {
-  Word v = 1;
-  for (int i = 0; i < 50; ++i) {
-    v = co_await double_up(self, v % 1000);
-  }
-  out = v;
-}
-
-TEST(FrameTest, TaskFramesAreChargedPerCall) {
-  const std::size_t p = 8;
-  Network net({.p = p, .k = 1});
-  std::vector<Word> out(p, 0);
-  for (ProcId i = 0; i < p; ++i) {
-    net.install(i, doubling_program(net.proc(i), out[i]));
-  }
-  // The program frames are charged at install, before the run.
-  const auto stats = net.run();
-  for (Word v : out) EXPECT_NE(v, 0);
-  EXPECT_EQ(stats.frame_allocs, p + 50 * p);
-  EXPECT_EQ(stats.frame_reuses, 0u);
-}
 
 ProcMain sleeper(Proc& self, Cycle t) { co_await self.window(t); }
 

@@ -5,6 +5,7 @@
 // measurements.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "mcb/network.hpp"
@@ -89,37 +90,76 @@ TEST(NetworkFuzzTest, RandomCollisionFreeSchedules) {
   }
 }
 
-// Same step semantics as scripted(), but every step runs inside a
-// two-deep Task chain, so each simulated cycle allocates and frees a pair
-// of coroutine frames. Random schedules through this variant are the
-// fuzzing pressure on frame lifetimes, which the ASan+UBSan CI
-// configuration checks frame by frame.
-Task<Proc::ReadResult> tasked_step_inner(Proc& self, const Step& step) {
-  std::optional<WriteOp> w;
-  if (step.write) {
-    w = WriteOp{step.write->first, Message::of(step.write->second)};
+// Same step semantics as scripted(), but the whole script runs inside a
+// two-deep step-awaiter chain: ScriptWalk steps one StepOnce per script
+// step, in its own state, so each simulated cycle ends one inner awaiter
+// and begins the next inside the engine's step call, never resuming the
+// program. Random schedules through this variant are the fuzzing pressure
+// on composed awaiters' lifetimes, which the ASan+UBSan CI configuration
+// checks, and on their frame count: the program stays the only frame.
+class StepOnce : public Proc::StepAwaiter<StepOnce> {
+ public:
+  StepOnce(Proc& self, const Step& step) : StepAwaiter(self), step_(&step) {}
+
+  bool begin(Proc& self) {
+    self.act_window(*this, 0, 1, 0);
+    return true;
   }
-  co_return co_await self.cycle(std::move(w), step.read);
-}
-
-Task<Proc::ReadResult> tasked_step(Proc& self, const Step& step) {
-  co_return co_await tasked_step_inner(self, step);
-}
-
-ProcMain scripted_tasked(Proc& self, const Script& script,
-                         std::size_t& failures) {
-  for (const auto& step : script) {
-    auto got = co_await tasked_step(self, step);
-    if (step.read) {
-      const bool ok = step.expect
-                          ? (got.has_value() && got->at(0) == *step.expect)
-                          : !got.has_value();
-      if (!ok) ++failures;
+  bool step(Proc&) { return false; }
+  Beat fill(std::size_t) const {
+    Beat b;
+    if (step_->write) {
+      b.msg = Message::of(step_->write->second);
+      b.write = step_->write->first;
     }
+    if (step_->read) b.read = *step_->read;
+    return b;
   }
+
+ private:
+  const Step* step_;
+};
+
+class ScriptWalk : public Proc::StepAwaiter<ScriptWalk> {
+ public:
+  ScriptWalk(Proc& self, const Script& script, std::size_t& failures)
+      : StepAwaiter(self), script_(&script), failures_(&failures) {}
+
+  bool begin(Proc& self) { return open(self); }
+  bool step(Proc& self) {
+    if (inner_->step(self)) return true;
+    const Step& done = (*script_)[at_++];
+    const Proc::ReadResult got = self.take_read();
+    if (done.read) {
+      const bool ok = done.expect
+                          ? (got.has_value() && got->at(0) == *done.expect)
+                          : !got.has_value();
+      if (!ok) ++*failures_;
+    }
+    return open(self);
+  }
+
+ private:
+  bool open(Proc& self) {
+    while (at_ < script_->size()) {
+      if (inner_.emplace(self, (*script_)[at_]).begin(self)) return true;
+      ++at_;
+    }
+    return false;
+  }
+
+  const Script* script_;
+  std::size_t* failures_;
+  std::size_t at_ = 0;
+  std::optional<StepOnce> inner_;
+};
+
+ProcMain scripted_steps(Proc& self, const Script& script,
+                        std::size_t& failures) {
+  co_await ScriptWalk(self, script, failures);
 }
 
-TEST(NetworkFuzzTest, TaskHeavySchedulesChargeEveryFrame) {
+TEST(NetworkFuzzTest, StepAwaiterChainsKeepOneFramePerProcessor) {
   util::Xoshiro256StarStar rng(0xf8a3e);
   for (int trial = 0; trial < 15; ++trial) {
     const auto p = static_cast<std::size_t>(rng.uniform(1, 12));
@@ -144,15 +184,16 @@ TEST(NetworkFuzzTest, TaskHeavySchedulesChargeEveryFrame) {
     Network net({.p = p, .k = k});
     std::size_t failures = 0;
     for (ProcId i = 0; i < p; ++i) {
-      net.install(i, scripted_tasked(net.proc(i), scripts[i], failures));
+      net.install(i, scripted_steps(net.proc(i), scripts[i], failures));
     }
     auto stats = net.run();
     EXPECT_EQ(failures, 0u) << "trial " << trial << " p=" << p << " k=" << k;
     EXPECT_EQ(stats.cycles, cycles);
     EXPECT_EQ(stats.messages, cycles);
-    // One program frame per processor and two Task frames per processor
-    // per cycle, each charged to the network.
-    EXPECT_EQ(stats.frame_allocs, p + 2 * p * cycles);
+    // One program frame per processor, however many awaiters it steps.
+    EXPECT_EQ(stats.frame_allocs, p);
+    // The first resume, then one step per cycle.
+    EXPECT_EQ(stats.proc_resumes, p * (cycles + 1));
   }
 }
 

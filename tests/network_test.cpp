@@ -720,57 +720,86 @@ TEST(NetworkTest, PerProcAndPerChannelMessageCounts) {
   EXPECT_EQ(stats.messages_per_channel[1], 3u);
 }
 
-// --- Task composition -------------------------------------------------------
+// --- step awaiters -----------------------------------------------------------
 
-Task<Word> sub_reader(Proc& self, ChannelId ch) {
-  auto m = co_await self.read(ch);
-  co_return m ? m->at(0) : Word{-1};
+/// Sleeps `actions` one-cycle actions, one per step; throws from begin()
+/// when `throw_at` is 0, or from the step that ends action `throw_at`.
+class Sleeps : public Proc::StepAwaiter<Sleeps> {
+ public:
+  Sleeps(Proc& self, int actions, int throw_at)
+      : StepAwaiter(self), actions_(actions), throw_at_(throw_at) {}
+
+  bool begin(Proc& self) {
+    if (throw_at_ == 0) throw std::runtime_error("begin boom");
+    return next(self);
+  }
+  bool step(Proc& self) {
+    if (++ended_ == throw_at_) throw std::runtime_error("step boom");
+    return next(self);
+  }
+  int await_resume() const { return ended_; }
+
+ private:
+  bool next(Proc& self) {
+    if (ended_ == actions_) return false;
+    self.act_sleep(1);
+    return true;
+  }
+
+  int actions_, throw_at_, ended_ = 0;
+};
+
+TEST(NetworkTest, StepAwaiterStepsInPlaceOfResumes) {
+  for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
+    Network net({.p = 1, .k = 1, .engine = e});
+    int ended = 0;
+    auto prog = [](Proc& self, int& out) -> ProcMain {
+      out = co_await Sleeps(self, 5, -1);
+    };
+    net.install(0, prog(net.proc(0), ended));
+    const auto stats = net.run();
+    EXPECT_EQ(ended, 5);
+    EXPECT_EQ(stats.cycles, 5u);
+    EXPECT_EQ(stats.proc_resumes, 6u);  // the first resume, then 5 steps
+    EXPECT_EQ(stats.frame_allocs, 1u);
+  }
 }
 
-Task<void> sub_writer(Proc& self, ChannelId ch, Word v) {
-  co_await self.write(ch, Message::of(v));
+TEST(NetworkTest, ExceptionFromStepAwaiterBeginIsCaughtInTheProgram) {
+  for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
+    Network net({.p = 1, .k = 1, .engine = e});
+    bool caught = false;
+    auto prog = [](Proc& self, bool& flag) -> ProcMain {
+      try {
+        co_await Sleeps(self, 3, 0);
+      } catch (const std::runtime_error&) {
+        flag = true;
+      }
+      co_await self.window(2);  // the program carries on
+    };
+    net.install(0, prog(net.proc(0), caught));
+    const auto stats = net.run();
+    EXPECT_TRUE(caught);
+    EXPECT_EQ(stats.cycles, 2u);
+  }
 }
 
-TEST(NetworkTest, TaskCompositionRoundTrip) {
-  Network net({.p = 2, .k = 1});
-  Word got = 0;
-  auto writer = [](Proc& self) -> ProcMain {
-    co_await sub_writer(self, 0, 123);
-    co_await sub_writer(self, 0, 456);
-  };
-  auto reader = [](Proc& self, Word& out) -> ProcMain {
-    Word a = co_await sub_reader(self, 0);
-    Word b = co_await sub_reader(self, 0);
-    out = a * 1000 + b;
-  };
-  net.install(0, writer(net.proc(0)));
-  net.install(1, reader(net.proc(1), got));
-  auto stats = net.run();
-  EXPECT_EQ(stats.cycles, 2u);
-  EXPECT_EQ(got, 123 * 1000 + 456);
-}
-
-Task<int> nested_inner(Proc& self) {
-  co_await self.window(1);
-  co_return 7;
-}
-
-Task<int> nested_outer(Proc& self) {
-  int a = co_await nested_inner(self);
-  int b = co_await nested_inner(self);
-  co_return a + b;
-}
-
-TEST(NetworkTest, DeeplyNestedTasks) {
-  Network net({.p = 1, .k = 1});
-  int result = 0;
-  auto prog = [](Proc& self, int& out) -> ProcMain {
-    out = co_await nested_outer(self);
-  };
-  net.install(0, prog(net.proc(0), result));
-  auto stats = net.run();
-  EXPECT_EQ(result, 14);
-  EXPECT_EQ(stats.cycles, 2u);
+TEST(NetworkTest, ExceptionFromStepAwaiterStepAbortsRun) {
+  for (Engine e : {Engine::kEventDriven, Engine::kReference}) {
+    Network net({.p = 2, .k = 1, .engine = e});
+    bool caught = false;
+    auto prog = [](Proc& self, bool& flag) -> ProcMain {
+      try {
+        co_await Sleeps(self, 3, 2);
+      } catch (const std::runtime_error&) {
+        flag = true;  // not reached: a step runs inside the engine
+      }
+    };
+    net.install(0, prog(net.proc(0), caught));
+    net.install(1, idle_program(net.proc(1), 10));
+    EXPECT_THROW(net.run(), std::runtime_error);
+    EXPECT_FALSE(caught);
+  }
 }
 
 TEST(NetworkTest, ExceptionInProgramPropagates) {
@@ -782,25 +811,6 @@ TEST(NetworkTest, ExceptionInProgramPropagates) {
   net.install(0, thrower(net.proc(0)));
   net.install(1, idle_program(net.proc(1), 3));
   EXPECT_THROW(net.run(), std::runtime_error);
-}
-
-TEST(NetworkTest, ExceptionInTaskPropagatesToMain) {
-  Network net({.p = 1, .k = 1});
-  auto failing_task = [](Proc& self) -> Task<void> {
-    co_await self.window(1);
-    throw std::runtime_error("task boom");
-  };
-  bool caught = false;
-  auto prog = [&failing_task](Proc& self, bool& flag) -> ProcMain {
-    try {
-      co_await failing_task(self);
-    } catch (const std::runtime_error&) {
-      flag = true;
-    }
-  };
-  net.install(0, prog(net.proc(0), caught));
-  net.run();
-  EXPECT_TRUE(caught);
 }
 
 // --- configuration and protocol errors --------------------------------------

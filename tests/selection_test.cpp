@@ -248,7 +248,7 @@ TEST(SelectionTest, StoppedRunLeavesWellFormedSpansOnceNetworkIsGone) {
 
 // Host memory guard: a selecting processor's program is its only frame —
 // every sub-protocol is a step awaiter in it — so frame_allocs is p and
-// frame_bytes / p is one program frame. Measured 592 B (GCC 12, -O2 and
+// frame_bytes / p is one program frame. Measured 584 B (GCC 12, -O2 and
 // -O3). Sanitizers and unoptimised builds lay frames out differently, so
 // they check the count only.
 TEST(SelectionTest, FrameBytesPerProcessorWithinBudget) {

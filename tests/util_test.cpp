@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -45,6 +47,41 @@ TEST(RandomTest, UniformDegenerateRange) {
   Xoshiro256StarStar rng(7);
   EXPECT_EQ(rng.uniform(3, 3), 3);
   EXPECT_THROW(rng.uniform(4, 3), std::invalid_argument);
+}
+
+TEST(RandomTest, UniformSpansRangesWiderThanASignedWord) {
+  // lo + offset, with an offset past INT64_MAX: run under UBSan, a signed
+  // add here would be reported as an overflow.
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  Xoshiro256StarStar rng(13);
+  bool negative = false, positive = false;
+  for (int i = 0; i < 1000; ++i) {
+    const auto v = rng.uniform(kMin + 1, kMax);
+    ASSERT_GE(v, kMin + 1);
+    (v < 0 ? negative : positive) = true;
+    const auto w = rng.uniform(kMin, -1);
+    ASSERT_LE(w, -1);
+  }
+  EXPECT_TRUE(negative);
+  EXPECT_TRUE(positive);
+}
+
+TEST(RandomTest, UniformIsLoPlusTheDrawModuloTheRange) {
+  // The values every workload draws: lo + (draw % range), the first draw
+  // below the rejection limit.
+  Xoshiro256StarStar rng(5), twin(5);
+  const std::uint64_t range = 1001;
+  const std::uint64_t limit =
+      Xoshiro256StarStar::max() - Xoshiro256StarStar::max() % range;
+  for (int i = 0; i < 1000; ++i) {
+    std::uint64_t draw;
+    do {
+      draw = twin();
+    } while (draw >= limit);
+    ASSERT_EQ(rng.uniform(-500, 500),
+              -500 + static_cast<std::int64_t>(draw % range));
+  }
 }
 
 TEST(RandomTest, UniformCoversRangeRoughlyEvenly) {

@@ -4,8 +4,9 @@
 # (src/mcb/scheduler.*, Network::run_event_loop) and the step awaiters that
 # live in program frames (Proc::StepAwaiter) are pointer-heavy and
 # lifetime-sensitive, so every change is exercised under ASan+UBSan, not
-# just the optimised build. Every coroutine frame comes from plain
-# operator new, so the sanitizers see each one.
+# just the optimised build. A processor's program is its only coroutine
+# frame, carved from its network's program-frame region, which reset()
+# poisons under ASan, so a frame used after its run is reported.
 #
 # Static analysis rides along in three places: tools/lint.sh (mcblint, the
 # repo-aware analyzer with rules MCB-L1..L3, L6, plus the clang-tidy
@@ -24,8 +25,8 @@
 # Each suite leg also cmp's the event and reference engines on a dense
 # columnsort (the trace event stream, and the stripped JSON of the checked
 # p=1024, k=32 dense sort), where nearly every cycle is a window beat, and
-# the stripped JSON of selection, uneven, central, rank-sort, virtual,
-# recursive and serve runs.
+# the stripped JSON of selection, uneven, central, rank-sort, merge-sort,
+# virtual, recursive and serve runs.
 #
 # Each suite leg also smokes the telemetry layer end-to-end: --obs runs
 # (span reconciliation is a hard failure), a --trace-out export, and the
@@ -176,6 +177,7 @@ run_preset() {
     "uneven:sort --p 64 --k 8 --n 4096 --algorithm uneven --shape zipf --check"
     "central:sort --p 64 --k 8 --n 4096 --algorithm central --check"
     "ranksort:sort --p 64 --k 8 --n 4096 --algorithm ranksort --check"
+    "mergesort:sort --p 64 --k 8 --n 4096 --algorithm mergesort --check"
     "virtual:sort --p 64 --k 8 --n 4096 --algorithm virtual --check"
     "recursive:sort --p 64 --k 8 --n 4096 --algorithm recursive --check"
     "serve:serve --p 64 --k 4 --n 1024 --queries 32 --batch 8 --seed 7"
