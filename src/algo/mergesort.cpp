@@ -32,6 +32,9 @@ MergeSort mergesort_group(Proc& self, const GroupSpec& grp,
 }
 
 bool MergeSort::begin(Proc& self) {
+  // Every member inserts its top into the linked list in the construction.
+  MCB_REQUIRE(!data_->empty(), "P" << self.id() + 1
+                                   << " joins merge-sort with no elements");
   remaining_.reserve(data_->size() + 1);
   for (Word v : *data_) {
     remaining_.push_back(Key{v, static_cast<Word>(seat_.me), next_serial_++});

@@ -3,6 +3,7 @@
 #include <sanitizer/asan_interface.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -91,43 +92,28 @@ void Network::resume_proc(ProcId id) {
 
 void Network::on_window(ProcId id, Cycle lead, std::size_t beats,
                         const ProcTable::Window& w) {
-  const bool event = mode_ == Engine::kEventDriven;
-  if (beats == 0) {  // a sleep
-    tab_.wake_cycle[id] = now_ + lead + w.trail;
-    if (event) sched_.schedule_wake(id, tab_.wake_cycle[id], now_);
-    return;
-  }
-  // Beat 0 applies in cycle now + lead: the reference scan acts on it when
-  // wake_cycle is the cycle after, the event engine when it is active. The
-  // event engine sleeps out the lead first (j = 0); the drain at now + lead
-  // makes the held beat active without resuming the processor.
-  tab_.wake_cycle[id] = now_ + lead + 1;
-  const std::uint32_t j = event && lead > 0 ? 0 : 1;
-  if (beats > 1 || w.trail > 0 || w.place != nullptr) {
-    tab_.window[id] = w;
-    tab_.pos[id] = {j, static_cast<std::uint32_t>(beats)};
-  } else if (j == 0) {
-    tab_.pos[id] = {0, 1};
-  }
-  if (!event) return;
-  if (lead == 0) {
-    sched_.add_active(id);
-    sched_.schedule_wake(id, now_ + 1, now_);
+  // A sleep ends after lead + trail cycles. Beat 0 of a window applies in
+  // cycle now + lead, so the processor is next due in the cycle after:
+  // both engines act on a held intent in the cycle before the wake.
+  Cycle& wake = tab_.wake_cycle[id];
+  if (beats == 0) {
+    wake = now_ + lead + w.trail;
   } else {
-    sched_.schedule_wake(id, now_ + lead, now_);
+    wake = now_ + lead + 1;
+    if (beats > 1 || w.trail > 0 || w.place != nullptr) {
+      tab_.window[id] = w;
+      tab_.pos[id] = {1, static_cast<std::uint32_t>(beats)};
+    }
   }
+  if (mode_ == Engine::kEventDriven) sched_.schedule_wake(id, wake, now_);
 }
 
 bool Network::next_beat(ProcId id) {
-  ProcTable::Pos& at = tab_.pos[id];
-  if (at.j == 0) {  // the lead is over: beat 0 acts
-    at.j = 1;
-    return true;
-  }
   // Beat j - 1 is done. Beat 0, and every beat of a window of at most
   // kBlock beats, passes through the intent slot itself; the later beats
   // of a longer window come from its block.
   constexpr std::size_t kBlock = ProcTable::kBlock;
+  ProcTable::Pos& at = tab_.pos[id];
   ProcTable::Window& w = tab_.window[id];
   Beat& intent = tab_.intent[id];
   Proc::ReadResult& read = tab_.read_result[id];
@@ -365,56 +351,56 @@ void Network::reset() {
 // The event-driven engine. Observationally identical to the reference loop
 // below (which is the semantics specification); see docs/ENGINE.md for the
 // step-by-step argument. The three O(p) scans become iterations over the
-// scheduler's active list, the O(k) slot sweep becomes an iteration over the
+// scheduler's due set, the O(k) slot sweep becomes an iteration over the
 // dirty-channel list, stretches of cycles in which no processor is due
 // are skipped in one jump, and stretches in which the same processors act
 // from their window blocks run without the per-cycle drain.
 void Network::run_event_loop() {
   while (alive_ > 0) {
-    MCB_REQUIRE(!sched_.queue_empty(),
-                "live processors but an empty wake queue");
-
-    // Idle-cycle fast-forward: if nobody wakes before cycle `next`, the
+    // Idle-cycle fast-forward: if nobody is due before cycle `next`, the
     // cycles in between carry no writes, no reads and no trace events (a
-    // sleeping processor holds no channel intent), so jump straight to the
-    // last idle cycle. Statistics are exact because nothing observable
-    // happens in the skipped span.
+    // processor acts only in the cycle before it is due), so jump straight
+    // to the last idle cycle. Statistics are exact because nothing
+    // observable happens in the skipped span.
     const Cycle next = sched_.next_wake(now_);
+    MCB_REQUIRE(next != std::numeric_limits<Cycle>::max(),
+                "live processors but an empty wake queue");
     if (next > now_ + 1) now_ = next - 1;
     if (now_ >= cfg_.max_cycles) throw_max_cycles();
-    if (run_dense_stretch()) continue;
 
-    const auto& active = sched_.active();
+    // The processors due at the end of this cycle, in id order: the ones
+    // the reference scan visits. Each acts in this cycle on the intent it
+    // holds (one ending a sleep or a trail holds none).
+    const auto& due = sched_.collect(now_ + 1);
+    if (run_dense_stretch(due)) {
+      sched_.refile_due();
+      continue;
+    }
 
-    // Step 1: writes. Collision check per the model. `active` holds the
-    // processors that suspended with a channel intent, in id order — the
-    // same order the reference scan visits them.
-    for (ProcId id : active) write_beat(id, tab_.intent[id]);
+    // Step 1: writes. Collision check per the model.
+    for (ProcId id : due) write_beat(id, tab_.intent[id]);
 
     // Step 2: reads (concurrent reads allowed; silence is observable).
-    for (ProcId id : active) apply_read(id);
+    for (ProcId id : due) apply_read(id);
 
     if (sink_ != nullptr) {
-      for (ProcId id : active) {
+      for (ProcId id : due) {
         emit_event(id, tab_.intent[id], tab_.read_result[id]);
       }
     }
 
     // Step 3: the cycle completes. Clear only the channels written this
     // cycle, then resume every processor due at the new time, in processor
-    // order (the drain is id-sorted; processors re-registering while it is
-    // iterated wake strictly later and land in fresh buckets). A processor
-    // inside a window is not resumed: it has slept out the window's lead,
-    // or applied a beat and has another to act on — then it joins the new
-    // cycle's active list, as if it had just resumed and acted, so active
-    // list and next bucket stay id-sorted — or it sleeps out the trail.
+    // order (processors re-registering while the due set is drained are due
+    // strictly later and land in the next bucket or the wheel). A processor
+    // inside a window is not resumed: it has applied a beat and has another
+    // to act on — then it is due again next cycle, as if it had just
+    // resumed and acted — or it sleeps out the trail.
     clear_slots();
-    sched_.clear_active();
     ++now_;
-    for (ProcId id : sched_.drain_due(now_)) {
+    for (ProcId id : due) {
       if (tab_.pos[id].n != 0) {
         if (next_beat(id)) {
-          sched_.add_active(id);
           sched_.schedule_wake(id, now_ + 1, now_);
           continue;
         }
@@ -430,34 +416,23 @@ void Network::run_event_loop() {
   }
 }
 
-// Dense fast-forward. When every active processor acts from a lent window
-// block, the next bucket holds exactly the active list and the wheel holds
-// no wake for the next B - 1 drains, each of those drains would only move
-// every active processor on to its next block beat, in id order: no
-// callback runs, no one resumes, no one joins. So the B - 1 cycles from
-// now_ run here with the cycle's own write and read steps, straight from
-// the blocks, and leave the table as those drains would. B is at most the
-// beats left in any active block, so the last beat of a block, whose
+// Dense fast-forward. When every processor due at the end of the cycle
+// acts from a lent window block and the wheel holds no wake for the next
+// B - 1 drains, each of those drains would hold the same processors and
+// only move each on to its next block beat, in id order: no callback
+// runs, no one resumes, no one joins. So the B - 1 cycles from now_ run
+// here with the cycle's own write and read steps, straight from the
+// blocks, and leave the table as those drains would. B is at most the
+// beats left in any of these blocks, so the last beat of a block, whose
 // drain places and refills it or ends the window, runs in the normal loop.
 // B also stops short of a beat with a channel >= k, which the normal drain
 // then rejects as it loads, and of max_cycles, which the loop then throws.
-bool Network::run_dense_stretch() {
+bool Network::run_dense_stretch(const std::vector<ProcId>& due) {
   constexpr std::size_t kBlock = ProcTable::kBlock;
-  const auto& active = sched_.active();
-  if (active.empty() || sched_.next_bucket_size() != active.size()) {
-    return false;
-  }
   // Beats of the stretch: cycles now_ .. now_ + beats - 2 run here.
   std::size_t beats = kBlock;
-  if (const Cycle wake = sched_.wheel_next_wake(now_); wake - now_ < beats) {
-    beats = static_cast<std::size_t>(wake - now_);
-  }
-  if (cfg_.max_cycles - now_ < beats - 1) {
-    beats = static_cast<std::size_t>(cfg_.max_cycles - now_) + 1;
-  }
-  if (beats < 2) return false;
   lanes_.clear();
-  for (ProcId id : active) {
+  for (ProcId id : due) {
     const std::uint32_t block = tab_.window[id].block;
     if (block == ProcTable::kNoBlock || tab_.pending_read_all[id] != 0) {
       return false;
@@ -471,6 +446,12 @@ bool Network::run_dense_stretch() {
     if (beats < 2) return false;
     ProcTable::Block& b = tab_.blocks[block];
     lanes_.push_back({id, b.beats.data() + s, b.got.data() + s});
+  }
+  if (const Cycle wake = sched_.wheel_next_wake(); wake - now_ < beats) {
+    beats = static_cast<std::size_t>(wake - now_);
+  }
+  if (cfg_.max_cycles - now_ < beats - 1) {
+    beats = static_cast<std::size_t>(cfg_.max_cycles - now_) + 1;
   }
   // Stop short of the first beat naming a channel >= k.
   for (const Lane& l : lanes_) {
@@ -496,7 +477,8 @@ bool Network::run_dense_stretch() {
 
   // The table as the skipped drains leave it: each beat's read moved on
   // to its slot (the last one stays in read_result) and the next beat
-  // loaded. The processors stay on the active list and in the next bucket.
+  // loaded. The processors stay in the due set, which the caller files
+  // again for the cycle after the stretch.
   for (const Lane& l : lanes_) {
     tab_.pos[l.id].j += static_cast<std::uint32_t>(beats - 1);
     tab_.intent[l.id] = l.beats[beats - 1];

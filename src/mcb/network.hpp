@@ -111,7 +111,8 @@ class Network {
   // The suspension hook of every awaiter: processor id opens a window of
   // `beats` beats (beat 0, if any, already loaded) after `lead` idle
   // cycles, with callbacks and trail `w`. A window of no beats is a sleep
-  // of lead + w.trail cycles.
+  // of lead + w.trail cycles. The processor is filed once, due in the
+  // cycle after beat 0 applies (or at the end of the sleep).
   void on_window(ProcId id, Cycle lead, std::size_t beats,
                  const ProcTable::Window& w);
   // Processor id is due inside its window with beat j - 1 just applied:
@@ -136,10 +137,10 @@ class Network {
   void resume_proc(ProcId id);
   void run_event_loop();
   // The event engine's dense fast-forward: runs the cycles from now_ on
-  // straight from the active processors' window blocks while no
-  // processor joins or leaves the active list, and returns whether it ran
-  // any (docs/ENGINE.md).
-  bool run_dense_stretch();
+  // straight from the window blocks of the processors `due` at the end of
+  // the cycle while none joins or leaves, and returns whether it ran any
+  // (docs/ENGINE.md).
+  bool run_dense_stretch(const std::vector<ProcId>& due);
   void run_reference_loop();
   [[noreturn]] void throw_max_cycles() const;
   void finish_phase();

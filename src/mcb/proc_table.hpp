@@ -45,15 +45,16 @@ struct ProcTable {
   /// Program completed, as seen when the resume that finished it returned
   /// (one byte per flag, not a packed vector<bool>).
   std::vector<std::uint8_t> done;
-  /// The window in flight (a Proc::window, or a cycle_after with a lead
-  /// or a trail), split by how often the drain reads it. pos: beat j - 1
-  /// is the one applied last (j == 0: the event engine still sleeps out
-  /// the lead, with beat 0 loaded) of n (0: no window — the processor
-  /// resumes when next due). window: the callbacks (ctx is the awaiter),
-  /// the idle cycles after the last beat and the block lent to the window
-  /// (kNoBlock: none). place is null, trail 0 and block kNoBlock whenever
-  /// no window is open, so a one-beat window without a trail or a place (a
-  /// cycle_after) only sets pos.
+  /// The window in flight (a Proc::window of several beats, or one beat
+  /// with a trail or a place), split by how often the drain reads it. pos:
+  /// when the processor is next due, beat j - 1 of n has just applied (0:
+  /// no window — the processor resumes when next due); the window opens
+  /// with j = 1, beat 0 loaded, on both engines. window: the callbacks
+  /// (ctx is the awaiter), the idle cycles after the last beat and the
+  /// block lent to the window (kNoBlock: none). place is null, trail 0 and
+  /// block kNoBlock whenever no window is open, so a one-beat action
+  /// without a trail or a place (a cycle_after, with or without a lead)
+  /// touches neither.
   struct Pos {
     std::uint32_t j = 0;
     std::uint32_t n = 0;
@@ -74,7 +75,7 @@ struct ProcTable {
   /// places their reads when the block is used up, so its callbacks run
   /// once per block, not once per cycle. Beat j >= 1 sits in beats[(j - 1)
   /// % kBlock] and its read lands in got[(j - 1) % kBlock]. While every
-  /// active processor acts from a block, the event engine's dense
+  /// processor due acts from a block, the event engine's dense
   /// stretches apply beats and land reads here directly, without copying
   /// them through intent and read_result (Network::run_dense_stretch).
   /// Blocks are kept for reuse.

@@ -2,166 +2,177 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <limits>
-
-#include "util/check.hpp"
 
 namespace mcb {
 
 Scheduler::Scheduler(std::size_t p, std::size_t k)
-    : link_(p, kNil), wake_(p, 0), drain_bits_((p + 63) / 64, 0) {
+    : link_(p, kNil), wake_(p, 0), due_bits_((p + 63) / 64, 0) {
   next_bucket_.reserve(p);
-  drain_entries_.reserve(p);
-  active_.reserve(p);
+  due_.reserve(p);
+  spare_.reserve(p);
   dirty_.reserve(k);
 }
 
 void Scheduler::reset() {
   next_bucket_.clear();
-  wheel_ = {};
-  occupied_ = {};
+  due_.clear();
+  near_bits_ = {};
+  near_words_ = 0;
+  far_bits_ = {};
   cursor_ = 0;
-  pending_ = 0;
-  drain_entries_.clear();
-  active_.clear();
   dirty_.clear();
 }
 
-void Scheduler::append(std::size_t level, std::size_t slot, ProcId id) {
-  Slot& s = wheel_[level][slot];
+void Scheduler::append(Slot& s, bool occupied, ProcId id) {
   link_[id] = kNil;
-  if (s.head == kNil) {
-    s.head = id;
-  } else {
+  if (occupied) {
     link_[s.tail] = id;
+  } else {
+    s.head = id;
   }
   s.tail = id;
-  occupied_[level] |= std::uint64_t{1} << slot;
 }
 
 void Scheduler::place(ProcId id, Cycle wake, Cycle now) {
-  wake_[id] = wake;
-  if (wake - now <= kSlots) {
-    append(0, wake & kSlotMask, id);
+  if (wake - now <= kNear) {
+    const std::size_t slot = wake & kNearMask;
+    std::uint64_t& word = near_bits_[slot / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+    append(near_[slot], (word & bit) != 0, id);
+    word |= bit;
+    near_words_ |= std::uint64_t{1} << (slot / 64);
     return;
   }
-  // The highest base-kSlots digit in which wake differs from the cursor;
-  // wake - now > kSlots puts it at level >= 1, and wake's digit there is
-  // above the cursor's, so the slot lies ahead of the drain.
-  const std::size_t level = (std::bit_width(wake ^ now) - 1) / kSlotBits;
-  const std::size_t slot = (wake >> (level * kSlotBits)) & kSlotMask;
-  Cycle& lo = slot_min_[level][slot];
-  lo = (occupied_[level] >> slot & 1) != 0 ? std::min(lo, wake) : wake;
-  append(level, slot, id);
+  // The highest digit in which wake differs from the cursor; wake - now >
+  // kNear puts it above level 0, and wake's digit there is above the
+  // cursor's, so the slot lies ahead of the cursor.
+  const std::size_t f =
+      (static_cast<std::size_t>(std::bit_width(wake ^ now)) - 1 - kNearBits) /
+      kSlotBits;
+  const std::size_t slot = (wake >> (kNearBits + f * kSlotBits)) & kSlotMask;
+  const std::uint64_t bit = std::uint64_t{1} << slot;
+  const bool occupied = (far_bits_[f] & bit) != 0;
+  Cycle& lo = far_min_[f][slot];
+  lo = occupied ? std::min(lo, wake) : wake;
+  wake_[id] = wake;
+  append(far_[f][slot], occupied, id);
+  far_bits_[f] |= bit;
 }
 
-Cycle Scheduler::next_wake(Cycle now) const {
-  if (!next_bucket_.empty()) return now + 1;
-  const Cycle best = wheel_next_wake(now);
-  MCB_CHECK(best != std::numeric_limits<Cycle>::max(),
-            "next_wake on an empty queue");
-  return best;
-}
-
-Cycle Scheduler::wheel_next_wake(Cycle now) const {
+Cycle Scheduler::wheel_next_wake() const {
   Cycle best = std::numeric_limits<Cycle>::max();
-  // Level 0 is a window (now, now + kSlots]: rotating the mask so that
-  // slot now+1 lands on bit 0 turns the earliest wake into a bit count.
-  if (occupied_[0] != 0) {
-    const int shift = static_cast<int>((now + 1) & kSlotMask);
-    best = now + 1 + static_cast<Cycle>(
-                          std::countr_zero(std::rotr(occupied_[0], shift)));
+  // Level 0 is the window (cursor, cursor + kNear]: its earliest wake is
+  // the first occupied slot from cursor + 1 on, wrapping around.
+  if (near_words_ != 0) {
+    const std::size_t start = (cursor_ + 1) & kNearMask;
+    const std::size_t w0 = start / 64;
+    std::size_t slot;
+    if (const std::uint64_t rest = near_bits_[w0] >> (start % 64); rest != 0) {
+      slot = start + static_cast<std::size_t>(std::countr_zero(rest));
+    } else {
+      // The words after w0, else the first word (w0's low bits included).
+      const std::uint64_t later = near_words_ & (~std::uint64_t{1} << w0);
+      const auto w = static_cast<std::size_t>(
+          std::countr_zero(later != 0 ? later : near_words_));
+      slot = w * 64 + static_cast<std::size_t>(std::countr_zero(near_bits_[w]));
+    }
+    best = cursor_ + 1 + ((slot - start) & kNearMask);
   }
   // Above level 0 every level-j wake precedes every level-(j+1) wake, and
   // lower slots precede higher ones, so the first occupied slot of the
   // lowest occupied level holds the earliest of them.
-  for (std::size_t level = 1; level < kLevels; ++level) {
-    if (occupied_[level] == 0) continue;
-    const auto slot =
-        static_cast<std::size_t>(std::countr_zero(occupied_[level]));
-    best = std::min(best, slot_min_[level][slot]);
+  for (std::size_t f = 0; f + 1 < kLevels; ++f) {
+    if (far_bits_[f] == 0) continue;
+    const auto slot = static_cast<std::size_t>(std::countr_zero(far_bits_[f]));
+    best = std::min(best, far_min_[f][slot]);
     break;
   }
   return best;
 }
 
-const std::vector<ProcId>& Scheduler::drain_due(Cycle now) {
-  // The next bucket is id-sorted by construction; swapping it out recycles
-  // the previous drain's capacity as the fresh next bucket.
-  drain_entries_.clear();
-  std::swap(drain_entries_, next_bucket_);
-  bool merged = false;
+const std::vector<ProcId>& Scheduler::collect(Cycle t) {
+  // The next bucket is id-sorted by construction; swapping it in recycles
+  // the previous due set's capacity as the fresh next bucket.
+  due_.clear();
+  due_.swap(next_bucket_);
+  const std::size_t filed = due_.size();
 
-  // Level-0 slot now & mask holds exactly the wakes due now (slot-window
-  // invariant). Take it before the cascade below refills it with now+kSlots.
-  auto take = [&](std::size_t level, std::size_t slot) {
-    const ProcId head = wheel_[level][slot].head;
-    wheel_[level][slot] = Slot{};
-    occupied_[level] &= ~(std::uint64_t{1} << slot);
-    return head;
-  };
-  const std::size_t slot0 = now & kSlotMask;
-  if ((occupied_[0] >> slot0 & 1) != 0) {
-    for (ProcId id = take(0, slot0); id != kNil; id = link_[id]) {
-      drain_entries_.push_back(id);
+  // Level-0 slot t holds exactly the wakes due at t (slot-window
+  // invariant). Take it before the cascade below refills it with t + kNear.
+  const std::size_t slot0 = t & kNearMask;
+  if (std::uint64_t& word = near_bits_[slot0 / 64];
+      (word >> (slot0 % 64) & 1) != 0) {
+    for (ProcId id = near_[slot0].head; id != kNil; id = link_[id]) {
+      due_.push_back(id);
     }
-    merged = true;
+    word &= ~(std::uint64_t{1} << (slot0 % 64));
+    if (word == 0) near_words_ &= ~(std::uint64_t{1} << (slot0 / 64));
   }
 
-  // Entering a new block at level L >= 1 cascades that block's slot. Levels
-  // 1..L-1 are empty: their wakes lay in the cursor's level-L block, all
-  // before now. Every entry lands strictly lower or is due now.
-  const Cycle moved = now ^ cursor_;
-  cursor_ = now;
-  if (moved > kSlotMask) {
-    const std::size_t level = (std::bit_width(moved) - 1) / kSlotBits;
-    const std::size_t slot = (now >> (level * kSlotBits)) & kSlotMask;
-    if ((occupied_[level] >> slot & 1) != 0) {
-      ProcId id = take(level, slot);
-      while (id != kNil) {
+  // Entering a new block above level 0 cascades that block's slot. The
+  // levels between are empty: their wakes lay in the cursor's block at
+  // that level, all before t. Every entry lands strictly lower or is due.
+  const Cycle moved = t ^ cursor_;
+  cursor_ = t;
+  if (moved > kNearMask) {
+    const std::size_t f =
+        (static_cast<std::size_t>(std::bit_width(moved)) - 1 - kNearBits) /
+        kSlotBits;
+    const std::size_t slot = (t >> (kNearBits + f * kSlotBits)) & kSlotMask;
+    if ((far_bits_[f] >> slot & 1) != 0) {
+      far_bits_[f] &= ~(std::uint64_t{1} << slot);
+      for (ProcId id = far_[f][slot].head; id != kNil;) {
         const ProcId next = link_[id];
-        if (wake_[id] == now) {
-          drain_entries_.push_back(id);
-          merged = true;
+        if (wake_[id] == t) {
+          due_.push_back(id);
         } else {
-          place(id, wake_[id], now);
+          place(id, wake_[id], t);
         }
         id = next;
       }
     }
   }
 
-  // Merged drains must be re-sorted by id for deterministic resume order,
-  // but most are already sorted (a slot filled during a single
-  // registration cycle inherits that cycle's id-ordered drain), so a linear
-  // is_sorted pass usually replaces the sort.
-  if (merged &&
-      !std::is_sorted(drain_entries_.begin(), drain_entries_.end())) {
-    sort_drain();
-  }
-  pending_ -= drain_entries_.size();
-  return drain_entries_;
+  if (due_.size() != filed) order_due();
+  return due_;
 }
 
-void Scheduler::sort_drain() {
+void Scheduler::order_due() {
+  // The next bucket, and each registration cycle's share of a slot, is a
+  // run of ascending ids.
+  if (std::is_sorted(due_.begin(), due_.end())) return;
   // The ids are distinct (a processor sits in one tier at a time), so a
-  // bitmap scan orders them in O(n + p/64): cheaper than a sort once the
-  // drain holds a fair share of the p ids.
-  const std::size_t p = link_.size();
-  if (drain_entries_.size() * 256 < p) {
-    std::sort(drain_entries_.begin(), drain_entries_.end());
+  // bitmap scan orders them in O(n + p/64): cheaper than merge passes once
+  // the set holds a fair share of the p ids.
+  if (due_.size() * 256 >= link_.size()) {
+    for (ProcId id : due_) {
+      due_bits_[id / 64] |= std::uint64_t{1} << (id % 64);
+    }
+    due_.clear();
+    for (std::size_t w = 0; w < due_bits_.size(); ++w) {
+      for (std::uint64_t bits = due_bits_[w]; bits != 0; bits &= bits - 1) {
+        due_.push_back(static_cast<ProcId>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+      }
+      due_bits_[w] = 0;
+    }
     return;
   }
-  for (ProcId id : drain_entries_) {
-    drain_bits_[id / 64] |= std::uint64_t{1} << (id % 64);
-  }
-  drain_entries_.clear();
-  for (std::size_t w = 0; w < drain_bits_.size(); ++w) {
-    for (std::uint64_t bits = drain_bits_[w]; bits != 0; bits &= bits - 1) {
-      drain_entries_.push_back(static_cast<ProcId>(
-          w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+  // Natural merge: each pass merges neighbouring runs pairwise, so r runs
+  // take ceil(log2 r) linear passes, and two (a slot filed in one cycle
+  // and the next bucket) one.
+  for (std::size_t merges = 2; merges > 1;) {
+    merges = 0;
+    spare_.clear();
+    for (auto a = due_.begin(); a != due_.end(); ++merges) {
+      const auto b = std::is_sorted_until(a, due_.end());
+      const auto c = std::is_sorted_until(b, due_.end());
+      std::merge(a, b, b, c, std::back_inserter(spare_));
+      a = c;
     }
-    drain_bits_[w] = 0;
+    due_.swap(spare_);
   }
 }
 

@@ -10,8 +10,12 @@
 // events.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -513,6 +517,171 @@ TEST(SchedulerEquivalence, DenseStretchStopsAtOutOfRangeChannel) {
     ASSERT_FALSE(ref.events.empty());
     EXPECT_EQ(ref.events.back().cycle, beat - 1);
   }
+}
+
+// --- One filing per channel action ----------------------------------------
+//
+// The event engine files a channel action once, at the cycle after its
+// first beat, in the wake wheel: the next bucket for no lead, level 0 for
+// leads up to 4,096 cycles, the levels above for longer ones (a level-1
+// block spans 4,096 cycles, a level-2 block 2^18). The cases below hold it
+// to the reference engine on one-beat actions with and without a trail and
+// on multi-beat windows, behind leads on both sides of every edge: the old
+// 64-cycle width, each level's width relative to the filing cycle, and
+// each block boundary in absolute cycles, some of them around dense
+// stretches. Each compares the stats, what the programs saw and every
+// cycle event, with and without a sink, and again after reset().
+
+struct EdgeCase {
+  std::string name;
+  bool windows = false;  // multi-beat windows instead of one-beat actions
+  bool dense = false;    // opens with dense windows, sleepers among them
+};
+
+/// Leads straddling the wheel's edges, relative to the filing cycle.
+constexpr Cycle kEdgeLeads[] = {63,     64,     65,     4095,   4096,
+                                4097,   262143, 262144, 262145, 300000};
+
+/// The lead that makes an action filed at `now` wake `d` cycles after the
+/// next multiple of `block` at least two cycles ahead.
+Cycle lead_to_edge(Cycle now, Cycle block, int d) {
+  const Cycle edge = ((now + 2) / block + 1) * block;
+  return static_cast<Cycle>(static_cast<std::int64_t>(edge) + d) - now - 1;
+}
+
+ProcMain edge_prog(Proc& self, const EdgeCase& c, std::vector<Word>& seen) {
+  const ProcId i = self.id();
+  const std::size_t k = self.k();
+  // Processors below k write their own channel; everyone reads the next
+  // one. Each group of k walks the leads from its own offset, so group 0
+  // acts in lockstep and hears its own writes, and the groups' filings
+  // land in the same wheel slots from different cycles.
+  const bool writer = i < k;
+  const auto own = static_cast<ChannelId>(i % k);
+  const auto next = static_cast<ChannelId>((i + 1) % k);
+  const std::size_t group = i / k;
+  const auto record = [&seen](const Proc::ReadResult& got) {
+    seen.push_back(got ? got->at(0) : -1);
+  };
+  const auto beat = [i, writer, own, next](std::size_t j) {
+    Beat b;
+    if (writer && j % 2 == 0) {
+      b.msg = Message::of(static_cast<Word>(i * 1000 + j));
+      b.write = own;
+    }
+    if (j % 3 != 1) b.read = next;
+    return b;
+  };
+  Word sum = 0;
+  const auto place = [&sum](std::size_t j, const Proc::ReadResult& got) {
+    sum += got ? got->at(0) * static_cast<Word>(j + 1) : -1;
+  };
+  if (c.dense) {
+    // Group 0 writes for 100 cycles, group 1 reads behind a short lead,
+    // and the others sleep and wake inside the stretches.
+    if (group == 0) {
+      auto aw = self.window(0, 100, 0, beat, place);
+      co_await aw;
+    } else if (group == 1) {
+      auto aw = self.window(5, 60 + i, i % 3, beat, place);
+      co_await aw;
+    } else {
+      for (const Cycle nap : {Cycle{40}, Cycle{23}, Cycle{9}}) {
+        co_await self.window(nap + i);
+        record(co_await self.read(next));
+      }
+    }
+    seen.push_back(sum);
+  }
+  // Leads of kEdgeLeads, then leads that put the wake just before, at and
+  // just after the next boundary of a 64-, 4,096- and 2^18-cycle block.
+  constexpr std::size_t kRelative = std::size(kEdgeLeads);
+  for (std::size_t a = 0; a < kRelative + 9; ++a) {
+    const std::size_t e = a - kRelative;
+    const Cycle lead =
+        a < kRelative ? kEdgeLeads[(a + group) % kRelative]
+                      : lead_to_edge(self.now(), Cycle{64} << (6 * (e / 3)),
+                                     static_cast<int>(e % 3) - 1);
+    const Cycle trail = (a + group) % 2 == 0 ? 0 : a % 3 + 1;
+    if (c.windows) {
+      auto aw = self.window(lead, 1 + (a * 7 + i) % 40, trail, beat, place);
+      co_await aw;
+      seen.push_back(sum);
+    } else {
+      const Beat b = beat(a);
+      std::optional<WriteOp> w;
+      if (b.write != kNoChannel) w = WriteOp{b.write, b.msg};
+      std::optional<ChannelId> r;
+      if (b.read != kNoChannel) r = b.read;
+      record(co_await self.cycle_after(lead, w, r, trail));
+    }
+  }
+}
+
+struct EdgeOutcome {
+  RunStats stats;
+  std::vector<std::vector<Word>> seen;
+  std::vector<CycleEvent> events;
+};
+
+/// Runs case `c` on `net` twice, with a reset() between, and returns both
+/// outcomes; `trace` is the network's sink, or nullptr.
+std::array<EdgeOutcome, 2> run_edges(const EdgeCase& c, Network& net,
+                                     const ChannelTrace* trace) {
+  std::array<EdgeOutcome, 2> out;
+  for (EdgeOutcome& o : out) {
+    const std::size_t before = trace != nullptr ? trace->events().size() : 0;
+    o.seen.resize(net.config().p);
+    for (ProcId i = 0; i < net.config().p; ++i) {
+      net.install(i, edge_prog(net.proc(i), c, o.seen[i]));
+    }
+    o.stats = net.run();
+    if (trace != nullptr) {
+      EXPECT_FALSE(trace->truncated());
+      o.events.assign(trace->events().begin() +
+                          static_cast<std::ptrdiff_t>(before),
+                      trace->events().end());
+    }
+    net.reset();
+  }
+  return out;
+}
+
+void expect_edges_agree(const EdgeCase& c) {
+  const SimConfig cfg{.p = 12, .k = 4};
+  ChannelTrace ref_trace(1u << 20);
+  Network ref_net(with_engine(cfg, Engine::kReference), &ref_trace);
+  const auto ref = run_edges(c, ref_net, &ref_trace);
+  ASSERT_GT(ref[0].stats.cycles, Cycle{1} << 19) << c.name;
+  ASSERT_GT(ref[0].stats.messages, 0u) << c.name;
+  expect_identical_stats(ref[0].stats, ref[1].stats, c.name + "/reference");
+  expect_same_events(ref[0].events, ref[1].events, c.name + "/reference");
+  for (const bool traced : {true, false}) {
+    ChannelTrace trace(1u << 20);
+    Network net(with_engine(cfg, Engine::kEventDriven),
+                traced ? &trace : nullptr);
+    const auto ev = run_edges(c, net, traced ? &trace : nullptr);
+    for (std::size_t r = 0; r < ev.size(); ++r) {
+      const std::string label = c.name + (traced ? "/traced" : "/plain") +
+                                (r == 0 ? "" : "/after-reset");
+      expect_identical_stats(ref[0].stats, ev[r].stats, label);
+      EXPECT_EQ(ref[0].seen, ev[r].seen) << label;
+      if (traced) expect_same_events(ref[0].events, ev[r].events, label);
+    }
+  }
+}
+
+TEST(SchedulerEquivalence, OneBeatActionsBehindLeadsAtWheelEdges) {
+  expect_edges_agree({.name = "one-beat"});
+}
+
+TEST(SchedulerEquivalence, WindowsBehindLeadsAtWheelEdges) {
+  expect_edges_agree({.name = "windows", .windows = true});
+}
+
+TEST(SchedulerEquivalence, WheelEdgeLeadsAroundDenseStretches) {
+  expect_edges_agree({.name = "dense/one-beat", .dense = true});
+  expect_edges_agree({.name = "dense/windows", .windows = true, .dense = true});
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Property tests of the event engine's wake queue, driven directly: random
-// schedule_wake / next_wake / drain_due sequences checked against a
-// std::set<(wake, id)> oracle. Wake offsets straddle every wheel level
-// boundary (kSlots^j and kSlots^j + 1 for j = 1..3, plus far wakes that
-// cascade through many levels), both relative to the cursor and aligned to
-// absolute block boundaries, and the drain cursor fast-forwards across
+// schedule_wake / next_wake / collect / refile_due sequences checked
+// against a std::set<(wake, id)> oracle. Wake offsets straddle every wheel
+// level boundary (64^j - 1, 64^j and 64^j + 1 for j = 1..3: the old level-0
+// width, the 4,096-slot level 0 and the first level above it, plus far
+// wakes that cascade through many levels), both relative to the cursor and
+// aligned to absolute block boundaries, and the cursor fast-forwards across
 // several levels at once.
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@ namespace {
 constexpr Cycle kLevel1 = 64;
 constexpr Cycle kLevel2 = 64 * 64;
 constexpr Cycle kLevel3 = 64 * 64 * 64;
+constexpr Cycle kNone = ~Cycle{0};
 
 class SchedulerOracle {
  public:
@@ -54,23 +56,39 @@ class SchedulerOracle {
     return due_.begin()->first;
   }
 
-  /// drain_due(t) must return exactly the oracle's ids due at t, ascending.
+  /// collect(t) must return exactly the oracle's ids due at t, ascending.
   void drain(Cycle t) {
     std::vector<ProcId> want;
     while (!due_.empty() && due_.begin()->first == t) {
       want.push_back(due_.begin()->second);
       due_.erase(due_.begin());
     }
-    const std::vector<ProcId>& got = sched_.drain_due(t);
-    EXPECT_EQ(got, want) << "drain at " << t << " after " << now_;
+    const std::vector<ProcId>& got = sched_.collect(t);
+    EXPECT_EQ(got, want) << "collect at " << t << " after " << now_;
     free_.insert(free_.end(), want.begin(), want.end());
+    drained_ = want;
     now_ = t;
-    EXPECT_EQ(sched_.queue_empty(), due_.empty());
+    EXPECT_EQ(sched_.next_wake(now_) == kNone, due_.empty());
   }
+
+  /// A dense stretch: the ids of the latest drain are filed again, unchanged,
+  /// for cycle t (no other wake lies before t), then collected at t.
+  void stretch(Cycle t) {
+    sched_.refile_due();
+    for (ProcId id : drained_) {
+      free_.erase(std::find(free_.begin(), free_.end(), id));
+      due_.emplace(t, id);
+    }
+    drain(t);
+  }
+
+  /// The earliest wake the oracle holds (kNone: none).
+  Cycle earliest() const { return due_.empty() ? kNone : due_.begin()->first; }
 
   void reset() {
     sched_.reset();
     due_.clear();
+    drained_.clear();
     free_.clear();
     for (ProcId id = 0; id < p_; ++id) free_.push_back(id);
     now_ = 0;
@@ -81,6 +99,7 @@ class SchedulerOracle {
   std::size_t p_;
   std::set<std::pair<Cycle, ProcId>> due_;
   std::vector<ProcId> free_;
+  std::vector<ProcId> drained_;
   Cycle now_ = 0;
 };
 
@@ -136,6 +155,16 @@ void fuzz(std::uint64_t seed, int steps) {
     }
     if (o.empty()) {
       o.drain(o.now() + 1 + static_cast<Cycle>(rng.uniform(0, 100)));
+      continue;
+    }
+    if (regs.empty() && rng.uniform(0, 3) == 0) {
+      // The latest drain's ids stay due through a dense stretch that ends
+      // anywhere up to the next wake (at most 2^20 cycles on).
+      const Cycle last = std::min(o.earliest(), o.now() + (Cycle{1} << 20));
+      o.stretch(o.now() + 1 +
+                static_cast<Cycle>(rng.uniform(
+                    0, static_cast<std::int64_t>(last - o.now() - 1))));
+      if (::testing::Test::HasFailure()) return;
       continue;
     }
     const Cycle next = o.check_next_wake();

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "algo/mergesort.hpp"
@@ -120,6 +122,30 @@ TEST(SingleChannelSortTest, EmptyProcessorRejected) {
   std::vector<std::vector<Word>> inputs{{1, 2}, {}};
   EXPECT_THROW(ranksort({.p = 2, .k = 1}, inputs), std::invalid_argument);
   EXPECT_THROW(mergesort({.p = 2, .k = 1}, inputs), std::invalid_argument);
+}
+
+TEST(SingleChannelSortTest, MergeSortGroupRejectsEmptyMember) {
+  // The whole-network sorts refuse an empty processor up front; called
+  // directly, the collective must refuse a member declared with no
+  // elements too, by name, as its construction has no top to insert.
+  std::vector<std::vector<Word>> data{{4, 1}, {}, {3}};
+  const std::vector<std::size_t> sizes{2, 0, 1};
+  Network net({.p = 3, .k = 1});
+  auto prog = [](Proc& self, const std::vector<std::size_t>& declared,
+                 std::vector<Word>& out) -> ProcMain {
+    co_await mergesort_group(self, GroupSpec{0, 3, 0}, declared, out);
+  };
+  for (ProcId i = 0; i < 3; ++i) {
+    net.install(i, prog(net.proc(i), sizes, data[i]));
+  }
+  try {
+    net.run();
+    FAIL() << "an empty member was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("P2 joins merge-sort with no elements"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SingleChannelSortTest, GroupCollectivesRunConcurrently) {

@@ -170,9 +170,11 @@ run_preset() {
   # redistribution, recursive Columnsort's levels, and a serving
   # session's batches. The second selection finds its rank inside a
   # filtering phase, so its zero-length "terminate" phase and span are
-  # compared too.
+  # compared too. The third runs Partial-Sums leads past 4,096 cycles, so
+  # the event engine files their wakes in the wheel's levels above level 0.
   window_runs=(
     "select:select --p 1024 --k 8 --n 4096 --check"
+    "select-long:select --p 4096 --k 1 --n 8192 --seed 2"
     "select-filtered:select --p 257 --k 2 --n 774 --shape zipf --seed 3 --rank 194 --obs"
     "uneven:sort --p 64 --k 8 --n 4096 --algorithm uneven --shape zipf --check"
     "central:sort --p 64 --k 8 --n 4096 --algorithm central --check"
